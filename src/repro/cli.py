@@ -17,6 +17,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from dataclasses import replace
@@ -127,8 +128,8 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend-shards",
         type=_positive_int,
-        default=8,
-        help="shard count for --backend sharded",
+        default=None,
+        help="shard count for --backend sharded (default 8)",
     )
     parser.add_argument(
         "--batch-window",
@@ -140,7 +141,7 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
         "--overlap",
         action="store_true",
         help="pipeline batched-storage latency under network transit "
-        "(--backend batched only)",
+        "(--backend batched or write-behind)",
     )
     parser.add_argument(
         "--batch-waves",
@@ -268,93 +269,22 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _backend_spec(args) -> Optional[BackendSpec]:
-    kind = args.backend
-    if getattr(args, "write_behind", False):
-        if kind is not None and kind != "write-behind":
-            raise SystemExit(
-                f"--write-behind conflicts with --backend {kind}"
-            )
-        kind = "write-behind"
-    if kind is None:
-        return None
-    kwargs = {}
-    if args.batch_window is not None:
-        kwargs["batch_window"] = args.batch_window
-    if getattr(args, "flush_interval", None) is not None:
-        kwargs["flush_interval"] = args.flush_interval
-    return BackendSpec(
-        kind=kind,
-        n_shards=args.backend_shards,
-        seed=args.seed,
-        overlap=args.overlap,
-        **kwargs,
-    )
+def _named_exit(build):
+    """Report a ``ValueError`` from ``build`` as a one-line exit.
 
+    The spec and workload constructors validate their knobs; a bad
+    flag value should end the command with that message, not a
+    traceback from wherever the value was finally used.
+    """
 
-def _replication_kwargs(args) -> dict:
-    """ScenarioSpec kwargs for --replicate-pops N (N regional PoPs)."""
-    n_regions = getattr(args, "replicate_pops", None)
-    if n_regions is None:
-        return {}
-    return {"replicate_pops": True, "n_regions": n_regions}
+    @functools.wraps(build)
+    def wrapper(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as err:
+            raise SystemExit(f"repro: error: {err}") from None
 
-
-def _fault_kwargs(args) -> dict:
-    """ScenarioSpec kwargs for the fault-tolerance flags."""
-    kwargs: dict = {}
-    profile_name = getattr(args, "fault_profile", None)
-    if profile_name is not None:
-        from repro.faults import FaultProfile
-
-        kwargs["fault_profile"] = FaultProfile.named(profile_name)
-    stale_if_error = getattr(args, "stale_if_error", None)
-    if stale_if_error is not None:
-        kwargs["stale_if_error"] = stale_if_error
-    retry_budget = getattr(args, "retry_budget", None)
-    if retry_budget is not None:
-        from repro.faults import RetryPolicy
-
-        kwargs["retry"] = RetryPolicy(budget=retry_budget)
-    return kwargs
-
-
-def _overload_kwargs(args) -> dict:
-    """ScenarioSpec kwargs for the overload control-plane flags."""
-    kwargs: dict = {}
-    profile_name = getattr(args, "overload_profile", None)
-    if profile_name is not None:
-        from repro.overload import OVERLOAD_PROFILES
-
-        kwargs["overload_profile"] = OVERLOAD_PROFILES[profile_name]
-    if getattr(args, "admission", False):
-        if profile_name is None:
-            raise SystemExit("--admission requires --overload-profile")
-        kwargs["admission"] = True
-    if getattr(args, "autoscale", False):
-        if profile_name is None:
-            raise SystemExit("--autoscale requires --overload-profile")
-        kwargs["autoscale"] = True
-    multiplier = getattr(args, "load_multiplier", None)
-    if multiplier is not None:
-        if multiplier < 1.0:
-            raise SystemExit(
-                f"--load-multiplier must be >= 1: {multiplier}"
-            )
-        kwargs["load_multiplier"] = multiplier
-    return kwargs
-
-
-def _txn_kwargs(args) -> dict:
-    """ScenarioSpec kwargs for the transaction consistency flags."""
-    kwargs: dict = {}
-    consistency = getattr(args, "consistency", None)
-    if consistency is not None:
-        kwargs["consistency"] = consistency
-    txn_retries = getattr(args, "txn_retries", None)
-    if txn_retries is not None:
-        kwargs["txn_retry_limit"] = txn_retries
-    return kwargs
+    return wrapper
 
 
 def _world_spec_from_args(args) -> WorldSpec:
@@ -368,14 +298,86 @@ def _world_spec_from_args(args) -> WorldSpec:
     )
 
 
-def _time_kwargs(args) -> dict:
-    """ScenarioSpec kwargs for --replay-rate time compression."""
-    rate = getattr(args, "replay_rate", None)
-    if rate is None or rate == 1.0:
-        return {}
-    return {"time_scale": 1.0 / rate}
+def _given(**flags) -> dict:
+    """The keyword arguments whose flag was given (is not ``None``)."""
+    return {
+        name: value for name, value in flags.items() if value is not None
+    }
 
 
+@_named_exit
+def _spec_from_args(args, **overrides) -> ScenarioSpec:
+    """The one place parsed flags become a :class:`ScenarioSpec`.
+
+    ``overrides`` carries what differs per command: the scenario, a
+    swept ``delta``/``n_segments``, ``run``'s own flags. A flag left
+    unset keeps the spec's default. Flags that contradict the selected
+    storage engine fail here by name instead of being ignored.
+    """
+    from repro.faults import FaultProfile, RetryPolicy
+    from repro.overload import OVERLOAD_PROFILES
+
+    kind = args.backend
+    if args.write_behind:
+        if kind not in (None, "write-behind"):
+            raise SystemExit(
+                f"--write-behind conflicts with --backend {kind}"
+            )
+        kind = "write-behind"
+    for flag, value, kinds in (
+        ("--flush-interval", args.flush_interval, ("write-behind",)),
+        ("--batch-window", args.batch_window, ("batched", "write-behind")),
+        ("--overlap", args.overlap or None, ("batched", "write-behind")),
+        ("--backend-shards", args.backend_shards, ("sharded",)),
+    ):
+        if value is not None and kind not in kinds:
+            got = f"--backend {kind}" if kind else "the default engine"
+            raise SystemExit(
+                f"{flag} requires --backend {'|'.join(kinds)} (got {got})"
+            )
+    if (args.admission or args.autoscale) and args.overload_profile is None:
+        flag = "--admission" if args.admission else "--autoscale"
+        raise SystemExit(f"{flag} requires --overload-profile")
+    backend = fault_profile = retry = overload_profile = None
+    if kind is not None:
+        backend = BackendSpec(
+            kind=kind,
+            seed=args.seed,
+            overlap=args.overlap,
+            **_given(
+                n_shards=args.backend_shards,
+                batch_window=args.batch_window,
+                flush_interval=args.flush_interval,
+            ),
+        )
+    if args.fault_profile is not None:
+        fault_profile = FaultProfile.named(args.fault_profile)
+    if args.retry_budget is not None:
+        retry = RetryPolicy(budget=args.retry_budget)
+    if args.overload_profile is not None:
+        overload_profile = OVERLOAD_PROFILES[args.overload_profile]
+    return ScenarioSpec(
+        **_given(
+            backend=backend,
+            batch_waves=args.batch_waves,
+            replicate_pops=args.replicate_pops is not None,
+            n_regions=args.replicate_pops,
+            fault_profile=fault_profile,
+            stale_if_error=args.stale_if_error,
+            retry=retry,
+            consistency=args.consistency,
+            txn_retry_limit=args.txn_retries,
+            overload_profile=overload_profile,
+            load_multiplier=args.load_multiplier,
+            admission=args.admission,
+            autoscale=args.autoscale,
+            time_scale=1.0 / args.replay_rate,
+            **overrides,
+        )
+    )
+
+
+@_named_exit
 def _build_workload(args):
     """The (catalog, users, trace) triple one command runs against.
 
@@ -387,13 +389,13 @@ def _build_workload(args):
     every event reference: a mismatch aborts loudly instead of
     replaying foreign users/products against the wrong world.
     """
-    rate = getattr(args, "replay_rate", None)
-    if rate is None:
-        rate = 1.0
-    if rate <= 0:
-        raise SystemExit(f"--replay-rate must be positive: {rate}")
-    replay = getattr(args, "replay", None)
-    import_log = getattr(args, "import_log", None)
+    rate = args.replay_rate
+    if not 0 < rate < float("inf"):
+        raise SystemExit(
+            f"--replay-rate must be positive and finite: {rate}"
+        )
+    replay = args.replay
+    import_log = args.import_log
     if replay and import_log:
         raise SystemExit("--replay and --import-log are mutually exclusive")
     if replay:
@@ -424,19 +426,14 @@ def _build_workload(args):
         world = _world_spec_from_args(args)
         catalog, users = world.build()
         duration = 900.0 if args.quick else args.duration
-        gdpr_mix = getattr(args, "gdpr_mix", None) or 0.0
-        txn_kwargs = {}
-        if getattr(args, "txn_mix", None) is not None:
-            txn_kwargs["txn_mix"] = args.txn_mix
-        if getattr(args, "txn_keys", None) is not None:
-            txn_kwargs["txn_keys"] = args.txn_keys
+        gdpr_mix = args.gdpr_mix or 0.0
         config = WorkloadConfig(
             duration=duration,
             session_rate=args.session_rate,
             write_rate=args.write_rate,
             erase_fraction=gdpr_mix,
             access_rate=gdpr_mix * args.session_rate,
-            **txn_kwargs,
+            **_given(txn_mix=args.txn_mix, txn_keys=args.txn_keys),
         )
         trace = WorkloadGenerator(catalog, users, config).generate(
             random.Random(args.seed + 2)
@@ -446,18 +443,18 @@ def _build_workload(args):
         )
     if rate != 1.0:
         trace = rescale_trace(trace, rate)
-    record = getattr(args, "record", None)
-    if record:
-        dump_trace(trace, record)
+    if args.record:
+        dump_trace(trace, args.record)
         print(
-            f"recorded {len(trace)} events to {record}", file=sys.stderr
+            f"recorded {len(trace)} events to {args.record}",
+            file=sys.stderr,
         )
     return catalog, users, trace
 
 
-def _run(spec: ScenarioSpec, workload, args=None) -> "RunResult":
+def _run(spec: ScenarioSpec, workload, args) -> "RunResult":
     catalog, users, trace = workload
-    n_shards = getattr(args, "shards", 1) if args is not None else 1
+    n_shards = args.shards
     if n_shards > 1:
         from repro.parallel import ShardedSimulationRunner
 
@@ -467,7 +464,7 @@ def _run(spec: ScenarioSpec, workload, args=None) -> "RunResult":
             users,
             trace,
             n_shards=n_shards,
-            workers=getattr(args, "workers", None),
+            workers=args.workers,
         ).run()
         print(
             f"{n_shards} shards: {result.kernel_events} kernel events "
@@ -482,18 +479,12 @@ def _run(spec: ScenarioSpec, workload, args=None) -> "RunResult":
 def cmd_run(args) -> int:
     scenario = Scenario(args.scenario)
     workload = _build_workload(args)
-    spec = ScenarioSpec(
+    spec = _spec_from_args(
+        args,
         scenario=scenario,
         delta=args.delta,
         adaptive_ttl=args.adaptive_ttl,
-        backend=_backend_spec(args),
-        batch_waves=args.batch_waves,
         trace_requests=args.trace is not None,
-        **_replication_kwargs(args),
-        **_fault_kwargs(args),
-        **_txn_kwargs(args),
-        **_overload_kwargs(args),
-        **_time_kwargs(args),
     )
     result = _run(spec, workload, args)
     if args.json:
@@ -572,23 +563,8 @@ def cmd_compare(args) -> int:
     for name in names:
         scenario = Scenario(name.strip())
         print(f"running {scenario.value} ...", file=sys.stderr)
-        results.append(
-            _run(
-                ScenarioSpec(
-                    scenario=scenario,
-                    delta=args.delta,
-                    backend=_backend_spec(args),
-                    batch_waves=args.batch_waves,
-                    **_replication_kwargs(args),
-                    **_fault_kwargs(args),
-                    **_txn_kwargs(args),
-                    **_overload_kwargs(args),
-                    **_time_kwargs(args),
-                ),
-                workload,
-                args,
-            )
-        )
+        spec = _spec_from_args(args, scenario=scenario, delta=args.delta)
+        results.append(_run(spec, workload, args))
     print(
         format_table(
             [result.summary_row() for result in results],
@@ -615,21 +591,10 @@ def cmd_sweep_delta(args) -> int:
     rows = []
     for delta in (float(d) for d in args.deltas.split(",")):
         print(f"running Δ={delta:g} ...", file=sys.stderr)
-        result = _run(
-            ScenarioSpec(
-                scenario=Scenario.SPEED_KIT,
-                delta=delta,
-                backend=_backend_spec(args),
-                batch_waves=args.batch_waves,
-                **_replication_kwargs(args),
-                **_fault_kwargs(args),
-                **_txn_kwargs(args),
-                **_overload_kwargs(args),
-                **_time_kwargs(args),
-            ),
-            workload,
-            args,
+        spec = _spec_from_args(
+            args, scenario=Scenario.SPEED_KIT, delta=delta
         )
+        result = _run(spec, workload, args)
         rows.append(
             {
                 "delta_s": delta,
@@ -649,21 +614,10 @@ def cmd_sweep_segments(args) -> int:
     rows = []
     for n in (int(s) for s in args.segments.split(",")):
         print(f"running {n} segments ...", file=sys.stderr)
-        result = _run(
-            ScenarioSpec(
-                scenario=Scenario.SPEED_KIT,
-                n_segments=n,
-                backend=_backend_spec(args),
-                batch_waves=args.batch_waves,
-                **_replication_kwargs(args),
-                **_fault_kwargs(args),
-                **_txn_kwargs(args),
-                **_overload_kwargs(args),
-                **_time_kwargs(args),
-            ),
-            workload,
-            args,
+        spec = _spec_from_args(
+            args, scenario=Scenario.SPEED_KIT, n_segments=n
         )
+        result = _run(spec, workload, args)
         rows.append(
             {
                 "segments": n,
@@ -686,22 +640,8 @@ def cmd_report(args) -> int:
     for name in names:
         scenario = Scenario(name.strip())
         print(f"running {scenario.value} ...", file=sys.stderr)
-        results.append(
-            _run(
-                ScenarioSpec(
-                    scenario=scenario,
-                    backend=_backend_spec(args),
-                    batch_waves=args.batch_waves,
-                    **_replication_kwargs(args),
-                    **_fault_kwargs(args),
-                    **_txn_kwargs(args),
-                    **_overload_kwargs(args),
-                    **_time_kwargs(args),
-                ),
-                workload,
-                args,
-            )
-        )
+        spec = _spec_from_args(args, scenario=scenario)
+        results.append(_run(spec, workload, args))
     report = render_report(results, trace=trace)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -743,17 +683,7 @@ def cmd_erase(args) -> int:
     ]
     trace = WorkloadTrace(events=events, duration=trace.duration)
     trace.validate()
-    spec = ScenarioSpec(
-        scenario=scenario,
-        delta=args.delta,
-        backend=_backend_spec(args),
-        batch_waves=args.batch_waves,
-        **_replication_kwargs(args),
-        **_fault_kwargs(args),
-        **_txn_kwargs(args),
-        **_overload_kwargs(args),
-        **_time_kwargs(args),
-    )
+    spec = _spec_from_args(args, scenario=scenario, delta=args.delta)
     result = _run(spec, (catalog, users, trace), args)
     if args.json:
         import json

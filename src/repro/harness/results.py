@@ -1,83 +1,176 @@
-"""Aggregated results of one simulation run."""
+"""Aggregated results of one simulation run.
+
+Each :class:`RunResult` field is declared once, with :func:`ledger`,
+and carries its own rules: how shards combine it, whether
+:meth:`RunResult.to_dict` exports it, and which registry counter (if
+any) it restates. Merge, export and the counter copy are loops over
+those declarations.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+import copy
+import dataclasses
+import inspect
+import operator
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.sim.metrics import Histogram, MetricRegistry
 
 
+def _sum_map(ours: dict, theirs: dict) -> dict:
+    for key, count in theirs.items():
+        ours[key] = ours.get(key, 0) + count
+    return ours
+
+
+def _sum_nested_map(ours: dict, theirs: dict) -> dict:
+    for key, inner in theirs.items():
+        _sum_map(ours.setdefault(key, {}), inner)
+    return ours
+
+
+def _same(ours, theirs):
+    if theirs != ours:
+        raise ValueError(f"cannot merge run of {theirs!r} into {ours!r}")
+    return ours
+
+
+#: How two shards' values of one field fold into one: each rule takes
+#: ``(ours, theirs)`` and returns the merged value (container rules
+#: fold into ``ours`` in place). ``max`` is for extrema — each shard
+#: saw its own worst case, the merged value is the worst any saw.
+#: ``registry`` fields belong to the metric registry, which merges
+#: them itself.
+MERGE_RULES = {
+    "sum": operator.add,
+    "max": max,
+    "sum-map": _sum_map,
+    "sum-nested-map": _sum_nested_map,
+    "concat": operator.iadd,
+    "same": _same,
+    "registry": None,
+}
+
+
+def ledger(
+    merge: str,
+    default=dataclasses.MISSING,
+    *,
+    export: Union[bool, str] = True,
+    counter: Union[None, str, Mapping[str, str]] = None,
+    **field_kwargs,
+):
+    """One :class:`RunResult` field with its rules.
+
+    ``merge`` names a :data:`MERGE_RULES` entry; ``export`` is ``True``
+    (exported under the field's name), another key, or ``False``;
+    ``counter`` is the registry counter the field restates at end of
+    run — for a map field, ``{label: counter name}``.
+    """
+    if merge not in MERGE_RULES:
+        raise TypeError(f"unknown merge rule {merge!r}")
+    return dataclasses.field(
+        default=default,
+        metadata={"merge": merge, "export": export, "counter": counter},
+        **field_kwargs,
+    )
+
+
+def _require_rules(cls):
+    """Fail class creation when its body declares a rule-less field."""
+    for name in inspect.get_annotations(cls):
+        if "merge" not in getattr(cls.__dict__.get(name), "metadata", ()):
+            raise TypeError(
+                f"{cls.__name__}.{name} has no merge/export rule: "
+                f"declare it with ledger(...)"
+            )
+    return cls
+
+
 @dataclass
+@_require_rules
 class RunResult:
     """Everything measured during one trace replay."""
 
-    scenario_name: str
-    metrics: MetricRegistry
-    #: Page load times, overall and per dimension.
-    plt: Histogram
-    plt_by_page_kind: Dict[str, Histogram] = field(default_factory=dict)
-    plt_by_connection: Dict[str, Histogram] = field(default_factory=dict)
+    scenario_name: str = ledger("same", export="scenario")
+    metrics: MetricRegistry = ledger("registry", export=False)
+    #: Page load times, overall and per dimension — aliases of
+    #: registry-owned histograms (``plt.all``, ``plt.page.<kind>``,
+    #: ``plt.conn.<connection>``).
+    plt: Histogram = ledger("registry", export=False)
+    plt_by_page_kind: Dict[str, Histogram] = ledger(
+        "registry", export=False, default_factory=dict
+    )
+    plt_by_connection: Dict[str, Histogram] = ledger(
+        "registry", export=False, default_factory=dict
+    )
     #: Request counts by serving layer ("origin", "edge-1",
     #: "browser:<node>"→"browser", "sw:<node>"→"sw").
-    served_by_layer: Dict[str, int] = field(default_factory=dict)
+    served_by_layer: Dict[str, int] = ledger("sum-map", default_factory=dict)
     #: Request counts by (layer, resource kind).
-    served_by_kind: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    served_by_kind: Dict[str, Dict[str, int]] = ledger(
+        "sum-nested-map", default_factory=dict
+    )
     #: Degraded servings (stale-if-error, offline mode) per layer — a
     #: subset of ``served_by_layer``. Kept separate so hit ratios can
     #: exclude availability fallbacks from the fresh-hit numerator.
-    served_degraded_by_layer: Dict[str, int] = field(default_factory=dict)
+    served_degraded_by_layer: Dict[str, int] = ledger(
+        "sum-map", default_factory=dict
+    )
     #: Coherence outcome.
-    reads_checked: int = 0
-    stale_reads: int = 0
-    delta_violations: int = 0
-    max_staleness: float = 0.0
+    reads_checked: int = ledger("sum", 0)
+    stale_reads: int = ledger("sum", 0)
+    delta_violations: int = ledger("sum", 0)
+    max_staleness: float = ledger("max", 0.0)
     #: Worst staleness among users NOT covered by the Δ guarantee
     #: (non-consenting users running the plain browser stack).
-    uncovered_max_staleness: float = 0.0
+    uncovered_max_staleness: float = ledger("max", 0.0)
     #: Sketch accounting (Speed Kit only).
-    sketch_fetches: int = 0
-    sketch_bytes: int = 0
+    sketch_fetches: int = ledger("sum", 0)
+    sketch_bytes: int = ledger("sum", 0)
     #: Scrubbing accounting (Speed Kit only).
-    requests_scrubbed: int = 0
+    requests_scrubbed: int = ledger("sum", 0)
     #: Origin load.
-    origin_requests: int = 0
+    origin_requests: int = ledger("sum", 0)
     #: Sessions (home-page entries), for per-session statistics.
-    page_views: int = 0
+    page_views: int = ledger("sum", 0)
     #: Requests answered with a 5xx (origin outages).
-    failed_responses: int = 0
+    failed_responses: int = ledger("sum", 0)
     #: Egress bandwidth: bytes the origin served vs. bytes edges served.
-    origin_egress_bytes: int = 0
-    edge_egress_bytes: int = 0
+    origin_egress_bytes: int = ledger("sum", 0, counter="bytes.origin_egress")
+    edge_egress_bytes: int = ledger("sum", 0, counter="bytes.edge_egress")
     #: Personalization correctness: page/query responses to logged-in
     #: users that carried the right personalization (their segment, or
     #: a full identity-personalized render) vs. anonymous fallbacks.
-    personalization_checks: int = 0
-    personalization_misses: int = 0
+    #: Exported only as the derived ``personalization_rate``.
+    personalization_checks: int = ledger("sum", 0, export=False)
+    personalization_misses: int = ledger("sum", 0, export=False)
     #: GDPR accounting: data-subject requests served and the erasure
     #: outcome. ``erasure_residuals`` is the compliance gate — any
     #: nonzero value means user bytes survived an erase somewhere.
-    erasures: int = 0
-    accesses: int = 0
-    erasure_removed: int = 0
-    erasure_residuals: int = 0
-    erasure_replicas_dropped: int = 0
-    erasure_queued_scrubbed: int = 0
+    erasures: int = ledger("sum", 0)
+    accesses: int = ledger("sum", 0)
+    erasure_removed: int = ledger("sum", 0)
+    erasure_residuals: int = ledger("sum", 0)
+    erasure_replicas_dropped: int = ledger("sum", 0)
+    erasure_queued_scrubbed: int = ledger("sum", 0)
     #: Exported span records rewritten by the erasure scrubbing pass.
-    spans_scrubbed: int = 0
+    spans_scrubbed: int = ledger("sum", 0)
     #: Multi-key transaction accounting. ``txn_fractured_reads``,
     #: ``txn_serialization_violations``, and ``txn_silent_downgrades``
     #: are the ladder's compliance gates — all must be zero.
-    txns: int = 0
-    txn_aborts: int = 0
-    txn_validation_retries: int = 0
-    txn_refetches: int = 0
-    txn_degraded: int = 0
-    txn_erase_conflicts: int = 0
-    txn_fractured_reads: int = 0
-    txn_serialization_violations: int = 0
-    txn_silent_downgrades: int = 0
-    txn_buffers_scrubbed: int = 0
+    txns: int = ledger("sum", 0)
+    txn_aborts: int = ledger("sum", 0)
+    txn_validation_retries: int = ledger("sum", 0)
+    txn_refetches: int = ledger("sum", 0)
+    txn_degraded: int = ledger("sum", 0)
+    txn_erase_conflicts: int = ledger("sum", 0)
+    txn_fractured_reads: int = ledger("sum", 0)
+    txn_serialization_violations: int = ledger("sum", 0)
+    txn_silent_downgrades: int = ledger("sum", 0)
+    txn_buffers_scrubbed: int = ledger("sum", 0)
     #: Overload-plane accounting (zero unless an
     #: ``overload_profile`` governed the run). ``offered_requests``
     #: counts every arrival at a governor, ``admitted_requests`` those
@@ -85,43 +178,58 @@ class RunResult:
     #: governor-side refusals, ``shed_responses`` the synthesized
     #: ``X-Load-Shed`` answers that reached clients — the property
     #: suite pins the two shed counts equal.
-    offered_requests: int = 0
-    admitted_requests: int = 0
-    queued_requests: int = 0
-    shed_requests: int = 0
-    shed_responses: int = 0
+    offered_requests: int = ledger("sum", 0, counter="overload.offered.total")
+    admitted_requests: int = ledger(
+        "sum", 0, counter="overload.admitted.total"
+    )
+    queued_requests: int = ledger("sum", 0, counter="overload.queued.total")
+    shed_requests: int = ledger("sum", 0, counter="overload.shed.total")
+    shed_responses: int = ledger("sum", 0)
     #: Shed counts by priority class label ("personalized", "static");
     #: "control" must never appear.
-    shed_by_class: Dict[str, int] = field(default_factory=dict)
+    shed_by_class: Dict[str, int] = ledger(
+        "sum-map",
+        default_factory=dict,
+        counter={
+            label: f"overload.shed.{label}"
+            for label in ("control", "static", "personalized")
+        },
+    )
     #: Page views whose every response was fresh, unmarked, and whose
     #: PLT met the profile's SLO — the goodput numerator. Counted only
     #: when an overload profile is active (otherwise 0).
-    goodput_pages: int = 0
-    #: Deepest any governed queue got (merged with max across shards).
-    queue_depth_peak: int = 0
+    goodput_pages: int = ledger("sum", 0)
+    #: Deepest any governed queue got.
+    queue_depth_peak: int = ledger("max", 0)
     #: Autoscaler decisions and control-lane tickets.
-    scale_ups: int = 0
-    scale_downs: int = 0
-    control_events: int = 0
+    scale_ups: int = ledger("sum", 0, counter="overload.scale_ups")
+    scale_downs: int = ledger("sum", 0, counter="overload.scale_downs")
+    control_events: int = ledger("sum", 0, counter="overload.control.total")
     #: Per-tier latency attribution (tier -> total critical-path
     #: seconds across all traced page views); ``None`` unless the run
     #: recorded traces.
-    tier_breakdown: Optional[Dict[str, float]] = None
+    tier_breakdown: Optional[Dict[str, float]] = ledger("sum-map", None)
     #: Exported span records of the whole run (``None`` unless the run
     #: recorded traces); the JSONL exporter serializes exactly these.
-    trace_records: Optional[List[dict]] = field(default=None, repr=False)
+    trace_records: Optional[List[dict]] = ledger(
+        "concat", None, export=False, repr=False
+    )
     #: Throughput accounting: trace events replayed and kernel events
     #: (event-queue pops) executed — the numerator of events/second.
-    events_processed: int = 0
-    kernel_events: int = 0
+    events_processed: int = ledger("sum", 0)
+    kernel_events: int = ledger("sum", 0)
     #: How many sim-kernel shards produced this result (1 = serial).
-    n_shards: int = 1
+    n_shards: int = ledger("sum", 1)
     #: Wall-clock seconds spent producing this result. Serial runs
     #: stamp the replay duration; the sharded orchestrator re-stamps
     #: the merged result with end-to-end elapsed time so
     #: :meth:`events_per_second` reports real aggregate throughput.
-    #: Excluded from :meth:`to_dict` (host-dependent) and equality.
-    wall_seconds: float = field(default=0.0, compare=False)
+    #: Unexported (host-dependent) and excluded from equality.
+    wall_seconds: float = ledger("sum", 0.0, export=False, compare=False)
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _require_rules(cls)
 
     # -- derived ----------------------------------------------------------
 
@@ -219,20 +327,17 @@ class RunResult:
     def merge(self, other: "RunResult") -> "RunResult":
         """Fold one shard's result into self (the exact-merge path).
 
-        Counters sum, the metric registries merge collector-by-
-        collector (histograms concatenate raw values, quantile sketches
-        use their exact bucket merge), extrema take the max, and trace
-        records concatenate. The per-dimension histogram maps are
-        re-pointed at the merged registry entries, so ``self.plt`` and
-        friends stay aliases of registry-owned histograms — merging the
-        registry once merges them too (never merge them separately,
-        that would double-count).
+        Every field folds by its declared :data:`MERGE_RULES` entry; a
+        value of ``None`` means that shard recorded nothing for the
+        field, so the other side's value stands. The metric registries
+        merge collector-by-collector (histograms concatenate raw
+        values, quantile sketches use their exact bucket merge). The
+        per-dimension histogram maps are re-pointed at the merged
+        registry entries, so ``self.plt`` and friends stay aliases of
+        registry-owned histograms — merging the registry once merges
+        them too (never merge them separately, that would
+        double-count).
         """
-        if other.scenario_name != self.scenario_name:
-            raise ValueError(
-                f"cannot merge run of {other.scenario_name!r} into "
-                f"{self.scenario_name!r}"
-            )
         if (
             self.metrics.histogram("plt.all") is not self.plt
             or other.metrics.histogram("plt.all") is not other.plt
@@ -241,6 +346,15 @@ class RunResult:
                 "merge requires registry-owned PLT histograms "
                 "('plt.all'); runner-produced results satisfy this"
             )
+        for spec in dataclasses.fields(self):
+            rule = MERGE_RULES[spec.metadata["merge"]]
+            theirs = getattr(other, spec.name)
+            if rule is None or theirs is None:
+                continue
+            ours = getattr(self, spec.name)
+            if ours is None:
+                ours = type(theirs)()
+            setattr(self, spec.name, rule(ours, theirs))
         self.metrics.merge(other.metrics)
         for kind in other.plt_by_page_kind:
             self.plt_by_page_kind.setdefault(
@@ -250,152 +364,59 @@ class RunResult:
             self.plt_by_connection.setdefault(
                 conn, self.metrics.histogram(f"plt.conn.{conn}")
             )
-        for layer, count in other.served_by_layer.items():
-            self.served_by_layer[layer] = (
-                self.served_by_layer.get(layer, 0) + count
-            )
-        for layer, kinds in other.served_by_kind.items():
-            ours = self.served_by_kind.setdefault(layer, {})
-            for kind, count in kinds.items():
-                ours[kind] = ours.get(kind, 0) + count
-        for layer, count in other.served_degraded_by_layer.items():
-            self.served_degraded_by_layer[layer] = (
-                self.served_degraded_by_layer.get(layer, 0) + count
-            )
-        self.reads_checked += other.reads_checked
-        self.stale_reads += other.stale_reads
-        self.delta_violations += other.delta_violations
-        self.max_staleness = max(self.max_staleness, other.max_staleness)
-        self.uncovered_max_staleness = max(
-            self.uncovered_max_staleness, other.uncovered_max_staleness
-        )
-        self.sketch_fetches += other.sketch_fetches
-        self.sketch_bytes += other.sketch_bytes
-        self.requests_scrubbed += other.requests_scrubbed
-        self.origin_requests += other.origin_requests
-        self.page_views += other.page_views
-        self.failed_responses += other.failed_responses
-        self.origin_egress_bytes += other.origin_egress_bytes
-        self.edge_egress_bytes += other.edge_egress_bytes
-        self.personalization_checks += other.personalization_checks
-        self.personalization_misses += other.personalization_misses
-        self.erasures += other.erasures
-        self.accesses += other.accesses
-        self.erasure_removed += other.erasure_removed
-        self.erasure_residuals += other.erasure_residuals
-        self.erasure_replicas_dropped += other.erasure_replicas_dropped
-        self.erasure_queued_scrubbed += other.erasure_queued_scrubbed
-        self.spans_scrubbed += other.spans_scrubbed
-        self.txns += other.txns
-        self.txn_aborts += other.txn_aborts
-        self.txn_validation_retries += other.txn_validation_retries
-        self.txn_refetches += other.txn_refetches
-        self.txn_degraded += other.txn_degraded
-        self.txn_erase_conflicts += other.txn_erase_conflicts
-        self.txn_fractured_reads += other.txn_fractured_reads
-        self.txn_serialization_violations += (
-            other.txn_serialization_violations
-        )
-        self.txn_silent_downgrades += other.txn_silent_downgrades
-        self.txn_buffers_scrubbed += other.txn_buffers_scrubbed
-        self.offered_requests += other.offered_requests
-        self.admitted_requests += other.admitted_requests
-        self.queued_requests += other.queued_requests
-        self.shed_requests += other.shed_requests
-        self.shed_responses += other.shed_responses
-        for cls, count in other.shed_by_class.items():
-            self.shed_by_class[cls] = self.shed_by_class.get(cls, 0) + count
-        self.goodput_pages += other.goodput_pages
-        # Peak depth is an extremum, not a flow: shards each saw their
-        # own queue, so the merged peak is the worst any shard saw.
-        self.queue_depth_peak = max(
-            self.queue_depth_peak, other.queue_depth_peak
-        )
-        self.scale_ups += other.scale_ups
-        self.scale_downs += other.scale_downs
-        self.control_events += other.control_events
-        if other.tier_breakdown is not None:
-            if self.tier_breakdown is None:
-                self.tier_breakdown = {}
-            for tier, seconds in other.tier_breakdown.items():
-                self.tier_breakdown[tier] = (
-                    self.tier_breakdown.get(tier, 0.0) + seconds
-                )
-        if other.trace_records is not None:
-            if self.trace_records is None:
-                self.trace_records = []
-            self.trace_records.extend(other.trace_records)
-        self.events_processed += other.events_processed
-        self.kernel_events += other.kernel_events
-        self.n_shards += other.n_shards
-        self.wall_seconds += other.wall_seconds
         return self
 
+    def mirror_counters(self) -> None:
+        """Restate every mirrored registry counter in its field.
+
+        A counter nothing incremented is absent from the registry and
+        reads as zero; a map field keeps only its nonzero labels.
+        """
+
+        def count(name: str) -> int:
+            counter = self.metrics.get_counter(name)
+            return int(counter.value) if counter is not None else 0
+
+        for spec in dataclasses.fields(self):
+            source = spec.metadata["counter"]
+            if isinstance(source, str):
+                setattr(self, spec.name, count(source))
+            elif source is not None:
+                nonzero = {
+                    label: n
+                    for label, name in source.items()
+                    if (n := count(name))
+                }
+                setattr(self, spec.name, nonzero)
+
+    #: The derived ratios :meth:`to_dict` exports beside the fields.
+    _EXPORTED_RATIOS = (
+        "cache_hit_ratio",
+        "degraded_serve_ratio",
+        "stale_read_fraction",
+        "error_rate",
+        "availability",
+        "personalization_rate",
+        "goodput_ratio",
+        "shed_ratio",
+    )
+
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-serializable record of the run (for result archives)."""
-        record: Dict[str, object] = {
-            "scenario": self.scenario_name,
-            "page_views": self.page_views,
-            "events_processed": self.events_processed,
-            "kernel_events": self.kernel_events,
-            "n_shards": self.n_shards,
-            "served_by_layer": dict(self.served_by_layer),
-            "served_by_kind": {
-                layer: dict(kinds)
-                for layer, kinds in self.served_by_kind.items()
-            },
-            "served_degraded_by_layer": dict(self.served_degraded_by_layer),
-            "cache_hit_ratio": self.cache_hit_ratio(),
-            "degraded_serve_ratio": self.degraded_serve_ratio(),
-            "origin_requests": self.origin_requests,
-            "origin_egress_bytes": self.origin_egress_bytes,
-            "edge_egress_bytes": self.edge_egress_bytes,
-            "reads_checked": self.reads_checked,
-            "stale_reads": self.stale_reads,
-            "stale_read_fraction": self.stale_read_fraction(),
-            "max_staleness": self.max_staleness,
-            "uncovered_max_staleness": self.uncovered_max_staleness,
-            "delta_violations": self.delta_violations,
-            "failed_responses": self.failed_responses,
-            "error_rate": self.error_rate(),
-            "availability": self.availability(),
-            "personalization_rate": self.personalization_rate(),
-            "sketch_fetches": self.sketch_fetches,
-            "sketch_bytes": self.sketch_bytes,
-            "requests_scrubbed": self.requests_scrubbed,
-            "erasures": self.erasures,
-            "accesses": self.accesses,
-            "erasure_removed": self.erasure_removed,
-            "erasure_residuals": self.erasure_residuals,
-            "erasure_replicas_dropped": self.erasure_replicas_dropped,
-            "erasure_queued_scrubbed": self.erasure_queued_scrubbed,
-            "spans_scrubbed": self.spans_scrubbed,
-            "txns": self.txns,
-            "txn_aborts": self.txn_aborts,
-            "txn_validation_retries": self.txn_validation_retries,
-            "txn_refetches": self.txn_refetches,
-            "txn_degraded": self.txn_degraded,
-            "txn_erase_conflicts": self.txn_erase_conflicts,
-            "txn_fractured_reads": self.txn_fractured_reads,
-            "txn_serialization_violations": (
-                self.txn_serialization_violations
-            ),
-            "txn_silent_downgrades": self.txn_silent_downgrades,
-            "txn_buffers_scrubbed": self.txn_buffers_scrubbed,
-            "offered_requests": self.offered_requests,
-            "admitted_requests": self.admitted_requests,
-            "queued_requests": self.queued_requests,
-            "shed_requests": self.shed_requests,
-            "shed_responses": self.shed_responses,
-            "shed_by_class": dict(self.shed_by_class),
-            "goodput_pages": self.goodput_pages,
-            "goodput_ratio": self.goodput_ratio(),
-            "shed_ratio": self.shed_ratio(),
-            "queue_depth_peak": self.queue_depth_peak,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "control_events": self.control_events,
-        }
+        """A JSON-serializable record of the run (for result archives).
+
+        Every exported field under its declared key (``None`` values
+        omitted, containers copied), the derived ratios, and the PLT
+        summary.
+        """
+        record: Dict[str, object] = {}
+        for spec in dataclasses.fields(self):
+            key = spec.metadata["export"]
+            value = getattr(self, spec.name)
+            if key is False or value is None:
+                continue
+            record[spec.name if key is True else key] = copy.deepcopy(value)
+        for ratio in self._EXPORTED_RATIOS:
+            record[ratio] = getattr(self, ratio)()
         if len(self.plt):
             record["plt"] = {
                 "p50": self.plt.percentile(50),
@@ -404,8 +425,6 @@ class RunResult:
                 "mean": self.plt.mean(),
                 "count": self.plt.count,
             }
-        if self.tier_breakdown is not None:
-            record["tier_breakdown"] = dict(self.tier_breakdown)
         return record
 
     def summary_row(self) -> Dict[str, object]:

@@ -177,26 +177,21 @@ class SimulationRunner:
                     + self.spec.purge_latency
                     + _SLACK,
                 )
-            return (
-                bound
-                + self._async_propagation_slack()
-                + self._stale_if_error_grace()
-                + self._overload_queue_slack()
-            )
-        if scenario is Scenario.SPEED_KIT_SKETCH_ONLY:
+        elif scenario is Scenario.SPEED_KIT_SKETCH_ONLY:
             # Without purges, edges serve (and 304-confirm) stale copies
             # until shared expiry: the bound degrades by the TTL.
-            return (
-                self.spec.delta
-                + self.spec.page_ttl
-                + _SLACK
-                + self._async_propagation_slack()
-                + self._stale_if_error_grace()
-                + self._overload_queue_slack()
-            )
-        # Expiration-based stacks are bounded by TTL accumulation only;
-        # the checker records staleness without judging violations.
-        return float("inf")
+            bound = self.spec.delta + self.spec.page_ttl + _SLACK
+        else:
+            # Expiration-based stacks are bounded by TTL accumulation
+            # only; the checker records staleness without judging
+            # violations.
+            return float("inf")
+        return (
+            bound
+            + self._async_propagation_slack()
+            + self._stale_if_error_grace()
+            + self._overload_queue_slack()
+        )
 
     def _cache_backend_spec(self) -> Optional[BackendSpec]:
         """The storage spec every *cache* tier builds engines from.
@@ -265,10 +260,6 @@ class SimulationRunner:
         client_regions = edge_regions = None
         pop_names = list(spec.pop_names)
         if spec.n_regions is not None:
-            if spec.n_regions <= 0:
-                raise ValueError(
-                    f"n_regions must be positive: {spec.n_regions}"
-                )
             pop_names = [f"edge-r{i}" for i in range(spec.n_regions)]
             edge_regions = {
                 name: f"region-{i}" for i, name in enumerate(pop_names)
@@ -987,39 +978,9 @@ class SimulationRunner:
             self.txn_checker.silent_downgrade_count
         )
         result.txn_buffers_scrubbed = self.txn_registry.buffers_scrubbed
+        result.mirror_counters()
         if self._overload is not None:
-
-            def overload_counter(name: str) -> int:
-                counter = self.metrics.get_counter(name)
-                return int(counter.value) if counter is not None else 0
-
-            result.offered_requests = overload_counter(
-                "overload.offered.total"
-            )
-            result.admitted_requests = overload_counter(
-                "overload.admitted.total"
-            )
-            result.queued_requests = overload_counter(
-                "overload.queued.total"
-            )
-            result.shed_requests = overload_counter("overload.shed.total")
-            for label in ("control", "static", "personalized"):
-                shed = overload_counter(f"overload.shed.{label}")
-                if shed:
-                    result.shed_by_class[label] = shed
-            result.control_events = overload_counter(
-                "overload.control.total"
-            )
-            result.scale_ups = overload_counter("overload.scale_ups")
-            result.scale_downs = overload_counter("overload.scale_downs")
             result.queue_depth_peak = self._overload.queue_depth_peak()
-        for name, attr in (
-            ("bytes.origin_egress", "origin_egress_bytes"),
-            ("bytes.edge_egress", "edge_egress_bytes"),
-        ):
-            counter = self.metrics.get_counter(name)
-            if counter is not None:
-                setattr(result, attr, int(counter.value))
         for stack in self._stacks.values():
             sketch_client = getattr(stack, "sketch_client", None)
             if sketch_client is not None:

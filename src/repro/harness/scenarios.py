@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional
 
@@ -140,6 +141,44 @@ class ScenarioSpec:
     #: Off by default — the no-op tracer keeps the hot path free.
     trace_requests: bool = False
     label: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        """Reject knobs no run can honour, before a stack is built.
+
+        Every spec passes through here (the CLI, benchmarks, tests,
+        and :meth:`time_scaled` copies alike), so a non-finite or
+        negative duration fails with its own name instead of
+        surfacing from whichever component first consumes it.
+        """
+        for knob in (
+            "delta",
+            "page_ttl",
+            "detection_latency",
+            "purge_latency",
+            "replication_delay",
+            "stale_if_error",
+        ):
+            value = getattr(self, knob)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{knob} must be finite and non-negative: {value}"
+                )
+        if self.scenario.uses_speed_kit and self.delta == 0:
+            raise ValueError(
+                "delta must be positive for Speed Kit scenarios "
+                "(it is the sketch refresh interval): 0"
+            )
+        if not 1 <= self.load_multiplier < math.inf:
+            raise ValueError(
+                f"load_multiplier must be finite and >= 1: "
+                f"{self.load_multiplier}"
+            )
+        if self.n_regions is not None and self.n_regions < 1:
+            raise ValueError(f"n_regions must be >= 1: {self.n_regions}")
+        if self.txn_retry_limit < 0:
+            raise ValueError(
+                f"txn_retry_limit must be >= 0: {self.txn_retry_limit}"
+            )
 
     @property
     def name(self) -> str:

@@ -39,11 +39,12 @@ from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.simnet.delay import Delay, LogNormalDelay
 from repro.storage.backend import CacheBackend, InMemoryBackend
-from repro.storage.remote import (
-    DEFAULT_READ_MEDIAN,
-    DEFAULT_SIGMA,
-    DEFAULT_WRITE_MEDIAN,
-)
+
+#: Default per-operation medians (seconds): an in-datacenter Redis
+#: round trip — sub-millisecond reads, slightly costlier writes.
+DEFAULT_READ_MEDIAN = 0.0008
+DEFAULT_WRITE_MEDIAN = 0.0012
+DEFAULT_SIGMA = 0.3
 
 #: Default per-key marginal cost (seconds) within a flushed batch — a
 #: few dozen microseconds of parse/queue time per pipelined key,

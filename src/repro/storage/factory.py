@@ -20,14 +20,12 @@ from repro.storage.backend import CacheBackend, InMemoryBackend
 from repro.storage.batched import (
     DEFAULT_BATCH_WINDOW,
     DEFAULT_PER_KEY_COST,
-    BatchedRemoteBackend,
-)
-from repro.storage.remote import (
     DEFAULT_READ_MEDIAN,
     DEFAULT_SIGMA,
     DEFAULT_WRITE_MEDIAN,
-    SimulatedRemoteBackend,
+    BatchedRemoteBackend,
 )
+from repro.storage.remote import SimulatedRemoteBackend
 from repro.storage.sharded import ShardedBackend
 from repro.storage.writebehind import (
     DEFAULT_FLUSH_INTERVAL,

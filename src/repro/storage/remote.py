@@ -8,27 +8,24 @@ pending pool; the transport layer drains the pool into simulated time
 backend measurably shifts page load times and invalidation latency —
 the polyglot trade-off the paper's architecture is built around.
 
-:meth:`peek` and the size/length accessors stay free: they model the
-policy layer's co-located metadata (a real Redis runs its LRU
-bookkeeping server-side, next to the data).
+The engine is the degenerate case of the pipelined
+:class:`~repro.storage.batched.BatchedRemoteBackend`: a one-key batch
+window with no marginal per-key cost, so every operation opens (and
+closes) its own batch and pays one full round trip — the same draw
+from the same stream, drained in full at every drain point.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Optional
 
-from repro.simnet.delay import Delay, LogNormalDelay
-from repro.storage.backend import CacheBackend, InMemoryBackend
-
-#: Default per-operation medians (seconds): an in-datacenter Redis
-#: round trip — sub-millisecond reads, slightly costlier writes.
-DEFAULT_READ_MEDIAN = 0.0008
-DEFAULT_WRITE_MEDIAN = 0.0012
-DEFAULT_SIGMA = 0.3
+from repro.simnet.delay import Delay
+from repro.storage.backend import CacheBackend
+from repro.storage.batched import BatchedRemoteBackend
 
 
-class SimulatedRemoteBackend(CacheBackend):
+class SimulatedRemoteBackend(BatchedRemoteBackend):
     """A remote KV store: a wrapped engine plus per-operation latency."""
 
     kind = "remote"
@@ -40,74 +37,11 @@ class SimulatedRemoteBackend(CacheBackend):
         write_delay: Optional[Delay] = None,
         rng: Optional[random.Random] = None,
     ) -> None:
-        super().__init__()
-        self.inner = inner if inner is not None else InMemoryBackend()
-        self.inner.subscribe_evictions(self._notify_eviction)
-        self.read_delay = read_delay or LogNormalDelay(
-            median=DEFAULT_READ_MEDIAN, sigma=DEFAULT_SIGMA
+        super().__init__(
+            inner=inner,
+            read_delay=read_delay,
+            write_delay=write_delay,
+            per_key_cost=0.0,
+            batch_window=1,
+            rng=rng,
         )
-        self.write_delay = write_delay or LogNormalDelay(
-            median=DEFAULT_WRITE_MEDIAN, sigma=DEFAULT_SIGMA
-        )
-        self.rng = rng or random.Random(0)
-        self._pending = 0.0
-        self.total_latency = 0.0
-        self.op_counts: Dict[str, int] = {}
-
-    def _charge(self, op: str, delay: Delay) -> None:
-        latency = delay.sample(self.rng)
-        self._pending += latency
-        self.total_latency += latency
-        self.op_counts[op] = self.op_counts.get(op, 0) + 1
-
-    # -- the storage protocol (all cost-bearing) --------------------------
-
-    def get(self, key: str) -> Optional[Any]:
-        self._charge("get", self.read_delay)
-        return self.inner.get(key)
-
-    def put(self, key: str, value: Any, size: int = 0) -> None:
-        self._charge("put", self.write_delay)
-        self.inner.put(key, value, size)
-
-    def remove(self, key: str) -> Optional[Any]:
-        self._charge("remove", self.write_delay)
-        return self.inner.remove(key)
-
-    def scan(self, prefix: str = "") -> Iterator[Tuple[str, Any]]:
-        self._charge("scan", self.read_delay)
-        return self.inner.scan(prefix)
-
-    def clear(self) -> None:
-        self._charge("clear", self.write_delay)
-        self.inner.clear()
-
-    # -- cost-free metadata (co-located policy bookkeeping) ----------------
-
-    def peek(self, key: str) -> Optional[Any]:
-        return self.inner.peek(key)
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    @property
-    def bytes_used(self) -> int:
-        return self.inner.bytes_used
-
-    def keys(self):
-        return self.inner.keys()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.inner
-
-    # -- latency accounting ------------------------------------------------
-
-    def pending_latency(self) -> float:
-        return self._pending
-
-    def drain_latency(self, concurrent: float = 0.0) -> float:
-        # Serialized semantics: every round trip is paid in full, on
-        # top of whatever network transit runs at the drain point.
-        pending = self._pending
-        self._pending = 0.0
-        return pending

@@ -143,6 +143,26 @@ class TestRemoteLatency:
                 backend.get(f"k{i}")
         assert first.total_latency == pytest.approx(second.total_latency)
 
+    def test_every_key_of_a_multi_key_call_pays_its_own_round_trip(self):
+        """The serialized engine never amortizes: N keys, N draws from
+        the one latency stream, in call order, with nothing hidden
+        under concurrent transit at the drain."""
+        backend = SimulatedRemoteBackend(rng=random.Random(9))
+        backend.put_many([(f"k{i}", i, 1) for i in range(5)])
+        backend.get_many([f"k{i}" for i in range(5)])
+        backend.remove_many(["k0", "k1"])
+        twin = random.Random(9)
+        expected = 0.0
+        for delay in (
+            [backend.write_delay] * 5
+            + [backend.read_delay] * 5
+            + [backend.write_delay] * 2
+        ):
+            expected += delay.sample(twin)
+        assert backend.pending_latency() == expected
+        assert backend.drain_latency(concurrent=1.0) == expected
+        assert len(backend) == 3
+
     def test_storage_delegates_to_inner(self):
         inner = InMemoryBackend()
         backend = SimulatedRemoteBackend(inner=inner)

@@ -1,8 +1,15 @@
 """Tests for the command-line interface."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.faults import FaultProfile, RetryPolicy
+from repro.harness import Scenario, ScenarioSpec
+from repro.overload import OVERLOAD_PROFILES
+from repro.storage import BackendSpec
 
 
 QUICK = ["--quick", "--users", "8", "--products", "20", "--session-rate", "0.05"]
@@ -222,7 +229,7 @@ def test_gdpr_mix_generates_requests(tmp_path, capsys):
 
 
 def test_gdpr_mix_rejects_bad_fraction():
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit, match="erase_fraction"):
         main(["run", "--gdpr-mix", "1.5"] + QUICK)
 
 
@@ -435,3 +442,168 @@ def test_replay_and_import_log_are_mutually_exclusive(tmp_path):
 def test_requires_a_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+# -- one spec assembly for every command -----------------------------------
+
+EVERY_FLAG = [
+    "--seed", "3", "--write-behind", "--flush-interval", "2",
+    "--batch-window", "4", "--overlap", "--batch-waves",
+    "--replicate-pops", "3", "--fault-profile", "chaos",
+    "--stale-if-error", "30", "--retry-budget", "2",
+    "--overload-profile", "flash-crowd", "--admission", "--autoscale",
+    "--load-multiplier", "2", "--consistency", "snapshot",
+    "--txn-retries", "5", "--replay-rate", "2",
+]  # fmt: skip
+EVERY_FLAG_SPEC = ScenarioSpec(
+    scenario=Scenario.SPEED_KIT,
+    backend=BackendSpec(
+        kind="write-behind",
+        seed=3,
+        overlap=True,
+        batch_window=4,
+        flush_interval=2.0,
+    ),
+    batch_waves=True,
+    replicate_pops=True,
+    n_regions=3,
+    fault_profile=FaultProfile.named("chaos"),
+    stale_if_error=30.0,
+    retry=RetryPolicy(budget=2.0),
+    consistency="snapshot",
+    txn_retry_limit=5,
+    overload_profile=OVERLOAD_PROFILES["flash-crowd"],
+    admission=True,
+    autoscale=True,
+    load_multiplier=2.0,
+    time_scale=0.5,
+)
+#: command line -> the spec fields that command (alone) sets.
+COMMANDS = {
+    ("run", "--scenario", "classic-cdn", "--delta", "45", "--adaptive-ttl"): {
+        "scenario": Scenario.CLASSIC_CDN,
+        "delta": 45.0,
+        "adaptive_ttl": True,
+    },
+    ("compare", "--scenarios", "browser-only", "--delta", "45"): {
+        "scenario": Scenario.BROWSER_ONLY,
+        "delta": 45.0,
+    },
+    ("sweep-delta", "--deltas", "45"): {"delta": 45.0},
+    ("sweep-segments", "--segments", "9"): {"n_segments": 9},
+    ("report", "--scenarios", "classic-cdn"): {
+        "scenario": Scenario.CLASSIC_CDN
+    },
+    ("erase", "--delta", "45"): {"delta": 45.0},
+}
+
+
+class _SpecCaptured(Exception):
+    pass
+
+
+def _captured_spec(monkeypatch, argv) -> ScenarioSpec:
+    """The spec ``argv`` hands to ``_run`` (the run itself is skipped)."""
+
+    def capture(spec, workload, args):
+        raise _SpecCaptured(spec)
+
+    monkeypatch.setattr(cli, "_run", capture)
+    with pytest.raises(_SpecCaptured) as caught:
+        main(list(argv) + QUICK)
+    return caught.value.args[0]
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize(
+    "flags, shared",
+    [
+        ([], ScenarioSpec(scenario=Scenario.SPEED_KIT)),
+        (EVERY_FLAG, EVERY_FLAG_SPEC),
+    ],
+    ids=["defaults", "every-flag"],
+)
+def test_same_flag_line_yields_same_spec(monkeypatch, command, flags, shared):
+    spec = _captured_spec(monkeypatch, list(command) + flags)
+    assert spec == replace(shared, **COMMANDS[command])
+
+
+# -- invalid and contradictory flags exit with a named one-liner ------------
+
+SMALL = ["--users", "5", "--products", "10", "--duration", "60"]
+
+
+@pytest.mark.parametrize(
+    "flags, names",
+    [
+        (["--stale-if-error", "-5"], "stale_if_error"),
+        (["--delta", "nan"], "delta"),
+        (["--delta", "-5"], "delta"),
+        (["--delta", "0"], "delta"),
+        (
+            ["--load-multiplier", "inf", "--overload-profile", "flash-crowd"],
+            "load_multiplier",
+        ),
+        (["--load-multiplier", "0.5"], "load_multiplier"),
+        (["--txn-retries", "-1"], "txn_retry_limit"),
+        (["--retry-budget", "0"], "budget"),
+        (["--users", "0"], "n_users"),
+        (["--gdpr-mix", "2"], "erase_fraction"),
+        (["--replay-rate", "nan"], "--replay-rate"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_out_of_range_knobs_exit_by_name(monkeypatch, flags, names):
+    monkeypatch.setattr(cli, "_run", None)  # must fail before any run
+    with pytest.raises(SystemExit) as err:
+        main(["run"] + SMALL + flags)
+    message = str(err.value)
+    assert names in message
+    assert "\n" not in message  # one line, no traceback
+
+
+@pytest.mark.parametrize(
+    "flags, names",
+    [
+        (["--flush-interval", "5"], ("--flush-interval", "write-behind")),
+        (["--batch-window", "4"], ("--batch-window", "--backend batched")),
+        (["--overlap"], ("--overlap", "--backend batched")),
+        (["--backend-shards", "4"], ("--backend-shards", "--backend sharded")),
+        (
+            ["--backend", "remote", "--batch-window", "4"],
+            ("--batch-window", "--backend remote"),
+        ),
+        (
+            ["--backend", "batched", "--flush-interval", "5"],
+            ("--flush-interval", "--backend batched"),
+        ),
+        (
+            ["--backend", "remote", "--write-behind"],
+            ("--write-behind", "--backend remote"),
+        ),
+        (["--admission"], ("--admission", "--overload-profile")),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_contradictory_storage_flags_exit_naming_both(
+    monkeypatch, flags, names
+):
+    monkeypatch.setattr(cli, "_run", None)
+    with pytest.raises(SystemExit) as err:
+        main(["run"] + SMALL + flags)
+    for name in names:
+        assert name in str(err.value)
+
+
+def test_storage_tuning_flags_reach_their_engine(monkeypatch):
+    sharded = _captured_spec(
+        monkeypatch, ["run", "--backend", "sharded", "--backend-shards", "4"]
+    )
+    assert sharded.backend == BackendSpec(kind="sharded", n_shards=4)
+    default = _captured_spec(monkeypatch, ["run", "--backend", "sharded"])
+    assert default.backend.n_shards == 8
+    behind = _captured_spec(
+        monkeypatch,
+        ["run", "--backend", "write-behind", "--flush-interval", "5"],
+    )
+    assert behind.backend.flush_interval == 5.0
