@@ -27,6 +27,7 @@ from typing import Generator, List, Optional, Sequence
 
 from repro.cdn.edge import EdgeCache
 from repro.cdn.network import Cdn
+from repro.http.degraded import Degraded, mark, reason_of
 from repro.http.freshness import conditional_request_for
 from repro.http.headers import Headers
 from repro.http.messages import (
@@ -41,7 +42,7 @@ from repro.http.url import URL
 from repro.obs.span import NULL_SPAN
 from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import TXN_VALIDATE_PATH, OriginServer
-from repro.overload.priority import LOAD_SHED_HEADER, classify_request
+from repro.overload.priority import classify_request
 from repro.sim.environment import Environment
 from repro.simnet.topology import Topology
 
@@ -60,14 +61,22 @@ def _content_length(response: Response) -> int:
         return 0
 
 
-def _is_degraded(response: Response) -> bool:
-    """Whether a response is a degraded serving (stale-if-error or a
-    load-shed synthesis) — degraded answers must never be 304-converted
-    into a confirmation that the client's copy is current."""
-    return (
-        response.headers.get("X-Stale-If-Error") is not None
-        or response.headers.get(LOAD_SHED_HEADER) is not None
-    )
+def _honor_validators(request: Request, response: Response) -> Response:
+    """The edge's answer to the client's validators: a ``200`` whose
+    ETag matches becomes a (cheap to transfer) ``304``.
+
+    The never-304 rule of the degraded-response contract lives here: a
+    response marked for any :class:`Degraded` reason goes out as it is
+    — it must not pose as a confirmation that the client's copy is
+    current.
+    """
+    if (
+        response.status == Status.OK
+        and revalidates(request, response)
+        and reason_of(response) is None
+    ):
+        return make_not_modified(response, at=response.generated_at)
+    return response
 
 
 class Transport:
@@ -188,23 +197,19 @@ class Transport:
     def _shed_response(self, request: Request, node: str) -> Response:
         """The degraded-but-marked answer a shed request resolves to.
 
-        Follows the ``X-Stale-If-Error`` contract: the mark travels
-        with the bytes, ``no-store`` (plus explicit admit guards) keeps
-        it out of every cache tier, it carries no version or validator
-        so it can never be 304-converted or enter the coherence read
-        log, and its 200 status means the retry loop does not multiply
-        load the governor just refused.
+        Marked :attr:`Degraded.LOAD_SHED`; it carries no version or
+        validator, and its 200 status means the retry loop does not
+        multiply load the governor just refused.
         """
         self._count("overload.shed_responses")
-        return Response(
+        response = Response(
             status=Status.OK,
-            headers=Headers(
-                {"Cache-Control": "no-store", LOAD_SHED_HEADER: "1"}
-            ),
+            headers=Headers({"Cache-Control": "no-store"}),
             url=request.url,
             served_by=node,
             generated_at=self.env.now,
         )
+        return mark(response, Degraded.LOAD_SHED)
 
     def _origin_governor(self):
         if self.overload is None:
@@ -484,16 +489,9 @@ class Transport:
                 )
             else:
                 edge_span.set(verdict="hit", version=response.version)
-        # Honor the client's validators at the edge: a matching ETag
-        # turns the answer into a (cheap to transfer) 304 — but never
-        # for a degraded stale-if-error serving, which must not pose as
-        # a confirmation that the client's copy is current.
-        if (
-            response.status == Status.OK
-            and not _is_degraded(response)
-            and revalidates(request, response)
-        ):
-            response = make_not_modified(response, at=response.generated_at)
+        answer = _honor_validators(request, response)
+        if answer is not response:
+            response = answer
             span.event("not-modified-to-client", at=self.env.now)
         self._count_bytes("edge_egress", response)
         client_link = self.topology.link(client_node, edge_name)
@@ -650,15 +648,8 @@ class Transport:
                 responses[index] = done[process]
         total_length = 0
         for index, response in enumerate(responses):
-            if (
-                response.status == Status.OK
-                and not _is_degraded(response)
-                and revalidates(requests[index], response)
-            ):
-                response = make_not_modified(
-                    response, at=response.generated_at
-                )
-                responses[index] = response
+            response = _honor_validators(requests[index], response)
+            responses[index] = response
             self._count_bytes("edge_egress", response)
             total_length += _content_length(response)
         client_link = self.topology.link(client_node, edge_name)

@@ -26,9 +26,6 @@ class EdgeCache(HttpCache):
 
     METRIC_SCOPE = "edge"
 
-    #: Headers whose presence forces a pass to the origin.
-    PASS_HEADERS = ("Cookie", "Authorization")
-
     def __init__(
         self,
         name: str,
@@ -41,4 +38,4 @@ class EdgeCache(HttpCache):
 
     def should_pass(self, request: Request) -> bool:
         """Whether the request must bypass the cache entirely."""
-        return any(header in request.headers for header in self.PASS_HEADERS)
+        return request.credentialed

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
+from repro.http.degraded import Degraded, mark, reason_of
 from repro.http.freshness import is_cacheable
 from repro.http.messages import Request, Response, Status
-from repro.overload.priority import LOAD_SHED_HEADER
 from repro.sim.metrics import MetricRegistry
 
 #: Called with ``(cache_key, response, now)`` after every admission.
@@ -114,10 +114,10 @@ class HttpCache:
         last verified against the origin (stored or 304-restamped)
         within ``grace`` seconds, so its version staleness stays within
         the normal bound plus ``grace``. The copy is marked
-        ``X-Stale-If-Error`` so downstream caches refuse to re-admit it
-        (admission would restamp the verification time and double the
-        window) and the Δ-checker can account for it under the widened
-        bound.
+        :attr:`Degraded.STALE_IF_ERROR` so downstream caches refuse to
+        re-admit it (admission would restamp the verification time and
+        double the window) and the Δ-checker can account for it under
+        the widened bound.
         """
         if grace < 0:
             return None
@@ -126,9 +126,8 @@ class HttpCache:
             return None
         response = entry.response.copy()
         response.served_by = self.name
-        response.headers["X-Stale-If-Error"] = "1"
         self._count("stale_if_error")
-        return response
+        return mark(response, Degraded.STALE_IF_ERROR)
 
     def revalidation_base(
         self, request: Request, now: float
@@ -144,18 +143,17 @@ class HttpCache:
     ) -> Response:
         """Store a fetched response if allowed; return a forwardable copy.
 
-        Degraded stale-if-error servings are never admitted: their
-        verification time lies with the cache that served them, and
-        restamping them here would let the grace window compound across
-        tiers. Load-shed syntheses are never admitted either — they are
-        already ``no-store``, but the explicit guard keeps a marked
-        placeholder out of every tier even if the mark and the cache
-        directives ever disagree.
+        The never-cached rule of the degraded-response contract: a
+        response marked for any :class:`Degraded` reason is refused,
+        whatever its cache directives say. A stale copy's verification
+        time lies with the cache that served it, and restamping it here
+        would let the grace window compound across tiers; a shed
+        placeholder or a downgraded transaction's read must not pose
+        as the resource to the next client.
         """
         if (
             response.status == Status.OK
-            and response.headers.get("X-Stale-If-Error") is None
-            and response.headers.get(LOAD_SHED_HEADER) is None
+            and reason_of(response) is None
             and is_cacheable(response, shared=self.shared)
         ):
             key = request.url.cache_key()

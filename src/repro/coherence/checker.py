@@ -98,7 +98,10 @@ class DeltaAtomicityChecker:
         delta: float,
         metrics: Optional[MetricRegistry] = None,
     ) -> None:
-        if delta < 0:
+        # NaN fails this test too: ``staleness > nan`` is never true,
+        # so a NaN bound would silently judge nothing. ``inf`` is legal
+        # (record without judging).
+        if not delta >= 0:
             raise ValueError(f"delta must be non-negative: {delta}")
         self.server = server
         self.delta = delta

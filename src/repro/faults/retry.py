@@ -10,6 +10,7 @@ unboundedly; time alone would hammer a browned-out origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -34,20 +35,21 @@ class RetryPolicy:
             raise ValueError(
                 f"max_attempts must be >= 1: {self.max_attempts}"
             )
-        if self.base_backoff < 0:
+        if not 0 <= self.base_backoff < math.inf:
             raise ValueError(
-                f"base_backoff must be >= 0: {self.base_backoff}"
+                f"base_backoff must be finite and non-negative: "
+                f"{self.base_backoff}"
             )
         if self.backoff_factor < 1.0:
             raise ValueError(
                 f"backoff_factor must be >= 1: {self.backoff_factor}"
             )
-        if self.attempt_timeout <= 0:
-            raise ValueError(
-                f"attempt_timeout must be positive: {self.attempt_timeout}"
-            )
-        if self.budget <= 0:
-            raise ValueError(f"budget must be positive: {self.budget}")
+        for knob in ("attempt_timeout", "budget"):
+            value = getattr(self, knob)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{knob} must be finite and positive: {value}"
+                )
 
     def backoff_after(self, attempt: int) -> float:
         """Backoff to sleep after failed attempt number ``attempt``."""

@@ -162,11 +162,11 @@ class RunResult:
     #: ``txn_serialization_violations``, and ``txn_silent_downgrades``
     #: are the ladder's compliance gates — all must be zero.
     txns: int = ledger("sum", 0)
-    txn_aborts: int = ledger("sum", 0)
+    txn_aborts: int = ledger("sum", 0, counter="txn.aborts")
     txn_validation_retries: int = ledger("sum", 0)
     txn_refetches: int = ledger("sum", 0)
-    txn_degraded: int = ledger("sum", 0)
-    txn_erase_conflicts: int = ledger("sum", 0)
+    txn_degraded: int = ledger("sum", 0, counter="txn.degraded")
+    txn_erase_conflicts: int = ledger("sum", 0, counter="txn.erase_conflicts")
     txn_fractured_reads: int = ledger("sum", 0)
     txn_serialization_violations: int = ledger("sum", 0)
     txn_silent_downgrades: int = ledger("sum", 0)
@@ -198,7 +198,7 @@ class RunResult:
     #: Page views whose every response was fresh, unmarked, and whose
     #: PLT met the profile's SLO — the goodput numerator. Counted only
     #: when an overload profile is active (otherwise 0).
-    goodput_pages: int = ledger("sum", 0)
+    goodput_pages: int = ledger("sum", 0, counter="overload.goodput_pages")
     #: Deepest any governed queue got.
     queue_depth_peak: int = ledger("max", 0)
     #: Autoscaler decisions and control-lane tickets.

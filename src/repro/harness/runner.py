@@ -11,12 +11,12 @@ from repro.browser.transport import Transport
 from repro.cdn.network import Cdn
 from repro.coherence.checker import DeltaAtomicityChecker
 from repro.coherence.client import SketchClient
+from repro.http.degraded import reason_of
 from repro.http.messages import Method, Request, Status
 from repro.http.url import URL
 from repro.invalidation.pipeline import InvalidationPipeline
 from repro.obs import MetricsRegistry, NOOP_TRACER, RecordingTracer
 from repro.origin.server import OriginServer
-from repro.overload.priority import LOAD_SHED_HEADER
 from repro.origin.site import ResourceKind
 from repro.sim.environment import Environment
 from repro.sim.rng import RngStreams
@@ -756,14 +756,11 @@ class SimulationRunner:
     def _record_txn(self, user: User, txn, delta_covered: bool) -> None:
         result = self.result
         result.txns += 1
-        result.txn_aborts += txn.aborts
         result.txn_validation_retries += txn.validation_retries
         result.txn_refetches += txn.refetches
         if txn.degraded:
-            result.txn_degraded += 1
             self.metrics.counter("txn.degraded").inc()
         if txn.erase_conflict:
-            result.txn_erase_conflicts += 1
             self.metrics.counter("txn.erase_conflicts").inc()
         if txn.aborts:
             self.metrics.counter("txn.aborts").inc(txn.aborts)
@@ -840,13 +837,13 @@ class SimulationRunner:
             # degraded fallback) *and* the page met the profile's SLO.
             clean = not any(
                 response.status.is_server_error
-                or LOAD_SHED_HEADER in response.headers
-                or "X-Stale-If-Error" in response.headers
-                or "X-SpeedKit-Offline" in response.headers
+                or (
+                    (reason := reason_of(response)) is not None
+                    and reason.fallback
+                )
                 for response in result.responses
             )
             if clean and result.plt <= self._overload_slo:
-                self.result.goodput_pages += 1
                 self.metrics.counter("overload.goodput_pages").inc()
         for response in result.responses:
             self._record_response(
@@ -908,10 +905,13 @@ class SimulationRunner:
         if response.status.is_server_error:
             self.result.failed_responses += 1
             return
-        if LOAD_SHED_HEADER in response.headers:
-            # A synthesized shed answer: marked, versionless, and
-            # counted on its own — it must not pollute the serve/hit
-            # ledgers or the coherence read log.
+        # The one classification of a marked answer: which ledger it
+        # enters, whether it is a hit, whether it is a checked read.
+        reason = reason_of(response)
+        if reason is not None and not reason.served:
+            # A synthesized shed answer is counted on its own — it
+            # must not pollute the serve/hit ledgers or the coherence
+            # read log.
             layer = self._layer_of(response.served_by)
             self.result.shed_responses += 1
             self.metrics.counter(f"serve.shed.{layer}").inc()
@@ -927,21 +927,19 @@ class SimulationRunner:
         per_kind = self.result.served_by_kind.setdefault(layer, {})
         per_kind[kind] = per_kind.get(kind, 0) + 1
         self.metrics.counter(f"serve.kind.{layer}.{kind}").inc()
-        if (
-            "X-Stale-If-Error" in response.headers
-            or "X-SpeedKit-Offline" in response.headers
-        ):
-            # Degraded servings (stale-if-error, offline mode) are
-            # availability wins, not fresh cache hits — they are
-            # tallied separately so hit ratios stay honest.
-            self.result.served_degraded_by_layer[layer] = (
-                self.result.served_degraded_by_layer.get(layer, 0) + 1
-            )
-            self.metrics.counter(f"serve.degraded.{layer}").inc()
-        if "X-SpeedKit-Offline" in response.headers:
-            # Offline serving explicitly trades Δ-atomicity for
-            # availability; these reads are accounted, not checked.
-            return
+        if reason is not None:
+            if reason.fallback:
+                # Fallback servings (stale-if-error, offline mode) are
+                # availability wins, not fresh cache hits — they are
+                # tallied separately so hit ratios stay honest.
+                self.result.served_degraded_by_layer[layer] = (
+                    self.result.served_degraded_by_layer.get(layer, 0) + 1
+                )
+                self.metrics.counter(f"serve.degraded.{layer}").inc()
+            if not reason.checked:
+                # Offline serving explicitly trades Δ-atomicity for
+                # availability; these reads are accounted, not checked.
+                return
         if "X-Version-Key" in response.headers:
             checker = self.checker if delta_covered else self.baseline_checker
             checker.record_read(

@@ -3,13 +3,15 @@
 This package models the slice of HTTP that web caching depends on:
 case-insensitive headers, ``Cache-Control`` directives, request and
 response messages with validators (``ETag`` / ``Last-Modified``), the
-RFC 7234 freshness lifetime computation, and a structured URL type.
+RFC 7234 freshness lifetime computation, a structured URL type, and
+the degraded-response contract (:mod:`repro.http.degraded`).
 
 It deliberately models *semantics*, not wire format: there is no byte
 parsing, because the simulator constructs messages directly.
 """
 
 from repro.http.cache_control import CacheControl
+from repro.http.degraded import Degraded, mark, reason_in_attrs, reason_of
 from repro.http.freshness import (
     age_at,
     allows_stale_while_revalidate,
@@ -22,6 +24,7 @@ from repro.http.freshness import (
 )
 from repro.http.headers import Headers
 from repro.http.messages import (
+    CREDENTIAL_HEADERS,
     Method,
     Request,
     Response,
@@ -32,7 +35,9 @@ from repro.http.messages import (
 from repro.http.url import URL
 
 __all__ = [
+    "CREDENTIAL_HEADERS",
     "CacheControl",
+    "Degraded",
     "Headers",
     "Method",
     "Request",
@@ -47,6 +52,9 @@ __all__ = [
     "is_cacheable",
     "is_fresh_at",
     "make_not_modified",
+    "mark",
+    "reason_in_attrs",
+    "reason_of",
     "remaining_ttl",
     "revalidates",
 ]

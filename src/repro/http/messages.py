@@ -41,6 +41,12 @@ class Status(enum.IntEnum):
         return 500 <= int(self) < 600
 
 
+#: Request headers that identify a user. A request carrying one is
+#: personalized traffic: shared caches pass it to the origin
+#: untouched, and the admission plane sheds it first.
+CREDENTIAL_HEADERS = ("Cookie", "Authorization")
+
+
 @dataclass
 class Request:
     """An HTTP request.
@@ -68,6 +74,11 @@ class Request:
     @property
     def if_none_match(self) -> Optional[str]:
         return self.headers.get("If-None-Match")
+
+    @property
+    def credentialed(self) -> bool:
+        """Whether the request carries a :data:`CREDENTIAL_HEADERS`."""
+        return any(header in self.headers for header in CREDENTIAL_HEADERS)
 
     def with_header(self, name: str, value: str) -> "Request":
         """A copy with one header added/replaced (headers deep-copied)."""

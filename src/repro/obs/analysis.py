@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.http.degraded import reason_in_attrs, reason_of
+
 __all__ = [
     "critical_path_attribution",
     "overload_accounting",
@@ -46,12 +48,9 @@ def response_attrs(response) -> Dict[str, Any]:
         "version_key": headers.get("X-Version-Key"),
         "kind": headers.get("X-Resource-Kind"),
     }
-    if "X-Stale-If-Error" in headers:
-        attrs["degraded"] = True
-    if "X-SpeedKit-Offline" in headers:
-        attrs["offline"] = True
-    if "X-Load-Shed" in headers:
-        attrs["shed"] = True
+    reason = reason_of(response)
+    if reason is not None and reason.span_attr is not None:
+        attrs[reason.span_attr] = True
     return attrs
 
 
@@ -134,7 +133,8 @@ def _read_from_attrs(
         return None
     if attrs.get("version") is None or attrs.get("version_key") is None:
         return None
-    if attrs.get("offline"):
+    reason = reason_in_attrs(attrs)
+    if reason is not None and not reason.checked:
         return None
     return {
         "read_at": pageview["end"],
@@ -145,7 +145,7 @@ def _read_from_attrs(
         "version": attrs.get("version"),
         "version_key": attrs.get("version_key"),
         "served_by": attrs.get("served_by"),
-        "degraded": bool(attrs.get("degraded")),
+        "degraded": reason is not None,
     }
 
 
@@ -189,7 +189,8 @@ def txns_from_trace(records: List[Record]) -> List[Dict[str, Any]]:
 
 def _dirty_response_attrs(attrs: Dict[str, Any]) -> bool:
     """Whether one span's response attributes disqualify goodput."""
-    if attrs.get("shed") or attrs.get("degraded") or attrs.get("offline"):
+    reason = reason_in_attrs(attrs)
+    if reason is not None and reason.fallback:
         return True
     status = attrs.get("status")
     return isinstance(status, int) and status >= 500

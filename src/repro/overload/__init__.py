@@ -13,10 +13,8 @@ overload at multiples of nominal traffic. Three cooperating parts:
   seeded, deterministic decision stream.
 
 Shed requests resolve to synthesized responses marked
-:data:`LOAD_SHED_HEADER` (``X-Load-Shed``) with ``Cache-Control:
-no-store`` — the same explicit degraded-response contract as
-``X-Stale-If-Error`` and ``X-Txn-Degraded``: marked end to end, never
-admitted into any cache tier, never 304-converted.
+:data:`LOAD_SHED_HEADER` with ``Cache-Control: no-store``, under the
+degraded-response contract of :mod:`repro.http.degraded`.
 """
 
 from repro.overload.autoscaler import (

@@ -9,41 +9,31 @@ invalidation purges, GDPR erasure walks — is never shed at all: a
 dropped purge or erase would trade a latency problem for a correctness
 or compliance violation.
 
-Classification mirrors the edge's pass rule
-(:attr:`repro.cdn.edge.EdgeCache.PASS_HEADERS`): a credentialed GET is
-personalized traffic, any other GET is (potentially) cached static
+Classification shares the edge's pass rule
+(:attr:`repro.http.messages.Request.credentialed`): a credentialed GET
+is personalized traffic, any other GET is (potentially) cached static
 content, and every non-GET is control/write traffic.
 
-A shed request resolves to a synthesized, explicitly marked response —
-``X-Load-Shed: 1`` plus ``Cache-Control: no-store`` — following the
-same degraded-response contract as ``X-Stale-If-Error`` and
-``X-Txn-Degraded``: the mark travels with the bytes, no cache tier may
-admit it, and it can never be 304-converted into a freshness
-confirmation.
+A shed request resolves to a synthesized response marked
+:attr:`repro.http.degraded.Degraded.LOAD_SHED` plus ``Cache-Control:
+no-store``.
 """
 
 from __future__ import annotations
 
 import enum
 
+from repro.http.degraded import Degraded
 from repro.http.messages import Method, Request
 
 __all__ = [
     "LOAD_SHED_HEADER",
-    "PASS_REQUEST_HEADERS",
     "PriorityClass",
     "classify_request",
 ]
 
-#: The degraded-response mark a shed request's synthesized answer
-#: carries (style of ``X-Stale-If-Error`` / ``X-Txn-Degraded``).
-LOAD_SHED_HEADER = "X-Load-Shed"
-
-#: The personalization signal, mirroring
-#: :attr:`repro.cdn.edge.EdgeCache.PASS_HEADERS`. Kept as a local copy
-#: (pinned equal by the overload test suite) so this leaf module stays
-#: importable from the cache layer without a cycle.
-PASS_REQUEST_HEADERS = ("Cookie", "Authorization")
+#: The header a shed request's synthesized answer is marked with.
+LOAD_SHED_HEADER = Degraded.LOAD_SHED.header
 
 
 class PriorityClass(enum.Enum):
@@ -78,6 +68,6 @@ def classify_request(request: Request) -> PriorityClass:
     """
     if request.method is not Method.GET:
         return PriorityClass.CONTROL
-    if any(header in request.headers for header in PASS_REQUEST_HEADERS):
+    if request.credentialed:
         return PriorityClass.PERSONALIZED
     return PriorityClass.STATIC

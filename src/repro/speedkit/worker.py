@@ -26,6 +26,7 @@ from repro.cdn.network import Cdn
 from repro.browser.transport import Transport
 from repro.coherence.client import SketchClient
 from repro.coherence.decision import ReadDecision, decide
+from repro.http.degraded import Degraded, mark, reason_of
 from repro.http.freshness import conditional_request_for
 from repro.http.messages import Request, Response, Status
 from repro.obs.span import NULL_SPAN
@@ -247,15 +248,11 @@ class ServiceWorkerProxy:
             # (bounded stale-if-error first, unbounded offline second)
             # or fall back to revalidation.
             span.event("sketch-unusable", at=self._now)
-            degraded = self._serve_degraded(scrubbed, cached)
+            degraded = self._serve_degraded(scrubbed, cached, span)
             if degraded is not None:
                 # A degraded serving is not a fresh cache hit: it is
                 # counted by its own stale_if_error/offline tallies, so
                 # the hit ratio only reports verified-fresh servings.
-                span.set(
-                    verdict=self._degraded_verdict(degraded),
-                    version=degraded.version,
-                )
                 return degraded
             decision = (
                 ReadDecision.REVALIDATE
@@ -291,25 +288,15 @@ class ServiceWorkerProxy:
             self.node, scrubbed, self.cdn
         )
         if response.status.is_server_error:
-            degraded = self._serve_degraded(scrubbed, cached)
+            degraded = self._serve_degraded(scrubbed, cached, span)
             if degraded is not None:
-                span.set(
-                    verdict=self._degraded_verdict(degraded),
-                    version=degraded.version,
-                )
                 return degraded
         admitted = self.cache.admit(scrubbed, response, self._now)
         yield from self._charge_cache_latency()
         return admitted
 
-    @staticmethod
-    def _degraded_verdict(response: Response) -> str:
-        if "X-SpeedKit-Offline" in response.headers:
-            return "offline"
-        return "stale-if-error"
-
     def _serve_degraded(
-        self, scrubbed: Request, cached: Optional[Response]
+        self, scrubbed: Request, cached: Optional[Response], span
     ) -> Optional[Response]:
         """The graceful-degradation ladder after an upstream failure.
 
@@ -317,8 +304,10 @@ class ServiceWorkerProxy:
         window the copy's verification age caps its staleness, so the
         serving stays inside the widened Δ bound. Unbounded offline
         mode is the last resort (and opts out of the bound entirely).
-        Returns ``None`` when no degraded serving is possible.
+        Returns ``None`` when no degraded serving is possible;
+        otherwise ``span``'s verdict names the serving's reason.
         """
+        degraded = None
         window = self.config.stale_if_error_window
         if window is not None:
             degraded = self.cache.serve_stale_if_error(
@@ -326,10 +315,13 @@ class ServiceWorkerProxy:
             )
             if degraded is not None:
                 self._count("stale_if_error_served")
-                return degraded
-        if cached is not None and self.config.offline_mode:
-            return self._serve_offline(cached)
-        return None
+        if degraded is None and cached is not None and self.config.offline_mode:
+            degraded = self._serve_offline(cached)
+        if degraded is not None:
+            span.set(
+                verdict=reason_of(degraded).value, version=degraded.version
+            )
+        return degraded
 
     def _serve_offline(self, cached: Response) -> Response:
         """Answer from cache during an outage.
@@ -339,9 +331,7 @@ class ServiceWorkerProxy:
         account for it separately.
         """
         self._count("offline_served")
-        response = cached.copy()
-        response.headers["X-SpeedKit-Offline"] = "1"
-        return response
+        return mark(cached.copy(), Degraded.OFFLINE)
 
     def _swr_allowed(self, scrubbed: Request, cached: Response) -> bool:
         """May a flagged copy be served stale-while-revalidate?
@@ -383,12 +373,8 @@ class ServiceWorkerProxy:
         if response.status.is_server_error:
             # Origin down: keep answering from the device (the paper's
             # offline-resilience story), bounded where configured.
-            degraded = self._serve_degraded(scrubbed, cached)
+            degraded = self._serve_degraded(scrubbed, cached, span)
             if degraded is not None:
-                span.set(
-                    verdict=self._degraded_verdict(degraded),
-                    version=degraded.version,
-                )
                 return degraded
         span.set(revalidated="refetch")
         admitted = self.cache.admit(scrubbed, response, self._now)

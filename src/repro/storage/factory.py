@@ -10,6 +10,7 @@ gets a fresh one (engines are stateful and never shared across tiers).
 
 from __future__ import annotations
 
+import math
 import random
 import zlib
 from dataclasses import asdict, dataclass
@@ -71,19 +72,21 @@ class BackendSpec:
             )
         if self.n_shards < 1:
             raise ValueError(f"n_shards must be >= 1: {self.n_shards}")
-        if self.read_latency <= 0 or self.write_latency <= 0:
-            raise ValueError("backend latencies must be positive")
-        if self.per_key_cost < 0:
-            raise ValueError(
-                f"per_key_cost must be >= 0: {self.per_key_cost}"
-            )
+        for knob in ("read_latency", "write_latency"):
+            value = getattr(self, knob)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{knob} must be finite and positive: {value}"
+                )
+        for knob in ("per_key_cost", "flush_interval"):
+            value = getattr(self, knob)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{knob} must be finite and non-negative: {value}"
+                )
         if self.batch_window < 1:
             raise ValueError(
                 f"batch_window must be >= 1: {self.batch_window}"
-            )
-        if self.flush_interval < 0:
-            raise ValueError(
-                f"flush_interval must be >= 0: {self.flush_interval}"
             )
 
     def build(self, salt: str = "") -> CacheBackend:

@@ -22,8 +22,8 @@ requested rung of the consistency ladder:
 Degradation is explicit, never silent: when the requested rung cannot
 be met (origin outage, breaker open, retry budget exhausted, erased
 keys), the result's ``achieved`` level drops, ``degraded`` is set, and
-every returned response is stamped ``X-Txn-Degraded`` so downstream
-accounting can tell a kept promise from a broken one.
+every returned response is marked :attr:`Degraded.TXN_DOWNGRADE` so
+downstream accounting can tell a kept promise from a broken one.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence
 
+from repro.http.degraded import Degraded, mark
 from repro.http.headers import Headers
 from repro.http.messages import Request, Response, Status
 from repro.http.url import URL
@@ -40,7 +41,7 @@ from repro.txn.registry import TxnRegistry
 
 #: Response header marking an explicitly degraded transaction serving;
 #: the value is the consistency level that was actually achieved.
-DEGRADED_HEADER = "X-Txn-Degraded"
+DEGRADED_HEADER = Degraded.TXN_DOWNGRADE.header
 
 
 @dataclass
@@ -198,7 +199,11 @@ class TxnCoordinator:
         if result.achieved < result.requested:
             result.degraded = True
             for read in result.reads:
-                read.response.headers[DEGRADED_HEADER] = result.achieved.value
+                mark(
+                    read.response,
+                    Degraded.TXN_DOWNGRADE,
+                    result.achieved.value,
+                )
         for read in result.reads:
             if read.version_key is not None and read.version is not None:
                 floor = self._floor.get(read.version_key, 0)

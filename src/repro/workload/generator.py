@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, fields
 from typing import List, Optional
@@ -74,6 +75,11 @@ class WorkloadConfig:
         if self.access_rate < 0:
             raise ValueError(
                 f"access_rate must be >= 0: {self.access_rate}"
+            )
+        if not 0 <= self.write_rate < math.inf:
+            raise ValueError(
+                f"write_rate must be finite and non-negative: "
+                f"{self.write_rate}"
             )
         if self.duration <= 0:
             raise ValueError(f"duration must be positive: {self.duration}")

@@ -102,9 +102,15 @@ class TestChecker:
                 Response(status=Status.OK), read_at=0.0
             )
 
-    def test_negative_delta_rejected(self, server):
-        with pytest.raises(ValueError):
-            DeltaAtomicityChecker(server, delta=-1.0)
+    @pytest.mark.parametrize("delta", [-1.0, float("nan")])
+    def test_negative_or_nan_delta_rejected(self, server, delta):
+        with pytest.raises(ValueError, match="delta"):
+            DeltaAtomicityChecker(server, delta=delta)
+
+    def test_infinite_delta_records_without_judging(self, server):
+        checker = DeltaAtomicityChecker(server, delta=float("inf"))
+        server.update("docs", "1", {"x": 2}, at=10.0)
+        assert not checker.record_read(response(1), read_at=1e9).violation
 
     def test_metrics_recorded(self, server):
         checker = DeltaAtomicityChecker(server, delta=5.0)

@@ -226,18 +226,24 @@ def test_mirrored_counters_restate_the_registry():
     result.metrics.counter("overload.shed.static").inc(2)
     result.metrics.counter("overload.shed.total").inc(2)
     result.metrics.counter("bytes.edge_egress").inc(1024)
+    result.metrics.counter("txn.aborts").inc(3)
+    result.metrics.counter("txn.degraded").inc()
+    result.metrics.counter("txn.erase_conflicts").inc()
+    result.metrics.counter("overload.goodput_pages").inc(7)
     result.mirror_counters()
     assert result.offered_requests == 5
     assert result.shed_requests == 2
     assert result.shed_by_class == {"static": 2}  # zero labels dropped
     assert result.edge_egress_bytes == 1024
     assert result.origin_egress_bytes == 0  # untouched counter reads 0
+    assert (result.txn_aborts, result.txn_degraded) == (3, 1)
+    assert (result.txn_erase_conflicts, result.goodput_pages) == (1, 7)
     mirrored = {
         spec.name
         for spec in dataclasses.fields(RunResult)
         if spec.metadata["counter"] is not None
     }
-    assert len(mirrored) == 10
+    assert len(mirrored) == 14
 
 
 # -- two real shards against an independent fold ----------------------------

@@ -1,27 +1,44 @@
 """ScenarioSpec rejects knobs no run can honour, at construction."""
 
+import functools
 import math
 
 import pytest
 
+from repro.faults import RetryPolicy
 from repro.harness.scenarios import Scenario, ScenarioSpec
+from repro.storage import BackendSpec
+from repro.workload import WorkloadConfig
+
+
+CLASSIC = functools.partial(ScenarioSpec, Scenario.CLASSIC_CDN)
 
 
 @pytest.mark.parametrize(
-    "knob",
+    "build, knob",
     [
-        "delta",
-        "page_ttl",
-        "detection_latency",
-        "purge_latency",
-        "replication_delay",
-        "stale_if_error",
+        (CLASSIC, "delta"),
+        (CLASSIC, "page_ttl"),
+        (CLASSIC, "detection_latency"),
+        (CLASSIC, "purge_latency"),
+        (CLASSIC, "replication_delay"),
+        (CLASSIC, "stale_if_error"),
+        # The specs a ScenarioSpec carries, and the trace generator's.
+        (BackendSpec, "flush_interval"),
+        (BackendSpec, "per_key_cost"),
+        (BackendSpec, "read_latency"),
+        (BackendSpec, "write_latency"),
+        (RetryPolicy, "budget"),
+        (RetryPolicy, "attempt_timeout"),
+        (RetryPolicy, "base_backoff"),
+        (WorkloadConfig, "write_rate"),
     ],
+    ids=lambda value: getattr(value, "__name__", None),
 )
 @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf, -math.inf])
-def test_durations_must_be_finite_and_non_negative(knob, value):
+def test_durations_must_be_finite_and_non_negative(build, knob, value):
     with pytest.raises(ValueError, match=knob):
-        ScenarioSpec(Scenario.CLASSIC_CDN, **{knob: value})
+        build(**{knob: value})
 
 
 @pytest.mark.parametrize(

@@ -2,12 +2,10 @@
 
 import pytest
 
-from repro.cdn.edge import EdgeCache
-from repro.http.messages import Headers, Method, Request
+from repro.http.messages import CREDENTIAL_HEADERS, Headers, Method, Request
 from repro.http.url import URL
 from repro.overload.priority import (
     LOAD_SHED_HEADER,
-    PASS_REQUEST_HEADERS,
     PriorityClass,
     classify_request,
 )
@@ -23,7 +21,7 @@ class TestClassification:
     def test_plain_get_is_static(self):
         assert classify_request(_get()) is PriorityClass.STATIC
 
-    @pytest.mark.parametrize("header", PASS_REQUEST_HEADERS)
+    @pytest.mark.parametrize("header", CREDENTIAL_HEADERS)
     def test_credentialed_get_is_personalized(self, header):
         request = _get({header: "u=42"})
         assert classify_request(request) is PriorityClass.PERSONALIZED
@@ -70,12 +68,6 @@ class TestShedOrderContract:
             "static",
             "personalized",
         ]
-
-    def test_pass_headers_pinned_to_edge_rule(self):
-        """The classifier's local copy of the pass rule must track the
-        edge's — personalization is whatever the edge refuses to cache,
-        or shedding priorities diverge from caching reality."""
-        assert PASS_REQUEST_HEADERS == EdgeCache.PASS_HEADERS
 
     def test_shed_header_name(self):
         assert LOAD_SHED_HEADER == "X-Load-Shed"

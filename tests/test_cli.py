@@ -547,6 +547,10 @@ SMALL = ["--users", "5", "--products", "10", "--duration", "60"]
         (["--load-multiplier", "0.5"], "load_multiplier"),
         (["--txn-retries", "-1"], "txn_retry_limit"),
         (["--retry-budget", "0"], "budget"),
+        (["--retry-budget", "nan"], "budget"),
+        (["--write-behind", "--flush-interval", "nan"], "flush_interval"),
+        (["--write-behind", "--flush-interval", "-1"], "flush_interval"),
+        (["--write-rate", "-1"], "write_rate"),
         (["--users", "0"], "n_users"),
         (["--gdpr-mix", "2"], "erase_fraction"),
         (["--replay-rate", "nan"], "--replay-rate"),
