@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.cdn.cache import CacheStore
 from repro.cdn.edge import EdgeCache
@@ -113,10 +113,6 @@ class Cdn:
         for pop in self.pops.values():
             pop.purge_all()
 
-    def stored_keys(self) -> Dict[str, List[str]]:
-        """Cache keys currently stored, per PoP (diagnostics)."""
-        return {name: pop.store.keys() for name, pop in self.pops.items()}
-
     def overall_hit_ratio(self) -> float:
         hits = misses = 0.0
         for name in self.pops:
@@ -124,7 +120,3 @@ class Cdn:
             misses += self.metrics.counter(f"edge.{name}.miss").value
         total = hits + misses
         return hits / total if total else 0.0
-
-    def for_each_pop(self, action: Callable[[EdgeCache], None]) -> None:
-        for pop in self.pops.values():
-            action(pop)

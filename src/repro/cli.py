@@ -150,12 +150,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
         "CDN lookup",
     )
     parser.add_argument(
-        "--write-behind",
-        action="store_true",
-        help="shorthand for --backend write-behind: acknowledge cache "
-        "mutations immediately and drain them in the background",
-    )
-    parser.add_argument(
         "--flush-interval",
         type=float,
         default=None,
@@ -318,12 +312,6 @@ def _spec_from_args(args, **overrides) -> ScenarioSpec:
     from repro.overload import OVERLOAD_PROFILES
 
     kind = args.backend
-    if args.write_behind:
-        if kind not in (None, "write-behind"):
-            raise SystemExit(
-                f"--write-behind conflicts with --backend {kind}"
-            )
-        kind = "write-behind"
     for flag, value, kinds in (
         ("--flush-interval", args.flush_interval, ("write-behind",)),
         ("--batch-window", args.batch_window, ("batched", "write-behind")),

@@ -25,14 +25,19 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional
 
-from repro.storage.backend import CacheBackend, EvictionListener
+from repro.storage.backend import CacheBackend, DelegatingBackend
 from repro.storage.factory import BackendSpec
 
 
-class FlakyBackend(CacheBackend):
-    """Read-failure wrapper around a real storage engine."""
+class FlakyBackend(DelegatingBackend):
+    """Read-failure wrapper: overrides the two read methods only.
+
+    Erasure is a mutation path too — it reaches the wrapped engine
+    un-dropped, like everything else inherited (a failed deletion
+    would be silent non-compliance, not graceful degradation).
+    """
 
     kind = "flaky"
 
@@ -42,10 +47,9 @@ class FlakyBackend(CacheBackend):
         error_rate: float,
         rng: Optional[random.Random] = None,
     ) -> None:
-        super().__init__()
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError(f"error_rate must be in [0, 1]: {error_rate}")
-        self.inner = inner
+        super().__init__(inner)
         self.error_rate = error_rate
         self._rng = rng or random.Random(0)
         #: Reads dropped by injected failures so far.
@@ -59,13 +63,6 @@ class FlakyBackend(CacheBackend):
             return True
         return False
 
-    # -- eviction hooks delegate to the real engine -----------------------
-
-    def subscribe_evictions(self, listener: EvictionListener) -> None:
-        self.inner.subscribe_evictions(listener)
-
-    # -- reads: the flaky part --------------------------------------------
-
     def get(self, key: str) -> Optional[Any]:
         if self._read_fails():
             return None
@@ -74,61 +71,6 @@ class FlakyBackend(CacheBackend):
     def get_many(self, keys: Iterable[str]) -> Dict[str, Any]:
         wanted = [key for key in keys if not self._read_fails()]
         return self.inner.get_many(wanted)
-
-    # -- everything else passes straight through --------------------------
-
-    def put(self, key: str, value: Any, size: int = 0) -> None:
-        self.inner.put(key, value, size)
-
-    def put_many(self, items: Iterable[Tuple[str, Any, int]]) -> None:
-        self.inner.put_many(items)
-
-    def remove(self, key: str) -> Optional[Any]:
-        return self.inner.remove(key)
-
-    def remove_many(self, keys: Iterable[str]) -> Dict[str, Any]:
-        return self.inner.remove_many(keys)
-
-    def scan(self, prefix: str = "") -> Iterator[Tuple[str, Any]]:
-        return self.inner.scan(prefix)
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    @property
-    def bytes_used(self) -> int:
-        return self.inner.bytes_used
-
-    def clear(self) -> None:
-        self.inner.clear()
-
-    def peek(self, key: str) -> Optional[Any]:
-        return self.inner.peek(key)
-
-    def erase_matching(self, predicate) -> Dict[str, Any]:
-        # Erasure is a mutation path: like writes, it must reach the
-        # real engine un-dropped (failed deletion would be silent
-        # non-compliance, not graceful degradation).
-        return self.inner.erase_matching(predicate)
-
-    def scrub_pending(self, predicate) -> int:
-        return self.inner.scrub_pending(predicate)
-
-    def residuals_matching(self, predicate) -> list:
-        return self.inner.residuals_matching(predicate)
-
-    def sync(self) -> float:
-        return self.inner.sync()
-
-    def queued_matching(self, predicate) -> list:
-        queued = getattr(self.inner, "queued_matching", None)
-        return queued(predicate) if queued is not None else []
-
-    def pending_latency(self) -> float:
-        return self.inner.pending_latency()
-
-    def drain_latency(self, concurrent: float = 0.0) -> float:
-        return self.inner.drain_latency(concurrent)
 
 
 @dataclass(frozen=True)

@@ -419,13 +419,9 @@ class ErasureCoordinator:
             ("origin", self.store),
             *self._cache_tiers().items(),
         ):
-            queued_matching = getattr(
-                tier.backend, "queued_matching", None
-            )
-            if queued_matching is not None:
-                keys = queued_matching(matcher.matches_entry)
-                if keys:
-                    report.queued[label] = keys
+            keys = tier.backend.queued_matching(matcher.matches_entry)
+            if keys:
+                report.queued[label] = keys
         replicator = self._replicator()
         if replicator is not None:
             report.replicas_in_flight = replicator.in_flight_matching(

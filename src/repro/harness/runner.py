@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Generator, Optional
 
 from repro.baselines.clients import CookieJarFetcher, NoCacheClient
@@ -57,6 +58,24 @@ from repro.workload.users import User, UserPopulation
 #: serve a copy that a concurrent write supersedes while the bytes are
 #: on the wire). One second generously covers the slowest modeled link.
 _SLACK = 1.0
+
+
+@dataclass
+class _ClientStack:
+    """What the runner keeps per user, built on first traffic."""
+
+    fetcher: CookieJarFetcher
+    #: The service worker behind the fetcher; ``None`` on baseline
+    #: scenarios and for non-consenting users.
+    worker: Optional[ServiceWorkerProxy]
+    #: Whether this user's reads are under the Δ promise: everyone on
+    #: baseline scenarios (the main checker's bound is ∞ there), only
+    #: worker-served users on Speed Kit scenarios.
+    delta_covered: bool
+    #: Created lazily, on the first event that needs them.
+    engine: Optional[PageLoadEngine] = None
+    coordinator: Optional[TxnCoordinator] = None
+    prefetcher: Optional[object] = None
 
 
 class SimulationRunner:
@@ -384,8 +403,7 @@ class SimulationRunner:
             self.server, metrics=self.metrics
         )
         self.txn_registry = TxnRegistry()
-        self._txn_coordinators: Dict[str, TxnCoordinator] = {}
-        self._stacks: Dict[str, object] = {}
+        self._stacks: Dict[str, _ClientStack] = {}
         # The erasure/access coordinator sees the whole assembled
         # stack; client caches are resolved lazily (stacks are built
         # on first traffic), so an erase always walks every cache that
@@ -403,8 +421,6 @@ class SimulationRunner:
             txn_registry=self.txn_registry,
             overload=self._overload,
         )
-        self._engines: Dict[str, PageLoadEngine] = {}
-        self._prefetchers: Dict[str, object] = {}
         self._navigation_model = None
         if spec.prefetch and spec.scenario.uses_speed_kit:
             from repro.speedkit.prefetch import NavigationPredictor
@@ -456,23 +472,29 @@ class SimulationRunner:
             config.segment_personalized = []
         return config
 
-    def _stack_for(self, user: User):
+    def _stack_for(self, user: User) -> _ClientStack:
         """The (cached) client stack of one user."""
-        existing = self._stacks.get(user.user_id)
-        if existing is not None:
-            return existing
-        stack = self._build_stack(user)
-        self._stacks[user.user_id] = stack
+        stack = self._stacks.get(user.user_id)
+        if stack is None:
+            inner = self._build_client(user)
+            worker = inner if isinstance(inner, ServiceWorkerProxy) else None
+            stack = self._stacks[user.user_id] = _ClientStack(
+                fetcher=CookieJarFetcher(
+                    inner, user.user_id if user.logged_in else None
+                ),
+                worker=worker,
+                delta_covered=worker is not None
+                or not self.spec.scenario.uses_speed_kit,
+            )
         return stack
 
-    def _build_stack(self, user: User):
+    def _build_client(self, user: User):
         node = user.user_id
-        cookie_user = user.user_id if user.logged_in else None
         scenario = self.spec.scenario
         if scenario is Scenario.NO_CACHE:
-            inner = NoCacheClient(node, self.transport)
-        elif scenario is Scenario.BROWSER_ONLY:
-            inner = BrowserClient(
+            return NoCacheClient(node, self.transport)
+        if scenario is Scenario.BROWSER_ONLY:
+            return BrowserClient(
                 node,
                 self.transport,
                 mode=TransportMode.DIRECT,
@@ -480,8 +502,8 @@ class SimulationRunner:
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
-        elif scenario is Scenario.CLASSIC_CDN:
-            inner = BrowserClient(
+        if scenario is Scenario.CLASSIC_CDN:
+            return BrowserClient(
                 node,
                 self.transport,
                 mode=TransportMode.CDN,
@@ -490,10 +512,10 @@ class SimulationRunner:
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
-        elif not user.consents:
+        if not user.consents:
             # A non-consenting user keeps the plain browser stack even
             # on a Speed Kit site (the worker never activates).
-            inner = BrowserClient(
+            return BrowserClient(
                 node,
                 self.transport,
                 mode=TransportMode.DIRECT,
@@ -501,9 +523,7 @@ class SimulationRunner:
                 metrics=self.metrics,
                 tracer=self.tracer,
             )
-        else:
-            inner = self._build_worker(user)
-        return CookieJarFetcher(inner, cookie_user)
+        return self._build_worker(user)
 
     def _segment_scheme(self) -> SegmentScheme:
         """The segmentation scheme for this run's granularity setting."""
@@ -583,35 +603,16 @@ class SimulationRunner:
         and user-blocklisted requests land there).
         """
         tiers: Dict[str, object] = {}
-
-        def add(label: str, cache) -> None:
-            store = getattr(cache, "store", None)
-            if store is not None:
-                tiers[label] = store
-
         for user_id, stack in self._stacks.items():
-            inner = getattr(stack, "inner", stack)
-            if isinstance(inner, ServiceWorkerProxy):
-                add(f"sw:{user_id}", inner.cache)
-                add(
-                    f"browser:{user_id}",
-                    getattr(inner.fallback, "cache", None),
-                )
-            else:
-                add(f"browser:{user_id}", getattr(inner, "cache", None))
+            browser = stack.fetcher.inner
+            if stack.worker is not None:
+                tiers[f"sw:{user_id}"] = stack.worker.cache.store
+                browser = stack.worker.fallback
+            # A NoCacheClient has no cache at all.
+            cache = getattr(browser, "cache", None)
+            if cache is not None:
+                tiers[f"browser:{user_id}"] = cache.store
         return tiers
-
-    def _engine_for(self, user: User) -> PageLoadEngine:
-        engine = self._engines.get(user.user_id)
-        if engine is None:
-            engine = PageLoadEngine(
-                self.env,
-                self._stack_for(user),
-                batch_waves=self.spec.batch_waves,
-                tracer=self.tracer,
-            )
-            self._engines[user.user_id] = engine
-        return engine
 
     # -- replay ----------------------------------------------------------------
 
@@ -655,17 +656,15 @@ class SimulationRunner:
     def _handle_page_view(self, event: PageView) -> Generator:
         user = self.users.by_id(event.user_id)
         stack = self._stack_for(user)
-        engine = self._engine_for(user)
-        navigate = getattr(stack, "on_navigate", None)
-        if navigate is not None:
-            yield from navigate()
-        inner = getattr(stack, "inner", stack)
-        # On baseline scenarios the main checker (bound = ∞) covers
-        # everyone; on Speed Kit scenarios only worker-served users are
-        # under the Δ promise.
-        delta_covered = not self.spec.scenario.uses_speed_kit or (
-            isinstance(inner, ServiceWorkerProxy)
-        )
+        if stack.engine is None:
+            stack.engine = PageLoadEngine(
+                self.env,
+                stack.fetcher,
+                batch_waves=self.spec.batch_waves,
+                tracer=self.tracer,
+            )
+        if stack.worker is not None:
+            yield from stack.worker.on_navigate()
         # The pageview span starts *after* the navigation hook (eager
         # sketch refresh) so its start coincides with the instant the
         # engine stamps as PLT start — per-tier attribution then sums
@@ -678,28 +677,26 @@ class SimulationRunner:
             user=event.user_id,
             page_kind=event.page_kind,
             target=event.target,
-            covered=delta_covered,
+            covered=stack.delta_covered,
         )
         page = self.pages.for_view(event.page_kind, event.target)
-        result = yield from engine.load(page, trace=span.context)
-        if self._navigation_model is not None and isinstance(
-            inner, ServiceWorkerProxy
-        ):
-            prefetcher = self._prefetchers.get(user.user_id)
-            if prefetcher is None:
+        result = yield from stack.engine.load(page, trace=span.context)
+        if self._navigation_model is not None and stack.worker is not None:
+            if stack.prefetcher is None:
                 from repro.speedkit.prefetch import Prefetcher
 
-                prefetcher = Prefetcher(inner, self._navigation_model)
-                self._prefetchers[user.user_id] = prefetcher
-            prefetcher.on_navigation(event.page_kind, event.target)
-        self._record_page_load(user, event, result, delta_covered)
+                stack.prefetcher = Prefetcher(
+                    stack.worker, self._navigation_model
+                )
+            stack.prefetcher.on_navigation(event.page_kind, event.target)
+        self._record_page_load(user, event, result, stack.delta_covered)
         span.set(plt=result.plt)
         self.tracer.finish(span, self.env.now)
         return None
 
     def _handle_cart_add(self, event: CartAdd) -> Generator:
         user = self.users.by_id(event.user_id)
-        stack = self._stack_for(user)
+        fetcher = self._stack_for(user).fetcher
         span = self.tracer.start(
             "cart-add",
             self.env.now,
@@ -715,16 +712,16 @@ class SimulationRunner:
             client_id=event.user_id,
         )
         request.trace = span.context
-        yield from stack.fetch(request)
+        yield from fetcher.fetch(request)
         self.tracer.finish(span, self.env.now)
         return None
 
     def _txn_coordinator_for(self, user: User) -> TxnCoordinator:
-        coordinator = self._txn_coordinators.get(user.user_id)
-        if coordinator is None:
-            coordinator = TxnCoordinator(
+        stack = self._stack_for(user)
+        if stack.coordinator is None:
+            stack.coordinator = TxnCoordinator(
                 self.env,
-                self._stack_for(user),
+                stack.fetcher,
                 self.transport,
                 client_node=user.user_id,
                 user_id=user.user_id,
@@ -734,23 +731,18 @@ class SimulationRunner:
                     validation_retries=self.spec.txn_retry_limit
                 ),
             )
-            self._txn_coordinators[user.user_id] = coordinator
-        return coordinator
+        return stack.coordinator
 
     def _handle_txn(self, event: TxnRead) -> Generator:
         user = self.users.by_id(event.user_id)
         stack = self._stack_for(user)
-        inner = getattr(stack, "inner", stack)
-        delta_covered = not self.spec.scenario.uses_speed_kit or (
-            isinstance(inner, ServiceWorkerProxy)
-        )
         coordinator = self._txn_coordinator_for(user)
         urls = [
             URL.parse(f"/api/products/{product_id}")
             for product_id in event.product_ids
         ]
         result = yield from coordinator.execute(urls, self._txn_level)
-        self._record_txn(user, result, delta_covered)
+        self._record_txn(user, result, stack.delta_covered)
         return None
 
     def _record_txn(self, user: User, txn, delta_covered: bool) -> None:
@@ -980,17 +972,17 @@ class SimulationRunner:
         if self._overload is not None:
             result.queue_depth_peak = self._overload.queue_depth_peak()
         for stack in self._stacks.values():
-            sketch_client = getattr(stack, "sketch_client", None)
-            if sketch_client is not None:
-                result.sketch_fetches += sketch_client.stats.fetches
-                result.sketch_bytes += sketch_client.stats.bytes_transferred
-            inner = getattr(stack, "inner", stack)
-            if isinstance(inner, ServiceWorkerProxy):
-                counter = self.metrics.get_counter(
-                    f"speedkit.{inner.node}.scrubbed"
-                )
-                if counter is not None:
-                    result.requests_scrubbed += int(counter.value)
+            worker = stack.worker
+            if worker is None:
+                continue
+            sketch_stats = worker.sketch_client.stats
+            result.sketch_fetches += sketch_stats.fetches
+            result.sketch_bytes += sketch_stats.bytes_transferred
+            counter = self.metrics.get_counter(
+                f"speedkit.{worker.node}.scrubbed"
+            )
+            if counter is not None:
+                result.requests_scrubbed += int(counter.value)
         if self.tracer.enabled:
             self._finalize_trace()
 

@@ -56,14 +56,6 @@ class MetricsRegistry(MetricRegistry):
                 self.sketch(name, sketch.relative_accuracy).merge(sketch)
         return self
 
-    def counters_with_prefix(self, prefix: str) -> Dict[str, float]:
-        """Counter values keyed by the name remainder after ``prefix``."""
-        return {
-            name[len(prefix) :]: counter.value
-            for name, counter in self._counters.items()
-            if name.startswith(prefix)
-        }
-
     def snapshot(self) -> Dict[str, object]:
         out = super().snapshot()
         for name, sketch in self._sketches.items():

@@ -115,14 +115,6 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
 
 
-class Interrupted(Exception):
-    """Internal marker wrapping the cause of a process interrupt."""
-
-    def __init__(self, cause: Any) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Process(Event):
     """A running simulation process wrapping a generator.
 

@@ -166,9 +166,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.points)
 
-    def values_between(self, start: float, end: float) -> List[float]:
-        return [v for t, v in self.points if start <= t <= end]
-
 
 class MetricRegistry:
     """Create-or-get access to named metrics."""

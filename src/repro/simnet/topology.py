@@ -93,31 +93,6 @@ class Topology:
         """Sample a one-way delay between two directly linked nodes."""
         return self.link(a, b).one_way(rng)
 
-    def rtt(self, a: str, b: str, rng: random.Random) -> float:
-        """Sample a round-trip time between two directly linked nodes."""
-        link = self.link(a, b)
-        return link.one_way(rng) + link.one_way(rng)
-
-    def request_time(
-        self,
-        a: str,
-        b: str,
-        rng: random.Random,
-        response_bytes: float = 0.0,
-    ) -> float:
-        """Time for a request/response exchange over one link.
-
-        One RTT plus serialization of the response payload; request
-        payloads are treated as negligible (GETs dominate web caching
-        traffic).
-        """
-        link = self.link(a, b)
-        return (
-            link.one_way(rng)
-            + link.one_way(rng)
-            + link.transfer_time(response_bytes)
-        )
-
     def nearest_edge(self, client: str, rng: random.Random) -> str:
         """The edge PoP with the lowest expected delay from ``client``.
 

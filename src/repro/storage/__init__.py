@@ -10,7 +10,10 @@ entries in a :class:`CacheBackend` engine chosen by configuration.
 Engines implement pure keyed storage (``get/put/remove/scan/len/
 bytes``) plus explicit eviction hooks; all HTTP freshness and eviction
 *policy* stays in :class:`repro.cdn.cache.CacheStore`, the policy layer
-above the protocol. Shipped engines:
+above the protocol. The protocol is closed and stated once in
+:mod:`repro.storage.backend`; wrapper engines derive from
+:class:`DelegatingBackend` and override only what they change.
+Shipped engines:
 
 * :class:`InMemoryBackend` — the classic single ``OrderedDict`` map;
 * :class:`ShardedBackend` — N hash-partitioned sub-engines with
@@ -36,6 +39,7 @@ through ``SpeedKitConfig``, ``ScenarioSpec``, and the CLI
 
 from repro.storage.backend import (
     CacheBackend,
+    DelegatingBackend,
     EvictionListener,
     InMemoryBackend,
 )
@@ -50,6 +54,7 @@ __all__ = [
     "BackendSpec",
     "BatchedRemoteBackend",
     "CacheBackend",
+    "DelegatingBackend",
     "EvictionListener",
     "InMemoryBackend",
     "ShardedBackend",

@@ -1,4 +1,4 @@
-"""The storage-engine protocol and the classic in-memory engine.
+"""The storage-engine protocol, stated once.
 
 A :class:`CacheBackend` is pure keyed storage: it maps string keys to
 opaque values with a caller-declared size, and knows nothing about
@@ -6,35 +6,41 @@ HTTP, freshness, or eviction *policy* — that lives in the layers above
 (:class:`repro.cdn.cache.CacheStore` for caches,
 :class:`repro.origin.store.DocumentStore` for the origin).
 
-Two protocol rules every engine must honor:
+The protocol is *closed*: every name a caller may use on a backend is
+declared on :class:`CacheBackend`, so no caller ever probes for a
+capability. It has four parts.
 
-1. **Eviction hooks.** An engine that drops entries on its own
-   initiative (e.g. per-shard capacity in the sharded engine) MUST
-   announce every such drop through :meth:`_notify_eviction`, so the
-   policy layer's bookkeeping (recency order, byte counters, metric
-   counters) stays consistent. API-level :meth:`remove` calls are the
-   caller's own doing and are never announced.
-2. **Latency accrual.** Engines with a simulated operation cost accrue
-   it in an internal pending pool; the transport layer periodically
-   calls :meth:`drain_latency` and converts the pool into simulated
-   time. Local engines always report zero. :meth:`peek` is metadata
-   access for the co-located policy layer and must never accrue cost.
+1. **The core an engine must write**: ``get``, ``put``, ``remove``,
+   ``scan``, ``__len__``, ``bytes_used``, ``clear``.
+2. **Derived defaults** over the core: the batched forms
+   (``get_many`` / ``put_many`` / ``remove_many`` loop the single-key
+   calls; engines with a pipelined wire protocol override them to
+   charge one round trip per batch), ``peek`` (metadata access for the
+   co-located policy layer — it must never accrue cost), ``keys``,
+   ``__contains__`` and ``erase_matching``.
+3. **Deep views for GDPR**: ``scrub_pending``, ``residuals_matching``,
+   ``queued_matching`` and the ``sync`` barrier look *behind* the read
+   view, into buffers an engine keeps on its own. An engine without
+   buffers has nothing there, which is what the defaults answer.
+4. **The cost pool**: engines with a simulated operation cost accrue
+   it in a pending pool; the transport layer calls
+   :meth:`drain_latency` and converts the pool into simulated time.
+   Local engines always report zero. ``drain_latency`` takes the
+   network transit the caller is about to pay concurrently: serialized
+   engines ignore it, overlap-capable engines clip the pool against
+   it. Either way one drain empties the pool — latency is never
+   drained twice.
 
-Two optional capabilities layered on top of the protocol:
+An engine that drops entries on its own initiative (per-shard capacity
+in the sharded engine) MUST announce every such drop through
+:meth:`_notify_eviction`, so the policy layer's bookkeeping stays
+consistent. API-level :meth:`remove` calls are the caller's own doing
+and are never announced.
 
-* **Batched operations.** :meth:`get_many` / :meth:`put_many` /
-  :meth:`remove_many` have default implementations that loop the
-  single-key calls, so every engine is automatically conformant;
-  engines with a real batched wire protocol (pipelined MGET/MSET)
-  override them to charge one round trip per batch instead of one per
-  key.
-* **Overlap draining.** :meth:`drain_latency` takes the network
-  transit time the caller is about to pay concurrently. Serialized
-  engines ignore it (storage cost adds to transit); overlap-capable
-  engines clip the pending pool against it, modeling a client that
-  pipelines storage round trips under the network transfer. Either
-  way one drain call empties the pool — latency is never drained
-  twice.
+A *wrapper* engine derives from :class:`DelegatingBackend`, which
+forwards the whole surface to the engine it wraps and re-announces its
+evictions; a wrapper then overrides only what it changes, and cannot
+forget a deep view.
 """
 
 from __future__ import annotations
@@ -54,6 +60,9 @@ from typing import (
 
 #: Called with ``(key, value)`` for every engine-initiated drop.
 EvictionListener = Callable[[str, Any], None]
+
+#: A ``(key, value)`` test, e.g. "belongs to this data subject".
+Predicate = Callable[[str, Any], bool]
 
 
 class CacheBackend(ABC):
@@ -75,7 +84,7 @@ class CacheBackend(ABC):
         for listener in list(self._eviction_listeners):
             listener(key, value)
 
-    # -- the storage protocol ---------------------------------------------
+    # -- the core every engine writes -------------------------------------
 
     @abstractmethod
     def get(self, key: str) -> Optional[Any]:
@@ -106,15 +115,10 @@ class CacheBackend(ABC):
     def clear(self) -> None:
         """Drop everything (not announced as evictions)."""
 
-    # -- batched operations ------------------------------------------------
+    # -- derived defaults over the core -----------------------------------
 
     def get_many(self, keys: Iterable[str]) -> Dict[str, Any]:
-        """Batched read: the stored values of the ``keys`` that exist.
-
-        The default loops :meth:`get` (one full, cost-bearing read per
-        key); batched engines override this to charge one round trip
-        plus a per-key marginal cost.
-        """
+        """Batched read: the stored values of the ``keys`` that exist."""
         found: Dict[str, Any] = {}
         for key in keys:
             value = self.get(key)
@@ -136,45 +140,6 @@ class CacheBackend(ABC):
                 removed[key] = value
         return removed
 
-    # -- GDPR erasure hooks -----------------------------------------------
-
-    def erase_matching(
-        self, predicate: Callable[[str, Any], bool]
-    ) -> Dict[str, Any]:
-        """Remove every entry whose ``(key, value)`` matches.
-
-        One scan to find, one batched removal to drop — sharded
-        engines scatter-gather the removal, batched engines pipeline
-        it. Returns the removed ``{key: value}`` map.
-        """
-        matched = [key for key, value in self.scan() if predicate(key, value)]
-        return self.remove_many(matched) if matched else {}
-
-    def scrub_pending(self, predicate: Callable[[str, Any], bool]) -> int:
-        """Scrub matching bytes out of not-yet-applied mutation queues.
-
-        Engines without asynchronous buffers hold no pending bytes and
-        return 0; the write-behind engine overrides this to cancel
-        queued matching puts in place. Returns the number of queued
-        mutations scrubbed.
-        """
-        return 0
-
-    def residuals_matching(
-        self, predicate: Callable[[str, Any], bool]
-    ) -> List[str]:
-        """Locations still holding matching bytes, bypassing overlays.
-
-        The completeness check behind the GDPR gate: after an erase
-        walk this must come back empty. The default inspects the read
-        view; engines with internal buffers (write-behind queues)
-        override it to look *inside* them rather than through the
-        merged view, so a tombstone can never mask surviving bytes.
-        """
-        return [key for key, value in self.scan() if predicate(key, value)]
-
-    # -- derived helpers --------------------------------------------------
-
     def peek(self, key: str) -> Optional[Any]:
         """Cost-free metadata access for the co-located policy layer."""
         return self.get(key)
@@ -185,16 +150,43 @@ class CacheBackend(ABC):
     def __contains__(self, key: str) -> bool:
         return self.peek(key) is not None
 
-    def sync(self) -> float:
-        """Durability barrier: flush asynchronous buffers, if any.
+    def erase_matching(self, predicate: Predicate) -> Dict[str, Any]:
+        """Remove every entry whose ``(key, value)`` matches.
 
-        Returns the simulated time the barrier takes. Synchronous
-        engines are always durable and return 0; the write-behind
-        engine overrides this with its epoch-flush barrier.
+        One scan to find, one batched removal to drop — sharded
+        engines scatter-gather the removal, batched engines pipeline
+        it. Returns the removed ``{key: value}`` map.
         """
+        matched = [key for key, value in self.scan() if predicate(key, value)]
+        return self.remove_many(matched) if matched else {}
+
+    # -- deep views for GDPR: behind the read view ------------------------
+
+    def scrub_pending(self, predicate: Predicate) -> int:
+        """Scrub matching bytes out of not-yet-applied mutation queues;
+        returns the number of queued mutations scrubbed."""
+        return 0
+
+    def residuals_matching(self, predicate: Predicate) -> List[str]:
+        """Locations still holding matching bytes, bypassing overlays.
+
+        The completeness check behind the GDPR gate: after an erase
+        walk this must come back empty. An engine with internal
+        buffers looks *inside* them rather than through its merged
+        view, so a tombstone can never mask surviving bytes.
+        """
+        return [key for key, value in self.scan() if predicate(key, value)]
+
+    def queued_matching(self, predicate: Predicate) -> List[str]:
+        """Keys of acknowledged, not-yet-applied puts whose bytes match."""
+        return []
+
+    def sync(self) -> float:
+        """Durability barrier: flush asynchronous buffers, if any;
+        returns the simulated time the barrier takes."""
         return 0.0
 
-    # -- simulated operation cost -----------------------------------------
+    # -- the cost pool ----------------------------------------------------
 
     def pending_latency(self) -> float:
         """Accrued, not-yet-drained simulated latency in seconds."""
@@ -204,13 +196,90 @@ class CacheBackend(ABC):
         """Empty the pending pool and return the simulated time to pay.
 
         ``concurrent`` is the network transit time the caller pays at
-        the same drain point. Serialized engines ignore it and return
-        the full pool (storage cost adds to transit); overlap-capable
-        engines return only the excess beyond ``concurrent``. The pool
-        is reset either way — accrued latency is drained exactly once,
-        whether it was paid or hidden under the transfer.
+        the same drain point: serialized engines return the full pool,
+        overlap-capable engines only the excess beyond ``concurrent``.
         """
         return 0.0
+
+
+class DelegatingBackend(CacheBackend):
+    """A wrapper engine: every answer comes from the engine it wraps.
+
+    Forwards the **whole** protocol — core, batched forms, metadata,
+    deep views, cost pool — so a subclass overrides only what it
+    changes and inherits the rest, GDPR deep views included. Drops the
+    wrapped engine initiates are re-announced to this engine's own
+    listeners through :meth:`_on_inner_eviction`.
+    """
+
+    def __init__(self, inner: CacheBackend) -> None:
+        super().__init__()
+        self.inner = inner
+        inner.subscribe_evictions(self._on_inner_eviction)
+
+    def _on_inner_eviction(self, key: str, value: Any) -> None:
+        self._notify_eviction(key, value)
+
+    def get(self, key: str) -> Optional[Any]:
+        return self.inner.get(key)
+
+    def put(self, key: str, value: Any, size: int = 0) -> None:
+        self.inner.put(key, value, size)
+
+    def remove(self, key: str) -> Optional[Any]:
+        return self.inner.remove(key)
+
+    def scan(self, prefix: str = "") -> Iterator[Tuple[str, Any]]:
+        return self.inner.scan(prefix)
+
+    def __len__(self) -> int:
+        return len(self.inner)
+
+    @property
+    def bytes_used(self) -> int:
+        return self.inner.bytes_used
+
+    def clear(self) -> None:
+        self.inner.clear()
+
+    def get_many(self, keys: Iterable[str]) -> Dict[str, Any]:
+        return self.inner.get_many(keys)
+
+    def put_many(self, items: Iterable[Tuple[str, Any, int]]) -> None:
+        self.inner.put_many(items)
+
+    def remove_many(self, keys: Iterable[str]) -> Dict[str, Any]:
+        return self.inner.remove_many(keys)
+
+    def peek(self, key: str) -> Optional[Any]:
+        return self.inner.peek(key)
+
+    def keys(self) -> List[str]:
+        return self.inner.keys()
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.inner
+
+    def erase_matching(self, predicate: Predicate) -> Dict[str, Any]:
+        return self.inner.erase_matching(predicate)
+
+    def scrub_pending(self, predicate: Predicate) -> int:
+        return self.inner.scrub_pending(predicate)
+
+    def residuals_matching(self, predicate: Predicate) -> List[str]:
+        return self.inner.residuals_matching(predicate)
+
+    def queued_matching(self, predicate: Predicate) -> List[str]:
+        return self.inner.queued_matching(predicate)
+
+    def sync(self) -> float:
+        return self.inner.sync()
+
+    def pending_latency(self) -> float:
+        return self.inner.pending_latency()
+
+    def drain_latency(self, concurrent: float = 0.0) -> float:
+        return self.inner.drain_latency(concurrent)
 
 
 class InMemoryBackend(CacheBackend):

@@ -35,10 +35,15 @@ as extra simulated time. The pool is emptied exactly once either way.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.simnet.delay import Delay, LogNormalDelay
-from repro.storage.backend import CacheBackend, InMemoryBackend
+from repro.storage.backend import (
+    CacheBackend,
+    DelegatingBackend,
+    InMemoryBackend,
+    Predicate,
+)
 
 #: Default per-operation medians (seconds): an in-datacenter Redis
 #: round trip — sub-millisecond reads, slightly costlier writes.
@@ -55,7 +60,7 @@ DEFAULT_PER_KEY_COST = 0.00005
 DEFAULT_BATCH_WINDOW = 16
 
 
-class BatchedRemoteBackend(CacheBackend):
+class BatchedRemoteBackend(DelegatingBackend):
     """A remote KV store with pipelined multi-key operations."""
 
     kind = "batched"
@@ -70,13 +75,11 @@ class BatchedRemoteBackend(CacheBackend):
         overlap: bool = False,
         rng: Optional[random.Random] = None,
     ) -> None:
-        super().__init__()
         if per_key_cost < 0:
             raise ValueError(f"per_key_cost must be >= 0: {per_key_cost}")
         if batch_window < 1:
             raise ValueError(f"batch_window must be >= 1: {batch_window}")
-        self.inner = inner if inner is not None else InMemoryBackend()
-        self.inner.subscribe_evictions(self._notify_eviction)
+        super().__init__(inner if inner is not None else InMemoryBackend())
         self.read_delay = read_delay or LogNormalDelay(
             median=DEFAULT_READ_MEDIAN, sigma=DEFAULT_SIGMA
         )
@@ -128,7 +131,7 @@ class BatchedRemoteBackend(CacheBackend):
         if self._window_keys >= self.batch_window:
             self.flush()
 
-    # -- the storage protocol (all cost-bearing) --------------------------
+    # -- the charged operations: one pipeline slot per key, then forward ---
 
     def get(self, key: str) -> Optional[Any]:
         self._charge_batched("get", is_write=False)
@@ -150,8 +153,6 @@ class BatchedRemoteBackend(CacheBackend):
         self._charge_batched("clear", is_write=True)
         self.inner.clear()
 
-    # -- batched operations (the whole point) ------------------------------
-
     def get_many(self, keys: Iterable[str]) -> Dict[str, Any]:
         keys = list(keys)
         for _ in keys:
@@ -170,23 +171,15 @@ class BatchedRemoteBackend(CacheBackend):
             self._charge_batched("remove_many", is_write=True)
         return self.inner.remove_many(keys)
 
-    # -- cost-free metadata (co-located policy bookkeeping) ----------------
+    # An erase is a charged scan plus a pipelined removal, not a free
+    # pass-through: the protocol's default over the charged core.
+    erase_matching = CacheBackend.erase_matching
 
-    def peek(self, key: str) -> Optional[Any]:
-        return self.inner.peek(key)
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    @property
-    def bytes_used(self) -> int:
-        return self.inner.bytes_used
-
-    def keys(self):
-        return self.inner.keys()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.inner
+    def residuals_matching(self, predicate: Predicate) -> List[str]:
+        # The completeness check reads the remote store: one scan's
+        # round trip, then the wrapped engine's own deep view.
+        self._charge_batched("scan", is_write=False)
+        return self.inner.residuals_matching(predicate)
 
     # -- latency accounting ------------------------------------------------
 

@@ -23,7 +23,7 @@ from typing import (
     Tuple,
 )
 
-from repro.storage.backend import CacheBackend, InMemoryBackend
+from repro.storage.backend import CacheBackend, InMemoryBackend, Predicate
 
 
 def shard_index_of(key: str, n_shards: int) -> int:
@@ -151,18 +151,25 @@ class ShardedBackend(CacheBackend):
         for shard in self.shards:
             shard.clear()
 
-    # -- GDPR erasure hooks -----------------------------------------------
+    # -- deep views for GDPR: gathered across shards ----------------------
 
-    def scrub_pending(self, predicate) -> int:
+    def scrub_pending(self, predicate: Predicate) -> int:
         # Per-shard queues (write-behind sub-engines) scrub locally.
         return sum(shard.scrub_pending(predicate) for shard in self.shards)
 
-    def residuals_matching(self, predicate) -> List[str]:
+    def residuals_matching(self, predicate: Predicate) -> List[str]:
         # Ask each shard directly so sub-engine overlays are bypassed.
         residual: List[str] = []
         for shard in self.shards:
             residual.extend(shard.residuals_matching(predicate))
         return residual
+
+    def queued_matching(self, predicate: Predicate) -> List[str]:
+        return [
+            key
+            for shard in self.shards
+            for key in shard.queued_matching(predicate)
+        ]
 
     def sync(self) -> float:
         # Shard barriers run in parallel partitions; the conservative

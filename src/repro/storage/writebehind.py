@@ -44,10 +44,14 @@ cost. ``drain_latency`` therefore returns read cost only.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.simnet.delay import Delay
-from repro.storage.backend import CacheBackend
+from repro.storage.backend import (
+    CacheBackend,
+    DelegatingBackend,
+    Predicate,
+)
 from repro.storage.batched import BatchedRemoteBackend
 
 #: Default background-flusher cadence (seconds): one in-datacenter
@@ -58,7 +62,7 @@ DEFAULT_FLUSH_INTERVAL = 0.05
 _TOMBSTONE = object()
 
 
-class WriteBehindBackend(CacheBackend):
+class WriteBehindBackend(DelegatingBackend):
     """A remote KV store with write-behind (asynchronously drained)
     mutations and a read-your-writes overlay."""
 
@@ -75,7 +79,6 @@ class WriteBehindBackend(CacheBackend):
         overlap: bool = False,
         rng: Optional[random.Random] = None,
     ) -> None:
-        super().__init__()
         if flush_interval < 0:
             raise ValueError(
                 f"flush_interval must be >= 0: {flush_interval}"
@@ -98,8 +101,7 @@ class WriteBehindBackend(CacheBackend):
                 "write-behind must wrap an initially empty engine "
                 "(its merged size accounting starts from zero)"
             )
-        self.inner = inner
-        self.inner.subscribe_evictions(self._on_inner_eviction)
+        super().__init__(inner)
         self.flush_interval = flush_interval
         #: Mutations of the current (open) epoch, in arrival order:
         #: ("put", key, value, size) / ("remove", key).
@@ -119,12 +121,8 @@ class WriteBehindBackend(CacheBackend):
         self.epochs_flushed = 0
         self.mutations_flushed = 0
         self.acks = 0
-        self.op_counts: Dict[str, int] = {}
 
     # -- bookkeeping helpers -----------------------------------------------
-
-    def _count(self, op: str) -> None:
-        self.op_counts[op] = self.op_counts.get(op, 0) + 1
 
     def _visible(self, key: str) -> bool:
         return key in self._sizes
@@ -153,40 +151,46 @@ class WriteBehindBackend(CacheBackend):
 
     # -- the storage protocol ----------------------------------------------
 
-    def get(self, key: str) -> Optional[Any]:
+    def _overlaid(self, key: str, ask_inner) -> Optional[Any]:
+        """Read-your-writes: the local write buffer answers first,
+        cost-free (no remote round trip happens); only a key with no
+        queued mutation is asked of the inner engine."""
         overlaid = self._overlay.get(key)
-        if overlaid is not None:
-            # Read-your-writes: answered from the local write buffer,
-            # cost-free (no remote round trip happens).
-            self._count("get")
-            value = overlaid[0]
-            return None if value is _TOMBSTONE else value
-        self._count("get")
-        return self.inner.get(key)
+        if overlaid is None:
+            return ask_inner(key)
+        value = overlaid[0]
+        return None if value is _TOMBSTONE else value
+
+    def get(self, key: str) -> Optional[Any]:
+        return self._overlaid(key, self.inner.get)
+
+    def peek(self, key: str) -> Optional[Any]:
+        return self._overlaid(key, self.inner.peek)
 
     def put(self, key: str, value: Any, size: int = 0) -> None:
-        self._count("put")
         self._queue(("put", key, value, size))
         self._account_put(key, size)
 
     def remove(self, key: str) -> Optional[Any]:
-        self._count("remove")
-        overlaid = self._overlay.get(key)
-        if overlaid is not None:
-            previous = overlaid[0]
-            if previous is _TOMBSTONE:
-                return None
-        elif self._visible(key):
-            # Flushed entry: the ack answers from co-located metadata.
-            previous = self.inner.peek(key)
-        else:
+        if not self._visible(key):
             return None
+        # The ack answers from the overlay or, for a flushed entry,
+        # from co-located metadata.
+        previous = self.peek(key)
         self._queue(("remove", key))
         self._account_remove(key)
         return previous
 
+    # Mutations ack locally and overlay misses join the inner engine's
+    # open batch window key by key, so the batched forms (and the erase
+    # built on them) are the protocol's defaults over the calls above —
+    # not DelegatingBackend's forwards, which would bypass the overlay.
+    get_many = CacheBackend.get_many
+    put_many = CacheBackend.put_many
+    remove_many = CacheBackend.remove_many
+    erase_matching = CacheBackend.erase_matching
+
     def scan(self, prefix: str = "") -> Iterator[Tuple[str, Any]]:
-        self._count("scan")
         merged: "Dict[str, Any]" = dict(self.inner.scan(prefix))
         for key, (value, _) in self._overlay.items():
             if not key.startswith(prefix):
@@ -204,9 +208,14 @@ class WriteBehindBackend(CacheBackend):
     def bytes_used(self) -> int:
         return self._bytes
 
+    def keys(self) -> List[str]:
+        return list(self._sizes)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._sizes
+
     def clear(self) -> None:
         # A full wipe supersedes everything still queued.
-        self._count("clear")
         self._epoch.clear()
         self._sealed.clear()
         self._overlay.clear()
@@ -218,74 +227,12 @@ class WriteBehindBackend(CacheBackend):
         # its cost is the background flusher's, not the caller's.
         self.background_latency += self.inner.drain_latency()
 
-    # -- batched operations ------------------------------------------------
-
-    def get_many(self, keys: Iterable[str]) -> Dict[str, Any]:
-        keys = list(keys)
-        self._count("get_many")
-        found: Dict[str, Any] = {}
-        passthrough: List[str] = []
-        for key in keys:
-            overlaid = self._overlay.get(key)
-            if overlaid is None:
-                passthrough.append(key)
-            elif overlaid[0] is not _TOMBSTONE:
-                found[key] = overlaid[0]
-        if passthrough:
-            found.update(self.inner.get_many(passthrough))
-        # Preserve the input order in the result (dict semantics).
-        return {key: found[key] for key in keys if key in found}
-
-    def put_many(self, items: Iterable[Tuple[str, Any, int]]) -> None:
-        self._count("put_many")
-        for key, value, size in items:
-            self._queue(("put", key, value, size))
-            self._account_put(key, size)
-
-    def remove_many(self, keys: Iterable[str]) -> Dict[str, Any]:
-        self._count("remove_many")
-        removed: Dict[str, Any] = {}
-        for key in keys:
-            overlaid = self._overlay.get(key)
-            if overlaid is not None:
-                if overlaid[0] is _TOMBSTONE:
-                    continue
-                previous = overlaid[0]
-            elif self._visible(key):
-                previous = self.inner.peek(key)
-            else:
-                continue
-            self._queue(("remove", key))
-            self._account_remove(key)
-            removed[key] = previous
-        return removed
-
-    # -- cost-free metadata ------------------------------------------------
-
-    def peek(self, key: str) -> Optional[Any]:
-        overlaid = self._overlay.get(key)
-        if overlaid is not None:
-            value = overlaid[0]
-            return None if value is _TOMBSTONE else value
-        return self.inner.peek(key)
-
-    def keys(self) -> List[str]:
-        return list(self._sizes)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._sizes
-
     # -- flushing ----------------------------------------------------------
 
     @property
     def queued_mutations(self) -> int:
         """Acknowledged mutations not yet applied to the inner engine."""
         return len(self._epoch) + sum(len(e) for e in self._sealed)
-
-    @property
-    def unflushed_epochs(self) -> int:
-        """Sealed epochs plus the open one (when non-empty)."""
-        return len(self._sealed) + (1 if self._epoch else 0)
 
     def _seal_epoch(self) -> None:
         if self._epoch:
@@ -358,7 +305,7 @@ class WriteBehindBackend(CacheBackend):
 
     # -- GDPR erasure --------------------------------------------------------
 
-    def queued_matching(self, predicate) -> List[str]:
+    def queued_matching(self, predicate: Predicate) -> List[str]:
         """Keys of queued, not-yet-flushed puts whose bytes match."""
         hits: List[str] = []
         for epoch in (*self._sealed, self._epoch):
@@ -369,7 +316,7 @@ class WriteBehindBackend(CacheBackend):
                     hits.append(mutation[1])
         return hits
 
-    def scrub_pending(self, predicate) -> int:
+    def scrub_pending(self, predicate: Predicate) -> int:
         """Cancel queued matching puts in place; tombstone the overlay.
 
         A queued remove supersedes a queued put at *flush* time, but
@@ -409,7 +356,7 @@ class WriteBehindBackend(CacheBackend):
                     self._account_remove(key)
         return scrubbed
 
-    def residuals_matching(self, predicate) -> List[str]:
+    def residuals_matching(self, predicate: Predicate) -> List[str]:
         # Bypass the read-your-writes overlay entirely: bytes are
         # residual wherever they physically sit — in the inner engine
         # even when masked by a queued tombstone, and in queued put
@@ -421,10 +368,7 @@ class WriteBehindBackend(CacheBackend):
         )
         return residual
 
-    # -- latency accounting ------------------------------------------------
-
-    def pending_latency(self) -> float:
-        return self.inner.pending_latency()
+    # -- the cost pool (pending_latency is the inner engine's) ------------
 
     def drain_latency(self, concurrent: float = 0.0) -> float:
         # Foreground: the read cost accrued since the last drain (the

@@ -109,9 +109,6 @@ class WorkloadTrace:
     def cart_adds(self) -> List[CartAdd]:
         return [e for e in self.events if isinstance(e, CartAdd)]
 
-    def txn_reads(self) -> List["TxnRead"]:
-        return [e for e in self.events if isinstance(e, TxnRead)]
-
     def erasures(self) -> List["EraseUser"]:
         return [e for e in self.events if isinstance(e, EraseUser)]
 

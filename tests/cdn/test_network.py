@@ -69,7 +69,7 @@ def test_purge_prefix_fans_out(cdn):
 def test_purge_all(cdn):
     cdn.pop("pop-eu").admit(get(), ok_response(), now=0.0)
     cdn.purge_all()
-    assert cdn.stored_keys() == {"pop-eu": [], "pop-us": []}
+    assert [pop.store.keys() for pop in cdn.pops.values()] == [[], []]
 
 
 def test_overall_hit_ratio(cdn):
@@ -82,9 +82,3 @@ def test_overall_hit_ratio(cdn):
 
 def test_overall_hit_ratio_empty_is_zero(cdn):
     assert cdn.overall_hit_ratio() == 0.0
-
-
-def test_for_each_pop(cdn):
-    visited = []
-    cdn.for_each_pop(lambda pop: visited.append(pop.name))
-    assert sorted(visited) == ["pop-eu", "pop-us"]

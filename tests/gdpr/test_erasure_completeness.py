@@ -55,6 +55,12 @@ CONFIGS = {
         stale_if_error=60.0,
         retry=RetryPolicy(),
     ),
+    "chaos-write-behind": dict(
+        fault_profile=PROFILES["chaos"],
+        stale_if_error=60.0,
+        retry=RetryPolicy(),
+        backend=BackendSpec(kind="write-behind"),
+    ),
     "chaos-replicated": dict(
         fault_profile=PROFILES["chaos"],
         stale_if_error=60.0,

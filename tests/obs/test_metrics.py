@@ -29,16 +29,6 @@ class TestMetricsRegistry:
         registry.sketch("a")
         assert registry.sketch_names() == ["a", "b"]
 
-    def test_counters_with_prefix(self):
-        registry = MetricsRegistry()
-        registry.counter("serve.layer.edge").inc(2)
-        registry.counter("serve.layer.origin").inc(5)
-        registry.counter("other").inc()
-        assert registry.counters_with_prefix("serve.layer.") == {
-            "edge": 2,
-            "origin": 5,
-        }
-
     def test_snapshot_includes_sketch_summaries(self):
         registry = MetricsRegistry()
         registry.counter("c").inc()

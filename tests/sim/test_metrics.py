@@ -96,12 +96,12 @@ class TestHistogram:
 
 
 class TestTimeSeries:
-    def test_record_and_filter(self):
+    def test_record(self):
         ts = TimeSeries("s")
         ts.record(1.0, 10)
         ts.record(2.0, 20)
         ts.record(3.0, 30)
-        assert ts.values_between(1.5, 3.0) == [20, 30]
+        assert ts.points == [(1.0, 10), (2.0, 20), (3.0, 30)]
         assert len(ts) == 3
 
 

@@ -57,20 +57,6 @@ class TestTopology:
         with pytest.raises(KeyError, match="no link"):
             topo.one_way("a", "b", rng)
 
-    def test_rtt_is_two_one_ways(self, rng):
-        topo = two_tier(client_edge_delay=0.015)
-        assert topo.rtt("client", "edge", rng) == pytest.approx(0.03)
-
-    def test_request_time_includes_transfer(self, rng):
-        topo = Topology()
-        topo.add_node("c", NodeKind.CLIENT)
-        topo.add_node("o", NodeKind.ORIGIN)
-        topo.connect("c", "o", Link(ConstantDelay(0.05), bandwidth=1000))
-        # 2 x 0.05 propagation + 100/1000 transfer
-        assert topo.request_time("c", "o", rng, response_bytes=100) == (
-            pytest.approx(0.2)
-        )
-
     def test_nodes_filter_by_kind(self):
         topo = two_tier()
         assert topo.nodes(NodeKind.EDGE) == ["edge"]

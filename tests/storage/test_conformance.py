@@ -9,9 +9,12 @@ import random
 
 import pytest
 
+from repro.faults import FlakyBackend
 from repro.simnet.delay import ConstantDelay
 from repro.storage import (
     BatchedRemoteBackend,
+    CacheBackend,
+    DelegatingBackend,
     InMemoryBackend,
     ShardedBackend,
     SimulatedRemoteBackend,
@@ -42,7 +45,27 @@ ENGINE_FACTORIES = {
             inner=ShardedBackend(n_shards=4), rng=random.Random(7)
         )
     ),
+    "flaky-0": lambda: FlakyBackend(InMemoryBackend(), 0.0),
+    # What every cache tier of the perf ledger's ``storm`` workload
+    # runs on (there with a nonzero error rate).
+    "flaky-over-write-behind": lambda: FlakyBackend(
+        WriteBehindBackend(rng=random.Random(7)), 0.0
+    ),
+    "batched-over-write-behind": lambda: BatchedRemoteBackend(
+        inner=WriteBehindBackend(rng=random.Random(7)),
+        rng=random.Random(8),
+    ),
+    "sharded-over-write-behind": lambda: ShardedBackend(
+        n_shards=4,
+        shard_factory=lambda: WriteBehindBackend(rng=random.Random(7)),
+    ),
 }
+
+#: Configurations with a write-behind engine somewhere inside: bytes can
+#: sit acknowledged in a queue that the read view no longer shows.
+WRITE_BEHIND_CONFIGS = sorted(
+    name for name in ENGINE_FACTORIES if "write-behind" in name
+)
 
 
 @pytest.fixture(params=sorted(ENGINE_FACTORIES))
@@ -270,3 +293,61 @@ class TestEvictionHooks:
         backend.put("a", 1)
         backend.put("b", 2)
         assert dropped == ["a"]
+
+
+class TestDeepViews:
+    """What the GDPR walk relies on: the outermost engine of any
+    composition sees the write-behind queue buried inside it."""
+
+    @pytest.mark.parametrize("name", WRITE_BEHIND_CONFIGS)
+    def test_queued_put_is_visible_through_every_wrapper(self, name):
+        backend = ENGINE_FACTORIES[name]()
+
+        def of_u1(key, value):
+            return key.startswith("u1:")
+
+        backend.put("u1:cart", "cart of u1", size=10)
+        assert backend.queued_matching(of_u1) == ["u1:cart"]
+        # The erase queues a remove behind the put: the read view is
+        # clean, the acknowledged payload still sits in the queue.
+        assert list(backend.erase_matching(of_u1)) == ["u1:cart"]
+        assert backend.get("u1:cart") is None
+        assert backend.residuals_matching(of_u1) == ["queued:u1:cart"]
+        assert backend.queued_matching(of_u1) == ["u1:cart"]
+        assert backend.scrub_pending(of_u1) == 1
+        assert backend.residuals_matching(of_u1) == []
+        # The barrier waits at least one flusher tick for the queue.
+        assert backend.sync() > 0.0
+        assert backend.sync() == 0.0
+
+
+def _public(cls):
+    return {
+        name
+        for name, member in vars(cls).items()
+        if (callable(member) or isinstance(member, property))
+        and (not name.startswith("_") or name in ("__len__", "__contains__"))
+    }
+
+
+class TestClosedProtocol:
+    """Adding a protocol method without teaching the wrappers fails
+    here by name."""
+
+    def test_delegating_backend_forwards_the_whole_surface(self):
+        # Listeners subscribe on the wrapper itself, which re-announces
+        # the wrapped engine's drops; everything else must be forwarded.
+        missing = _public(CacheBackend) - _public(DelegatingBackend)
+        assert missing == {"subscribe_evictions"}
+
+    def test_sharded_backend_gathers_every_deep_view(self):
+        deep_views = {
+            "scrub_pending",
+            "residuals_matching",
+            "queued_matching",
+            "sync",
+            "pending_latency",
+            "drain_latency",
+        }
+        assert deep_views <= _public(CacheBackend)
+        assert deep_views <= _public(ShardedBackend)

@@ -88,7 +88,6 @@ class TestFlushEpochs:
         backend.put("a", 1, size=1)
         backend.put("b", 2, size=1)
         assert backend.queued_mutations == 2
-        assert backend.unflushed_epochs == 1
         assert len(backend.inner) == 0  # nothing applied yet
 
     def test_drain_flushes_to_inner_as_background_cost(self):

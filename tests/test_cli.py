@@ -447,7 +447,7 @@ def test_requires_a_command():
 # -- one spec assembly for every command -----------------------------------
 
 EVERY_FLAG = [
-    "--seed", "3", "--write-behind", "--flush-interval", "2",
+    "--seed", "3", "--backend", "write-behind", "--flush-interval", "2",
     "--batch-window", "4", "--overlap", "--batch-waves",
     "--replicate-pops", "3", "--fault-profile", "chaos",
     "--stale-if-error", "30", "--retry-budget", "2",
@@ -548,8 +548,14 @@ SMALL = ["--users", "5", "--products", "10", "--duration", "60"]
         (["--txn-retries", "-1"], "txn_retry_limit"),
         (["--retry-budget", "0"], "budget"),
         (["--retry-budget", "nan"], "budget"),
-        (["--write-behind", "--flush-interval", "nan"], "flush_interval"),
-        (["--write-behind", "--flush-interval", "-1"], "flush_interval"),
+        (
+            ["--backend", "write-behind", "--flush-interval", "nan"],
+            "flush_interval",
+        ),
+        (
+            ["--backend", "write-behind", "--flush-interval", "-1"],
+            "flush_interval",
+        ),
         (["--write-rate", "-1"], "write_rate"),
         (["--users", "0"], "n_users"),
         (["--gdpr-mix", "2"], "erase_fraction"),
@@ -580,10 +586,6 @@ def test_out_of_range_knobs_exit_by_name(monkeypatch, flags, names):
         (
             ["--backend", "batched", "--flush-interval", "5"],
             ("--flush-interval", "--backend batched"),
-        ),
-        (
-            ["--backend", "remote", "--write-behind"],
-            ("--write-behind", "--backend remote"),
         ),
         (["--admission"], ("--admission", "--overload-profile")),
     ],
