@@ -71,11 +71,11 @@ def main() -> None:
     # Make the skeleton body carry a placeholder the SW will fill in.
     original = backend.server._render_body
 
-    def with_placeholder(spec, params, query, user_id, segment):
-        body, found = original(spec, params, query, user_id, segment)
+    def with_placeholder(spec, *rest):
+        body = original(spec, *rest)
         if spec.name == "home":
             body = "<nav>cart: {{block:cart}}</nav><main>...</main>"
-        return body, found
+        return body
 
     backend.server._render_body = with_placeholder
     backend.server.write("carts", "alice", {"items": ["p1", "p2"]}, at=0.0)

@@ -8,7 +8,9 @@ two data-subject rights as one tier walk:
 
 * :meth:`erase` removes the user's bytes everywhere: origin documents
   are deleted through the store (so the invalidation pipeline sees the
-  change events), cache tiers erase through their policy layer (one
+  change events, and the origin drops the renditions built from them),
+  the origin's rendition table drops whatever still names the user,
+  cache tiers erase through their policy layer (one
   batched removal per tier, scatter-gathered by sharded engines and
   pipelined by batched ones), write-behind flush queues are scrubbed
   in place and barriered with ``sync()``, in-flight PoP replicas are
@@ -51,6 +53,10 @@ class ErasureReport:
     requested_at: float
     #: Origin documents deleted (store keys).
     origin_docs: List[str] = field(default_factory=list)
+    #: Pre-built origin renditions dropped beyond those the document
+    #: deletes already took (e.g. an empty-cart block naming the user).
+    #: Derived copies, so not part of ``entries_removed``.
+    renditions_dropped: int = 0
     #: Cache entries removed, per tier label.
     cache_removed: Dict[str, int] = field(default_factory=dict)
     #: Queued write-behind mutations scrubbed in place, per tier label.
@@ -93,6 +99,7 @@ class ErasureReport:
             "user": user_hash(self.user_id),
             "requested_at": self.requested_at,
             "origin_docs_deleted": len(self.origin_docs),
+            "renditions_dropped": self.renditions_dropped,
             "cache_removed": dict(self.cache_removed),
             "queued_scrubbed": dict(self.queued_scrubbed),
             "replicas_dropped": self.replicas_dropped,
@@ -170,8 +177,13 @@ class ErasureCoordinator:
         now_fn: Callable[[], float] = lambda: 0.0,
         txn_registry=None,
         overload=None,
+        origin=None,
     ) -> None:
         self.store = store
+        #: Optional :class:`~repro.origin.OriginServer` over ``store``:
+        #: its rendition table holds rendered cart/profile bytes and is
+        #: walked as the ``origin-renditions`` tier.
+        self.origin = origin
         self.cdn = cdn
         self.sketch = sketch
         self._client_stores = client_stores or (lambda: {})
@@ -250,6 +262,13 @@ class ErasureCoordinator:
         for key, doc in matched_docs:
             self.store.delete(doc.collection, doc.doc_id, at=now)
             report.origin_docs.append(key)
+        # The deletes above dropped every rendition built from those
+        # documents; what is left names the user without depending on
+        # one (the cart block of a user who never had a cart).
+        if self.origin is not None:
+            report.renditions_dropped = self.origin.erase_renditions(
+                matcher.matches_entry
+            )
 
         # 2. Cache tiers (edge PoPs, browser caches, SW caches): erase
         # through each policy layer — one batched removal per tier.
@@ -357,6 +376,11 @@ class ErasureCoordinator:
             "origin",
             self.store.backend.residuals_matching(matcher.matches_entry),
         )
+        if self.origin is not None:
+            note(
+                "origin-renditions",
+                self.origin.renditions_matching(matcher.matches_entry),
+            )
         for label, tier in self._cache_tiers().items():
             note(
                 label,

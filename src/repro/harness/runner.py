@@ -412,6 +412,7 @@ class SimulationRunner:
 
         self.gdpr = ErasureCoordinator(
             store=self.server.site.store,
+            origin=self.server,
             cdn=self.cdn,
             sketch=self.sketch,
             client_stores=self._client_cache_stores,

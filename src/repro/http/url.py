@@ -25,6 +25,13 @@ class URL:
         # Normalize query parameter order so logically equal URLs
         # produce equal cache keys.
         object.__setattr__(self, "query", tuple(sorted(self.query)))
+        # The canonical text is every tier's cache key: built once per
+        # (frozen) instance. Not a dataclass field, so it stays out of
+        # ``__eq__``, ``__hash__`` and ``repr``.
+        text = f"{self.origin}{self.path}"
+        if self.query:
+            text += "?" + "&".join(f"{k}={v}" for k, v in self.query)
+        object.__setattr__(self, "_text", text)
 
     @classmethod
     def of(
@@ -78,10 +85,7 @@ class URL:
 
     def cache_key(self) -> str:
         """Canonical string used as the cache key for this URL."""
-        return str(self)
+        return self._text
 
     def __str__(self) -> str:
-        if not self.query:
-            return f"{self.origin}{self.path}"
-        query_text = "&".join(f"{k}={v}" for k, v in self.query)
-        return f"{self.origin}{self.path}?{query_text}"
+        return self._text

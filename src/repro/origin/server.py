@@ -11,12 +11,15 @@ both the before- and after-image of every change.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
     Dict,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Protocol,
     Tuple,
@@ -40,7 +43,7 @@ from repro.origin.site import (
     ResourceSpec,
     Site,
 )
-from repro.origin.store import ChangeEvent
+from repro.origin.store import ChangeEvent, Document
 from repro.origin.versioning import ResourceVersions
 
 #: Query parameter the Speed Kit service worker uses to request a
@@ -111,8 +114,57 @@ class StaticTtlPolicy:
         return cc
 
 
+#: ``(collection, doc_id)`` of one engine read.
+DocRef = Tuple[str, str]
+
+#: GDPR predicate over the rendition table: (version key, rendition).
+RenditionPredicate = Callable[[str, "Rendition"], bool]
+
+
+def _doc_ref(doc_key: str) -> DocRef:
+    collection, _, doc_id = doc_key.partition("/")
+    return collection, doc_id
+
+
+class EngineReads(NamedTuple):
+    """The modelled storage access one response performs."""
+
+    #: The resource's own documents, one engine ``get`` each.
+    doc_refs: Tuple[DocRef, ...]
+    #: ``carts/…`` and ``profiles/…`` of the user rendered for.
+    user_refs: Tuple[DocRef, ...]
+    #: QUERY resources: one engine scan of the query's collection
+    #: instead of the reads above.
+    scan: Optional[Query]
+
+
+@dataclass(frozen=True)
+class Rendition:
+    """The pre-built representation of one live variant.
+
+    Everything about a response that is a function of the documents —
+    as opposed to the request and the clock — materialised when the
+    variant is first rendered and kept until a change bumps its
+    version key. Holds rendered user bytes, so the GDPR walk treats
+    the table as a tier.
+    """
+
+    reads: EngineReads
+    version: int
+    body: str
+    etag: str
+    born: str
+
+
 class OriginServer:
-    """Serves the site over simulated HTTP and tracks versions."""
+    """Serves the site over simulated HTTP and tracks versions.
+
+    Responses are served from a rendition table: version key →
+    segment → :class:`Rendition`. A rendition is created by the first
+    render of its variant and dropped by :meth:`_on_change` in the same
+    step that bumps its version key, so a rendition that is present is
+    current; nothing else (no TTL, size limit or switch) governs it.
+    """
 
     def __init__(
         self,
@@ -123,6 +175,10 @@ class OriginServer:
         self.ttl_policy: TtlPolicy = ttl_policy or StaticTtlPolicy()
         self.versions = ResourceVersions()
         self._query_resources: Dict[str, Query] = {}
+        self._query_resources_view = MappingProxyType(self._query_resources)
+        self._renditions: Dict[str, Dict[Optional[str], Rendition]] = {}
+        # (cache key, user id) -> version key: pure, so resolved once.
+        self._version_keys: Dict[Tuple[str, Optional[str]], str] = {}
         self.requests_served = 0
         self.writes_applied = 0
         self.txn_validations = 0
@@ -133,9 +189,46 @@ class OriginServer:
         site.store.subscribe(self._on_change)
 
     @property
-    def query_resources(self) -> Dict[str, Query]:
+    def query_resources(self) -> Mapping[str, Query]:
         """Registered query resources (version key → query), read-only."""
-        return dict(self._query_resources)
+        return self._query_resources_view
+
+    @property
+    def rendition_count(self) -> int:
+        """Renditions currently held (one per live variant)."""
+        return sum(len(variants) for variants in self._renditions.values())
+
+    def _variants_matching(
+        self, predicate: RenditionPredicate
+    ) -> List[Tuple[str, Optional[str]]]:
+        return [
+            (version_key, segment)
+            for version_key, variants in self._renditions.items()
+            for segment, rendition in variants.items()
+            if predicate(version_key, rendition)
+        ]
+
+    def renditions_matching(self, predicate: RenditionPredicate) -> List[str]:
+        """Labels of the renditions ``predicate`` matches (GDPR walk)."""
+        return [
+            version_key if segment is None else f"{version_key}#{segment}"
+            for version_key, segment in self._variants_matching(predicate)
+        ]
+
+    def erase_renditions(self, predicate: RenditionPredicate) -> int:
+        """Drop every rendition ``predicate`` matches; returns the count.
+
+        Dropping is always safe — the next request rebuilds — and it is
+        what reaches a user rendition that holds only the identity (an
+        empty cart has no document whose deletion would drop it).
+        """
+        matched = self._variants_matching(predicate)
+        for version_key, segment in matched:
+            variants = self._renditions[version_key]
+            del variants[segment]
+            if not variants:
+                del self._renditions[version_key]
+        return len(matched)
 
     # -- write path ----------------------------------------------------------
 
@@ -162,8 +255,9 @@ class OriginServer:
         self.site.store.update(collection, doc_id, changes, at=at)
 
     def _on_change(self, event: ChangeEvent) -> None:
-        """Bump versions of every resource the change affects."""
-        self.versions.bump_dependents(event.key, event.at)
+        """Bump the version of every resource the change affects and
+        drop its renditions — one step, so present means current."""
+        affected = self.versions.bump_dependents(event.key, event.at)
         for resource_key in sorted(self._query_resources):
             query = self._query_resources[resource_key]
             before_matches = event.before is not None and query.matches(
@@ -174,6 +268,9 @@ class OriginServer:
             )
             if before_matches or after_matches:
                 self.versions.bump(resource_key, event.at)
+                affected.add(resource_key)
+        for resource_key in affected:
+            self._renditions.pop(resource_key, None)
 
     # -- read path -------------------------------------------------------------
 
@@ -186,10 +283,14 @@ class OriginServer:
         renderings get a per-user history, because each user's variant
         changes when *that user's* documents change.
         """
-        base = url.without_param(SEGMENT_PARAM)
-        if user_id is not None:
-            base = base.with_param("__user", user_id)
-        return base.cache_key()
+        memo_key = (url.cache_key(), user_id)
+        version_key = self._version_keys.get(memo_key)
+        if version_key is None:
+            base = url.without_param(SEGMENT_PARAM)
+            if user_id is not None:
+                base = base.with_param("__user", user_id)
+            version_key = self._version_keys[memo_key] = base.cache_key()
+        return version_key
 
     def handle(self, request: Request, now: float) -> Response:
         """Serve one request at simulated time ``now``."""
@@ -305,33 +406,42 @@ class OriginServer:
             renders_user_content or personalizes_from_identity
         )
 
-        version_key = self.version_key_for(
-            request.url, user_id if renders_user_content else None
-        )
-        self.versions.register(version_key, at=now)
-        doc_keys = spec.resolve_doc_keys(params)
-        if renders_user_content:
-            doc_keys = doc_keys + self._user_doc_keys(spec, user_id)
-        for doc_key in doc_keys:
-            self.versions.depend(version_key, doc_key)
-        query = spec.resolve_query(params)
-        if query is not None:
-            self._query_resources.setdefault(version_key, query)
-
-        body, found = self._render_body(
-            spec, params, query, user_id, segment
-        )
-        if not found:
+        render_user = user_id if renders_user_content else None
+        version_key = self.version_key_for(request.url, render_user)
+        rendition = self._renditions.get(version_key, {}).get(segment)
+        if rendition is not None:
+            reads = rendition.reads
+        else:
+            reads = self._resolve_reads(
+                spec, params, version_key, render_user, now
+            )
+        # A hit and a build owe the storage engine the same access; they
+        # differ only in whether the body below is materialised.
+        fetched = self._fetch(spec, reads)
+        if fetched is None:
             return self._error(Status.NOT_FOUND, request.url, now)
+        if rendition is None:
+            version = self.versions.current(version_key)
+            rendition = Rendition(
+                reads=reads,
+                version=version,
+                body=self._render_body(
+                    spec, params, reads, fetched, render_user, segment
+                ),
+                etag=f'"{version_key}:v{version}"',
+                born=str(self.versions.born_at(version_key, version)),
+            )
+            self._renditions.setdefault(version_key, {})[segment] = rendition
 
-        version = self.versions.current(version_key)
-        etag = f'"{version_key}:v{version}"'
+        # Asked per response, not stored: an adaptive policy answers
+        # from the write history seen so far, and the answer depends on
+        # whether *this* request carried an identity.
         cc = self.ttl_policy.cache_control(
             spec, request.url, personalized_for_user
         )
         headers = Headers(
             {
-                "ETag": etag,
+                "ETag": rendition.etag,
                 "Cache-Control": cc.serialize() or "no-store",
                 "Content-Length": str(spec.size_bytes),
                 "X-Resource-Kind": spec.kind.value,
@@ -340,15 +450,15 @@ class OriginServer:
                 "X-Version-Key": version_key,
                 # Birth instant of this exact version — snapshot-cut
                 # certification intersects these across a read set.
-                "X-Version-Born": str(self.versions.born_at(version_key, version)),
+                "X-Version-Born": rendition.born,
             }
         )
         response = Response(
             status=Status.OK,
             headers=headers,
-            body=body,
+            body=rendition.body,
             url=request.url,
-            version=version,
+            version=rendition.version,
             served_by="origin",
             generated_at=now,
         )
@@ -380,58 +490,100 @@ class OriginServer:
         """Per-user documents a USER-personalized resource depends on."""
         return [f"carts/{user_id}", f"profiles/{user_id}"]
 
+    def _resolve_reads(
+        self,
+        spec: ResourceSpec,
+        params: Dict[str, str],
+        version_key: str,
+        render_user: Optional[str],
+        now: float,
+    ) -> EngineReads:
+        """Register a variant's version history, dependencies and query,
+        and resolve which engine reads each of its responses performs."""
+        self.versions.register(version_key, at=now)
+        doc_keys = spec.resolve_doc_keys(params)
+        user_keys = (
+            self._user_doc_keys(spec, render_user)
+            if render_user is not None
+            else []
+        )
+        for doc_key in doc_keys + user_keys:
+            self.versions.depend(version_key, doc_key)
+        query = spec.resolve_query(params)
+        if query is not None:
+            self._query_resources.setdefault(version_key, query)
+        if spec.kind is ResourceKind.QUERY and query is not None:
+            return EngineReads((), (), query)
+        return EngineReads(
+            tuple(_doc_ref(key) for key in doc_keys),
+            tuple(_doc_ref(key) for key in user_keys),
+            None,
+        )
+
+    def _fetch(self, spec: ResourceSpec, reads: EngineReads):
+        """Perform one response's engine access through the store.
+
+        Returns the scan of a QUERY resource, else the stored documents
+        in read order (``None`` where absent); ``None`` maps to 404 and
+        ends the access at the missing document. The origin store may
+        be a charged engine (batched, remote, write-behind), so this
+        runs for every response — only the copies are skipped.
+        """
+        store = self.site.store
+        if reads.scan is not None:
+            return store.scan_stored(reads.scan.collection)
+        must_exist = spec.kind in (
+            ResourceKind.PAGE,
+            ResourceKind.API,
+            ResourceKind.STATIC,
+        )
+        fetched: List[Optional[Document]] = []
+        for collection, doc_id in reads.doc_refs:
+            doc = store.stored(collection, doc_id)
+            if doc is None and must_exist:
+                return None
+            fetched.append(doc)
+        for collection, doc_id in reads.user_refs:
+            fetched.append(store.stored(collection, doc_id))
+        return fetched
+
     def _render_body(
         self,
         spec: ResourceSpec,
         params: Dict[str, str],
-        query: Optional[Query],
-        user_id: Optional[str],
+        reads: EngineReads,
+        fetched,
+        render_user: Optional[str],
         segment: Optional[str],
-    ) -> Tuple[str, bool]:
-        """Build the response body; ``found=False`` maps to 404."""
-        store = self.site.store
-        if spec.kind is ResourceKind.QUERY and query is not None:
-            docs = store.find(query)
+    ) -> str:
+        """Serialise what :meth:`_fetch` read (read-only: no copies)."""
+        if reads.scan is not None:
             payload = {
-                "query": query.key(),
+                "query": reads.scan.key(),
                 "results": [
-                    {"id": doc.doc_id, **dict(doc.data)} for doc in docs
+                    {"id": doc.doc_id, **doc.data}
+                    for doc in self.site.store.select(reads.scan, fetched)
                 ],
                 "segment": segment,
             }
-            return json.dumps(payload, default=str), True
+            return json.dumps(payload, default=str)
 
-        doc_keys = spec.resolve_doc_keys(params)
-        docs = []
-        for doc_key in doc_keys:
-            collection, _, doc_id = doc_key.partition("/")
-            doc = store.get(collection, doc_id)
-            if doc is None and spec.kind in (
-                ResourceKind.PAGE,
-                ResourceKind.API,
-                ResourceKind.STATIC,
-            ):
-                return "", False
-            if doc is not None:
-                docs.append(doc)
-
+        n_docs = len(reads.doc_refs)
+        docs = [doc for doc in fetched[:n_docs] if doc is not None]
         payload = {
             "resource": spec.name,
             "params": params,
-            "docs": {doc.key: dict(doc.data) for doc in docs},
+            "docs": {doc.key: doc.data for doc in docs},
             "versions": {doc.key: doc.version for doc in docs},
         }
         if segment is not None:
             payload["segment"] = segment
-        if user_id is not None and (
-            spec.personalization is PersonalizationKind.USER
-        ):
-            cart = store.get("carts", user_id)
-            profile = store.get("profiles", user_id)
-            payload["user"] = user_id
-            payload["cart"] = dict(cart.data) if cart else {}
-            payload["profile"] = dict(profile.data) if profile else {}
-        return json.dumps(payload, default=str), True
+        if render_user is not None:
+            cart, profile = fetched[n_docs:]
+            payload["user"] = render_user
+            payload["cart"] = cart.data if cart else {}
+            payload["profile"] = profile.data if profile else {}
+        return json.dumps(payload, default=str)
 
     def _error(self, status: Status, url: URL, now: float) -> Response:
         return Response(

@@ -99,6 +99,14 @@ class Site:
     store: DocumentStore = field(default_factory=DocumentStore)
     routes: List[ResourceSpec] = field(default_factory=list)
     origin_name: str = "shop.example"
+    # path -> match, resolved once per path; valid only for the route
+    # list it was computed against (``routes`` is a public list).
+    _matches: Dict[str, Optional[Tuple[ResourceSpec, PathParams]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _matched_routes: List[ResourceSpec] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def add_route(self, spec: ResourceSpec) -> ResourceSpec:
         """Append a route (first match wins; order your routes)."""
@@ -107,8 +115,24 @@ class Site:
 
     def match(self, url: URL) -> Optional[Tuple[ResourceSpec, PathParams]]:
         """Find the first route matching ``url``'s path."""
+        if self._matched_routes != self.routes:
+            self._matched_routes = list(self.routes)
+            self._matches.clear()
+        path = url.path
+        try:
+            matched = self._matches[path]
+        except KeyError:
+            matched = self._matches[path] = self._first_match(path)
+        if matched is None:
+            return None
+        spec, params = matched
+        return spec, dict(params)
+
+    def _first_match(
+        self, path: str
+    ) -> Optional[Tuple[ResourceSpec, PathParams]]:
         for spec in self.routes:
-            params = spec.match(url.path)
+            params = spec.match(path)
             if params is not None:
                 return spec, params
         return None

@@ -17,7 +17,16 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Callable, List, Mapping, Optional
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 from repro.origin.query import Query
 from repro.storage.backend import CacheBackend, InMemoryBackend
@@ -109,6 +118,13 @@ class DocumentStore:
     Reads return immutable :class:`Document` snapshots with deep-copied
     data, so callers can never corrupt stored state. Versions start at 1
     and increase by 1 per write to the same document id.
+
+    The one exception is the *stored view* — :meth:`stored`,
+    :meth:`scan_stored` and :meth:`select` — which performs the same
+    engine access as :meth:`get` / :meth:`find` but hands back the
+    stored documents themselves, uncopied. It exists for the origin's
+    renderer, which only serialises what it reads; a caller of the
+    stored view must never mutate ``.data``.
     """
 
     def __init__(self, backend: Optional[CacheBackend] = None) -> None:
@@ -238,28 +254,33 @@ class DocumentStore:
             updated_at=doc.updated_at,
         )
 
+    def stored(self, collection: str, doc_id: str) -> Optional[Document]:
+        """Stored view of :meth:`get`: one engine read, no copy."""
+        return self._backend.get(self._key(collection, doc_id))
+
     def get(self, collection: str, doc_id: str) -> Optional[Document]:
-        doc = self._backend.get(self._key(collection, doc_id))
+        doc = self.stored(collection, doc_id)
         if doc is None:
             return None
         return self._snapshot(doc)
 
-    def find(self, query: Query) -> List[Document]:
-        """Evaluate a query: filter, order, limit.
+    def scan_stored(self, collection: str) -> Iterator[Tuple[str, Document]]:
+        """Stored view of a collection: one engine prefix scan.
 
-        One backend scan per query — a prefix scan over the collection
-        reaches every shard of a partitioned engine.
+        Every engine charges a scan when it is *called*, not as it is
+        consumed, so a caller that only owes the engine the access may
+        drop the iterator unread.
         """
-        docs = [
-            self._snapshot(doc)
-            for _, doc in sorted(
-                self._backend.scan(f"{query.collection}/"),
-                key=lambda item: item[0],
-            )
-        ]
+        return self._backend.scan(f"{collection}/")
+
+    @staticmethod
+    def select(
+        query: Query, scanned: Iterable[Tuple[str, Document]]
+    ) -> List[Document]:
+        """Filter, order and limit scanned ``(key, document)`` pairs."""
         results = [
             doc
-            for doc in docs
+            for _, doc in sorted(scanned, key=lambda item: item[0])
             if query.matches(doc.collection, doc.data)
         ]
         if query.order_by is not None:
@@ -271,6 +292,17 @@ class DocumentStore:
         if query.limit is not None:
             results = results[: query.limit]
         return results
+
+    def find(self, query: Query) -> List[Document]:
+        """Evaluate a query: filter, order, limit.
+
+        One backend scan per query — a prefix scan over the collection
+        reaches every shard of a partitioned engine.
+        """
+        return [
+            self._snapshot(doc)
+            for doc in self.select(query, self.scan_stored(query.collection))
+        ]
 
     def count(self, collection: str) -> int:
         return sum(1 for _ in self._backend.scan(f"{collection}/"))

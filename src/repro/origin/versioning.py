@@ -139,11 +139,14 @@ class ResourceVersions:
         self, resource_key: str, version: int
     ) -> Optional[float]:
         """When ``version`` stopped being current (``None`` if it still
-        is, or never existed)."""
+        is, or never existed).
+
+        Histories are contiguous from version 1 (see :meth:`born_at`),
+        so the successor ``version + 1`` sits at index ``version``.
+        """
         history = self._history[resource_key]
-        for time, v in history:
-            if v == version + 1:
-                return time
+        if 0 <= version < len(history):
+            return history[version][0]
         return None
 
     def history(self, resource_key: str) -> List[Tuple[float, int]]:

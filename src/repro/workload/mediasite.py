@@ -26,6 +26,7 @@ from repro.origin.site import (
     Site,
 )
 from repro.workload.catalog import Catalog
+from repro.workload.pages import PageBuilder
 
 SIZES = {
     "html": 60_000,  # article pages are text-heavy
@@ -150,8 +151,12 @@ def _populate(site: Site, catalog: Catalog) -> None:
     store.put("content", "ticker", {"headlines": []})
 
 
-class MediaPageBuilder:
-    """Maps the generic trace page kinds onto the media site."""
+class MediaPageBuilder(PageBuilder):
+    """Maps the generic trace page kinds onto the media site.
+
+    Shares :meth:`PageBuilder.for_view`'s once-per-view memo; only the
+    page composition differs.
+    """
 
     def home(self) -> PageSpec:
         return PageSpec(
@@ -179,7 +184,7 @@ class MediaPageBuilder:
             ],
         )
 
-    def for_view(self, page_kind: str, target: str) -> PageSpec:
+    def _build_view(self, page_kind: str, target: str) -> PageSpec:
         if page_kind == "home":
             return self.home()
         if page_kind == "category":

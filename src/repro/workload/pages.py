@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.browser.page import PageResource, PageSpec
 from repro.http.url import URL
@@ -18,7 +18,14 @@ class PageBuilder:
     wave 1 holds assets and the user's cart block (referenced directly
     from the HTML); wave 2 holds content discovered later
     (recommendations fetched by the app script).
+
+    :meth:`for_view` resolves each ``(page_kind, target)`` once and hands
+    every later view the same :class:`PageSpec`; page loading only reads
+    it (pinned by ``tests/workload/test_site_and_pages.py``).
     """
+
+    def __init__(self) -> None:
+        self._views: Dict[Tuple[str, str], PageSpec] = {}
 
     def home(self) -> PageSpec:
         return PageSpec(
@@ -50,6 +57,14 @@ class PageBuilder:
 
     def for_view(self, page_kind: str, target: str) -> PageSpec:
         """Resolve a trace event's (kind, target) to its page spec."""
+        page = self._views.get((page_kind, target))
+        if page is None:
+            page = self._views[(page_kind, target)] = self._build_view(
+                page_kind, target
+            )
+        return page
+
+    def _build_view(self, page_kind: str, target: str) -> PageSpec:
         if page_kind == "home":
             return self.home()
         if page_kind == "category":

@@ -100,8 +100,13 @@ def _workload(seed):
 def run_config(config, seed):
     """One (config, seed) replay, cached — returns the live runner."""
     cached = _RUNS.get((config, seed))
-    if cached is not None:
-        return cached
+    if cached is None:
+        cached = _RUNS[(config, seed)] = fresh_run(config, seed)
+    return cached
+
+
+def fresh_run(config, seed):
+    """An uncached replay, for tests that leave the runner broken."""
     catalog, users, trace = _workload(seed)
     spec = ScenarioSpec(
         scenario=Scenario.SPEED_KIT,
@@ -111,7 +116,6 @@ def run_config(config, seed):
     )
     runner = SimulationRunner(spec, catalog, users, trace)
     runner.run()
-    _RUNS[(config, seed)] = runner
     return runner
 
 
@@ -255,3 +259,114 @@ class TestInjectedErasure:
         second = runner.gdpr.erase(user_id)
         assert first.complete and second.complete
         assert second.entries_removed == 0
+
+
+def _view_cart_block(runner, user_id):
+    """An identified request straight to the origin: it pre-builds a
+    rendition of the user's cart block (body names the user)."""
+    from repro.http import Headers, Request, URL
+
+    request = Request.get(
+        URL.parse("/api/blocks/cart"),
+        headers=Headers({"X-User-Id": user_id}),
+    )
+    response = runner.server.handle(request, runner.env.now)
+    assert response.ok and user_id in response.body
+    return response
+
+
+class TestRenditionTier:
+    """The origin's rendition table holds rendered cart/profile bytes:
+    it is walked, erased and audited like every other tier."""
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+    def test_organic_traffic_really_builds_user_renditions(self, seed):
+        """Guard against a vacuous tier: logged-in users who were not
+        erased still have renditions naming them after the run."""
+        runner = run_config("sync-remote", seed)
+        survivors = [
+            label
+            for user in runner.users.users
+            if user.user_id not in runner.gdpr.erased_users
+            for label in runner.gdpr.residuals(user.user_id).get(
+                "origin-renditions", []
+            )
+        ]
+        assert survivors
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+    def test_identity_only_rendition_is_erased(self, seed):
+        """No cart, no profile: nothing to delete, so no change event —
+        the rendition still names the user and must go."""
+        runner = run_config("write-behind-replicated", seed)
+        user_id = "urendition1"
+        _view_cart_block(runner, user_id)
+        found = runner.gdpr.residuals(user_id)
+        assert list(found) == ["origin-renditions"], found
+        report = runner.gdpr.erase(user_id)
+        assert report.origin_docs == []
+        assert report.renditions_dropped == 1
+        assert report.complete, report.residuals
+        assert runner.gdpr.residuals(user_id) == {}
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+    def test_cart_rendition_dies_with_the_cart_document(self, seed):
+        runner = run_config("write-behind-replicated", seed)
+        user_id = "urendition2"
+        runner.server.write(
+            "carts", user_id, {"items": ["p1"]}, at=runner.env.now
+        )
+        assert '"items": ["p1"]' in _view_cart_block(runner, user_id).body
+        report = runner.gdpr.erase(user_id)
+        assert report.origin_docs == [f"carts/{user_id}"]
+        # The store.delete change event already dropped it.
+        assert report.renditions_dropped == 0
+        assert report.complete, report.residuals
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+    def test_a_broken_rendition_drop_trips_the_gate(self, seed, monkeypatch):
+        """Teeth. Two rules empty the tier: the change event of each
+        deleted document drops the renditions built from it, and
+        ``erase_renditions`` takes whatever still names the user. With
+        both disabled the cart bytes survive and the erase says so;
+        with only the second disabled an identity-only rendition does."""
+        from repro.origin import OriginServer
+
+        runner = fresh_run("write-behind", seed)
+        server = runner.server
+        listeners = server.site.store._listeners
+        drop_on_change = listeners.index(server._on_change)
+
+        def bump_but_forget_to_drop(event):
+            kept = {k: dict(v) for k, v in server._renditions.items()}
+            server._on_change(event)
+            server._renditions.update(kept)
+
+        with_cart, identity_only = "urendition3", "urendition4"
+        server.write("carts", with_cart, {"items": ["p1"]}, at=runner.env.now)
+        _view_cart_block(runner, with_cart)
+        _view_cart_block(runner, identity_only)
+
+        monkeypatch.setattr(
+            OriginServer, "erase_renditions", lambda self, predicate: 0
+        )
+        broken = runner.gdpr.erase(identity_only)
+        assert not broken.complete
+        assert list(broken.residuals) == ["origin-renditions"]
+
+        listeners[drop_on_change] = bump_but_forget_to_drop
+        broken = runner.gdpr.erase(with_cart)
+        assert not broken.complete
+        assert list(broken.residuals) == ["origin-renditions"]
+        assert (
+            runner.metrics.counter("gdpr.erase.residuals").value
+            >= broken.residual_count
+            > 0
+        )
+
+        # Repaired, the same two erases come back clean.
+        listeners[drop_on_change] = server._on_change
+        monkeypatch.undo()
+        assert runner.gdpr.erase(identity_only).complete
+        assert runner.gdpr.erase(with_cart).complete
+        assert runner.gdpr.residuals(with_cart) == {}

@@ -1,5 +1,7 @@
 """Tests for the structured URL type."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,3 +83,22 @@ def test_parse_str_round_trip(path):
     url = URL.of("/" + path, {"k": "v"})
     reparsed = URL.parse(str(url).replace("shop.example", "", 1))
     assert reparsed == url
+
+
+def test_canonical_text_is_built_once_and_is_not_part_of_identity():
+    url = URL.of("/p", {"b": "2", "a": "1"})
+    assert str(url) == url.cache_key() == "shop.example/p?a=1&b=2"
+    assert str(url) is str(url) is url.cache_key()
+    # The remembered text is not a dataclass field: equality, hashing
+    # and repr see only path, query and origin.
+    twin = URL.of("/p", {"a": "1", "b": "2"})
+    assert url == twin and hash(url) == hash(twin)
+    assert "_text" not in repr(url)
+    assert [f.name for f in dataclasses.fields(URL)] == [
+        "path",
+        "query",
+        "origin",
+    ]
+    # Derived URLs get their own text.
+    assert str(url.without_param("a")) == "shop.example/p?b=2"
+    assert str(url.with_param("c", 3)) == "shop.example/p?a=1&b=2&c=3"

@@ -286,3 +286,20 @@ class TestTtlPolicy:
         server = OriginServer(site, ttl_policy=policy)
         resp = get(server, "/product/1")
         assert resp.cache_control.stale_while_revalidate == 30.0
+
+
+class TestQueryRegistryIsReadOnly:
+    def test_view_is_live_but_cannot_be_mutated(self, server):
+        view = server.query_resources
+        assert dict(view) == {}
+        get(server, "/category/shoes")
+        # The same view object, now showing the registration ...
+        assert server.query_resources is view
+        (key,) = view
+        assert view[key] == Query("products", Eq("category", "shoes"))
+        # ... and no way to edit the registry through it.
+        with pytest.raises(TypeError):
+            view["other"] = view[key]
+        with pytest.raises(TypeError):
+            del view[key]
+        assert not hasattr(view, "clear")

@@ -105,3 +105,62 @@ class TestSite:
         assert site.spec_named("product-page").pattern == "/product/{id}"
         with pytest.raises(KeyError):
             site.spec_named("ghost")
+
+
+class TestMatchMemo:
+    """``Site.match`` resolves each path once — against the route list
+    as it is *now*, however that list was edited."""
+
+    def test_repeat_matches_resolve_the_path_once(self, monkeypatch):
+        site = Site()
+        route = site.add_route(product_route())
+        calls = []
+        original = ResourceSpec.match
+
+        def counting(self, path):
+            calls.append(path)
+            return original(self, path)
+
+        monkeypatch.setattr(ResourceSpec, "match", counting)
+        for _ in range(3):
+            assert site.match(URL.of("/product/42")) == (route, {"id": "42"})
+            assert site.match(URL.of("/nothing")) is None
+        assert calls == ["/product/42", "/nothing"]
+
+    def test_query_string_does_not_split_the_memo(self):
+        site = Site()
+        route = site.add_route(product_route())
+        assert site.match(URL.of("/product/1", {"sk_segment": "a"})) == (
+            route,
+            {"id": "1"},
+        )
+        assert len(site._matches) == 1
+        site.match(URL.of("/product/1", {"sk_segment": "b"}))
+        assert len(site._matches) == 1
+
+    def test_add_route_resets_remembered_misses(self):
+        site = Site()
+        assert site.match(URL.of("/product/42")) is None
+        route = site.add_route(product_route())
+        assert site.match(URL.of("/product/42")) == (route, {"id": "42"})
+
+    def test_direct_edits_of_the_public_route_list_are_seen(self):
+        site = Site()
+        general = site.add_route(product_route())
+        assert site.match(URL.of("/product/featured"))[0] is general
+        special = ResourceSpec(
+            name="special",
+            pattern="/product/featured",
+            kind=ResourceKind.PAGE,
+        )
+        site.routes.insert(0, special)
+        assert site.match(URL.of("/product/featured"))[0] is special
+        site.routes.remove(special)
+        assert site.match(URL.of("/product/featured"))[0] is general
+
+    def test_callers_get_their_own_params(self):
+        site = Site()
+        site.add_route(product_route())
+        _, params = site.match(URL.of("/product/42"))
+        params["id"] = "mutated"
+        assert site.match(URL.of("/product/42"))[1] == {"id": "42"}

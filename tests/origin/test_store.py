@@ -205,3 +205,26 @@ class TestFind:
 
     def test_empty_collection(self, store):
         assert store.find(Query("nothing")) == []
+
+
+class TestStoredView:
+    """The uncopied reads behind ``get`` / ``find`` (origin renderer)."""
+
+    def test_stored_hands_back_the_stored_document_itself(self, store):
+        written = store.put("products", "p1", {"tags": ["a"]})
+        assert store.stored("products", "p1") is written
+        assert store.stored("products", "ghost") is None
+        # ... while the public read still copies.
+        snapshot = store.get("products", "p1")
+        assert snapshot == written and snapshot is not written
+        assert snapshot.data["tags"] is not written.data["tags"]
+
+    def test_find_copies_only_what_it_returns(self, store):
+        store.put("products", "p1", {"category": "shoes", "tags": ["a"]})
+        store.put("products", "p2", {"category": "hats", "tags": ["b"]})
+        query = Query("products", Eq("category", "shoes"))
+        (found,) = store.find(query)
+        found.data["tags"].append("mutated")
+        assert store.get("products", "p1").data["tags"] == ["a"]
+        (selected,) = store.select(query, store.scan_stored("products"))
+        assert selected is store.stored("products", "p1")

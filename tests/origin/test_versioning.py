@@ -121,3 +121,21 @@ def test_version_at_is_consistent_with_bump_order(bump_times):
     assert versions.version_at("r", times[-1] + 1) == 1 + len(times)
     # At time zero only version 1 existed.
     assert versions.version_at("r", 0.0) == 1
+
+
+@given(n_bumps=st.integers(0, 12))
+def test_superseded_at_agrees_with_a_scan_of_the_history(n_bumps):
+    """The index lookup answers exactly what walking the history for
+    the successor version did — including ``None`` for the current
+    version and for versions that never existed."""
+    versions = ResourceVersions()
+    versions.register("r", at=0.5)
+    for i in range(n_bumps):
+        versions.bump("r", at=1.0 + i)
+    history = versions.history("r")
+    for version in range(-2, n_bumps + 4):
+        scanned = next(
+            (time for time, v in history if v == version + 1), None
+        )
+        assert versions.superseded_at("r", version) == scanned
+    assert versions.superseded_at("r", versions.current("r")) is None

@@ -29,11 +29,11 @@ def skeleton_route(backend):
     # Patch rendering so the skeleton body carries placeholders.
     original = backend.server._render_body
 
-    def with_placeholders(spec_arg, params, query, user_id, segment):
-        body, found = original(spec_arg, params, query, user_id, segment)
+    def with_placeholders(spec_arg, *rest):
+        body = original(spec_arg, *rest)
         if spec_arg.name == "home-skeleton":
             body = f"<header/>{{{{block:cart}}}}<main>{body}</main>"
-        return body, found
+        return body
 
     backend.server._render_body = with_placeholders
     return spec

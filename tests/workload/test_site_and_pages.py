@@ -55,6 +55,54 @@ class TestPageBuilder:
             builder.for_view("mystery", "")
 
 
+    def test_for_view_resolves_each_view_once(self):
+        builder = PageBuilder()
+        first = builder.for_view("product", "p1")
+        assert builder.for_view("product", "p1") is first
+        assert builder.for_view("product", "p2") is not first
+        assert builder.for_view("category", "p1") is not first
+        # Failures are not remembered as pages.
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                builder.for_view("mystery", "p1")
+
+    def test_page_loading_never_mutates_a_shared_page_spec(self, catalog):
+        """``for_view`` hands every view of a page the same ``PageSpec``,
+        so a full run (page loads, prefetch, batched waves) must leave
+        each one equal to a freshly built spec."""
+        from repro.harness import Scenario, ScenarioSpec, SimulationRunner
+        from repro.workload import (
+            UserPopulationConfig,
+            WorkloadConfig,
+            WorkloadGenerator,
+            generate_users,
+        )
+
+        users = generate_users(
+            UserPopulationConfig(n_users=6), random.Random(1)
+        )
+        trace = WorkloadGenerator(
+            catalog,
+            users,
+            WorkloadConfig(duration=200.0, session_rate=0.2),
+        ).generate(random.Random(2))
+        runner = SimulationRunner(
+            ScenarioSpec(
+                scenario=Scenario.SPEED_KIT,
+                prefetch=True,
+                batch_waves=True,
+            ),
+            catalog,
+            users,
+            trace,
+        )
+        runner.run()
+        views = runner.pages._views
+        assert len(views) > 3
+        for (page_kind, target), page in views.items():
+            assert page == PageBuilder().for_view(page_kind, target)
+
+
 class TestSiteBuilder:
     def test_every_page_resource_is_servable(self, server):
         builder = PageBuilder()
