@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.http.freshness import expires_at, is_fresh_at
@@ -42,6 +42,12 @@ class CacheEntry:
     stored_at: float
     size_bytes: int
     hits: int = 0
+    #: Filled by :func:`repro.gdpr.matching.identity_text` on the first
+    #: GDPR visit. A stored entry is replaced, never edited (only
+    #: ``hits``, a number, changes in place), so it cannot go stale.
+    _identity_text: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def expires_at(self, shared: bool) -> float:
         return expires_at(self.response, shared)

@@ -373,9 +373,10 @@ def _build_workload(args):
     header — the replay-time ``--seed/--users/--products`` flags are
     irrelevant, so every cross-configuration comparison sees identical
     traffic against identical state. A v1 trace (no embedded world)
-    falls back to the flag-built world, strictly validated against
-    every event reference: a mismatch aborts loudly instead of
-    replaying foreign users/products against the wrong world.
+    falls back to the flag-built world. Either way every event
+    reference is validated against the world it will replay in: a
+    mismatch (wrong flags for a v1 file, an edited v2 file) aborts
+    loudly instead of replaying strangers against the wrong world.
     """
     rate = args.replay_rate
     if not 0 < rate < float("inf"):
@@ -396,10 +397,10 @@ def _build_workload(args):
             args.seed = trace.world.seed
         else:
             catalog, users = _world_spec_from_args(args).build()
-            try:
-                validate_trace_world(trace, catalog, users)
-            except ValueError as err:
-                raise SystemExit(f"cannot replay {replay}: {err}")
+        try:
+            validate_trace_world(trace, catalog, users)
+        except ValueError as err:
+            raise ValueError(f"cannot replay {replay}: {err}") from None
     elif import_log:
         world = _world_spec_from_args(args)
         catalog, users = world.build()
@@ -655,7 +656,8 @@ def cmd_erase(args) -> int:
         unknown = [uid for uid in args.user if uid not in seen]
         if unknown:
             raise SystemExit(
-                f"user(s) not present in the trace: {', '.join(unknown)}"
+                "repro: error: user(s) not present in the trace: "
+                + ", ".join(map(repr, unknown))
             )
         targets = sorted(set(args.user))
     else:
@@ -663,7 +665,9 @@ def cmd_erase(args) -> int:
             uid for uid in seen if users.by_id(uid).logged_in
         )
     if not targets:
-        raise SystemExit("no logged-in users in the trace to erase")
+        raise SystemExit(
+            "repro: error: no logged-in users in the trace to erase"
+        )
     # Erasure requests land at end-of-trace so every target's organic
     # traffic (and the state it deposited) precedes the request.
     events = list(trace.events) + [

@@ -225,18 +225,16 @@ class ErasureCoordinator:
         """
         return sum(backend.drain_latency() for backend in backends)
 
-    def _all_backends(self) -> List[object]:
-        backends = [self.store.backend]
-        backends.extend(
-            tier.backend for tier in self._cache_tiers().values()
-        )
-        return backends
+    def _all_backends(self, tiers: Dict[str, object]) -> List[object]:
+        return [self.store.backend, *(tier.backend for tier in tiers.values())]
 
     # -- erasure ------------------------------------------------------------
 
     def erase(self, user_id: str) -> ErasureReport:
         """Remove ``user_id``'s bytes from every tier; verify; report."""
         matcher = UserDataMatcher(user_id)
+        # Enumerated once: the walk itself creates no client stack.
+        tiers = self._cache_tiers()
         now = self._now()
         if self.overload is not None:
             self.overload.control_ticket("erasure")
@@ -273,7 +271,7 @@ class ErasureCoordinator:
         # 2. Cache tiers (edge PoPs, browser caches, SW caches): erase
         # through each policy layer — one batched removal per tier.
         edge_keys: List[str] = []
-        for label, tier in self._cache_tiers().items():
+        for label, tier in tiers.items():
             removed = tier.erase_matching(matcher.matches_entry)
             if removed:
                 report.cache_removed[label] = len(removed)
@@ -295,10 +293,7 @@ class ErasureCoordinator:
         # the queued tombstones reach the wrapped engines *now* — the
         # erase is only complete once nothing lags behind an ack.
         barrier = 0.0
-        for label, tier in (
-            ("origin", self.store),
-            *self._cache_tiers().items(),
-        ):
+        for label, tier in (("origin", self.store), *tiers.items()):
             backend = tier.backend
             scrubbed = backend.scrub_pending(matcher.matches_entry)
             if scrubbed:
@@ -323,9 +318,9 @@ class ErasureCoordinator:
 
         # 7. Verify completeness through the deep residual view and
         # charge the whole walk's simulated cost to this request.
-        report.residuals = self._residuals(matcher)
+        report.residuals = self._residuals(matcher, tiers)
         report.simulated_latency = barrier + self._drain(
-            *self._all_backends()
+            *self._all_backends(tiers)
         )
 
         self.erased_users.append(user_id)
@@ -363,9 +358,11 @@ class ErasureCoordinator:
 
     def residuals(self, user_id: str) -> Dict[str, List[str]]:
         """Everywhere ``user_id``'s bytes still survive (deep view)."""
-        return self._residuals(UserDataMatcher(user_id))
+        return self._residuals(UserDataMatcher(user_id), self._cache_tiers())
 
-    def _residuals(self, matcher: UserDataMatcher) -> Dict[str, List[str]]:
+    def _residuals(
+        self, matcher: UserDataMatcher, tiers: Dict[str, object]
+    ) -> Dict[str, List[str]]:
         found: Dict[str, List[str]] = {}
 
         def note(tier: str, keys: List[str]) -> None:
@@ -381,7 +378,7 @@ class ErasureCoordinator:
                 "origin-renditions",
                 self.origin.renditions_matching(matcher.matches_entry),
             )
-        for label, tier in self._cache_tiers().items():
+        for label, tier in tiers.items():
             note(
                 label,
                 tier.backend.residuals_matching(matcher.matches_entry),
@@ -414,6 +411,7 @@ class ErasureCoordinator:
     def access(self, user_id: str) -> AccessReport:
         """Assemble a subject-access report; mutates nothing."""
         matcher = UserDataMatcher(user_id)
+        tiers = self._cache_tiers()
         now = self._now()
         if self.overload is not None:
             self.overload.control_ticket("access")
@@ -430,7 +428,7 @@ class ErasureCoordinator:
             for key, doc in self.store.backend.scan()
             if matcher.matches_entry(key, doc)
         }
-        for label, tier in self._cache_tiers().items():
+        for label, tier in tiers.items():
             keys = [
                 key
                 for key in tier.keys()
@@ -439,10 +437,7 @@ class ErasureCoordinator:
             ]
             if keys:
                 report.cache_entries[label] = keys
-        for label, tier in (
-            ("origin", self.store),
-            *self._cache_tiers().items(),
-        ):
+        for label, tier in (("origin", self.store), *tiers.items()):
             keys = tier.backend.queued_matching(matcher.matches_entry)
             if keys:
                 report.queued[label] = keys
@@ -462,7 +457,7 @@ class ErasureCoordinator:
                     if matcher.matches_key(key)
                 }
             )
-        report.simulated_latency = self._drain(*self._all_backends())
+        report.simulated_latency = self._drain(*self._all_backends(tiers))
         if self.metrics is not None:
             self.metrics.counter("gdpr.access.count").inc()
             self.metrics.sketch("gdpr.access.latency").observe(

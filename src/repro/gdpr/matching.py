@@ -5,20 +5,136 @@ X?" being answered the same way at every tier. The matcher answers it
 structurally rather than per-tier: a *key* matches when the user id
 appears as a whole token in the key string (``carts/u5``,
 ``/api/products/3?__user=u5``), and a *value* matches when the id
-appears as a whole token anywhere in its string representation —
-recursing through dicts, lists, and the simulation's response/document
-shapes. Token boundaries matter: erasing ``u1`` must not take ``u12``
-with it.
+appears as a whole token in any string reachable from it — through
+dicts, lists, and the simulation's response/document shapes. Token
+boundaries matter: erasing ``u1`` must not take ``u12`` with it.
+
+Reachability is decided once per stored object, not once per request:
+:func:`identity_strings` flattens a value to the strings a match could
+come from, :func:`identity_text` joins them with a separator no id may
+contain and keeps the result on the stored object, and every later
+question about that object is one substring test plus, rarely, one
+pattern search over that text.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any
+from typing import Any, List
 
-__all__ = ["UserDataMatcher"]
+__all__ = ["UserDataMatcher", "identity_strings", "identity_text"]
 
 _TOKEN_CHARS = "A-Za-z0-9_"
+
+#: Joins the strings of one identity text. Not a token character, so
+#: it bounds a token exactly like the start or end of a string does,
+#: and never part of a user id, so no match can span two strings.
+_SEPARATOR = "\x00"
+
+#: Containers nested deeper than this are not searched: a defensive
+#: bound (the sim's payloads are shallow) that also ends the walk over
+#: a cyclic value.
+_MAX_DEPTH = 12
+
+#: Where a stored shape keeps its identity text (``None`` until the
+#: first GDPR visit). Declared by ``CacheEntry``, ``Document`` and
+#: ``Rendition``; bookkeeping, so never itself searched.
+_MEMO = "_identity_text"
+
+_NO_SLOT = object()
+
+_STRING, _SCALAR, _BYTES, _MAPPING, _SEQUENCE, _OBJECT = range(6)
+
+
+class _Kinds(dict):
+    """Exact type -> how :func:`identity_strings` treats its instances.
+
+    Subclasses count as what they extend (an ``IntEnum`` status is a
+    number, a ``NamedTuple`` a tuple); each type is classified once.
+    """
+
+    def __missing__(self, kind: type) -> int:
+        if issubclass(kind, str):
+            treated = _STRING
+        elif issubclass(kind, (type(None), bool, int, float)):
+            treated = _SCALAR
+        elif issubclass(kind, bytes):
+            treated = _BYTES
+        elif issubclass(kind, dict):
+            treated = _MAPPING
+        elif issubclass(kind, (list, tuple, set, frozenset)):
+            treated = _SEQUENCE
+        else:
+            treated = _OBJECT
+        self[kind] = treated
+        return treated
+
+
+_KINDS = _Kinds()
+
+
+def identity_strings(value: Any) -> List[str]:
+    """Every string a match on ``value`` could come from.
+
+    The one definition of *reachable*: strings and decoded bytes; keys
+    and values of dicts (a header name or a document field is data);
+    items of lists, tuples and sets; attribute **values** of objects
+    with a ``__dict__`` or ``__slots__`` — never attribute names, which
+    are the schema of the simulation's own classes, not user data.
+    One pass, level by level, no recursion.
+    """
+    found: List[str] = []
+    level = [value]
+    for _ in range(_MAX_DEPTH + 1):
+        deeper: List[Any] = []
+        for item in level:
+            treated = _KINDS[type(item)]
+            if treated == _STRING:
+                found.append(item)
+            elif treated == _SCALAR:
+                continue
+            elif treated == _SEQUENCE:
+                deeper += item
+            elif treated == _MAPPING:
+                deeper += item
+                deeper += item.values()
+            elif treated == _BYTES:
+                found.append(item.decode("utf-8", errors="replace"))
+            else:
+                attributes = getattr(item, "__dict__", None)
+                if attributes is None:
+                    attributes = {
+                        name: getattr(item, name, None)
+                        for name in getattr(type(item), "__slots__", ())
+                    }
+                if not isinstance(attributes, dict):
+                    continue  # a class: its ``__dict__`` is a proxy
+                if _MEMO in attributes:  # only the stored shapes
+                    attributes = {**attributes, _MEMO: None}
+                deeper += attributes.values()
+        if not deeper:
+            break
+        level = deeper
+    return found
+
+
+def identity_text(value: Any) -> str:
+    """``value``'s identity strings as one searchable text.
+
+    A stored shape that declares the memo slot is flattened on its
+    first GDPR visit only. That is sound because stored values are
+    replaced, never edited: a refresh ``put``s a copy, and the one
+    field that does change in place (``CacheEntry.hits``) is a number,
+    which holds no identity string.
+    """
+    memo = getattr(value, _MEMO, _NO_SLOT)
+    if memo is None or memo is _NO_SLOT:  # unfilled, or a plain value
+        text = _SEPARATOR.join(identity_strings(value))
+        if memo is None:
+            # Documents and renditions are frozen dataclasses.
+            object.__setattr__(value, _MEMO, text)
+        return text
+    return memo
 
 
 class UserDataMatcher:
@@ -27,57 +143,29 @@ class UserDataMatcher:
     def __init__(self, user_id: str) -> None:
         if not user_id:
             raise ValueError("user_id must be non-empty")
+        if _SEPARATOR in user_id:
+            raise ValueError("user_id must not contain a NUL character")
         self.user_id = user_id
         self._pattern = re.compile(
             f"(?<![{_TOKEN_CHARS}])" + re.escape(user_id) + f"(?![{_TOKEN_CHARS}])"
         )
 
     def matches_text(self, text: str) -> bool:
-        return bool(self._pattern.search(text))
+        # The substring test rules out almost every text at C speed;
+        # only a text that contains the id pays for the boundary check.
+        return self.user_id in text and self._pattern.search(text) is not None
 
     def matches_key(self, key: str) -> bool:
         """True when a cache/store key names this user."""
         return self.matches_text(key)
 
     def matches_value(self, value: Any) -> bool:
-        """True when the stored value carries this user's bytes.
-
-        Walks the plain-data shapes the simulation stores: strings,
-        dicts, lists/tuples/sets, and objects exposing ``__dict__``
-        (CacheEntry, Response, Document). Cycles are impossible in the
-        sim's JSON-shaped payloads, so the walk is a simple recursion.
-        """
-        return self._walk(value, depth=0)
-
-    def _walk(self, value: Any, depth: int) -> bool:
-        if depth > 12:  # defensive bound; sim payloads are shallow
-            return False
-        if value is None or isinstance(value, (bool, int, float)):
-            return False
-        if isinstance(value, str):
-            return self.matches_text(value)
-        if isinstance(value, bytes):
-            return self.matches_text(value.decode("utf-8", errors="replace"))
-        if isinstance(value, dict):
-            return any(
-                self._walk(k, depth + 1) or self._walk(v, depth + 1)
-                for k, v in value.items()
-            )
-        if isinstance(value, (list, tuple, set, frozenset)):
-            return any(self._walk(item, depth + 1) for item in value)
-        inner = getattr(value, "__dict__", None)
-        if inner is not None:
-            return self._walk(inner, depth + 1)
-        slots = getattr(type(value), "__slots__", None)
-        if slots:
-            return any(
-                self._walk(getattr(value, name, None), depth + 1) for name in slots
-            )
-        return False
+        """True when the stored value carries this user's bytes."""
+        return self.matches_text(identity_text(value))
 
     def matches_entry(self, key: str, value: Any) -> bool:
         """True when either the key or the stored value names the user."""
-        return self.matches_key(key) or self.matches_value(value)
+        return self.matches_text(key) or self.matches_text(identity_text(value))
 
     def __call__(self, key: str) -> bool:
         # Plain key predicate, so a matcher can be handed anywhere a

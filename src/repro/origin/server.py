@@ -11,7 +11,7 @@ both the before- and after-image of every change.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (
     Any,
@@ -154,6 +154,11 @@ class Rendition:
     body: str
     etag: str
     born: str
+    #: Filled by :func:`repro.gdpr.matching.identity_text` on the first
+    #: GDPR visit; a version bump drops the rendition.
+    _identity_text: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 class OriginServer:

@@ -16,7 +16,7 @@ response times.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -60,6 +60,11 @@ class Document:
     data: Mapping[str, Any]
     version: int
     updated_at: float
+    #: Filled by :func:`repro.gdpr.matching.identity_text` on the first
+    #: GDPR visit; a write stores a new ``Document``.
+    _identity_text: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def key(self) -> str:
@@ -284,9 +289,9 @@ class DocumentStore:
             if query.matches(doc.collection, doc.data)
         ]
         if query.order_by is not None:
-            field = query.order_by
+            order_by = query.order_by
             results.sort(
-                key=lambda d: (d.data.get(field) is None, d.data.get(field)),
+                key=lambda d: (d.data.get(order_by) is None, d.data.get(order_by)),
                 reverse=query.descending,
             )
         if query.limit is not None:

@@ -19,11 +19,11 @@ Three pieces live here:
   compresses its wall-time-gap accounting (Δ bound, TTLs, purge
   pipeline latencies) by the same factor via
   :meth:`~repro.harness.scenarios.ScenarioSpec.time_scaled`.
-* :func:`validate_trace_world` — the loud-failure path for v1 trace
-  files (no embedded world): every ``user_id``/``product_id``/category
-  the events reference must exist in the rebuilt world, otherwise
-  replay refuses with an actionable error instead of a late
-  ``KeyError`` deep inside the stack.
+* :func:`validate_trace_world` — the loud-failure path for replayed
+  trace files: every ``user_id``/``product_id``/category the events
+  reference must exist in the replay world (flag-built for v1,
+  embedded for v2), otherwise replay refuses with an actionable error
+  instead of a late ``KeyError`` deep inside the stack.
 """
 
 from __future__ import annotations
@@ -392,9 +392,10 @@ def validate_trace_world(
 ) -> None:
     """Fail loudly if the trace references things the world lacks.
 
-    The v1-fallback safety net: a trace file without an embedded world
-    is only replayable if every user, product, and category its events
-    mention exists in the world rebuilt from the replay-time flags.
+    Every user, product, and category the events mention must exist in
+    the world they are replayed against: the one rebuilt from the
+    replay-time flags for a v1 file, the embedded one for a v2 file
+    (whose events can still name strangers if the file was edited).
     A mismatch raises :class:`ValueError` naming the first offending
     events — instead of the silent wrong-world replay (or downstream
     ``KeyError``/``IndexError``) that undermined cross-configuration
@@ -424,13 +425,20 @@ def validate_trace_world(
             problems.append("... (further mismatches suppressed)")
             break
     if problems:
+        if trace.world is None:
+            advice = (
+                "This trace (format v1, no embedded world) was recorded "
+                "under different --seed/--users/--products flags; replay "
+                "with the recording flags, or re-record it with --record "
+                "so the v2 file carries its world."
+            )
+        else:
+            advice = (
+                "The events do not belong to the world embedded in the "
+                "trace header: the file was edited or is corrupt."
+            )
         raise ValueError(
             "trace references users/products missing from the replay "
             f"world ({len(users.users)} users, {len(catalog.products)} "
-            "products): "
-            + "; ".join(problems)
-            + ". This trace (format v1, no embedded world) was recorded "
-            "under different --seed/--users/--products flags; replay "
-            "with the recording flags, or re-record it with --record "
-            "so the v2 file carries its world."
+            "products): " + "; ".join(problems) + ". " + advice
         )

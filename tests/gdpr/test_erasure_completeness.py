@@ -35,6 +35,11 @@ from repro.workload import (
     generate_catalog,
     generate_users,
 )
+from tests.gdpr.reference import (
+    reachable_values,
+    reference_residuals,
+    stale_identity_texts,
+)
 
 SEEDS = (3, 11)
 
@@ -143,10 +148,25 @@ class TestWorkloadErasure:
 
     def test_post_run_deep_walk_finds_nothing(self, runner):
         """Re-audit after the run: drained queues, arrived replicas and
-        expiries must not have resurrected a single byte."""
+        expiries must not have resurrected a single byte. Asked twice:
+        of the coordinator, and of the memo-free recursive oracle, which
+        reads the stored bytes and not the identity texts kept on them."""
         assert runner.gdpr.erased_users
         for user_id in runner.gdpr.erased_users:
             assert runner.gdpr.residuals(user_id) == {}
+            assert reference_residuals(runner, user_id) == []
+
+    def test_stored_values_were_replaced_never_edited(self, runner):
+        """The invariant the kept identity texts rest on: whatever a
+        GDPR walk flattened during the run still flattens to the same
+        text now — in every tier, queue, rendition and buffer."""
+        kept = [
+            value._identity_text
+            for _, _, value in reachable_values(runner)
+            if getattr(value, "_identity_text", None) is not None
+        ]
+        assert kept  # the run's walks really left texts behind
+        assert stale_identity_texts(runner) == []
 
     def test_erasure_latency_was_accounted(self, runner):
         """One latency observation per erase call. Compared against the
@@ -242,6 +262,38 @@ class TestInjectedErasure:
         assert runner.gdpr.residuals(victim) == {}
         # The prefix-sharing bystander's entry is untouched.
         assert pop.store.peek(f"/injected/carts/{bystander}") is not None
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+    def test_a_user_named_like_a_field_takes_no_bystander(self, seed):
+        """Attribute names are schema, not data: ``erase("hits")`` used
+        to match every ``CacheEntry`` and empty every tier."""
+        runner = run_config("write-behind-replicated", seed)
+        now = runner.env.now
+        pop = next(iter(runner.cdn.pops.values()))
+        for uid in ("hits", "ubystander"):
+            pop.store.put(
+                f"/injected/carts/{uid}",
+                Response(
+                    status=Status.OK, body=f"cart of {uid}", version=1
+                ),
+                now,
+            )
+        docs = len(runner.gdpr.store.backend)
+        cached = {
+            label: len(tier)
+            for label, tier in runner.gdpr._cache_tiers().items()
+        }
+        report = runner.gdpr.erase("hits")
+        assert report.complete, report.residuals
+        assert report.origin_docs == [] and report.renditions_dropped == 0
+        assert sum(report.cache_removed.values()) == 1
+        assert pop.store.peek("/injected/carts/ubystander") is not None
+        assert len(runner.gdpr.store.backend) == docs
+        cached[next(iter(report.cache_removed))] -= 1
+        assert cached == {
+            label: len(tier)
+            for label, tier in runner.gdpr._cache_tiers().items()
+        }
 
     @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
     def test_erase_is_idempotent(self, seed):
@@ -370,3 +422,50 @@ class TestRenditionTier:
         assert runner.gdpr.erase(identity_only).complete
         assert runner.gdpr.erase(with_cart).complete
         assert runner.gdpr.residuals(with_cart) == {}
+
+
+class TestIdentityTextGate:
+    """Teeth for ``test_stored_values_were_replaced_never_edited``."""
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+    def test_an_in_place_edit_trips_the_audit(self, seed):
+        """Edit a stored response *in place* after a walk has flattened
+        its entry: the kept text is now stale, the matcher no longer
+        sees the user, and the erase reports complete over surviving
+        bytes. The audit names the entry; the oracle finds the bytes."""
+        runner = fresh_run("write-behind", seed)
+        user_id = "ustale"
+        pop = next(iter(runner.cdn.pops.values()))
+        key = "/injected/page"
+        pop.store.put(
+            key,
+            Response(status=Status.OK, body="nobody's page", version=1),
+            runner.env.now,
+        )
+        assert runner.gdpr.residuals(user_id) == {}  # flattens the entry
+        assert stale_identity_texts(runner) == []
+
+        pop.store.peek(key).response.body = f"cart of {user_id}"
+
+        stale = stale_identity_texts(runner)
+        assert len(stale) == 1 and stale[0].endswith(key), stale
+        assert runner.gdpr.erase(user_id).complete  # fooled by the memo
+        assert pop.store.peek(key) is not None
+        assert [
+            where for where in reference_residuals(runner, user_id)
+            if where.endswith(key)
+        ]
+
+        # Replaced instead of edited — what the stack really does — the
+        # same bytes are found and removed.
+        pop.store.put(
+            key,
+            Response(
+                status=Status.OK, body=f"cart of {user_id}", version=2
+            ),
+            runner.env.now,
+        )
+        assert runner.gdpr.erase(user_id).complete
+        assert pop.store.peek(key) is None
+        assert stale_identity_texts(runner) == []
+        assert reference_residuals(runner, user_id) == []

@@ -572,6 +572,73 @@ def test_out_of_range_knobs_exit_by_name(monkeypatch, flags, names):
     assert "\n" not in message  # one line, no traceback
 
 
+def _edited_trace(tmp_path, kind, user_id):
+    """A recorded v2 trace whose first ``kind`` event names ``user_id``."""
+    import json
+
+    path = tmp_path / "edited.jsonl"
+    assert main(
+        ["gen-trace", "--out", str(path), "--seed", "5", "--gdpr-mix", "0.3"]
+        + QUICK
+    ) == 0
+    lines = path.read_text().splitlines()
+    index, record = next(
+        (index, record)
+        for index, line in enumerate(lines)
+        if (record := json.loads(line)).get("kind") == kind
+    )
+    record["user_id"] = user_id
+    lines[index] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, edit, named",
+    [
+        # A v2 trace is checked against the world it embeds: before,
+        # these died in UserPopulation.by_id with "invalid literal for
+        # int() ... 'its'" from inside SimulationRunner._build.
+        (["run"], ("erase_user", "hits"), "unknown user 'hits'"),
+        (["run"], ("access_user", "u999"), "unknown user 'u999'"),
+        (["run"], ("page_view", ""), "unknown user ''"),
+        (["erase"], ("erase_user", "hits"), "unknown user 'hits'"),
+        (
+            ["erase", "--seed", "3", "--user", "hits"] + QUICK,
+            None,
+            "not present in the trace: 'hits'",
+        ),
+        (
+            ["erase", "--seed", "2", "--users", "1", "--products", "10"]
+            + ["--duration", "60"],
+            None,
+            "no logged-in users",
+        ),
+    ],
+    ids=[
+        "erase-stranger",
+        "access-stranger",
+        "empty-id",
+        "erase-replay",
+        "erase-user-flag",
+        "nobody-logged-in",
+    ],
+)
+def test_strangers_exit_with_a_named_one_liner(
+    monkeypatch, tmp_path, command, edit, named
+):
+    if edit is not None:
+        command = command + ["--replay", _edited_trace(tmp_path, *edit)]
+    monkeypatch.setattr(cli, "_run", None)  # must fail before any run
+    with pytest.raises(SystemExit) as err:
+        main(command)
+    message = str(err.value)
+    assert message.startswith("repro: error: ")
+    assert ("cannot replay" in message) == (edit is not None)
+    assert named in message
+    assert "\n" not in message  # one line, no traceback
+
+
 @pytest.mark.parametrize(
     "flags, names",
     [

@@ -300,6 +300,22 @@ def test_validate_rejects_unknown_user(built):
     assert "re-record" in str(err.value)
 
 
+def test_validate_blames_the_file_when_the_world_is_embedded(built, world):
+    """A v2 trace replays in its own world, so re-recording cannot be
+    the fix: a stranger in it means the file was edited."""
+    catalog, users = built
+    trace = WorkloadTrace(
+        events=[EraseUser(at=1.0, user_id="hits"), AccessUser(at=2.0)],
+        duration=10.0,
+        world=world,
+    )
+    with pytest.raises(ValueError, match=r"unknown user 'hits'") as err:
+        validate_trace_world(trace, catalog, users)
+    assert "unknown user ''" in str(err.value)  # empty ids too
+    assert "edited" in str(err.value)
+    assert "re-record" not in str(err.value)
+
+
 def test_validate_rejects_unknown_product_and_category(built):
     catalog, users = built
     trace = WorkloadTrace(
