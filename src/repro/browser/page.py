@@ -139,7 +139,8 @@ class PageLoadEngine:
         )
         html_request.trace = span.context
         html_response = yield from self.fetcher.fetch(html_request)
-        span.set(**response_attrs(html_response))
+        if self.tracer.enabled:
+            span.set(**response_attrs(html_response))
         self.tracer.finish(span, self.env.now)
         responses.append(html_response)
         html_at = self.env.now
@@ -162,7 +163,8 @@ class PageLoadEngine:
         """One single fetch wrapped so its span ends when *it* ends,
         not when the whole slot's barrier completes."""
         response = yield from self.fetcher.fetch(request)
-        span.set(**response_attrs(response))
+        if self.tracer.enabled:
+            span.set(**response_attrs(response))
         self.tracer.finish(span, self.env.now)
         return response
 
@@ -207,12 +209,13 @@ class PageLoadEngine:
                 for request in requests:
                     request.trace = span.context
                 batch_responses = yield from fetch_many(requests)
-                span.set(
-                    responses=[
-                        response_attrs(response)
-                        for response in batch_responses
-                    ]
-                )
+                if self.tracer.enabled:
+                    span.set(
+                        responses=[
+                            response_attrs(response)
+                            for response in batch_responses
+                        ]
+                    )
                 self.tracer.finish(span, self.env.now)
                 for offset, response in enumerate(batch_responses):
                     responses.append((index + offset, response))

@@ -15,12 +15,12 @@ transport layer owns time.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.http.degraded import Degraded, mark, reason_of
 from repro.http.freshness import is_cacheable
 from repro.http.messages import Request, Response, Status
-from repro.sim.metrics import MetricRegistry
+from repro.sim.metrics import Counter, MetricRegistry
 
 #: Called with ``(cache_key, response, now)`` after every admission.
 AdmitObserver = Callable[[str, Response, float], None]
@@ -41,6 +41,10 @@ class HttpCache:
         self.name = name
         self.store = store
         self.metrics = metrics or MetricRegistry()
+        # This node's counters by short name, each created in the
+        # registry by its first count (never earlier: a counter that
+        # exists shows in the run's exported metrics).
+        self._counters: Dict[str, Counter] = {}
         #: Notified after each stored admission (PoP replication hooks
         #: in here; the node itself stays passive).
         self.admit_observers: List[AdmitObserver] = []
@@ -49,10 +53,13 @@ class HttpCache:
     def shared(self) -> bool:
         return self.store.shared
 
-    def _count(self, which: str) -> None:
-        self.metrics.counter(
-            f"{self.METRIC_SCOPE}.{self.name}.{which}"
-        ).inc()
+    def _count(self, which: str, amount: float = 1.0) -> None:
+        counter = self._counters.get(which)
+        if counter is None:
+            counter = self._counters[which] = self.metrics.counter(
+                f"{self.METRIC_SCOPE}.{self.name}.{which}"
+            )
+        counter.inc(amount)
 
     # -- request protocol ---------------------------------------------------
 
@@ -204,17 +211,13 @@ class HttpCache:
         """
         purged = self.store.remove_many(list(keys))
         if purged:
-            self.metrics.counter(
-                f"{self.METRIC_SCOPE}.{self.name}.purge"
-            ).inc(purged)
+            self._count("purge", purged)
         return purged
 
     def purge_prefix(self, prefix: str) -> int:
         purged = self.store.remove_prefix(prefix)
         if purged:
-            self.metrics.counter(
-                f"{self.METRIC_SCOPE}.{self.name}.purge"
-            ).inc(purged)
+            self._count("purge", purged)
         return purged
 
     def purge_all(self) -> None:

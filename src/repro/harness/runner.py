@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional
+from typing import Dict, Generator, Optional, Tuple
 
 from repro.baselines.clients import CookieJarFetcher, NoCacheClient
 from repro.browser.client import BrowserClient, TransportMode
@@ -20,6 +20,7 @@ from repro.obs import MetricsRegistry, NOOP_TRACER, RecordingTracer
 from repro.origin.server import OriginServer
 from repro.origin.site import ResourceKind
 from repro.sim.environment import Environment
+from repro.sim.metrics import Counter
 from repro.sim.rng import RngStreams
 from repro.simnet.profiles import build_web_topology
 from repro.sketch.cache_sketch import ServerCacheSketch
@@ -264,6 +265,12 @@ class SimulationRunner:
         self.env = Environment()
         self.streams = RngStreams(spec.seed)
         self.metrics = MetricsRegistry()
+        # (layer, kind) -> its serve.layer / serve.kind counters, both
+        # created by the first response of that pair (never earlier: a
+        # counter that exists shows in the exported metrics).
+        self._serve_counters: Dict[
+            Tuple[str, str], Tuple[Counter, Counter]
+        ] = {}
         # Tracing is opt-in: the no-op tracer hands every caller the
         # shared null span, so the request path pays one attribute
         # lookup per hop when disabled.
@@ -915,11 +922,17 @@ class SimulationRunner:
         self.result.served_by_layer[layer] = (
             self.result.served_by_layer.get(layer, 0) + 1
         )
-        self.metrics.counter(f"serve.layer.{layer}").inc()
         kind = response.headers.get("X-Resource-Kind", "unknown")
         per_kind = self.result.served_by_kind.setdefault(layer, {})
         per_kind[kind] = per_kind.get(kind, 0) + 1
-        self.metrics.counter(f"serve.kind.{layer}.{kind}").inc()
+        counters = self._serve_counters.get((layer, kind))
+        if counters is None:
+            counters = self._serve_counters[(layer, kind)] = (
+                self.metrics.counter(f"serve.layer.{layer}"),
+                self.metrics.counter(f"serve.kind.{layer}.{kind}"),
+            )
+        for counter in counters:
+            counter.inc()
         if reason is not None:
             if reason.fallback:
                 # Fallback servings (stale-if-error, offline mode) are

@@ -73,6 +73,7 @@ class Degraded(enum.Enum):
 
 
 _BY_PRECEDENCE = tuple(Degraded)
+_MARK_HEADERS = frozenset(reason.header.lower() for reason in Degraded)
 
 
 def mark(
@@ -86,6 +87,8 @@ def mark(
 def reason_of(response: "Response") -> Optional[Degraded]:
     """The reason ``response`` is marked degraded, or ``None``."""
     headers = response.headers
+    if headers.isdisjoint(_MARK_HEADERS):
+        return None  # the common case: no mark at all
     for reason in _BY_PRECEDENCE:
         if reason.header in headers:
             return reason

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.http.cache_control import CacheControl
 from repro.http.messages import Request, Response, Status
 
 
@@ -35,11 +36,14 @@ def is_cacheable(response: Response, shared: bool) -> bool:
     return lifetime is not None and lifetime > 0
 
 
-def freshness_lifetime(response: Response, shared: bool) -> float:
-    """Seconds the response stays fresh in a cache of the given kind."""
-    cc = response.cache_control
+def _lifetime(cc: CacheControl, shared: bool) -> float:
     lifetime = cc.shared_lifetime() if shared else cc.private_lifetime()
     return float(lifetime) if lifetime is not None else 0.0
+
+
+def freshness_lifetime(response: Response, shared: bool) -> float:
+    """Seconds the response stays fresh in a cache of the given kind."""
+    return _lifetime(response.cache_control, shared)
 
 
 def age_at(response: Response, now: float) -> float:
@@ -54,7 +58,7 @@ def is_fresh_at(response: Response, now: float, shared: bool) -> bool:
         return False
     if cc.immutable:
         return True
-    return age_at(response, now) < freshness_lifetime(response, shared)
+    return age_at(response, now) < _lifetime(cc, shared)
 
 
 def remaining_ttl(response: Response, now: float, shared: bool) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import AbstractSet, Dict, Iterator, Mapping, Optional, Tuple
 
 
 class Headers:
@@ -49,6 +49,12 @@ class Headers:
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def isdisjoint(self, lowered_names: AbstractSet[str]) -> bool:
+        """Whether none of ``lowered_names`` (canonical, lower-case
+        spellings) is present — one test where a caller would probe
+        name by name."""
+        return self._items.keys().isdisjoint(lowered_names)
 
     def __iter__(self) -> Iterator[str]:
         return (display for display, _ in self._items.values())

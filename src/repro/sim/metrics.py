@@ -177,10 +177,16 @@ class MetricRegistry:
         self._series: Dict[str, TimeSeries] = {}
 
     def counter(self, name: str) -> Counter:
-        return self._counters.setdefault(name, Counter(name))
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(name)
+        return counter
 
     def gauge(self, name: str) -> Gauge:
-        return self._gauges.setdefault(name, Gauge(name))
+        gauge = self._gauges.get(name)
+        if gauge is None:
+            gauge = self._gauges[name] = Gauge(name)
+        return gauge
 
     def histogram(self, name: str) -> Histogram:
         if name not in self._histograms:

@@ -55,12 +55,18 @@ class Topology:
 
     def __init__(self) -> None:
         self._kinds: Dict[str, NodeKind] = {}
+        # The same nodes by kind, in insertion order: finding a PoP
+        # costs O(PoPs), however many clients there are.
+        self._by_kind: Dict[NodeKind, List[str]] = {
+            kind: [] for kind in NodeKind
+        }
         self._links: Dict[Tuple[str, str], Link] = {}
 
     def add_node(self, name: str, kind: NodeKind) -> None:
         if name in self._kinds:
             raise ValueError(f"node {name!r} already exists")
         self._kinds[name] = kind
+        self._by_kind[kind].append(name)
 
     def connect(self, a: str, b: str, link: Link) -> None:
         for name in (a, b):
@@ -78,7 +84,7 @@ class Topology:
     def nodes(self, kind: Optional[NodeKind] = None) -> List[str]:
         if kind is None:
             return list(self._kinds)
-        return [name for name, k in self._kinds.items() if k is kind]
+        return list(self._by_kind[kind])
 
     def link(self, a: str, b: str) -> Link:
         try:
@@ -100,7 +106,7 @@ class Topology:
         """
         edges = [
             name
-            for name in self.nodes(NodeKind.EDGE)
+            for name in self._by_kind[NodeKind.EDGE]
             if self.has_link(client, name)
         ]
         if not edges:

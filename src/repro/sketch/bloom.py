@@ -9,7 +9,8 @@ across processes and runs (no Python hash randomization).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, List, Tuple
+from functools import lru_cache
+from typing import Iterable, Tuple
 
 import numpy as np
 
@@ -21,10 +22,21 @@ def _base_hashes(key: str) -> Tuple[int, int]:
     return h1, h2
 
 
-def index_positions(key: str, bits: int, hashes: int) -> List[int]:
-    """The ``hashes`` bit positions of ``key`` in a ``bits``-wide filter."""
+#: Distinct ``(key, bits, hashes)`` whose positions stay memoised. A
+#: site's cache keys are far fewer; the bound is for per-user keys at
+#: large populations (least recently used are recomputed).
+_POSITIONS_MEMO_SIZE = 1 << 15
+
+
+@lru_cache(maxsize=_POSITIONS_MEMO_SIZE)
+def index_positions(key: str, bits: int, hashes: int) -> Tuple[int, ...]:
+    """The ``hashes`` bit positions of ``key`` in a ``bits``-wide filter.
+
+    A pure function of its arguments, and every client asks about the
+    same keys, so the BLAKE2b digest is taken once per key.
+    """
     h1, h2 = _base_hashes(key)
-    return [(h1 + i * h2) % bits for i in range(hashes)]
+    return tuple((h1 + i * h2) % bits for i in range(hashes))
 
 
 class BloomFilter:
@@ -41,8 +53,14 @@ class BloomFilter:
         self.count = 0  # elements added (approximate if duplicates added)
 
     def add(self, key: str) -> None:
-        """Insert ``key``."""
-        self._array[index_positions(key, self.bits, self.hashes)] = True
+        """Insert ``key``.
+
+        Raises ``ValueError`` on a flattened server filter, whose array
+        is read-only because every client of that version shares it.
+        """
+        array = self._array
+        for position in index_positions(key, self.bits, self.hashes):
+            array[position] = True
         self.count += 1
 
     def update(self, keys: Iterable[str]) -> None:
@@ -50,8 +68,13 @@ class BloomFilter:
             self.add(key)
 
     def __contains__(self, key: str) -> bool:
-        positions = index_positions(key, self.bits, self.hashes)
-        return bool(self._array[positions].all())
+        # Position by position: a handful of scalar reads that stop at
+        # the first clear bit beat building a fancy-indexed array.
+        array = self._array
+        for position in index_positions(key, self.bits, self.hashes):
+            if not array[position]:
+                return False
+        return True
 
     def bits_set(self) -> int:
         """Population count — number of set bits."""

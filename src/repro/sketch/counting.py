@@ -8,6 +8,8 @@ do; counters make deletion possible. Clients never see the counters:
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from repro.sketch.bloom import BloomFilter, index_positions
@@ -28,6 +30,9 @@ class CountingBloomFilter:
         self.hashes = hashes
         self._counts = np.zeros(bits, dtype=self._DTYPE)
         self.count = 0  # net elements currently represented
+        # The flattened filter of the current counters; every mutation
+        # drops it, so present means current.
+        self._flat: Optional[BloomFilter] = None
 
     def add(self, key: str) -> None:
         positions = index_positions(key, self.bits, self.hashes)
@@ -36,6 +41,7 @@ class CountingBloomFilter:
             if self._counts[position] < maxed:
                 self._counts[position] += 1
         self.count += 1
+        self._flat = None
 
     def remove(self, key: str) -> None:
         """Remove one previous insertion of ``key``.
@@ -46,23 +52,34 @@ class CountingBloomFilter:
         common bug.)
         """
         positions = index_positions(key, self.bits, self.hashes)
-        if (self._counts[positions] == 0).any():
+        if any(self._counts[position] == 0 for position in positions):
             raise KeyError(
                 f"removing {key!r} would underflow; it is not in the filter"
             )
         for position in positions:
             self._counts[position] -= 1
         self.count -= 1
+        self._flat = None
 
     def __contains__(self, key: str) -> bool:
         positions = index_positions(key, self.bits, self.hashes)
-        return bool((self._counts[positions] > 0).all())
+        return all(self._counts[position] > 0 for position in positions)
 
     def flatten(self) -> BloomFilter:
-        """The plain Bloom filter clients download."""
-        flat = BloomFilter(self.bits, self.hashes)
-        flat._array = self._counts > 0
-        flat.count = self.count
+        """The plain Bloom filter clients download.
+
+        One immutable filter per filter version: every caller between
+        two mutations gets the same object, whose array is a fresh
+        read-only copy (never a view of the counters), so no holder can
+        change what another holder — or a later version — sees.
+        """
+        flat = self._flat
+        if flat is None:
+            flat = BloomFilter(self.bits, self.hashes)
+            flat._array = self._counts > 0
+            flat._array.flags.writeable = False
+            flat.count = self.count
+            self._flat = flat
         return flat
 
     def bits_set(self) -> int:
@@ -74,6 +91,7 @@ class CountingBloomFilter:
     def clear(self) -> None:
         self._counts[:] = 0
         self.count = 0
+        self._flat = None
 
     def is_empty(self) -> bool:
         return not self._counts.any()

@@ -12,7 +12,7 @@ import fnmatch
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.http.messages import Request
 from repro.storage import BackendSpec
@@ -32,10 +32,70 @@ def _compile_globs(patterns: Tuple[str, ...]) -> "re.Pattern[str]":
     )
 
 
-def _matches_globs(path: str, patterns: Sequence[str]) -> bool:
+def _matches_globs(path: str, patterns: Tuple[str, ...]) -> bool:
     if not patterns:
         return False
-    return _compile_globs(tuple(patterns)).match(path) is not None
+    return _compile_globs(patterns).match(path) is not None
+
+
+#: Config-file keys holding a list of glob patterns.
+_PATTERN_KEYS = (
+    "whitelist",
+    "blacklist",
+    "segment_personalized",
+    "user_personalized",
+)
+
+
+def _pattern_list(key: str, value: object) -> List[str]:
+    """``value`` as a list of globs; a bare string is not one (it would
+    be read as one single-character pattern per letter)."""
+    if (
+        isinstance(value, str)
+        or not isinstance(value, Sequence)
+        or not all(isinstance(pattern, str) for pattern in value)
+    ):
+        raise ValueError(
+            f"config key {key!r} must be a list of glob strings, "
+            f"got {value!r}"
+        )
+    return list(value)
+
+
+class Route(NamedTuple):
+    """What the pattern lists say about one URL path."""
+
+    #: Per-user content: direct first-party fetch, never shared caches.
+    user_block: bool
+    #: Not blacklisted and (whitelisted, or the whitelist is empty).
+    accelerate: bool
+    #: Varies per user segment: the worker asks for the segment variant.
+    segmented: bool
+
+
+#: Distinct ``(path, pattern lists)`` whose route stays resolved.
+_ROUTE_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=_ROUTE_MEMO_SIZE)
+def _route(
+    path: str,
+    user_personalized: Tuple[str, ...],
+    blacklist: Tuple[str, ...],
+    whitelist: Tuple[str, ...],
+    segment_personalized: Tuple[str, ...],
+) -> Route:
+    """The routing decision for ``path`` — matched once, then looked up.
+
+    Keyed on the pattern *contents*: every worker of a site shares the
+    entry, and a list edited after first use is simply another key.
+    """
+    return Route(
+        user_block=_matches_globs(path, user_personalized),
+        accelerate=not _matches_globs(path, blacklist)
+        and (not whitelist or _matches_globs(path, whitelist)),
+        segmented=_matches_globs(path, segment_personalized),
+    )
 
 
 @dataclass
@@ -52,14 +112,16 @@ class RoutingRules:
     blacklist: List[str] = field(default_factory=list)
 
     def should_accelerate(self, request: Request) -> bool:
-        if not request.method.is_safe:
-            return False
-        path = request.url.path
-        if _matches_globs(path, self.blacklist):
-            return False
-        if not self.whitelist:
-            return True
-        return _matches_globs(path, self.whitelist)
+        return (
+            request.method.is_safe
+            and _route(
+                request.url.path,
+                (),
+                tuple(self.blacklist),
+                tuple(self.whitelist),
+                (),
+            ).accelerate
+        )
 
 
 @dataclass
@@ -117,14 +179,24 @@ class SpeedKitConfig:
             )
         self.backend = BackendSpec.parse(self.backend)
 
-    def _matches_any(self, path: str, patterns: Sequence[str]) -> bool:
-        return _matches_globs(path, patterns)
+    def route(self, path: str) -> Route:
+        """The resolved :class:`Route` of ``path`` under the current
+        pattern lists (the worker additionally requires a safe method
+        before accelerating)."""
+        rules = self.rules
+        return _route(
+            path,
+            tuple(self.user_personalized),
+            tuple(rules.blacklist),
+            tuple(rules.whitelist),
+            tuple(self.segment_personalized),
+        )
 
     def is_segment_personalized(self, request: Request) -> bool:
-        return self._matches_any(request.url.path, self.segment_personalized)
+        return self.route(request.url.path).segmented
 
     def is_user_personalized(self, request: Request) -> bool:
-        return self._matches_any(request.url.path, self.user_personalized)
+        return self.route(request.url.path).user_block
 
     def to_dict(self) -> dict:
         """Serialize to the JSON-compatible config-file format."""
@@ -168,9 +240,12 @@ class SpeedKitConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         kwargs = {key: value for key, value in data.items() if key in known}
+        for key in _PATTERN_KEYS:
+            if key in kwargs:
+                kwargs[key] = _pattern_list(key, kwargs[key])
         rules = RoutingRules(
-            whitelist=list(kwargs.pop("whitelist", [])),
-            blacklist=list(kwargs.pop("blacklist", [])),
+            whitelist=kwargs.pop("whitelist", []),
+            blacklist=kwargs.pop("blacklist", []),
         )
         return cls(rules=rules, **kwargs)
 

@@ -20,6 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from repro.http.headers import Headers
 from repro.http.messages import Request
 
 
@@ -155,7 +156,11 @@ class RequestScrubber:
             name.lower()
             for name in (param_denylist or self.DEFAULT_PARAM_DENYLIST)
         )
+        #: The reports that removed something, in request order.
         self.audit_log: List[ScrubReport] = []
+        #: How many scrubbed requests carried nothing to remove (an
+        #: audit needs their number, not one empty report each).
+        self.clean_requests = 0
 
     def looks_identifying(self, value: str) -> bool:
         """Value-based detection of smuggled identity."""
@@ -166,28 +171,34 @@ class RequestScrubber:
     def scrub(self, request: Request) -> Tuple[Request, ScrubReport]:
         """Return a cleaned copy of ``request`` plus the audit record."""
         report = ScrubReport()
-        cleaned = request.copy()
-        for name in list(cleaned.headers):
-            value = cleaned.headers[name]
+        if not request.headers and not request.url.query:
+            self.clean_requests += 1
+            return request.copy(), report
+        kept = Headers()
+        for name, value in request.headers.items():
             if name.lower() in self.header_denylist or (
                 self.looks_identifying(value)
             ):
-                del cleaned.headers[name]
                 report.removed_headers.append(name)
-        url = cleaned.url
-        for key, value in request.url.params.items():
+            else:
+                kept[name] = value
+        url = request.url
+        for key, value in url.params.items():
             if key.lower() in self.param_denylist or (
                 self.looks_identifying(value)
             ):
                 url = url.without_param(key)
                 report.removed_params.append(key)
-        if url is not cleaned.url:
-            cleaned = Request(
-                method=cleaned.method,
-                url=url,
-                headers=cleaned.headers,
-                body=cleaned.body,
-                client_id=cleaned.client_id,
-            )
-        self.audit_log.append(report)
+        if report.anything_removed:
+            self.audit_log.append(report)
+        else:
+            self.clean_requests += 1
+        cleaned = Request(
+            method=request.method,
+            url=url,
+            headers=kept,
+            body=request.body,
+            client_id=request.client_id,
+            trace=request.trace,
+        )
         return cleaned, report

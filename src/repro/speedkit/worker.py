@@ -18,7 +18,8 @@ request it decides among three paths:
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from functools import lru_cache
+from typing import Dict, Generator, Optional
 
 from repro.cdn.cache import CacheStore
 from repro.cdn.httpcache import HttpCache
@@ -29,10 +30,11 @@ from repro.coherence.decision import ReadDecision, decide
 from repro.http.degraded import Degraded, mark, reason_of
 from repro.http.freshness import conditional_request_for
 from repro.http.messages import Request, Response, Status
+from repro.http.url import URL
 from repro.obs.span import NULL_SPAN
 from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import SEGMENT_PARAM
-from repro.sim.metrics import MetricRegistry
+from repro.sim.metrics import Counter, MetricRegistry
 from repro.speedkit.config import SpeedKitConfig
 from repro.speedkit.gdpr import (
     ConsentManager,
@@ -45,6 +47,17 @@ from repro.speedkit.segments import SegmentResolver
 
 class _SwCache(HttpCache):
     METRIC_SCOPE = "sw"
+
+
+#: Distinct ``(url, segment)`` whose variant URL stays built.
+_VARIANT_MEMO_SIZE = 8192
+
+
+@lru_cache(maxsize=_VARIANT_MEMO_SIZE)
+def _segment_variant(url: URL, segment: str) -> URL:
+    """``url`` rewritten to its ``segment`` variant (``URL`` is frozen,
+    so every worker of a segment shares the one instance)."""
+    return url.with_param(SEGMENT_PARAM, segment)
 
 
 class ServiceWorkerProxy:
@@ -75,6 +88,10 @@ class ServiceWorkerProxy:
         self.sketch_client = sketch_client
         self.scrubber = scrubber or RequestScrubber()
         self.metrics = metrics or MetricRegistry()
+        # This worker's counters by short name, each created in the
+        # registry by its first count (never earlier: a counter that
+        # exists shows in the run's exported metrics).
+        self._counters: Dict[str, Counter] = {}
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.cache = _SwCache(
             f"sw:{node}",
@@ -100,7 +117,12 @@ class ServiceWorkerProxy:
         return self.transport.env.now
 
     def _count(self, which: str) -> None:
-        self.metrics.counter(f"speedkit.{self.node}.{which}").inc()
+        counter = self._counters.get(which)
+        if counter is None:
+            counter = self._counters[which] = self.metrics.counter(
+                f"speedkit.{self.node}.{which}"
+            )
+        counter.inc()
 
     def _charge_cache_latency(self) -> Generator:
         """Convert accrued SW-cache engine latency into simulated time."""
@@ -144,17 +166,20 @@ class ServiceWorkerProxy:
             self._count("pass_through")
             span.set(path="pass-through")
             return (yield from self._pass_through(request))
-        if self.config.is_user_personalized(request):
+        route = self.config.route(request.url.path)
+        if route.user_block:
             self._count("user_block")
             span.set(path="user-block")
             return (yield from self._fetch_user_block(request))
-        if not self.config.rules.should_accelerate(request):
+        if not (request.method.is_safe and route.accelerate):
             self._count("pass_through")
             span.set(path="pass-through")
             return (yield from self._pass_through(request))
         self._count("accelerated")
         span.set(path="accelerated")
-        return (yield from self._fetch_accelerated(request, span))
+        return (
+            yield from self._fetch_accelerated(request, route.segmented, span)
+        )
 
     def fetch_assembled(self, request: Request, blocks) -> Generator:
         """Fetch a skeleton page and stitch its dynamic blocks in.
@@ -214,21 +239,19 @@ class ServiceWorkerProxy:
         response = yield from self.fallback.fetch(outgoing)
         return response
 
-    def _fetch_accelerated(self, request: Request, span=NULL_SPAN) -> Generator:
+    def _fetch_accelerated(
+        self, request: Request, segmented: bool, span=NULL_SPAN
+    ) -> Generator:
         scrubbed, report = self.scrubber.scrub(request)
         if report.anything_removed:
             self._count("scrubbed")
-        if self.config.is_segment_personalized(scrubbed):
-            segment = self.segments.resolve()
-            scrubbed = Request(
-                method=scrubbed.method,
-                url=scrubbed.url.with_param(SEGMENT_PARAM, segment),
-                headers=scrubbed.headers,
-                body=scrubbed.body,
-                client_id=scrubbed.client_id,
+        # ``scrubbed`` is the scrubber's fresh copy, so it is this
+        # worker's to rewrite and to hang its span on (downstream hops
+        # nest under it).
+        if segmented:
+            scrubbed.url = _segment_variant(
+                scrubbed.url, self.segments.resolve()
             )
-        # The scrubber and segment rewrite build fresh Request objects;
-        # re-attach the worker's span so downstream hops keep nesting.
         scrubbed.trace = span.context
 
         # The decision procedure requires a sketch younger than Δ;

@@ -78,6 +78,29 @@ class TestServe:
         with pytest.raises(ValueError):
             EdgeCache("bad", CacheStore(shared=False))
 
+    def test_a_counter_exists_from_its_first_count_not_before(self):
+        """Counters are reached through handles resolved on first use;
+        a counter that exists shows in every exported snapshot, so none
+        may be created before its event has happened."""
+        pop = edge()
+        assert pop.metrics.snapshot() == {}
+        pop.serve(get(), now=0.0)
+        assert pop.metrics.snapshot() == {"edge.pop-1.miss": 1}
+        pop.admit(get(), ok_response(), now=0.0)
+        pop.serve(get(), now=1.0)
+        pop.serve(get(), now=2.0)
+        assert pop.metrics.snapshot() == {
+            "edge.pop-1.miss": 1,
+            "edge.pop-1.fill": 1,
+            "edge.pop-1.hit": 2,
+        }
+        # The handle and the registry name are one counter.
+        pop.metrics.counter("edge.pop-1.hit").inc(5)
+        pop.serve(get(), now=3.0)
+        assert pop.metrics.counter("edge.pop-1.hit").value == 8
+        assert pop.purge_many([get().url.cache_key(), "ghost"]) == 1
+        assert pop.metrics.snapshot()["edge.pop-1.purge"] == 1
+
 
 class TestAdmission:
     def test_private_response_not_stored(self):

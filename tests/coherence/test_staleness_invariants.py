@@ -15,17 +15,22 @@ guarantee rests on:
    ``v`` of a resource never later reads ``v' < v`` — acks may be
    deferred and replicas may race purges, but no schedule may serve a
    client a version it has already seen superseded.
+3. **Exact sketches.** Clients between two filter mutations share one
+   flattened snapshot; every download must still be, bit for bit, the
+   server's filter at that instant.
 
 The schedules are deterministic per seed, so failures reproduce.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.coherence import version_regressions
 from repro.faults import PROFILES, RetryPolicy
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner
+from repro.sketch import ServerCacheSketch
 from repro.storage import BackendSpec
 from repro.workload import (
     CatalogConfig,
@@ -34,6 +39,9 @@ from repro.workload import (
     WorkloadGenerator,
     generate_catalog,
     generate_users,
+)
+from tests.sketch.test_snapshot_sharing import (
+    keep_flattened_filter_across_remove,
 )
 
 SEEDS = (3, 11)
@@ -95,11 +103,10 @@ def _workload(seed):
     return catalog, users, trace
 
 
-def run_config(config, seed):
-    """One (config, seed) replay, cached — returns the live runner."""
-    cached = _RUNS.get((config, seed))
-    if cached is not None:
-        return cached
+def replay(config, seed):
+    """One (config, seed) replay; returns the live runner, with
+    ``sketch_downloads`` holding, per sketch download, whether it
+    equalled a memo-free flatten of the server's counters."""
     catalog, users, trace = _workload(seed)
     spec = ScenarioSpec(
         scenario=Scenario.SPEED_KIT,
@@ -108,9 +115,28 @@ def run_config(config, seed):
         **CONFIGS[config],
     )
     runner = SimulationRunner(spec, catalog, users, trace)
-    runner.run()
-    _RUNS[(config, seed)] = runner
+    downloads = runner.sketch_downloads = []
+    snapshot = ServerCacheSketch.snapshot
+
+    def audited_snapshot(self, now):
+        taken = snapshot(self, now)
+        downloads.append(
+            np.array_equal(taken.filter._array, self.filter._counts > 0)
+        )
+        return taken
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ServerCacheSketch, "snapshot", audited_snapshot)
+        runner.run()
     return runner
+
+
+def run_config(config, seed):
+    """:func:`replay`, cached."""
+    cached = _RUNS.get((config, seed))
+    if cached is None:
+        cached = _RUNS[(config, seed)] = replay(config, seed)
+    return cached
 
 
 @pytest.fixture(params=sorted(CONFIGS))
@@ -156,6 +182,19 @@ class TestStalenessInvariants:
         assert all(
             record.client is not None for record in runner.checker.records
         )
+
+    def test_every_downloaded_sketch_is_the_servers_filter(self, runner):
+        assert len(runner.sketch_downloads) > 50
+        assert all(runner.sketch_downloads)
+
+
+class TestSketchGateTrips:
+    """Teeth for ``test_every_downloaded_sketch_is_the_servers_filter``."""
+
+    def test_a_missed_invalidation_in_remove_is_caught(self, monkeypatch):
+        keep_flattened_filter_across_remove(monkeypatch)
+        runner = replay("sync-remote", SEEDS[0])
+        assert not all(runner.sketch_downloads)
 
 
 class TestBoundAccounting:

@@ -8,6 +8,7 @@ handling, the runner's response classification, and the span
 attributes.
 """
 
+import itertools
 import random
 import re
 from pathlib import Path
@@ -79,6 +80,37 @@ def test_most_restrictive_mark_wins(runner):
     assert reason_of(response) is Degraded.STALE_IF_ERROR
     mark(response, Degraded.LOAD_SHED)
     assert reason_of(response) is Degraded.LOAD_SHED
+
+
+def _four_probes(response):
+    """``reason_of`` before it answered the unmarked case with one
+    disjointness test: a membership probe per reason."""
+    for reason in Degraded:
+        if reason.header in response.headers:
+            return reason
+    return None
+
+
+@pytest.mark.parametrize(
+    "spell",
+    [str, str.lower, str.upper, str.swapcase],
+    ids=["declared", "lower", "upper", "swapcase"],
+)
+@pytest.mark.parametrize(
+    "marks",
+    [
+        subset
+        for size in range(len(Degraded) + 1)
+        for subset in itertools.combinations(Degraded, size)
+    ],
+    ids=lambda marks: "+".join(r.name for r in marks) or "unmarked",
+)
+def test_reason_of_equals_the_four_probe_loop(runner, marks, spell):
+    _, response = answer(runner, None)
+    for reason in reversed(marks):
+        response.headers[spell(reason.header)] = "1"
+    assert reason_of(response) is _four_probes(response)
+    assert reason_of(response) is (marks[0] if marks else None)
 
 
 @EVERY_CASE
@@ -160,6 +192,19 @@ def test_lands_in_the_ledger_its_columns_say(runner, reason):
     assert runner.checker.read_count == (1 if checked else 0)
     hits = 1 if served and not fallback else 0
     assert result.cache_hit_ratio() == (hits if served else 0.0)
+    # The serve counters are reached through handles resolved on first
+    # use; exactly the ones this answer touches may exist.
+    kind = response.headers["X-Resource-Kind"]
+    expected = (
+        {"serve.layer.edge", f"serve.kind.edge.{kind}"}
+        if served
+        else {"serve.shed.edge"}
+    )
+    if served and fallback:
+        expected.add("serve.degraded.edge")
+    snapshot = runner.metrics.snapshot()
+    assert {name for name in snapshot if name.startswith("serve.")} == expected
+    assert all(snapshot[name] == 1 for name in expected)
 
 
 @EVERY_CASE

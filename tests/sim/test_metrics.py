@@ -113,6 +113,27 @@ class TestMetricRegistry:
         assert reg.gauge("g") is reg.gauge("g")
         assert reg.series("s") is reg.series("s")
 
+    def test_a_hit_allocates_nothing(self, monkeypatch):
+        import repro.sim.metrics as metrics
+
+        built = []
+
+        def recording(cls):
+            def build(name):
+                built.append(cls.__name__)
+                return cls(name)
+
+            return build
+
+        monkeypatch.setattr(metrics, "Counter", recording(metrics.Counter))
+        monkeypatch.setattr(metrics, "Gauge", recording(metrics.Gauge))
+        reg = MetricRegistry()
+        for _ in range(3):
+            reg.counter("a").inc()
+            reg.gauge("g").add(1)
+        assert built == ["Counter", "Gauge"]
+        assert reg.snapshot() == {"a": 3, "g": 3}
+
     def test_snapshot_contains_all_metrics(self):
         reg = MetricRegistry()
         reg.counter("hits").inc(3)

@@ -1,5 +1,7 @@
 """Tests for routing rules and configuration."""
 
+import fnmatch
+
 import pytest
 
 from repro.http import Method, Request, URL
@@ -63,3 +65,84 @@ class TestSpeedKitConfig:
         assert not config.rules.should_accelerate(get("/checkout/pay"))
         assert config.is_user_personalized(get("/api/blocks/cart"))
         assert config.is_segment_personalized(get("/category/shoes"))
+
+
+class TestResolvedRoute:
+    """``route(path)`` ≡ the three predicates as they were defined
+    before it existed: one ``fnmatch`` per pattern, per request."""
+
+    PATHS = [
+        "/",
+        "/static/app.js",
+        "/static/",
+        "/product/1",
+        "/product/",
+        "/category/shoes",
+        "/api/products/7",
+        "/api/recommendations",
+        "/search",
+        "/checkout",
+        "/checkout/pay",
+        "/account",
+        "/accounts/x",
+        "/api/documents/carts/u1",
+        "/api/blocks/cart",
+        "/unlisted",
+        "/Product/1",
+        "/static/a/b.css",
+    ]
+
+    @staticmethod
+    def reference(config, path):
+        def matches(patterns):
+            return any(fnmatch.fnmatchcase(path, p) for p in patterns)
+
+        rules = config.rules
+        accelerate = not matches(rules.blacklist) and (
+            not rules.whitelist or matches(rules.whitelist)
+        )
+        return (
+            matches(config.user_personalized),
+            accelerate,
+            matches(config.segment_personalized),
+        )
+
+    def assert_agrees(self, config):
+        for path in self.PATHS:
+            expected = self.reference(config, path)
+            assert tuple(config.route(path)) == expected, path
+            for request, safe in ((get(path), True), (post(path), False)):
+                assert config.is_user_personalized(request) == expected[0]
+                assert config.rules.should_accelerate(request) == (
+                    safe and expected[1]
+                )
+                assert config.is_segment_personalized(request) == expected[2]
+
+    def test_ecommerce_default(self):
+        self.assert_agrees(SpeedKitConfig.ecommerce_default())
+
+    def test_empty_lists(self):
+        self.assert_agrees(SpeedKitConfig())
+
+    def test_lists_edited_after_first_use(self):
+        config = SpeedKitConfig.ecommerce_default()
+        self.assert_agrees(config)
+        config.rules.blacklist.append("/product/*")
+        self.assert_agrees(config)
+        assert not config.route("/product/1").accelerate
+        config.segment_personalized = []
+        self.assert_agrees(config)
+        assert not config.route("/category/shoes").segmented
+        config.rules.whitelist.clear()
+        config.user_personalized[0] = "/search"
+        self.assert_agrees(config)
+        assert config.route("/unlisted").accelerate
+        assert config.route("/search").user_block
+
+    def test_equal_lists_in_two_configs_do_not_interfere(self):
+        edited = SpeedKitConfig.ecommerce_default()
+        untouched = SpeedKitConfig.ecommerce_default()
+        assert edited.route("/product/1") == untouched.route("/product/1")
+        edited.rules.blacklist.append("/product/*")
+        assert not edited.route("/product/1").accelerate
+        assert untouched.route("/product/1").accelerate

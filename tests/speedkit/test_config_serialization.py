@@ -42,3 +42,32 @@ def test_unknown_keys_rejected():
 def test_invalid_values_still_validated():
     with pytest.raises(ValueError):
         SpeedKitConfig.from_dict({"sketch_refresh_interval": 0.0})
+
+
+PATTERN_KEYS = (
+    "whitelist",
+    "blacklist",
+    "segment_personalized",
+    "user_personalized",
+)
+
+
+@pytest.mark.parametrize("key", PATTERN_KEYS)
+@pytest.mark.parametrize(
+    "value",
+    ["/static/*", b"/static/*", 7, None, {"/static/*": True}, ["/ok", 7]],
+    ids=["str", "bytes", "int", "none", "dict", "list-with-int"],
+)
+def test_pattern_lists_must_be_lists_of_strings(key, value):
+    """A bare string used to be iterated letter by letter, leaving
+    patterns that match only the path ``/``."""
+    with pytest.raises(ValueError, match=f"'{key}' must be a list"):
+        SpeedKitConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize("key", PATTERN_KEYS)
+def test_pattern_lists_accept_lists_and_tuples(key):
+    for value in (["/a/*", "/b"], ("/a/*", "/b"), []):
+        assert SpeedKitConfig.from_dict({key: value}).to_dict()[key] == list(
+            value
+        )

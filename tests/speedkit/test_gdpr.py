@@ -1,5 +1,7 @@
 """Tests for the GDPR layer: vault, consent, scrubbing."""
 
+import pytest
+
 from repro.http import Headers, Request, URL
 from repro.speedkit import ConsentManager, PiiVault, Purpose, RequestScrubber
 
@@ -110,9 +112,14 @@ class TestRequestScrubber:
         scrubber.scrub(
             Request.get(URL.of("/b"), headers=Headers({"Cookie": "s=1"}))
         )
-        assert len(scrubber.audit_log) == 2
-        assert not scrubber.audit_log[0].anything_removed
-        assert scrubber.audit_log[1].anything_removed
+        scrubber.scrub(
+            Request.get(URL.of("/c"), headers=Headers({"Accept": "*/*"}))
+        )
+        # Only what removed something is retained; a request with
+        # nothing to scrub (bare, or carrying only benign headers)
+        # is counted, not logged.
+        assert [r.removed_headers for r in scrubber.audit_log] == [["Cookie"]]
+        assert scrubber.clean_requests == 2
 
     def test_custom_denylists(self):
         scrubber = RequestScrubber(
@@ -127,3 +134,65 @@ class TestRequestScrubber:
         assert "Cookie" in cleaned.headers
         assert "X-Tracking" not in cleaned.headers
         assert "ref" not in cleaned.url.params
+
+
+def scrub_by_copy_then_delete(scrubber, request):
+    """The scrubber before it built the kept headers directly (and
+    before its early return): copy everything, then delete."""
+    removed_headers, removed_params = [], []
+    cleaned = request.copy()
+    for name in list(cleaned.headers):
+        value = cleaned.headers[name]
+        if name.lower() in scrubber.header_denylist or (
+            scrubber.looks_identifying(value)
+        ):
+            del cleaned.headers[name]
+            removed_headers.append(name)
+    url = cleaned.url
+    for key, value in request.url.params.items():
+        if key.lower() in scrubber.param_denylist or (
+            scrubber.looks_identifying(value)
+        ):
+            url = url.without_param(key)
+            removed_params.append(key)
+    return cleaned.headers, url, removed_headers, removed_params
+
+
+@pytest.mark.parametrize(
+    "headers,params",
+    [
+        ({}, {}),
+        ({"Cookie": "session=u42"}, {}),
+        ({"cOOkie": "session=u42", "Accept": "text/html"}, {}),
+        ({"Accept": "text/html", "X-B": "2", "X-A": "1"}, {"color": "red"}),
+        ({"X-Custom": "a" * 40, "Accept-Language": "de"}, {"q": "shoes"}),
+        ({}, {"userid": "42", "q": "jane@example.com", "page": "2"}),
+        (
+            {"Authorization": "Bearer x", "If-None-Match": '"v1"'},
+            {"SID": "1", "sort": "price"},
+        ),
+    ],
+)
+def test_scrub_equals_copy_then_delete(headers, params):
+    scrubber = RequestScrubber()
+    request = Request.get(
+        URL.of("/p", params),
+        headers=Headers(headers),
+        body="payload",
+        client_id="u42",
+    )
+    kept, url, removed_headers, removed_params = scrub_by_copy_then_delete(
+        scrubber, request
+    )
+    cleaned, report = scrubber.scrub(request)
+    assert cleaned is not request and cleaned.headers is not request.headers
+    assert list(cleaned.headers.items()) == list(kept.items())
+    assert cleaned.url == url
+    assert (cleaned.method, cleaned.body, cleaned.client_id) == (
+        request.method,
+        "payload",
+        "u42",
+    )
+    assert report.removed_headers == removed_headers
+    assert report.removed_params == removed_params
+    assert list(request.headers.items()) == list(Headers(headers).items())

@@ -47,6 +47,60 @@ class TestRouting:
         )
 
 
+    def test_counters_exist_from_their_first_count_not_before(
+        self, env, make_worker
+    ):
+        worker = make_worker()
+
+        def mine():
+            return {
+                name: value
+                for name, value in worker.metrics.snapshot().items()
+                if name.startswith(("speedkit.", "sw."))
+            }
+
+        assert mine() == {}
+        run(env, worker.fetch(get("/static/app.js")))
+        assert mine() == {
+            "speedkit.client.accelerated": 1,
+            "speedkit.client.fetches": 1,
+            "sw.sw:client.miss": 1,
+            "sw.sw:client.fill": 1,
+        }
+        run(env, worker.fetch(get("/static/app.js")))
+        assert mine() == {
+            "speedkit.client.accelerated": 2,
+            "speedkit.client.fetches": 1,
+            "speedkit.client.served_from_cache": 1,
+            "sw.sw:client.miss": 1,
+            "sw.sw:client.fill": 1,
+            "sw.sw:client.hit": 1,
+        }
+
+    def test_lists_edited_after_the_first_request_still_route(
+        self, env, make_worker
+    ):
+        """The resolved route is keyed on the lists' contents, so an
+        edit between two requests for one path takes effect."""
+        worker = make_worker()
+        counter = worker.metrics.counter
+
+        first = run(env, worker.fetch(get("/product/1")))
+        assert first.url.params[SEGMENT_PARAM] == "gold|de"
+        assert counter("speedkit.client.accelerated").value == 1
+
+        worker.config.segment_personalized.remove("/product/*")
+        second = run(env, worker.fetch(get("/product/1")))
+        assert SEGMENT_PARAM not in second.url.params
+        assert counter("speedkit.client.accelerated").value == 2
+
+        worker.config.rules.blacklist.append("/product/*")
+        third = run(env, worker.fetch(get("/product/1")))
+        assert third.served_by == "origin"
+        assert counter("speedkit.client.pass_through").value == 1
+        assert counter("speedkit.client.accelerated").value == 2
+
+
 class TestGdprBehaviour:
     def test_cookie_never_reaches_shared_infrastructure(
         self, env, make_worker, backend
