@@ -7,6 +7,7 @@ simulation more than necessary; each printed table is also written to
 ``benchmarks/results/`` so the reproduced numbers survive the run.
 """
 
+import dataclasses
 import os
 import random
 from pathlib import Path
@@ -58,30 +59,17 @@ def workload():
 
 @pytest.fixture(scope="session")
 def run_cached(workload):
-    """Run (and memoize) one scenario spec against the workload."""
+    """Run (and memoize) one scenario spec against the workload.
+
+    The memo key is the whole spec, field by field: two specs share a
+    run only when no field tells them apart.
+    """
     catalog, users, trace = workload
     cache = {}
 
     def run(spec: ScenarioSpec):
-        key = (
-            spec.scenario,
-            spec.delta,
-            spec.page_ttl,
-            spec.adaptive_ttl,
-            spec.n_segments,
-            spec.seed,
-            spec.backend,
-            spec.batch_waves,
-            spec.n_regions,
-            spec.replicate_pops,
-            spec.replication_delay,
-            spec.fault_profile,
-            spec.stale_if_error,
-            spec.retry,
-            spec.overload_profile,
-            spec.load_multiplier,
-            spec.admission,
-            spec.autoscale,
+        key = tuple(
+            getattr(spec, field.name) for field in dataclasses.fields(spec)
         )
         if key not in cache:
             cache[key] = SimulationRunner(

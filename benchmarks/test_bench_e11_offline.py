@@ -23,10 +23,7 @@ SCENARIOS = [
 
 
 @pytest.fixture(scope="module")
-def results(run_cached, workload):
-    from repro.harness import SimulationRunner
-
-    catalog, users, trace = workload
+def results(run_cached):
     out = {}
     for scenario in SCENARIOS:
         spec = ScenarioSpec(
@@ -34,7 +31,7 @@ def results(run_cached, workload):
             outage=OUTAGE,
             label=f"{scenario.value}+outage",
         )
-        out[scenario] = SimulationRunner(spec, catalog, users, trace).run()
+        out[scenario] = run_cached(spec)
     return out
 
 

@@ -14,17 +14,14 @@ from benchmarks.conftest import emit
 
 
 @pytest.fixture(scope="module")
-def variants(run_cached, workload):
-    from repro.harness import SimulationRunner
-
-    catalog, users, trace = workload
+def variants(run_cached):
     inline = run_cached(ScenarioSpec(scenario=Scenario.SPEED_KIT))
     swr_spec = ScenarioSpec(
         scenario=Scenario.SPEED_KIT,
         stale_while_revalidate=True,
         label="speed-kit-swr",
     )
-    swr = SimulationRunner(swr_spec, catalog, users, trace).run()
+    swr = run_cached(swr_spec)
     return inline, swr
 
 

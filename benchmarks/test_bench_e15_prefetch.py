@@ -9,25 +9,21 @@ sides are measured here, along with the untouched coherence bound
 
 import pytest
 
-from repro.harness import Scenario, ScenarioSpec, SimulationRunner, format_table
+from repro.harness import Scenario, ScenarioSpec, format_table
 
 from benchmarks.conftest import emit
 
 
 @pytest.fixture(scope="module")
-def variants(run_cached, workload):
-    catalog, users, trace = workload
+def variants(run_cached):
     plain = run_cached(ScenarioSpec(scenario=Scenario.SPEED_KIT))
-    prefetching = SimulationRunner(
+    prefetching = run_cached(
         ScenarioSpec(
             scenario=Scenario.SPEED_KIT,
             prefetch=True,
             label="speed-kit-prefetch",
-        ),
-        catalog,
-        users,
-        trace,
-    ).run()
+        )
+    )
     return plain, prefetching
 
 

@@ -20,37 +20,34 @@ The claims under test:
 
 import pytest
 
-from repro.harness import Scenario, ScenarioSpec, SimulationRunner, format_table
+from repro.harness import Scenario, ScenarioSpec, format_table
 from repro.obs import dump_jsonl, pageview_attributions
 
 from benchmarks.conftest import RESULTS_DIR, emit
 
 
-def run_runner(workload, trace_requests):
-    catalog, users, trace = workload
-    spec = ScenarioSpec(
-        scenario=Scenario.SPEED_KIT,
-        trace_requests=trace_requests,
-        label="speed-kit+traced" if trace_requests else "speed-kit",
-    )
-    # Deliberately not ``run_cached``: its memo key ignores
-    # ``trace_requests``, and E21 needs both variants at one seed.
-    runner = SimulationRunner(spec, catalog, users, trace)
-    runner.run()
-    return runner
-
-
 @pytest.fixture(scope="module")
-def runners(workload):
+def results(run_cached):
     return {
-        "plain": run_runner(workload, trace_requests=False),
-        "traced": run_runner(workload, trace_requests=True),
+        # Its own label, hence its own memo entry: ``plt.values`` is
+        # compared in arrival order below, and a result shared with
+        # other tables has been sorted in place by their percentiles.
+        "plain": run_cached(
+            ScenarioSpec(scenario=Scenario.SPEED_KIT, label="speed-kit")
+        ),
+        "traced": run_cached(
+            ScenarioSpec(
+                scenario=Scenario.SPEED_KIT,
+                trace_requests=True,
+                label="speed-kit+traced",
+            )
+        ),
     }
 
 
-def test_bench_e21_tracing(runners, benchmark):
-    plain = runners["plain"].result
-    traced = runners["traced"].result
+def test_bench_e21_tracing(results, benchmark):
+    plain = results["plain"]
+    traced = results["traced"]
 
     # Tracing is pure observation: the simulation is bit-identical.
     assert traced.plt.values == plain.plt.values
@@ -79,7 +76,7 @@ def test_bench_e21_tracing(runners, benchmark):
     RESULTS_DIR.mkdir(exist_ok=True)
     dump_jsonl(records, trace_path)
 
-    registry = runners["traced"].metrics
+    registry = traced.metrics
     rows = []
     for tier in sorted(breakdown, key=breakdown.get, reverse=True):
         sketch = registry.sketch(f"tier.plt.{tier}")

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, Optional, Sequence
 
+from repro.browser.client import Fetcher
 from repro.browser.transport import Transport
 from repro.http.messages import Request
 
 
-class NoCacheClient:
+class NoCacheClient(Fetcher):
     """The no-caching-at-all baseline: every request hits the origin."""
 
     def __init__(self, node: str, transport: Transport) -> None:
@@ -16,61 +17,36 @@ class NoCacheClient:
         self.transport = transport
 
     def fetch(self, request: Request) -> Generator:
-        response = yield from self.transport.fetch_direct(
-            self.node, request
-        )
-        return response
+        return self.transport.fetch_direct(self.node, request)
 
 
-class CookieJarFetcher:
+class CookieJarFetcher(Fetcher):
     """Wraps a fetcher, attaching the session cookie like a browser.
 
     Browsers send cookies on *every* same-site request. Baselines
     therefore leak the session to the origin on each fetch (forcing
     personalized responses private); the Speed Kit worker receives the
     same cookie-laden requests and scrubs them — the wrapper makes the
-    comparison honest.
+    comparison honest. It adds no frame of its own: both calls hand
+    back the wrapped fetcher's generator; everything else of the
+    wrapped fetcher is reached through ``inner``.
     """
 
-    def __init__(self, inner, user_id: Optional[str]) -> None:
+    def __init__(self, inner: Fetcher, user_id: Optional[str]) -> None:
         self.inner = inner
         self.user_id = user_id
-
-    def fetch(self, request: Request) -> Generator:
-        outgoing = request
-        if self.user_id is not None and "Cookie" not in request.headers:
-            outgoing = request.with_header(
-                "Cookie", f"session={self.user_id}"
-            )
-        response = yield from self.inner.fetch(outgoing)
-        return response
 
     def _with_cookie(self, request: Request) -> Request:
         if self.user_id is not None and "Cookie" not in request.headers:
             return request.with_header("Cookie", f"session={self.user_id}")
         return request
 
+    def fetch(self, request: Request) -> Generator:
+        return self.inner.fetch(self._with_cookie(request))
+
     def fetch_many(self, requests: Sequence[Request]) -> Generator:
-        """Batched fetch with cookies attached to every request.
-
-        Defined explicitly (not via ``__getattr__`` delegation) so the
-        cookie is attached *before* the batch reaches the inner
-        fetcher. Falls back to parallel single fetches when the inner
-        fetcher has no batched path.
-        """
-        outgoing = [self._with_cookie(request) for request in requests]
-        inner_many = getattr(self.inner, "fetch_many", None)
-        if inner_many is not None:
-            responses = yield from inner_many(outgoing)
-            return responses
-        env = self.inner.transport.env
-        processes = [
-            env.process(self.inner.fetch(request)) for request in outgoing
-        ]
-        done = yield env.all_of(processes)
-        responses: List = [done[process] for process in processes]
-        return responses
-
-    def __getattr__(self, name: str):
-        # Delegate everything else (cache, metrics, on_navigate, ...).
-        return getattr(self.inner, name)
+        """The wrapped fetcher's wave, the cookie attached to every
+        request *before* the batch reaches it."""
+        return self.inner.fetch_many(
+            [self._with_cookie(request) for request in requests]
+        )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Generator, List, Optional, Protocol, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from repro.browser.cache import BrowserCache
 from repro.cdn.network import Cdn
@@ -14,17 +14,30 @@ from repro.obs.tracer import NOOP_TRACER
 from repro.sim.metrics import MetricRegistry
 
 
-class Fetcher(Protocol):
-    """Anything that can resolve a request inside the simulation.
+class Fetcher:
+    """Anything that can resolve requests inside the simulation.
 
-    ``fetch`` is a generator sub-process: drive it with ``yield from``
-    and receive the :class:`Response` as its return value. The page
-    load engine composes fetchers; the Speed Kit service worker is an
-    alternative implementation of this protocol.
+    The whole surface the page load engine, the cookie jar and the
+    transaction coordinator call: ``fetch`` and ``fetch_many``. Both
+    return a generator sub-process: drive it with ``yield from`` and
+    receive the :class:`Response` (or the responses, in request order)
+    as its return value. An implementer writes ``fetch``; the default
+    ``fetch_many`` needs its ``transport`` to schedule on.
     """
 
+    transport: Transport
+
     def fetch(self, request: Request) -> Generator:
-        ...  # pragma: no cover - protocol
+        """Resolve one request."""
+        raise NotImplementedError
+
+    def fetch_many(self, requests: Sequence[Request]) -> Generator:
+        """Resolve a wave of requests: parallel single fetches, unless
+        the implementer has a batched path."""
+        env = self.transport.env
+        processes = [env.process(self.fetch(request)) for request in requests]
+        done = yield env.all_of(processes)
+        return [done[process] for process in processes]
 
 
 class TransportMode(enum.Enum):
@@ -34,7 +47,7 @@ class TransportMode(enum.Enum):
     CDN = "cdn"  # classic CDN in front of the origin
 
 
-class BrowserClient:
+class BrowserClient(Fetcher):
     """The baseline fetcher: browser cache + direct/CDN transport.
 
     On a cache hit the response is returned with zero network time. On
@@ -66,21 +79,10 @@ class BrowserClient:
         )
 
     def _transport_fetch(self, request: Request) -> Generator:
+        """The configured transport's fetch of ``request`` (not started)."""
         if self.mode is TransportMode.CDN:
-            response = yield from self.transport.fetch_via_cdn(
-                self.node, request, self.cdn
-            )
-        else:
-            response = yield from self.transport.fetch_direct(
-                self.node, request
-            )
-        return response
-
-    def _charge_cache_latency(self) -> Generator:
-        """Convert accrued storage-engine latency into simulated time."""
-        lag = self.cache.store.drain_latency()
-        if lag > 0:
-            yield self.transport.env.timeout(lag)
+            return self.transport.fetch_via_cdn(self.node, request, self.cdn)
+        return self.transport.fetch_direct(self.node, request)
 
     def fetch(self, request: Request) -> Generator:
         """Resolve one request (generator sub-process)."""
@@ -103,7 +105,7 @@ class BrowserClient:
             response = yield from self._transport_fetch(request)
             return response
         cached = self.cache.serve(request, self.transport.env.now)
-        yield from self._charge_cache_latency()
+        yield from self.transport.charge(self.cache.store)
         if cached is not None:
             span.set(verdict="hit", version=cached.version)
             return cached
@@ -120,7 +122,7 @@ class BrowserClient:
                     request, response, self.transport.env.now
                 )
                 if refreshed is not None:
-                    yield from self._charge_cache_latency()
+                    yield from self.transport.charge(self.cache.store)
                     span.set(revalidated="304", version=refreshed.version)
                     return refreshed
                 response = yield from self._transport_fetch(request)
@@ -128,13 +130,13 @@ class BrowserClient:
             admitted = self.cache.admit(
                 request, response, self.transport.env.now
             )
-            yield from self._charge_cache_latency()
+            yield from self.transport.charge(self.cache.store)
             return admitted
 
         span.set(verdict="miss")
         response = yield from self._transport_fetch(request)
         admitted = self.cache.admit(request, response, self.transport.env.now)
-        yield from self._charge_cache_latency()
+        yield from self.transport.charge(self.cache.store)
         return admitted
 
     def fetch_many(self, requests: Sequence[Request]) -> Generator:
@@ -168,7 +170,7 @@ class BrowserClient:
                 singles[index] = env.process(self.fetch(request))
                 continue
             batched.append(index)
-        yield from self._charge_cache_latency()
+        yield from self.transport.charge(self.cache.store)
         if batched:
             fetched = yield from self.transport.fetch_many_via_cdn(
                 self.node, [requests[index] for index in batched], self.cdn
@@ -177,7 +179,7 @@ class BrowserClient:
                 responses[index] = self.cache.admit(
                     requests[index], response, env.now
                 )
-            yield from self._charge_cache_latency()
+            yield from self.transport.charge(self.cache.store)
         if singles:
             done = yield env.all_of(list(singles.values()))
             for index, process in singles.items():

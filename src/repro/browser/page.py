@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
+from repro.browser.client import Fetcher
 from repro.http.messages import Request, Response
 from repro.http.url import URL
 from repro.obs.analysis import response_attrs
@@ -93,14 +94,16 @@ class PageLoadEngine:
     With ``batch_waves`` each slot of a wave travels as one multi-asset
     lookup through the fetcher's ``fetch_many`` (HTTP/2-style
     multiplexing: one edge round trip, one batched cache read) instead
-    of ``max_parallel`` independent connections. Fetchers without a
-    batched path fall back to parallel single fetches.
+    of ``max_parallel`` independent connections. Every
+    :class:`~repro.browser.client.Fetcher` has a ``fetch_many``; one
+    without a batched path of its own answers with the protocol's
+    default, parallel single fetches.
     """
 
     def __init__(
         self,
         env: Environment,
-        fetcher,
+        fetcher: Fetcher,
         max_parallel: int = 6,
         batch_waves: bool = False,
         tracer=None,
@@ -180,11 +183,6 @@ class PageLoadEngine:
 
         pending = list(wave)
         responses: List[Tuple[int, Response]] = []
-        fetch_many = (
-            getattr(self.fetcher, "fetch_many", None)
-            if self.batch_waves
-            else None
-        )
         # Launch in slots of max_parallel: a simple but faithful model
         # of the browser's connection pool (slots refill as a batch).
         index = 0
@@ -195,7 +193,7 @@ class PageLoadEngine:
                 Request.get(resource.url, headers=Headers(headers or {}))
                 for resource in batch
             ]
-            if fetch_many is not None:
+            if self.batch_waves:
                 # One multiplexed lookup for the whole slot.
                 span = self.tracer.start(
                     "request-batch",
@@ -208,7 +206,9 @@ class PageLoadEngine:
                 )
                 for request in requests:
                     request.trace = span.context
-                batch_responses = yield from fetch_many(requests)
+                batch_responses = yield from self.fetcher.fetch_many(
+                    requests
+                )
                 if self.tracer.enabled:
                     span.set(
                         responses=[

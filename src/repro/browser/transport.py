@@ -6,7 +6,7 @@ timeouts sampled from the topology's links; cache and origin logic is
 invoked synchronously at the simulated instant the message arrives.
 
 Fault handling lives at this layer because this is where messages
-exist: the optional ``faults`` schedule (a plain
+exist: the ``faults`` oracle (a plain
 :class:`~repro.simnet.faults.FaultSchedule` or a full
 :class:`~repro.faults.injector.FaultInjector`) decides which nodes
 fail, which traversals are lost, and which are slowed; the optional
@@ -15,8 +15,9 @@ exchange tries before synthesizing a 503; the optional
 :class:`~repro.faults.breaker.CircuitBreaker` trips a repeatedly
 failing PoP to origin pass-through; and ``stale_if_error`` lets the
 edge answer a failed fill with a bounded-stale copy. All four default
-to off, in which case every code path below is draw-for-draw identical
-to the fault-free transport.
+to off (the oracle to :data:`~repro.simnet.faults.NO_FAULTS`, whose
+answers draw nothing), in which case every code path below is
+draw-for-draw identical to the fault-free transport.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import TXN_VALIDATE_PATH, OriginServer
 from repro.overload.priority import classify_request
 from repro.sim.environment import Environment
+from repro.simnet.faults import NO_FAULTS, FaultSchedule
 from repro.simnet.topology import Topology
 
 #: How long a sender waits out a lost message when no retry policy is
@@ -89,7 +91,7 @@ class Transport:
         origin_server: OriginServer,
         rng: random.Random,
         origin_node: str = "origin",
-        faults=None,
+        faults: FaultSchedule = NO_FAULTS,
         metrics=None,
         retry=None,
         breaker=None,
@@ -125,56 +127,28 @@ class Transport:
         if self.metrics is not None:
             self.metrics.counter(name).inc()
 
-    @property
-    def _origin_store(self):
-        site = getattr(self.origin_server, "site", None)
-        return getattr(site, "store", None)
-
-    def _charge_store_latency(
-        self, store, concurrent: float = 0.0
-    ) -> Generator:
+    def charge(self, store, concurrent: float = 0.0) -> Generator:
         """Convert a store's accrued engine latency into simulated time.
 
-        Caches and the origin document store are synchronous; when
-        their storage engine is a simulated remote KV, the per-op cost
-        accrues inside the engine and is drained here, at the node that
-        performed the operations. ``concurrent`` is the network transit
-        the caller pays right after this drain point — overlap-capable
-        engines clip their pool against it (pipelining storage round
-        trips under the transfer), serialized engines add in full.
+        The one drain of the cost pool: every tier's store (a cache's
+        :class:`~repro.cdn.cache.CacheStore`, the origin's document
+        store) is synchronous; when its storage engine is a simulated
+        remote KV, the per-op cost accrues inside the engine and is
+        drained here, at the node that performed the operations.
+        ``concurrent`` is the network transit the caller pays right
+        after this drain point — overlap-capable engines clip their
+        pool against it (pipelining storage round trips under the
+        transfer), serialized engines add in full.
         """
-        drain = getattr(store, "drain_latency", None) if store else None
-        lag = drain(concurrent) if drain is not None else 0.0
+        lag = store.drain_latency(concurrent)
         if lag > 0:
             yield self.env.timeout(lag)
-
-    # -- fault queries -----------------------------------------------------
-    #
-    # Looked up with ``getattr`` so a plain FaultSchedule (is_down only)
-    # and ``faults=None`` both keep working; the fallbacks never touch
-    # any RNG, so the fault-free draw sequence is unchanged.
-
-    def _node_fails(self, node: str) -> bool:
-        if self.faults is None:
-            return False
-        should_fail = getattr(self.faults, "should_fail", None)
-        if should_fail is not None:
-            return should_fail(node, self.env.now)
-        return self.faults.is_down(node, self.env.now)
-
-    def _loses_message(self, sender: str, receiver: str) -> bool:
-        loses = getattr(self.faults, "loses_message", None)
-        return loses is not None and loses(sender, receiver)
-
-    def _latency_factor(self, sender: str, receiver: str) -> float:
-        factor = getattr(self.faults, "latency_factor", None)
-        return factor(sender, receiver) if factor is not None else 1.0
 
     # -- origin exchange ---------------------------------------------------
 
     def _origin_handle(self, request: Request) -> Response:
         """Let the origin answer — unless it is down (or browned out)."""
-        if self._node_fails(self.origin_node):
+        if self.faults.should_fail(self.origin_node, self.env.now):
             return Response(
                 status=Status.SERVICE_UNAVAILABLE,
                 headers=Headers({"Cache-Control": "no-store"}),
@@ -231,14 +205,14 @@ class Transport:
         declares the attempt dead.
         """
         link = self.topology.link(from_node, self.origin_node)
-        if self._loses_message(from_node, self.origin_node):
+        if self.faults.loses_message(from_node, self.origin_node):
             self._count("transport.lost_requests")
             span.event("lost-request", at=self.env.now)
             yield self.env.timeout(attempt_timeout)
             return None
         forward = self.topology.one_way(
             from_node, self.origin_node, self.rng
-        ) * self._latency_factor(from_node, self.origin_node)
+        ) * self.faults.latency_factor(from_node, self.origin_node)
         yield self.env.timeout(forward)
         governor = self._origin_governor()
         if governor is not None:
@@ -252,26 +226,26 @@ class Transport:
                 span.event("shed", at=self.env.now)
                 yield self.env.timeout(
                     link.one_way(self.rng)
-                    * self._latency_factor(self.origin_node, from_node)
+                    * self.faults.latency_factor(self.origin_node, from_node)
                 )
                 return self._shed_response(request, self.origin_node)
         response = self._origin_handle(request)
         self._count_bytes("origin_egress", response)
-        if self._loses_message(self.origin_node, from_node):
+        if self.faults.loses_message(self.origin_node, from_node):
             # The origin did the work (and sent the bytes), but the
             # reply never arrives; the sender times out the remainder.
             self._count("transport.lost_responses")
             span.event("lost-response", at=self.env.now)
             yield self.env.timeout(max(0.0, attempt_timeout - forward))
             return None
-        transit = link.one_way(self.rng) * self._latency_factor(
+        transit = link.one_way(self.rng) * self.faults.latency_factor(
             self.origin_node, from_node
         ) + link.transfer_time(_content_length(response))
         # Store latency may overlap with the response transit: the
         # origin's storage round trips and the return leg run
         # concurrently for a pipelining engine.
-        yield from self._charge_store_latency(
-            self._origin_store, concurrent=transit
+        yield from self.charge(
+            self.origin_server.site.store, concurrent=transit
         )
         yield self.env.timeout(transit)
         return response
@@ -428,9 +402,9 @@ class Transport:
         edge = cdn.pop(edge_name)
         yield self.env.timeout(
             self.topology.one_way(client_node, edge_name, self.rng)
-            * self._latency_factor(client_node, edge_name)
+            * self.faults.latency_factor(client_node, edge_name)
         )
-        if self._node_fails(edge_name):
+        if self.faults.should_fail(edge_name, self.env.now):
             # The PoP is dark: fail over to the origin directly.
             self._count("transport.edge_failures")
             span.event("edge-down", at=self.env.now)
@@ -455,7 +429,7 @@ class Transport:
                 client_link = self.topology.link(client_node, edge_name)
                 yield self.env.timeout(
                     client_link.one_way(self.rng)
-                    * self._latency_factor(edge_name, client_node)
+                    * self.faults.latency_factor(edge_name, client_node)
                 )
                 span.set(
                     status=int(response.status),
@@ -478,7 +452,7 @@ class Transport:
             # Credentialed request: relay through the edge without any
             # cache interaction.
             edge_span.set(verdict="pass")
-            response = yield from self._relay_to_origin(
+            response = yield from self._origin_exchange(
                 edge_name, request, parent=edge_span
             )
         else:
@@ -495,11 +469,11 @@ class Transport:
             span.event("not-modified-to-client", at=self.env.now)
         self._count_bytes("edge_egress", response)
         client_link = self.topology.link(client_node, edge_name)
-        transit = client_link.one_way(self.rng) * self._latency_factor(
+        transit = client_link.one_way(self.rng) * self.faults.latency_factor(
             edge_name, client_node
         ) + client_link.transfer_time(_content_length(response))
         # Edge storage round trips may pipeline under the client leg.
-        yield from self._charge_store_latency(edge.store, concurrent=transit)
+        yield from self.charge(edge.store, concurrent=transit)
         edge_span.set(status=int(response.status))
         self.tracer.finish(edge_span, self.env.now)
         yield self.env.timeout(transit)
@@ -563,9 +537,9 @@ class Transport:
         edge = cdn.pop(edge_name)
         yield self.env.timeout(
             self.topology.one_way(client_node, edge_name, self.rng)
-            * self._latency_factor(client_node, edge_name)
+            * self.faults.latency_factor(client_node, edge_name)
         )
-        if self._node_fails(edge_name):
+        if self.faults.should_fail(edge_name, self.env.now):
             self._count("transport.edge_failures")
             span.event("edge-down", at=self.env.now)
             if self.breaker is not None:
@@ -597,7 +571,7 @@ class Transport:
                 client_link = self.topology.link(client_node, edge_name)
                 yield self.env.timeout(
                     client_link.one_way(self.rng)
-                    * self._latency_factor(edge_name, client_node)
+                    * self.faults.latency_factor(edge_name, client_node)
                 )
                 span.set(shed=True)
                 self.tracer.finish(span, self.env.now)
@@ -626,7 +600,7 @@ class Transport:
             if index not in lookup:
                 # Credentialed request: relay without cache interaction.
                 fills[index] = self.env.process(
-                    self._relay_to_origin(edge_name, request, parent=edge_span)
+                    self._origin_exchange(edge_name, request, parent=edge_span)
                 )
         hits = 0
         for index, response in zip(lookup, served):
@@ -653,25 +627,16 @@ class Transport:
             self._count_bytes("edge_egress", response)
             total_length += _content_length(response)
         client_link = self.topology.link(client_node, edge_name)
-        transit = client_link.one_way(self.rng) * self._latency_factor(
+        transit = client_link.one_way(self.rng) * self.faults.latency_factor(
             edge_name, client_node
         ) + client_link.transfer_time(total_length)
         # The batched edge lookup drains once for the whole wave,
         # overlapping with the shared return leg where the engine can.
-        yield from self._charge_store_latency(edge.store, concurrent=transit)
+        yield from self.charge(edge.store, concurrent=transit)
         self.tracer.finish(edge_span, self.env.now)
         yield self.env.timeout(transit)
         self.tracer.finish(span, self.env.now)
         return responses
-
-    def _relay_to_origin(
-        self, edge_name: str, request: Request, parent=None
-    ) -> Generator:
-        """Edge-to-origin round trip with no cache involvement."""
-        response = yield from self._origin_exchange(
-            edge_name, request, parent=parent
-        )
-        return response
 
     def _traced_fill(
         self, edge_name: str, edge: EdgeCache, request: Request, parent

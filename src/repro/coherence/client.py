@@ -15,6 +15,7 @@ from typing import Generator, List, Optional
 
 from repro.obs.tracer import NOOP_TRACER
 from repro.sim.environment import Environment
+from repro.simnet.faults import NO_FAULTS, FaultSchedule
 from repro.simnet.topology import Topology
 from repro.sketch.cache_sketch import ClientCacheSketch, ServerCacheSketch
 
@@ -41,7 +42,7 @@ class SketchClient:
         rng: random.Random,
         refresh_interval: float = 60.0,
         sketch_node: str = "origin",
-        faults=None,
+        faults: FaultSchedule = NO_FAULTS,
         tracer=None,
     ) -> None:
         if refresh_interval <= 0:
@@ -105,9 +106,7 @@ class SketchClient:
         yield self.env.timeout(
             self.topology.one_way(self.client_node, self.sketch_node, self.rng)
         )
-        if self.faults is not None and self.faults.is_down(
-            self.sketch_node, self.env.now
-        ):
+        if self.faults.is_down(self.sketch_node, self.env.now):
             self.stats.failures += 1
             span.set(outcome="unreachable")
             self.tracer.finish(span, self.env.now)

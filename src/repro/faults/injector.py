@@ -7,12 +7,13 @@ and reproducible), while per-message coin flips (link loss, latency
 spikes, brownout 5xx) are drawn lazily from a *separate* seeded stream
 so the fault decisions never perturb the simulation's own RNG streams.
 
-It subclasses :class:`~repro.simnet.faults.FaultSchedule`, so every
-existing consumer of ``is_down`` (the transport's origin check, the
-sketch client) works unchanged; the richer queries — ``should_fail``,
-``loses_message``, ``latency_factor`` — are looked up with ``getattr``
-by the transport, so a plain hand-built ``FaultSchedule`` still plugs
-into the same seam.
+It subclasses :class:`~repro.simnet.faults.FaultSchedule`, which
+declares the whole oracle surface: ``is_down`` (scheduled outages —
+all the sketch client asks) and the per-message queries the transport
+calls on every hop, ``should_fail``, ``loses_message`` and
+``latency_factor``. The base answers those three without a draw; this
+class overrides them, so a plain hand-built ``FaultSchedule`` and
+:data:`~repro.simnet.faults.NO_FAULTS` plug into the same seam.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.baselines.clients import CookieJarFetcher, NoCacheClient
+from repro.browser.cache import BrowserCache
 from repro.browser.client import BrowserClient, TransportMode
 from repro.browser.page import PageLoadEngine
 from repro.browser.transport import Transport
@@ -22,6 +23,7 @@ from repro.origin.site import ResourceKind
 from repro.sim.environment import Environment
 from repro.sim.metrics import Counter
 from repro.sim.rng import RngStreams
+from repro.simnet.faults import NO_FAULTS, FaultSchedule
 from repro.simnet.profiles import build_web_topology
 from repro.sketch.cache_sketch import ServerCacheSketch
 from repro.speedkit.config import SpeedKitConfig
@@ -91,10 +93,12 @@ class SimulationRunner:
         site_factory=None,
         page_builder=None,
     ) -> None:
-        """``site_factory(catalog) -> Site`` and ``page_builder`` (an
-        object with ``for_view(page_kind, target) -> PageSpec``) default
-        to the e-commerce shop; pass alternatives to replay the same
-        trace format against a different site (e.g. the media site in
+        """``site_factory(catalog, store_backend=None) -> Site`` (the
+        backend, when given, is the storage engine of the site's
+        document store) and ``page_builder`` (an object with
+        ``for_view(page_kind, target) -> PageSpec``) default to the
+        e-commerce shop; pass alternatives to replay the same trace
+        format against a different site (e.g. the media site in
         :mod:`repro.workload.mediasite`)."""
         # Rate-scaled replay: fold the spec's time-compression factor
         # into its wall-time-gap knobs (Δ, TTLs, purge pipeline, …) so
@@ -234,8 +238,8 @@ class SimulationRunner:
             fault_seed=self.spec.seed,
         )
 
-    def _build_faults(self):
-        """The run's fault schedule (or ``None`` in the perfect world).
+    def _build_faults(self) -> FaultSchedule:
+        """The run's fault oracle (``NO_FAULTS`` in the perfect world).
 
         A configured fault profile builds a seeded
         :class:`~repro.faults.injector.FaultInjector`; the legacy
@@ -255,10 +259,8 @@ class SimulationRunner:
                 injector.add_outage("origin", *spec.outage)
             return injector
         if spec.outage is not None:
-            from repro.simnet.faults import FaultSchedule
-
             return FaultSchedule.origin_outage(*spec.outage)
-        return None
+        return NO_FAULTS
 
     def _build(self) -> None:
         spec = self.spec
@@ -304,6 +306,10 @@ class SimulationRunner:
         )
 
         self._cache_spec = self._cache_backend_spec()
+        # Every worker of the run shares one config and one scheme:
+        # both depend on the spec alone.
+        self._worker_config = self._speedkit_config()
+        self._segments = self._segment_scheme()
         site = self._build_site()
         self.server = OriginServer(site, ttl_policy=self._ttl_policy())
         self.cdn: Optional[Cdn] = None
@@ -367,8 +373,7 @@ class SimulationRunner:
                 tracer=self.tracer,
                 overload=self._overload,
             )
-        faults = self._build_faults()
-        self._faults = faults
+        self._faults = self._build_faults()
         breaker = None
         if (
             scenario.uses_cdn
@@ -384,7 +389,7 @@ class SimulationRunner:
             self.topology,
             self.server,
             self.streams.stream("network"),
-            faults=faults,
+            faults=self._faults,
             metrics=self.metrics,
             retry=spec.retry,
             breaker=breaker,
@@ -443,29 +448,33 @@ class SimulationRunner:
         )
 
     def _build_site(self):
-        """Build the site, injecting the scenario's storage engine into
-        the origin document store when the factory supports it."""
-        if self.spec.backend is not None:
-            try:
-                return self.site_factory(
-                    self.catalog,
-                    store_backend=self.spec.backend.build(salt="origin"),
-                )
-            except TypeError:
-                pass  # custom factory without backend injection
-        return self.site_factory(self.catalog)
+        """Build the site, its document store on the scenario's storage
+        engine when one is selected."""
+        backend = self.spec.backend
+        return self.site_factory(
+            self.catalog,
+            store_backend=(
+                backend.build(salt="origin") if backend is not None else None
+            ),
+        )
 
-    def _browser_cache(self, node: str):
-        """A browser cache on the scenario's storage engine (or the
-        client default when no backend is selected)."""
-        if self._cache_spec is None:
-            return None
-        from repro.browser.cache import BrowserCache
-
-        return BrowserCache(
-            f"browser:{node}",
+    def _browser_client(self, node: str, mode: TransportMode) -> BrowserClient:
+        """A plain browser stack, its cache on the scenario's storage
+        engine (or the cache's default when no backend is selected)."""
+        spec = self._cache_spec
+        name = f"browser:{node}"
+        return BrowserClient(
+            node,
+            self.transport,
+            mode=mode,
+            cdn=self.cdn if mode is TransportMode.CDN else None,
+            cache=BrowserCache(
+                name,
+                metrics=self.metrics,
+                backend=spec.build(salt=name) if spec is not None else None,
+            ),
             metrics=self.metrics,
-            backend=self._cache_spec.build(salt=f"browser:{node}"),
+            tracer=self.tracer,
         )
 
     def _speedkit_config(self) -> SpeedKitConfig:
@@ -501,36 +510,12 @@ class SimulationRunner:
         scenario = self.spec.scenario
         if scenario is Scenario.NO_CACHE:
             return NoCacheClient(node, self.transport)
-        if scenario is Scenario.BROWSER_ONLY:
-            return BrowserClient(
-                node,
-                self.transport,
-                mode=TransportMode.DIRECT,
-                cache=self._browser_cache(node),
-                metrics=self.metrics,
-                tracer=self.tracer,
-            )
         if scenario is Scenario.CLASSIC_CDN:
-            return BrowserClient(
-                node,
-                self.transport,
-                mode=TransportMode.CDN,
-                cdn=self.cdn,
-                cache=self._browser_cache(node),
-                metrics=self.metrics,
-                tracer=self.tracer,
-            )
-        if not user.consents:
+            return self._browser_client(node, TransportMode.CDN)
+        if scenario is Scenario.BROWSER_ONLY or not user.consents:
             # A non-consenting user keeps the plain browser stack even
             # on a Speed Kit site (the worker never activates).
-            return BrowserClient(
-                node,
-                self.transport,
-                mode=TransportMode.DIRECT,
-                cache=self._browser_cache(node),
-                metrics=self.metrics,
-                tracer=self.tracer,
-            )
+            return self._browser_client(node, TransportMode.DIRECT)
         return self._build_worker(user)
 
     def _segment_scheme(self) -> SegmentScheme:
@@ -579,27 +564,19 @@ class SimulationRunner:
             faults=self._faults,
             tracer=self.tracer,
         )
-        fallback = BrowserClient(
-            user.user_id,
-            self.transport,
-            mode=TransportMode.DIRECT,
-            cache=self._browser_cache(user.user_id),
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
         return ServiceWorkerProxy(
             node=user.user_id,
             transport=self.transport,
             cdn=self.cdn,
-            config=self._speedkit_config(),
+            config=self._worker_config,
             vault=vault,
             consent=consent,
-            segments=SegmentResolver(
-                self._segment_scheme(), vault, consent
-            ),
+            segments=SegmentResolver(self._segments, vault, consent),
             sketch_client=sketch_client,
             metrics=self.metrics,
-            fallback=fallback,
+            fallback=self._browser_client(
+                user.user_id, TransportMode.DIRECT
+            ),
             tracer=self.tracer,
         )
 
@@ -617,9 +594,8 @@ class SimulationRunner:
                 tiers[f"sw:{user_id}"] = stack.worker.cache.store
                 browser = stack.worker.fallback
             # A NoCacheClient has no cache at all.
-            cache = getattr(browser, "cache", None)
-            if cache is not None:
-                tiers[f"browser:{user_id}"] = cache.store
+            if isinstance(browser, BrowserClient):
+                tiers[f"browser:{user_id}"] = browser.cache.store
         return tiers
 
     # -- replay ----------------------------------------------------------------

@@ -159,15 +159,12 @@ class InvalidationPipeline:
         if self.sketch is not None:
             for cache_key in sorted(cache_keys):
                 self.sketch.report_write(cache_key, now=self.env.now)
-            stale_count = getattr(self.sketch, "stale_key_count", None)
-            if stale_count is not None:
-                self.metrics.series("invalidation.stale_keys").record(
-                    self.env.now, stale_count(self.env.now)
-                )
-        ttl_policy = getattr(self.server.ttl_policy, "observe_resource_write", None)
-        if ttl_policy is not None:
-            for resource_key in sorted(record.resource_keys):
-                ttl_policy(resource_key, self.env.now)
+            self.metrics.series("invalidation.stale_keys").record(
+                self.env.now, self.sketch.stale_key_count(self.env.now)
+            )
+        ttl_policy = self.server.ttl_policy
+        for resource_key in sorted(record.resource_keys):
+            ttl_policy.observe_resource_write(resource_key, self.env.now)
 
         yield self.env.timeout(self.purge_latency - self.detection_latency)
         purge_span = self.tracer.start(
@@ -189,7 +186,7 @@ class InvalidationPipeline:
             # because each one widens the effective staleness window by
             # up to one propagation delay — the term the runner adds to
             # the Δ bound when replication is on.
-            replicator = getattr(self.cdn, "replicator", None)
+            replicator = self.cdn.replicator
             if replicator is not None:
                 superseded = replicator.in_flight_for(cache_keys)
                 if superseded:

@@ -7,10 +7,10 @@ three parts:
   the full request path (service worker -> transport -> PoP/CDN tiers
   -> origin) recording per-hop sim-clock timings, cache verdicts,
   versions served, and fault events;
-* a :class:`MetricsRegistry` extending the exact tallies in
-  :mod:`repro.sim.metrics` with streaming quantile sketches
-  (:class:`QuantileSketch`) for p50/p95/p99 without retaining raw
-  samples;
+* the :class:`MetricsRegistry` (the one registry of
+  :mod:`repro.sim.metrics`): exact tallies plus streaming quantile
+  sketches (:class:`QuantileSketch`) for p50/p95/p99 without retaining
+  raw samples;
 * exporters: a JSONL trace dump (:func:`dump_jsonl`), golden-trace
   normalization, and per-tier latency attribution for the harness
   report (:mod:`repro.obs.analysis`).
@@ -40,9 +40,9 @@ from repro.obs.export import (
     span_records,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.quantile import QuantileSketch
 from repro.obs.span import NULL_SPAN, Span, SpanContext
 from repro.obs.tracer import NOOP_TRACER, RecordingTracer, Tracer
+from repro.sim.quantile import QuantileSketch
 
 __all__ = [
     "NOOP_TRACER",

@@ -67,6 +67,11 @@ class TtlPolicy(Protocol):
         """Build the directives for one response."""
         ...  # pragma: no cover - protocol
 
+    def observe_resource_write(self, resource_key: str, now: float) -> None:
+        """A write to ``resource_key`` was detected at ``now`` (the
+        invalidation pipeline reports every one)."""
+        ...  # pragma: no cover - protocol
+
 
 class StaticTtlPolicy:
     """Fixed TTLs per resource kind — the classic CDN configuration.
@@ -112,6 +117,9 @@ class StaticTtlPolicy:
         if spec.kind is ResourceKind.STATIC:
             cc.immutable = True
         return cc
+
+    def observe_resource_write(self, resource_key: str, now: float) -> None:
+        """Fixed TTLs learn nothing from writes."""
 
 
 #: ``(collection, doc_id)`` of one engine read.

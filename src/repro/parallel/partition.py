@@ -18,14 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.workload.trace import (
-    AccessUser,
-    CartAdd,
-    EraseUser,
-    PageView,
-    TxnRead,
-    WorkloadTrace,
-)
+from repro.workload.trace import UserEvent, WorkloadTrace
 
 __all__ = ["assign_users", "partition_users", "shard_trace"]
 
@@ -57,10 +50,12 @@ def shard_trace(
 ) -> WorkloadTrace:
     """The slice of ``trace`` one shard replays.
 
-    User-originated events — page views, cart adds, and the user's own
-    GDPR erase/access requests — are kept iff the user is in ``owned``
-    (a user's bytes only ever live on the shard that replays their
-    traffic, so their erasure walks that same shard); every
+    User-originated events (every
+    :class:`~repro.workload.trace.UserEvent`: page views, cart adds,
+    transactions, and the user's own GDPR erase/access requests) are
+    kept iff the user is in ``owned`` (a user's bytes only ever live
+    on the shard that replays their traffic, so their erasure walks
+    that same shard); every
     :class:`~repro.workload.trace.ProductUpdate` is kept so the
     shard's origin applies the full write stream. Event order (and
     therefore each event's timestamp) is preserved, so a shard's
@@ -76,10 +71,7 @@ def shard_trace(
     events = [
         event
         for event in trace.events
-        if not isinstance(
-            event, (PageView, CartAdd, TxnRead, EraseUser, AccessUser)
-        )
-        or event.user_id in members
+        if not isinstance(event, UserEvent) or event.user_id in members
     ]
     return WorkloadTrace(
         events=events, duration=trace.duration, world=trace.world

@@ -1,9 +1,11 @@
 """Metric collection for simulations.
 
 Plain in-memory collectors: counters, gauges, value histograms with
-percentile queries, and time series. A :class:`MetricRegistry` groups
-them under hierarchical dotted names so harness code can dump every
-metric of a run in one pass.
+percentile queries, time series, and streaming quantile sketches
+(:class:`~repro.sim.quantile.QuantileSketch`: p50/p95/p99 without
+retaining raw samples). A :class:`MetricRegistry` groups them under
+hierarchical dotted names so harness code can dump every metric of a
+run in one pass; it is the one registry every component takes.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.sim.quantile import QuantileSketch
 
 
 @dataclass
@@ -175,6 +179,7 @@ class MetricRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._series: Dict[str, TimeSeries] = {}
+        self._sketches: Dict[str, QuantileSketch] = {}
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
@@ -198,6 +203,18 @@ class MetricRegistry:
             self._series[name] = TimeSeries(name)
         return self._series[name]
 
+    def sketch(
+        self, name: str, relative_accuracy: float = 0.0025
+    ) -> QuantileSketch:
+        """Create-or-get the named streaming quantile sketch."""
+        sketch = self._sketches.get(name)
+        if sketch is None:
+            sketch = self._sketches[name] = QuantileSketch(relative_accuracy)
+        return sketch
+
+    def sketch_names(self) -> List[str]:
+        return sorted(self._sketches)
+
     def get_counter(self, name: str) -> Optional[Counter]:
         return self._counters.get(name)
 
@@ -209,12 +226,13 @@ class MetricRegistry:
         """Fold another registry into self, metric by metric.
 
         The merge is *exact* for every collector type: counters and
-        gauges sum, histograms concatenate their raw observations, and
-        time series interleave their points in time order. Metrics
-        present only in ``other`` are created. This is the registry
-        half of the sharded-simulation merge contract — merging N
-        per-shard registries is equivalent to one registry having
-        observed all N event streams.
+        gauges sum, histograms concatenate their raw observations,
+        time series interleave their points in time order, and
+        quantile sketches use their order-independent bucket merge.
+        Metrics present only in ``other`` are created. This is the
+        registry half of the sharded-simulation merge contract —
+        merging N per-shard registries is equivalent to one registry
+        having observed all N event streams.
         """
         for name, counter in other._counters.items():
             self.counter(name).value += counter.value
@@ -224,6 +242,8 @@ class MetricRegistry:
             self.histogram(name).merge(hist)
         for name, series in other._series.items():
             self.series(name).merge(series)
+        for name, sketch in other._sketches.items():
+            self.sketch(name, sketch.relative_accuracy).merge(sketch)
         return self
 
     def snapshot(self) -> Dict[str, object]:
@@ -237,4 +257,6 @@ class MetricRegistry:
             out[name] = hist.summary()
         for name, series in self._series.items():
             out[name] = len(series)
+        for name, sketch in self._sketches.items():
+            out[name] = sketch.summary()
         return out

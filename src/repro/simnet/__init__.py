@@ -13,7 +13,7 @@ from repro.simnet.delay import (
     LogNormalDelay,
     UniformDelay,
 )
-from repro.simnet.faults import FaultSchedule, OutageWindow
+from repro.simnet.faults import NO_FAULTS, FaultSchedule, OutageWindow
 from repro.simnet.profiles import (
     CONNECTION_PROFILES,
     ConnectionProfile,
@@ -29,6 +29,7 @@ __all__ = [
     "FaultSchedule",
     "Link",
     "LogNormalDelay",
+    "NO_FAULTS",
     "NodeKind",
     "OutageWindow",
     "Topology",

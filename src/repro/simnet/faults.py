@@ -6,11 +6,18 @@ layer consults it and answers ``503 Service Unavailable`` for requests
 reaching a dead node — which is what lets the Speed Kit service worker
 demonstrate its offline-resilience behaviour (serving cached copies
 through an origin outage).
+
+It is also the whole *fault oracle* surface the request path calls:
+``is_down`` plus the three per-message queries, which here answer
+"nothing else goes wrong" without touching any RNG.
+:class:`~repro.faults.injector.FaultInjector` overrides them with
+seeded coin flips; :data:`NO_FAULTS` is the perfect world.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, List
 
 
@@ -42,9 +49,22 @@ class FaultSchedule:
         self.outages.setdefault(node, []).append(OutageWindow(start, end))
 
     def is_down(self, node: str, at: float) -> bool:
-        return any(
-            window.covers(at) for window in self.outages.get(node, ())
-        )
+        for window in self.outages.get(node, ()):
+            if window.covers(at):
+                return True
+        return False
+
+    def should_fail(self, node: str, at: float) -> bool:
+        """Whether ``node`` fails a request arriving at ``at``."""
+        return self.is_down(node, at)
+
+    def loses_message(self, sender: str, receiver: str) -> bool:
+        """Whether one message traversal is lost in transit."""
+        return False
+
+    def latency_factor(self, sender: str, receiver: str) -> float:
+        """Delay multiplier for one traversal (1.0 = nominal)."""
+        return 1.0
 
     def total_downtime(self, node: str) -> float:
         return sum(
@@ -58,3 +78,9 @@ class FaultSchedule:
         schedule = cls()
         schedule.add_outage("origin", start, end)
         return schedule
+
+
+#: The oracle of a run without faults, shared by every component that
+#: was handed none. Its outage map is read-only, so ``add_outage`` on
+#: it raises instead of failing every run in the process.
+NO_FAULTS = FaultSchedule(outages=MappingProxyType({}))

@@ -1,8 +1,8 @@
 """The Speed Kit service worker proxy — the GDPR-compliant client proxy.
 
-Implements the :class:`~repro.browser.client.Fetcher` protocol, so the
-page load engine can drive it exactly like a plain browser. Per
-request it decides among three paths:
+A :class:`~repro.browser.client.Fetcher`, so the page load engine can
+drive it exactly like a plain browser. Per request it decides among
+three paths:
 
 * **pass-through** — no consent, unsafe method, or blacklisted path:
   the request goes directly to the origin, untouched (identical to not
@@ -24,6 +24,7 @@ from typing import Dict, Generator, Optional
 from repro.cdn.cache import CacheStore
 from repro.cdn.httpcache import HttpCache
 from repro.cdn.network import Cdn
+from repro.browser.client import BrowserClient, Fetcher
 from repro.browser.transport import Transport
 from repro.coherence.client import SketchClient
 from repro.coherence.decision import ReadDecision, decide
@@ -60,7 +61,7 @@ def _segment_variant(url: URL, segment: str) -> URL:
     return url.with_param(SEGMENT_PARAM, segment)
 
 
-class ServiceWorkerProxy:
+class ServiceWorkerProxy(Fetcher):
     """One user's Speed Kit service worker."""
 
     def __init__(
@@ -75,7 +76,7 @@ class ServiceWorkerProxy:
         sketch_client: SketchClient,
         scrubber: Optional[RequestScrubber] = None,
         metrics: Optional[MetricRegistry] = None,
-        fallback: Optional[object] = None,
+        fallback: Optional[Fetcher] = None,
         tracer=None,
     ) -> None:
         self.node = node
@@ -106,11 +107,9 @@ class ServiceWorkerProxy:
         # Requests the worker does NOT accelerate still flow through
         # the regular browser HTTP cache, exactly as without a service
         # worker installed.
-        if fallback is None:
-            from repro.browser.client import BrowserClient
-
-            fallback = BrowserClient(node, transport, metrics=self.metrics)
-        self.fallback = fallback
+        self.fallback = fallback or BrowserClient(
+            node, transport, metrics=self.metrics
+        )
 
     @property
     def _now(self) -> float:
@@ -123,12 +122,6 @@ class ServiceWorkerProxy:
                 f"speedkit.{self.node}.{which}"
             )
         counter.inc()
-
-    def _charge_cache_latency(self) -> Generator:
-        """Convert accrued SW-cache engine latency into simulated time."""
-        lag = self.cache.store.drain_latency()
-        if lag > 0:
-            yield self.transport.env.timeout(lag)
 
     # -- navigation hook -----------------------------------------------------
 
@@ -162,24 +155,25 @@ class ServiceWorkerProxy:
         return response
 
     def _fetch_routed(self, request: Request, span) -> Generator:
-        if not self.consent.allows(Purpose.ACCELERATION):
-            self._count("pass_through")
-            span.set(path="pass-through")
-            return (yield from self._pass_through(request))
-        route = self.config.route(request.url.path)
-        if route.user_block:
-            self._count("user_block")
-            span.set(path="user-block")
-            return (yield from self._fetch_user_block(request))
-        if not (request.method.is_safe and route.accelerate):
-            self._count("pass_through")
-            span.set(path="pass-through")
-            return (yield from self._pass_through(request))
-        self._count("accelerated")
-        span.set(path="accelerated")
-        return (
-            yield from self._fetch_accelerated(request, route.segmented, span)
-        )
+        """Pick the request's path; returns that path's fetch, not yet
+        started (the three paths are listed in the module docstring)."""
+        if self.consent.allows(Purpose.ACCELERATION):
+            route = self.config.route(request.url.path)
+            if route.user_block:
+                self._count("user_block")
+                span.set(path="user-block")
+                return self._fetch_user_block(request)
+            if request.method.is_safe and route.accelerate:
+                self._count("accelerated")
+                span.set(path="accelerated")
+                return self._fetch_accelerated(
+                    request, route.segmented, span
+                )
+        # Pass-through: untouched, through the plain browser stack —
+        # exactly the no-Speed-Kit behaviour (browser HTTP cache included).
+        self._count("pass_through")
+        span.set(path="pass-through")
+        return self.fallback.fetch(request)
 
     def fetch_assembled(self, request: Request, blocks) -> Generator:
         """Fetch a skeleton page and stitch its dynamic blocks in.
@@ -217,13 +211,7 @@ class ServiceWorkerProxy:
         self._count("assembled_pages")
         return DynamicBlockAssembler().assemble(skeleton, fetched)
 
-    # -- the three paths ------------------------------------------------------------
-
-    def _pass_through(self, request: Request) -> Generator:
-        """Untouched fetch through the plain browser stack — exactly
-        the no-Speed-Kit behaviour (including the browser HTTP cache)."""
-        response = yield from self.fallback.fetch(request)
-        return response
+    # -- the other two paths --------------------------------------------------------
 
     def _fetch_user_block(self, request: Request) -> Generator:
         """Per-user content over the first-party connection.
@@ -236,8 +224,7 @@ class ServiceWorkerProxy:
         identity = self.vault.identity_for_first_party()
         if identity is not None and "Cookie" not in outgoing.headers:
             outgoing.headers["Cookie"] = f"session={identity}"
-        response = yield from self.fallback.fetch(outgoing)
-        return response
+        return self.fallback.fetch(outgoing)
 
     def _fetch_accelerated(
         self, request: Request, segmented: bool, span=NULL_SPAN
@@ -262,7 +249,7 @@ class ServiceWorkerProxy:
 
         key = scrubbed.url.cache_key()
         cached = self.cache.serve_even_stale(scrubbed, self._now)
-        yield from self._charge_cache_latency()
+        yield from self.transport.charge(self.cache.store)
         decision = decide(key, cached, sketch, self._now)
 
         if decision is ReadDecision.SERVE_FROM_CACHE and sketch is None:
@@ -315,7 +302,7 @@ class ServiceWorkerProxy:
             if degraded is not None:
                 return degraded
         admitted = self.cache.admit(scrubbed, response, self._now)
-        yield from self._charge_cache_latency()
+        yield from self.transport.charge(self.cache.store)
         return admitted
 
     def _serve_degraded(
@@ -386,7 +373,7 @@ class ServiceWorkerProxy:
         )
         if response.status == Status.NOT_MODIFIED:
             refreshed = self.cache.refresh(scrubbed, response, self._now)
-            yield from self._charge_cache_latency()
+            yield from self.transport.charge(self.cache.store)
             if refreshed is not None:
                 span.set(revalidated="304", version=refreshed.version)
                 return refreshed
@@ -401,7 +388,7 @@ class ServiceWorkerProxy:
                 return degraded
         span.set(revalidated="refetch")
         admitted = self.cache.admit(scrubbed, response, self._now)
-        yield from self._charge_cache_latency()
+        yield from self.transport.charge(self.cache.store)
         return admitted
 
     def _background_revalidate(

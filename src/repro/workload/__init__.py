@@ -29,6 +29,7 @@ from repro.workload.trace import (
     ProductUpdate,
     TraceEvent,
     TxnRead,
+    UserEvent,
     WorkloadTrace,
 )
 from repro.workload.flashsale import FlashSaleConfig, make_flash_sale_trace
@@ -57,6 +58,7 @@ __all__ = [
     "TraceEvent",
     "TxnRead",
     "User",
+    "UserEvent",
     "UserPopulation",
     "UserPopulationConfig",
     "WorkloadConfig",

@@ -15,6 +15,7 @@ from repro.workload.trace import (
     PageView,
     ProductUpdate,
     TxnRead,
+    UserEvent,
     WorkloadTrace,
 )
 from repro.workload.users import UserPopulation
@@ -234,10 +235,9 @@ class WorkloadGenerator:
             return []
         last_seen: dict = {}
         for event in events:
-            user_id = getattr(event, "user_id", None)
-            if user_id is not None:
-                seen = last_seen.get(user_id, 0.0)
-                last_seen[user_id] = max(seen, event.at)
+            if isinstance(event, UserEvent):
+                seen = last_seen.get(event.user_id, 0.0)
+                last_seen[event.user_id] = max(seen, event.at)
         active = sorted(
             uid
             for uid in last_seen

@@ -45,6 +45,7 @@ from repro.workload.trace import (
     ProductUpdate,
     TraceEvent,
     TxnRead,
+    UserEvent,
     WorkloadTrace,
 )
 from repro.workload.users import UserPopulation
@@ -303,7 +304,7 @@ def rescale_trace(trace: WorkloadTrace, rate: float) -> WorkloadTrace:
 _AMPLIFIED = (PageView, CartAdd, TxnRead)
 
 
-def _amplify_jitter(event: TraceEvent, copy: int) -> float:
+def _amplify_jitter(event: UserEvent, copy: int) -> float:
     """Deterministic per-(event, copy) jitter in ``[0, 1)``.
 
     Keyed on the event's own identity (never a running counter), so
@@ -312,12 +313,16 @@ def _amplify_jitter(event: TraceEvent, copy: int) -> float:
     that makes ``--load-multiplier`` commute with ``--shards``
     partitioning.
     """
-    user = getattr(event, "user_id", "")
-    target = getattr(event, "target", "") or getattr(
-        event, "product_id", ""
-    )
+    if isinstance(event, PageView):
+        target = event.target
+    elif isinstance(event, CartAdd):
+        target = event.product_id
+    else:
+        target = ""
     digest = hashlib.sha256(
-        f"amplify:{event.at!r}:{user}:{target}:{copy}".encode("utf-8")
+        f"amplify:{event.at!r}:{event.user_id}:{target}:{copy}".encode(
+            "utf-8"
+        )
     ).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 

@@ -24,10 +24,21 @@ class TraceEvent:
 
 
 @dataclass(frozen=True)
-class PageView(TraceEvent):
-    """A user navigates to a page."""
+class UserEvent(TraceEvent):
+    """Base of every event one user originates.
+
+    ``user_id`` is the whole routing contract: the events a client
+    stack replays, the users a trace has seen, and the shard that owns
+    an event are all decided by it alone.
+    """
 
     user_id: str = ""
+
+
+@dataclass(frozen=True)
+class PageView(UserEvent):
+    """A user navigates to a page."""
+
     page_kind: str = ""  # "home" | "category" | "product"
     target: str = ""  # category name or product id ("" for home)
 
@@ -45,33 +56,27 @@ class ProductUpdate(TraceEvent):
 
 
 @dataclass(frozen=True)
-class CartAdd(TraceEvent):
+class CartAdd(UserEvent):
     """A user-originated write: add a product to the cart."""
 
-    user_id: str = ""
     product_id: str = ""
 
 
 @dataclass(frozen=True)
-class TxnRead(TraceEvent):
+class TxnRead(UserEvent):
     """A multi-key read transaction over a set of product APIs."""
 
-    user_id: str = ""
     product_ids: tuple = ()  # product ids read together, hashable
 
 
 @dataclass(frozen=True)
-class EraseUser(TraceEvent):
+class EraseUser(UserEvent):
     """A GDPR Art. 17 request: erase this user's data everywhere."""
-
-    user_id: str = ""
 
 
 @dataclass(frozen=True)
-class AccessUser(TraceEvent):
+class AccessUser(UserEvent):
     """A GDPR Art. 15 request: report where this user's data lives."""
-
-    user_id: str = ""
 
 
 @dataclass
@@ -119,9 +124,7 @@ class WorkloadTrace:
         seen = {
             event.user_id
             for event in self.events
-            if isinstance(
-                event, (PageView, CartAdd, TxnRead, EraseUser, AccessUser)
-            )
+            if isinstance(event, UserEvent)
         }
         return sorted(seen)
 

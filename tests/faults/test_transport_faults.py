@@ -1,11 +1,17 @@
 """Transport under injected faults: retries, failover, stale-if-error."""
 
+import random
+
 import pytest
 
+from repro.browser import Transport
 from repro.cdn import Cdn
+from repro.coherence.client import SketchClient
 from repro.faults import CircuitBreaker, FaultProfile, RetryPolicy
 from repro.http import Request, Status, URL
-from repro.simnet import FaultSchedule
+from repro.sim import Environment
+from repro.simnet import NO_FAULTS, FaultSchedule, build_web_topology
+from repro.sketch.cache_sketch import ServerCacheSketch
 
 from tests.faults.conftest import CLIENT_EDGE, CLIENT_ORIGIN, run_fetch
 
@@ -295,3 +301,58 @@ class TestStaleIfError:
         returned = downstream.admit(get("/page/1"), degraded, env.now)
         assert returned.status == Status.OK
         assert downstream.store.peek(get("/page/1").url.cache_key()) is None
+
+
+class TestNoFaultsOracle:
+    """``faults`` is never ``None``: the default is the null oracle."""
+
+    def replay(self, server, **kwargs):
+        """Direct, CDN and wave fetches over jittered links; returns
+        every instant a response arrived and the RNG's final state."""
+        env = Environment()
+        rng = random.Random(11)
+        transport = Transport(
+            env,
+            build_web_topology(["client"], {"client": "cable"}, ["edge"]),
+            server,
+            rng,
+            **kwargs,
+        )
+        cdn = Cdn(["edge"])
+        arrivals = []
+        for index in range(4):
+            path = f"/page/{index % 2}"
+            run_fetch(env, transport.fetch_direct("client", get(path)))
+            arrivals.append(env.now)
+            run_fetch(env, transport.fetch_via_cdn("client", get(path), cdn))
+            arrivals.append(env.now)
+            run_fetch(
+                env,
+                transport.fetch_many_via_cdn(
+                    "client", [get("/page/3"), get(path)], cdn
+                ),
+            )
+            arrivals.append(env.now)
+        return transport, arrivals, rng.getstate()
+
+    def test_explicit_no_faults_replays_like_the_default(self, server):
+        default, arrivals, state = self.replay(server)
+        assert default.faults is NO_FAULTS
+        explicit, same_arrivals, same_state = self.replay(
+            server, faults=NO_FAULTS
+        )
+        assert explicit.faults is NO_FAULTS
+        assert same_arrivals == arrivals
+        assert same_state == state
+        # An empty hand-built schedule is the same oracle by behaviour.
+        _, again, again_state = self.replay(server, faults=FaultSchedule())
+        assert (again, again_state) == (arrivals, state)
+
+    def test_the_sketch_client_holds_the_null_oracle_too(self, env, topology):
+        client = SketchClient(
+            env, ServerCacheSketch(), topology, "client", random.Random(0)
+        )
+        assert client.faults is NO_FAULTS
+        process = env.process(client.fetch_once())
+        env.run()
+        assert process.value is not None and client.stats.failures == 0

@@ -11,6 +11,7 @@ from repro.workload import (
     UserPopulationConfig,
     WorkloadConfig,
     WorkloadGenerator,
+    build_media_site,
     generate_catalog,
     generate_users,
 )
@@ -104,3 +105,72 @@ def test_default_spec_matches_no_spec(workload):
         explicit.plt.percentile(50)
     )
     assert plain.origin_requests == explicit.origin_requests
+
+
+class TestSiteFactoryContract:
+    """``site_factory(catalog, store_backend=None)`` is called as
+    declared: the selected engine reaches the origin's document store,
+    and an error inside the factory is the caller's to see."""
+
+    def test_the_selected_engine_is_the_origins(self, workload):
+        catalog, users, trace = workload
+        handed = []
+
+        def factory(catalog, store_backend=None):
+            handed.append(store_backend)
+            return build_media_site(catalog, store_backend=store_backend)
+
+        for backend in (None, BACKENDS["sharded"]):
+            runner = SimulationRunner(
+                ScenarioSpec(scenario=Scenario.NO_CACHE, backend=backend),
+                catalog,
+                users,
+                trace,
+                site_factory=factory,
+            )
+            runner._build()
+        assert handed[0] is None
+        assert type(handed[1]).__name__ == "ShardedBackend"
+
+    def test_a_type_error_inside_the_factory_is_not_swallowed(self, workload):
+        """It used to be: the origin was then built on the default
+        engine, silently."""
+        catalog, users, trace = workload
+
+        def factory(catalog, store_backend=None):
+            if store_backend is not None:
+                len(None)  # a bug in the factory, not in its signature
+            return build_media_site(catalog)
+
+        runner = SimulationRunner(
+            ScenarioSpec(
+                scenario=Scenario.NO_CACHE, backend=BACKENDS["sharded"]
+            ),
+            catalog,
+            users,
+            trace,
+            site_factory=factory,
+        )
+        with pytest.raises(TypeError, match="has no len"):
+            runner._build()
+
+
+def test_workers_share_the_runs_config_and_scheme(workload):
+    catalog, users, trace = workload
+    runner = SimulationRunner(
+        ScenarioSpec(scenario=Scenario.SPEED_KIT, backend=BACKENDS["sharded"]),
+        catalog,
+        users,
+        trace,
+    )
+    runner.run()
+    workers = [stack.worker for stack in runner._stacks.values()]
+    assert len(workers) > 1 and None not in workers
+    assert len({id(worker.config) for worker in workers}) == 1
+    assert len({id(worker.segments.scheme) for worker in workers}) == 1
+    assert workers[0].config.sketch_refresh_interval == runner.spec.delta
+    # ... while everything that holds a user's state stays per client.
+    assert len({id(worker.vault) for worker in workers}) == len(workers)
+    assert len({id(worker.fallback.cache) for worker in workers}) == len(
+        workers
+    )

@@ -39,3 +39,55 @@ class TestMetricsRegistry:
         assert snapshot["tier.plt.origin"]["p50"] == pytest.approx(
             0.2, rel=0.01
         )
+
+
+class TestOneRegistry:
+    """Every component's signature says ``MetricRegistry``; whichever
+    name built it, the registry has the whole surface."""
+
+    def test_both_import_names_are_the_one_class(self):
+        from repro.obs.metrics import MetricsRegistry as by_module_path
+
+        assert MetricsRegistry is MetricRegistry is by_module_path
+
+    def test_an_erase_records_its_latency_sketch(self):
+        from repro.gdpr import ErasureCoordinator
+        from repro.origin.store import DocumentStore
+
+        metrics = MetricRegistry()
+        ErasureCoordinator(store=DocumentStore(), metrics=metrics).erase("u1")
+        assert metrics.sketch("gdpr.erase.latency").count == 1
+
+    def test_a_governed_wait_records_its_sketch(self):
+        from repro.overload.governor import NodeGovernor
+        from repro.overload.priority import PriorityClass
+        from repro.sim.environment import Environment
+
+        env = Environment()
+        metrics = MetricRegistry()
+        governor = NodeGovernor(
+            env,
+            node="pop",
+            capacity=1,
+            service_time=1.0,
+            queue_limit=4,
+            personalized_queue_limit=2,
+            admission=True,
+            metrics=metrics,
+        )
+
+        def request():
+            yield from governor.acquire(PriorityClass.STATIC)
+
+        env.process(request())
+        env.process(request())  # has to wait for the first one's slot
+        env.run()
+        assert metrics.sketch("overload.pop.wait").count == 1
+        assert metrics.sketch_names() == ["overload.pop.wait"]
+
+    def test_merge_carries_sketches_from_either_name(self):
+        ours, theirs = MetricRegistry(), MetricsRegistry()
+        theirs.sketch("lat").observe_many([1.0, 2.0])
+        ours.merge(theirs)
+        assert ours.sketch("lat").count == 2
+        assert ours.snapshot()["lat"]["count"] == 2

@@ -23,7 +23,7 @@ import pytest
 
 from repro.harness.runner import SimulationRunner
 from repro.harness.scenarios import Scenario, ScenarioSpec
-from repro.obs.quantile import QuantileSketch
+from repro.obs import QuantileSketch
 from repro.parallel import ShardedSimulationRunner, run_shard
 
 SHARD_COUNTS = (2, 4, 8)

@@ -1,12 +1,19 @@
 """Partitioning: balanced, deterministic, and loss-free."""
 
+import dataclasses
+
 import pytest
 
 from repro.parallel import assign_users, partition_users, shard_trace
 from repro.workload.trace import (
+    AccessUser,
     CartAdd,
+    EraseUser,
     PageView,
     ProductUpdate,
+    TxnRead,
+    UserEvent,
+    WorkloadTrace,
 )
 
 
@@ -98,3 +105,47 @@ def test_shard_trace_carries_the_world(workload):
             assert sliced.duration == trace.duration
     finally:
         trace.world = None  # module-scoped fixture: leave it clean
+
+
+def test_a_new_user_event_kind_is_routed_without_being_listed():
+    """``user_id`` is the routing contract: a kind of user event that
+    neither ``users_seen`` nor ``shard_trace`` has heard of is seen by
+    the one and kept by exactly one shard of the other."""
+
+    @dataclasses.dataclass(frozen=True)
+    class WishlistAdd(UserEvent):
+        product_id: str = ""
+
+    trace = WorkloadTrace(
+        events=[
+            PageView(at=1.0, user_id="u1", page_kind="home"),
+            WishlistAdd(at=2.0, user_id="u9", product_id="p1"),
+            ProductUpdate(at=3.0, product_id="p1"),
+        ],
+        duration=10.0,
+    )
+    assert trace.users_seen() == ["u1", "u9"]
+    shards = partition_users(trace.users_seen(), 2)
+    keepers = [
+        owned
+        for owned in shards
+        if any(
+            isinstance(event, WishlistAdd)
+            for event in shard_trace(trace, owned).events
+        )
+    ]
+    assert keepers == [["u9"]]
+
+
+def test_user_events_kept_their_field_order():
+    """``user_id`` moved to a base class, not to another position: the
+    positional constructor, the wire format and pickles depend on it."""
+
+    def names(cls):
+        return [field.name for field in dataclasses.fields(cls)]
+
+    assert names(PageView) == ["at", "user_id", "page_kind", "target"]
+    assert names(CartAdd) == ["at", "user_id", "product_id"]
+    assert names(TxnRead) == ["at", "user_id", "product_ids"]
+    assert names(EraseUser) == names(AccessUser) == ["at", "user_id"]
+    assert names(ProductUpdate) == ["at", "product_id", "changes"]
