@@ -22,26 +22,15 @@ def speed_kit(run_cached):
 
 
 def test_bench_e10_gdpr_accounting(speed_kit, benchmark):
-    metrics = speed_kit.metrics
-    accelerated = scrubbed = pass_through = user_blocks = 0.0
-    for name in metrics.counter_names():
-        if not name.startswith("speedkit."):
-            continue
-        value = metrics.counter(name).value
-        if name.endswith(".accelerated"):
-            accelerated += value
-        elif name.endswith(".scrubbed"):
-            scrubbed += value
-        elif name.endswith(".pass_through"):
-            pass_through += value
-        elif name.endswith(".user_block"):
-            user_blocks += value
+    accelerated = speed_kit.counted("speedkit.accelerated")
+    scrubbed = speed_kit.counted("speedkit.scrubbed")
+    user_blocks = speed_kit.counted("speedkit.user_block")
     rows = [
         {
-            "accelerated": int(accelerated),
-            "scrubbed": int(scrubbed),
-            "user_blocks_direct": int(user_blocks),
-            "pass_through": int(pass_through),
+            "accelerated": accelerated,
+            "scrubbed": scrubbed,
+            "user_blocks_direct": user_blocks,
+            "pass_through": speed_kit.counted("speedkit.pass_through"),
             "sketch_kib_downloaded": round(
                 speed_kit.sketch_bytes / 1024, 1
             ),

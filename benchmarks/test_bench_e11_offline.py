@@ -11,10 +11,15 @@ import pytest
 
 from repro.harness import Scenario, ScenarioSpec, format_table
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import STANDARD_WORKLOAD, emit
 
-#: Outage: 5 minutes in the middle of the hour-long trace.
-OUTAGE = (1500.0, 1800.0)
+#: Outage: the twelfth of the trace before its midpoint — 5 minutes
+#: (t=1500..1800s) of the hour-long trace, and inside the shorter
+#: smoke trace too.
+OUTAGE = (
+    STANDARD_WORKLOAD.duration * 5 / 12,
+    STANDARD_WORKLOAD.duration / 2,
+)
 SCENARIOS = [
     Scenario.NO_CACHE,
     Scenario.CLASSIC_CDN,

@@ -39,7 +39,7 @@ def test_bench_e1_plt(results, benchmark, run_cached, workload):
             "plt_mean_ms": round(result.plt.mean() * 1000, 1),
         }
         for connection in ("fiber", "cable", "lte", "3g"):
-            hist = result.plt_by_connection.get(connection)
+            hist = result.metrics.get_histogram(f"plt.conn.{connection}")
             if hist is not None and len(hist):
                 row[f"p50_{connection}_ms"] = round(
                     hist.percentile(50) * 1000, 1

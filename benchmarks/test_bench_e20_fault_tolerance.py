@@ -60,13 +60,9 @@ def results(run_cached):
 def degraded_servings(result):
     """Responses kept alive by the degradation ladder (bounded
     stale-if-error at the service worker plus unbounded offline)."""
-    return int(
-        sum(
-            result.metrics.counter(name).value
-            for name in result.metrics.counter_names()
-            if name.endswith(".stale_if_error_served")
-            or name.endswith(".offline_served")
-        )
+    return sum(
+        result.counted(f"speedkit.{which}")
+        for which in ("stale_if_error_served", "offline_served")
     )
 
 

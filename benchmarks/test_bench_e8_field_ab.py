@@ -43,8 +43,8 @@ def test_bench_e8_field_ab(variants, benchmark):
     # user samples differ, so ordering between groups is noisy).
     conn_rows = []
     for connection in ("fiber", "cable", "lte", "3g"):
-        a = control.plt_by_connection.get(connection)
-        b = treatment.plt_by_connection.get(connection)
+        a = control.metrics.get_histogram(f"plt.conn.{connection}")
+        b = treatment.metrics.get_histogram(f"plt.conn.{connection}")
         if a is not None and b is not None and len(a) and len(b):
             conn_rows.append(
                 {

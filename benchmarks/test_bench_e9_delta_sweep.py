@@ -27,11 +27,7 @@ def sweep(run_cached):
 
 
 def revalidations_of(result) -> int:
-    total = 0.0
-    for name in result.metrics.counter_names():
-        if name.startswith("speedkit.") and name.endswith(".revalidations"):
-            total += result.metrics.counter(name).value
-    return int(total)
+    return result.counted("speedkit.revalidations")
 
 
 def test_bench_e9_delta_sweep(sweep, run_cached, benchmark):

@@ -175,7 +175,6 @@ class Transport:
         validator, and its 200 status means the retry loop does not
         multiply load the governor just refused.
         """
-        self._count("overload.shed_responses")
         response = Response(
             status=Status.OK,
             headers=Headers({"Cache-Control": "no-store"}),

@@ -30,6 +30,10 @@ class HttpCache:
     """A passive caching node wrapping a :class:`CacheStore`."""
 
     #: Metric name prefix; subclasses override ("edge", "browser", "sw").
+    #: A shared node (a PoP: infrastructure, a handful per run) counts
+    #: under its own name, ``edge.<pop>.hit``; a private one (a user's
+    #: browser or service-worker cache) under the scope alone,
+    #: ``sw.hit`` — a metric name never carries a user's id.
     METRIC_SCOPE = "cache"
 
     def __init__(
@@ -53,13 +57,24 @@ class HttpCache:
     def shared(self) -> bool:
         return self.store.shared
 
+    def _metric_name(self, which: str) -> str:
+        if self.shared:
+            return f"{self.METRIC_SCOPE}.{self.name}.{which}"
+        return f"{self.METRIC_SCOPE}.{which}"
+
     def _count(self, which: str, amount: float = 1.0) -> None:
         counter = self._counters.get(which)
         if counter is None:
             counter = self._counters[which] = self.metrics.counter(
-                f"{self.METRIC_SCOPE}.{self.name}.{which}"
+                self._metric_name(which)
             )
         counter.inc(amount)
+
+    def counted(self, which: str) -> float:
+        """What :meth:`_count` has counted under ``which`` so far.
+        Reading never creates the counter."""
+        counter = self.metrics.get_counter(self._metric_name(which))
+        return counter.value if counter is not None else 0.0
 
     # -- request protocol ---------------------------------------------------
 
@@ -227,8 +242,6 @@ class HttpCache:
 
     def hit_ratio(self) -> float:
         """Fraction of lookups served from cache so far."""
-        scope = f"{self.METRIC_SCOPE}.{self.name}"
-        hits = self.metrics.counter(f"{scope}.hit").value
-        misses = self.metrics.counter(f"{scope}.miss").value
-        total = hits + misses
+        hits = self.counted("hit")
+        total = hits + self.counted("miss")
         return hits / total if total else 0.0

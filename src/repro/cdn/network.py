@@ -114,9 +114,6 @@ class Cdn:
             pop.purge_all()
 
     def overall_hit_ratio(self) -> float:
-        hits = misses = 0.0
-        for name in self.pops:
-            hits += self.metrics.counter(f"edge.{name}.hit").value
-            misses += self.metrics.counter(f"edge.{name}.miss").value
-        total = hits + misses
+        hits = sum(pop.counted("hit") for pop in self.pops.values())
+        total = hits + sum(pop.counted("miss") for pop in self.pops.values())
         return hits / total if total else 0.0

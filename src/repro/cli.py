@@ -493,9 +493,8 @@ def cmd_run(args) -> int:
         )
     print(format_table([result.summary_row()], title="Run summary"))
     print()
-    kinds = ("static", "page", "query", "api", "fragment")
-    row = {kind: round(result.hit_ratio_for_kind(kind), 3) for kind in kinds}
-    print(format_table([row], title="Hit ratio by content type"))
+    hit_row = result.hit_ratio_row()
+    print(format_table([hit_row], title="Hit ratio by content type"))
     if result.txns:
         print()
         txn_row = {
@@ -532,14 +531,10 @@ def cmd_run(args) -> int:
         )
     if result.tier_breakdown:
         print()
-        tier_row = {
-            tier: round(seconds, 3)
-            for tier, seconds in sorted(result.tier_breakdown.items())
-        }
-        tier_row["plt_sum"] = round(sum(result.plt.values), 3)
         print(
             format_table(
-                [tier_row], title="Per-tier latency attribution (s)"
+                [result.tier_row()],
+                title="Per-tier latency attribution (s)",
             )
         )
     return 0

@@ -97,7 +97,13 @@ class DeltaAtomicityChecker:
         server: OriginServer,
         delta: float,
         metrics: Optional[MetricRegistry] = None,
+        staleness_metric: str = "coherence.staleness",
     ) -> None:
+        """``staleness_metric`` names the histogram this checker's
+        staleness distribution goes to. Counts of two checkers on one
+        registry add up (``coherence.stale_reads`` spans every checked
+        read); distributions do not, so a checker of a population with
+        a different promise observes into a histogram of its own."""
         # NaN fails this test too: ``staleness > nan`` is never true,
         # so a NaN bound would silently judge nothing. ``inf`` is legal
         # (record without judging).
@@ -106,6 +112,7 @@ class DeltaAtomicityChecker:
         self.server = server
         self.delta = delta
         self.metrics = metrics or MetricRegistry()
+        self.staleness_metric = staleness_metric
         self.records: List[ReadRecord] = []
         self.violations: List[ReadRecord] = []
 
@@ -144,7 +151,7 @@ class DeltaAtomicityChecker:
             issued_at=issued_at,
         )
         self.records.append(record)
-        self.metrics.histogram("coherence.staleness").observe(staleness)
+        self.metrics.histogram(self.staleness_metric).observe(staleness)
         if staleness > 0:
             self.metrics.counter("coherence.stale_reads").inc()
         if violation:

@@ -10,11 +10,12 @@ cost (one round trip plus the filter's bytes) shows up in experiments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from dataclasses import dataclass
+from typing import Generator, Optional
 
 from repro.obs.tracer import NOOP_TRACER
 from repro.sim.environment import Environment
+from repro.sim.metrics import MetricRegistry
 from repro.simnet.faults import NO_FAULTS, FaultSchedule
 from repro.simnet.topology import Topology
 from repro.sketch.cache_sketch import ClientCacheSketch, ServerCacheSketch
@@ -27,7 +28,6 @@ class SketchFetchStats:
     fetches: int = 0
     failures: int = 0
     bytes_transferred: int = 0
-    fetch_times: List[float] = field(default_factory=list)
 
 
 class SketchClient:
@@ -43,6 +43,7 @@ class SketchClient:
         refresh_interval: float = 60.0,
         sketch_node: str = "origin",
         faults: FaultSchedule = NO_FAULTS,
+        metrics: Optional[MetricRegistry] = None,
         tracer=None,
     ) -> None:
         if refresh_interval <= 0:
@@ -57,6 +58,7 @@ class SketchClient:
         self.rng = rng
         self.refresh_interval = refresh_interval
         self.faults = faults
+        self.metrics = metrics or MetricRegistry()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.current: Optional[ClientCacheSketch] = None
         self.stats = SketchFetchStats()
@@ -120,7 +122,10 @@ class SketchClient:
         self.current = snapshot
         self.stats.fetches += 1
         self.stats.bytes_transferred += size
-        self.stats.fetch_times.append(self.env.now - started)
+        # The run's totals, beside this client's own: every client of a
+        # run counts into the one pair.
+        self.metrics.counter("sketch.fetches").inc()
+        self.metrics.counter("sketch.bytes").inc(size)
         span.set(outcome="fetched", bytes=size)
         self.tracer.finish(span, self.env.now)
         return snapshot

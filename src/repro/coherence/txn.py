@@ -143,21 +143,13 @@ class TxnConsistencyChecker:
     def fractured_count(self) -> int:
         return len(self.fractured)
 
-    @property
-    def serialization_violation_count(self) -> int:
-        return len(self.serialization_violations)
-
-    @property
-    def silent_downgrade_count(self) -> int:
-        return len(self.silent_downgrades)
-
     def signature(self) -> Tuple[int, int, int, int]:
         """Compact verdict for cross-checking a rebuilt checker."""
         return (
             self.txn_count,
             self.fractured_count,
-            self.serialization_violation_count,
-            self.silent_downgrade_count,
+            len(self.serialization_violations),
+            len(self.silent_downgrades),
         )
 
     def assert_txn_consistent(self) -> None:

@@ -70,9 +70,6 @@ class ErasureReport:
     #: Simulated seconds the walk cost (scans, batched removals, the
     #: write-behind flush barrier) — the erasure latency.
     simulated_latency: float = 0.0
-    #: Exported span records rewritten for this user (stamped by the
-    #: harness at export time).
-    spans_scrubbed: int = 0
     #: Buffered multi-key transaction reads poisoned mid-flight — an
     #: erase racing an in-flight serializable validation must not let
     #: the coordinator hand back the scrubbed bytes.
@@ -110,7 +107,6 @@ class ErasureReport:
                 tier: list(keys) for tier, keys in self.residuals.items()
             },
             "erasure_latency": self.simulated_latency,
-            "spans_scrubbed": self.spans_scrubbed,
             "txn_buffers_scrubbed": self.txn_buffers_scrubbed,
             "complete": self.complete,
         }

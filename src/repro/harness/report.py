@@ -16,8 +16,6 @@ from repro.harness.results import RunResult
 from repro.harness.tables import format_table
 from repro.workload.trace import WorkloadTrace
 
-CONTENT_KINDS = ("static", "page", "query", "api", "fragment")
-
 
 def _code_block(text: str) -> str:
     return f"```\n{text}\n```"
@@ -55,12 +53,10 @@ def render_report(
         "",
     ]
 
-    hit_rows: List[Dict[str, object]] = []
-    for result in results:
-        row: Dict[str, object] = {"scenario": result.scenario_name}
-        for kind in CONTENT_KINDS:
-            row[kind] = round(result.hit_ratio_for_kind(kind), 3)
-        hit_rows.append(row)
+    hit_rows = [
+        {"scenario": result.scenario_name, **result.hit_ratio_row()}
+        for result in results
+    ]
     sections += [
         "## Cache hit ratio by content type",
         "",
@@ -93,13 +89,12 @@ def render_report(
         )
         tier_rows: List[Dict[str, object]] = []
         for result in traced:
+            attribution = result.tier_row()
             row = {"scenario": result.scenario_name}
             for tier in tiers:
-                row[f"{tier}_s"] = round(
-                    result.tier_breakdown.get(tier, 0.0), 3
-                )
+                row[f"{tier}_s"] = attribution.get(tier, 0.0)
             row["sum_s"] = round(sum(result.tier_breakdown.values()), 3)
-            row["plt_sum_s"] = round(sum(result.plt.values), 3)
+            row["plt_sum_s"] = attribution["plt_sum"]
             tier_rows.append(row)
         sections += [
             "## Per-tier latency attribution",

@@ -4,7 +4,9 @@ Each :class:`RunResult` field is declared once, with :func:`ledger`,
 and carries its own rules: how shards combine it, whether
 :meth:`RunResult.to_dict` exports it, and which registry counter (if
 any) it restates. Merge, export and the counter copy are loops over
-those declarations.
+those declarations. A count field is never bumped on the way: it
+restates, at end of run, the counter kept where the event happens
+(DESIGN.md, *Observability*).
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ import dataclasses
 import inspect
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.sim.metrics import Histogram, MetricRegistry
+
+
+#: The resource kinds the per-content-type hit-ratio table reports.
+CONTENT_KINDS = ("static", "page", "query", "api", "fragment")
 
 
 def _sum_map(ours: dict, theirs: dict) -> dict:
@@ -54,12 +60,29 @@ MERGE_RULES = {
 }
 
 
+def _nest(family: Dict[str, int]) -> Dict[str, Dict[str, int]]:
+    nested: Dict[str, Dict[str, int]] = {}
+    for label, count in family.items():
+        outer, _, inner = label.partition(".")
+        nested.setdefault(outer, {})[inner] = count
+    return nested
+
+
+#: How a counter family (``{label: count}``) lands in a field, by the
+#: field's merge rule: a total, the map itself, or a nested map.
+_FAMILY_SHAPES = {
+    "sum": lambda family: sum(family.values()),
+    "sum-map": dict,
+    "sum-nested-map": _nest,
+}
+
+
 def ledger(
     merge: str,
     default=dataclasses.MISSING,
     *,
     export: Union[bool, str] = True,
-    counter: Union[None, str, Mapping[str, str]] = None,
+    counter: Optional[str] = None,
     **field_kwargs,
 ):
     """One :class:`RunResult` field with its rules.
@@ -67,7 +90,11 @@ def ledger(
     ``merge`` names a :data:`MERGE_RULES` entry; ``export`` is ``True``
     (exported under the field's name), another key, or ``False``;
     ``counter`` is the registry counter the field restates at end of
-    run — for a map field, ``{label: counter name}``.
+    run — or, ending in ``*``, a counter *family*: every counter under
+    that prefix, restated in the field's own shape (``"serve.shed.*"``
+    as a total, ``"serve.layer.*"`` as a map by label,
+    ``"serve.kind.*.*"`` as a nested map, the label split at its first
+    dot).
     """
     if merge not in MERGE_RULES:
         raise TypeError(f"unknown merge rule {merge!r}")
@@ -96,48 +123,47 @@ class RunResult:
 
     scenario_name: str = ledger("same", export="scenario")
     metrics: MetricRegistry = ledger("registry", export=False)
-    #: Page load times, overall and per dimension — aliases of
-    #: registry-owned histograms (``plt.all``, ``plt.page.<kind>``,
-    #: ``plt.conn.<connection>``).
+    #: Page load times — an alias of the registry-owned histogram
+    #: ``plt.all`` (per dimension: ``plt.page.<kind>``,
+    #: ``plt.conn.<connection>``, in the registry only).
     plt: Histogram = ledger("registry", export=False)
-    plt_by_page_kind: Dict[str, Histogram] = ledger(
-        "registry", export=False, default_factory=dict
-    )
-    plt_by_connection: Dict[str, Histogram] = ledger(
-        "registry", export=False, default_factory=dict
-    )
     #: Request counts by serving layer ("origin", "edge-1",
     #: "browser:<node>"→"browser", "sw:<node>"→"sw").
-    served_by_layer: Dict[str, int] = ledger("sum-map", default_factory=dict)
+    served_by_layer: Dict[str, int] = ledger(
+        "sum-map", default_factory=dict, counter="serve.layer.*"
+    )
     #: Request counts by (layer, resource kind).
     served_by_kind: Dict[str, Dict[str, int]] = ledger(
-        "sum-nested-map", default_factory=dict
+        "sum-nested-map", default_factory=dict, counter="serve.kind.*.*"
     )
     #: Degraded servings (stale-if-error, offline mode) per layer — a
     #: subset of ``served_by_layer``. Kept separate so hit ratios can
     #: exclude availability fallbacks from the fresh-hit numerator.
     served_degraded_by_layer: Dict[str, int] = ledger(
-        "sum-map", default_factory=dict
+        "sum-map", default_factory=dict, counter="serve.degraded.*"
     )
-    #: Coherence outcome.
+    #: Coherence outcome. ``stale_reads`` and ``reads_checked`` span
+    #: every checked read; violations exist only where the protocol
+    #: promises the Δ bound (the uncovered checker's bound is ∞).
     reads_checked: int = ledger("sum", 0)
-    stale_reads: int = ledger("sum", 0)
-    delta_violations: int = ledger("sum", 0)
+    stale_reads: int = ledger("sum", 0, counter="coherence.stale_reads")
+    delta_violations: int = ledger("sum", 0, counter="coherence.violations")
     max_staleness: float = ledger("max", 0.0)
     #: Worst staleness among users NOT covered by the Δ guarantee
     #: (non-consenting users running the plain browser stack).
     uncovered_max_staleness: float = ledger("max", 0.0)
     #: Sketch accounting (Speed Kit only).
-    sketch_fetches: int = ledger("sum", 0)
-    sketch_bytes: int = ledger("sum", 0)
+    sketch_fetches: int = ledger("sum", 0, counter="sketch.fetches")
+    sketch_bytes: int = ledger("sum", 0, counter="sketch.bytes")
     #: Scrubbing accounting (Speed Kit only).
-    requests_scrubbed: int = ledger("sum", 0)
+    requests_scrubbed: int = ledger("sum", 0, counter="speedkit.scrubbed")
     #: Origin load.
     origin_requests: int = ledger("sum", 0)
-    #: Sessions (home-page entries), for per-session statistics.
+    #: Page views loaded: the observation count of ``plt.all`` (one
+    #: page load, one PLT), restated by :meth:`mirror_counters`.
     page_views: int = ledger("sum", 0)
     #: Requests answered with a 5xx (origin outages).
-    failed_responses: int = ledger("sum", 0)
+    failed_responses: int = ledger("sum", 0, counter="serve.failed")
     #: Egress bandwidth: bytes the origin served vs. bytes edges served.
     origin_egress_bytes: int = ledger("sum", 0, counter="bytes.origin_egress")
     edge_egress_bytes: int = ledger("sum", 0, counter="bytes.edge_egress")
@@ -145,31 +171,41 @@ class RunResult:
     #: users that carried the right personalization (their segment, or
     #: a full identity-personalized render) vs. anonymous fallbacks.
     #: Exported only as the derived ``personalization_rate``.
-    personalization_checks: int = ledger("sum", 0, export=False)
-    personalization_misses: int = ledger("sum", 0, export=False)
+    personalization_checks: int = ledger(
+        "sum", 0, export=False, counter="personalization.checks"
+    )
+    personalization_misses: int = ledger(
+        "sum", 0, export=False, counter="personalization.misses"
+    )
     #: GDPR accounting: data-subject requests served and the erasure
     #: outcome. ``erasure_residuals`` is the compliance gate — any
     #: nonzero value means user bytes survived an erase somewhere.
-    erasures: int = ledger("sum", 0)
-    accesses: int = ledger("sum", 0)
-    erasure_removed: int = ledger("sum", 0)
-    erasure_residuals: int = ledger("sum", 0)
-    erasure_replicas_dropped: int = ledger("sum", 0)
-    erasure_queued_scrubbed: int = ledger("sum", 0)
+    erasures: int = ledger("sum", 0, counter="gdpr.erase.count")
+    accesses: int = ledger("sum", 0, counter="gdpr.access.count")
+    erasure_removed: int = ledger("sum", 0, counter="gdpr.erase.removed")
+    erasure_residuals: int = ledger("sum", 0, counter="gdpr.erase.residuals")
+    erasure_replicas_dropped: int = ledger(
+        "sum", 0, counter="gdpr.erase.replicas_dropped"
+    )
+    erasure_queued_scrubbed: int = ledger(
+        "sum", 0, counter="gdpr.erase.queued_scrubbed"
+    )
     #: Exported span records rewritten by the erasure scrubbing pass.
-    spans_scrubbed: int = ledger("sum", 0)
+    spans_scrubbed: int = ledger("sum", 0, counter="gdpr.spans_scrubbed")
     #: Multi-key transaction accounting. ``txn_fractured_reads``,
     #: ``txn_serialization_violations``, and ``txn_silent_downgrades``
     #: are the ladder's compliance gates — all must be zero.
-    txns: int = ledger("sum", 0)
+    txns: int = ledger("sum", 0, counter="txn.checked")
     txn_aborts: int = ledger("sum", 0, counter="txn.aborts")
-    txn_validation_retries: int = ledger("sum", 0)
-    txn_refetches: int = ledger("sum", 0)
+    txn_validation_retries: int = ledger("sum", 0, counter="txn.validation_retries")
+    txn_refetches: int = ledger("sum", 0, counter="txn.refetches")
     txn_degraded: int = ledger("sum", 0, counter="txn.degraded")
     txn_erase_conflicts: int = ledger("sum", 0, counter="txn.erase_conflicts")
-    txn_fractured_reads: int = ledger("sum", 0)
-    txn_serialization_violations: int = ledger("sum", 0)
-    txn_silent_downgrades: int = ledger("sum", 0)
+    txn_fractured_reads: int = ledger("sum", 0, counter="txn.fractured_reads")
+    txn_serialization_violations: int = ledger(
+        "sum", 0, counter="txn.serialization_violations"
+    )
+    txn_silent_downgrades: int = ledger("sum", 0, counter="txn.silent_downgrades")
     txn_buffers_scrubbed: int = ledger("sum", 0)
     #: Overload-plane accounting (zero unless an
     #: ``overload_profile`` governed the run). ``offered_requests``
@@ -184,16 +220,11 @@ class RunResult:
     )
     queued_requests: int = ledger("sum", 0, counter="overload.queued.total")
     shed_requests: int = ledger("sum", 0, counter="overload.shed.total")
-    shed_responses: int = ledger("sum", 0)
+    shed_responses: int = ledger("sum", 0, counter="serve.shed.*")
     #: Shed counts by priority class label ("personalized", "static");
     #: "control" must never appear.
     shed_by_class: Dict[str, int] = ledger(
-        "sum-map",
-        default_factory=dict,
-        counter={
-            label: f"overload.shed.{label}"
-            for label in ("control", "static", "personalized")
-        },
+        "sum-map", default_factory=dict, counter="overload.shed.*"
     )
     #: Page views whose every response was fresh, unmarked, and whose
     #: PLT met the profile's SLO — the goodput numerator. Counted only
@@ -331,12 +362,10 @@ class RunResult:
         value of ``None`` means that shard recorded nothing for the
         field, so the other side's value stands. The metric registries
         merge collector-by-collector (histograms concatenate raw
-        values, quantile sketches use their exact bucket merge). The
-        per-dimension histogram maps are re-pointed at the merged
-        registry entries, so ``self.plt`` and friends stay aliases of
-        registry-owned histograms — merging the registry once merges
-        them too (never merge them separately, that would
-        double-count).
+        values, quantile sketches use their exact bucket merge).
+        ``self.plt`` stays an alias of the registry-owned histogram —
+        merging the registry once merges it too (never merge it
+        separately, that would double-count).
         """
         if (
             self.metrics.histogram("plt.all") is not self.plt
@@ -356,38 +385,43 @@ class RunResult:
                 ours = type(theirs)()
             setattr(self, spec.name, rule(ours, theirs))
         self.metrics.merge(other.metrics)
-        for kind in other.plt_by_page_kind:
-            self.plt_by_page_kind.setdefault(
-                kind, self.metrics.histogram(f"plt.page.{kind}")
-            )
-        for conn in other.plt_by_connection:
-            self.plt_by_connection.setdefault(
-                conn, self.metrics.histogram(f"plt.conn.{conn}")
-            )
         return self
+
+    def counted(self, name: str) -> int:
+        """The registry counter ``name``; a counter nothing incremented
+        is absent from the registry and reads as zero."""
+        counter = self.metrics.get_counter(name)
+        return int(counter.value) if counter is not None else 0
 
     def mirror_counters(self) -> None:
         """Restate every mirrored registry counter in its field.
 
-        A counter nothing incremented is absent from the registry and
-        reads as zero; a map field keeps only its nonzero labels.
+        A family spans the nonzero counters under its prefix, less any
+        a field restates by its full name (``overload.shed.total`` is
+        not a class of ``overload.shed.*``).
         """
-
-        def count(name: str) -> int:
-            counter = self.metrics.get_counter(name)
-            return int(counter.value) if counter is not None else 0
-
-        for spec in dataclasses.fields(self):
+        specs = dataclasses.fields(self)
+        by_name = {spec.metadata["counter"] for spec in specs}
+        names = self.metrics.counter_names()
+        for spec in specs:
             source = spec.metadata["counter"]
-            if isinstance(source, str):
-                setattr(self, spec.name, count(source))
-            elif source is not None:
-                nonzero = {
-                    label: n
-                    for label, name in source.items()
-                    if (n := count(name))
+            if source is None:
+                continue
+            if source.endswith("*"):
+                prefix = source[: source.index("*")]
+                family = {
+                    name[len(prefix) :]: count
+                    for name in names
+                    if name.startswith(prefix)
+                    and name not in by_name
+                    and (count := self.counted(name))
                 }
-                setattr(self, spec.name, nonzero)
+                value = _FAMILY_SHAPES[spec.metadata["merge"]](family)
+            else:
+                value = self.counted(source)
+            setattr(self, spec.name, value)
+        # One page load, one PLT observation: the histogram is the count.
+        self.page_views = self.plt.count
 
     #: The derived ratios :meth:`to_dict` exports beside the fields.
     _EXPORTED_RATIOS = (
@@ -446,4 +480,21 @@ class RunResult:
                 "violations": self.delta_violations,
             }
         )
+        return row
+
+    def hit_ratio_row(self) -> Dict[str, float]:
+        """Cache hit ratio per content type (:data:`CONTENT_KINDS`)."""
+        return {
+            kind: round(self.hit_ratio_for_kind(kind), 3)
+            for kind in CONTENT_KINDS
+        }
+
+    def tier_row(self) -> Dict[str, float]:
+        """Critical-path seconds per tier crossed (sorted), then
+        ``plt_sum``, the PLT total they add up to."""
+        row = {
+            tier: round(seconds, 3)
+            for tier, seconds in sorted((self.tier_breakdown or {}).items())
+        }
+        row["plt_sum"] = round(sum(self.plt.values), 3)
         return row

@@ -405,7 +405,10 @@ class SimulationRunner:
         # Their reads are recorded separately so violations are only
         # counted where the protocol actually promises the bound.
         self.baseline_checker = DeltaAtomicityChecker(
-            self.server, delta=float("inf")
+            self.server,
+            delta=float("inf"),
+            metrics=self.metrics,
+            staleness_metric="coherence.uncovered.staleness",
         )
         # Multi-key transaction machinery: the level every TxnRead
         # event runs at, the ground-truth ladder checker, and the
@@ -562,6 +565,7 @@ class SimulationRunner:
             rng=self.streams.fork(user.user_id).stream("sketch"),
             refresh_interval=self.spec.delta,
             faults=self._faults,
+            metrics=self.metrics,
             tracer=self.tracer,
         )
         return ServiceWorkerProxy(
@@ -633,9 +637,9 @@ class SimulationRunner:
             elif isinstance(event, TxnRead):
                 self.env.process(self._handle_txn(event))
             elif isinstance(event, EraseUser):
-                self.env.process(self._handle_erase(event))
+                self.env.process(self._handle_gdpr(self.gdpr.erase, event))
             elif isinstance(event, AccessUser):
-                self.env.process(self._handle_access(event))
+                self.env.process(self._handle_gdpr(self.gdpr.access, event))
 
     def _handle_page_view(self, event: PageView) -> Generator:
         user = self.users.by_id(event.user_id)
@@ -730,10 +734,12 @@ class SimulationRunner:
         return None
 
     def _record_txn(self, user: User, txn, delta_covered: bool) -> None:
-        result = self.result
-        result.txns += 1
-        result.txn_validation_retries += txn.validation_retries
-        result.txn_refetches += txn.refetches
+        if txn.validation_retries:
+            self.metrics.counter("txn.validation_retries").inc(
+                txn.validation_retries
+            )
+        if txn.refetches:
+            self.metrics.counter("txn.refetches").inc(txn.refetches)
         if txn.degraded:
             self.metrics.counter("txn.degraded").inc()
         if txn.erase_conflict:
@@ -769,22 +775,11 @@ class SimulationRunner:
             client=user.user_id,
         )
 
-    def _handle_erase(self, event: EraseUser) -> Generator:
-        """Serve one Art. 17 request: walk, verify, charge the latency."""
-        report = self.gdpr.erase(event.user_id)
-        self.result.erasures += 1
-        self.result.erasure_removed += report.entries_removed
-        self.result.erasure_residuals += report.residual_count
-        self.result.erasure_replicas_dropped += report.replicas_dropped
-        self.result.erasure_queued_scrubbed += sum(
-            report.queued_scrubbed.values()
-        )
-        yield self.env.timeout(max(0.0, report.simulated_latency))
-
-    def _handle_access(self, event: AccessUser) -> Generator:
-        """Serve one Art. 15 request (read-only walk)."""
-        report = self.gdpr.access(event.user_id)
-        self.result.accesses += 1
+    def _handle_gdpr(self, serve, event) -> Generator:
+        """Serve one data-subject request — Art. 17 (``gdpr.erase``:
+        walk, verify) or Art. 15 (``gdpr.access``: read-only walk) —
+        and charge its latency. The coordinator does the counting."""
+        report = serve(event.user_id)
         yield self.env.timeout(max(0.0, report.simulated_latency))
 
     # -- recording ---------------------------------------------------------------
@@ -792,18 +787,13 @@ class SimulationRunner:
     def _record_page_load(
         self, user: User, event: PageView, result, delta_covered: bool = True
     ) -> None:
-        self.result.page_views += 1
         self.result.plt.observe(result.plt)
-        kind_hist = self.result.plt_by_page_kind.setdefault(
-            event.page_kind,
-            self.metrics.histogram(f"plt.page.{event.page_kind}"),
+        self.metrics.histogram(f"plt.page.{event.page_kind}").observe(
+            result.plt
         )
-        kind_hist.observe(result.plt)
-        conn_hist = self.result.plt_by_connection.setdefault(
-            user.connection,
-            self.metrics.histogram(f"plt.conn.{user.connection}"),
+        self.metrics.histogram(f"plt.conn.{user.connection}").observe(
+            result.plt
         )
-        conn_hist.observe(result.plt)
         # Timeline for phase-based analyses (flash sale, outages).
         self.metrics.series("plt.timeline").record(
             result.started_at, result.plt
@@ -847,7 +837,7 @@ class SimulationRunner:
         kind = html_response.headers.get("X-Resource-Kind")
         if kind not in ("page", "query"):
             return
-        self.result.personalization_checks += 1
+        self.metrics.counter("personalization.checks").inc()
         cc = html_response.cache_control
         if cc.no_store or cc.private:
             return  # identity-personalized render: correct
@@ -858,7 +848,7 @@ class SimulationRunner:
         )
         if segment is not None and segment != "anonymous":
             return  # segment variant: correct
-        self.result.personalization_misses += 1
+        self.metrics.counter("personalization.misses").inc()
 
     @staticmethod
     def _layer_of(served_by: str) -> str:
@@ -879,7 +869,7 @@ class SimulationRunner:
         issued_at: Optional[float] = None,
     ) -> None:
         if response.status.is_server_error:
-            self.result.failed_responses += 1
+            self.metrics.counter("serve.failed").inc()
             return
         # The one classification of a marked answer: which ledger it
         # enters, whether it is a hit, whether it is a checked read.
@@ -889,18 +879,12 @@ class SimulationRunner:
             # must not pollute the serve/hit ledgers or the coherence
             # read log.
             layer = self._layer_of(response.served_by)
-            self.result.shed_responses += 1
             self.metrics.counter(f"serve.shed.{layer}").inc()
             return
         if response.status != Status.OK or response.version is None:
             return
         layer = self._layer_of(response.served_by)
-        self.result.served_by_layer[layer] = (
-            self.result.served_by_layer.get(layer, 0) + 1
-        )
         kind = response.headers.get("X-Resource-Kind", "unknown")
-        per_kind = self.result.served_by_kind.setdefault(layer, {})
-        per_kind[kind] = per_kind.get(kind, 0) + 1
         counters = self._serve_counters.get((layer, kind))
         if counters is None:
             counters = self._serve_counters[(layer, kind)] = (
@@ -914,9 +898,6 @@ class SimulationRunner:
                 # Fallback servings (stale-if-error, offline mode) are
                 # availability wins, not fresh cache hits — they are
                 # tallied separately so hit ratios stay honest.
-                self.result.served_degraded_by_layer[layer] = (
-                    self.result.served_degraded_by_layer.get(layer, 0) + 1
-                )
                 self.metrics.counter(f"serve.degraded.{layer}").inc()
             if not reason.checked:
                 # Offline serving explicitly trades Δ-atomicity for
@@ -932,49 +913,24 @@ class SimulationRunner:
             )
 
     def _finalize(self) -> None:
+        """Restate the registry, then add what no counter holds: the
+        extrema and the counts their owners keep as attributes."""
+        if self.tracer.enabled:
+            self._finalize_trace()
         result = self.result
-        checkers = (self.checker, self.baseline_checker)
-        result.reads_checked = sum(c.read_count for c in checkers)
-        result.stale_reads = sum(
-            1
-            for checker in checkers
-            for record in checker.records
-            if record.staleness > 0
+        result.mirror_counters()
+        result.reads_checked = (
+            self.checker.read_count + self.baseline_checker.read_count
         )
-        # Violations are only meaningful where the protocol promises
-        # the Δ bound (worker-served users); the baseline checker's
-        # bound is infinite by construction. max_staleness likewise
-        # refers to the covered population; non-consenting plain-
+        # max_staleness refers to the covered population (the only one
+        # the protocol promises the Δ bound to); non-consenting plain-
         # browser users are reported separately.
-        result.delta_violations = self.checker.violation_count
         result.max_staleness = self.checker.max_staleness()
         result.uncovered_max_staleness = self.baseline_checker.max_staleness()
         result.origin_requests = self.server.requests_served
-        result.txn_fractured_reads = self.txn_checker.fractured_count
-        result.txn_serialization_violations = (
-            self.txn_checker.serialization_violation_count
-        )
-        result.txn_silent_downgrades = (
-            self.txn_checker.silent_downgrade_count
-        )
         result.txn_buffers_scrubbed = self.txn_registry.buffers_scrubbed
-        result.mirror_counters()
         if self._overload is not None:
             result.queue_depth_peak = self._overload.queue_depth_peak()
-        for stack in self._stacks.values():
-            worker = stack.worker
-            if worker is None:
-                continue
-            sketch_stats = worker.sketch_client.stats
-            result.sketch_fetches += sketch_stats.fetches
-            result.sketch_bytes += sketch_stats.bytes_transferred
-            counter = self.metrics.get_counter(
-                f"speedkit.{worker.node}.scrubbed"
-            )
-            if counter is not None:
-                result.requests_scrubbed += int(counter.value)
-        if self.tracer.enabled:
-            self._finalize_trace()
 
     def _finalize_trace(self) -> None:
         """Attach the recorded trace and its per-tier attribution."""
@@ -992,10 +948,11 @@ class SimulationRunner:
             from repro.gdpr import scrub_span_records
 
             scrubbed = scrub_span_records(records, self.gdpr.erased_users)
-            self.result.spans_scrubbed += sum(
-                1
-                for before, after in zip(records, scrubbed)
-                if before is not after
+            self.metrics.counter("gdpr.spans_scrubbed").inc(
+                sum(
+                    before is not after
+                    for before, after in zip(records, scrubbed)
+                )
             )
             records = scrubbed
         result = self.result

@@ -218,6 +218,9 @@ class MetricRegistry:
     def get_counter(self, name: str) -> Optional[Counter]:
         return self._counters.get(name)
 
+    def get_histogram(self, name: str) -> Optional[Histogram]:
+        return self._histograms.get(name)
+
     def counter_names(self) -> List[str]:
         """Names of all counters created so far (sorted)."""
         return sorted(self._counters)

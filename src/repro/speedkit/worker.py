@@ -89,9 +89,10 @@ class ServiceWorkerProxy(Fetcher):
         self.sketch_client = sketch_client
         self.scrubber = scrubber or RequestScrubber()
         self.metrics = metrics or MetricRegistry()
-        # This worker's counters by short name, each created in the
-        # registry by its first count (never earlier: a counter that
-        # exists shows in the run's exported metrics).
+        # This worker's handles on the run-wide ``speedkit.<which>``
+        # counters (a metric name never carries the user's id), each
+        # created in the registry by its first count (never earlier: a
+        # counter that exists shows in the run's exported metrics).
         self._counters: Dict[str, Counter] = {}
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.cache = _SwCache(
@@ -119,7 +120,7 @@ class ServiceWorkerProxy(Fetcher):
         counter = self._counters.get(which)
         if counter is None:
             counter = self._counters[which] = self.metrics.counter(
-                f"speedkit.{self.node}.{which}"
+                f"speedkit.{which}"
             )
         counter.inc()
 

@@ -67,9 +67,14 @@ def test_byte_bound_applies():
 
 
 def test_metric_scope_is_browser():
+    """A private cache counts per tier: its name (a device, a user)
+    never reaches a metric name."""
     cache = BrowserCache("device-1")
+    assert cache.hit_ratio() == 0.0
+    assert cache.metrics.counter_names() == []  # a read creates nothing
     cache.serve(get(), now=0.0)  # miss
-    assert cache.metrics.counter("browser.device-1.miss").value == 1
+    assert cache.metrics.counter_names() == ["browser.miss"]
+    assert cache.metrics.counter("browser.miss").value == 1
 
 
 def test_serve_even_stale_returns_expired_entries():

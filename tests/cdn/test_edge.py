@@ -84,7 +84,12 @@ class TestServe:
         may be created before its event has happened."""
         pop = edge()
         assert pop.metrics.snapshot() == {}
+        # Reading is not counting: a ratio asked of an idle PoP must
+        # not add its hit/miss counters to the export at zero.
+        assert pop.hit_ratio() == 0.0
+        assert pop.metrics.counter_names() == []
         pop.serve(get(), now=0.0)
+        assert pop.hit_ratio() == 0.0
         assert pop.metrics.snapshot() == {"edge.pop-1.miss": 1}
         pop.admit(get(), ok_response(), now=0.0)
         pop.serve(get(), now=1.0)

@@ -82,3 +82,5 @@ def test_overall_hit_ratio(cdn):
 
 def test_overall_hit_ratio_empty_is_zero(cdn):
     assert cdn.overall_hit_ratio() == 0.0
+    # ... and asking created nothing: no edge.<pop>.hit/.miss at zero.
+    assert cdn.metrics.counter_names() == []

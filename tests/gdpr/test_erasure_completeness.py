@@ -24,6 +24,7 @@ import random
 import pytest
 
 from repro.faults import PROFILES, RetryPolicy
+from repro.gdpr import UserDataMatcher
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner
 from repro.http.messages import Response, Status
 from repro.storage import BackendSpec
@@ -180,6 +181,62 @@ class TestWorkloadErasure:
     def test_staleness_guarantee_survives_the_gdpr_mix(self, runner):
         """Interleaved erasures must not cost coherence elsewhere."""
         runner.checker.assert_delta_atomic()
+
+    def test_no_metric_is_named_after_a_user(self, runner):
+        """Telemetry is a place an id cannot be, by construction: every
+        collector — counter, gauge, histogram, series, sketch — is named
+        per tier, per PoP or per kind, so an erase leaves no series
+        behind that is keyed by the erased user (nor by anyone else)."""
+        names = metric_names(runner.metrics)
+        assert len(names) > 30
+        assert runner.gdpr.erased_users
+        for user in runner.users.users:
+            matcher = UserDataMatcher(user.user_id)
+            assert [n for n in names if matcher.matches_key(n)] == []
+
+
+def metric_names(registry):
+    """Every collector's name, whatever its type."""
+    return sorted(registry.snapshot())
+
+
+def test_the_metric_set_does_not_grow_with_the_population():
+    """Ten times the users, the same collectors: what differs between a
+    100-user and a 1,000-user replay of one spec is bounded by the
+    closed label sets (page and connection kinds), not by the users."""
+
+    def replay(n_users):
+        catalog = generate_catalog(
+            CatalogConfig(n_products=30), random.Random(3)
+        )
+        users = generate_users(
+            UserPopulationConfig(n_users=n_users), random.Random(4)
+        )
+        config = WorkloadConfig(
+            duration=300.0,
+            session_rate=0.5,
+            write_rate=0.08,
+            erase_fraction=0.2,
+            access_rate=0.02,
+        )
+        trace = WorkloadGenerator(catalog, users, config).generate(
+            random.Random(5)
+        )
+        spec = ScenarioSpec(scenario=Scenario.SPEED_KIT, seed=3)
+        runner = SimulationRunner(spec, catalog, users, trace)
+        runner.run()
+        kinds = {event.page_kind for event in trace.page_views()} | {
+            users.by_id(user_id).connection for user_id in trace.users_seen()
+        }
+        return runner.metrics, len(trace.users_seen()), kinds
+
+    few, few_seen, _ = replay(100)
+    many, many_seen, kinds = replay(1000)
+    assert many_seen > 1.5 * few_seen
+    assert abs(
+        len(many.counter_names()) - len(few.counter_names())
+    ) <= len(kinds)
+    assert len(set(metric_names(many)) ^ set(metric_names(few))) <= len(kinds)
 
 
 def _inject_everywhere(runner, user_id):

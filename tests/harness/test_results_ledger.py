@@ -1,6 +1,6 @@
 """The result ledger: one rule per field, and what the rules add up to.
 
-Three guards on ``RunResult``'s declarative merge/export:
+Four guards on ``RunResult``'s declarative merge/export:
 
 * each merge *rule* does what its name says (one test per rule, not
   per field) and a field declared without a rule cannot exist;
@@ -8,7 +8,10 @@ Three guards on ``RunResult``'s declarative merge/export:
   benchmark's ``sim_digest`` hashes ``to_dict()``, so a drifting key
   would silently re-baseline every digest;
 * two real shards of a storm-style run merge to exactly what a fold
-  written here, from the two shard results directly, says they should.
+  written here, from the two shard results directly, says they should;
+* the result is a function of the registry: every count field is a
+  counter (or counter family) restated, so a fresh ``RunResult`` over a
+  finished run's registry reproduces it — nothing keeps a second book.
 """
 
 import copy
@@ -112,17 +115,12 @@ def test_registry_rule_merges_histograms_once_and_keeps_aliases():
     ours, theirs = _result(), _result()
     ours.plt.observe(0.1)
     theirs.plt.observe(0.2)
-    theirs.plt_by_page_kind["home"] = theirs.metrics.histogram(
-        "plt.page.home"
-    )
-    theirs.plt_by_page_kind["home"].observe(0.2)
+    theirs.metrics.histogram("plt.page.home").observe(0.2)
+    assert ours.metrics.get_histogram("plt.page.home") is None
     ours.merge(theirs)
     assert ours.plt.values == (0.1, 0.2)
     assert ours.plt is ours.metrics.histogram("plt.all")
-    assert ours.plt_by_page_kind["home"] is ours.metrics.histogram(
-        "plt.page.home"
-    )
-    assert ours.plt_by_page_kind["home"].values == (0.2,)
+    assert ours.metrics.get_histogram("plt.page.home").values == (0.2,)
 
 
 def test_every_rule_is_used_and_every_field_has_one():
@@ -180,8 +178,8 @@ EXPORTED_KEYS = frozenset(
 CONDITIONAL_KEYS = frozenset({"plt", "tier_breakdown"})
 UNEXPORTED_FIELDS = frozenset(
     """
-    metrics plt plt_by_page_kind plt_by_connection personalization_checks
-    personalization_misses trace_records wall_seconds
+    metrics plt personalization_checks personalization_misses
+    trace_records wall_seconds
     """.split()
 )
 
@@ -202,7 +200,7 @@ def test_unexported_field_set_is_frozen():
         if spec.metadata["export"] is False
     }
     assert unexported == UNEXPORTED_FIELDS
-    assert len(dataclasses.fields(RunResult)) == 57
+    assert len(dataclasses.fields(RunResult)) == 55
 
 
 def test_to_dict_value_types_and_isolation():
@@ -243,7 +241,42 @@ def test_mirrored_counters_restate_the_registry():
         for spec in dataclasses.fields(RunResult)
         if spec.metadata["counter"] is not None
     }
-    assert len(mirrored) == 14
+    assert len(mirrored) == 39
+
+
+def test_counter_families_restate_in_the_fields_shape():
+    result = _result()
+    for name, count in {
+        "serve.layer.edge": 3,
+        "serve.layer.sw": 2,
+        "serve.layered": 9,  # shares letters, not the dotted prefix
+        "serve.kind.edge.page": 2,
+        "serve.kind.edge.api.v2": 1,
+        "serve.kind.sw.page": 2,
+        "serve.shed.edge": 1,
+        "serve.shed.origin": 2,
+        "overload.shed.static": 4,
+        "overload.shed.total": 4,
+        "overload.shed.control": 0,
+    }.items():
+        result.metrics.counter(name).inc(count)
+    result.mirror_counters()
+    assert result.served_by_layer == {"edge": 3, "sw": 2}
+    # A nested label splits at its first dot only.
+    assert result.served_by_kind == {
+        "edge": {"page": 2, "api.v2": 1},
+        "sw": {"page": 2},
+    }
+    # An integer field restates a family as its total.
+    assert result.shed_responses == 3
+    # ``overload.shed.total`` is ``shed_requests``' own counter, not a
+    # class of ``overload.shed.*``; a zero label is dropped.
+    assert result.shed_by_class == {"static": 4}
+    assert result.shed_requests == 4
+    # A family nothing counted into restates as an empty map.
+    assert result.served_degraded_by_layer == {}
+    assert type(result.shed_responses) is int
+    assert type(result.served_by_layer["edge"]) is int
 
 
 # -- two real shards against an independent fold ----------------------------
@@ -276,7 +309,9 @@ def _fold(key, a, b):
 
 
 @pytest.fixture(scope="module")
-def storm_shards():
+def world():
+    """24 users (two of them non-consenting, so both coherence checkers
+    see reads) and a trace with every event kind in it."""
     catalog = generate_catalog(CatalogConfig(n_products=30), random.Random(4))
     users = generate_users(UserPopulationConfig(n_users=24), random.Random(5))
     trace = WorkloadGenerator(
@@ -291,6 +326,11 @@ def storm_shards():
             access_rate=0.02,
         ),
     ).generate(random.Random(6))
+    return catalog, users, trace
+
+
+@pytest.fixture(scope="module")
+def storm_shards(world):
     spec = ScenarioSpec(
         Scenario.SPEED_KIT,
         delta=30.0,
@@ -307,9 +347,7 @@ def storm_shards():
         trace_requests=True,
         seed=4,
     )
-    tasks = ShardedSimulationRunner(
-        spec, catalog, users, trace, n_shards=2
-    ).tasks()
+    tasks = ShardedSimulationRunner(spec, *world, n_shards=2).tasks()
     return [run_shard(task).result for task in tasks]
 
 
@@ -356,3 +394,100 @@ def test_storm_shards_merge_to_an_independent_fold(storm_shards):
     assert record["offered_requests"] == (
         record["admitted_requests"] + record["shed_requests"]
     )
+
+
+# -- the result is a function of the registry --------------------------------
+
+#: Summed fields no counter holds, each with where its number lives
+#: instead. Anything else that sums must declare ``counter=``.
+NOT_COUNTERS = {
+    "page_views": "the observation count of plt.all; mirror_counters "
+    "restates it (checked below like a counter)",
+    "reads_checked": "len(records) of the two coherence checkers; a "
+    "counter would add a call to every checked read",
+    "origin_requests": "OriginServer.requests_served",
+    "txn_buffers_scrubbed": "TxnRegistry.buffers_scrubbed",
+    "tier_breakdown": "derived from the exported spans",
+    "events_processed": "stamped by run(): the length of the trace",
+    "kernel_events": "stamped by run(): the kernel's step count",
+    "n_shards": "1 per runner; merge adds them up",
+    "wall_seconds": "stamped by run(): host time",
+}
+SUMMING_RULES = {"sum", "sum-map", "sum-nested-map"}
+
+
+def test_every_summed_field_restates_a_counter_or_says_why_not():
+    summed = {
+        spec.name: spec.metadata["counter"]
+        for spec in dataclasses.fields(RunResult)
+        if spec.metadata["merge"] in SUMMING_RULES
+    }
+    uncounted = {name for name, counter in summed.items() if counter is None}
+    assert uncounted == set(NOT_COUNTERS)
+    counters = [counter for counter in summed.values() if counter is not None]
+    assert len(set(counters)) == len(counters)  # one counter, one field
+
+
+def _restated(result: RunResult) -> RunResult:
+    """A fresh ledger over ``result``'s registry, counters mirrored."""
+    fresh = RunResult(
+        scenario_name=result.scenario_name,
+        metrics=result.metrics,
+        plt=result.metrics.histogram("plt.all"),
+    )
+    fresh.mirror_counters()
+    return fresh
+
+
+def _assert_restates(result: RunResult, nonzero=()) -> None:
+    fresh = _restated(result)
+    for spec in dataclasses.fields(RunResult):
+        if spec.metadata["counter"] is None and spec.name != "page_views":
+            continue
+        ours, theirs = getattr(result, spec.name), getattr(fresh, spec.name)
+        assert ours == theirs, spec.name
+        assert type(ours) is type(theirs), spec.name
+    for name in nonzero:
+        assert getattr(result, name), name
+
+
+@pytest.mark.parametrize(
+    "scenario, nonzero",
+    [
+        (
+            Scenario.SPEED_KIT,
+            "sketch_fetches sketch_bytes requests_scrubbed stale_reads "
+            "erasures erasure_removed txns personalization_checks",
+        ),
+        (Scenario.NO_CACHE, "served_by_kind page_views erasures accesses"),
+    ],
+)
+def test_a_plain_run_is_its_registry_restated(world, scenario, nonzero):
+    from repro.harness.runner import SimulationRunner
+
+    runner = SimulationRunner(ScenarioSpec(scenario, seed=4), *world)
+    result = runner.run()
+    _assert_restates(result, nonzero.split())
+    # Both populations were checked, and stale reads span both.
+    assert runner.checker.read_count
+    if scenario.uses_speed_kit:
+        assert runner.baseline_checker.read_count
+        assert result.stale_reads == sum(
+            record.staleness > 0
+            for checker in (runner.checker, runner.baseline_checker)
+            for record in checker.records
+        )
+
+
+def test_storm_shards_and_their_merge_are_their_registries_restated(
+    storm_shards,
+):
+    busy = (
+        "served_degraded_by_layer failed_responses shed_responses "
+        "shed_by_class txns txn_refetches erasures erasure_removed "
+        "spans_scrubbed offered_requests control_events sketch_fetches"
+    ).split()
+    first, second = (copy.deepcopy(shard) for shard in storm_shards)
+    _assert_restates(first)
+    _assert_restates(second)
+    _assert_restates(first.merge(second), busy)

@@ -64,10 +64,7 @@ class TestOfflineMode:
         response = run(env, worker.fetch(get("/product/1")))
         assert response.status == Status.OK
         assert response.version == 1  # the stale-but-usable copy
-        assert (
-            worker.metrics.counter("speedkit.client.offline_served").value
-            >= 1
-        )
+        assert worker.metrics.counter("speedkit.offline_served").value >= 1
 
     def test_without_offline_mode_error_propagates(
         self, env, make_faulty_worker, faulty_transport, config
@@ -126,10 +123,7 @@ class TestSketchServiceOutage:
         response = run(env, worker.fetch(get("/static/app.js")))
         assert response.status == Status.OK
         assert "X-SpeedKit-Offline" in response.headers
-        assert (
-            worker.metrics.counter("speedkit.client.offline_served").value
-            >= 1
-        )
+        assert worker.metrics.counter("speedkit.offline_served").value >= 1
 
     def test_degraded_serving_disabled_without_offline_mode(
         self, env, make_faulty_worker, faulty_transport, config, backend
@@ -164,9 +158,7 @@ class TestStaleWhileRevalidate:
         # Served instantly from cache (stale), not revalidated inline.
         assert env.now == start
         assert response.version == 1
-        assert (
-            worker.metrics.counter("speedkit.client.swr_served").value == 1
-        )
+        assert worker.metrics.counter("speedkit.swr_served").value == 1
         # The background refresh lands shortly after.
         env.run(until=env.now + 5.0)
         refreshed = worker.cache.serve_even_stale(

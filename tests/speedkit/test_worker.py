@@ -24,9 +24,7 @@ class TestRouting:
         assert response.served_by == "origin"
         # Nothing was cached in the SW.
         assert len(worker.cache.store) == 0
-        assert (
-            worker.metrics.counter("speedkit.client.pass_through").value == 1
-        )
+        assert worker.metrics.counter("speedkit.pass_through").value == 1
 
     def test_unsafe_method_passes_through(self, env, make_worker, backend):
         worker = make_worker()
@@ -42,9 +40,7 @@ class TestRouting:
     def test_accelerated_request_counted(self, env, make_worker):
         worker = make_worker()
         run(env, worker.fetch(get("/static/app.js")))
-        assert (
-            worker.metrics.counter("speedkit.client.accelerated").value == 1
-        )
+        assert worker.metrics.counter("speedkit.accelerated").value == 1
 
 
     def test_counters_exist_from_their_first_count_not_before(
@@ -62,19 +58,19 @@ class TestRouting:
         assert mine() == {}
         run(env, worker.fetch(get("/static/app.js")))
         assert mine() == {
-            "speedkit.client.accelerated": 1,
-            "speedkit.client.fetches": 1,
-            "sw.sw:client.miss": 1,
-            "sw.sw:client.fill": 1,
+            "speedkit.accelerated": 1,
+            "speedkit.fetches": 1,
+            "sw.miss": 1,
+            "sw.fill": 1,
         }
         run(env, worker.fetch(get("/static/app.js")))
         assert mine() == {
-            "speedkit.client.accelerated": 2,
-            "speedkit.client.fetches": 1,
-            "speedkit.client.served_from_cache": 1,
-            "sw.sw:client.miss": 1,
-            "sw.sw:client.fill": 1,
-            "sw.sw:client.hit": 1,
+            "speedkit.accelerated": 2,
+            "speedkit.fetches": 1,
+            "speedkit.served_from_cache": 1,
+            "sw.miss": 1,
+            "sw.fill": 1,
+            "sw.hit": 1,
         }
 
     def test_lists_edited_after_the_first_request_still_route(
@@ -87,18 +83,18 @@ class TestRouting:
 
         first = run(env, worker.fetch(get("/product/1")))
         assert first.url.params[SEGMENT_PARAM] == "gold|de"
-        assert counter("speedkit.client.accelerated").value == 1
+        assert counter("speedkit.accelerated").value == 1
 
         worker.config.segment_personalized.remove("/product/*")
         second = run(env, worker.fetch(get("/product/1")))
         assert SEGMENT_PARAM not in second.url.params
-        assert counter("speedkit.client.accelerated").value == 2
+        assert counter("speedkit.accelerated").value == 2
 
         worker.config.rules.blacklist.append("/product/*")
         third = run(env, worker.fetch(get("/product/1")))
         assert third.served_by == "origin"
-        assert counter("speedkit.client.pass_through").value == 1
-        assert counter("speedkit.client.accelerated").value == 2
+        assert counter("speedkit.pass_through").value == 1
+        assert counter("speedkit.accelerated").value == 2
 
 
 class TestGdprBehaviour:
@@ -121,9 +117,7 @@ class TestGdprBehaviour:
         )
         # The origin received the accelerated request anonymously.
         assert seen_user_ids == [None]
-        assert (
-            worker.metrics.counter("speedkit.client.scrubbed").value == 1
-        )
+        assert worker.metrics.counter("speedkit.scrubbed").value == 1
 
     def test_user_block_carries_credentials_directly(
         self, env, make_worker, backend
@@ -266,7 +260,4 @@ class TestCachingAndCoherence:
         # Revalidated (304 path) — correct content, one extra round trip.
         assert response.status == Status.OK
         assert response.version == 1
-        assert (
-            worker.metrics.counter("speedkit.client.revalidations").value
-            == 1
-        )
+        assert worker.metrics.counter("speedkit.revalidations").value == 1

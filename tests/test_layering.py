@@ -164,3 +164,111 @@ def f(self, knob, a, b):
         return False
 """
     assert not probes_in(honest)
+
+
+# -- the runner counts nothing -----------------------------------------------
+#
+# A count is kept once, in the registry counter the subsystem that sees
+# the event writes, and ``RunResult`` restates it at end of run. The
+# runner therefore never bumps a ledger field on the way: outside the
+# functions that restate and stamp (``_finalize*``, ``run``) nothing in
+# ``harness/runner.py`` may add to, or store into, anything reached
+# through ``result`` / ``self.result``.
+
+RUNNER = SRC / "harness" / "runner.py"
+
+
+def _functions(source):
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def _hangs_off_result(target):
+    while isinstance(target, (ast.Attribute, ast.Subscript, ast.Call)):
+        if isinstance(target, ast.Attribute) and target.attr == "result":
+            return True
+        target = target.func if isinstance(target, ast.Call) else target.value
+    return isinstance(target, ast.Name) and target.id == "result"
+
+
+def ledger_bumps_in(source):
+    """``(line, target)`` of every by-hand ledger bump in ``source``:
+    an augmented assignment, or an assignment through a subscript,
+    whose target hangs off ``result`` / ``self.result``."""
+    found = []
+    for function in _functions(source):
+        if function.name == "run" or function.name.startswith("_finalize"):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            elif isinstance(node, ast.Assign):
+                targets = [
+                    target
+                    for target in node.targets
+                    if isinstance(target, ast.Subscript)
+                ]
+            else:
+                continue
+            found += [
+                (node.lineno, ast.unparse(target))
+                for target in targets
+                if _hangs_off_result(target)
+            ]
+    return found
+
+
+def test_the_runner_counts_nothing():
+    source = RUNNER.read_text(encoding="utf-8")
+    assert "self.result" in source  # the walk reads the real runner
+    assert ledger_bumps_in(source) == []
+
+
+def test_finalize_visits_neither_client_stacks_nor_read_records():
+    """What lets a client stack go after its last event: end of run
+    reads counters and a few owner attributes, never per-user state."""
+    visited = {
+        node.attr
+        for function in _functions(RUNNER.read_text(encoding="utf-8"))
+        if function.name.startswith("_finalize")
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+    }
+    assert "mirror_counters" in visited
+    assert not visited & {"_stacks", "records"}
+
+
+@pytest.mark.parametrize(
+    "reintroduced",
+    [
+        "self.result.erasures += 1",
+        "result = self.result\nresult.txns += 1",
+        "self.result.erasure_removed += report.entries_removed",
+        "self.result.served_by_layer[layer] = "
+        "self.result.served_by_layer.get(layer, 0) + 1",
+        "self.result.served_by_kind.setdefault(layer, {})[kind] = 1",
+    ],
+)
+def test_the_counting_gate_trips_on_a_by_hand_bump(reintroduced):
+    body = "\n".join(f"        {line}" for line in reintroduced.split("\n"))
+    source = f"class R:\n    def _handle_gdpr(self, serve, event):\n{body}\n"
+    assert ledger_bumps_in(source)
+
+
+def test_the_counting_gate_lets_restating_and_stamping_through():
+    honest = """
+class R:
+    def run(self):
+        self.result.events_processed = len(self.trace)
+        self.result.wall_seconds += 0.0
+    def _finalize(self):
+        result = self.result
+        result.mirror_counters()
+        result.origin_requests = self.server.requests_served
+    def _record_page_load(self, result):
+        self.result.plt.observe(result.plt)
+        self.metrics.counter("personalization.checks").inc()
+        totals[result.kind] = 1
+"""
+    assert not ledger_bumps_in(honest)
