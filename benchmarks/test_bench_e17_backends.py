@@ -7,20 +7,11 @@ local engines (classic in-memory, hash-sharded) must be behaviourally
 identical — sharding changes placement, not cacheability — while the
 simulated remote KV engine pays a per-operation latency that must show
 up in page load times and purge completion.
-
-Also guards the O(log n) LFU victim picker: admitting far more entries
-than capacity under LFU must stay fast (the old implementation scanned
-every resident entry per eviction).
 """
-
-import random
-import time
 
 import pytest
 
-from repro.cdn import CacheStore, EvictionPolicy
 from repro.harness import Scenario, ScenarioSpec, format_table
-from repro.http import Headers, Response, Status, URL
 from repro.storage import BackendSpec
 
 from benchmarks.conftest import emit
@@ -91,44 +82,3 @@ def test_bench_e17_backend_comparison(results, benchmark):
         iterations=10,
     )
 
-
-def _response(i):
-    return Response(
-        status=Status.OK,
-        headers=Headers(
-            {"Cache-Control": "public, max-age=3600", "Content-Length": "100"}
-        ),
-        body="x",
-        url=URL.parse(f"/r{i}"),
-        version=1,
-        generated_at=0.0,
-    )
-
-
-def test_bench_e17_lfu_eviction_throughput(benchmark):
-    """The heap-based LFU victim picker admits well above capacity
-    cheaply; the old per-eviction O(n) scan made this quadratic."""
-    N_PUTS, CAPACITY = 20_000, 2_000
-    responses = [_response(i) for i in range(N_PUTS)]
-    rng = random.Random(0)
-
-    def kernel():
-        store = CacheStore(
-            shared=True, max_entries=CAPACITY, policy=EvictionPolicy.LFU
-        )
-        for i, response in enumerate(responses):
-            store.put(f"k{i}", response, now=float(i))
-            if i % 3 == 0:  # mixed hits keep the heap honest
-                store.get_fresh(f"k{rng.randrange(i + 1)}", now=float(i))
-        return store
-
-    started = time.perf_counter()
-    store = kernel()
-    elapsed = time.perf_counter() - started
-    assert len(store) == CAPACITY
-    assert store.evictions == N_PUTS - CAPACITY
-    # 18k evictions at 2k resident entries: the old O(n) scan did
-    # ~36M comparisons here; the heap finishes in well under a second.
-    assert elapsed < 5.0, f"LFU eviction too slow: {elapsed:.2f}s"
-
-    benchmark.pedantic(kernel, rounds=3, iterations=1)

@@ -10,7 +10,7 @@ propagation delay, cancelling in-flight replicas that a purge
 supersedes.
 """
 
-from repro.cdn.cache import CacheEntry, CacheStore, EvictionPolicy
+from repro.cdn.cache import CacheEntry, CacheStore
 from repro.cdn.edge import EdgeCache
 from repro.cdn.httpcache import HttpCache
 from repro.cdn.network import Cdn
@@ -21,7 +21,6 @@ __all__ = [
     "CacheStore",
     "Cdn",
     "EdgeCache",
-    "EvictionPolicy",
     "HttpCache",
     "PopReplicator",
 ]

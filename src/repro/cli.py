@@ -305,39 +305,26 @@ def _spec_from_args(args, **overrides) -> ScenarioSpec:
 
     ``overrides`` carries what differs per command: the scenario, a
     swept ``delta``/``n_segments``, ``run``'s own flags. A flag left
-    unset keeps the spec's default. Flags that contradict the selected
-    storage engine fail here by name instead of being ignored.
+    unset keeps the spec's default. A tuning flag the selected storage
+    engine does not read is refused by :class:`BackendSpec` itself —
+    without ``--backend``, by the default engine's spec.
     """
     from repro.faults import FaultProfile, RetryPolicy
     from repro.overload import OVERLOAD_PROFILES
 
-    kind = args.backend
-    for flag, value, kinds in (
-        ("--flush-interval", args.flush_interval, ("write-behind",)),
-        ("--batch-window", args.batch_window, ("batched", "write-behind")),
-        ("--overlap", args.overlap or None, ("batched", "write-behind")),
-        ("--backend-shards", args.backend_shards, ("sharded",)),
-    ):
-        if value is not None and kind not in kinds:
-            got = f"--backend {kind}" if kind else "the default engine"
-            raise SystemExit(
-                f"{flag} requires --backend {'|'.join(kinds)} (got {got})"
-            )
     if (args.admission or args.autoscale) and args.overload_profile is None:
         flag = "--admission" if args.admission else "--autoscale"
-        raise SystemExit(f"{flag} requires --overload-profile")
+        raise ValueError(f"{flag} requires --overload-profile")
     backend = fault_profile = retry = overload_profile = None
-    if kind is not None:
-        backend = BackendSpec(
-            kind=kind,
-            seed=args.seed,
-            overlap=args.overlap,
-            **_given(
-                n_shards=args.backend_shards,
-                batch_window=args.batch_window,
-                flush_interval=args.flush_interval,
-            ),
-        )
+    tuning = _given(
+        kind=args.backend,
+        n_shards=args.backend_shards,
+        batch_window=args.batch_window,
+        overlap=args.overlap or None,
+        flush_interval=args.flush_interval,
+    )
+    if tuning:
+        backend = BackendSpec(seed=args.seed, **tuning)
     if args.fault_profile is not None:
         fault_profile = FaultProfile.named(args.fault_profile)
     if args.retry_budget is not None:
@@ -380,13 +367,13 @@ def _build_workload(args):
     """
     rate = args.replay_rate
     if not 0 < rate < float("inf"):
-        raise SystemExit(
+        raise ValueError(
             f"--replay-rate must be positive and finite: {rate}"
         )
     replay = args.replay
     import_log = args.import_log
     if replay and import_log:
-        raise SystemExit("--replay and --import-log are mutually exclusive")
+        raise ValueError("--replay and --import-log are mutually exclusive")
     if replay:
         trace = load_trace(replay)
         if trace.world is not None:

@@ -386,15 +386,7 @@ class ErasureCoordinator:
                 replicator.in_flight_matching(matcher.matches_key),
             )
         if self.sketch is not None:
-            sketch_keys = [
-                key
-                for key in (
-                    *self.sketch._expirations,
-                    *self.sketch._scheduled,
-                )
-                if matcher.matches_key(key)
-            ]
-            note("sketch", sorted(set(sketch_keys)))
+            note("sketch", self.sketch.keys_matching(matcher.matches_key))
         if self.txn_registry is not None:
             note(
                 "txn-buffers",
@@ -443,15 +435,8 @@ class ErasureCoordinator:
                 matcher.matches_key
             )
         if self.sketch is not None:
-            report.sketch_keys = sorted(
-                {
-                    key
-                    for key in (
-                        *self.sketch._expirations,
-                        *self.sketch._scheduled,
-                    )
-                    if matcher.matches_key(key)
-                }
+            report.sketch_keys = self.sketch.keys_matching(
+                matcher.matches_key
             )
         report.simulated_latency = self._drain(*self._all_backends(tiers))
         if self.metrics is not None:

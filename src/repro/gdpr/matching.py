@@ -123,9 +123,8 @@ def identity_text(value: Any) -> str:
 
     A stored shape that declares the memo slot is flattened on its
     first GDPR visit only. That is sound because stored values are
-    replaced, never edited: a refresh ``put``s a copy, and the one
-    field that does change in place (``CacheEntry.hits``) is a number,
-    which holds no identity string.
+    replaced, never edited: a refresh ``put``s a copy, and a serve
+    writes the policy layer's recency order, not the entry.
     """
     memo = getattr(value, _MEMO, _NO_SLOT)
     if memo is None or memo is _NO_SLOT:  # unfilled, or a plain value

@@ -119,6 +119,17 @@ class ServerCacheSketch:
 
     # -- GDPR erasure --------------------------------------------------------
 
+    def keys_matching(self, predicate) -> List[str]:
+        """The plaintext keys held here that match, sorted: every
+        tracked expiration and every key pending removal from the
+        filter. Mutates nothing — the erasure walk's residual check and
+        the subject-access report read the sketch through this."""
+        return sorted(
+            key
+            for key in {*self._expirations, *self._scheduled}
+            if predicate(key)
+        )
+
     def forget_matching(self, predicate, now: float) -> int:
         """Drop every tracked key that matches — expirations, pending
         removals, and the filter membership itself.
@@ -129,8 +140,7 @@ class ServerCacheSketch:
         the number of keys forgotten.
         """
         self.advance(now)
-        matched = {key for key in self._expirations if predicate(key)}
-        matched.update(key for key in self._scheduled if predicate(key))
+        matched = self.keys_matching(predicate)
         for key in matched:
             self._expirations.pop(key, None)
             if self._scheduled.pop(key, None) is not None:

@@ -8,16 +8,16 @@ the service worker cache) and the origin document store hold their
 entries in a :class:`CacheBackend` engine chosen by configuration.
 
 Engines implement pure keyed storage (``get/put/remove/scan/len/
-bytes``) plus explicit eviction hooks; all HTTP freshness and eviction
-*policy* stays in :class:`repro.cdn.cache.CacheStore`, the policy layer
-above the protocol. The protocol is closed and stated once in
+bytes``) and never drop an entry on their own; all HTTP freshness and
+eviction *policy* stays in :class:`repro.cdn.cache.CacheStore`, the
+policy layer above the protocol. The protocol is closed and stated once in
 :mod:`repro.storage.backend`; wrapper engines derive from
 :class:`DelegatingBackend` and override only what they change.
 Shipped engines:
 
 * :class:`InMemoryBackend` — the classic single ``OrderedDict`` map;
-* :class:`ShardedBackend` — N hash-partitioned sub-engines with
-  optional per-shard capacity (concurrent-map semantics);
+* :class:`ShardedBackend` — N hash-partitioned sub-engines
+  (concurrent-map semantics);
 * :class:`SimulatedRemoteBackend` — a Redis-like remote KV store whose
   per-operation latency is drawn from a ``simnet``-style distribution,
   so backend cost shows up in PLT and invalidation latency;
@@ -40,7 +40,6 @@ through ``SpeedKitConfig``, ``ScenarioSpec``, and the CLI
 from repro.storage.backend import (
     CacheBackend,
     DelegatingBackend,
-    EvictionListener,
     InMemoryBackend,
 )
 from repro.storage.batched import BatchedRemoteBackend
@@ -55,7 +54,6 @@ __all__ = [
     "BatchedRemoteBackend",
     "CacheBackend",
     "DelegatingBackend",
-    "EvictionListener",
     "InMemoryBackend",
     "ShardedBackend",
     "SimulatedRemoteBackend",

@@ -31,16 +31,15 @@ capability. It has four parts.
    it. Either way one drain empties the pool — latency is never
    drained twice.
 
-An engine that drops entries on its own initiative (per-shard capacity
-in the sharded engine) MUST announce every such drop through
-:meth:`_notify_eviction`, so the policy layer's bookkeeping stays
-consistent. API-level :meth:`remove` calls are the caller's own doing
-and are never announced.
+An engine never drops an entry on its own initiative: it stores what
+it is given until :meth:`remove`, :meth:`clear` or an erase tells it
+otherwise. Capacity is the policy layer's decision alone, so calls run
+one way only — policy → engine — and there is nothing for an engine to
+report back.
 
 A *wrapper* engine derives from :class:`DelegatingBackend`, which
-forwards the whole surface to the engine it wraps and re-announces its
-evictions; a wrapper then overrides only what it changes, and cannot
-forget a deep view.
+forwards the whole surface to the engine it wraps; a wrapper then
+overrides only what it changes, and cannot forget a deep view.
 """
 
 from __future__ import annotations
@@ -58,9 +57,6 @@ from typing import (
     Tuple,
 )
 
-#: Called with ``(key, value)`` for every engine-initiated drop.
-EvictionListener = Callable[[str, Any], None]
-
 #: A ``(key, value)`` test, e.g. "belongs to this data subject".
 Predicate = Callable[[str, Any], bool]
 
@@ -70,19 +66,6 @@ class CacheBackend(ABC):
 
     #: Engine identifier (matches the ``BackendSpec.kind`` registry).
     kind: str = "abstract"
-
-    def __init__(self) -> None:
-        self._eviction_listeners: List[EvictionListener] = []
-
-    # -- eviction hooks ---------------------------------------------------
-
-    def subscribe_evictions(self, listener: EvictionListener) -> None:
-        """Register a listener for engine-initiated drops."""
-        self._eviction_listeners.append(listener)
-
-    def _notify_eviction(self, key: str, value: Any) -> None:
-        for listener in list(self._eviction_listeners):
-            listener(key, value)
 
     # -- the core every engine writes -------------------------------------
 
@@ -113,7 +96,7 @@ class CacheBackend(ABC):
 
     @abstractmethod
     def clear(self) -> None:
-        """Drop everything (not announced as evictions)."""
+        """Drop everything."""
 
     # -- derived defaults over the core -----------------------------------
 
@@ -207,18 +190,11 @@ class DelegatingBackend(CacheBackend):
 
     Forwards the **whole** protocol — core, batched forms, metadata,
     deep views, cost pool — so a subclass overrides only what it
-    changes and inherits the rest, GDPR deep views included. Drops the
-    wrapped engine initiates are re-announced to this engine's own
-    listeners through :meth:`_on_inner_eviction`.
+    changes and inherits the rest, GDPR deep views included.
     """
 
     def __init__(self, inner: CacheBackend) -> None:
-        super().__init__()
         self.inner = inner
-        inner.subscribe_evictions(self._on_inner_eviction)
-
-    def _on_inner_eviction(self, key: str, value: Any) -> None:
-        self._notify_eviction(key, value)
 
     def get(self, key: str) -> Optional[Any]:
         return self.inner.get(key)
@@ -288,7 +264,6 @@ class InMemoryBackend(CacheBackend):
     kind = "inmemory"
 
     def __init__(self) -> None:
-        super().__init__()
         self._slots: "OrderedDict[str, Tuple[Any, int]]" = OrderedDict()
         self._bytes = 0
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 import random
 import zlib
-from dataclasses import asdict, dataclass
-from typing import Optional, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import Union
 
 from repro.simnet.delay import LogNormalDelay
 from repro.storage.backend import CacheBackend, InMemoryBackend
@@ -36,32 +36,43 @@ from repro.storage.writebehind import (
 #: The engine registry, in CLI order.
 BACKEND_KINDS = ("inmemory", "sharded", "remote", "batched", "write-behind")
 
+_REMOTE = ("remote", "batched", "write-behind")
+_PIPELINED = ("batched", "write-behind")
+
+
+def _read_by(kinds, default):
+    """A tuning field only the engines in ``kinds`` read: any other
+    value than ``default`` on another kind is refused, not ignored."""
+    return field(default=default, metadata={"read_by": kinds})
+
 
 @dataclass(frozen=True)
 class BackendSpec:
     """Which storage engine a cache tier uses, and how it is tuned."""
 
     kind: str = "inmemory"
-    #: Sharded engine: partition count and optional per-shard bounds.
-    n_shards: int = 8
-    max_entries_per_shard: Optional[int] = None
-    max_bytes_per_shard: Optional[int] = None
+    #: Sharded engine: partition count.
+    n_shards: int = _read_by(("sharded",), 8)
     #: Remote/batched engines: per-operation latency medians (seconds)
     #: and the multiplicative spread of the log-normal draw.
-    read_latency: float = DEFAULT_READ_MEDIAN
-    write_latency: float = DEFAULT_WRITE_MEDIAN
-    latency_sigma: float = DEFAULT_SIGMA
+    read_latency: float = _read_by(_REMOTE, DEFAULT_READ_MEDIAN)
+    write_latency: float = _read_by(_REMOTE, DEFAULT_WRITE_MEDIAN)
+    latency_sigma: float = _read_by(_REMOTE, DEFAULT_SIGMA)
     #: Batched engine: marginal cost per pipelined key, maximum keys
     #: per flushed batch, and whether drained latency may overlap with
     #: concurrent network transit instead of adding to it.
-    per_key_cost: float = DEFAULT_PER_KEY_COST
-    batch_window: int = DEFAULT_BATCH_WINDOW
-    overlap: bool = False
+    per_key_cost: float = _read_by(_PIPELINED, DEFAULT_PER_KEY_COST)
+    batch_window: int = _read_by(_PIPELINED, DEFAULT_BATCH_WINDOW)
+    overlap: bool = _read_by(_PIPELINED, False)
     #: Write-behind engine: background flusher cadence in simulated
     #: seconds (queued mutations reach the remote store at most one
     #: interval plus the write round trips after their ack).
-    flush_interval: float = DEFAULT_FLUSH_INTERVAL
-    #: Root seed for the remote/batched engine's latency stream.
+    flush_interval: float = _read_by(
+        ("write-behind",), DEFAULT_FLUSH_INTERVAL
+    )
+    #: Root seed for the remote/batched engine's latency stream. Every
+    #: tier is handed the run's seed whether or not its engine draws,
+    #: so no kind refuses it.
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -78,7 +89,7 @@ class BackendSpec:
                 raise ValueError(
                     f"{knob} must be finite and positive: {value}"
                 )
-        for knob in ("per_key_cost", "flush_interval"):
+        for knob in ("latency_sigma", "per_key_cost", "flush_interval"):
             value = getattr(self, knob)
             if not 0 <= value < math.inf:
                 raise ValueError(
@@ -88,6 +99,16 @@ class BackendSpec:
             raise ValueError(
                 f"batch_window must be >= 1: {self.batch_window}"
             )
+        for knob in fields(self):
+            read_by = knob.metadata.get("read_by", BACKEND_KINDS)
+            if (
+                self.kind not in read_by
+                and getattr(self, knob.name) != knob.default
+            ):
+                raise ValueError(
+                    f"{knob.name} is read only by the "
+                    f"{'|'.join(read_by)} backend, not by {self.kind!r}"
+                )
 
     def build(self, salt: str = "") -> CacheBackend:
         """A fresh engine instance.
@@ -100,11 +121,7 @@ class BackendSpec:
         if self.kind == "inmemory":
             return InMemoryBackend()
         if self.kind == "sharded":
-            return ShardedBackend(
-                n_shards=self.n_shards,
-                max_entries_per_shard=self.max_entries_per_shard,
-                max_bytes_per_shard=self.max_bytes_per_shard,
-            )
+            return ShardedBackend(n_shards=self.n_shards)
         rng = random.Random(
             self.seed ^ zlib.crc32(salt.encode("utf-8"))
         )

@@ -1,12 +1,11 @@
-"""Hash-partitioned engine: N sub-backends with per-shard capacity.
+"""Hash-partitioned engine: N sub-backends behind one interface.
 
 Models a concurrent-map / partitioned-store backend: keys are routed
 to one of ``n_shards`` sub-engines by a stable hash (CRC-32, so shard
 placement survives process restarts and Python hash randomization).
-Optional per-shard capacity bounds give every partition its own
-admission limit — when a shard overflows, the engine drops its oldest
-resident entry and announces the drop through the eviction hook, which
-is how the policy layer above learns about engine-initiated evictions.
+A shard has no capacity of its own: like every engine it stores what
+it is given, and the policy layer above decides what goes when the
+cache as a whole is full.
 """
 
 from __future__ import annotations
@@ -40,29 +39,12 @@ class ShardedBackend(CacheBackend):
         self,
         n_shards: int = 8,
         shard_factory: Optional[Callable[[], CacheBackend]] = None,
-        max_entries_per_shard: Optional[int] = None,
-        max_bytes_per_shard: Optional[int] = None,
     ) -> None:
-        super().__init__()
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1: {n_shards}")
-        if max_entries_per_shard is not None and max_entries_per_shard <= 0:
-            raise ValueError(
-                f"max_entries_per_shard must be positive: "
-                f"{max_entries_per_shard}"
-            )
-        if max_bytes_per_shard is not None and max_bytes_per_shard <= 0:
-            raise ValueError(
-                f"max_bytes_per_shard must be positive: {max_bytes_per_shard}"
-            )
         self.n_shards = n_shards
-        self.max_entries_per_shard = max_entries_per_shard
-        self.max_bytes_per_shard = max_bytes_per_shard
         factory = shard_factory or InMemoryBackend
         self.shards: List[CacheBackend] = [factory() for _ in range(n_shards)]
-        for shard in self.shards:
-            # Forward drops a sub-engine initiates on its own.
-            shard.subscribe_evictions(self._notify_eviction)
 
     # -- routing ----------------------------------------------------------
 
@@ -81,9 +63,7 @@ class ShardedBackend(CacheBackend):
         return self.shard_of(key).peek(key)
 
     def put(self, key: str, value: Any, size: int = 0) -> None:
-        shard = self.shard_of(key)
-        shard.put(key, value, size)
-        self._enforce_shard_capacity(shard, protect=key)
+        self.shard_of(key).put(key, value, size)
 
     def remove(self, key: str) -> Optional[Any]:
         return self.shard_of(key).remove(key)
@@ -126,13 +106,7 @@ class ShardedBackend(CacheBackend):
                 (key, value, size)
             )
         for index, shard_items in grouped.items():
-            shard = self.shards[index]
-            shard.put_many(shard_items)
-            # Protect the most recent write, matching what sequential
-            # puts would keep when the sub-batch overflows the shard.
-            self._enforce_shard_capacity(
-                shard, protect=shard_items[-1][0]
-            )
+            self.shards[index].put_many(shard_items)
 
     def remove_many(self, keys: Iterable[str]) -> Dict[str, Any]:
         removed: Dict[str, Any] = {}
@@ -175,33 +149,6 @@ class ShardedBackend(CacheBackend):
         # Shard barriers run in parallel partitions; the conservative
         # serialized composition matches drain_latency's.
         return sum(shard.sync() for shard in self.shards)
-
-    # -- per-shard capacity -----------------------------------------------
-
-    def _over_capacity(self, shard: CacheBackend) -> bool:
-        if self.max_entries_per_shard is not None and (
-            len(shard) > self.max_entries_per_shard
-        ):
-            return True
-        if self.max_bytes_per_shard is not None and (
-            shard.bytes_used > self.max_bytes_per_shard
-        ):
-            return True
-        return False
-
-    def _enforce_shard_capacity(
-        self, shard: CacheBackend, protect: str
-    ) -> None:
-        while self._over_capacity(shard):
-            victim = next(
-                (key for key, _ in shard.scan() if key != protect), None
-            )
-            if victim is None:
-                # The protected entry alone exceeds the shard: keep it
-                # (same no-thrash rule as the policy layer).
-                break
-            value = shard.remove(victim)
-            self._notify_eviction(victim, value)
 
     # -- simulated operation cost ------------------------------------------
 

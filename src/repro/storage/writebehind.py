@@ -248,13 +248,7 @@ class WriteBehindBackend(DelegatingBackend):
         # engine now holds exactly the overlay's state, so dropping
         # the overlay entry is invisible to readers.
         del self._queued_refs[key]
-        value, _ = self._overlay.pop(key)
-        if value is not _TOMBSTONE and self.inner.peek(key) is None:
-            # A capacity-bounded inner engine evicted the key while the
-            # flush was still in progress (the overlay masked the hook);
-            # surface the drop now so the layers above stay consistent.
-            self._account_remove(key)
-            self._notify_eviction(key, value)
+        del self._overlay[key]
 
     def _flush_sealed(self) -> int:
         """Apply all sealed epochs to the inner engine, in order.
@@ -384,15 +378,3 @@ class WriteBehindBackend(DelegatingBackend):
             self._flush_sealed()
             self.background_latency += self.inner.drain_latency()
         return foreground
-
-    # -- eviction forwarding -----------------------------------------------
-
-    def _on_inner_eviction(self, key: str, value: Any) -> None:
-        overlaid = self._overlay.get(key)
-        if overlaid is not None:
-            # A queued mutation supersedes the evicted copy: the
-            # overlay (and the pending flush) keeps the key's visible
-            # state, so nothing is lost above.
-            return
-        self._account_remove(key)
-        self._notify_eviction(key, value)

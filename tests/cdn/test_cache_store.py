@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cdn import CacheStore, EvictionPolicy
+from repro.cdn import CacheStore
 from repro.http import Headers, Response, Status, URL
 
 
@@ -66,7 +66,8 @@ class TestBasics:
         store.put("k", response(), now=0.0)
         assert store.remove("k")
         assert not store.remove("k")
-        assert store.invalidations == 1
+        assert len(store) == 0
+        assert store.keys() == []
 
     def test_remove_prefix(self):
         store = CacheStore(shared=True)
@@ -82,15 +83,14 @@ class TestBasics:
         assert len(store) == 0
         assert store.total_bytes == 0
 
-    def test_peek_does_not_touch_recency_or_hits(self):
+    def test_peek_does_not_touch_recency(self):
         store = CacheStore(shared=True, max_entries=2)
         store.put("old", response(), now=0.0)
         store.put("new", response(), now=0.0)
         store.peek("old")
         store.put("third", response(), now=1.0)
         # "old" was evicted despite the peek: peek is not a use.
-        assert "old" not in store
-        assert store.peek("new").hits == 0
+        assert store.keys() == ["new", "third"]
 
     def test_expire_drops_stale(self):
         store = CacheStore(shared=True)
@@ -119,39 +119,6 @@ class TestEviction:
         assert "a" in store
         assert "b" not in store
         assert store.evictions == 1
-
-    def test_fifo_ignores_recency(self):
-        store = CacheStore(
-            shared=True, max_entries=2, policy=EvictionPolicy.FIFO
-        )
-        store.put("a", response(), now=0.0)
-        store.put("b", response(), now=0.0)
-        store.get("a", now=1.0)
-        store.put("c", response(), now=2.0)
-        assert "a" not in store
-
-    def test_lfu_evicts_least_hit(self):
-        store = CacheStore(
-            shared=True, max_entries=2, policy=EvictionPolicy.LFU
-        )
-        store.put("popular", response(), now=0.0)
-        store.put("ignored", response(), now=0.0)
-        store.get("popular", now=1.0)
-        store.get("popular", now=2.0)
-        store.put("newcomer", response(), now=3.0)
-        assert "popular" in store
-        assert "ignored" not in store
-        assert "newcomer" in store
-
-    def test_lfu_ties_break_oldest_first(self):
-        store = CacheStore(
-            shared=True, max_entries=2, policy=EvictionPolicy.LFU
-        )
-        store.put("older", response(), now=0.0)
-        store.put("newer", response(), now=1.0)
-        store.put("third", response(), now=2.0)
-        assert "older" not in store
-        assert "newer" in store
 
     def test_byte_capacity(self):
         store = CacheStore(shared=True, max_bytes=300)
@@ -199,14 +166,7 @@ class TestEviction:
             assert len(store) <= 3
 
 
-class TestHitBookkeeping:
-    def test_hits_counted_per_entry(self):
-        store = CacheStore(shared=True)
-        store.put("k", response(), now=0.0)
-        store.get("k", now=1.0)
-        store.get("k", now=2.0)
-        assert store.peek("k").hits == 2
-
+class TestPayloadSize:
     def test_content_length_parsing_fallbacks(self):
         resp = response()
         resp.headers["Content-Length"] = "not-a-number"

@@ -1,22 +1,27 @@
 """CacheStore policy behaviour over every pluggable storage engine."""
 
 import random
+from collections import OrderedDict
 
 import pytest
 
-from repro.cdn import CacheStore, EvictionPolicy
+from repro.cdn import CacheStore
 from repro.http import Headers, Response, Status, URL
 from repro.simnet.delay import ConstantDelay
 from repro.storage import (
+    BatchedRemoteBackend,
     InMemoryBackend,
     ShardedBackend,
     SimulatedRemoteBackend,
+    WriteBehindBackend,
 )
 
 ENGINE_FACTORIES = {
     "inmemory": InMemoryBackend,
     "sharded": lambda: ShardedBackend(n_shards=4),
     "remote": lambda: SimulatedRemoteBackend(rng=random.Random(5)),
+    "batched": lambda: BatchedRemoteBackend(rng=random.Random(5)),
+    "write-behind": lambda: WriteBehindBackend(rng=random.Random(5)),
 }
 
 
@@ -62,10 +67,15 @@ class TestPolicyOverEngines:
         assert store.total_bytes == 10 * 100
 
     def test_stale_get_fresh_is_a_pure_miss(self, store):
-        # Satellite: a stale lookup must not bump hits or recency.
+        # A stale lookup must not make the entry look recently used.
         store.put("k", response(ttl=10), now=0.0)
+        store.put("other", response(ttl=1000), now=0.0)
         assert store.get_fresh("k", now=20.0) is None
-        assert store.peek("k").hits == 0
+        assert store.get_fresh_many(["k"], now=20.0) == {}
+        assert store.keys() == ["k", "other"]
+        # ... while a fresh one does.
+        assert store.get_fresh("k", now=5.0) is not None
+        assert store.keys() == ["other", "k"]
 
     def test_expire_drops_only_stale(self, store):
         store.put("old", response(ttl=10), now=0.0)
@@ -131,59 +141,64 @@ class TestCombinedCapacity:
         assert len(bounded) == 1
 
 
-class TestLfuOverEngines:
+class TestLruOverEngines:
     @pytest.fixture(params=sorted(ENGINE_FACTORIES))
-    def lfu(self, request):
+    def lru(self, request):
         return CacheStore(
             shared=True,
             max_entries=3,
-            policy=EvictionPolicy.LFU,
             backend=ENGINE_FACTORIES[request.param](),
         )
 
-    def test_least_hit_entry_goes(self, lfu):
-        lfu.put("cold", response(), now=0.0)
-        lfu.put("warm", response(), now=1.0)
-        lfu.put("hot", response(), now=2.0)
-        lfu.get_fresh("warm", now=3.0)
-        for _ in range(3):
-            lfu.get_fresh("hot", now=3.0)
-        lfu.put("new", response(), now=4.0)
-        assert "cold" not in lfu
-        assert sorted(lfu.keys()) == ["hot", "new", "warm"]
+    def test_least_recently_served_entry_goes(self, lru):
+        lru.put("first", response(), now=0.0)
+        lru.put("second", response(), now=1.0)
+        lru.put("third", response(), now=2.0)
+        lru.get_fresh("first", now=3.0)
+        lru.get("second", now=3.0)
+        lru.get_fresh_many(["first"], now=3.0)
+        lru.put("new", response(), now=4.0)
+        assert lru.keys() == ["second", "first", "new"]
+        assert lru.evictions == 1
 
-    def test_ties_break_oldest_first(self, lfu):
-        lfu.put("first", response(), now=0.0)
-        lfu.put("second", response(), now=1.0)
-        lfu.put("third", response(), now=2.0)
-        lfu.put("new", response(), now=3.0)  # all at zero hits
-        assert "first" not in lfu
-        assert "second" in lfu
+    def test_unserved_entries_go_oldest_first(self, lru):
+        for i, key in enumerate(["first", "second", "third", "new", "newer"]):
+            lru.put(key, response(), now=float(i))
+        assert lru.keys() == ["third", "new", "newer"]
 
-    def test_heap_correct_after_key_churn(self, lfu):
-        # Replacement and removal leave stale heap items behind; the
-        # lazy heap must keep picking true minima through heavy churn.
+    def test_replacing_an_entry_renews_it_and_evicts_nothing(self, lru):
+        for i, key in enumerate(["first", "second", "third", "first"]):
+            lru.put(key, response(version=i), now=float(i))
+        assert lru.keys() == ["second", "third", "first"]
+        assert lru.peek("first").response.version == 3
+        assert lru.evictions == 0
+
+    def test_order_is_exact_lru_through_key_churn(self, lru):
+        # The reference: an OrderedDict that moves a key to the end on
+        # every store and every serve, and drops from the front.
+        model = OrderedDict()
         rng = random.Random(3)
-        for i in range(300):
+        for i in range(400):
             key = f"k{rng.randrange(8)}"
             action = rng.random()
-            if action < 0.5:
-                lfu.put(key, response(), now=float(i))
-            elif action < 0.8:
-                lfu.get_fresh(key, now=float(i))
+            if action < 0.45:
+                lru.put(key, response(ttl=10_000), now=float(i))
+                model[key] = None
+                model.move_to_end(key)
+                while len(model) > 3:
+                    model.popitem(last=False)
+            elif action < 0.75:
+                served = lru.get_fresh(key, now=float(i)) is not None
+                assert served == (key in model)
+                if served:
+                    model.move_to_end(key)
+            elif action < 0.9:
+                assert lru.remove(key) == (key in model)
+                model.pop(key, None)
             else:
-                lfu.remove(key)
-        assert len(lfu) <= 3
-        assert sorted(lfu.keys()) == sorted(lfu.backend.keys())
-        # One more round: the victim must have minimal hit count.
-        lfu.clear()
-        lfu.put("a", response(), now=0.0)
-        lfu.put("b", response(), now=1.0)
-        lfu.put("c", response(), now=2.0)
-        lfu.get_fresh("a", now=3.0)
-        lfu.get_fresh("c", now=3.0)
-        lfu.put("d", response(), now=4.0)
-        assert "b" not in lfu
+                lru.backend.drain_latency()
+            assert lru.keys() == list(model)
+        assert sorted(lru.backend.keys()) == sorted(model)
 
 
 class TestRemoteCostSurface:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.faults import FaultyBackendSpec, FlakyBackend
-from repro.storage import BackendSpec
+from repro.storage import BACKEND_KINDS, BackendSpec
 from repro.storage.backend import InMemoryBackend
 
 
@@ -50,14 +50,6 @@ class TestFlakyBackend:
         assert len(backend) == 20
         assert backend.bytes_used == 200
 
-    def test_eviction_subscription_reaches_inner_engine(self):
-        inner = InMemoryBackend()
-        backend = FlakyBackend(inner, error_rate=0.0)
-        seen = []
-        backend.subscribe_evictions(lambda key, value: seen.append(key))
-        inner._notify_eviction("k", "v")
-        assert seen == ["k"]
-
     def test_rate_validation(self):
         with pytest.raises(ValueError):
             FlakyBackend(InMemoryBackend(), error_rate=1.5)
@@ -70,6 +62,13 @@ class TestFaultyBackendSpec:
         assert spec.kind == "sharded"
         assert spec.n_shards == 4
         assert spec.error_rate == 0.1
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_wrapping_works_on_every_kind(self, kind):
+        spec = FaultyBackendSpec.wrapping(
+            BackendSpec(kind=kind, seed=3), error_rate=0.1, fault_seed=2
+        )
+        assert spec.build(salt="edge-1").inner.kind == kind
 
     def test_build_wraps_with_flaky(self):
         spec = FaultyBackendSpec.wrapping(BackendSpec(), error_rate=0.2)

@@ -18,7 +18,8 @@ from repro.storage import BACKEND_KINDS, BackendSpec, WriteBehindBackend
 
 
 def _build(kind):
-    return BackendSpec(kind=kind, n_shards=4, seed=0).build()
+    tuning = {"n_shards": 4} if kind == "sharded" else {}
+    return BackendSpec(kind=kind, seed=0, **tuning).build()
 
 
 def _seed_entries(backend):

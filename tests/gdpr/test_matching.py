@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cdn.cache import CacheEntry
+from repro.cdn.cache import CacheEntry, CacheStore
 from repro.gdpr import UserDataMatcher
 from repro.gdpr.matching import _SEPARATOR, identity_strings, identity_text
 from repro.http import URL, Headers
@@ -122,7 +122,7 @@ def _anonymous_shapes():
 
 class TestFieldNamesAreNotData:
     """A user whose id spells a field name must not own every entry:
-    before identity texts, ``UserDataMatcher("hits")`` matched every
+    before identity texts, ``UserDataMatcher("key")`` matched every
     ``CacheEntry`` (the walk read ``__dict__`` keys as data)."""
 
     @pytest.mark.parametrize(
@@ -137,7 +137,7 @@ class TestFieldNamesAreNotData:
             if holder is not None
             for name in vars(holder)
         }
-        assert {"hits", "response", "body", "served_by", "version"} & names
+        assert {"key", "response", "body", "served_by", "version"} & names
         for name in names:
             assert not UserDataMatcher(name).matches_value(shape), name
             assert not UserDataMatcher(name).matches_entry("/k", shape), name
@@ -179,10 +179,24 @@ class TestIdentityText:
         assert not UserDataMatcher("u1").matches_value(response)
         assert vars(response) == before
 
-    def test_hits_change_in_place_without_staling_the_text(self):
-        entry = _anonymous_shapes()[1]
-        text = identity_text(entry)
-        entry.hits += 3
+    def test_a_serve_never_edits_the_stored_entry(self):
+        """What keeps a kept text true: serving writes the policy
+        layer's recency order, never the entry."""
+
+        def fields(entry):
+            kept = copy.deepcopy(vars(entry))
+            del kept["_identity_text"]
+            return kept
+
+        response = _anonymous_shapes()[0]
+        store = CacheStore(shared=True)
+        entry = store.put("k", response, now=12.0)
+        text, before = identity_text(entry), fields(entry)
+        assert store.get_fresh("k", now=13.0) is entry
+        assert store.get("k", now=14.0) is entry
+        assert store.get_fresh_many(["k"], now=15.0) == {"k": entry}
+        assert store.peek("k") is entry
+        assert fields(entry) == before
         assert text == _SEPARATOR.join(identity_strings(entry))
 
     def test_strings_are_never_joined_into_a_token(self):
@@ -203,7 +217,7 @@ class TestIdentityText:
 #: Ids that are prefixes, suffixes and infixes of each other and of
 #: the tokens around them; ``-``, ``.`` and ``é`` are not token
 #: characters, so they bound a token from inside an id too.
-_IDS = ["u1", "u12", "1", "2u1", "u_1", "u-1", "u1.2", "é1", "hits", "body"]
+_IDS = ["u1", "u12", "1", "2u1", "u_1", "u-1", "u1.2", "é1", "key", "body"]
 _TEXTS = st.text("u12_-/. é\x00", max_size=6)
 _NEAR_ID = st.builds(
     lambda before, uid, after: before + uid + after,
@@ -256,7 +270,6 @@ _STORED = st.one_of(
         response=_RESPONSES,
         stored_at=st.just(1.0),
         size_bytes=st.integers(0, 12),
-        hits=st.integers(0, 12),
     ),
     st.builds(
         Document,

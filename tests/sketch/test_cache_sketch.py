@@ -122,6 +122,34 @@ class TestBookkeeping:
         assert sketch.stale_key_count(now=100.0) == 0
 
 
+class TestPlaintextKeys:
+    """What the sketch holds in plaintext, stated once: the GDPR
+    residual check, the access report and the erase all read it."""
+
+    def of_u1(self, key):
+        return key.startswith("carts/u1")
+
+    def test_keys_matching_is_sorted_and_mutates_nothing(self, sketch):
+        for key in ("carts/u1/b", "carts/u2", "carts/u1/a"):
+            sketch.report_read(key, expires_at=100.0, now=0.0)
+        sketch.report_write("carts/u1/b", now=1.0)  # tracked and stale
+        before = repr(sketch)
+        assert sketch.keys_matching(self.of_u1) == ["carts/u1/a", "carts/u1/b"]
+        assert sketch.keys_matching(lambda key: False) == []
+        assert repr(sketch) == before
+        assert sketch.contains("carts/u1/b", now=1.0)
+
+    def test_forget_matching_leaves_nothing_to_match(self, sketch):
+        for key in ("carts/u1/b", "carts/u2", "carts/u1/a"):
+            sketch.report_read(key, expires_at=100.0, now=0.0)
+            sketch.report_write(key, now=1.0)
+        assert sketch.forget_matching(self.of_u1, now=2.0) == 2
+        assert sketch.keys_matching(self.of_u1) == []
+        assert sketch.keys_matching(lambda key: True) == ["carts/u2"]
+        assert not sketch.contains("carts/u1/a", now=2.0)
+        assert sketch.stale_key_count(now=2.0) == 1
+
+
 class TestOverload:
     def test_saturation_degrades_to_revalidation_not_staleness(self):
         """A sketch sized for 50 keys loaded with 5000: the fill ratio

@@ -56,42 +56,6 @@ class TestShardRouting:
     def test_invalid_args_rejected(self):
         with pytest.raises(ValueError):
             ShardedBackend(n_shards=0)
-        with pytest.raises(ValueError):
-            ShardedBackend(max_entries_per_shard=0)
-        with pytest.raises(ValueError):
-            ShardedBackend(max_bytes_per_shard=-1)
-
-
-class TestShardCapacity:
-    def test_per_shard_entry_cap_drops_oldest(self):
-        backend = ShardedBackend(n_shards=1, max_entries_per_shard=3)
-        dropped = []
-        backend.subscribe_evictions(lambda key, value: dropped.append(key))
-        for name in ("a", "b", "c", "d"):
-            backend.put(name, name)
-        assert dropped == ["a"]
-        assert sorted(backend.keys()) == ["b", "c", "d"]
-
-    def test_per_shard_byte_cap(self):
-        backend = ShardedBackend(n_shards=1, max_bytes_per_shard=100)
-        backend.put("a", "a", size=60)
-        backend.put("b", "b", size=60)
-        assert backend.keys() == ["b"]
-        assert backend.bytes_used == 60
-
-    def test_oversized_entry_is_kept(self):
-        # Same no-thrash rule as the policy layer: a lone entry larger
-        # than the shard stays put.
-        backend = ShardedBackend(n_shards=1, max_bytes_per_shard=10)
-        backend.put("big", "x", size=50)
-        assert backend.get("big") == "x"
-
-    def test_caps_are_per_shard_not_global(self):
-        backend = ShardedBackend(n_shards=4, max_entries_per_shard=2)
-        for i in range(40):
-            backend.put(f"key-{i}", i)
-        assert all(size <= 2 for size in backend.shard_sizes())
-        assert len(backend) <= 8
 
 
 class TestRemoteLatency:
@@ -211,6 +175,51 @@ class TestBackendSpec:
             BackendSpec(n_shards=0)
         with pytest.raises(ValueError):
             BackendSpec(read_latency=0.0)
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+    def test_latency_sigma_is_checked_at_the_boundary(self, sigma):
+        # Unchecked, nan/inf build and run, and -1 dies deep inside
+        # build() with LogNormalDelay's message instead of this one.
+        with pytest.raises(ValueError, match="latency_sigma must be"):
+            BackendSpec(kind="remote", latency_sigma=sigma)
+        spec = BackendSpec(kind="remote", latency_sigma=0.0)
+        assert spec.build().read_delay.sigma == 0.0
+
+    #: A non-default value per tuning field, and the kinds reading it.
+    TUNING = {
+        "n_shards": (3, {"sharded"}),
+        "read_latency": (0.05, {"remote", "batched", "write-behind"}),
+        "write_latency": (0.05, {"remote", "batched", "write-behind"}),
+        "latency_sigma": (0.1, {"remote", "batched", "write-behind"}),
+        "per_key_cost": (0.001, {"batched", "write-behind"}),
+        "batch_window": (4, {"batched", "write-behind"}),
+        "overlap": (True, {"batched", "write-behind"}),
+        "flush_interval": (5.0, {"write-behind"}),
+    }
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    @pytest.mark.parametrize("knob", sorted(TUNING))
+    def test_a_knob_the_engine_does_not_read_is_refused(self, kind, knob):
+        value, read_by = self.TUNING[knob]
+        if kind in read_by:
+            assert BackendSpec(kind=kind, **{knob: value}).build().kind == kind
+            return
+        with pytest.raises(ValueError) as err:
+            BackendSpec.from_dict({"kind": kind, knob: value})
+        assert knob in str(err.value) and repr(kind) in str(err.value)
+        assert all(reader in str(err.value) for reader in read_by)
+        # The default is what an engine that ignores the knob sees.
+        default = getattr(BackendSpec(), knob)
+        assert BackendSpec(kind=kind, **{knob: default}) == BackendSpec(kind=kind)
+
+    def test_every_field_is_a_knob_the_kind_or_the_seed(self):
+        assert set(BackendSpec.__dataclass_fields__) == {
+            "kind", "seed", *self.TUNING
+        }
+
+    @pytest.mark.parametrize("kind", BACKEND_KINDS)
+    def test_every_kind_takes_the_runs_seed(self, kind):
+        assert BackendSpec(kind=kind, seed=7).build().kind == kind
 
     def test_roundtrip_dict(self):
         spec = BackendSpec(kind="sharded", n_shards=4, seed=3)

@@ -168,14 +168,6 @@ class TestDelegation:
         assert len(removed) == 12
         assert len(backend) == 0
 
-    def test_inner_evictions_are_forwarded(self):
-        inner = ShardedBackend(n_shards=1, max_entries_per_shard=1)
-        backend = make_backend(inner=inner)
-        dropped = []
-        backend.subscribe_evictions(lambda key, value: dropped.append(key))
-        backend.put_many([("a", 1, 0), ("b", 2, 0)])
-        assert dropped == ["a"]
-
     def test_op_counts(self):
         backend = make_backend()
         backend.put("a", 1)

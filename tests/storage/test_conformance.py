@@ -10,7 +10,6 @@ import random
 import pytest
 
 from repro.faults import FlakyBackend
-from repro.simnet.delay import ConstantDelay
 from repro.storage import (
     BatchedRemoteBackend,
     CacheBackend,
@@ -115,12 +114,13 @@ class TestRemove:
     def test_remove_missing_returns_none(self, backend):
         assert backend.remove("ghost") is None
 
-    def test_remove_is_not_announced_as_eviction(self, backend):
-        dropped = []
-        backend.subscribe_evictions(lambda key, value: dropped.append(key))
-        backend.put("k", "value")
+    def test_remove_drops_only_the_named_key(self, backend):
+        backend.put("k", "value", size=5)
+        backend.put("other", "kept", size=7)
         backend.remove("k")
-        assert dropped == []
+        assert backend.keys() == ["other"]
+        assert len(backend) == 1
+        assert backend.bytes_used == 7
 
 
 class TestScan:
@@ -153,15 +153,13 @@ class TestAccounting:
         assert backend.bytes_used == 50
 
     def test_clear(self, backend):
-        dropped = []
-        backend.subscribe_evictions(lambda key, value: dropped.append(key))
         for i in range(5):
             backend.put(f"k{i}", i, size=10)
         backend.clear()
         assert len(backend) == 0
         assert backend.bytes_used == 0
         assert list(backend.scan()) == []
-        assert dropped == []  # clear is the caller's doing
+        assert backend.keys() == []
 
     def test_default_size_is_zero(self, backend):
         backend.put("k", "value")
@@ -202,12 +200,12 @@ class TestBatchedOps:
         assert len(backend) == 0
         assert backend.bytes_used == 0
 
-    def test_remove_many_is_not_announced_as_eviction(self, backend):
-        dropped = []
-        backend.subscribe_evictions(lambda key, value: dropped.append(key))
-        backend.put_many([("a", 1, 0), ("b", 2, 0)])
+    def test_remove_many_drops_only_the_named_keys(self, backend):
+        backend.put_many([("a", 1, 5), ("b", 2, 5), ("c", 3, 7)])
         backend.remove_many(["a", "b"])
-        assert dropped == []
+        assert backend.keys() == ["c"]
+        assert len(backend) == 1
+        assert backend.bytes_used == 7
 
 
 class TestUnflushedVisibility:
@@ -266,33 +264,36 @@ class TestLatencyContract:
         assert backend.pending_latency() == 0.0
 
 
-class TestEvictionHooks:
-    def test_engine_initiated_drops_are_announced(self):
-        """The sharded engine's capacity drops must reach listeners
-        (the only stock engine that drops entries on its own)."""
-        backend = ShardedBackend(n_shards=1, max_entries_per_shard=2)
-        dropped = []
-        backend.subscribe_evictions(
-            lambda key, value: dropped.append((key, value))
-        )
-        backend.put("a", 1)
-        backend.put("b", 2)
-        backend.put("c", 3)
-        assert dropped == [("a", 1)]
-        assert len(backend) == 2
+class TestOnlyThePolicyLayerEvicts:
+    """Capacity is the policy layer's decision alone: an engine keeps
+    everything it was given until it is told otherwise — while the
+    writes are still buffered, after the drain that lets a background
+    flusher run, and after the durability barrier."""
 
-    def test_wrapped_engine_forwards_evictions(self):
-        inner = ShardedBackend(n_shards=1, max_entries_per_shard=1)
-        backend = SimulatedRemoteBackend(
-            inner=inner,
-            read_delay=ConstantDelay(0.001),
-            write_delay=ConstantDelay(0.001),
-        )
-        dropped = []
-        backend.subscribe_evictions(lambda key, value: dropped.append(key))
-        backend.put("a", 1)
-        backend.put("b", 2)
-        assert dropped == ["a"]
+    N = 300
+
+    def _assert_holds_everything(self, backend, expected):
+        assert len(backend) == len(expected)
+        assert backend.bytes_used == 10 * len(expected)
+        assert sorted(backend.keys()) == sorted(expected)
+        assert {key: backend.get(key) for key in expected} == expected
+        assert backend.get_many(list(expected)) == expected
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["put", "put_many"])
+    def test_an_engine_stores_what_it_is_given(self, backend, batched):
+        expected = {f"key-{i}": i + 1 for i in range(self.N)}
+        if batched:
+            backend.put_many(
+                [(key, value, 10) for key, value in expected.items()]
+            )
+        else:
+            for key, value in expected.items():
+                backend.put(key, value, size=10)
+        self._assert_holds_everything(backend, expected)
+        backend.drain_latency()
+        self._assert_holds_everything(backend, expected)
+        backend.sync()
+        self._assert_holds_everything(backend, expected)
 
 
 class TestDeepViews:
@@ -335,10 +336,15 @@ class TestClosedProtocol:
     here by name."""
 
     def test_delegating_backend_forwards_the_whole_surface(self):
-        # Listeners subscribe on the wrapper itself, which re-announces
-        # the wrapped engine's drops; everything else must be forwarded.
         missing = _public(CacheBackend) - _public(DelegatingBackend)
-        assert missing == {"subscribe_evictions"}
+        assert missing == set()
+
+    def test_the_protocol_carries_no_state(self):
+        # Calls run one way, policy -> engine: the base type keeps no
+        # listeners (nothing at all), and a wrapper only what it wraps.
+        assert "__init__" not in vars(CacheBackend)
+        assert len(_public(CacheBackend)) == 20
+        assert list(vars(DelegatingBackend(InMemoryBackend()))) == ["inner"]
 
     def test_sharded_backend_gathers_every_deep_view(self):
         deep_views = {

@@ -276,48 +276,3 @@ class TestRandomizedModelCheck:
         assert len(backend) == len(reference)
         assert backend.bytes_used == len(reference)
         assert backend.queued_mutations == 0
-
-
-class TestEvictionForwarding:
-    def make_bounded(self, max_entries):
-        return WriteBehindBackend(
-            inner=BatchedRemoteBackend(
-                inner=ShardedBackend(
-                    n_shards=1, max_entries_per_shard=max_entries
-                ),
-                read_delay=ConstantDelay(READ),
-                write_delay=ConstantDelay(WRITE),
-                per_key_cost=MARGINAL,
-            ),
-            flush_interval=FLUSH,
-        )
-
-    def test_inner_capacity_drop_is_forwarded(self):
-        backend = self.make_bounded(max_entries=2)
-        dropped = []
-        backend.subscribe_evictions(lambda key, value: dropped.append(key))
-        for i in range(3):
-            backend.put(f"k{i}", i, size=1)
-            backend.drain_latency()
-        assert dropped == ["k0"]
-        assert len(backend) == 2
-        assert backend.bytes_used == 2
-
-    def test_drop_masked_by_pending_overwrite_is_suppressed(self):
-        """An eviction of a key whose newer value is still queued is
-        invisible above: the pending flush restores the key."""
-        backend = self.make_bounded(max_entries=2)
-        dropped = []
-        backend.subscribe_evictions(lambda key, value: dropped.append(key))
-        backend.put("a", 1, size=1)
-        backend.drain_latency()
-        backend.put("a", 2, size=1)  # queued overwrite
-        backend.put("b", 3, size=1)
-        backend.put("c", 4, size=1)
-        backend.drain_latency()
-        # Whatever got evicted mid-flush, the merged view stayed at the
-        # inner engine's capacity and reads never saw a phantom key.
-        assert len(backend) == 2
-        assert set(backend.keys()) == {
-            key for key, _ in backend.inner.scan()
-        }

@@ -642,30 +642,38 @@ def test_strangers_exit_with_a_named_one_liner(
 @pytest.mark.parametrize(
     "flags, names",
     [
-        (["--flush-interval", "5"], ("--flush-interval", "write-behind")),
-        (["--batch-window", "4"], ("--batch-window", "--backend batched")),
-        (["--overlap"], ("--overlap", "--backend batched")),
-        (["--backend-shards", "4"], ("--backend-shards", "--backend sharded")),
+        # Without --backend the default engine's spec refuses the knob.
+        (["--flush-interval", "5"], ("flush_interval", "write-behind", "inmemory")),
+        (["--batch-window", "4"], ("batch_window", "batched", "inmemory")),
+        (["--overlap"], ("overlap", "batched|write-behind", "inmemory")),
+        (["--backend-shards", "4"], ("n_shards", "sharded", "inmemory")),
         (
             ["--backend", "remote", "--batch-window", "4"],
-            ("--batch-window", "--backend remote"),
+            ("batch_window", "batched|write-behind", "'remote'"),
         ),
         (
             ["--backend", "batched", "--flush-interval", "5"],
-            ("--flush-interval", "--backend batched"),
+            ("flush_interval", "write-behind", "'batched'"),
         ),
         (["--admission"], ("--admission", "--overload-profile")),
+        (["--autoscale"], ("--autoscale", "--overload-profile")),
+        (["--replay-rate", "0"], ("--replay-rate", "positive")),
+        (
+            ["--replay", "a.jsonl", "--import-log", "b.csv"],
+            ("--replay", "--import-log", "mutually exclusive"),
+        ),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )
-def test_contradictory_storage_flags_exit_naming_both(
-    monkeypatch, flags, names
-):
+def test_contradictory_flags_exit_naming_both(monkeypatch, flags, names):
     monkeypatch.setattr(cli, "_run", None)
     with pytest.raises(SystemExit) as err:
         main(["run"] + SMALL + flags)
+    message = str(err.value)
+    assert message.startswith("repro: error: ")
+    assert "\n" not in message  # one line, no traceback
     for name in names:
-        assert name in str(err.value)
+        assert name in message
 
 
 def test_storage_tuning_flags_reach_their_engine(monkeypatch):
