@@ -434,7 +434,7 @@ def _run(spec: ScenarioSpec, workload, args) -> "RunResult":
     if n_shards > 1:
         from repro.parallel import ShardedSimulationRunner
 
-        result = ShardedSimulationRunner(
+        result = _named_exit(ShardedSimulationRunner)(
             spec,
             catalog,
             users,

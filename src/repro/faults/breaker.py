@@ -15,7 +15,7 @@ this target right now".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.sim.metrics import MetricRegistry

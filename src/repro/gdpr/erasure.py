@@ -342,6 +342,9 @@ class ErasureCoordinator:
         self.metrics.counter("gdpr.erase.queued_scrubbed").inc(
             sum(report.queued_scrubbed.values())
         )
+        self.metrics.counter("gdpr.erase.txn_buffers_scrubbed").inc(
+            report.txn_buffers_scrubbed
+        )
         # The completeness gate: a single surviving byte shows up here.
         self.metrics.counter("gdpr.erase.residuals").inc(
             report.residual_count

@@ -1,12 +1,15 @@
 """Aggregated results of one simulation run.
 
-Each :class:`RunResult` field is declared once, with :func:`ledger`,
-and carries its own rules: how shards combine it, whether
-:meth:`RunResult.to_dict` exports it, and which registry counter (if
-any) it restates. Merge, export and the counter copy are loops over
-those declarations. A count field is never bumped on the way: it
-restates, at end of run, the counter kept where the event happens
-(DESIGN.md, *Observability*).
+A :class:`RunResult` is a function of what a run exports — the
+scenario's name, its metric registry and its span records — and
+:meth:`RunResult.over` is the one way to make one, for a serial run
+and for the folded registries of N shards alike. Each field is
+declared once, with :func:`ledger`, and carries its own rules: where in
+the registry it is read from (a counter or counter family, the peak of
+a histogram, the observation count of histograms) and whether
+:meth:`RunResult.to_dict` exports it. A field is never bumped on the
+way: it restates, at end of run, the collector kept where the event
+happens (DESIGN.md, *Observability*).
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import inspect
-import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.sim.metrics import Histogram, MetricRegistry
 
@@ -24,40 +26,8 @@ from repro.sim.metrics import Histogram, MetricRegistry
 #: The resource kinds the per-content-type hit-ratio table reports.
 CONTENT_KINDS = ("static", "page", "query", "api", "fragment")
 
-
-def _sum_map(ours: dict, theirs: dict) -> dict:
-    for key, count in theirs.items():
-        ours[key] = ours.get(key, 0) + count
-    return ours
-
-
-def _sum_nested_map(ours: dict, theirs: dict) -> dict:
-    for key, inner in theirs.items():
-        _sum_map(ours.setdefault(key, {}), inner)
-    return ours
-
-
-def _same(ours, theirs):
-    if theirs != ours:
-        raise ValueError(f"cannot merge run of {theirs!r} into {ours!r}")
-    return ours
-
-
-#: How two shards' values of one field fold into one: each rule takes
-#: ``(ours, theirs)`` and returns the merged value (container rules
-#: fold into ``ours`` in place). ``max`` is for extrema — each shard
-#: saw its own worst case, the merged value is the worst any saw.
-#: ``registry`` fields belong to the metric registry, which merges
-#: them itself.
-MERGE_RULES = {
-    "sum": operator.add,
-    "max": max,
-    "sum-map": _sum_map,
-    "sum-nested-map": _sum_nested_map,
-    "concat": operator.iadd,
-    "same": _same,
-    "registry": None,
-}
+#: The per-tier latency sketches ``tier_breakdown`` restates the sums of.
+_TIER_SKETCHES = "tier.plt."
 
 
 def _nest(family: Dict[str, int]) -> Dict[str, Dict[str, int]]:
@@ -68,39 +38,41 @@ def _nest(family: Dict[str, int]) -> Dict[str, Dict[str, int]]:
     return nested
 
 
-#: How a counter family (``{label: count}``) lands in a field, by the
-#: field's merge rule: a total, the map itself, or a nested map.
-_FAMILY_SHAPES = {
-    "sum": lambda family: sum(family.values()),
-    "sum-map": dict,
-    "sum-nested-map": _nest,
-}
-
-
 def ledger(
-    merge: str,
     default=dataclasses.MISSING,
     *,
     export: Union[bool, str] = True,
     counter: Optional[str] = None,
+    peak: Optional[str] = None,
+    observations: Optional[Tuple[str, ...]] = None,
     **field_kwargs,
 ):
     """One :class:`RunResult` field with its rules.
 
-    ``merge`` names a :data:`MERGE_RULES` entry; ``export`` is ``True``
-    (exported under the field's name), another key, or ``False``;
-    ``counter`` is the registry counter the field restates at end of
-    run — or, ending in ``*``, a counter *family*: every counter under
-    that prefix, restated in the field's own shape (``"serve.shed.*"``
-    as a total, ``"serve.layer.*"`` as a map by label,
-    ``"serve.kind.*.*"`` as a nested map, the label split at its first
-    dot).
+    ``export`` is ``True`` (exported under the field's name), another
+    key, or ``False``. At most one of the rest names where
+    :meth:`RunResult.over` reads the field from:
+
+    * ``counter`` — the registry counter the field restates, or, ending
+      in ``*``, a counter *family*: every counter under that prefix, in
+      the shape the pattern and the field give it (``"serve.kind.*.*"``
+      nests, the label split at its first dot; a ``dict`` field such as
+      ``"serve.layer.*"`` takes the map by label; a number field such
+      as ``"serve.shed.*"`` the total);
+    * ``peak`` — the histogram whose largest observation the field
+      restates, in the field's own type (histograms merge by
+      concatenation, so over merged shards it is the worst any saw);
+    * ``observations`` — the histograms whose observation counts add
+      up to the field (one page load, one PLT).
     """
-    if merge not in MERGE_RULES:
-        raise TypeError(f"unknown merge rule {merge!r}")
     return dataclasses.field(
         default=default,
-        metadata={"merge": merge, "export": export, "counter": counter},
+        metadata={
+            "export": export,
+            "counter": counter,
+            "peak": peak,
+            "observations": observations,
+        },
         **field_kwargs,
     )
 
@@ -108,9 +80,9 @@ def ledger(
 def _require_rules(cls):
     """Fail class creation when its body declares a rule-less field."""
     for name in inspect.get_annotations(cls):
-        if "merge" not in getattr(cls.__dict__.get(name), "metadata", ()):
+        if "export" not in getattr(cls.__dict__.get(name), "metadata", ()):
             raise TypeError(
-                f"{cls.__name__}.{name} has no merge/export rule: "
+                f"{cls.__name__}.{name} has no source/export rule: "
                 f"declare it with ledger(...)"
             )
     return cls
@@ -121,92 +93,93 @@ def _require_rules(cls):
 class RunResult:
     """Everything measured during one trace replay."""
 
-    scenario_name: str = ledger("same", export="scenario")
-    metrics: MetricRegistry = ledger("registry", export=False)
+    scenario_name: str = ledger(export="scenario")
+    metrics: MetricRegistry = ledger(export=False)
     #: Page load times — an alias of the registry-owned histogram
     #: ``plt.all`` (per dimension: ``plt.page.<kind>``,
     #: ``plt.conn.<connection>``, in the registry only).
-    plt: Histogram = ledger("registry", export=False)
+    plt: Histogram = ledger(export=False)
     #: Request counts by serving layer ("origin", "edge-1",
     #: "browser:<node>"→"browser", "sw:<node>"→"sw").
     served_by_layer: Dict[str, int] = ledger(
-        "sum-map", default_factory=dict, counter="serve.layer.*"
+        default_factory=dict, counter="serve.layer.*"
     )
     #: Request counts by (layer, resource kind).
     served_by_kind: Dict[str, Dict[str, int]] = ledger(
-        "sum-nested-map", default_factory=dict, counter="serve.kind.*.*"
+        default_factory=dict, counter="serve.kind.*.*"
     )
     #: Degraded servings (stale-if-error, offline mode) per layer — a
     #: subset of ``served_by_layer``. Kept separate so hit ratios can
     #: exclude availability fallbacks from the fresh-hit numerator.
     served_degraded_by_layer: Dict[str, int] = ledger(
-        "sum-map", default_factory=dict, counter="serve.degraded.*"
+        default_factory=dict, counter="serve.degraded.*"
     )
     #: Coherence outcome. ``stale_reads`` and ``reads_checked`` span
-    #: every checked read; violations exist only where the protocol
-    #: promises the Δ bound (the uncovered checker's bound is ∞).
-    reads_checked: int = ledger("sum", 0)
-    stale_reads: int = ledger("sum", 0, counter="coherence.stale_reads")
-    delta_violations: int = ledger("sum", 0, counter="coherence.violations")
-    max_staleness: float = ledger("max", 0.0)
+    #: every checked read (each checker observes one staleness per
+    #: read); violations exist only where the protocol promises the Δ
+    #: bound (the uncovered checker's bound is ∞).
+    reads_checked: int = ledger(
+        0,
+        observations=("coherence.staleness", "coherence.uncovered.staleness"),
+    )
+    stale_reads: int = ledger(0, counter="coherence.stale_reads")
+    delta_violations: int = ledger(0, counter="coherence.violations")
+    #: Worst staleness among the covered population — the only one the
+    #: protocol promises the Δ bound to.
+    max_staleness: float = ledger(0.0, peak="coherence.staleness")
     #: Worst staleness among users NOT covered by the Δ guarantee
     #: (non-consenting users running the plain browser stack).
-    uncovered_max_staleness: float = ledger("max", 0.0)
+    uncovered_max_staleness: float = ledger(0.0, peak="coherence.uncovered.staleness")
     #: Sketch accounting (Speed Kit only).
-    sketch_fetches: int = ledger("sum", 0, counter="sketch.fetches")
-    sketch_bytes: int = ledger("sum", 0, counter="sketch.bytes")
+    sketch_fetches: int = ledger(0, counter="sketch.fetches")
+    sketch_bytes: int = ledger(0, counter="sketch.bytes")
     #: Scrubbing accounting (Speed Kit only).
-    requests_scrubbed: int = ledger("sum", 0, counter="speedkit.scrubbed")
+    requests_scrubbed: int = ledger(0, counter="speedkit.scrubbed")
     #: Origin load.
-    origin_requests: int = ledger("sum", 0)
-    #: Page views loaded: the observation count of ``plt.all`` (one
-    #: page load, one PLT), restated by :meth:`mirror_counters`.
-    page_views: int = ledger("sum", 0)
+    origin_requests: int = ledger(0, counter="origin.requests")
+    #: Page views loaded: one page load, one PLT observation.
+    page_views: int = ledger(0, observations=("plt.all",))
     #: Requests answered with a 5xx (origin outages).
-    failed_responses: int = ledger("sum", 0, counter="serve.failed")
+    failed_responses: int = ledger(0, counter="serve.failed")
     #: Egress bandwidth: bytes the origin served vs. bytes edges served.
-    origin_egress_bytes: int = ledger("sum", 0, counter="bytes.origin_egress")
-    edge_egress_bytes: int = ledger("sum", 0, counter="bytes.edge_egress")
+    origin_egress_bytes: int = ledger(0, counter="bytes.origin_egress")
+    edge_egress_bytes: int = ledger(0, counter="bytes.edge_egress")
     #: Personalization correctness: page/query responses to logged-in
     #: users that carried the right personalization (their segment, or
     #: a full identity-personalized render) vs. anonymous fallbacks.
     #: Exported only as the derived ``personalization_rate``.
     personalization_checks: int = ledger(
-        "sum", 0, export=False, counter="personalization.checks"
+        0, export=False, counter="personalization.checks"
     )
     personalization_misses: int = ledger(
-        "sum", 0, export=False, counter="personalization.misses"
+        0, export=False, counter="personalization.misses"
     )
     #: GDPR accounting: data-subject requests served and the erasure
     #: outcome. ``erasure_residuals`` is the compliance gate — any
     #: nonzero value means user bytes survived an erase somewhere.
-    erasures: int = ledger("sum", 0, counter="gdpr.erase.count")
-    accesses: int = ledger("sum", 0, counter="gdpr.access.count")
-    erasure_removed: int = ledger("sum", 0, counter="gdpr.erase.removed")
-    erasure_residuals: int = ledger("sum", 0, counter="gdpr.erase.residuals")
-    erasure_replicas_dropped: int = ledger(
-        "sum", 0, counter="gdpr.erase.replicas_dropped"
-    )
-    erasure_queued_scrubbed: int = ledger(
-        "sum", 0, counter="gdpr.erase.queued_scrubbed"
-    )
+    erasures: int = ledger(0, counter="gdpr.erase.count")
+    accesses: int = ledger(0, counter="gdpr.access.count")
+    erasure_removed: int = ledger(0, counter="gdpr.erase.removed")
+    erasure_residuals: int = ledger(0, counter="gdpr.erase.residuals")
+    erasure_replicas_dropped: int = ledger(0, counter="gdpr.erase.replicas_dropped")
+    erasure_queued_scrubbed: int = ledger(0, counter="gdpr.erase.queued_scrubbed")
     #: Exported span records rewritten by the erasure scrubbing pass.
-    spans_scrubbed: int = ledger("sum", 0, counter="gdpr.spans_scrubbed")
+    spans_scrubbed: int = ledger(0, counter="gdpr.spans_scrubbed")
     #: Multi-key transaction accounting. ``txn_fractured_reads``,
     #: ``txn_serialization_violations``, and ``txn_silent_downgrades``
     #: are the ladder's compliance gates — all must be zero.
-    txns: int = ledger("sum", 0, counter="txn.checked")
-    txn_aborts: int = ledger("sum", 0, counter="txn.aborts")
-    txn_validation_retries: int = ledger("sum", 0, counter="txn.validation_retries")
-    txn_refetches: int = ledger("sum", 0, counter="txn.refetches")
-    txn_degraded: int = ledger("sum", 0, counter="txn.degraded")
-    txn_erase_conflicts: int = ledger("sum", 0, counter="txn.erase_conflicts")
-    txn_fractured_reads: int = ledger("sum", 0, counter="txn.fractured_reads")
+    txns: int = ledger(0, counter="txn.checked")
+    txn_aborts: int = ledger(0, counter="txn.aborts")
+    txn_validation_retries: int = ledger(0, counter="txn.validation_retries")
+    txn_refetches: int = ledger(0, counter="txn.refetches")
+    txn_degraded: int = ledger(0, counter="txn.degraded")
+    txn_erase_conflicts: int = ledger(0, counter="txn.erase_conflicts")
+    txn_fractured_reads: int = ledger(0, counter="txn.fractured_reads")
     txn_serialization_violations: int = ledger(
-        "sum", 0, counter="txn.serialization_violations"
+        0, counter="txn.serialization_violations"
     )
-    txn_silent_downgrades: int = ledger("sum", 0, counter="txn.silent_downgrades")
-    txn_buffers_scrubbed: int = ledger("sum", 0)
+    txn_silent_downgrades: int = ledger(0, counter="txn.silent_downgrades")
+    txn_buffers_scrubbed: int = ledger(0, counter="gdpr.erase.txn_buffers_scrubbed")
     #: Overload-plane accounting (zero unless an
     #: ``overload_profile`` governed the run). ``offered_requests``
     #: counts every arrival at a governor, ``admitted_requests`` those
@@ -214,49 +187,46 @@ class RunResult:
     #: governor-side refusals, ``shed_responses`` the synthesized
     #: ``X-Load-Shed`` answers that reached clients — the property
     #: suite pins the two shed counts equal.
-    offered_requests: int = ledger("sum", 0, counter="overload.offered.total")
-    admitted_requests: int = ledger(
-        "sum", 0, counter="overload.admitted.total"
-    )
-    queued_requests: int = ledger("sum", 0, counter="overload.queued.total")
-    shed_requests: int = ledger("sum", 0, counter="overload.shed.total")
-    shed_responses: int = ledger("sum", 0, counter="serve.shed.*")
+    offered_requests: int = ledger(0, counter="overload.offered.total")
+    admitted_requests: int = ledger(0, counter="overload.admitted.total")
+    queued_requests: int = ledger(0, counter="overload.queued.total")
+    shed_requests: int = ledger(0, counter="overload.shed.total")
+    shed_responses: int = ledger(0, counter="serve.shed.*")
     #: Shed counts by priority class label ("personalized", "static");
     #: "control" must never appear.
     shed_by_class: Dict[str, int] = ledger(
-        "sum-map", default_factory=dict, counter="overload.shed.*"
+        default_factory=dict, counter="overload.shed.*"
     )
     #: Page views whose every response was fresh, unmarked, and whose
     #: PLT met the profile's SLO — the goodput numerator. Counted only
     #: when an overload profile is active (otherwise 0).
-    goodput_pages: int = ledger("sum", 0, counter="overload.goodput_pages")
-    #: Deepest any governed queue got.
-    queue_depth_peak: int = ledger("max", 0)
+    goodput_pages: int = ledger(0, counter="overload.goodput_pages")
+    #: Deepest any governed queue got (one observation per kernel).
+    queue_depth_peak: int = ledger(0, peak="overload.queue_depth_peak")
     #: Autoscaler decisions and control-lane tickets.
-    scale_ups: int = ledger("sum", 0, counter="overload.scale_ups")
-    scale_downs: int = ledger("sum", 0, counter="overload.scale_downs")
-    control_events: int = ledger("sum", 0, counter="overload.control.total")
+    scale_ups: int = ledger(0, counter="overload.scale_ups")
+    scale_downs: int = ledger(0, counter="overload.scale_downs")
+    control_events: int = ledger(0, counter="overload.control.total")
     #: Per-tier latency attribution (tier -> total critical-path
-    #: seconds across all traced page views); ``None`` unless the run
-    #: recorded traces.
-    tier_breakdown: Optional[Dict[str, float]] = ledger("sum-map", None)
+    #: seconds across all traced page views): the sums of the
+    #: ``tier.plt.<tier>`` sketches, ``None`` when there are none (the
+    #: run recorded no traces).
+    tier_breakdown: Optional[Dict[str, float]] = ledger(None)
     #: Exported span records of the whole run (``None`` unless the run
     #: recorded traces); the JSONL exporter serializes exactly these.
-    trace_records: Optional[List[dict]] = ledger(
-        "concat", None, export=False, repr=False
-    )
+    trace_records: Optional[List[dict]] = ledger(None, export=False, repr=False)
     #: Throughput accounting: trace events replayed and kernel events
     #: (event-queue pops) executed — the numerator of events/second.
-    events_processed: int = ledger("sum", 0)
-    kernel_events: int = ledger("sum", 0)
+    events_processed: int = ledger(0, counter="run.trace_events")
+    kernel_events: int = ledger(0, counter="run.kernel_events")
     #: How many sim-kernel shards produced this result (1 = serial).
-    n_shards: int = ledger("sum", 1)
+    n_shards: int = ledger(1, counter="run.kernels")
     #: Wall-clock seconds spent producing this result. Serial runs
-    #: stamp the replay duration; the sharded orchestrator re-stamps
-    #: the merged result with end-to-end elapsed time so
+    #: stamp the replay duration; the sharded orchestrator stamps the
+    #: merged result with end-to-end elapsed time so
     #: :meth:`events_per_second` reports real aggregate throughput.
     #: Unexported (host-dependent) and excluded from equality.
-    wall_seconds: float = ledger("sum", 0.0, export=False, compare=False)
+    wall_seconds: float = ledger(0.0, export=False, compare=False)
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -355,73 +325,77 @@ class RunResult:
             return 0.0
         return self.kernel_events / self.wall_seconds
 
-    def merge(self, other: "RunResult") -> "RunResult":
-        """Fold one shard's result into self (the exact-merge path).
-
-        Every field folds by its declared :data:`MERGE_RULES` entry; a
-        value of ``None`` means that shard recorded nothing for the
-        field, so the other side's value stands. The metric registries
-        merge collector-by-collector (histograms concatenate raw
-        values, quantile sketches use their exact bucket merge).
-        ``self.plt`` stays an alias of the registry-owned histogram —
-        merging the registry once merges it too (never merge it
-        separately, that would double-count).
-        """
-        if (
-            self.metrics.histogram("plt.all") is not self.plt
-            or other.metrics.histogram("plt.all") is not other.plt
-        ):
-            raise ValueError(
-                "merge requires registry-owned PLT histograms "
-                "('plt.all'); runner-produced results satisfy this"
-            )
-        for spec in dataclasses.fields(self):
-            rule = MERGE_RULES[spec.metadata["merge"]]
-            theirs = getattr(other, spec.name)
-            if rule is None or theirs is None:
-                continue
-            ours = getattr(self, spec.name)
-            if ours is None:
-                ours = type(theirs)()
-            setattr(self, spec.name, rule(ours, theirs))
-        self.metrics.merge(other.metrics)
-        return self
-
     def counted(self, name: str) -> int:
         """The registry counter ``name``; a counter nothing incremented
         is absent from the registry and reads as zero."""
         counter = self.metrics.get_counter(name)
         return int(counter.value) if counter is not None else 0
 
-    def mirror_counters(self) -> None:
-        """Restate every mirrored registry counter in its field.
+    @classmethod
+    def over(
+        cls,
+        scenario_name: str,
+        metrics: MetricRegistry,
+        trace_records: Optional[List[dict]] = None,
+    ) -> "RunResult":
+        """The result of the run that filled ``metrics``: every sourced
+        field restated from it (a field whose source observed nothing
+        keeps its default).
 
-        A family spans the nonzero counters under its prefix, less any
-        a field restates by its full name (``overload.shed.total`` is
-        not a class of ``overload.shed.*``).
+        The one constructor — a serial run's registry and the folded
+        registries of N shards restate by the same rules, so a number
+        in the result is a number in the export. A counter family
+        spans the nonzero counters under its prefix, less any a field
+        restates by its full name (``overload.shed.total`` is not a
+        class of ``overload.shed.*``).
         """
-        specs = dataclasses.fields(self)
+        plt = metrics.histogram("plt.all")
+        result = cls(scenario_name, metrics, plt, trace_records=trace_records)
+        specs = dataclasses.fields(cls)
         by_name = {spec.metadata["counter"] for spec in specs}
-        names = self.metrics.counter_names()
+        names = metrics.counter_names()
         for spec in specs:
-            source = spec.metadata["counter"]
-            if source is None:
-                continue
-            if source.endswith("*"):
-                prefix = source[: source.index("*")]
-                family = {
+            counter = spec.metadata["counter"]
+            peak = spec.metadata["peak"]
+            observations = spec.metadata["observations"]
+            if counter is not None and counter.endswith("*"):
+                prefix = counter[: counter.index("*")]
+                value = {
                     name[len(prefix) :]: count
                     for name in names
                     if name.startswith(prefix)
                     and name not in by_name
-                    and (count := self.counted(name))
+                    and (count := result.counted(name))
                 }
-                value = _FAMILY_SHAPES[spec.metadata["merge"]](family)
+                if counter.endswith(".*.*"):
+                    value = _nest(value)
+                elif spec.default_factory is not dict:
+                    value = sum(value.values())
+            elif counter is not None:
+                value = result.counted(counter)
+            elif peak is not None:
+                observed = metrics.get_histogram(peak)
+                if not observed:
+                    continue  # nothing observed: the default stands
+                value = type(spec.default)(observed.max())
+            elif observations is not None:
+                value = sum(
+                    observed.count
+                    for name in observations
+                    if (observed := metrics.get_histogram(name)) is not None
+                )
             else:
-                value = self.counted(source)
-            setattr(self, spec.name, value)
-        # One page load, one PLT observation: the histogram is the count.
-        self.page_views = self.plt.count
+                continue  # a stamp, or tier_breakdown below
+            setattr(result, spec.name, value)
+        # Creation order: the order a walk of the page views meets the
+        # tiers in, which the tier tables break ties by.
+        tiers = {
+            name[len(_TIER_SKETCHES) :]: sketch.sum
+            for name, sketch in metrics.sketches().items()
+            if name.startswith(_TIER_SKETCHES)
+        }
+        result.tier_breakdown = tiers or None
+        return result
 
     #: The derived ratios :meth:`to_dict` exports beside the fields.
     _EXPORTED_RATIOS = (

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.baselines.clients import CookieJarFetcher, NoCacheClient
 from repro.browser.cache import BrowserCache
@@ -444,11 +444,7 @@ class SimulationRunner:
             # One site-wide model: in production it is trained on
             # anonymized navigation statistics across all users.
             self._navigation_model = NavigationPredictor()
-        self.result = RunResult(
-            scenario_name=spec.name,
-            metrics=self.metrics,
-            plt=self.metrics.histogram("plt.all"),
-        )
+        self._plt = self.metrics.histogram("plt.all")
 
     def _build_site(self):
         """Build the site, its document store on the scenario's storage
@@ -613,8 +609,6 @@ class SimulationRunner:
         self.env.process(self._dispatcher())
         self.env.run()
         self._finalize()
-        self.result.events_processed = len(self.trace)
-        self.result.kernel_events = self.env.steps
         self.result.wall_seconds = time.perf_counter() - started
         return self.result
 
@@ -787,7 +781,7 @@ class SimulationRunner:
     def _record_page_load(
         self, user: User, event: PageView, result, delta_covered: bool = True
     ) -> None:
-        self.result.plt.observe(result.plt)
+        self._plt.observe(result.plt)
         self.metrics.histogram(f"plt.page.{event.page_kind}").observe(
             result.plt
         )
@@ -913,32 +907,25 @@ class SimulationRunner:
             )
 
     def _finalize(self) -> None:
-        """Restate the registry, then add what no counter holds: the
-        extrema and the counts their owners keep as attributes."""
-        if self.tracer.enabled:
-            self._finalize_trace()
-        result = self.result
-        result.mirror_counters()
-        result.reads_checked = (
-            self.checker.read_count + self.baseline_checker.read_count
-        )
-        # max_staleness refers to the covered population (the only one
-        # the protocol promises the Δ bound to); non-consenting plain-
-        # browser users are reported separately.
-        result.max_staleness = self.checker.max_staleness()
-        result.uncovered_max_staleness = self.baseline_checker.max_staleness()
-        result.origin_requests = self.server.requests_served
-        result.txn_buffers_scrubbed = self.txn_registry.buffers_scrubbed
+        """Publish, once, what no collector holds — the run's size, the
+        origin's load, the queue peak — then restate the run from its
+        registry and spans."""
+        records = self._finalize_trace() if self.tracer.enabled else None
+        counter = self.metrics.counter
+        counter("run.kernels").inc()
+        counter("run.trace_events").inc(len(self.trace))
+        counter("run.kernel_events").inc(self.env.steps)
+        counter("origin.requests").inc(self.server.requests_served)
         if self._overload is not None:
-            result.queue_depth_peak = self._overload.queue_depth_peak()
+            self.metrics.histogram("overload.queue_depth_peak").observe(
+                self._overload.queue_depth_peak()
+            )
+        self.result = RunResult.over(self.spec.name, self.metrics, records)
 
-    def _finalize_trace(self) -> None:
-        """Attach the recorded trace and its per-tier attribution."""
-        from repro.obs import (
-            pageview_attributions,
-            span_records,
-            tier_breakdown,
-        )
+    def _finalize_trace(self) -> List[dict]:
+        """The exported span records, their per-tier attribution
+        observed into the registry on the way."""
+        from repro.obs import pageview_attributions, span_records
 
         records = span_records(self.tracer.spans)
         if self.gdpr.erased_users:
@@ -955,12 +942,11 @@ class SimulationRunner:
                 )
             )
             records = scrubbed
-        result = self.result
-        result.trace_records = records
-        result.tier_breakdown = tier_breakdown(records)
         # Streaming per-tier latency sketches: each page view's
         # critical-path seconds per tier, quantile-queryable without
-        # retaining the per-page attributions.
+        # retaining the per-page attributions; their sums are the
+        # result's ``tier_breakdown``.
         for _, attribution in pageview_attributions(records):
             for tier, seconds in attribution.items():
                 self.metrics.sketch(f"tier.plt.{tier}").observe(seconds)
+        return records

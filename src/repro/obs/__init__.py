@@ -36,6 +36,7 @@ from repro.obs.analysis import (
 from repro.obs.export import (
     dump_jsonl,
     load_jsonl,
+    merge_span_records,
     normalize_for_golden,
     span_records,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "critical_path_attribution",
     "dump_jsonl",
     "load_jsonl",
+    "merge_span_records",
     "normalize_for_golden",
     "overload_accounting",
     "pageview_attributions",

@@ -3,7 +3,9 @@
 The JSONL format is one span record per line, sorted keys, in span
 *start* order (the order the :class:`~repro.obs.tracer.RecordingTracer`
 allocated ids), so two runs of the same seed produce byte-comparable
-files.  :func:`normalize_for_golden` rounds every float to
+files.  A sharded run's kernels each record their own spans;
+:func:`merge_span_records` renumbers them into one trace.
+:func:`normalize_for_golden` rounds every float to
 microsecond-ish precision to keep committed goldens small and stable;
 :func:`diff_traces` compares structure exactly (names, nodes, tiers,
 parent links, verdicts, versions, event names) and timings within a
@@ -21,6 +23,7 @@ __all__ = [
     "diff_traces",
     "dump_jsonl",
     "load_jsonl",
+    "merge_span_records",
     "normalize_for_golden",
     "span_records",
 ]
@@ -31,6 +34,33 @@ RecordOrSpan = Union[Span, Dict[str, Any]]
 def span_records(spans: Iterable[RecordOrSpan]) -> List[Dict[str, Any]]:
     """Flatten spans (or pass dicts through) to JSONL-ready records."""
     return [span.to_record() if isinstance(span, Span) else span for span in spans]
+
+
+def merge_span_records(shards: Sequence[List[dict]]) -> List[dict]:
+    """Several tracers' records as one trace, in the order given.
+
+    Every tracer numbers its traces and spans from 1, so appending one
+    kernel's records to another's would use most ids twice and hang a
+    span under a stranger's parent. Each later shard's ``trace`` /
+    ``span`` / ``parent`` are shifted past the ids already used; the
+    first shard's records pass through unchanged.
+    """
+    merged: List[dict] = []
+    traces = spans = 0
+    for records in shards:
+        for record in records:
+            if spans:
+                parent = record["parent"]
+                record = {
+                    **record,
+                    "trace": record["trace"] + traces,
+                    "span": record["span"] + spans,
+                    "parent": None if parent is None else parent + spans,
+                }
+            merged.append(record)
+        traces += max((record["trace"] for record in records), default=0)
+        spans += max((record["span"] for record in records), default=0)
+    return merged
 
 
 def dump_jsonl(spans: Iterable[RecordOrSpan], path) -> int:

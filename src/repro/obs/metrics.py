@@ -5,8 +5,11 @@ There is one metric registry, :class:`repro.sim.metrics.MetricRegistry`
 sketches); ``MetricsRegistry`` is the name ``repro.obs`` exports it
 under.
 
-A count is kept once, in the counter written by the subsystem where
-the thing happens, and ``RunResult`` restates it (DESIGN.md,
+A number is kept once, in the collector written by the subsystem where
+the thing happens, and ``RunResult.over`` restates it — a counter, a
+histogram's peak (the extrema), histograms' observation counts
+(``page_views``, ``reads_checked``), the ``tier.plt.*`` sketches' sums
+— so merging shards is merging registries and nothing else (DESIGN.md,
 *Observability*): per-layer and per-kind servings are the
 ``serve.layer.*`` / ``serve.kind.*.*`` counters, with degraded
 servings (stale-if-error and offline responses) under

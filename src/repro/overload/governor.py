@@ -29,7 +29,7 @@ and, when tracing is on, queue waits and sheds appear as
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.obs.tracer import NOOP_TRACER
 from repro.overload.priority import PriorityClass

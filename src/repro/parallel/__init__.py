@@ -6,10 +6,9 @@ from repro.parallel.partition import (
     shard_trace,
 )
 from repro.parallel.runner import ShardedSimulationRunner, default_workers
-from repro.parallel.worker import ShardOutcome, ShardTask, run_shard
+from repro.parallel.worker import ShardTask, run_shard
 
 __all__ = [
-    "ShardOutcome",
     "ShardTask",
     "ShardedSimulationRunner",
     "assign_users",

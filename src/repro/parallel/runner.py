@@ -1,13 +1,15 @@
 """Sharded simulation: fan out shards to workers, merge exactly.
 
 The orchestrator partitions the trace's users into ``n_shards``
-independent sub-simulations (see :mod:`repro.parallel.partition`),
+independent sub-simulations (see :mod:`repro.parallel.partition`) and
 replays each in its own simulation kernel — its own
 :class:`~repro.sim.environment.Environment`, RNG streams, PoP set,
-backend stack, and tracer — and folds the per-shard
-:class:`~repro.harness.results.RunResult` objects into one via the
-exact-merge path (counters sum, histograms concatenate raw values,
-quantile sketches bucket-merge).
+backend stack, and tracer. There is one merge: the shards' registries
+fold with :meth:`~repro.sim.metrics.MetricRegistry.merge` (counters
+sum, histograms concatenate raw values, quantile sketches bucket-merge),
+their spans are renumbered into one trace, and the merged result is
+:meth:`RunResult.over <repro.harness.results.RunResult.over>` the two —
+built the way a serial run builds its own.
 
 Determinism contract:
 
@@ -36,8 +38,9 @@ from typing import List, Optional
 from repro.harness.results import RunResult
 from repro.harness.runner import SimulationRunner
 from repro.harness.scenarios import ScenarioSpec
+from repro.obs.export import merge_span_records
 from repro.parallel.partition import partition_users, shard_trace
-from repro.parallel.worker import ShardOutcome, ShardTask, run_shard
+from repro.parallel.worker import ShardTask, run_shard
 from repro.workload.catalog import Catalog
 from repro.workload.trace import WorkloadTrace
 from repro.workload.users import UserPopulation
@@ -50,11 +53,17 @@ _WORKERS_ENV = "REPRO_PARALLEL_WORKERS"
 
 
 def default_workers(n_shards: int) -> int:
-    """Pool size when the caller does not choose one."""
+    """Pool size when the caller does not choose one. An override that
+    is set (the empty string counts as unset) must be a positive
+    integer; anything else is refused by name, not guessed."""
     override = os.environ.get(_WORKERS_ENV)
-    if override:
-        return max(1, int(override))
-    return max(1, min(n_shards, os.cpu_count() or 1))
+    if not override:
+        return max(1, min(n_shards, os.cpu_count() or 1))
+    if not override.isdecimal() or int(override) < 1:
+        raise ValueError(
+            f"{_WORKERS_ENV} must be a positive integer: {override!r}"
+        )
+    return int(override)
 
 
 class ShardedSimulationRunner:
@@ -119,17 +128,17 @@ class ShardedSimulationRunner:
         started = time.perf_counter()
         tasks = self.tasks()
         if self.workers <= 1:
-            outcomes = [run_shard(task) for task in tasks]
+            shards = [run_shard(task) for task in tasks]
         else:
-            outcomes = self._run_pool(tasks)
-        merged = self._merge(outcomes)
-        # Re-stamp with end-to-end elapsed time (merge summed per-shard
-        # CPU time): events_per_second then reports the aggregate
-        # throughput the parallel run actually achieved.
+            shards = self._run_pool(tasks)
+        merged = self._merge(shards)
+        # End-to-end elapsed time, not the shards' summed CPU time:
+        # events_per_second then reports the aggregate throughput the
+        # parallel run actually achieved.
         merged.wall_seconds = time.perf_counter() - started
         return merged
 
-    def _run_pool(self, tasks: List[ShardTask]) -> List[ShardOutcome]:
+    def _run_pool(self, tasks: List[ShardTask]) -> List[RunResult]:
         # ``fork`` inherits the imported modules and skips re-pickling
         # the interpreter state; ``spawn`` (the only option on some
         # platforms) works because ShardTask is plain picklable data
@@ -143,9 +152,12 @@ class ShardedSimulationRunner:
             return pool.map(run_shard, tasks)
 
     @staticmethod
-    def _merge(outcomes: List[ShardOutcome]) -> RunResult:
-        ordered = sorted(outcomes, key=lambda outcome: outcome.index)
-        merged = ordered[0].result
-        for outcome in ordered[1:]:
-            merged.merge(outcome.result)
-        return merged
+    def _merge(shards: List[RunResult]) -> RunResult:
+        """Fold the shards' registries and spans in task order and
+        restate the result over them."""
+        metrics = shards[0].metrics
+        for shard in shards[1:]:
+            metrics.merge(shard.metrics)
+        traces = [shard.trace_records for shard in shards]
+        records = None if traces[0] is None else merge_span_records(traces)
+        return RunResult.over(shards[0].scenario_name, metrics, records)

@@ -8,7 +8,8 @@ fault injectors, tracers, backend instances — are never shipped across
 the process boundary; :func:`run_shard` constructs the whole stack
 inside the worker by handing the plain data to
 :class:`~repro.harness.runner.SimulationRunner`, exactly as the serial
-path does.
+path does. What comes back is the shard's ``RunResult``, of which the
+orchestrator folds the registry and the spans and reads nothing else.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.workload.catalog import Catalog
 from repro.workload.trace import WorkloadTrace
 from repro.workload.users import UserPopulation
 
-__all__ = ["ShardTask", "ShardOutcome", "run_shard"]
+__all__ = ["ShardTask", "run_shard"]
 
 
 @dataclass
@@ -53,21 +54,12 @@ class ShardTask:
         )
 
 
-@dataclass
-class ShardOutcome:
-    """What a worker sends back: the shard index and its result."""
-
-    index: int
-    result: RunResult
-
-
-def run_shard(task: ShardTask) -> ShardOutcome:
+def run_shard(task: ShardTask) -> RunResult:
     """Process entry point: build the stack and replay one shard.
 
     Module-level (not a closure or method) so it imports cleanly under
     the ``spawn`` start method as well as ``fork``.
     """
-    runner = SimulationRunner(
+    return SimulationRunner(
         task.shard_spec(), task.catalog, task.users, task.trace
-    )
-    return ShardOutcome(index=task.index, result=runner.run())
+    ).run()

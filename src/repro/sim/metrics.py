@@ -120,12 +120,10 @@ class Histogram:
         return sum(self._values) / len(self._values)
 
     def min(self) -> float:
-        self._ensure_sorted()
-        return self._values[0]
+        return self.percentile(0.0)
 
     def max(self) -> float:
-        self._ensure_sorted()
-        return self._values[-1]
+        return self.percentile(100.0)
 
     def stddev(self) -> float:
         if len(self._values) < 2:
@@ -214,6 +212,10 @@ class MetricRegistry:
 
     def sketch_names(self) -> List[str]:
         return sorted(self._sketches)
+
+    def sketches(self) -> Dict[str, QuantileSketch]:
+        """Every sketch by name, in creation order (merged-in ones last)."""
+        return dict(self._sketches)
 
     def get_counter(self, name: str) -> Optional[Counter]:
         return self._counters.get(name)

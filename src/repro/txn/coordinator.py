@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.http.degraded import Degraded, mark
-from repro.http.headers import Headers
 from repro.http.messages import Request, Response, Status
 from repro.http.url import URL
 from repro.obs.tracer import NOOP_TRACER

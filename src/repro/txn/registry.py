@@ -42,7 +42,6 @@ class TxnRegistry:
         # Bumped on every scrub so transactions can detect an erase
         # that landed between their start and their admission point.
         self.erase_epoch = 0
-        self.buffers_scrubbed = 0
 
     def begin(self, user_id: Optional[str] = None) -> TxnContext:
         context = TxnContext(next(self._ids), user_id, self.erase_epoch)
@@ -86,7 +85,6 @@ class TxnRegistry:
         # start epoch at admission time sees any racing erase, not just
         # the ones that hit its own buffers.
         self.erase_epoch += 1
-        self.buffers_scrubbed += scrubbed
         return scrubbed
 
     def buffers_matching(self, matcher) -> List[str]:

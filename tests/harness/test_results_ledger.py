@@ -1,17 +1,20 @@
-"""The result ledger: one rule per field, and what the rules add up to.
+"""The result ledger: one source per field, and one merge.
 
-Four guards on ``RunResult``'s declarative merge/export:
+Four guards on ``RunResult``:
 
-* each merge *rule* does what its name says (one test per rule, not
-  per field) and a field declared without a rule cannot exist;
-* the exported key set and the unexported field set are frozen — the
-  benchmark's ``sim_digest`` hashes ``to_dict()``, so a drifting key
-  would silently re-baseline every digest;
-* two real shards of a storm-style run merge to exactly what a fold
-  written here, from the two shard results directly, says they should;
-* the result is a function of the registry: every count field is a
-  counter (or counter family) restated, so a fresh ``RunResult`` over a
-  finished run's registry reproduces it — nothing keeps a second book.
+* a field declared without rules cannot exist, and the exported key set
+  and the unexported field set are frozen — the benchmark's
+  ``sim_digest`` hashes ``to_dict()``, so a drifting key would silently
+  re-baseline every digest;
+* every field names where in the registry it is read from (a counter,
+  a histogram's peak, histograms' observation counts) or is a stamp
+  that says why not — nothing keeps a second book;
+* two real shards of a storm-style run, folded by the sharded runner,
+  come to exactly what a fold written here, from the two shards'
+  exports directly, says they should — and the merged result is
+  ``RunResult.over`` its own registry and spans, like any serial one;
+* on real runs the restated extrema, counts and tier attribution equal
+  the reference implementations that still compute them the long way.
 """
 
 import copy
@@ -21,8 +24,10 @@ import random
 import pytest
 
 from repro.faults import FaultProfile, RetryPolicy
-from repro.harness.results import MERGE_RULES, RunResult, ledger
+from repro.harness.results import RunResult, ledger
+from repro.harness.runner import SimulationRunner
 from repro.harness.scenarios import Scenario, ScenarioSpec
+from repro.obs import tier_breakdown
 from repro.overload import OVERLOAD_PROFILES
 from repro.parallel import ShardedSimulationRunner, run_shard
 from repro.sim.metrics import MetricRegistry
@@ -30,6 +35,8 @@ from repro.storage import BackendSpec
 from repro.workload.catalog import CatalogConfig, generate_catalog
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from repro.workload.users import UserPopulationConfig, generate_users
+
+SOURCES = ("counter", "peak", "observations")
 
 
 def _result(**values) -> RunResult:
@@ -40,94 +47,6 @@ def _result(**values) -> RunResult:
         plt=metrics.histogram("plt.all"),
         **values,
     )
-
-
-# -- one test per merge rule ------------------------------------------------
-
-
-def test_sum_rule_adds():
-    merged = _result(page_views=3).merge(_result(page_views=4))
-    assert merged.page_views == 7
-
-
-def test_max_rule_keeps_the_worst_shard():
-    merged = _result(max_staleness=2.5).merge(_result(max_staleness=1.0))
-    assert merged.max_staleness == 2.5
-    merged = _result(queue_depth_peak=1).merge(_result(queue_depth_peak=9))
-    assert merged.queue_depth_peak == 9
-
-
-def test_sum_map_rule_adds_per_key():
-    ours = _result(served_by_layer={"origin": 2, "edge": 1})
-    theirs = _result(served_by_layer={"edge": 5, "sw": 7})
-    assert ours.merge(theirs).served_by_layer == {
-        "origin": 2,
-        "edge": 6,
-        "sw": 7,
-    }
-    assert theirs.served_by_layer == {"edge": 5, "sw": 7}
-
-
-def test_sum_nested_map_rule_adds_per_leaf():
-    ours = _result(served_by_kind={"edge": {"page": 1}})
-    theirs = _result(
-        served_by_kind={"edge": {"page": 2, "api": 3}, "sw": {"page": 4}}
-    )
-    assert ours.merge(theirs).served_by_kind == {
-        "edge": {"page": 3, "api": 3},
-        "sw": {"page": 4},
-    }
-    # The merged ledger shares no inner map with the shard it absorbed.
-    ours.served_by_kind["sw"]["page"] += 1
-    assert theirs.served_by_kind["sw"] == {"page": 4}
-
-
-def test_concat_rule_appends_in_order():
-    ours = _result(trace_records=[{"id": 1}])
-    theirs = _result(trace_records=[{"id": 2}, {"id": 3}])
-    assert ours.merge(theirs).trace_records == [
-        {"id": 1},
-        {"id": 2},
-        {"id": 3},
-    ]
-
-
-def test_a_side_that_recorded_nothing_leaves_the_other_standing():
-    traced = {"tier_breakdown": {"edge": 0.5}, "trace_records": [{"id": 1}]}
-    into_none = _result().merge(_result(**copy.deepcopy(traced)))
-    assert into_none.tier_breakdown == {"edge": 0.5}
-    assert into_none.trace_records == [{"id": 1}]
-    from_none = _result(**copy.deepcopy(traced)).merge(_result())
-    assert from_none.tier_breakdown == {"edge": 0.5}
-    assert from_none.trace_records == [{"id": 1}]
-    neither = _result().merge(_result())
-    assert neither.tier_breakdown is None and neither.trace_records is None
-
-
-def test_same_rule_refuses_to_mix_scenarios():
-    ours = _result(page_views=1)
-    with pytest.raises(ValueError, match="classic-cdn.*speed-kit"):
-        ours.merge(_result(scenario_name="classic-cdn", page_views=1))
-    assert ours.page_views == 1  # refused before anything folded
-
-
-def test_registry_rule_merges_histograms_once_and_keeps_aliases():
-    ours, theirs = _result(), _result()
-    ours.plt.observe(0.1)
-    theirs.plt.observe(0.2)
-    theirs.metrics.histogram("plt.page.home").observe(0.2)
-    assert ours.metrics.get_histogram("plt.page.home") is None
-    ours.merge(theirs)
-    assert ours.plt.values == (0.1, 0.2)
-    assert ours.plt is ours.metrics.histogram("plt.all")
-    assert ours.metrics.get_histogram("plt.page.home").values == (0.2,)
-
-
-def test_every_rule_is_used_and_every_field_has_one():
-    used = {
-        spec.metadata["merge"] for spec in dataclasses.fields(RunResult)
-    }
-    assert used == set(MERGE_RULES)
 
 
 def test_a_field_without_a_rule_fails_at_class_creation():
@@ -142,16 +61,13 @@ def test_a_field_without_a_rule_fails_at_class_creation():
         class Bare(RunResult):
             bytes_wasted: int = dataclasses.field(default=0)
 
-    with pytest.raises(TypeError, match="unknown merge rule"):
-        ledger("average", 0)
-
     @dataclasses.dataclass
     class Declared(RunResult):
-        bytes_wasted: int = ledger("sum", 0)
+        bytes_wasted: int = ledger(0, counter="bytes.wasted")
 
     metrics = MetricRegistry()
-    extended = Declared("x", metrics, metrics.histogram("plt.all"))
-    assert "bytes_wasted" in extended.to_dict()
+    metrics.counter("bytes.wasted").inc(7)
+    assert Declared.over("x", metrics).to_dict()["bytes_wasted"] == 7
 
 
 # -- the frozen export surface --------------------------------------------
@@ -218,17 +134,52 @@ def test_to_dict_value_types_and_isolation():
     assert result.shed_by_class == {"static": 2}
 
 
-def test_mirrored_counters_restate_the_registry():
-    result = _result()
-    result.metrics.counter("overload.offered.total").inc(5)
-    result.metrics.counter("overload.shed.static").inc(2)
-    result.metrics.counter("overload.shed.total").inc(2)
-    result.metrics.counter("bytes.edge_egress").inc(1024)
-    result.metrics.counter("txn.aborts").inc(3)
-    result.metrics.counter("txn.degraded").inc()
-    result.metrics.counter("txn.erase_conflicts").inc()
-    result.metrics.counter("overload.goodput_pages").inc(7)
-    result.mirror_counters()
+# -- every field is sourced ---------------------------------------------------
+
+#: The fields ``over`` reads from no declared source, each with where
+#: its value comes from instead. Anything else declares exactly one.
+STAMPS = {
+    "scenario_name": "the spec's name, given to over()",
+    "metrics": "the registry itself",
+    "plt": "an alias of the registry's plt.all histogram",
+    "trace_records": "the span export, given to over()",
+    "tier_breakdown": "the sums of the tier.plt.* sketches",
+    "wall_seconds": "host time, stamped by whoever ran the run",
+}
+
+
+def test_every_field_is_sourced_or_a_stamp_that_says_why():
+    declared = {
+        spec.name: [
+            (source, spec.metadata[source])
+            for source in SOURCES
+            if spec.metadata[source] is not None
+        ]
+        for spec in dataclasses.fields(RunResult)
+    }
+    assert {name for name, sources in declared.items() if not sources} == set(
+        STAMPS
+    )
+    assert all(len(sources) <= 1 for sources in declared.values())
+    # One collector, one field: no two fields restate the same source.
+    sourced = [sources[0] for sources in declared.values() if sources]
+    assert len(set(sourced)) == len(sourced) == 49
+
+
+def test_counters_restate_the_registry():
+    metrics = MetricRegistry()
+    metrics.counter("overload.offered.total").inc(5)
+    metrics.counter("overload.shed.static").inc(2)
+    metrics.counter("overload.shed.total").inc(2)
+    metrics.counter("bytes.edge_egress").inc(1024)
+    metrics.counter("txn.aborts").inc(3)
+    metrics.counter("txn.degraded").inc()
+    metrics.counter("txn.erase_conflicts").inc()
+    metrics.counter("overload.goodput_pages").inc(7)
+    metrics.counter("run.kernels").inc(2)
+    result = RunResult.over("speed-kit", metrics)
+    assert result.scenario_name == "speed-kit" and result.metrics is metrics
+    assert result.plt is metrics.histogram("plt.all")
     assert result.offered_requests == 5
     assert result.shed_requests == 2
     assert result.shed_by_class == {"static": 2}  # zero labels dropped
@@ -236,16 +187,11 @@ def test_mirrored_counters_restate_the_registry():
     assert result.origin_egress_bytes == 0  # untouched counter reads 0
     assert (result.txn_aborts, result.txn_degraded) == (3, 1)
     assert (result.txn_erase_conflicts, result.goodput_pages) == (1, 7)
-    mirrored = {
-        spec.name
-        for spec in dataclasses.fields(RunResult)
-        if spec.metadata["counter"] is not None
-    }
-    assert len(mirrored) == 39
+    assert result.n_shards == 2
 
 
 def test_counter_families_restate_in_the_fields_shape():
-    result = _result()
+    metrics = MetricRegistry()
     for name, count in {
         "serve.layer.edge": 3,
         "serve.layer.sw": 2,
@@ -259,8 +205,8 @@ def test_counter_families_restate_in_the_fields_shape():
         "overload.shed.total": 4,
         "overload.shed.control": 0,
     }.items():
-        result.metrics.counter(name).inc(count)
-    result.mirror_counters()
+        metrics.counter(name).inc(count)
+    result = RunResult.over("speed-kit", metrics)
     assert result.served_by_layer == {"edge": 3, "sw": 2}
     # A nested label splits at its first dot only.
     assert result.served_by_kind == {
@@ -277,6 +223,34 @@ def test_counter_families_restate_in_the_fields_shape():
     assert result.served_degraded_by_layer == {}
     assert type(result.shed_responses) is int
     assert type(result.served_by_layer["edge"]) is int
+
+
+def test_peaks_and_observation_counts_restate_histograms():
+    metrics = MetricRegistry()
+    idle = RunResult.over("speed-kit", metrics)
+    # A source nothing observed into leaves the default standing.
+    assert (idle.max_staleness, idle.queue_depth_peak) == (0.0, 0)
+    assert (idle.reads_checked, idle.page_views) == (0, 0)
+    assert idle.tier_breakdown is None and idle.trace_records is None
+    metrics.histogram("coherence.staleness").extend([0.0, 2.5, 1.0])
+    metrics.histogram("coherence.uncovered.staleness").extend([9.0, 0.0])
+    metrics.histogram("overload.queue_depth_peak").extend([4, 9, 1])
+    metrics.histogram("plt.all").extend([0.1, 0.2])
+    metrics.sketch("tier.plt.origin").observe(1.0)
+    metrics.sketch("tier.plt.edge").observe(0.25)
+    metrics.sketch("tier.plt.edge").observe(0.5)
+    metrics.sketch("txn.plt.delta").observe(3.0)  # not a tier sketch
+    spans = [{"span": 1}]
+    busy = RunResult.over("speed-kit", metrics, spans)
+    assert (busy.max_staleness, busy.uncovered_max_staleness) == (2.5, 9.0)
+    assert (busy.reads_checked, busy.page_views) == (5, 2)
+    # Restated in the field's own type: the export keeps its integer.
+    assert busy.queue_depth_peak == 9 and type(busy.queue_depth_peak) is int
+    assert type(busy.max_staleness) is float
+    assert busy.tier_breakdown == {"edge": 0.75, "origin": 1.0}
+    # In the order the tiers were first met: tier tables break ties by it.
+    assert list(busy.tier_breakdown) == ["origin", "edge"]
+    assert busy.trace_records is spans
 
 
 # -- two real shards against an independent fold ----------------------------
@@ -329,60 +303,56 @@ def world():
     return catalog, users, trace
 
 
+STORM = ScenarioSpec(
+    Scenario.SPEED_KIT,
+    delta=30.0,
+    backend=BackendSpec(kind="write-behind"),
+    replicate_pops=True,
+    n_regions=3,
+    consistency="snapshot",
+    fault_profile=FaultProfile.named("chaos"),
+    stale_if_error=120.0,
+    retry=RetryPolicy(budget=2.0),
+    overload_profile=OVERLOAD_PROFILES["flash-crowd"],
+    admission=True,
+    load_multiplier=3.0,
+    trace_requests=True,
+    seed=4,
+)
+
+
 @pytest.fixture(scope="module")
 def storm_shards(world):
-    spec = ScenarioSpec(
-        Scenario.SPEED_KIT,
-        delta=30.0,
-        backend=BackendSpec(kind="write-behind"),
-        replicate_pops=True,
-        n_regions=3,
-        consistency="snapshot",
-        fault_profile=FaultProfile.named("chaos"),
-        stale_if_error=120.0,
-        retry=RetryPolicy(budget=2.0),
-        overload_profile=OVERLOAD_PROFILES["flash-crowd"],
-        admission=True,
-        load_multiplier=3.0,
-        trace_requests=True,
-        seed=4,
-    )
-    tasks = ShardedSimulationRunner(spec, *world, n_shards=2).tasks()
-    return [run_shard(task).result for task in tasks]
+    tasks = ShardedSimulationRunner(STORM, *world, n_shards=2).tasks()
+    return [run_shard(task) for task in tasks]
 
 
 def test_storm_shards_merge_to_an_independent_fold(storm_shards):
     first, second = (copy.deepcopy(shard) for shard in storm_shards)
     a, b = first.to_dict(), second.to_dict()
     plt_values = sorted(first.plt.values + second.plt.values)
-    unexported = {
-        name: getattr(first, name) + getattr(second, name)
-        for name in (
-            "personalization_checks",
-            "personalization_misses",
-            "wall_seconds",
-        )
-    }
-    spans = first.trace_records + second.trace_records
+    checks = first.personalization_checks + second.personalization_checks
+    spans = len(first.trace_records) + len(second.trace_records)
     # The composition exercises every ledger section on both shards,
-    # so a mis-declared rule cannot hide behind a zero.
+    # so a mis-sourced field cannot hide behind a zero.
     for key in ("txns", "erasures", "offered_requests", "failed_responses"):
         assert a[key] > 0 and b[key] > 0, key
     assert a["tier_breakdown"] and b["tier_breakdown"]
+    assert a["queue_depth_peak"] and b["queue_depth_peak"]
 
-    merged = first.merge(second)
+    merged = ShardedSimulationRunner._merge([first, second])
     record = merged.to_dict()
 
     assert set(record) == set(a) | set(b)
     for key in set(record) - RATIO_KEYS - {"scenario", "plt"}:
         assert record[key] == _fold(key, a[key], b[key]), key
+        assert type(record[key]) is type(a[key]), key
     assert record["scenario"] == a["scenario"] == b["scenario"]
     assert record["n_shards"] == 2
     assert record["plt"]["count"] == len(plt_values)
     assert sorted(merged.plt.values) == plt_values
-    for name, expected in unexported.items():
-        assert getattr(merged, name) == expected, name
-    assert merged.trace_records == spans
+    assert merged.personalization_checks == checks
+    assert len(merged.trace_records) == spans
     # Ratios are derived from the merged ledger, never merged themselves.
     served = sum(record["served_by_layer"].values())
     assert record["error_rate"] == record["failed_responses"] / (
@@ -394,59 +364,47 @@ def test_storm_shards_merge_to_an_independent_fold(storm_shards):
     assert record["offered_requests"] == (
         record["admitted_requests"] + record["shed_requests"]
     )
-
-
-# -- the result is a function of the registry --------------------------------
-
-#: Summed fields no counter holds, each with where its number lives
-#: instead. Anything else that sums must declare ``counter=``.
-NOT_COUNTERS = {
-    "page_views": "the observation count of plt.all; mirror_counters "
-    "restates it (checked below like a counter)",
-    "reads_checked": "len(records) of the two coherence checkers; a "
-    "counter would add a call to every checked read",
-    "origin_requests": "OriginServer.requests_served",
-    "txn_buffers_scrubbed": "TxnRegistry.buffers_scrubbed",
-    "tier_breakdown": "derived from the exported spans",
-    "events_processed": "stamped by run(): the length of the trace",
-    "kernel_events": "stamped by run(): the kernel's step count",
-    "n_shards": "1 per runner; merge adds them up",
-    "wall_seconds": "stamped by run(): host time",
-}
-SUMMING_RULES = {"sum", "sum-map", "sum-nested-map"}
-
-
-def test_every_summed_field_restates_a_counter_or_says_why_not():
-    summed = {
-        spec.name: spec.metadata["counter"]
-        for spec in dataclasses.fields(RunResult)
-        if spec.metadata["merge"] in SUMMING_RULES
-    }
-    uncounted = {name for name, counter in summed.items() if counter is None}
-    assert uncounted == set(NOT_COUNTERS)
-    counters = [counter for counter in summed.values() if counter is not None]
-    assert len(set(counters)) == len(counters)  # one counter, one field
-
-
-def _restated(result: RunResult) -> RunResult:
-    """A fresh ledger over ``result``'s registry, counters mirrored."""
-    fresh = RunResult(
-        scenario_name=result.scenario_name,
-        metrics=result.metrics,
-        plt=result.metrics.histogram("plt.all"),
+    # The merged result is the merged registry restated, nothing more:
+    # a fresh ledger over what it exports is the same result.
+    again = RunResult.over(
+        merged.scenario_name, merged.metrics, merged.trace_records
     )
-    fresh.mirror_counters()
-    return fresh
+    assert again == merged
+    busy = (
+        "served_degraded_by_layer failed_responses shed_responses "
+        "shed_by_class txns txn_refetches erasures erasure_removed "
+        "spans_scrubbed offered_requests control_events sketch_fetches"
+    )
+    for name in busy.split():
+        assert getattr(merged, name), name
 
 
-def _assert_restates(result: RunResult, nonzero=()) -> None:
-    fresh = _restated(result)
-    for spec in dataclasses.fields(RunResult):
-        if spec.metadata["counter"] is None and spec.name != "page_views":
-            continue
-        ours, theirs = getattr(result, spec.name), getattr(fresh, spec.name)
-        assert ours == theirs, spec.name
-        assert type(ours) is type(theirs), spec.name
+# -- a real run against the reference implementations -------------------------
+
+
+def _assert_restates_its_export(runner, result, nonzero) -> None:
+    """``result`` against the owners and oracles that hold each number
+    the long way; they stay, as references, exactly for this."""
+    assert result is runner.result
+    again = RunResult.over(
+        result.scenario_name, result.metrics, result.trace_records
+    )
+    assert again == result
+    covered, uncovered = runner.checker, runner.baseline_checker
+    assert result.reads_checked == covered.read_count + uncovered.read_count
+    assert result.max_staleness == covered.max_staleness()
+    assert result.max_staleness == max(r.staleness for r in covered.records)
+    assert result.uncovered_max_staleness == uncovered.max_staleness()
+    assert result.stale_reads == sum(
+        record.staleness > 0
+        for checker in (covered, uncovered)
+        for record in checker.records
+    )
+    assert result.origin_requests == runner.server.requests_served
+    assert result.events_processed == len(runner.trace)
+    assert result.kernel_events == runner.env.steps
+    assert result.n_shards == 1
+    assert result.tier_breakdown == tier_breakdown(result.trace_records)
     for name in nonzero:
         assert getattr(result, name), name
 
@@ -457,37 +415,22 @@ def _assert_restates(result: RunResult, nonzero=()) -> None:
         (
             Scenario.SPEED_KIT,
             "sketch_fetches sketch_bytes requests_scrubbed stale_reads "
-            "erasures erasure_removed txns personalization_checks",
+            "erasures erasure_removed txns personalization_checks "
+            "max_staleness uncovered_max_staleness tier_breakdown",
         ),
         (Scenario.NO_CACHE, "served_by_kind page_views erasures accesses"),
     ],
 )
-def test_a_plain_run_is_its_registry_restated(world, scenario, nonzero):
-    from repro.harness.runner import SimulationRunner
-
-    runner = SimulationRunner(ScenarioSpec(scenario, seed=4), *world)
-    result = runner.run()
-    _assert_restates(result, nonzero.split())
-    # Both populations were checked, and stale reads span both.
-    assert runner.checker.read_count
-    if scenario.uses_speed_kit:
-        assert runner.baseline_checker.read_count
-        assert result.stale_reads == sum(
-            record.staleness > 0
-            for checker in (runner.checker, runner.baseline_checker)
-            for record in checker.records
-        )
+def test_a_plain_run_is_its_export_restated(world, scenario, nonzero):
+    spec = ScenarioSpec(scenario, seed=4, trace_requests=True)
+    runner = SimulationRunner(spec, *world)
+    _assert_restates_its_export(runner, runner.run(), nonzero.split())
+    assert runner.result.queue_depth_peak == 0  # no plane, no observation
 
 
-def test_storm_shards_and_their_merge_are_their_registries_restated(
-    storm_shards,
-):
-    busy = (
-        "served_degraded_by_layer failed_responses shed_responses "
-        "shed_by_class txns txn_refetches erasures erasure_removed "
-        "spans_scrubbed offered_requests control_events sketch_fetches"
-    ).split()
-    first, second = (copy.deepcopy(shard) for shard in storm_shards)
-    _assert_restates(first)
-    _assert_restates(second)
-    _assert_restates(first.merge(second), busy)
+def test_a_storm_run_is_its_export_restated(world):
+    runner = SimulationRunner(STORM, *world)
+    _assert_restates_its_export(
+        runner, runner.run(), ("queue_depth_peak", "txn_refetches")
+    )
+    assert runner.result.queue_depth_peak == runner._overload.queue_depth_peak()

@@ -228,8 +228,9 @@ class TestShardingConservation:
         runner = ShardedSimulationRunner(
             spec, catalog, users, trace, n_shards=request.param, workers=1
         )
-        outcomes = [run_shard(task) for task in runner.tasks()]
-        # merge() folds in place, so snapshot each shard's ledger first.
+        results = [run_shard(task) for task in runner.tasks()]
+        # The merge folds shard 0's registry in place, so snapshot each
+        # shard's ledger first.
         fields = (
             "offered_requests",
             "admitted_requests",
@@ -241,13 +242,10 @@ class TestShardingConservation:
             "control_events",
         )
         shards = [
-            {field: getattr(o.result, field) for field in fields}
-            for o in outcomes
+            {field: getattr(result, field) for field in fields}
+            for result in results
         ]
-        merged = outcomes[0].result
-        for outcome in outcomes[1:]:
-            merged = merged.merge(outcome.result)
-        return shards, merged
+        return shards, ShardedSimulationRunner._merge(results)
 
     @pytest.fixture(scope="class")
     def serial(self, workload):

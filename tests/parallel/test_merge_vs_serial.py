@@ -88,15 +88,15 @@ def test_sketch_merge_is_exact_and_within_documented_error(workload):
     runner = ShardedSimulationRunner(
         _spec(), catalog, users, trace, n_shards=4, workers=1
     )
-    outcomes = [run_shard(task) for task in runner.tasks()]
+    shards = [run_shard(task) for task in runner.tasks()]
     merged_sketch = QuantileSketch()
     direct_sketch = QuantileSketch()
     all_values = []
-    for outcome in outcomes:
+    for shard in shards:
         shard_sketch = QuantileSketch()
-        shard_sketch.observe_many(outcome.result.plt.values)
+        shard_sketch.observe_many(shard.plt.values)
         merged_sketch.merge(shard_sketch)
-        all_values.extend(outcome.result.plt.values)
+        all_values.extend(shard.plt.values)
     direct_sketch.observe_many(all_values)
     exact = sorted(all_values)
     for q in (0.5, 0.95, 0.99):

@@ -86,22 +86,22 @@ def test_pickled_task_replays_identically(workload):
     task = ShardedSimulationRunner(
         spec, catalog, users, trace, n_shards=2
     ).tasks()[0]
-    original = run_shard(task).result
-    clone = run_shard(pickle.loads(pickle.dumps(task))).result
+    original = run_shard(task)
+    clone = run_shard(pickle.loads(pickle.dumps(task)))
     assert clone.to_dict() == original.to_dict()
     assert clone.plt.values == original.plt.values
 
 
 def test_results_pickle_back(workload):
     """The return leg: a RunResult (with its registry and aliased
-    histograms) survives pickling, preserving the alias the merge
-    guard depends on."""
+    histograms) survives pickling, ``plt`` still the registry's own
+    ``plt.all`` and not a copy of it."""
     catalog, users, trace = workload
     spec = ScenarioSpec(scenario=Scenario.SPEED_KIT, delta=60.0)
     task = ShardedSimulationRunner(
         spec, catalog, users, trace, n_shards=2
     ).tasks()[0]
-    outcome = run_shard(task)
-    clone = pickle.loads(pickle.dumps(outcome))
-    assert clone.result.metrics.histogram("plt.all") is clone.result.plt
-    assert clone.result.to_dict() == outcome.result.to_dict()
+    result = run_shard(task)
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone.metrics.histogram("plt.all") is clone.plt
+    assert clone.to_dict() == result.to_dict()

@@ -41,3 +41,14 @@ def test_default_workers_honors_env(monkeypatch):
     monkeypatch.delenv("REPRO_PARALLEL_WORKERS")
     assert 1 <= default_workers(8) <= 8
     assert default_workers(1) == 1
+
+
+@pytest.mark.parametrize("hostile", ["x", "0", "-3"])
+def test_default_workers_refuses_all_but_a_positive_integer(
+    monkeypatch, hostile
+):
+    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", hostile)
+    with pytest.raises(ValueError) as err:
+        default_workers(8)
+    assert "REPRO_PARALLEL_WORKERS" in str(err.value)
+    assert repr(hostile) in str(err.value)

@@ -83,13 +83,3 @@ def test_rejects_bad_shard_and_worker_counts(workload):
         ShardedSimulationRunner(
             _spec(), catalog, users, trace, n_shards=2, workers=0
         )
-
-
-def test_merge_rejects_mismatched_scenarios(workload):
-    catalog, users, trace = workload
-    a = SimulationRunner(_spec(), catalog, users, trace).run()
-    b = SimulationRunner(
-        _spec(scenario=Scenario.CLASSIC_CDN), catalog, users, trace
-    ).run()
-    with pytest.raises(ValueError):
-        a.merge(b)

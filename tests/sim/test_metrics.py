@@ -33,6 +33,11 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram("h").percentile(50)
 
+    @pytest.mark.parametrize("end", ["min", "max"])
+    def test_empty_extremum_raises_the_named_error(self, end):
+        with pytest.raises(ValueError, match="histogram 'h' is empty"):
+            getattr(Histogram("h"), end)()
+
     def test_single_value(self):
         h = Histogram("h")
         h.observe(5.0)

@@ -94,12 +94,22 @@ def test_gen_trace_and_replay(tmp_path, capsys):
     assert "classic-cdn" in capsys.readouterr().out
 
 
-def test_run_trace_writes_span_dump(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "sharding",
+    [[], ["--shards", "2", "--workers", "1"]],
+    ids=["serial", "2-shards"],
+)
+def test_run_trace_writes_span_dump(tmp_path, capsys, sharding):
     import json
 
+    from repro.obs import reads_from_trace, tier_breakdown
+
     spans_path = tmp_path / "spans.jsonl"
+    json_path = tmp_path / "result.json"
     code = main(
         ["run", "--scenario", "speed-kit", "--trace", str(spans_path)]
+        + ["--json", str(json_path)]
+        + sharding
         + QUICK
     )
     assert code == 0
@@ -109,6 +119,12 @@ def test_run_trace_writes_span_dump(tmp_path, capsys):
     records = [json.loads(line) for line in lines]
     assert any(record["name"] == "pageview" for record in records)
     assert any(record["name"] == "origin" for record in records)
+    # One trace, however many kernels recorded it: no span id is used
+    # twice, and the dump alone reproduces the record's numbers.
+    assert len({record["span"] for record in records}) == len(records)
+    result = json.loads(json_path.read_text())
+    assert tier_breakdown(records) == pytest.approx(result["tier_breakdown"])
+    assert len(reads_from_trace(records)) == result["reads_checked"]
 
 
 def test_run_writes_json_record(tmp_path, capsys):
@@ -674,6 +690,17 @@ def test_contradictory_flags_exit_naming_both(monkeypatch, flags, names):
     assert "\n" not in message  # one line, no traceback
     for name in names:
         assert name in message
+
+
+@pytest.mark.parametrize("workers", ["x", "0", "-3"])
+def test_a_hostile_workers_variable_exits_naming_it(monkeypatch, workers):
+    monkeypatch.setenv("REPRO_PARALLEL_WORKERS", workers)
+    with pytest.raises(SystemExit) as err:
+        main(["run"] + SMALL + ["--shards", "2"])
+    message = str(err.value)
+    assert message.startswith("repro: error: ")
+    assert "\n" not in message  # one line, no traceback
+    assert "REPRO_PARALLEL_WORKERS" in message and repr(workers) in message
 
 
 def test_storage_tuning_flags_reach_their_engine(monkeypatch):

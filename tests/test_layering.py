@@ -227,7 +227,8 @@ def test_the_runner_counts_nothing():
 
 def test_finalize_visits_neither_client_stacks_nor_read_records():
     """What lets a client stack go after its last event: end of run
-    reads counters and a few owner attributes, never per-user state."""
+    publishes a few owner attributes and restates the registry through
+    ``RunResult.over``, never reading per-user state."""
     visited = {
         node.attr
         for function in _functions(RUNNER.read_text(encoding="utf-8"))
@@ -235,8 +236,33 @@ def test_finalize_visits_neither_client_stacks_nor_read_records():
         for node in ast.walk(function)
         if isinstance(node, ast.Attribute)
     }
-    assert "mirror_counters" in visited
+    assert "over" in visited
     assert not visited & {"_stacks", "records"}
+
+
+def test_there_is_one_merge_and_it_is_the_registrys():
+    """A sharded result is ``RunResult.over`` the merged registry: no
+    field-by-field fold of results may come back beside it."""
+    results = ast.parse(
+        (SRC / "harness" / "results.py").read_text(encoding="utf-8")
+    )
+    (run_result,) = (
+        node
+        for node in ast.walk(results)
+        if isinstance(node, ast.ClassDef) and node.name == "RunResult"
+    )
+    methods = {
+        node.name
+        for node in run_result.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "over" in methods and "merge" not in methods
+    for path in SRC.rglob("*.py"):
+        names = {
+            getattr(node, "id", None) or getattr(node, "attr", None)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        }
+        assert "MERGE_RULES" not in names, path
 
 
 @pytest.mark.parametrize(
@@ -260,14 +286,12 @@ def test_the_counting_gate_lets_restating_and_stamping_through():
     honest = """
 class R:
     def run(self):
-        self.result.events_processed = len(self.trace)
-        self.result.wall_seconds += 0.0
+        self.result.wall_seconds = time.perf_counter() - started
     def _finalize(self):
-        result = self.result
-        result.mirror_counters()
-        result.origin_requests = self.server.requests_served
+        self.metrics.counter("origin.requests").inc(self.server.requests_served)
+        self.result = RunResult.over(self.spec.name, self.metrics, records)
     def _record_page_load(self, result):
-        self.result.plt.observe(result.plt)
+        self._plt.observe(result.plt)
         self.metrics.counter("personalization.checks").inc()
         totals[result.kind] = 1
 """

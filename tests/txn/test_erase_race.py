@@ -13,6 +13,7 @@ transaction's reads and its validation verdict.
 
 import pytest
 
+from repro.harness import RunResult
 from repro.http import Headers, Response, Status, URL
 from repro.txn import ConsistencyLevel
 
@@ -87,6 +88,24 @@ class TestErasureWalk:
         assert "carts/u6" in bystander.buffered
         registry.finish(victim)
         registry.finish(bystander)
+
+    def test_the_run_counts_what_the_reports_say(self):
+        """One count, one owner: the coordinator writes the scrubbed
+        buffers beside its other erase counters, and the result
+        restates that counter — the registry keeps no tally of its own."""
+        runner = level_runner("delta", seed=SEED + 4)
+        counter = runner.metrics.counter("gdpr.erase.txn_buffers_scrubbed")
+        before = counter.value
+        registry = runner.txn_registry
+        context = registry.begin("u7")
+        registry.buffer(context, "carts/u7", _tainted_response("u7"))
+        registry.buffer(context, "products/9", _tainted_response("u7"))
+        reports = [runner.gdpr.erase("u7"), runner.gdpr.erase("u8")]
+        registry.finish(context)
+        assert [r.txn_buffers_scrubbed for r in reports] == [2, 0]
+        assert counter.value - before == 2
+        restated = RunResult.over("speed-kit", runner.metrics)
+        assert restated.txn_buffers_scrubbed == counter.value
 
 
 class TestMidFlightRace:

@@ -55,7 +55,6 @@ class TestScrubbing:
         assert scrubbed == 1
         assert context.poisoned == {"carts/u1"}
         assert list(context.buffered) == ["products/2"]
-        assert registry.buffers_scrubbed == 1
 
     def test_user_valued_buffer_is_scrubbed(self):
         """Adversarial injection: identity hidden in the response body,
