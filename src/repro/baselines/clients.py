@@ -6,6 +6,7 @@ from typing import Generator, Optional, Sequence
 
 from repro.browser.client import Fetcher
 from repro.browser.transport import Transport
+from repro.http.headers import Headers
 from repro.http.messages import Request
 
 
@@ -35,11 +36,18 @@ class CookieJarFetcher(Fetcher):
     def __init__(self, inner: Fetcher, user_id: Optional[str]) -> None:
         self.inner = inner
         self.user_id = user_id
+        #: The jar: one map, carried by every request that arrives
+        #: with no headers of its own (unused without a ``user_id``).
+        self._cookie = Headers({"Cookie": f"session={user_id}"})
 
     def _with_cookie(self, request: Request) -> Request:
-        if self.user_id is not None and "Cookie" not in request.headers:
-            return request.with_header("Cookie", f"session={self.user_id}")
-        return request
+        if self.user_id is None:
+            return request
+        if not request.headers:  # the common case: one test, no new map
+            return request.with_headers(self._cookie)
+        if "Cookie" in request.headers:
+            return request
+        return request.with_header("Cookie", self._cookie["Cookie"])
 
     def fetch(self, request: Request) -> Generator:
         return self.inner.fetch(self._with_cookie(request))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.browser.client import Fetcher
+from repro.http.headers import Headers
 from repro.http.messages import Request, Response
 from repro.http.url import URL
 from repro.obs.analysis import response_attrs
@@ -125,12 +126,13 @@ class PageLoadEngine:
         resource fetch records a ``request`` span under it carrying its
         wave/slot position and the response's serving metadata.
         """
-        from repro.http.headers import Headers
-
         started_at = self.env.now
         responses: List[Response] = []
 
-        html_request = Request.get(page.html, headers=Headers(headers or {}))
+        # One map for the whole page load, carried by every
+        # resource's request (a header map is never edited).
+        shared = Headers(headers)
+        html_request = Request.get(page.html, headers=shared)
         span = self.tracer.start(
             "request",
             self.env.now,
@@ -150,7 +152,7 @@ class PageLoadEngine:
 
         for wave_index, wave in enumerate(page.waves(), start=1):
             wave_responses = yield from self._load_wave(
-                wave, headers, trace, wave_index
+                wave, shared, trace, wave_index
             )
             responses.extend(wave_responses)
 
@@ -174,13 +176,11 @@ class PageLoadEngine:
     def _load_wave(
         self,
         wave: List[PageResource],
-        headers: Optional[dict],
+        headers: Headers,
         trace=None,
         wave_index: int = 1,
     ) -> Generator:
         """Fetch one wave with bounded parallelism."""
-        from repro.http.headers import Headers
-
         pending = list(wave)
         responses: List[Tuple[int, Response]] = []
         # Launch in slots of max_parallel: a simple but faithful model
@@ -190,7 +190,7 @@ class PageLoadEngine:
             batch = pending[index : index + self.max_parallel]
             slot = index // self.max_parallel
             requests = [
-                Request.get(resource.url, headers=Headers(headers or {}))
+                Request.get(resource.url, headers=headers)
                 for resource in batch
             ]
             if self.batch_waves:

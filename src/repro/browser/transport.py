@@ -53,16 +53,6 @@ from repro.simnet.topology import Topology
 DEFAULT_ATTEMPT_TIMEOUT = 1.0
 
 
-def _content_length(response: Response) -> int:
-    length = response.headers.get("Content-Length")
-    if length is None:
-        return 0
-    try:
-        return max(0, int(length))
-    except ValueError:
-        return 0
-
-
 def _honor_validators(request: Request, response: Response) -> Response:
     """The edge's answer to the client's validators: a ``200`` whose
     ETag matches becomes a (cheap to transfer) ``304``.
@@ -117,10 +107,12 @@ class Transport:
         self.overload = overload
 
     def _count_bytes(self, which: str, response: Response) -> None:
-        """Egress accounting: who paid for these bytes."""
+        """Egress accounting: who paid for these bytes. A response
+        that declares no usable ``Content-Length`` is billed, and
+        transferred, as headers only: 0 bytes."""
         if self.metrics is not None:
             self.metrics.counter(f"bytes.{which}").inc(
-                _content_length(response)
+                response.content_length or 0
             )
 
     def _count(self, name: str) -> None:
@@ -239,7 +231,7 @@ class Transport:
             return None
         transit = link.one_way(self.rng) * self.faults.latency_factor(
             self.origin_node, from_node
-        ) + link.transfer_time(_content_length(response))
+        ) + link.transfer_time(response.content_length or 0)
         # Store latency may overlap with the response transit: the
         # origin's storage round trips and the return leg run
         # concurrently for a pipelining engine.
@@ -470,7 +462,7 @@ class Transport:
         client_link = self.topology.link(client_node, edge_name)
         transit = client_link.one_way(self.rng) * self.faults.latency_factor(
             edge_name, client_node
-        ) + client_link.transfer_time(_content_length(response))
+        ) + client_link.transfer_time(response.content_length or 0)
         # Edge storage round trips may pipeline under the client leg.
         yield from self.charge(edge.store, concurrent=transit)
         edge_span.set(status=int(response.status))
@@ -624,7 +616,7 @@ class Transport:
             response = _honor_validators(requests[index], response)
             responses[index] = response
             self._count_bytes("edge_egress", response)
-            total_length += _content_length(response)
+            total_length += response.content_length or 0
         client_link = self.topology.link(client_node, edge_name)
         transit = client_link.one_way(self.rng) * self.faults.latency_factor(
             edge_name, client_node

@@ -43,17 +43,14 @@ class CacheEntry:
 
 
 def _payload_size(response: Response) -> int:
-    """Size accounting: Content-Length if present, else body size.
+    """Size accounting: ``Content-Length`` where the response has a
+    usable one, else body size.
 
     ``str`` bodies are sized by their UTF-8 encoding — character count
     would undercount multi-byte content.
     """
-    length = response.headers.get("Content-Length")
-    if length is not None:
-        try:
-            return max(0, int(length))
-        except ValueError:
-            pass
+    if response.content_length is not None:
+        return response.content_length
     body = response.body
     if isinstance(body, str):
         return len(body.encode("utf-8"))

@@ -4,17 +4,24 @@ Every caching node in the stack — CDN edge PoPs (shared), the browser
 HTTP cache and the service worker cache (private) — follows the same
 interaction protocol around a :class:`~repro.cdn.cache.CacheStore`:
 
-1. :meth:`serve` — a fresh copy, or ``None``;
+1. :meth:`serve` — a fresh stored response, or ``None``;
 2. :meth:`revalidation_base` — a stale ETag'd entry worth a
    conditional request;
 3. :meth:`admit` / :meth:`refresh` — fold an upstream 200 / 304 back in.
 
 Nodes are passive: they never touch the network or the clock. The
 transport layer owns time.
+
+Responses are values (DESIGN, *Messages are values*): a node stores the
+response it is given, hands it out as ``entry.response.served(name)``
+— a new shell around the stored header map and body — and a refresh
+stores a new response instead of editing the old one. Nothing is
+copied, because nothing a reader holds can be edited.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.http.degraded import Degraded, mark, reason_of
@@ -79,16 +86,14 @@ class HttpCache:
     # -- request protocol ---------------------------------------------------
 
     def serve(self, request: Request, now: float) -> Optional[Response]:
-        """A fresh cached copy for ``request``, or ``None``."""
+        """The fresh stored response for ``request``, or ``None``."""
         key = request.url.cache_key()
         entry = self.store.get_fresh(key, now)
         if entry is None:
             self._count("miss")
             return None
         self._count("hit")
-        response = entry.response.copy()
-        response.served_by = self.name
-        return response
+        return entry.response.served(self.name)
 
     def serve_many(
         self, requests: Sequence[Request], now: float
@@ -111,9 +116,7 @@ class HttpCache:
                 responses.append(None)
                 continue
             self._count("hit")
-            response = entry.response.copy()
-            response.served_by = self.name
-            responses.append(response)
+            responses.append(entry.response.served(self.name))
         return responses
 
     def serve_even_stale(self, request: Request, now: float) -> Optional[Response]:
@@ -123,9 +126,7 @@ class HttpCache:
         entry = self.store.get(request.url.cache_key(), now)
         if entry is None:
             return None
-        response = entry.response.copy()
-        response.served_by = self.name
-        return response
+        return entry.response.served(self.name)
 
     def serve_stale_if_error(
         self, request: Request, now: float, grace: float
@@ -135,21 +136,20 @@ class HttpCache:
         Serves the stored entry — expired or not — provided it was
         last verified against the origin (stored or 304-restamped)
         within ``grace`` seconds, so its version staleness stays within
-        the normal bound plus ``grace``. The copy is marked
+        the normal bound plus ``grace``. The answer is marked
         :attr:`Degraded.STALE_IF_ERROR` so downstream caches refuse to
         re-admit it (admission would restamp the verification time and
         double the window) and the Δ-checker can account for it under
         the widened bound.
         """
-        if grace < 0:
-            return None
         entry = self.store.peek(request.url.cache_key())
-        if entry is None or now - entry.stored_at > grace:
+        # Written so that a NaN window fails closed: every comparison
+        # with NaN is false, and an unbounded age must not be served
+        # under a mark that says "bounded".
+        if entry is None or not 0 <= now - entry.stored_at <= grace:
             return None
-        response = entry.response.copy()
-        response.served_by = self.name
         self._count("stale_if_error")
-        return mark(response, Degraded.STALE_IF_ERROR)
+        return mark(entry.response.served(self.name), Degraded.STALE_IF_ERROR)
 
     def revalidation_base(
         self, request: Request, now: float
@@ -163,7 +163,8 @@ class HttpCache:
     def admit(
         self, request: Request, response: Response, now: float
     ) -> Response:
-        """Store a fetched response if allowed; return a forwardable copy.
+        """Store a fetched response if allowed; returns it (the store
+        and the caller hold the one value).
 
         The never-cached rule of the degraded-response contract: a
         response marked for any :class:`Degraded` reason is refused,
@@ -179,16 +180,16 @@ class HttpCache:
             and is_cacheable(response, shared=self.shared)
         ):
             key = request.url.cache_key()
-            self.store.put(key, response.copy(), now)
+            self.store.put(key, response, now)
             self._count("fill")
             for observer in self.admit_observers:
                 observer(key, response, now)
-        return response.copy()
+        return response
 
     def refresh(
         self, request: Request, not_modified: Response, now: float
     ) -> Optional[Response]:
-        """Apply a 304: restamp the stored entry as fresh again.
+        """Apply a 304: store the entry's response restamped as fresh.
 
         Returns the refreshed full response, or ``None`` if the entry
         vanished meanwhile (caller falls back to a full fetch).
@@ -199,16 +200,18 @@ class HttpCache:
         entry = self.store.peek(key)
         if entry is None:
             return None
-        refreshed = entry.response.copy()
-        refreshed.generated_at = not_modified.generated_at
+        headers = entry.response.headers
         cache_control = not_modified.headers.get("Cache-Control")
         if cache_control is not None:
-            refreshed.headers["Cache-Control"] = cache_control
+            headers = headers.with_item("Cache-Control", cache_control)
+        refreshed = replace(
+            entry.response,
+            headers=headers,
+            generated_at=not_modified.generated_at,
+        )
         self.store.put(key, refreshed, now)
         self._count("revalidated")
-        response = refreshed.copy()
-        response.served_by = self.name
-        return response
+        return refreshed.served(self.name)
 
     # -- invalidation ----------------------------------------------------------
 

@@ -83,9 +83,7 @@ class PopReplicator:
                 continue
             self._in_flight[key] = self._in_flight.get(key, 0) + 1
             self.metrics.counter("replication.sent").inc()
-            self.env.process(
-                self._deliver(name, sibling, key, response.copy(), now)
-            )
+            self.env.process(self._deliver(name, sibling, key, response, now))
 
     def _deliver(
         self, name: str, sibling, key: str, response: Response, sent_at: float

@@ -129,7 +129,7 @@ class DeltaAtomicityChecker:
             raise ValueError(
                 f"response lacks url/version metadata: {response!r}"
             )
-        resource_key = response.headers.get("X-Version-Key")
+        resource_key = response.version_key
         if resource_key is None:
             resource_key = self.server.version_key_for(response.url, user_id)
         versions = self.server.versions

@@ -20,7 +20,8 @@ pattern search over that text.
 from __future__ import annotations
 
 import re
-from typing import Any, List
+from dataclasses import fields, is_dataclass
+from typing import Any, Dict, List
 
 __all__ = ["UserDataMatcher", "identity_strings", "identity_text"]
 
@@ -38,7 +39,7 @@ _MAX_DEPTH = 12
 
 #: Where a stored shape keeps its identity text (``None`` until the
 #: first GDPR visit). Declared by ``CacheEntry``, ``Document`` and
-#: ``Rendition``; bookkeeping, so never itself searched.
+#: ``Rendition``.
 _MEMO = "_identity_text"
 
 _NO_SLOT = object()
@@ -73,6 +74,25 @@ class _Kinds(dict):
 _KINDS = _Kinds()
 
 
+class _Bookkeeping(dict):
+    """Exact type -> its attributes that are never searched, each
+    mapped to ``None`` (which the walk skips).
+
+    One rule: a dataclass field that is not an ``__init__`` parameter
+    (``init=False``) is kept *about* the fields that are, not data the
+    object was given — how a stored shape declares its identity-text
+    memo and ``Response`` the facts it reads off its header map.
+    """
+
+    def __missing__(self, kind: type) -> Dict[str, None]:
+        declared = fields(kind) if is_dataclass(kind) else ()
+        blanked = self[kind] = {f.name: None for f in declared if not f.init}
+        return blanked
+
+
+_BOOKKEEPING = _Bookkeeping()
+
+
 def identity_strings(value: Any) -> List[str]:
     """Every string a match on ``value`` could come from.
 
@@ -80,7 +100,8 @@ def identity_strings(value: Any) -> List[str]:
     and values of dicts (a header name or a document field is data);
     items of lists, tuples and sets; attribute **values** of objects
     with a ``__dict__`` or ``__slots__`` — never attribute names, which
-    are the schema of the simulation's own classes, not user data.
+    are the schema of the simulation's own classes, not user data, and
+    never an object's bookkeeping (:class:`_Bookkeeping`).
     One pass, level by level, no recursion.
     """
     found: List[str] = []
@@ -88,7 +109,8 @@ def identity_strings(value: Any) -> List[str]:
     for _ in range(_MAX_DEPTH + 1):
         deeper: List[Any] = []
         for item in level:
-            treated = _KINDS[type(item)]
+            kind = type(item)
+            treated = _KINDS[kind]
             if treated == _STRING:
                 found.append(item)
             elif treated == _SCALAR:
@@ -101,16 +123,20 @@ def identity_strings(value: Any) -> List[str]:
             elif treated == _BYTES:
                 found.append(item.decode("utf-8", errors="replace"))
             else:
+                bookkeeping = _BOOKKEEPING[kind]
                 attributes = getattr(item, "__dict__", None)
                 if attributes is None:
-                    attributes = {
-                        name: getattr(item, name, None)
-                        for name in getattr(type(item), "__slots__", ())
-                    }
-                if not isinstance(attributes, dict):
+                    # A plain loop: on 3.11 a comprehension is a frame
+                    # per object, and a slotted ``Response`` sits in
+                    # every cache entry.
+                    attributes = {}
+                    for name in getattr(kind, "__slots__", ()):
+                        if name not in bookkeeping:
+                            attributes[name] = getattr(item, name, None)
+                elif not isinstance(attributes, dict):
                     continue  # a class: its ``__dict__`` is a proxy
-                if _MEMO in attributes:  # only the stored shapes
-                    attributes = {**attributes, _MEMO: None}
+                elif bookkeeping:
+                    attributes = {**attributes, **bookkeeping}
                 deeper += attributes.values()
         if not deeper:
             break

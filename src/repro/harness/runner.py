@@ -828,8 +828,7 @@ class SimulationRunner:
 
         if not user.logged_in or html_response.status != Status.OK:
             return
-        kind = html_response.headers.get("X-Resource-Kind")
-        if kind not in ("page", "query"):
+        if html_response.kind not in ("page", "query"):
             return
         self.metrics.counter("personalization.checks").inc()
         cc = html_response.cache_control
@@ -878,7 +877,7 @@ class SimulationRunner:
         if response.status != Status.OK or response.version is None:
             return
         layer = self._layer_of(response.served_by)
-        kind = response.headers.get("X-Resource-Kind", "unknown")
+        kind = response.kind if response.kind is not None else "unknown"
         counters = self._serve_counters.get((layer, kind))
         if counters is None:
             counters = self._serve_counters[(layer, kind)] = (
@@ -897,7 +896,7 @@ class SimulationRunner:
                 # Offline serving explicitly trades Δ-atomicity for
                 # availability; these reads are accounted, not checked.
                 return
-        if "X-Version-Key" in response.headers:
+        if response.version_key is not None:
             checker = self.checker if delta_covered else self.baseline_checker
             checker.record_read(
                 response,

@@ -22,7 +22,7 @@ from repro.http.freshness import (
     is_fresh_at,
     remaining_ttl,
 )
-from repro.http.headers import Headers
+from repro.http.headers import FrozenHeadersError, Headers
 from repro.http.messages import (
     CREDENTIAL_HEADERS,
     Method,
@@ -38,6 +38,7 @@ __all__ = [
     "CREDENTIAL_HEADERS",
     "CacheControl",
     "Degraded",
+    "FrozenHeadersError",
     "Headers",
     "Method",
     "Request",

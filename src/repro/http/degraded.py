@@ -2,7 +2,10 @@
 
 An answer that is not a verified-fresh read says so with a response
 header, and every tier treats a marked answer the same way. Producers
-stamp with :func:`mark`; each rule is asked of :func:`reason_of` at one
+build the marked answer with :func:`mark` — a new response; the one it
+was made from stays unmarked, so a cache that holds it keeps serving it
+— and a response knows its reason from construction (:func:`reason_in`
+over its header names). Each rule is asked of :func:`reason_of` at one
 place: never cached (``HttpCache.admit``), never 304-converted (the CDN
 transport), which ledger and whether the Δ-checker judges it (the
 runner's response classification), which span attribute
@@ -14,12 +17,13 @@ same columns). DESIGN.md, *Degraded responses*, has the table.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Mapping, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, Any, Collection, Mapping, Optional
 
 if TYPE_CHECKING:
     from repro.http.messages import Response
 
-__all__ = ["Degraded", "mark", "reason_in_attrs", "reason_of"]
+__all__ = ["Degraded", "mark", "reason_in", "reason_in_attrs", "reason_of"]
 
 
 class Degraded(enum.Enum):
@@ -73,26 +77,35 @@ class Degraded(enum.Enum):
 
 
 _BY_PRECEDENCE = tuple(Degraded)
-_MARK_HEADERS = frozenset(reason.header.lower() for reason in Degraded)
+#: Header-map spelling of each mark, most restrictive first.
+_BY_HEADER = {reason.header.lower(): reason for reason in Degraded}
+_MARK_HEADERS = frozenset(_BY_HEADER)
 
 
 def mark(
     response: "Response", reason: Degraded, value: str = "1"
 ) -> "Response":
-    """Stamp ``response`` as degraded for ``reason``; returns it."""
-    response.headers[reason.header] = value
-    return response
+    """``response`` degraded for ``reason``: a new response, marked.
+    ``response`` itself is left as it was."""
+    return replace(
+        response, headers=response.headers.with_item(reason.header, value)
+    )
+
+
+def reason_in(header_names: Collection[str]) -> Optional[Degraded]:
+    """The most restrictive mark among ``header_names`` (lower-case),
+    or ``None`` — what a response is told about itself when built."""
+    if _MARK_HEADERS.isdisjoint(header_names):
+        return None  # the common case: no mark at all
+    for header, reason in _BY_HEADER.items():
+        if header in header_names:
+            return reason
+    return None
 
 
 def reason_of(response: "Response") -> Optional[Degraded]:
     """The reason ``response`` is marked degraded, or ``None``."""
-    headers = response.headers
-    if headers.isdisjoint(_MARK_HEADERS):
-        return None  # the common case: no mark at all
-    for reason in _BY_PRECEDENCE:
-        if reason.header in headers:
-            return reason
-    return None
+    return response.degraded
 
 
 def reason_in_attrs(attrs: Mapping[str, Any]) -> Optional[Degraded]:

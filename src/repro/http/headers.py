@@ -1,16 +1,27 @@
-"""Case-insensitive HTTP header map."""
+"""Case-insensitive HTTP header map.
+
+A map is a value: built whole from a mapping, never edited. Any number
+of messages, cache entries and replicas therefore carry the one object
+(DESIGN, *Messages are values*); a different map is a new map
+(:meth:`Headers.with_item`), and every editing method of a mutable
+mapping raises :class:`FrozenHeadersError`.
+"""
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Tuple
+
+
+class FrozenHeadersError(TypeError):
+    """An attempt to edit a header map."""
 
 
 class Headers:
     """A mapping of header names to values, case-insensitive on names.
 
     The original casing of the *first* spelling seen for a name is
-    preserved for display; lookups and deletions accept any casing.
-    Values are always strings.
+    preserved for display; lookups accept any casing. Values are always
+    strings.
     """
 
     __slots__ = ("_items",)
@@ -20,10 +31,7 @@ class Headers:
         items: Dict[str, Tuple[str, str]] = {}
         self._items = items
         if initial:
-            # Inlined __setitem__: header maps are built on every hop,
-            # so the construction loop avoids the per-key method call
-            # and the double lookup (first spelling wins for display,
-            # last value wins — same semantics as repeated assignment).
+            # First spelling wins for display, last value wins.
             get = items.get
             for name, value in initial.items():
                 key = name.lower()
@@ -33,28 +41,14 @@ class Headers:
                     str(value),
                 )
 
-    def __setitem__(self, name: str, value: str) -> None:
-        key = name.lower()
-        display = self._items[key][0] if key in self._items else name
-        self._items[key] = (display, str(value))
-
     def __getitem__(self, name: str) -> str:
         return self._items[name.lower()][1]
-
-    def __delitem__(self, name: str) -> None:
-        del self._items[name.lower()]
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and name.lower() in self._items
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def isdisjoint(self, lowered_names: AbstractSet[str]) -> bool:
-        """Whether none of ``lowered_names`` (canonical, lower-case
-        spellings) is present — one test where a caller would probe
-        name by name."""
-        return self._items.keys().isdisjoint(lowered_names)
 
     def __iter__(self) -> Iterator[str]:
         return (display for display, _ in self._items.values())
@@ -63,31 +57,27 @@ class Headers:
         item = self._items.get(name.lower())
         return item[1] if item is not None else default
 
-    def pop(self, name: str, default: Optional[str] = None) -> Optional[str]:
-        item = self._items.pop(name.lower(), None)
-        return item[1] if item is not None else default
-
-    def setdefault(self, name: str, value: str) -> str:
-        key = name.lower()
-        if key not in self._items:
-            self._items[key] = (name, str(value))
-        return self._items[key][1]
-
     def items(self) -> Iterator[Tuple[str, str]]:
-        return iter(
-            (display, value) for display, value in self._items.values()
-        )
+        return iter(self._items.values())
 
-    def copy(self) -> "Headers":
+    def with_item(self, name: str, value: str) -> "Headers":
+        """A new map: this one with ``name`` added or replaced."""
+        key = name.lower()
+        prev = self._items.get(key)
         clone = Headers()
-        clone._items = dict(self._items)
+        clone._items = {
+            **self._items,
+            key: (name if prev is None else prev[0], str(value)),
+        }
         return clone
 
-    def update(self, other: Mapping[str, str]) -> None:
-        for name, value in (
-            other.items() if hasattr(other, "items") else other
-        ):
-            self[name] = value
+    def _refuse(self, *args: object, **kwargs: object) -> None:
+        raise FrozenHeadersError(
+            "a header map is never edited: build a new one with"
+            " Headers(...) or with_item()"
+        )
+
+    __setitem__ = __delitem__ = pop = update = setdefault = _refuse
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Headers):

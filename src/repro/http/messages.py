@@ -1,4 +1,12 @@
-"""Request and response messages with cache validators."""
+"""Request and response messages with cache validators.
+
+Messages are values (DESIGN, *Messages are values*). A ``Response`` is
+never edited once built: what every tier asks of its headers is read
+once, at construction, and a cache hands the stored response out by
+reference (:meth:`Response.served`). A ``Request`` shares its header map
+with its copies; ``trace`` is the one field a hop rebinds. Variants are
+built — ``dataclasses.replace``, ``with_header`` — never edited in.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.http.cache_control import CacheControl
+from repro.http.degraded import Degraded, reason_in
 from repro.http.headers import Headers
 from repro.http.url import URL
 
@@ -47,7 +56,7 @@ class Status(enum.IntEnum):
 CREDENTIAL_HEADERS = ("Cookie", "Authorization")
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """An HTTP request.
 
@@ -57,7 +66,9 @@ class Request:
     the observability span context (:class:`repro.obs.span.SpanContext`)
     of the hop currently handling the request, so downstream tiers can
     parent their spans without global state; it is ``None`` whenever
-    tracing is disabled.
+    tracing is disabled — and it is the one field a hop rebinds: the
+    header map is a value, so any number of requests (a page load's
+    resources, a hop's copy) carry one map.
     """
 
     method: Method
@@ -69,7 +80,7 @@ class Request:
 
     @classmethod
     def get(cls, url: URL, **kwargs: Any) -> "Request":
-        return cls(method=Method.GET, url=url, **kwargs)
+        return cls(Method.GET, url, **kwargs)
 
     @property
     def if_none_match(self) -> Optional[str]:
@@ -81,39 +92,52 @@ class Request:
         return any(header in self.headers for header in CREDENTIAL_HEADERS)
 
     def with_header(self, name: str, value: str) -> "Request":
-        """A copy with one header added/replaced (headers deep-copied)."""
-        headers = self.headers.copy()
-        headers[name] = value
-        return self._with_headers(headers)
+        """This request with one header added/replaced (a new map)."""
+        return self.with_headers(self.headers.with_item(name, value))
 
     def copy(self) -> "Request":
-        return self._with_headers(self.headers.copy())
+        """Another request carrying the same map, with a ``trace`` of
+        its own to rebind."""
+        return self.with_headers(self.headers)
 
-    def _with_headers(self, headers: Headers) -> "Request":
-        # Direct construction: ``dataclasses.replace`` re-walks the
-        # field list per call, and requests are copied on every hop.
+    def with_headers(self, headers: Headers) -> "Request":
+        """This request carrying ``headers`` instead."""
         return Request(
-            method=self.method,
-            url=self.url,
-            headers=headers,
-            body=self.body,
-            client_id=self.client_id,
-            trace=self.trace,
+            self.method,
+            self.url,
+            headers,
+            self.body,
+            self.client_id,
+            self.trace,
         )
 
     def __repr__(self) -> str:
         return f"Request({self.method.value} {self.url})"
 
 
-@dataclass
+def _parsed_length(value: str) -> Optional[int]:
+    try:
+        return max(0, int(value))
+    except ValueError:
+        return None
+
+
+@dataclass(slots=True)
 class Response:
-    """An HTTP response.
+    """An HTTP response: a value, never edited once built.
 
     ``version`` and ``served_by`` are simulator metadata: ``version`` is
     the origin-side version number of the underlying resource (used by
     the Δ-atomicity checker), and ``served_by`` records which component
     produced the response (origin, an edge PoP, the browser cache, the
     service worker, ...).
+
+    A cache stores the response it is given and answers with
+    :meth:`served` — a new shell around the same header map, body and
+    facts. A *different* response is built, not edited:
+    ``dataclasses.replace(response, ...)`` (how
+    :func:`~repro.http.degraded.mark` adds its header), which reads the
+    facts again from the map it is given.
     """
 
     status: Status
@@ -125,35 +149,63 @@ class Response:
     # Simulated wall-clock time the response was generated at the
     # serving node; caches use it to compute Age.
     generated_at: float = 0.0
+    # What the tiers ask of the header map, read off it once in
+    # ``__post_init__``. Not ``__init__`` parameters — which is what
+    # keeps them (like a stored shape's identity-text memo) out of the
+    # GDPR walk: they restate the map, they are not more user data.
+    cache_control: CacheControl = field(init=False, repr=False, compare=False)
+    etag: Optional[str] = field(init=False, repr=False, compare=False)
+    #: ``Content-Length`` as a byte count; ``None`` when the header is
+    #: absent or not an integer (each reader has its own fallback).
+    content_length: Optional[int] = field(init=False, repr=False, compare=False)
+    #: ``X-Resource-Kind`` and ``X-Version-Key`` as the origin set them.
+    kind: Optional[str] = field(init=False, repr=False, compare=False)
+    version_key: Optional[str] = field(init=False, repr=False, compare=False)
+    #: Why this is not a verified-fresh read (``reason_of`` returns it).
+    degraded: Optional[Degraded] = field(init=False, repr=False, compare=False)
 
-    @property
-    def etag(self) -> Optional[str]:
-        return self.headers.get("ETag")
-
-    @property
-    def cache_control(self) -> CacheControl:
-        return CacheControl.parse(self.headers.get("Cache-Control"))
+    def __post_init__(self) -> None:
+        items = self.headers._items
+        self.cache_control = CacheControl.parse(
+            items["cache-control"][1] if "cache-control" in items else None
+        )
+        self.etag = items["etag"][1] if "etag" in items else None
+        self.content_length = (
+            _parsed_length(items["content-length"][1])
+            if "content-length" in items
+            else None
+        )
+        self.kind = (
+            items["x-resource-kind"][1] if "x-resource-kind" in items else None
+        )
+        self.version_key = (
+            items["x-version-key"][1] if "x-version-key" in items else None
+        )
+        self.degraded = reason_in(items)
 
     @property
     def ok(self) -> bool:
         return self.status == Status.OK
 
-    def copy(self) -> "Response":
-        """A shallow copy with independent headers.
-
-        Caches hand out copies so one client mutating headers (e.g. the
-        ``Age`` header added at serve time) cannot corrupt the stored
-        entry.
-        """
-        return Response(
-            status=self.status,
-            headers=self.headers.copy(),
-            body=self.body,
-            url=self.url,
-            version=self.version,
-            served_by=self.served_by,
-            generated_at=self.generated_at,
-        )
+    def served(self, by: str) -> "Response":
+        """This response as ``by`` hands it out: a new shell sharing
+        the header map, the body and the facts — nothing is copied and
+        nothing is read again."""
+        shell = object.__new__(Response)
+        shell.status = self.status
+        shell.headers = self.headers
+        shell.body = self.body
+        shell.url = self.url
+        shell.version = self.version
+        shell.served_by = by
+        shell.generated_at = self.generated_at
+        shell.cache_control = self.cache_control
+        shell.etag = self.etag
+        shell.content_length = self.content_length
+        shell.kind = self.kind
+        shell.version_key = self.version_key
+        shell.degraded = self.degraded
+        return shell
 
     def __repr__(self) -> str:
         return (
@@ -176,15 +228,15 @@ def revalidates(request: Request, stored: Response) -> bool:
 
 def make_not_modified(stored: Response, at: float) -> Response:
     """Build a ``304`` answer for a request whose validators matched."""
-    headers = Headers()
+    validators = {}
     if stored.etag is not None:
-        headers["ETag"] = stored.etag
+        validators["ETag"] = stored.etag
     cache_control = stored.headers.get("Cache-Control")
     if cache_control is not None:
-        headers["Cache-Control"] = cache_control
+        validators["Cache-Control"] = cache_control
     return Response(
         status=Status.NOT_MODIFIED,
-        headers=headers,
+        headers=Headers(validators),
         url=stored.url,
         version=stored.version,
         served_by=stored.served_by,

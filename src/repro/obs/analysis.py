@@ -39,14 +39,13 @@ Record = Dict[str, Any]
 
 def response_attrs(response) -> Dict[str, Any]:
     """Span attributes capturing what a response was and who served it."""
-    headers = response.headers
     attrs: Dict[str, Any] = {
         "status": int(response.status),
         "served_by": response.served_by,
         "url": str(response.url) if response.url is not None else None,
         "version": response.version,
-        "version_key": headers.get("X-Version-Key"),
-        "kind": headers.get("X-Resource-Kind"),
+        "version_key": response.version_key,
+        "kind": response.kind,
     }
     reason = reason_of(response)
     if reason is not None and reason.span_attr is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from repro.http.messages import Response
@@ -66,7 +66,8 @@ class DynamicBlockAssembler:
                 return block.body
             return json.dumps(block.body, default=str)
 
-        assembled = skeleton.copy()
-        assembled.body = _PLACEHOLDER.sub(replacement, body)
-        assembled.served_by = f"{skeleton.served_by}+blocks"
-        return assembled
+        return replace(
+            skeleton,
+            body=_PLACEHOLDER.sub(replacement, body),
+            served_by=f"{skeleton.served_by}+blocks",
+        )

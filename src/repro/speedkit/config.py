@@ -9,6 +9,7 @@ user-personalized (never shared; fetched directly with credentials).
 from __future__ import annotations
 
 import fnmatch
+import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -164,19 +165,20 @@ class SpeedKitConfig:
     stale_if_error_window: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.sketch_refresh_interval <= 0:
+        # Chained comparisons, so NaN fails them too (``nan < 0`` and
+        # ``nan <= 0`` are both false): the same test, and the same
+        # reason, as ``ScenarioSpec``'s durations.
+        if not 0 < self.sketch_refresh_interval < math.inf:
             raise ValueError(
-                "sketch_refresh_interval must be positive, got "
+                "sketch_refresh_interval must be finite and positive: "
                 f"{self.sketch_refresh_interval}"
             )
-        if (
-            self.stale_if_error_window is not None
-            and self.stale_if_error_window < 0
-        ):
-            raise ValueError(
-                "stale_if_error_window must be >= 0, got "
-                f"{self.stale_if_error_window}"
-            )
+        for knob in ("swr_staleness_budget", "stale_if_error_window"):
+            value = getattr(self, knob)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{knob} must be finite and non-negative: {value}"
+                )
         self.backend = BackendSpec.parse(self.backend)
 
     def route(self, path: str) -> Route:

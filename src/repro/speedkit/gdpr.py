@@ -174,7 +174,7 @@ class RequestScrubber:
         if not request.headers and not request.url.query:
             self.clean_requests += 1
             return request.copy(), report
-        kept = Headers()
+        kept = {}
         for name, value in request.headers.items():
             if name.lower() in self.header_denylist or (
                 self.looks_identifying(value)
@@ -196,7 +196,7 @@ class RequestScrubber:
         cleaned = Request(
             method=request.method,
             url=url,
-            headers=kept,
+            headers=Headers(kept),
             body=request.body,
             client_id=request.client_id,
             trace=request.trace,

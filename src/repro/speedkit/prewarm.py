@@ -65,11 +65,7 @@ def prewarm(
                 stored = True
         if stored:
             report.warmed.append(str(url))
-            length = response.headers.get("Content-Length")
-            try:
-                report.bytes_pushed += int(length) if length else 0
-            except ValueError:
-                pass
+            report.bytes_pushed += response.content_length or 0
         else:
             report.failed.append(str(url))
     return report

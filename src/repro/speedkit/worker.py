@@ -221,11 +221,10 @@ class ServiceWorkerProxy(Fetcher):
         device; the request bypasses every shared cache (the browser
         cache still applies, but per-user responses are no-store).
         """
-        outgoing = request.copy()
         identity = self.vault.identity_for_first_party()
-        if identity is not None and "Cookie" not in outgoing.headers:
-            outgoing.headers["Cookie"] = f"session={identity}"
-        return self.fallback.fetch(outgoing)
+        if identity is not None and "Cookie" not in request.headers:
+            request = request.with_header("Cookie", f"session={identity}")
+        return self.fallback.fetch(request)
 
     def _fetch_accelerated(
         self, request: Request, segmented: bool, span=NULL_SPAN
@@ -342,7 +341,7 @@ class ServiceWorkerProxy(Fetcher):
         account for it separately.
         """
         self._count("offline_served")
-        return mark(cached.copy(), Degraded.OFFLINE)
+        return mark(cached, Degraded.OFFLINE)
 
     def _swr_allowed(self, scrubbed: Request, cached: Response) -> bool:
         """May a flagged copy be served stale-while-revalidate?

@@ -115,19 +115,23 @@ class TxnResult:
 
 def _extract_read(url: URL, response: Response, read_at: float) -> KeyRead:
     """Pull certification metadata out of one response."""
-    read = KeyRead(url=url, response=response, read_at=read_at)
     if response.status != Status.OK:
-        return read
-    read.version_key = response.headers.get("X-Version-Key")
-    read.version = response.version
+        return KeyRead(url=url, response=response, read_at=read_at)
     born = response.headers.get("X-Version-Born")
     if born is not None:
         try:
-            read.born = float(born)
+            born = float(born)
         except ValueError:
-            read.born = None
-    read.verified = response.generated_at
-    return read
+            born = None
+    return KeyRead(
+        url=url,
+        response=response,
+        read_at=read_at,
+        version_key=response.version_key,
+        version=response.version,
+        born=born,
+        verified=response.generated_at,
+    )
 
 
 class TxnCoordinator:
@@ -198,7 +202,9 @@ class TxnCoordinator:
         if result.achieved < result.requested:
             result.degraded = True
             for read in result.reads:
-                mark(
+                # A new response: the one that was read may also sit in
+                # the worker's cache, which keeps serving it unmarked.
+                read.response = mark(
                     read.response,
                     Degraded.TXN_DOWNGRADE,
                     result.achieved.value,

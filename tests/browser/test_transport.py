@@ -115,6 +115,70 @@ class TestViaCdn:
         assert env.now == pytest.approx(expected)
 
 
+class TestOneContentLengthRule:
+    """The cache's size accounting and the transport's billing read
+    the one parsed ``Response.content_length``; they used to parse the
+    header separately and disagreed on a bad one."""
+
+    BODY = "12345"
+
+    @pytest.mark.parametrize(
+        "header, parsed",
+        [
+            (None, None),
+            ("12", 12),
+            (" 12 ", 12),
+            ("-5", 0),
+            ("abc", None),
+            ("1e3", None),
+            ("nan", None),
+        ],
+    )
+    def test_cache_and_transport_read_the_same_length(
+        self, env, topology, server, cdn, header, parsed
+    ):
+        import random
+
+        from repro.browser import Transport
+        from repro.http import Headers, Response
+        from repro.sim.metrics import MetricRegistry
+        from repro.simnet import ConstantDelay, Link
+
+        headers = {"Cache-Control": "public, max-age=60"}
+        if header is not None:
+            headers["Content-Length"] = header
+        request = get("/planted")
+        response = Response(
+            status=Status.OK,
+            headers=Headers(headers),
+            body=self.BODY,
+            url=request.url,
+            version=1,
+        )
+        assert response.content_length == parsed
+        # The cache: the declared length, else the body's size.
+        edge = cdn.pop("edge")
+        entry = edge.store.put(request.url.cache_key(), response, now=0.0)
+        assert entry.size_bytes == (
+            parsed if parsed is not None else len(self.BODY)
+        )
+        # The transport: the declared length, else headers only.
+        topology.connect(
+            "client", "edge", Link(ConstantDelay(CLIENT_EDGE), bandwidth=100)
+        )
+        metrics = MetricRegistry()
+        transport = Transport(
+            env, topology, server, random.Random(0), metrics=metrics
+        )
+        served = run_fetch(
+            env, transport.fetch_via_cdn("client", request, cdn, "edge")
+        )
+        assert served.served_by == "edge"
+        billed = parsed or 0
+        assert metrics.counter("bytes.edge_egress").value == billed
+        assert env.now == pytest.approx(2 * CLIENT_EDGE + billed / 100)
+
+
 class TestFetchManyViaCdn:
     def wave(self, *paths):
         return [get(path) for path in paths]

@@ -8,17 +8,21 @@ from repro.cdn import CacheStore
 from repro.http import Headers, Response, Status, URL
 
 
-def response(ttl=60, size=100, url="/r", version=1):
+def response(
+    ttl=60, size=100, url="/r", version=1, cache_control=None, body="x"
+):
+    """A response is a value: a test says what it means up front
+    (``size=None`` for no ``Content-Length`` at all)."""
+    headers = {
+        "Cache-Control": cache_control or f"public, max-age={ttl}",
+        "ETag": f'"v{version}"',
+    }
+    if size is not None:
+        headers["Content-Length"] = str(size)
     return Response(
         status=Status.OK,
-        headers=Headers(
-            {
-                "Cache-Control": f"public, max-age={ttl}",
-                "Content-Length": str(size),
-                "ETag": f'"v{version}"',
-            }
-        ),
-        body="x",
+        headers=Headers(headers),
+        body=body,
         url=URL.parse(url),
         version=version,
         generated_at=0.0,
@@ -45,12 +49,11 @@ class TestBasics:
         assert store.get("k", now=10.0) is not None
 
     def test_shared_store_uses_s_maxage(self):
-        resp = response()
-        resp.headers["Cache-Control"] = "max-age=10, s-maxage=100"
+        resp = response(cache_control="max-age=10, s-maxage=100")
         shared = CacheStore(shared=True)
         private = CacheStore(shared=False)
         shared.put("k", resp, now=0.0)
-        private.put("k", resp.copy(), now=0.0)
+        private.put("k", resp, now=0.0)  # a value: two stores, one object
         assert shared.get_fresh("k", now=50.0) is not None
         assert private.get_fresh("k", now=50.0) is None
 
@@ -168,16 +171,12 @@ class TestEviction:
 
 class TestPayloadSize:
     def test_content_length_parsing_fallbacks(self):
-        resp = response()
-        resp.headers["Content-Length"] = "not-a-number"
-        resp.body = "12345"
+        resp = response(size="not-a-number", body="12345")
         store = CacheStore(shared=True)
         entry = store.put("k", resp, now=0.0)
         assert entry.size_bytes == 5
 
     def test_no_length_no_body(self):
-        resp = response()
-        del resp.headers["Content-Length"]
-        resp.body = None
+        resp = response(size=None, body=None)
         store = CacheStore(shared=True)
         assert store.put("k", resp, now=0.0).size_bytes == 0

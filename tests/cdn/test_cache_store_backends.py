@@ -85,9 +85,13 @@ class TestPolicyOverEngines:
 
     def test_utf8_payload_sizing(self, store):
         # Satellite: str bodies are sized by UTF-8 bytes, not chars.
-        resp = response()
-        del resp.headers["Content-Length"]
-        resp.body = "ü" * 10  # 10 chars, 20 UTF-8 bytes
+        resp = Response(
+            status=Status.OK,
+            headers=Headers({"Cache-Control": "public, max-age=60"}),
+            body="ü" * 10,  # 10 chars, 20 UTF-8 bytes
+            url=URL.parse("/r"),
+            version=1,
+        )
         store.put("k", resp, now=0.0)
         assert store.peek("k").size_bytes == 20
         assert store.total_bytes == 20

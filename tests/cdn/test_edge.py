@@ -1,15 +1,20 @@
 """Tests for edge PoP semantics."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cdn import CacheStore, EdgeCache
 from repro.http import (
+    Degraded,
+    FrozenHeadersError,
     Headers,
     Request,
     Response,
     Status,
     URL,
     make_not_modified,
+    reason_of,
 )
 
 
@@ -17,21 +22,18 @@ def edge(name="pop-1"):
     return EdgeCache(name, CacheStore(shared=True))
 
 
-def ok_response(url="/p", ttl=60, version=1, private=False):
+def ok_response(url="/p", ttl=60, version=1, private=False, etag=True):
     directives = f"max-age={ttl}"
     if private:
         directives = f"private, {directives}"
     else:
         directives = f"public, {directives}"
+    headers = {"Cache-Control": directives, "Content-Length": "1000"}
+    if etag:
+        headers["ETag"] = f'"v{version}"'
     return Response(
         status=Status.OK,
-        headers=Headers(
-            {
-                "Cache-Control": directives,
-                "ETag": f'"v{version}"',
-                "Content-Length": "1000",
-            }
-        ),
+        headers=Headers(headers),
         body=f"body-v{version}",
         url=URL.parse(url),
         version=version,
@@ -53,12 +55,18 @@ class TestServe:
         assert served.served_by == "pop-1"
         assert served.version == 1
 
-    def test_served_copy_is_isolated(self):
+    def test_served_response_cannot_be_edited(self):
+        """Was ``test_served_copy_is_isolated``: a serving is no longer
+        a private copy whose edits stay out of the store, it is the
+        stored header map itself — which nobody can edit."""
         pop = edge()
         pop.admit(get(), ok_response(), now=0.0)
         served = pop.serve(get(), now=1.0)
-        served.headers["X-Mutated"] = "yes"
+        with pytest.raises(FrozenHeadersError):
+            served.headers["X-Mutated"] = "yes"
         again = pop.serve(get(), now=2.0)
+        assert again.headers is served.headers
+        assert again is not served
         assert "X-Mutated" not in again.headers
 
     def test_expired_entry_is_a_miss(self):
@@ -115,16 +123,20 @@ class TestAdmission:
 
     def test_error_response_not_stored(self):
         pop = edge()
-        error = ok_response()
-        error.status = Status.INTERNAL_ERROR
+        error = replace(ok_response(), status=Status.INTERNAL_ERROR)
         pop.admit(get(), error, now=0.0)
         assert pop.serve(get(), now=0.5) is None
 
-    def test_admit_returns_forwardable_copy(self):
+    def test_admit_returns_what_it_stored_and_it_cannot_be_edited(self):
+        """Was ``test_admit_returns_forwardable_copy``: the caller and
+        the store hold the one response, safe because it is a value."""
         pop = edge()
         original = ok_response()
         forwarded = pop.admit(get(), original, now=0.0)
-        forwarded.headers["X-Hop"] = "edge"
+        assert forwarded is original
+        assert pop.store.peek(get().url.cache_key()).response is original
+        with pytest.raises(FrozenHeadersError):
+            forwarded.headers["X-Hop"] = "edge"
         assert "X-Hop" not in pop.serve(get(), now=1.0).headers
 
 
@@ -141,9 +153,7 @@ class TestRevalidation:
 
     def test_no_base_without_etag(self):
         pop = edge()
-        resp = ok_response()
-        del resp.headers["ETag"]
-        pop.admit(get(), resp, now=0.0)
+        pop.admit(get(), ok_response(etag=False), now=0.0)
         assert pop.revalidation_base(get(), now=100.0) is None
 
     def test_refresh_restamps_entry(self):
@@ -171,6 +181,42 @@ class TestRevalidation:
         nm = make_not_modified(stale, at=5.0)
         pop.purge(get().url.cache_key())
         assert pop.refresh(get(), nm, now=5.0) is None
+
+
+class TestStaleIfError:
+    def stale(self, grace, now=500.0):
+        pop = edge()
+        pop.admit(get(), ok_response(ttl=10), now=100.0)
+        return pop, pop.serve_stale_if_error(get(), now=now, grace=grace)
+
+    def test_within_the_window_serves_a_marked_variant(self):
+        pop, served = self.stale(grace=400.0)
+        assert reason_of(served) is Degraded.STALE_IF_ERROR
+        assert served.served_by == "pop-1" and served.version == 1
+        # The stored response stays unmarked and servable.
+        stored = pop.store.peek(get().url.cache_key()).response
+        assert reason_of(stored) is None and served.headers is not stored.headers
+        assert pop.counted("stale_if_error") == 1
+
+    def test_an_unbounded_window_is_a_callers_choice(self):
+        assert self.stale(grace=float("inf"))[1] is not None
+
+    @pytest.mark.parametrize(
+        "grace", [float("nan"), -1.0, -float("inf"), 399.9]
+    )
+    def test_outside_the_window_fails_closed(self, grace):
+        """NaN compares false with everything: ``age > nan`` used to
+        let a copy of any age out under the bounded-stale mark."""
+        pop, served = self.stale(grace=grace)
+        assert served is None
+        assert pop.counted("stale_if_error") == 0
+
+    def test_a_nan_clock_or_a_copy_from_the_future_fails_closed(self):
+        assert self.stale(grace=400.0, now=float("nan"))[1] is None
+        assert self.stale(grace=400.0, now=50.0)[1] is None
+
+    def test_nothing_stored_nothing_served(self):
+        assert edge().serve_stale_if_error(get(), 1.0, 60.0) is None
 
 
 class TestPurge:

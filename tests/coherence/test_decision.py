@@ -9,12 +9,12 @@ from repro.sketch.cache_sketch import ClientCacheSketch
 
 
 def cached(ttl=60.0, etag='"v1"', generated_at=0.0):
-    headers = Headers({"Cache-Control": f"max-age={ttl}"})
+    headers = {"Cache-Control": f"max-age={ttl}"}
     if etag is not None:
         headers["ETag"] = etag
     return Response(
         status=Status.OK,
-        headers=headers,
+        headers=Headers(headers),
         url=URL.of("/r"),
         version=1,
         generated_at=generated_at,

@@ -13,12 +13,12 @@ KEY = "shop.example/r"
 
 
 def cached_response(ttl, generated_at, with_etag):
-    headers = Headers({"Cache-Control": f"max-age={ttl}"})
+    headers = {"Cache-Control": f"max-age={ttl}"}
     if with_etag:
         headers["ETag"] = '"v1"'
     return Response(
         status=Status.OK,
-        headers=headers,
+        headers=Headers(headers),
         url=URL.of("/r"),
         version=1,
         generated_at=generated_at,

@@ -270,6 +270,22 @@ class TestStaleIfError:
         assert response.status == Status.SERVICE_UNAVAILABLE
         assert metrics.counter("transport.stale_if_error").value == 0
 
+    @pytest.mark.parametrize("grace", [float("nan"), -5.0])
+    def test_a_nan_or_negative_window_serves_nothing_stale(
+        self, env, make_transport, cdn, metrics, grace
+    ):
+        """``Transport(stale_if_error=nan)`` reaches the cache node's
+        guard, which fails closed."""
+        transport, _ = self.warm_then_kill_origin(
+            env, make_transport, cdn, grace=grace
+        )
+        response = run_fetch(
+            env,
+            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+        )
+        assert response.status == Status.SERVICE_UNAVAILABLE
+        assert metrics.counter("transport.stale_if_error").value == 0
+
     def test_degraded_serving_is_never_304_converted(
         self, env, make_transport, cdn
     ):

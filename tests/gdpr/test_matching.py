@@ -1,7 +1,7 @@
 """UserDataMatcher: token-boundary identity matching over keys/values."""
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import pytest
 from hypothesis import given, settings
@@ -131,11 +131,16 @@ class TestFieldNamesAreNotData:
     def test_an_anonymous_value_matches_none_of_its_own_field_names(
         self, shape
     ):
+        # The names a shape is built from. (What it derives from them
+        # — a response's ``etag`` fact, the memo — can spell a header
+        # name, and header names are data; ``TestIdentityText`` pins
+        # that derived attributes are not searched at all.)
         names = {
-            name
+            field.name
             for holder in (shape, getattr(shape, "response", None))
             if holder is not None
-            for name in vars(holder)
+            for field in fields(holder)
+            if field.init
         }
         assert {"key", "response", "body", "served_by", "version"} & names
         for name in names:
@@ -174,10 +179,68 @@ class TestIdentityText:
             assert clone == twin and repr(clone) == repr(twin)
 
     def test_plain_values_keep_nothing(self):
+        def slots(response):
+            return {name: getattr(response, name) for name in Response.__slots__}
+
         response = _anonymous_shapes()[0]
-        before = dict(vars(response))
+        before = slots(response)
         assert not UserDataMatcher("u1").matches_value(response)
-        assert vars(response) == before
+        assert slots(response) == before
+
+    def test_a_stored_entrys_text_is_the_one_it_always_was(self):
+        """Pinned to the string the walk produced before ``Response``
+        carried its derived facts: what a response restates of its own
+        header map (``etag``, ``version_key``, the parsed
+        ``Cache-Control``…) is bookkeeping, like the memo, and must not
+        be searched a second time as if it were more user data."""
+        response = Response(
+            status=Status.OK,
+            headers=Headers(
+                {
+                    "Cache-Control": "public, max-age=60",
+                    "ETag": '"products/3:v7"',
+                    "Content-Length": "16",
+                    "X-Resource-Kind": "api",
+                    "X-Version-Key": "products/3",
+                    "X-Version-Born": "11.5",
+                }
+            ),
+            body='{"name": "Shoe", "viewer": "u5"}',
+            url=URL.parse("/api/products/3?__segment=gold"),
+            version=7,
+            served_by="origin",
+            generated_at=12.0,
+        )
+        key = "shop.example/api/products/3?__segment=gold"
+        entry = CacheStore(shared=True).put(key, response, now=12.5)
+        text = identity_text(entry)
+        assert text == _SEPARATOR.join(
+            [
+                key,
+                '{"name": "Shoe", "viewer": "u5"}',
+                "origin",
+                "/api/products/3",
+                "shop.example",
+                key,
+                *("cache-control", "etag", "content-length"),
+                *("x-resource-kind", "x-version-key", "x-version-born"),
+                *("Cache-Control", "public, max-age=60"),
+                *("ETag", '"products/3:v7"'),
+                *("Content-Length", "16"),
+                *("X-Resource-Kind", "api"),
+                *("X-Version-Key", "products/3"),
+                *("X-Version-Born", "11.5"),
+                *("__segment", "gold"),
+            ]
+        )
+        for _, value in response.headers.items():
+            assert text.split(_SEPARATOR).count(value) == 1, value
+        assert UserDataMatcher("u5").matches_value(entry)
+        # A serving is searched exactly like the response it shares.
+        assert identity_strings(response.served("edge-1")) == [
+            "edge-1" if found == "origin" else found
+            for found in identity_strings(response)
+        ]
 
     def test_a_serve_never_edits_the_stored_entry(self):
         """What keeps a kept text true: serving writes the policy

@@ -1,23 +1,33 @@
 """The degraded-response contract, one test per rule, every reason.
 
 Each test takes an ordinary origin answer — a cacheable ``200`` with an
-``ETag``, a version and a version key — stamps it with one
-:class:`Degraded` mark, and drives it through the one place that
-enforces the rule: cache admission, the CDN transport's validator
-handling, the runner's response classification, and the span
+``ETag``, a version and a version key — builds its variant marked with
+one :class:`Degraded` reason (``mark`` returns a new response; the
+answer it was made from stays unmarked), and drives that through the
+one place that enforces the rule: cache admission, the CDN transport's
+validator handling, the runner's response classification, and the span
 attributes.
 """
 
 import itertools
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.browser.cache import BrowserCache
 from repro.harness import RunResult, Scenario, ScenarioSpec, SimulationRunner
-from repro.http import URL, Degraded, Request, Status, mark, reason_of
+from repro.http import (
+    URL,
+    Degraded,
+    Headers,
+    Request,
+    Status,
+    mark,
+    reason_of,
+)
 from repro.http.freshness import is_cacheable
 from repro.obs.analysis import response_attrs
 from repro.workload import (
@@ -62,29 +72,46 @@ def answer(runner, reason, index=0):
     assert response.version is not None
     assert is_cacheable(response, shared=True)
     if reason is not None:
-        mark(response, reason)
+        response = mark(response, reason)
     return request, response
 
 
 @EVERY_CASE
 def test_mark_round_trips(runner, reason):
+    _, plain = answer(runner, None)
+    before = dict(plain.headers.items())
     _, response = answer(runner, reason)
     assert reason_of(response) is reason
     if reason is not None:
         assert response.headers[reason.header] == "1"
+        marked = mark(plain, reason, "why")
+        assert marked is not plain and marked.headers is not plain.headers
+        assert marked.headers[reason.header] == "why"
+        assert reason_of(marked) is reason
+        # Everything but the mark is the answer it was made from.
+        assert replace(marked, headers=plain.headers) == plain
+        assert marked.body is plain.body and marked.etag == plain.etag
+    # ``mark`` leaves its argument alone.
+    assert reason_of(plain) is None
+    assert dict(plain.headers.items()) == before
 
 
 def test_most_restrictive_mark_wins(runner):
-    _, response = answer(runner, Degraded.TXN_DOWNGRADE)
-    mark(response, Degraded.STALE_IF_ERROR)
-    assert reason_of(response) is Degraded.STALE_IF_ERROR
-    mark(response, Degraded.LOAD_SHED)
-    assert reason_of(response) is Degraded.LOAD_SHED
+    _, plain = answer(runner, None)
+    # Every pair, in both orders of marking.
+    for stronger, weaker in itertools.combinations(Degraded, 2):
+        one = mark(plain, weaker)
+        both = mark(one, stronger)
+        assert reason_of(one) is weaker  # the argument stays as it was
+        assert reason_of(both) is stronger
+        assert reason_of(mark(mark(plain, stronger), weaker)) is stronger
+    assert reason_of(plain) is None
 
 
 def _four_probes(response):
-    """``reason_of`` before it answered the unmarked case with one
-    disjointness test: a membership probe per reason."""
+    """The reference ``reason_of`` is checked against: a membership
+    probe of the header map per reason, asked after the fact (the
+    response itself reads its reason once, when it is built)."""
     for reason in Degraded:
         if reason.header in response.headers:
             return reason
@@ -106,9 +133,11 @@ def _four_probes(response):
     ids=lambda marks: "+".join(r.name for r in marks) or "unmarked",
 )
 def test_reason_of_equals_the_four_probe_loop(runner, marks, spell):
-    _, response = answer(runner, None)
+    _, plain = answer(runner, None)
+    headers = dict(plain.headers.items())
     for reason in reversed(marks):
-        response.headers[spell(reason.header)] = "1"
+        headers[spell(reason.header)] = "1"
+    response = replace(plain, headers=Headers(headers))
     assert reason_of(response) is _four_probes(response)
     assert reason_of(response) is (marks[0] if marks else None)
 
@@ -177,8 +206,7 @@ def test_never_304_converted_batched_wave(runner, reason):
 
 @EVERY_CASE
 def test_lands_in_the_ledger_its_columns_say(runner, reason):
-    _, response = answer(runner, reason)
-    response.served_by = "edge-1"
+    response = answer(runner, reason)[1].served("edge-1")
     runner._record_response(response, client="u", issued_at=0.0)
     # The ledger restates the registry; nothing bumps it.
     result = RunResult.over("speed-kit", runner.metrics)

@@ -21,14 +21,14 @@ from repro.http import (
 
 
 def response(cache_control=None, status=Status.OK, generated_at=100.0, etag=None):
-    headers = Headers()
+    headers = {}
     if cache_control is not None:
         headers["Cache-Control"] = cache_control
     if etag is not None:
         headers["ETag"] = etag
     return Response(
         status=status,
-        headers=headers,
+        headers=Headers(headers),
         url=URL.of("/r"),
         generated_at=generated_at,
     )

@@ -1,6 +1,8 @@
-"""Tests for the case-insensitive header map."""
+"""Tests for the case-insensitive header map: a value, built whole."""
 
-from repro.http import Headers
+import pytest
+
+from repro.http import FrozenHeadersError, Headers
 
 
 def test_lookup_is_case_insensitive():
@@ -21,19 +23,21 @@ def test_contains_non_string_is_false():
     assert 42 not in h
 
 
-def test_set_overwrites_regardless_of_case():
-    h = Headers()
-    h["X-Foo"] = "1"
-    h["x-foo"] = "2"
-    assert len(h) == 1
-    assert h["X-FOO"] == "2"
+def test_a_later_value_overwrites_regardless_of_case():
+    """Was ``test_set_overwrites_regardless_of_case`` (by item
+    assignment): the same rule, applied while the map is built and when
+    one is derived."""
+    built = Headers({"X-Foo": "1", "x-foo": "2"})
+    derived = Headers({"X-Foo": "1"}).with_item("x-foo", "2")
+    for h in (built, derived):
+        assert len(h) == 1
+        assert h["X-FOO"] == "2"
 
 
 def test_first_spelling_is_preserved_for_display():
-    h = Headers()
-    h["X-Custom-Name"] = "1"
-    h["x-custom-name"] = "2"
-    assert list(h) == ["X-Custom-Name"]
+    built = Headers({"X-Custom-Name": "1", "x-custom-name": "2"})
+    derived = Headers({"X-Custom-Name": "1"}).with_item("x-custom-name", "2")
+    assert list(built) == list(derived) == ["X-Custom-Name"]
 
 
 def test_get_with_default():
@@ -42,47 +46,45 @@ def test_get_with_default():
     assert h.get("missing", "fallback") == "fallback"
 
 
-def test_pop_removes_and_returns():
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda h: h.__setitem__("A", "2"),
+        lambda h: h.__delitem__("a"),
+        lambda h: h.pop("a"),
+        lambda h: h.pop("missing", "gone"),
+        lambda h: h.update({"B": "2", "a": "3"}),
+        lambda h: h.setdefault("B", "2"),
+    ],
+    ids=["setitem", "delitem", "pop", "pop-default", "update", "setdefault"],
+)
+def test_a_map_is_never_edited(edit):
+    """Was ``test_pop_removes_and_returns``,
+    ``test_delete_is_case_insensitive``, ``test_update_merges`` and
+    ``test_setdefault_keeps_existing``: a map any number of messages
+    and cache entries carry refuses every edit, by name."""
     h = Headers({"A": "1"})
-    assert h.pop("a") == "1"
-    assert "A" not in h
-    assert h.pop("a", "gone") == "gone"
-
-
-def test_delete_is_case_insensitive():
-    h = Headers({"Set-Cookie": "session=1"})
-    del h["set-cookie"]
-    assert len(h) == 0
+    with pytest.raises(FrozenHeadersError, match="never edited"):
+        edit(h)
+    assert h == {"A": "1"} and len(h) == 1
+    assert not hasattr(h, "copy")  # a value needs no copy
 
 
 def test_values_are_coerced_to_str():
-    h = Headers()
-    h["Content-Length"] = 123
-    assert h["content-length"] == "123"
+    assert Headers({"Content-Length": 123})["content-length"] == "123"
+    assert Headers().with_item("Content-Length", 123)["content-length"] == "123"
 
 
-def test_copy_is_independent():
-    h = Headers({"A": "1"})
-    clone = h.copy()
-    clone["A"] = "2"
-    assert h["A"] == "1"
+def test_with_item_leaves_the_original_alone():
+    """Was ``test_copy_is_independent``."""
+    h = Headers({"A": "1", "B": "x"})
+    derived = h.with_item("a", "2")
+    assert h["A"] == "1" and derived["A"] == "2"
+    assert list(derived.items()) == [("A", "2"), ("B", "x")]
+    assert list(h.with_item("C", "3")) == ["A", "B", "C"]
 
 
 def test_equality_ignores_case_and_accepts_dicts():
     assert Headers({"A": "1"}) == Headers({"a": "1"})
     assert Headers({"A": "1"}) == {"a": "1"}
     assert Headers({"A": "1"}) != Headers({"A": "2"})
-
-
-def test_update_merges():
-    h = Headers({"A": "1"})
-    h.update({"B": "2", "a": "3"})
-    assert h["A"] == "3"
-    assert h["B"] == "2"
-
-
-def test_setdefault_keeps_existing():
-    h = Headers({"A": "1"})
-    assert h.setdefault("a", "2") == "1"
-    assert h.setdefault("B", "2") == "2"
-    assert h["B"] == "2"

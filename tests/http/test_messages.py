@@ -1,6 +1,11 @@
 """Tests for request/response messages and validators."""
 
+from dataclasses import replace
+
+import pytest
+
 from repro.http import (
+    FrozenHeadersError,
     Headers,
     Method,
     Request,
@@ -13,7 +18,11 @@ from repro.http import (
 
 
 def make_response(etag="v1", cache_control="max-age=60", version=1):
-    headers = Headers({"ETag": etag, "Cache-Control": cache_control})
+    """``etag=None`` builds the response without a validator."""
+    headers = {"Cache-Control": cache_control}
+    if etag is not None:
+        headers["ETag"] = etag
+    headers = Headers(headers)
     return Response(
         status=Status.OK,
         headers=headers,
@@ -41,11 +50,32 @@ class TestRequest:
         assert conditional.if_none_match == "v1"
         assert req.if_none_match is None
 
-    def test_copy_has_independent_headers(self):
+    def test_copy_shares_a_map_nobody_can_edit(self):
+        """Was ``test_copy_has_independent_headers``: a hop's copy is a
+        request of its own (its ``trace`` is its to rebind) around the
+        same header map."""
         req = Request.get(URL.of("/p"), headers=Headers({"A": "1"}))
         clone = req.copy()
-        clone.headers["A"] = "2"
-        assert req.headers["A"] == "1"
+        assert clone is not req and clone.headers is req.headers
+        for edit in (
+            lambda h: h.__setitem__("A", "2"),
+            lambda h: h.__delitem__("A"),
+            lambda h: h.pop("A"),
+            lambda h: h.update({"B": "2"}),
+            lambda h: h.setdefault("B", "2"),
+        ):
+            with pytest.raises(FrozenHeadersError):
+                edit(clone.headers)
+        assert req.headers == {"A": "1"}
+        clone.trace = "hop"
+        assert req.trace is None
+
+    def test_with_header_derives_a_new_map(self):
+        headers = Headers({"A": "1", "B": "2"})
+        req = Request.get(URL.of("/p"), headers=headers)
+        derived = req.with_header("C", "3")
+        assert derived.headers == {"A": "1", "B": "2", "C": "3"}
+        assert req.headers is headers and headers == {"A": "1", "B": "2"}
 
 
 class TestResponse:
@@ -55,11 +85,52 @@ class TestResponse:
         assert resp.etag == "v1"
         assert resp.cache_control.max_age == 60.0
 
-    def test_copy_has_independent_headers(self):
+    def test_served_shares_a_map_nobody_can_edit(self):
+        """Was ``test_copy_has_independent_headers``: there is no
+        ``Response.copy``; a serving is a new shell around the same
+        header map, body and facts."""
         resp = make_response()
-        clone = resp.copy()
-        clone.headers["Age"] = "5"
-        assert "Age" not in resp.headers
+        shell = resp.served("edge-1")
+        assert shell is not resp and shell.headers is resp.headers
+        assert (shell.served_by, resp.served_by) == ("edge-1", "origin")
+        assert shell == replace(resp, served_by="edge-1")
+        assert shell.cache_control is resp.cache_control
+        for edit in (
+            lambda h: h.__setitem__("Age", "5"),
+            lambda h: h.__delitem__("ETag"),
+            lambda h: h.pop("ETag"),
+            lambda h: h.update({"Age": "5"}),
+            lambda h: h.setdefault("Age", "5"),
+        ):
+            with pytest.raises(FrozenHeadersError):
+                edit(shell.headers)
+        assert "Age" not in resp.headers and resp.etag == "v1"
+        assert not hasattr(resp, "copy")
+
+    def test_facts_are_read_once_from_the_map(self):
+        resp = Response(
+            status=Status.OK,
+            headers=Headers(
+                {
+                    "cache-control": "max-age=5",
+                    "ETAG": "e",
+                    "content-length": "7",
+                    "x-resource-kind": "page",
+                    "X-Version-Key": "pages/1",
+                }
+            ),
+        )
+        assert resp.cache_control.max_age == 5.0
+        assert (resp.etag, resp.content_length) == ("e", 7)
+        assert (resp.kind, resp.version_key) == ("page", "pages/1")
+        assert resp.degraded is None
+        bare = Response(status=Status.OK)
+        assert bare.cache_control.max_age is None
+        assert (bare.etag, bare.content_length, bare.kind) == (None,) * 3
+        assert (bare.version_key, bare.degraded) == (None, None)
+        # A variant re-reads them from the map it is given.
+        other = replace(resp, headers=resp.headers.with_item("ETag", "f"))
+        assert (other.etag, resp.etag) == ("f", "e")
 
     def test_not_ok_statuses(self):
         resp = Response(status=Status.NOT_FOUND)
@@ -92,8 +163,7 @@ class TestRevalidation:
         assert revalidates(req, stored)
 
     def test_stored_without_etag_never_revalidates(self):
-        stored = make_response()
-        del stored.headers["ETag"]
+        stored = make_response(etag=None)
         req = Request.get(URL.of("/p")).with_header("If-None-Match", "v1")
         assert not revalidates(req, stored)
 
@@ -109,7 +179,6 @@ class TestNotModified:
         assert nm.version == stored.version
 
     def test_304_without_etag(self):
-        stored = make_response()
-        del stored.headers["ETag"]
+        stored = make_response(etag=None)
         nm = make_not_modified(stored, at=1.0)
         assert nm.etag is None

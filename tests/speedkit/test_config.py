@@ -49,6 +49,35 @@ class TestSpeedKitConfig:
         with pytest.raises(ValueError):
             SpeedKitConfig(sketch_refresh_interval=0.0)
 
+    @pytest.mark.parametrize(
+        "knob, bad",
+        [
+            (knob, bad)
+            for knob, accepts_zero in (
+                ("sketch_refresh_interval", False),
+                ("swr_staleness_budget", True),
+                ("stale_if_error_window", True),
+            )
+            for bad in (float("nan"), float("inf"), -1.0, -float("inf"))
+            + (() if accepts_zero else (0.0,))
+        ],
+    )
+    def test_durations_are_finite_and_in_range(self, knob, bad):
+        """``nan < 0`` and ``nan <= 0`` are both false: a NaN window
+        used to build, and then served arbitrarily old copies under the
+        *bounded*-stale mark."""
+        with pytest.raises(ValueError, match=f"^{knob} must be finite"):
+            SpeedKitConfig(**{knob: bad})
+
+    def test_in_range_durations_build(self):
+        config = SpeedKitConfig(
+            sketch_refresh_interval=0.5,
+            swr_staleness_budget=0.0,
+            stale_if_error_window=0.0,
+        )
+        assert config.stale_if_error_window == 0.0
+        assert SpeedKitConfig().stale_if_error_window is None
+
     def test_personalization_classification(self):
         config = SpeedKitConfig(
             segment_personalized=["/product/*"],

@@ -296,3 +296,135 @@ class R:
         totals[result.kind] = 1
 """
     assert not ledger_bumps_in(honest)
+
+
+# -- messages are values -------------------------------------------------------
+#
+# A header map is never edited once a message carries it and a
+# ``Response`` is never edited once built: a cache stores the response
+# it is given and serves it by reference (``entry.response.served(by)``),
+# so an edit anywhere would show through every holder. The map refuses
+# edits at run time (``FrozenHeadersError``); this scan keeps the idioms
+# out of the source, including the attribute stores no run-time check
+# covers (a ``frozen=True`` message would pay ``object.__setattr__`` per
+# field on every hop). Variants are built: ``dataclasses.replace``,
+# ``mark``, ``with_header``. The two fields a hop does rebind —
+# ``Request.trace`` and the worker's ``scrubbed.url`` on the scrubber's
+# own fresh request — are not message *content* and are not listed. The
+# listed names are refused on any object, not only on messages (the
+# scan has no types): nothing else in ``src/repro`` assigns them.
+
+MESSAGES = "http/messages.py"
+MESSAGE_FIELDS = {
+    "status",
+    "headers",
+    "body",
+    "version",
+    "served_by",
+    "generated_at",
+}
+MAP_EDITS = {"pop", "update", "setdefault"}
+#: ``.copy()`` receivers in the cache tiers, by file: requests only.
+REQUEST_COPIES = {
+    "speedkit/worker.py": {"scrubbed"},
+    "speedkit/gdpr.py": {"request"},
+}
+
+
+def message_edits_in(source, relative):
+    """``(line, what)`` of every message-editing idiom in ``source``
+    (the file ``relative`` under ``src/repro``)."""
+    found = []
+    package = relative.split("/")[0]
+    for node in ast.walk(ast.parse(source)):
+        stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        if (
+            stored
+            and isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "headers"
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+        elif (
+            stored
+            and isinstance(node, ast.Attribute)
+            and node.attr in MESSAGE_FIELDS
+            and relative != MESSAGES
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            receiver = node.func.value
+            if (
+                node.func.attr in MAP_EDITS
+                and isinstance(receiver, ast.Attribute)
+                and receiver.attr == "headers"
+            ) or (
+                node.func.attr == "copy"
+                and package in {"cdn", "speedkit"}
+                and ast.unparse(receiver)
+                not in REQUEST_COPIES.get(relative, set())
+            ):
+                found.append((node.lineno, ast.unparse(node)))
+    return found
+
+
+def test_messages_are_values():
+    from repro.http import URL, Request, Response
+
+    assert not hasattr(Response, "copy")
+    offenders = [
+        f"{relative}:{line}: {what}"
+        for path in sorted(SRC.rglob("*.py"))
+        for relative in [path.relative_to(SRC).as_posix()]
+        for line, what in message_edits_in(
+            path.read_text(encoding="utf-8"), relative
+        )
+    ]
+    assert not offenders, "message edits in src/repro: " + "; ".join(offenders)
+    # The walk reads the real tree: the request copies it lets through
+    # exist, and share their header map.
+    for relative, receivers in REQUEST_COPIES.items():
+        source = (SRC / relative).read_text(encoding="utf-8")
+        assert all(f"{name}.copy()" in source for name in receivers), relative
+    request = Request.get(URL.parse("/p"))
+    assert request.copy().headers is request.headers
+
+
+@pytest.mark.parametrize(
+    "reintroduced, relative",
+    [
+        ('response.headers["Age"] = "5"', "browser/client.py"),
+        ('del stored.headers["ETag"]', "http/messages.py"),
+        ('refreshed.headers.pop("ETag", None)', "cdn/httpcache.py"),
+        ('response.headers.update({"X-Hop": "edge"})', "cdn/httpcache.py"),
+        ('outgoing.headers.setdefault("Cookie", jar)', "speedkit/worker.py"),
+        ("response.served_by = self.name", "cdn/httpcache.py"),
+        ("refreshed.generated_at = not_modified.generated_at", "cdn/httpcache.py"),
+        ("assembled.body, assembled.version = body, 2", "speedkit/blocks.py"),
+        ("read.response.status = Status.OK", "txn/coordinator.py"),
+        ("request.headers = Headers()", "baselines/clients.py"),
+        ("response = entry.response.copy()", "cdn/httpcache.py"),
+        ("return mark(cached.copy(), Degraded.OFFLINE)", "speedkit/worker.py"),
+    ],
+)
+def test_the_values_gate_trips_on_each_idiom(reintroduced, relative):
+    assert message_edits_in(reintroduced, relative)
+
+
+def test_the_values_gate_lets_building_and_rebinding_through():
+    honest = """
+def f(self, request, entry, span, read, kept):
+    request.trace = span.context
+    scrubbed = scrubbed.copy()
+    scrubbed.url = _segment_variant(scrubbed.url, segment)
+    read.response = mark(read.response, Degraded.TXN_DOWNGRADE, level)
+    headers = {}
+    headers["ETag"] = entry.response.etag
+    kept[name] = value
+    del kept[name]
+    outgoing = request.with_header("Cookie", jar)
+    refreshed = replace(entry.response, headers=Headers(headers))
+    state = "idle" if refreshed.status == Status.OK else "busy"
+    return entry.response.served(self.name)
+"""
+    assert not message_edits_in(honest, "speedkit/worker.py")

@@ -12,6 +12,7 @@ import pytest
 
 from repro.faults import PROFILES, RetryPolicy
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner
+from repro.http import Degraded, Request, reason_of
 from repro.http.messages import Status
 from repro.http.url import URL
 from repro.txn import DEGRADED_HEADER, ConsistencyLevel
@@ -64,9 +65,16 @@ class TestFaultedReplays:
 
 
 @pytest.fixture(scope="module")
-def outage_rig():
+def outage_rig(outage_stack):
+    """The warm and the dark transaction of :func:`outage_stack`."""
+    return outage_stack[2:]
+
+
+@pytest.fixture(scope="module")
+def outage_stack():
     """A finished serializable run whose origin goes dark *after* the
-    trace — so driven transactions hit a full outage deterministically."""
+    trace — so driven transactions hit a full outage deterministically.
+    Returns the runner, the user, and the warm and dark transactions."""
     catalog, users, trace = txn_workload(seed=SEED + 7)
     spec = ScenarioSpec(
         scenario=Scenario.SPEED_KIT,
@@ -101,7 +109,7 @@ def outage_rig():
         runner,
         lambda: coordinator.execute(urls, ConsistencyLevel.SERIALIZABLE),
     )
-    return warm, dark
+    return runner, user, warm, dark
 
 
 class TestDrivenOutage:
@@ -128,6 +136,34 @@ class TestDrivenOutage:
         assert marked and all(
             value == dark.achieved.value for value in marked
         )
+
+    def test_the_mark_is_on_the_reads_not_on_the_cached_copies(
+        self, outage_stack
+    ):
+        """A downgrade builds marked variants of what was read. The
+        worker's cache holds the very responses that were read (served
+        by reference), and they must stay unmarked and servable — or
+        the next, healthy, read of the key would come back degraded
+        and be refused by every cache above it."""
+        runner, user, _, dark = outage_stack
+        worker = runner._stack_for(user).worker
+        now = runner.env.now
+        from_cache = 0
+        for read in dark.reads:
+            assert reason_of(read.response) is Degraded.TXN_DOWNGRADE
+            entry = worker.cache.store.peek(read.response.url.cache_key())
+            if entry is None or entry.response.body is not read.response.body:
+                continue
+            from_cache += 1
+            assert reason_of(entry.response) is None
+            assert DEGRADED_HEADER not in entry.response.headers
+            again = worker.cache.serve_even_stale(
+                Request.get(read.response.url), now
+            )
+            assert again.headers is entry.response.headers
+            assert reason_of(again) is None
+            assert again.version == read.response.version
+        assert from_cache, "no read of the dark txn came from the worker cache"
 
     def test_dark_txn_still_served_from_bounded_stale_caches(
         self, outage_rig
