@@ -26,6 +26,8 @@ state between regions — the GDPR posture is unchanged.
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.http.freshness import is_fresh_at
@@ -53,7 +55,9 @@ class PopReplicator:
         if delay < 0:
             raise ValueError(f"delay must be >= 0: {delay}")
         self.env = env
-        self.cdn = cdn
+        # Weak: the CDN owns this replicator (``cdn.replicator``), and
+        # each PoP's admit observer below holds it too.
+        self._cdn = weakref.ref(cdn)
         self.delay = delay
         self.metrics = metrics or cdn.metrics
         self.tracer = tracer if tracer is not None else NOOP_TRACER
@@ -66,11 +70,7 @@ class PopReplicator:
         self._in_flight: Dict[str, int] = {}
         cdn.attach_replicator(self)
         for name, pop in cdn.pops.items():
-            pop.admit_observers.append(
-                lambda key, response, now, source=name: self.on_admit(
-                    source, key, response, now
-                )
-            )
+            pop.admit_observers.append(partial(self.on_admit, name))
 
     # -- admission side ----------------------------------------------------
 
@@ -78,7 +78,7 @@ class PopReplicator:
         self, source: str, key: str, response: Response, now: float
     ) -> None:
         """A PoP stored a response: enqueue events to its siblings."""
-        for name, sibling in self.cdn.pops.items():
+        for name, sibling in self._cdn().pops.items():
             if name == source or key in sibling.store:
                 continue
             self._in_flight[key] = self._in_flight.get(key, 0) + 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.http.messages import Response
 from repro.origin.server import OriginServer
@@ -22,75 +22,72 @@ from repro.sim.metrics import MetricRegistry
 
 @dataclass(frozen=True)
 class ReadRecord:
-    """One checked read."""
+    """One read that broke the Δ bound: all a checker keeps of a read."""
 
     resource_key: str
     version: int
     read_at: float
     staleness: float
-    violation: bool
     #: The client (user id) that performed the read, when known.
-    #: Session-consistency invariants (e.g. per-client monotonic reads)
-    #: group records by this field.
     client: Optional[str] = None
-    #: When the client *issued* the operation that produced this read
-    #: (page-load start, transaction start). Session guarantees order
-    #: only non-concurrent operations, so the monotonic-read check
-    #: compares a read against earlier reads that completed before
-    #: this instant. ``None`` means unknown and is treated as
-    #: ``read_at`` (the strict sequential interpretation).
-    issued_at: Optional[float] = None
+
+
+#: One read as :func:`repro.obs.reads_from_trace` rebuilds it.
+TraceRead = Mapping[str, Any]
 
 
 def version_regressions(
-    records: List[ReadRecord],
-) -> List[Tuple[ReadRecord, ReadRecord]]:
+    reads: Iterable[TraceRead],
+) -> List[Tuple[TraceRead, TraceRead]]:
     """Per-client monotonic-read violations, concurrency-aware.
 
-    Monotonic reads is a *session* guarantee: it orders only operations
+    Judged over the span export's reads: the live checker keeps no
+    record per read. Monotonic reads is a *session* guarantee: it orders only operations
     the client performed one after another. Under queueing, a user's
     overlapping page loads may complete out of issue order, so a read
     that returns an older version than a *concurrent* read is legal.
     A regression is therefore a pair ``(newer, older)`` on the same
-    ``(client, resource_key)`` where the operation that produced the
+    ``(client, version_key)`` where the operation that produced the
     *older*-version read was issued **after** the newer-version read
-    had already completed. Records with ``issued_at=None`` fall back
-    to ``read_at`` — the strict sequential interpretation.
+    had already completed. Reads with ``issued_at=None`` fall back to
+    ``read_at`` — the strict sequential interpretation.
     """
-    groups: Dict[
-        Tuple[Optional[str], str], List[ReadRecord]
-    ] = defaultdict(list)
-    for record in records:
-        groups[(record.client, record.resource_key)].append(record)
-    regressions: List[Tuple[ReadRecord, ReadRecord]] = []
+    groups: Dict[Tuple[Optional[str], str], List[TraceRead]] = defaultdict(list)
+    for read in reads:
+        groups[(read["client"], read["version_key"])].append(read)
+    regressions: List[Tuple[TraceRead, TraceRead]] = []
     for group in groups.values():
-        completions = sorted(group, key=lambda r: r.read_at)
-        times = [r.read_at for r in completions]
-        # prefix[i]: the highest-version record completed by times[i].
-        prefix: List[ReadRecord] = []
+        completions = sorted(group, key=lambda r: r["read_at"])
+        times = [r["read_at"] for r in completions]
+        # prefix[i]: the highest-version read completed by times[i].
+        prefix: List[TraceRead] = []
         best = completions[0]
-        for record in completions:
-            if record.version > best.version:
-                best = record
+        for read in completions:
+            if read["version"] > best["version"]:
+                best = read
             prefix.append(best)
-        for record in completions:
-            issued = (
-                record.issued_at
-                if record.issued_at is not None
-                else record.read_at
-            )
+        for read in completions:
+            issued = read.get("issued_at")
+            if issued is None:
+                issued = read["read_at"]
             idx = bisect.bisect_right(times, issued) - 1
             if idx < 0:
                 continue
             seen = prefix[idx]
-            if seen is not record and seen.version > record.version:
-                regressions.append((seen, record))
-    regressions.sort(key=lambda pair: pair[1].read_at)
+            if seen is not read and seen["version"] > read["version"]:
+                regressions.append((seen, read))
+    regressions.sort(key=lambda pair: pair[1]["read_at"])
     return regressions
 
 
 class DeltaAtomicityChecker:
-    """Checks reads against ground truth; accumulates statistics."""
+    """Checks reads against ground truth.
+
+    Keeps counts and violations, nothing per read: a read observes its
+    staleness into the registry (which ``RunResult.over`` restates),
+    and only a read that breaks the bound becomes a :class:`ReadRecord`.
+    Per-read evidence is the span export's (``reads_from_trace``).
+    """
 
     def __init__(
         self,
@@ -113,7 +110,6 @@ class DeltaAtomicityChecker:
         self.delta = delta
         self.metrics = metrics or MetricRegistry()
         self.staleness_metric = staleness_metric
-        self.records: List[ReadRecord] = []
         self.violations: List[ReadRecord] = []
 
     def record_read(
@@ -122,9 +118,8 @@ class DeltaAtomicityChecker:
         read_at: float,
         user_id: Optional[str] = None,
         client: Optional[str] = None,
-        issued_at: Optional[float] = None,
-    ) -> ReadRecord:
-        """Check one read; returns its record (and stores it)."""
+    ) -> float:
+        """Check one read; returns its staleness."""
         if response.url is None or response.version is None:
             raise ValueError(
                 f"response lacks url/version metadata: {response!r}"
@@ -137,33 +132,34 @@ class DeltaAtomicityChecker:
         staleness = 0.0
         if superseded is not None and superseded < read_at:
             staleness = read_at - superseded
-        # Δ-atomicity: the returned version must have been current at
-        # some instant within [t − Δ, t] — equivalently, its staleness
-        # may not exceed Δ.
-        violation = staleness > self.delta
-        record = ReadRecord(
-            resource_key=resource_key,
-            version=response.version,
-            read_at=read_at,
-            staleness=staleness,
-            violation=violation,
-            client=client if client is not None else user_id,
-            issued_at=issued_at,
-        )
-        self.records.append(record)
         self.metrics.histogram(self.staleness_metric).observe(staleness)
         if staleness > 0:
             self.metrics.counter("coherence.stale_reads").inc()
-        if violation:
-            self.violations.append(record)
+        # Δ-atomicity: the returned version must have been current at
+        # some instant within [t − Δ, t] — equivalently, its staleness
+        # may not exceed Δ.
+        if staleness > self.delta:
+            self.violations.append(
+                ReadRecord(
+                    resource_key=resource_key,
+                    version=response.version,
+                    read_at=read_at,
+                    staleness=staleness,
+                    client=client if client is not None else user_id,
+                )
+            )
             self.metrics.counter("coherence.violations").inc()
-        return record
+        return staleness
 
-    # -- summaries ---------------------------------------------------------------
+    # -- summaries (read off the registry) ---------------------------------
+
+    def _staleness(self) -> Tuple[float, ...]:
+        histogram = self.metrics.get_histogram(self.staleness_metric)
+        return histogram.values if histogram is not None else ()
 
     @property
     def read_count(self) -> int:
-        return len(self.records)
+        return len(self._staleness())
 
     @property
     def violation_count(self) -> int:
@@ -171,23 +167,19 @@ class DeltaAtomicityChecker:
 
     def stale_read_fraction(self) -> float:
         """Fraction of reads that returned any outdated version."""
-        if not self.records:
-            return 0.0
-        stale = sum(1 for record in self.records if record.staleness > 0)
-        return stale / len(self.records)
+        values = self._staleness()
+        return sum(value > 0 for value in values) / len(values) if values else 0.0
 
     def max_staleness(self) -> float:
         """The worst staleness observed (0 when all reads were current)."""
-        if not self.records:
-            return 0.0
-        return max(record.staleness for record in self.records)
+        return max(self._staleness(), default=0.0)
 
     def assert_delta_atomic(self) -> None:
         """Raise if any read violated the Δ bound (for tests)."""
         if self.violations:
             worst = max(self.violations, key=lambda r: r.staleness)
             raise AssertionError(
-                f"{len(self.violations)} of {len(self.records)} reads "
+                f"{len(self.violations)} of {self.read_count} reads "
                 f"violated Δ-atomicity (Δ={self.delta}); worst: "
                 f"{worst.resource_key} v{worst.version} read at "
                 f"{worst.read_at:.3f} with staleness {worst.staleness:.3f}"

@@ -15,7 +15,9 @@ two data-subject rights as one tier walk:
   pipelined by batched ones), write-behind flush queues are scrubbed
   in place and barriered with ``sync()``, in-flight PoP replicas are
   superseded through the purge machinery, and the Cache Sketch forgets
-  the user's plaintext keys.
+  the user's plaintext keys. The coherence checkers' violation
+  records — the only reads they keep — are pseudonymised the way an
+  exported span is.
 * :meth:`access` assembles a subject-access report from the same walk
   without mutating anything.
 
@@ -33,11 +35,11 @@ that is the property the ``gdpr-compliance`` CI gate enforces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.gdpr.matching import UserDataMatcher
-from repro.gdpr.spanscrub import user_hash
+from repro.gdpr.spanscrub import _scrub_value, user_hash
 from repro.obs.tracer import NOOP_TRACER
 
 #: ``client_stores`` provider: tier label -> CacheStore-like policy
@@ -174,6 +176,7 @@ class ErasureCoordinator:
         txn_registry=None,
         overload=None,
         origin=None,
+        checkers: Sequence[object] = (),
     ) -> None:
         self.store = store
         #: Optional :class:`~repro.origin.OriginServer` over ``store``:
@@ -195,6 +198,9 @@ class ErasureCoordinator:
         #: suite pins).
         self.overload = overload
         self._now = now_fn
+        #: :class:`~repro.coherence.DeltaAtomicityChecker`\ s whose
+        #: violation records the erase pseudonymises.
+        self.checkers = tuple(checkers)
         #: Users erased so far — the harness scrubs exported spans for
         #: exactly this set.
         self.erased_users: List[str] = []
@@ -312,7 +318,25 @@ class ErasureCoordinator:
                 matcher.matches_key, now
             )
 
-        # 7. Verify completeness through the deep residual view and
+        # 7. The coherence checkers keep each read that broke the Δ
+        # bound, with its client and resource key: pseudonymised here
+        # the way an exported span is.
+        pseudonym = user_hash(user_id)
+        for checker in self.checkers:
+            checker.violations[:] = [
+                replace(
+                    record,
+                    client=_scrub_value(record.client, matcher, pseudonym),
+                    resource_key=_scrub_value(
+                        record.resource_key, matcher, pseudonym
+                    ),
+                )
+                if matcher.matches_value(record)
+                else record
+                for record in checker.violations
+            ]
+
+        # 8. Verify completeness through the deep residual view and
         # charge the whole walk's simulated cost to this request.
         report.residuals = self._residuals(matcher, tiers)
         report.simulated_latency = barrier + self._drain(
@@ -395,6 +419,15 @@ class ErasureCoordinator:
                 "txn-buffers",
                 self.txn_registry.buffers_matching(matcher),
             )
+        note(
+            "coherence",
+            [
+                record.resource_key
+                for checker in self.checkers
+                for record in checker.violations
+                if matcher.matches_value(record)
+            ],
+        )
         return found
 
     # -- access -------------------------------------------------------------

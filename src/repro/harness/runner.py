@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.baselines.clients import CookieJarFetcher, NoCacheClient
@@ -79,6 +80,25 @@ class _ClientStack:
     engine: Optional[PageLoadEngine] = None
     coordinator: Optional[TxnCoordinator] = None
     prefetcher: Optional[object] = None
+
+
+def _client_cache_stores(stacks: Dict[str, _ClientStack]) -> Dict[str, object]:
+    """Every client-side cache store of ``stacks``, by tier label.
+
+    Covers both halves of a Speed Kit stack: the service-worker cache
+    *and* the fallback browser cache behind it (pass-through and
+    user-blocklisted requests land there).
+    """
+    tiers: Dict[str, object] = {}
+    for user_id, stack in stacks.items():
+        browser = stack.fetcher.inner
+        if stack.worker is not None:
+            tiers[f"sw:{user_id}"] = stack.worker.cache.store
+            browser = stack.worker.fallback
+        # A NoCacheClient has no cache at all.
+        if isinstance(browser, BrowserClient):
+            tiers[f"browser:{user_id}"] = browser.cache.store
+    return tiers
 
 
 class SimulationRunner:
@@ -419,10 +439,13 @@ class SimulationRunner:
         )
         self.txn_registry = TxnRegistry()
         self._stacks: Dict[str, _ClientStack] = {}
+        self._client_cache_stores = partial(_client_cache_stores, self._stacks)
         # The erasure/access coordinator sees the whole assembled
         # stack; client caches are resolved lazily (stacks are built
         # on first traffic), so an erase always walks every cache that
-        # exists at that instant.
+        # exists at that instant. It is handed what it reads — never
+        # the runner, which owns it (no cycle: DESIGN, *A finished
+        # world is garbage by refcount*).
         from repro.gdpr import ErasureCoordinator
 
         self.gdpr = ErasureCoordinator(
@@ -433,9 +456,10 @@ class SimulationRunner:
             client_stores=self._client_cache_stores,
             metrics=self.metrics,
             tracer=self.tracer,
-            now_fn=lambda: self.env.now,
+            now_fn=partial(getattr, self.env, "now"),
             txn_registry=self.txn_registry,
             overload=self._overload,
+            checkers=(self.checker, self.baseline_checker),
         )
         self._navigation_model = None
         if spec.prefetch and spec.scenario.uses_speed_kit:
@@ -579,24 +603,6 @@ class SimulationRunner:
             ),
             tracer=self.tracer,
         )
-
-    def _client_cache_stores(self) -> Dict[str, object]:
-        """Every client-side cache store, by tier label.
-
-        Covers both halves of a Speed Kit stack: the service-worker
-        cache *and* the fallback browser cache behind it (pass-through
-        and user-blocklisted requests land there).
-        """
-        tiers: Dict[str, object] = {}
-        for user_id, stack in self._stacks.items():
-            browser = stack.fetcher.inner
-            if stack.worker is not None:
-                tiers[f"sw:{user_id}"] = stack.worker.cache.store
-                browser = stack.worker.fallback
-            # A NoCacheClient has no cache at all.
-            if isinstance(browser, BrowserClient):
-                tiers[f"browser:{user_id}"] = browser.cache.store
-        return tiers
 
     # -- replay ----------------------------------------------------------------
 
@@ -753,7 +759,6 @@ class SimulationRunner:
                 delta_covered,
                 client=user.user_id,
                 read_at=read.read_at,
-                issued_at=txn.started_at,
             )
         self.txn_checker.record_txn(
             requested=txn.requested,
@@ -806,12 +811,7 @@ class SimulationRunner:
             if clean and result.plt <= self._overload_slo:
                 self.metrics.counter("overload.goodput_pages").inc()
         for response in result.responses:
-            self._record_response(
-                response,
-                delta_covered,
-                client=user.user_id,
-                issued_at=result.started_at,
-            )
+            self._record_response(response, delta_covered, client=user.user_id)
         if result.responses:
             self._record_personalization(user, result.responses[0])
 
@@ -859,7 +859,6 @@ class SimulationRunner:
         delta_covered: bool = True,
         client: Optional[str] = None,
         read_at: Optional[float] = None,
-        issued_at: Optional[float] = None,
     ) -> None:
         if response.status.is_server_error:
             self.metrics.counter("serve.failed").inc()
@@ -902,7 +901,6 @@ class SimulationRunner:
                 response,
                 read_at if read_at is not None else self.env.now,
                 client=client,
-                issued_at=issued_at,
             )
 
     def _finalize(self) -> None:

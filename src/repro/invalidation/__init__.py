@@ -11,14 +11,9 @@ measures.
 
 from repro.invalidation.matcher import QueryMatcher, Subscription
 from repro.invalidation.partitioned import NodeStats, PartitionedMatcher
-from repro.invalidation.pipeline import (
-    InvalidationEvent,
-    InvalidationPipeline,
-    VariantIndex,
-)
+from repro.invalidation.pipeline import InvalidationPipeline, VariantIndex
 
 __all__ = [
-    "InvalidationEvent",
     "InvalidationPipeline",
     "NodeStats",
     "PartitionedMatcher",

@@ -30,18 +30,6 @@ from repro.sim.metrics import MetricRegistry
 from repro.sketch.cache_sketch import ServerCacheSketch
 
 
-class InvalidationEvent:
-    """Record of one processed invalidation (for tests/diagnostics)."""
-
-    __slots__ = ("resource_keys", "write_at", "sketch_at", "purge_at")
-
-    def __init__(self, resource_keys: Set[str], write_at: float) -> None:
-        self.resource_keys = resource_keys
-        self.write_at = write_at
-        self.sketch_at: Optional[float] = None
-        self.purge_at: Optional[float] = None
-
-
 class VariantIndex:
     """Maps a version key to every cached variant cache key.
 
@@ -88,7 +76,13 @@ class InvalidationPipeline:
                 f"{purge_latency} < detection_latency {detection_latency}"
             )
         self.env = env
-        self.server = server
+        # The leaves of the server this pipeline reads, not the server:
+        # the server holds ``_on_served`` below, and a reference back
+        # would close a cycle (DESIGN, *A finished world is garbage by
+        # refcount*).
+        self.versions = server.versions
+        self.query_resources = server.query_resources
+        self.ttl_policy = server.ttl_policy
         self.cdn = cdn
         self.sketch = sketch
         self.detection_latency = detection_latency
@@ -100,7 +94,6 @@ class InvalidationPipeline:
         self.overload = overload
         self.matcher = QueryMatcher()
         self.variants = VariantIndex()
-        self.events: list = []
         server.site.store.subscribe(self._on_change)
         server.serve_observers.append(self._on_served)
 
@@ -111,7 +104,7 @@ class InvalidationPipeline:
     ) -> None:
         """Learn about a handed-out copy: variants and sketch reads."""
         self.variants.register(version_key, cache_key)
-        query = self.server.query_resources.get(version_key)
+        query = self.query_resources.get(version_key)
         if query is not None:
             self.matcher.subscribe(version_key, query)
         if self.sketch is not None:
@@ -126,35 +119,30 @@ class InvalidationPipeline:
 
     def _on_change(self, event: ChangeEvent) -> None:
         """Kick off asynchronous processing of one document change."""
-        affected = self.server.versions.dependents_of(event.key)
+        affected = self.versions.dependents_of(event.key)
         affected |= self.matcher.affected_resources(event)
         if not affected:
             self.metrics.counter("invalidation.no_op_changes").inc()
             return
-        record = InvalidationEvent(affected, write_at=event.at)
-        self.events.append(record)
-        self.env.process(self._process(record))
+        self.env.process(self._process(affected, event.at))
 
     # -- asynchronous processing -----------------------------------------------
 
-    def _process(self, record: InvalidationEvent):
+    def _process(self, resource_keys: Set[str], write_at: float):
         """Simulated pipeline execution for one change."""
         span = self.tracer.start(
             "invalidation",
             self.env.now,
             node="origin",
             tier="invalidation",
-            resources=sorted(record.resource_keys),
-            write_at=record.write_at,
+            resources=sorted(resource_keys),
+            write_at=write_at,
         )
         yield self.env.timeout(self.detection_latency)
-        cache_keys = self._expand(record.resource_keys)
-        record.sketch_at = self.env.now
-        span.event(
-            "sketch-report", at=record.sketch_at, n_keys=len(cache_keys)
-        )
+        cache_keys = self._expand(resource_keys)
+        span.event("sketch-report", at=self.env.now, n_keys=len(cache_keys))
         self.metrics.histogram("invalidation.sketch_latency").observe(
-            record.sketch_at - record.write_at
+            self.env.now - write_at
         )
         if self.sketch is not None:
             for cache_key in sorted(cache_keys):
@@ -162,8 +150,8 @@ class InvalidationPipeline:
             self.metrics.series("invalidation.stale_keys").record(
                 self.env.now, self.sketch.stale_key_count(self.env.now)
             )
-        ttl_policy = self.server.ttl_policy
-        for resource_key in sorted(record.resource_keys):
+        ttl_policy = self.ttl_policy
+        for resource_key in sorted(resource_keys):
             ttl_policy.observe_resource_write(resource_key, self.env.now)
 
         yield self.env.timeout(self.purge_latency - self.detection_latency)
@@ -212,13 +200,13 @@ class InvalidationPipeline:
             )
             if lag > 0:
                 yield self.env.timeout(lag)
-        record.purge_at = self.env.now
         self.tracer.finish(purge_span, self.env.now)
+        purge_latency = self.env.now - write_at
         self.metrics.histogram("invalidation.purge_latency").observe(
-            record.purge_at - record.write_at
+            purge_latency
         )
         self.metrics.counter("invalidation.processed").inc()
-        span.set(purge_latency=record.purge_at - record.write_at)
+        span.set(purge_latency=purge_latency)
         self.tracer.finish(span, self.env.now)
 
     def _expand(self, resource_keys: Iterable[str]) -> Set[str]:

@@ -11,9 +11,9 @@ three parts:
   :mod:`repro.sim.metrics`): exact tallies plus streaming quantile
   sketches (:class:`QuantileSketch`) for p50/p95/p99 without retaining
   raw samples;
-* exporters: a JSONL trace dump (:func:`dump_jsonl`), golden-trace
-  normalization, and per-tier latency attribution for the harness
-  report (:mod:`repro.obs.analysis`).
+* exporters: a JSONL trace dump (:func:`dump_jsonl`) and per-tier
+  latency attribution for the harness report
+  (:mod:`repro.obs.analysis`).
 
 Tracing is off-by-default-cheap: every instrumented component holds a
 :data:`NOOP_TRACER` whose ``start``/``finish`` are constant-time
@@ -37,7 +37,6 @@ from repro.obs.export import (
     dump_jsonl,
     load_jsonl,
     merge_span_records,
-    normalize_for_golden,
     span_records,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -58,7 +57,6 @@ __all__ = [
     "dump_jsonl",
     "load_jsonl",
     "merge_span_records",
-    "normalize_for_golden",
     "overload_accounting",
     "pageview_attributions",
     "reads_from_trace",

@@ -1,15 +1,12 @@
-"""Trace exporters: JSONL dump/load and golden-trace comparison.
+"""Trace exporters: JSONL dump and load.
 
 The JSONL format is one span record per line, sorted keys, in span
 *start* order (the order the :class:`~repro.obs.tracer.RecordingTracer`
 allocated ids), so two runs of the same seed produce byte-comparable
 files.  A sharded run's kernels each record their own spans;
-:func:`merge_span_records` renumbers them into one trace.
-:func:`normalize_for_golden` rounds every float to
-microsecond-ish precision to keep committed goldens small and stable;
-:func:`diff_traces` compares structure exactly (names, nodes, tiers,
-parent links, verdicts, versions, event names) and timings within a
-tolerance, which is what the golden-trace regression tests assert.
+:func:`merge_span_records` renumbers them into one trace. (Comparing an
+export with a committed golden is the tests' business:
+``tests/obs/golden.py``.)
 """
 
 from __future__ import annotations
@@ -20,11 +17,9 @@ from typing import Any, Dict, Iterable, List, Sequence, Union
 from repro.obs.span import Span
 
 __all__ = [
-    "diff_traces",
     "dump_jsonl",
     "load_jsonl",
     "merge_span_records",
-    "normalize_for_golden",
     "span_records",
 ]
 
@@ -81,81 +76,3 @@ def load_jsonl(path) -> List[Dict[str, Any]]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-def _round_floats(value: Any, digits: int) -> Any:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return round(value, digits)
-    if isinstance(value, dict):
-        return {k: _round_floats(v, digits) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round_floats(v, digits) for v in value]
-    return value
-
-
-def normalize_for_golden(
-    records: Sequence[RecordOrSpan], digits: int = 6
-) -> List[Dict[str, Any]]:
-    """Round all floats so committed goldens are compact and stable."""
-    return [_round_floats(record, digits) for record in span_records(records)]
-
-
-def _diff_value(path: str, actual: Any, golden: Any, tolerance: float, out: List[str]):
-    if isinstance(golden, bool) or isinstance(actual, bool):
-        if actual is not golden:
-            out.append(f"{path}: {actual!r} != {golden!r}")
-        return
-    if isinstance(golden, (int, float)) and isinstance(actual, (int, float)):
-        if isinstance(golden, int) and isinstance(actual, int):
-            if actual != golden:
-                out.append(f"{path}: {actual!r} != {golden!r}")
-            return
-        # Timings: tolerate absolute-or-relative drift.
-        bound = max(tolerance, tolerance * max(abs(actual), abs(golden)))
-        if abs(actual - golden) > bound:
-            out.append(f"{path}: {actual!r} !~ {golden!r} (tol {bound:g})")
-        return
-    if isinstance(golden, dict) and isinstance(actual, dict):
-        for key in sorted(set(golden) | set(actual)):
-            if key not in actual:
-                out.append(f"{path}.{key}: missing in actual")
-            elif key not in golden:
-                out.append(f"{path}.{key}: unexpected (not in golden)")
-            else:
-                _diff_value(f"{path}.{key}", actual[key], golden[key], tolerance, out)
-        return
-    if isinstance(golden, list) and isinstance(actual, list):
-        if len(actual) != len(golden):
-            out.append(f"{path}: length {len(actual)} != {len(golden)}")
-        for index, (a, g) in enumerate(zip(actual, golden)):
-            _diff_value(f"{path}[{index}]", a, g, tolerance, out)
-        return
-    if actual != golden:
-        out.append(f"{path}: {actual!r} != {golden!r}")
-
-
-def diff_traces(
-    actual: Sequence[RecordOrSpan],
-    golden: Sequence[Dict[str, Any]],
-    tolerance: float = 1e-4,
-    max_reports: int = 20,
-) -> List[str]:
-    """Differences between a trace and its golden (empty == match).
-
-    Structure — span order, names, nodes, tiers, parent links, cache
-    verdicts, versions, statuses, event names — must match exactly;
-    every float (timings) is compared within ``tolerance``.
-    """
-    actual_records = span_records(actual)
-    problems: List[str] = []
-    if len(actual_records) != len(golden):
-        problems.append(f"span count {len(actual_records)} != golden {len(golden)}")
-    for index, (a, g) in enumerate(zip(actual_records, golden)):
-        label = f"span[{index}]({g.get('name')}#{g.get('span')})"
-        _diff_value(label, a, g, tolerance, problems)
-        if len(problems) >= max_reports:
-            problems.append("... (further differences suppressed)")
-            break
-    return problems

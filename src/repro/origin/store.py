@@ -16,7 +16,9 @@ response times.
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, field
+from types import MethodType
 from typing import (
     Any,
     Callable,
@@ -153,11 +155,25 @@ class DocumentStore:
         return self._backend.drain_latency(concurrent)
 
     def subscribe(self, listener: ChangeListener) -> None:
-        """Register a listener called synchronously after each change."""
+        """Register a listener called synchronously after each change.
+
+        A bound method is held weakly. Its object — the origin server,
+        the invalidation pipeline — reaches this store back through the
+        site it serves, so a strong reference here would close a cycle
+        and keep a finished world alive until a full collection. Its
+        owner keeps the object alive; once the object is gone, its
+        listener is skipped.
+        """
+        if isinstance(listener, MethodType):
+            listener = weakref.WeakMethod(listener)
         self._listeners.append(listener)
 
     def _emit(self, event: ChangeEvent) -> None:
         for listener in self._listeners:
+            if type(listener) is weakref.WeakMethod:
+                listener = listener()
+                if listener is None:
+                    continue
             listener(event)
 
     # -- writes ------------------------------------------------------------

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, List, Optional, Tuple
 
 from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+
+
+_INF = math.inf
 
 
 class StopSimulation(Exception):
@@ -28,6 +32,8 @@ class Environment:
     """
 
     def __init__(self, initial_time: float = 0.0) -> None:
+        if not math.isfinite(initial_time):
+            raise ValueError(f"initial_time must be finite: {initial_time}")
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
@@ -44,9 +50,15 @@ class Environment:
         return self._steps
 
     def schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Enqueue a triggered event to be processed after ``delay``."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        """Enqueue a triggered event to be processed after ``delay``.
+
+        NaN fails the test below too (``nan < 0`` is false, so a plain
+        sign check would let it in and break the heap order silently),
+        and so does ``inf``: no caller waits for the end of time, and
+        such an event would drag ``now`` there.
+        """
+        if not 0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and >= 0: {delay}")
         heapq.heappush(self._queue, (self._now + delay, self._seq, event))
         self._seq += 1
 
@@ -103,6 +115,8 @@ class Environment:
         calls compose predictably.
         """
         if until is not None:
+            if not math.isfinite(until):
+                raise ValueError(f"until must be finite: {until}")
             if until < self._now:
                 raise ValueError(
                     f"until={until} lies in the past (now={self._now})"

@@ -103,12 +103,11 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
         super().__init__(env)
         self.delay = delay
         self._value = value
         self._ok = True
+        # ``schedule`` refuses a negative, NaN or infinite delay.
         env.schedule(self, delay=delay)
 
     def __repr__(self) -> str:
@@ -121,6 +120,13 @@ class Process(Event):
     The process is itself an event that triggers when the generator
     returns (value = the generator's return value) or raises (the
     process fails with that exception, which propagates to waiters).
+
+    A process starts inline: its first step runs inside the call that
+    creates it, up to the first ``yield``, before that call returns. A
+    generator that returns without yielding is therefore already
+    triggered when ``env.process`` hands it back; one that fails in its
+    first step hands its exception to its waiters (or to ``run()``, if
+    nobody waits) exactly as a later failure would.
     """
 
     __slots__ = ("_generator", "_target")
@@ -131,10 +137,7 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._target: Optional[Event] = None
-        # Kick off the generator at the current simulated time.
-        init = Event(env)
-        init.succeed()
-        init._add_callback(self._resume)
+        self._resume(_START)
 
     @property
     def is_alive(self) -> bool:
@@ -160,7 +163,7 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         self._target = None
         try:
-            if event.ok:
+            if event._ok:
                 next_event = self._generator.send(event._value)
             else:
                 next_event = self._generator.throw(event._value)
@@ -176,6 +179,17 @@ class Process(Event):
             return
         self._target = next_event
         next_event._add_callback(self._resume)
+
+
+class _Start:
+    """What a process's first step resumes with: a plain ``send(None)``."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_START = _Start()
 
 
 class _Condition(Event):

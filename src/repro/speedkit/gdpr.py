@@ -10,14 +10,15 @@ Three cooperating pieces:
   (requests go to the origin exactly as without Speed Kit).
 * :class:`RequestScrubber` — strips identifying headers and query
   parameters from every request routed through shared caching
-  infrastructure, and keeps an audit log proving what was removed.
+  infrastructure, and reports what it removed (the worker counts the
+  requests it scrubbed in the run's registry, ``speedkit.scrubbed``).
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.http.headers import Headers
@@ -103,16 +104,20 @@ class ConsentManager:
         return cls()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScrubReport:
-    """What the scrubber removed from one request (audit record)."""
+    """What the scrubber removed from one request: a value, so every
+    request carrying the same header map shares one."""
 
-    removed_headers: List[str] = field(default_factory=list)
-    removed_params: List[str] = field(default_factory=list)
+    removed_headers: Tuple[str, ...] = ()
+    removed_params: Tuple[str, ...] = ()
 
     @property
     def anything_removed(self) -> bool:
         return bool(self.removed_headers or self.removed_params)
+
+
+_NOTHING_REMOVED = ScrubReport()
 
 
 class RequestScrubber:
@@ -121,6 +126,12 @@ class RequestScrubber:
     Removal is two-layered: a denylist of header/parameter names known
     to carry identity, plus value-pattern detectors (emails, long
     opaque tokens) that catch identity smuggled through other fields.
+
+    A header map is a value, and the cookie jar hands one map to all of
+    a user's requests, so the scrubber keeps the last map it cleaned
+    and the cleaned twin (compared with ``is``): a map is scrubbed once,
+    not once per request. URL parameters differ per request and are
+    scrubbed every time.
     """
 
     DEFAULT_HEADER_DENYLIST = (
@@ -156,11 +167,11 @@ class RequestScrubber:
             name.lower()
             for name in (param_denylist or self.DEFAULT_PARAM_DENYLIST)
         )
-        #: The reports that removed something, in request order.
-        self.audit_log: List[ScrubReport] = []
-        #: How many scrubbed requests carried nothing to remove (an
-        #: audit needs their number, not one empty report each).
-        self.clean_requests = 0
+        # The last header map scrubbed, its cleaned twin, and the
+        # report of what the twin lacks.
+        self._last_map: Optional[Headers] = None
+        self._last_kept = Headers()
+        self._last_report = _NOTHING_REMOVED
 
     def looks_identifying(self, value: str) -> bool:
         """Value-based detection of smuggled identity."""
@@ -168,35 +179,45 @@ class RequestScrubber:
             self._EMAIL.match(value) or self._OPAQUE_TOKEN.match(value)
         )
 
-    def scrub(self, request: Request) -> Tuple[Request, ScrubReport]:
-        """Return a cleaned copy of ``request`` plus the audit record."""
-        report = ScrubReport()
-        if not request.headers and not request.url.query:
-            self.clean_requests += 1
-            return request.copy(), report
+    def _scrub_headers(self, headers: Headers) -> None:
         kept = {}
-        for name, value in request.headers.items():
+        removed = []
+        for name, value in headers.items():
             if name.lower() in self.header_denylist or (
                 self.looks_identifying(value)
             ):
-                report.removed_headers.append(name)
+                removed.append(name)
             else:
                 kept[name] = value
+        self._last_map = headers
+        self._last_kept = Headers(kept) if removed else headers
+        self._last_report = (
+            ScrubReport(removed_headers=tuple(removed))
+            if removed
+            else _NOTHING_REMOVED
+        )
+
+    def scrub(self, request: Request) -> Tuple[Request, ScrubReport]:
+        """A cleaned request — a new one, whose ``url`` and ``trace``
+        the caller may rebind — plus what was removed."""
+        if request.headers is not self._last_map:
+            self._scrub_headers(request.headers)
+        report = self._last_report
         url = request.url
-        for key, value in url.params.items():
-            if key.lower() in self.param_denylist or (
-                self.looks_identifying(value)
-            ):
-                url = url.without_param(key)
-                report.removed_params.append(key)
-        if report.anything_removed:
-            self.audit_log.append(report)
-        else:
-            self.clean_requests += 1
+        if url.query:
+            removed = []
+            for key, value in request.url.params.items():
+                if key.lower() in self.param_denylist or (
+                    self.looks_identifying(value)
+                ):
+                    url = url.without_param(key)
+                    removed.append(key)
+            if removed:
+                report = ScrubReport(report.removed_headers, tuple(removed))
         cleaned = Request(
             method=request.method,
             url=url,
-            headers=Headers(kept),
+            headers=self._last_kept,
             body=request.body,
             client_id=request.client_id,
             trace=request.trace,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.coherence import DeltaAtomicityChecker
+from repro.coherence import DeltaAtomicityChecker, ReadRecord
 from repro.http import Headers, Request, Response, Status, URL
 from repro.origin import (
     OriginServer,
@@ -43,31 +43,51 @@ def response(version, url="/p/1"):
 class TestChecker:
     def test_current_version_is_never_a_violation(self, server):
         checker = DeltaAtomicityChecker(server, delta=0.0)
-        record = checker.record_read(response(1), read_at=5.0)
-        assert not record.violation
-        assert record.staleness == 0.0
+        assert checker.record_read(response(1), read_at=5.0) == 0.0
+        assert checker.violations == []
+        assert checker.read_count == 1
 
     def test_stale_read_within_delta_is_allowed(self, server):
         checker = DeltaAtomicityChecker(server, delta=10.0)
         server.update("docs", "1", {"x": 2}, at=20.0)
-        record = checker.record_read(response(1), read_at=25.0)
-        assert record.staleness == pytest.approx(5.0)
-        assert not record.violation
+        staleness = checker.record_read(response(1), read_at=25.0)
+        assert staleness == pytest.approx(5.0)
+        assert checker.violations == []
         assert checker.violation_count == 0
 
     def test_stale_read_beyond_delta_is_a_violation(self, server):
         checker = DeltaAtomicityChecker(server, delta=10.0)
         server.update("docs", "1", {"x": 2}, at=20.0)
-        record = checker.record_read(response(1), read_at=35.0)
-        assert record.staleness == pytest.approx(15.0)
-        assert record.violation
+        staleness = checker.record_read(response(1), read_at=35.0, client="u7")
+        assert staleness == pytest.approx(15.0)
         assert checker.violation_count == 1
+        [record] = checker.violations
+        assert record == ReadRecord(
+            resource_key="shop.example/p/1",
+            version=1,
+            read_at=35.0,
+            staleness=staleness,
+            client="u7",
+        )
 
     def test_boundary_read_exactly_delta_is_allowed(self, server):
         checker = DeltaAtomicityChecker(server, delta=10.0)
         server.update("docs", "1", {"x": 2}, at=20.0)
-        record = checker.record_read(response(1), read_at=30.0)
-        assert not record.violation
+        assert checker.record_read(response(1), read_at=30.0) == 10.0
+        assert checker.violations == []
+
+    def test_only_violations_are_kept(self, server):
+        """The checker's own state does not grow with the reads: the
+        registry counts them, ``violations`` keeps the breaches."""
+        checker = DeltaAtomicityChecker(server, delta=10.0)
+        server.update("docs", "1", {"x": 2}, at=20.0)
+        for at in range(20, 60):
+            checker.record_read(response(1), read_at=float(at))
+        assert checker.read_count == 40
+        assert len(checker.violations) == 29  # read at 31 … 59
+        assert set(vars(checker)) == {
+            "server", "delta", "metrics", "staleness_metric", "violations"
+        }
 
     def test_assert_delta_atomic_raises_on_violation(self, server):
         checker = DeltaAtomicityChecker(server, delta=1.0)
@@ -110,7 +130,9 @@ class TestChecker:
     def test_infinite_delta_records_without_judging(self, server):
         checker = DeltaAtomicityChecker(server, delta=float("inf"))
         server.update("docs", "1", {"x": 2}, at=10.0)
-        assert not checker.record_read(response(1), read_at=1e9).violation
+        assert checker.record_read(response(1), read_at=1e9) == 1e9 - 10.0
+        assert checker.violations == []
+        assert checker.max_staleness() == 1e9 - 10.0
 
     def test_metrics_recorded(self, server):
         checker = DeltaAtomicityChecker(server, delta=5.0)

@@ -23,6 +23,7 @@ The schedules are deterministic per seed, so failures reproduce.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -192,24 +193,35 @@ class TestMetamorphicLadder:
             assert rejudged.fractured_count == 0
 
     def test_snapshot_records_have_delta_valid_reads(self, config):
-        """Every read of every snapshot-certified transaction also
-        appears in the per-key Δ log — and that log is violation-free
-        (checked above) — so snapshot ⊆ valid per-key-Δ."""
+        """Snapshot ⊆ valid per-key-Δ: every read of every
+        snapshot-certified transaction is, by ground truth, within the
+        per-key Δ bound and among the reads the Δ checker observed (its
+        staleness histogram holds each one). The one way out is an
+        offline serving, which trades the bound for availability and
+        is accounted, never judged: such a read is beyond the bound
+        *and* absent from the checker's log."""
+        judged = 0
         for seed in SEEDS:
             runner = run_config(config, "snapshot", seed)
-            logged = {
-                (record.client, record.resource_key, record.version)
-                for record in runner.checker.records
-            }
+            versions = runner.server.versions
+            logged = Counter(
+                runner.metrics.histogram("coherence.staleness").values
+            )
+            within, beyond = Counter(), Counter()
             for record in runner.txn_checker.records:
                 if record.achieved < ConsistencyLevel.SNAPSHOT:
                     continue
-                for version_key, version, _read_at in record.reads:
-                    assert (
-                        record.client,
-                        version_key,
-                        version,
-                    ) in logged
+                for version_key, version, read_at in record.reads:
+                    superseded = versions.superseded_at(version_key, version)
+                    staleness = 0.0
+                    if superseded is not None and superseded < read_at:
+                        staleness = read_at - superseded
+                    bound = runner.checker.delta
+                    (within if staleness <= bound else beyond)[staleness] += 1
+            assert not within - logged
+            assert not beyond & logged
+            judged += sum(within.values())
+        assert judged > 100
 
     def test_requested_levels_are_honored_or_marked(self, runner):
         for record in runner.txn_checker.records:

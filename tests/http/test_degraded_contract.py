@@ -207,7 +207,7 @@ def test_never_304_converted_batched_wave(runner, reason):
 @EVERY_CASE
 def test_lands_in_the_ledger_its_columns_say(runner, reason):
     response = answer(runner, reason)[1].served("edge-1")
-    runner._record_response(response, client="u", issued_at=0.0)
+    runner._record_response(response, client="u")
     # The ledger restates the registry; nothing bumps it.
     result = RunResult.over("speed-kit", runner.metrics)
     served = reason is None or reason.served

@@ -8,14 +8,15 @@ must match exactly; timings within a tolerance.  Refresh with::
     pytest tests/obs/test_golden_traces.py --update-goldens
 """
 
+import random
 from pathlib import Path
 
 import pytest
 
-from repro.obs import dump_jsonl, load_jsonl, normalize_for_golden
-from repro.obs.export import diff_traces
+from repro.obs import dump_jsonl, load_jsonl
 
 from tests.obs.conftest import TRACE_PROFILES, traced_runner
+from tests.obs.golden import diff_traces, normalize_for_golden
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -101,3 +102,65 @@ def test_verdicts_and_versions_are_recorded():
         and record["attrs"].get("verdict") == "fill"
     ]
     assert versions and all(v is not None for v in versions)
+
+
+class TestForestComparison:
+    """``diff_traces`` compares forests: the order spans were recorded
+    in and the ids they were given do not count; the tree, every
+    attribute and every span do."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return load_jsonl(GOLDEN_DIR / "speed-kit-none.jsonl")
+
+    @staticmethod
+    def renumbered(records, seed):
+        """``records`` shuffled, their span and trace ids permuted."""
+        rng = random.Random(seed)
+        spans = [record["span"] for record in records]
+        traces = sorted({record["trace"] for record in records})
+        span_of = dict(zip(spans, rng.sample(spans, len(spans))))
+        trace_of = dict(zip(traces, rng.sample(traces, len(traces))))
+        out = [
+            {
+                **record,
+                "span": span_of[record["span"]],
+                "parent": span_of.get(record["parent"]),
+                "trace": trace_of[record["trace"]],
+            }
+            for record in records
+        ]
+        rng.shuffle(out)
+        return out
+
+    def test_shuffled_siblings_and_renumbered_ids_match(self, golden):
+        assert len(golden) > 500
+        for seed in range(3):
+            assert diff_traces(self.renumbered(golden, seed), golden) == []
+
+    def test_an_edited_attribute_fails(self, golden):
+        edited = [dict(record) for record in golden]
+        index = next(
+            i for i, record in enumerate(edited) if record["name"] == "sw"
+        )
+        attrs = dict(edited[index]["attrs"])
+        attrs["verdict"] = "edited"
+        edited[index]["attrs"] = attrs
+        assert diff_traces(self.renumbered(edited, 0), golden)
+
+    def test_a_reparented_span_fails(self, golden):
+        pageviews = [r["span"] for r in golden if r["name"] == "pageview"]
+        moved = [dict(record) for record in golden]
+        request = next(
+            record
+            for record in moved
+            if record["name"] == "request" and record["parent"] == pageviews[0]
+        )
+        request["parent"] = pageviews[1]
+        assert diff_traces(self.renumbered(moved, 0), golden)
+
+    def test_a_dropped_span_fails(self, golden):
+        parents = {record["parent"] for record in golden}
+        leaf = next(r for r in golden if r["span"] not in parents)
+        dropped = [record for record in golden if record is not leaf]
+        assert diff_traces(self.renumbered(dropped, 0), golden)

@@ -74,58 +74,57 @@ def rebuild_checkers(runner):
             version=read["version"],
         )
         target = covered if read["covered"] else uncovered
-        target.record_read(
-            response,
-            read["read_at"],
-            client=read["client"],
-            issued_at=read.get("issued_at"),
-        )
+        target.record_read(response, read["read_at"], client=read["client"])
     return covered, uncovered
 
 
-def signature(records):
-    return sorted(
-        (
-            round(record.read_at, 9),
-            record.resource_key,
-            record.version,
-            record.client,
-        )
-        for record in records
-    )
+def staleness_values(registry, name):
+    return sorted(registry.histogram(name).values)
 
 
 class TestCoherenceBridge:
     def test_rebuilt_log_matches_live_checker_reads(self, runner):
+        """Read for read: the staleness the span-rebuilt checkers
+        observe is the multiset the live checkers observed."""
         covered, uncovered = rebuild_checkers(runner)
         assert (
             covered.read_count + uncovered.read_count
             == runner.result.reads_checked
         )
-        assert signature(covered.records) == signature(
-            runner.checker.records
+        assert covered.read_count > 100
+        live = runner.metrics
+        assert staleness_values(covered.metrics, "coherence.staleness") == (
+            staleness_values(live, "coherence.staleness")
         )
-        assert signature(uncovered.records) == signature(
-            runner.baseline_checker.records
+        assert staleness_values(uncovered.metrics, "coherence.staleness") == (
+            staleness_values(live, "coherence.uncovered.staleness")
         )
 
     def test_rebuilt_log_reproduces_the_verdict(self, runner):
-        covered, _ = rebuild_checkers(runner)
+        covered, uncovered = rebuild_checkers(runner)
         assert covered.violation_count == runner.result.delta_violations
         assert covered.violation_count == 0
         covered.assert_delta_atomic()
         assert covered.max_staleness() == pytest.approx(
             runner.result.max_staleness, abs=1e-9
         )
+        for name in ("coherence.stale_reads", "coherence.violations"):
+            rebuilt = sum(
+                checker.metrics.counter(name).value
+                for checker in (covered, uncovered)
+            )
+            assert rebuilt == runner.metrics.counter(name).value, name
 
     def test_rebuilt_reads_are_monotonic_per_client_and_key(self, runner):
         # Session monotonic reads, concurrency-aware: under overload a
         # user's overlapping page loads may legally complete out of
         # issue order; only a read *issued after* a newer-version read
         # completed may never regress.
-        covered, uncovered = rebuild_checkers(runner)
-        for checker in (covered, uncovered):
-            assert version_regressions(checker.records) == []
+        reads = reads_from_trace(runner.result.trace_records)
+        assert len(reads) > 100
+        for covered in (True, False):
+            population = [read for read in reads if read["covered"] is covered]
+            assert version_regressions(population) == []
 
     def test_bridge_is_not_vacuous(self, runner):
         assert runner.result.reads_checked > 100

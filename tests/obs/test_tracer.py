@@ -10,10 +10,10 @@ from repro.obs import (
     Tracer,
     dump_jsonl,
     load_jsonl,
-    normalize_for_golden,
     span_records,
 )
-from repro.obs.export import diff_traces
+
+from tests.obs.golden import diff_traces, normalize_for_golden
 
 
 class TestNoopTracer:

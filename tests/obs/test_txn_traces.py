@@ -20,9 +20,8 @@ import pytest
 
 from repro.coherence.txn import TxnConsistencyChecker
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner
-from repro.obs import dump_jsonl, load_jsonl, normalize_for_golden
+from repro.obs import dump_jsonl, load_jsonl
 from repro.obs.analysis import txns_from_trace
-from repro.obs.export import diff_traces
 from repro.txn import ConsistencyLevel
 from repro.workload import (
     CatalogConfig,
@@ -32,6 +31,8 @@ from repro.workload import (
     generate_catalog,
     generate_users,
 )
+
+from tests.obs.golden import diff_traces, normalize_for_golden
 
 pytestmark = pytest.mark.txn
 

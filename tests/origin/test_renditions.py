@@ -136,7 +136,7 @@ def render_from_scratch(server, request, now):
         fresh._query_resources.update(server._query_resources)
         return fresh.handle(request, now)
     finally:
-        store._listeners.remove(fresh._on_change)
+        store._listeners.pop()  # the fresh server's, subscribed last
 
 
 def assert_same_response(actual, expected):

@@ -265,3 +265,160 @@ def test_nested_processes_three_deep():
     env.run()
     assert trace == ["leaf", "middle", "root"]
     assert proc.value == 3
+
+
+# -- a process starts inline ------------------------------------------------
+
+
+def test_first_step_runs_before_process_returns():
+    env = Environment()
+    seen = []
+
+    def proc(env):
+        seen.append(("first", env.now))
+        yield env.timeout(1.0)
+        seen.append(("second", env.now))
+
+    process = env.process(proc(env))
+    assert seen == [("first", 0.0)]
+    assert process.is_alive
+    env.run()
+    assert seen == [("first", 0.0), ("second", 1.0)]
+
+
+def test_first_steps_run_in_creation_order():
+    env = Environment()
+    order = []
+
+    def proc(env, tag):
+        order.append(tag)
+        yield env.timeout(0.0)
+        order.append(tag.upper())
+
+    def parent(env):
+        for tag in "abc":
+            env.process(proc(env, tag))
+            order.append(f"made {tag}")
+        yield env.timeout(0.0)
+
+    env.process(parent(env))
+    env.run()
+    assert order == ["a", "made a", "b", "made b", "c", "made c", "A", "B", "C"]
+
+
+def test_a_never_yielding_process_is_triggered_at_once():
+    env = Environment()
+
+    def immediate(value):
+        return value
+        yield  # pragma: no cover - makes this a generator
+
+    results = []
+
+    def parent(env):
+        children = [env.process(immediate(n)) for n in (1, 2, 3)]
+        assert all(child.triggered for child in children)
+        done = yield env.all_of(children)
+        results.append([done[child] for child in children])
+
+    env.process(parent(env))
+    env.run()
+    assert results == [[1, 2, 3]]
+
+
+def test_a_first_step_exception_reaches_its_waiter():
+    env = Environment()
+    caught = []
+
+    def broken(env):
+        raise RuntimeError("at once")
+        yield  # pragma: no cover - makes this a generator
+
+    def parent(env):
+        child = env.process(broken(env))
+        assert child.triggered and not child.ok
+        try:
+            yield child
+        except RuntimeError as exc:
+            caught.append((env.now, str(exc)))
+
+    env.process(parent(env))
+    env.run()
+    assert caught == [(0.0, "at once")]
+
+
+def test_an_unwaited_first_step_exception_surfaces_from_run():
+    env = Environment()
+
+    def broken(env):
+        raise RuntimeError("nobody waits")
+        yield  # pragma: no cover - makes this a generator
+
+    process = env.process(broken(env))
+    assert process.triggered
+    with pytest.raises(RuntimeError, match="nobody waits"):
+        env.run()
+
+
+def test_interrupt_after_a_first_step_yield():
+    env = Environment()
+    results = []
+
+    def sleeper(env):
+        try:
+            yield env.timeout(100.0)
+        except Interrupt as exc:
+            results.append((env.now, exc.cause))
+
+    victim = env.process(sleeper(env))
+    victim.interrupt("now")
+    env.run()
+    assert results == [(0.0, "now")]
+    assert env.now == 100.0  # the abandoned timeout still drains
+
+
+# -- time never runs backwards ------------------------------------------------
+
+
+@pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
+def test_a_delay_must_be_finite_and_non_negative(delay):
+    env = Environment()
+    with pytest.raises(ValueError, match="delay"):
+        env.timeout(delay)
+    with pytest.raises(ValueError, match="delay"):
+        env.schedule(env.event(), delay=delay)
+    assert env.peek() == float("inf")  # nothing was queued
+
+
+def test_a_nan_delay_cannot_reorder_the_queue():
+    """The heap stays ordered: the process asking for ``nan`` fails at
+    its ``yield`` site; the others resume in time order."""
+    env = Environment()
+    resumed = []
+
+    def proc(env, tag, delay):
+        yield env.timeout(delay)
+        resumed.append((tag, env.now))
+
+    for tag, delay in (("a", 1.0), ("c", 2.0), ("d", 0.5)):
+        env.process(proc(env, tag, delay))
+    nan = env.process(proc(env, "b", float("nan")))
+    assert not nan.ok
+    nan.defused = True
+    env.run()
+    assert resumed == [("d", 0.5), ("a", 1.0), ("c", 2.0)]
+
+
+@pytest.mark.parametrize("until", [float("nan"), float("inf"), -float("inf")])
+def test_run_until_must_be_finite(until):
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(ValueError, match="until"):
+        env.run(until=until)
+    assert env.now == 0.0
+
+
+@pytest.mark.parametrize("initial", [float("nan"), float("inf")])
+def test_initial_time_must_be_finite(initial):
+    with pytest.raises(ValueError, match="initial_time"):
+        Environment(initial_time=initial)

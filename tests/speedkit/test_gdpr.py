@@ -67,7 +67,7 @@ class TestRequestScrubber:
     def test_cookie_header_removed(self):
         cleaned, report = self.scrub(headers={"Cookie": "session=u42"})
         assert "Cookie" not in cleaned.headers
-        assert report.removed_headers == ["Cookie"]
+        assert report.removed_headers == ("Cookie",)
 
     def test_authorization_removed_case_insensitive(self):
         cleaned, report = self.scrub(headers={"AUTHORIZATION": "Bearer x"})
@@ -81,7 +81,7 @@ class TestRequestScrubber:
     def test_identifying_params_removed(self):
         cleaned, report = self.scrub(params={"userid": "42", "color": "red"})
         assert cleaned.url.params == {"color": "red"}
-        assert report.removed_params == ["userid"]
+        assert report.removed_params == ("userid",)
 
     def test_email_value_detected_anywhere(self):
         cleaned, report = self.scrub(params={"q": "jane@example.com"})
@@ -106,20 +106,52 @@ class TestRequestScrubber:
         assert request.headers["Cookie"] == "session=u42"
         assert request.url.params == {"session": "x"}
 
-    def test_audit_log_accumulates(self):
+    def test_audit_log_accumulates(self, make_worker, env):
+        """The audit lives in the registry: the worker counts each
+        request the scrubber removed something from, and the scrubber
+        keeps nothing per request."""
+        from tests.speedkit.conftest import run
+
+        worker = make_worker()
+        scrubber = worker.scrubber
+        before = dict(vars(scrubber))
+        for headers in ({}, {"Cookie": "s=1"}, {"Accept": "*/*"}):
+            request = Request.get(
+                URL.parse("/static/app.js"), headers=Headers(headers)
+            )
+            run(env, worker.fetch(request))
+        counted = worker.metrics.counter
+        assert counted("speedkit.accelerated").value == 3
+        assert counted("speedkit.scrubbed").value == 1
+        assert vars(scrubber).keys() == before.keys()
+
+    def test_one_map_is_scrubbed_once(self, monkeypatch):
+        """Requests sharing a header map (the cookie jar's) share the
+        cleaned twin and the report; URL params are judged per request."""
         scrubber = RequestScrubber()
-        scrubber.scrub(Request.get(URL.of("/a")))
-        scrubber.scrub(
-            Request.get(URL.of("/b"), headers=Headers({"Cookie": "s=1"}))
+        jar = Headers({"Cookie": "session=u42", "Accept": "*/*"})
+        calls = []
+        judge = scrubber.looks_identifying
+        monkeypatch.setattr(
+            scrubber,
+            "looks_identifying",
+            lambda value: calls.append(value) or judge(value),
         )
-        scrubber.scrub(
+        first, report = scrubber.scrub(Request.get(URL.of("/a"), headers=jar))
+        second, again = scrubber.scrub(
+            Request.get(URL.of("/b", {"userid": "7", "q": "x"}), headers=jar)
+        )
+        assert calls == ["*/*", "x"]  # the map once, the params per request
+        assert first is not second
+        assert first.headers is second.headers
+        assert list(first.headers.items()) == [("Accept", "*/*")]
+        assert report.removed_headers == again.removed_headers == ("Cookie",)
+        assert (report.removed_params, again.removed_params) == ((), ("userid",))
+        third, clean = scrubber.scrub(
             Request.get(URL.of("/c"), headers=Headers({"Accept": "*/*"}))
         )
-        # Only what removed something is retained; a request with
-        # nothing to scrub (bare, or carrying only benign headers)
-        # is counted, not logged.
-        assert [r.removed_headers for r in scrubber.audit_log] == [["Cookie"]]
-        assert scrubber.clean_requests == 2
+        assert not clean.anything_removed
+        assert list(third.headers.items()) == [("Accept", "*/*")]
 
     def test_custom_denylists(self):
         scrubber = RequestScrubber(
@@ -188,9 +220,9 @@ def test_scrub_equals_copy_then_delete(headers, params):
     )
     cleaned, report = scrubber.scrub(request)
     # A request of its own (the worker rebinds its url and trace); with
-    # nothing to scrub it carries the same, uneditable, map.
+    # no header to remove it carries the same, uneditable, map.
     assert cleaned is not request
-    assert (cleaned.headers is request.headers) == (not headers and not params)
+    assert (cleaned.headers is request.headers) == (not removed_headers)
     assert list(cleaned.headers.items()) == list(kept.items())
     assert cleaned.url == url
     assert (cleaned.method, cleaned.body, cleaned.client_id) == (
@@ -198,6 +230,6 @@ def test_scrub_equals_copy_then_delete(headers, params):
         "payload",
         "u42",
     )
-    assert report.removed_headers == removed_headers
-    assert report.removed_params == removed_params
+    assert report.removed_headers == tuple(removed_headers)
+    assert report.removed_params == tuple(removed_params)
     assert list(request.headers.items()) == list(Headers(headers).items())

@@ -327,7 +327,6 @@ MAP_EDITS = {"pop", "update", "setdefault"}
 #: ``.copy()`` receivers in the cache tiers, by file: requests only.
 REQUEST_COPIES = {
     "speedkit/worker.py": {"scrubbed"},
-    "speedkit/gdpr.py": {"request"},
 }
 
 
