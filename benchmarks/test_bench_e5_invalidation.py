@@ -3,7 +3,7 @@
 Reproduces the real-time change-detection figure: the distribution of
 delays between a database write and (a) the key appearing in the server
 Cache Sketch and (b) the CDN purge completing, plus the throughput of
-the InvaliDB-style query matcher.
+the InvaliDB-style query matcher the origin resolves every write with.
 """
 
 import random
@@ -11,8 +11,7 @@ import random
 import pytest
 
 from repro.harness import Scenario, ScenarioSpec, format_table
-from repro.invalidation import QueryMatcher
-from repro.origin import Document, Eq, Query
+from repro.origin import Document, Eq, Query, QueryMatcher
 from repro.origin.store import ChangeEvent
 
 from benchmarks.conftest import emit

@@ -147,8 +147,10 @@ class ScenarioSpec:
 
         Every spec passes through here (the CLI, benchmarks, tests,
         and :meth:`time_scaled` copies alike), so a non-finite or
-        negative duration fails with its own name instead of
-        surfacing from whichever component first consumes it.
+        negative duration, or two knobs that contradict each other,
+        fail with their own names instead of surfacing from whichever
+        component first consumes them — or from none, on a scenario
+        that never builds that component.
         """
         for knob in (
             "delta",
@@ -163,6 +165,16 @@ class ScenarioSpec:
                 raise ValueError(
                     f"{knob} must be finite and non-negative: {value}"
                 )
+        if self.purge_latency < self.detection_latency:
+            raise ValueError(
+                "purge completes after detection: purge_latency "
+                f"{self.purge_latency} < detection_latency "
+                f"{self.detection_latency}"
+            )
+        if not 0 < self.time_scale < math.inf:
+            raise ValueError(
+                f"time_scale must be finite and positive: {self.time_scale}"
+            )
         if self.scenario.uses_speed_kit and self.delta == 0:
             raise ValueError(
                 "delta must be positive for Speed Kit scenarios "
@@ -203,8 +215,8 @@ class ScenarioSpec:
         ts = self.time_scale
         if ts == 1.0:
             return self
-        if ts <= 0:
-            raise ValueError(f"time_scale must be positive: {ts}")
+        if not 0 < ts < math.inf:
+            raise ValueError(f"time_scale must be finite and positive: {ts}")
         return replace(
             self,
             delta=self.delta * ts,

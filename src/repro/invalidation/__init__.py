@@ -1,15 +1,18 @@
-"""Server-side change detection and invalidation (InvaliDB, reduced).
+"""Server-side invalidation fan-out (InvaliDB, reduced).
 
 The paper's real-time change detection matches every database update
 against the set of queries whose results are currently cached, then
 triggers two actions per affected resource: a CDN purge (so shared
 caches refetch) and a Cache Sketch addition (so client caches
-revalidate). Both happen with configurable processing latencies on the
+revalidate). The matching happens once, at the origin
+(:meth:`repro.origin.OriginServer._on_change` through its
+:class:`~repro.origin.QueryMatcher`); this package consumes the
+resulting affected set with configurable processing latencies on the
 simulated clock — those latencies are exactly what experiment E5
-measures.
+measures — and models the matcher's distribution across a query grid
+(experiment E14).
 """
 
-from repro.invalidation.matcher import QueryMatcher, Subscription
 from repro.invalidation.partitioned import NodeStats, PartitionedMatcher
 from repro.invalidation.pipeline import InvalidationPipeline, VariantIndex
 
@@ -17,7 +20,5 @@ __all__ = [
     "InvalidationPipeline",
     "NodeStats",
     "PartitionedMatcher",
-    "QueryMatcher",
-    "Subscription",
     "VariantIndex",
 ]

@@ -11,8 +11,9 @@ linearly with the query-partition count while any node sees only
 
 This module models that scheme in-process to study load balance and
 scaling (experiment E14): matching results are exactly those of the
-flat :class:`~repro.invalidation.matcher.QueryMatcher`, but work is
-accounted per node.
+flat :class:`~repro.origin.matcher.QueryMatcher` the origin matches
+every change with, but work is accounted per node. It models the
+matcher's distribution, and is not on the request path.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
-from repro.invalidation.matcher import QueryMatcher, Subscription
+from repro.origin.matcher import QueryMatcher
 from repro.origin.query import Query
 from repro.origin.store import ChangeEvent
 
@@ -75,20 +76,13 @@ class PartitionedMatcher:
     def _object_partition_of(self, event: ChangeEvent) -> int:
         return _stable_bucket(event.key, self.object_partitions)
 
-    def subscribe(self, resource_key: str, query: Query) -> Subscription:
+    def subscribe(self, resource_key: str, query: Query) -> None:
         partition = self._query_partition_of(resource_key)
-        subscription = self._matchers[partition].subscribe(
-            resource_key, query
-        )
+        self._matchers[partition].subscribe(resource_key, query)
         for o in range(self.object_partitions):
             self._stats[(partition, o)].subscriptions = self._matchers[
                 partition
             ].subscription_count()
-        return subscription
-
-    def unsubscribe(self, subscription: Subscription) -> bool:
-        partition = self._query_partition_of(subscription.resource_key)
-        return self._matchers[partition].unsubscribe(subscription)
 
     def subscription_count(self) -> int:
         return sum(m.subscription_count() for m in self._matchers)

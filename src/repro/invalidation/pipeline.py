@@ -2,9 +2,9 @@
 
 On every document change the pipeline:
 
-1. resolves the affected resources — direct document dependents (from
-   the origin's version registry) plus query resources matched
-   InvaliDB-style;
+1. receives the affected resources from the origin, which derived them
+   once — document dependents plus InvaliDB-matched query resources —
+   and bumped their versions (``OriginServer.change_observers``);
 2. expands them to all cached *variants* (segment-personalized URLs);
 3. after ``detection_latency``, reports the write to the server Cache
    Sketch and the adaptive TTL estimator;
@@ -16,15 +16,13 @@ All latencies are measured and exposed for experiment E5.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, FrozenSet, Iterable, Optional, Set
 
 from repro.cdn.network import Cdn
 from repro.http.freshness import freshness_lifetime
 from repro.http.messages import Response
-from repro.invalidation.matcher import QueryMatcher
 from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import OriginServer
-from repro.origin.store import ChangeEvent
 from repro.sim.environment import Environment
 from repro.sim.metrics import MetricRegistry
 from repro.sketch.cache_sketch import ServerCacheSketch
@@ -51,12 +49,9 @@ class VariantIndex:
         found.add(version_key)
         return found
 
-    def variant_count(self, version_key: str) -> int:
-        return len(self.variants_of(version_key))
-
 
 class InvalidationPipeline:
-    """Wires a store's change stream to sketch + CDN purge."""
+    """Turns the origin's affected set per change into sketch + purge."""
 
     def __init__(
         self,
@@ -76,12 +71,10 @@ class InvalidationPipeline:
                 f"{purge_latency} < detection_latency {detection_latency}"
             )
         self.env = env
-        # The leaves of the server this pipeline reads, not the server:
-        # the server holds ``_on_served`` below, and a reference back
-        # would close a cycle (DESIGN, *A finished world is garbage by
-        # refcount*).
-        self.versions = server.versions
-        self.query_resources = server.query_resources
+        # The leaf of the server this pipeline reads, not the server:
+        # the server holds ``_on_served`` and ``_on_change`` below, and
+        # a reference back would close a cycle (DESIGN, *A finished
+        # world is garbage by refcount*).
         self.ttl_policy = server.ttl_policy
         self.cdn = cdn
         self.sketch = sketch
@@ -92,9 +85,8 @@ class InvalidationPipeline:
         #: Optional :class:`~repro.overload.ControlPlane`: purges ride
         #: its control lane — accounted, never queued, never shed.
         self.overload = overload
-        self.matcher = QueryMatcher()
         self.variants = VariantIndex()
-        server.site.store.subscribe(self._on_change)
+        server.change_observers.append(self._on_change)
         server.serve_observers.append(self._on_served)
 
     # -- origin hooks ---------------------------------------------------------
@@ -104,9 +96,6 @@ class InvalidationPipeline:
     ) -> None:
         """Learn about a handed-out copy: variants and sketch reads."""
         self.variants.register(version_key, cache_key)
-        query = self.query_resources.get(version_key)
-        if query is not None:
-            self.matcher.subscribe(version_key, query)
         if self.sketch is not None:
             lifetime = max(
                 freshness_lifetime(response, shared=True),
@@ -117,18 +106,17 @@ class InvalidationPipeline:
                     cache_key, expires_at=now + lifetime, now=now
                 )
 
-    def _on_change(self, event: ChangeEvent) -> None:
-        """Kick off asynchronous processing of one document change."""
-        affected = self.versions.dependents_of(event.key)
-        affected |= self.matcher.affected_resources(event)
-        if not affected:
+    def _on_change(self, resource_keys: FrozenSet[str], at: float) -> None:
+        """Kick off asynchronous processing of one change's affected
+        set (empty when the change affects no resource)."""
+        if not resource_keys:
             self.metrics.counter("invalidation.no_op_changes").inc()
             return
-        self.env.process(self._process(affected, event.at))
+        self.env.process(self._process(resource_keys, at))
 
     # -- asynchronous processing -----------------------------------------------
 
-    def _process(self, resource_keys: Set[str], write_at: float):
+    def _process(self, resource_keys: FrozenSet[str], write_at: float):
         """Simulated pipeline execution for one change."""
         span = self.tracer.start(
             "invalidation",

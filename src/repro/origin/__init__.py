@@ -3,13 +3,16 @@
 Models the backend the paper's Orestes middleware fronts: a versioned
 document store with a small predicate query engine, a resource/version
 registry that maps stored documents to the URLs whose content they
-determine, a declarative site description, and an HTTP server façade
-that renders responses with ETags and Cache-Control headers.
+determine, an InvaliDB-style query matcher, a declarative site
+description, and an HTTP server façade that renders responses with
+ETags and Cache-Control headers.
 
-Writes to the store flow through change listeners — that is where the
+The server resolves every store change to its affected resources once
+and hands that set to its change observers — that is where the
 invalidation pipeline (:mod:`repro.invalidation`) attaches.
 """
 
+from repro.origin.matcher import QueryMatcher
 from repro.origin.query import (
     And,
     Contains,
@@ -57,6 +60,7 @@ __all__ = [
     "PersonalizationKind",
     "Predicate",
     "Query",
+    "QueryMatcher",
     "ResourceKind",
     "ResourceSpec",
     "ResourceVersions",

@@ -2,21 +2,22 @@
 
 Renders site resources into responses with ETags, ``Content-Length``
 and ``Cache-Control`` headers, tracks ground-truth resource versions,
-and exposes a write API whose changes flow to store listeners (the
-invalidation pipeline) and bump the versions of affected resources —
-including *query* resources, which are matched InvaliDB-style against
-both the before- and after-image of every change.
+and exposes a write API. Every change is resolved once to the resources
+it affects — document dependents plus *query* resources, matched
+InvaliDB-style against both the before- and after-image — whose
+versions are bumped and whose affected set is handed to the change
+observers (the invalidation pipeline).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     List,
     Mapping,
     NamedTuple,
@@ -36,6 +37,7 @@ from repro.http.messages import (
     revalidates,
 )
 from repro.http.url import URL
+from repro.origin.matcher import QueryMatcher
 from repro.origin.query import Query
 from repro.origin.site import (
     PersonalizationKind,
@@ -56,6 +58,9 @@ TXN_VALIDATE_PATH = "/api/txn/validate"
 #: Signature of origin serve observers: (version_key, cache_key,
 #: response, now).
 ServeObserver = Callable[[str, str, "Response", float], None]
+
+#: Signature of origin change observers: (affected version keys, at).
+ChangeObserver = Callable[[FrozenSet[str], float], None]
 
 
 class TtlPolicy(Protocol):
@@ -187,8 +192,8 @@ class OriginServer:
         self.site = site
         self.ttl_policy: TtlPolicy = ttl_policy or StaticTtlPolicy()
         self.versions = ResourceVersions()
-        self._query_resources: Dict[str, Query] = {}
-        self._query_resources_view = MappingProxyType(self._query_resources)
+        # Every registered query resource, subscribed when first resolved.
+        self._matcher = QueryMatcher()
         self._renditions: Dict[str, Dict[Optional[str], Rendition]] = {}
         # (cache key, user id) -> version key: pure, so resolved once.
         self._version_keys: Dict[Tuple[str, Optional[str]], str] = {}
@@ -199,12 +204,11 @@ class OriginServer:
         # successful response — the Cache Sketch backend listens here to
         # learn which copies exist and until when they stay fresh.
         self.serve_observers: List[ServeObserver] = []
+        # Called with (affected version keys, at) for every change, the
+        # keys already bumped — the invalidation pipeline listens here
+        # to report, observe and purge exactly what changed.
+        self.change_observers: List[ChangeObserver] = []
         site.store.subscribe(self._on_change)
-
-    @property
-    def query_resources(self) -> Mapping[str, Query]:
-        """Registered query resources (version key → query), read-only."""
-        return self._query_resources_view
 
     @property
     def rendition_count(self) -> int:
@@ -268,22 +272,17 @@ class OriginServer:
         self.site.store.update(collection, doc_id, changes, at=at)
 
     def _on_change(self, event: ChangeEvent) -> None:
-        """Bump the version of every resource the change affects and
-        drop its renditions — one step, so present means current."""
-        affected = self.versions.bump_dependents(event.key, event.at)
-        for resource_key in sorted(self._query_resources):
-            query = self._query_resources[resource_key]
-            before_matches = event.before is not None and query.matches(
-                event.collection, event.before.data
-            )
-            after_matches = event.after is not None and query.matches(
-                event.collection, event.after.data
-            )
-            if before_matches or after_matches:
-                self.versions.bump(resource_key, event.at)
-                affected.add(resource_key)
-        for resource_key in affected:
+        """Resolve the change to its affected set — the one derivation —
+        bump each key once and drop its renditions in the same step (so
+        present means current), then hand the set to the observers."""
+        affected = self.versions.dependents_of(event.key)
+        affected |= self._matcher.affected_resources(event)
+        for resource_key in sorted(affected):
+            self.versions.bump(resource_key, event.at)
             self._renditions.pop(resource_key, None)
+        keys = frozenset(affected)
+        for observer in self.change_observers:
+            observer(keys, event.at)
 
     # -- read path -------------------------------------------------------------
 
@@ -524,7 +523,7 @@ class OriginServer:
             self.versions.depend(version_key, doc_key)
         query = spec.resolve_query(params)
         if query is not None:
-            self._query_resources.setdefault(version_key, query)
+            self._matcher.subscribe(version_key, query)
         if spec.kind is ResourceKind.QUERY and query is not None:
             return EngineReads((), (), query)
         return EngineReads(

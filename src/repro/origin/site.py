@@ -5,8 +5,7 @@ Each spec declares the resource's kind (static asset, rendered page,
 API document, query listing, personalized fragment), its degree of
 personalization, its payload size, and how to resolve the documents or
 query it is rendered from. The origin server uses this to render
-responses; the versioning registry and invalidation pipeline use it to
-know which URLs a document write affects.
+responses and to know which URLs a document write affects.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The store is the paper's "polyglot backend" reduced to semantics:
 documents live in named collections, every write bumps a per-document
-version, and registered listeners observe each change — which is how
-the invalidation pipeline and the Cache Sketch learn about writes.
+version, and registered listeners observe each change — the origin
+server, which resolves it to the resources it affects.
 
 Documents are held by a pluggable :mod:`repro.storage` engine keyed
 ``collection/doc_id`` (default: the in-memory engine), so the origin
@@ -157,12 +157,11 @@ class DocumentStore:
     def subscribe(self, listener: ChangeListener) -> None:
         """Register a listener called synchronously after each change.
 
-        A bound method is held weakly. Its object — the origin server,
-        the invalidation pipeline — reaches this store back through the
-        site it serves, so a strong reference here would close a cycle
-        and keep a finished world alive until a full collection. Its
-        owner keeps the object alive; once the object is gone, its
-        listener is skipped.
+        A bound method is held weakly. Its object — the origin server —
+        reaches this store back through the site it serves, so a strong
+        reference here would close a cycle and keep a finished world
+        alive until a full collection. Its owner keeps the object
+        alive; once the object is gone, its listener is skipped.
         """
         if isinstance(listener, MethodType):
             listener = weakref.WeakMethod(listener)

@@ -21,8 +21,6 @@ class ResourceVersions:
         self._history: Dict[str, List[Tuple[float, int]]] = {}
         # document key -> resource keys depending on it
         self._dependents: Dict[str, Set[str]] = {}
-        # resource key -> document keys it depends on (reverse index)
-        self._dependencies: Dict[str, Set[str]] = {}
 
     # -- registration ------------------------------------------------------
 
@@ -35,14 +33,10 @@ class ResourceVersions:
         """Record that ``resource_key`` is rendered from ``doc_key``."""
         self.register(resource_key)
         self._dependents.setdefault(doc_key, set()).add(resource_key)
-        self._dependencies.setdefault(resource_key, set()).add(doc_key)
 
     def dependents_of(self, doc_key: str) -> Set[str]:
         """Resources whose content a document write may change."""
         return set(self._dependents.get(doc_key, ()))
-
-    def dependencies_of(self, resource_key: str) -> Set[str]:
-        return set(self._dependencies.get(resource_key, ()))
 
     # -- version bookkeeping -------------------------------------------------
 
@@ -59,13 +53,6 @@ class ResourceVersions:
         new_version = last_version + 1
         history.append((at, new_version))
         return new_version
-
-    def bump_dependents(self, doc_key: str, at: float) -> Set[str]:
-        """Bump every resource depending on ``doc_key``; returns them."""
-        affected = self.dependents_of(doc_key)
-        for resource_key in sorted(affected):
-            self.bump(resource_key, at)
-        return affected
 
     def current(self, resource_key: str) -> int:
         """The latest version of a resource."""

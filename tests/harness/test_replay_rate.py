@@ -154,9 +154,9 @@ def test_time_scaled_preserves_none_knobs():
 
 
 def test_time_scaled_rejects_nonpositive():
-    spec = Spec(scenario=Scenario.SPEED_KIT, time_scale=-1.0)
+    # Refused at construction, before any copy is scaled.
     with pytest.raises(ValueError, match="positive"):
-        spec.time_scaled()
+        Spec(scenario=Scenario.SPEED_KIT, time_scale=-1.0).time_scaled()
 
 
 def test_runner_folds_time_scale_on_construction(workload):

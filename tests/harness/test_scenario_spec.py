@@ -50,6 +50,21 @@ def test_durations_must_be_finite_and_non_negative(build, knob, value):
         ({"n_regions": 0}, "n_regions"),
         ({"txn_retry_limit": -1}, "txn_retry_limit"),
         ({"scenario": Scenario.SPEED_KIT, "delta": 0.0}, "delta"),
+        # Contradictory pipeline latencies, on every scenario: the purge
+        # completes after detection.
+        ({"detection_latency": 0.5, "purge_latency": 0.1}, "purge_latency"),
+        (
+            {
+                "scenario": Scenario.SPEED_KIT,
+                "detection_latency": 0.5,
+                "purge_latency": 0.1,
+            },
+            "detection_latency",
+        ),
+        ({"time_scale": 0.0}, "time_scale"),
+        ({"time_scale": -2.0}, "time_scale"),
+        ({"time_scale": math.nan}, "time_scale"),
+        ({"time_scale": math.inf}, "time_scale"),
     ],
 )
 def test_out_of_range_knobs_are_named(knobs, names):
@@ -63,6 +78,7 @@ def test_boundary_values_are_accepted():
         Scenario.CLASSIC_CDN,
         delta=0.0,
         stale_if_error=0.0,
+        detection_latency=0.0,
         purge_latency=0.0,
         load_multiplier=1.0,
         n_regions=1,
@@ -75,5 +91,5 @@ def test_time_scaled_copies_are_validated_too():
     spec = ScenarioSpec(Scenario.SPEED_KIT, time_scale=0.5)
     assert spec.time_scaled().delta == 30.0
     spec.time_scale = math.nan
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="time_scale"):
         spec.time_scaled()

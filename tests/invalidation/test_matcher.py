@@ -1,7 +1,6 @@
 """Tests for the streaming query matcher."""
 
-from repro.invalidation import QueryMatcher
-from repro.origin import Document, Eq, Query
+from repro.origin import Document, Eq, Query, QueryMatcher
 from repro.origin.store import ChangeEvent
 
 
@@ -41,13 +40,6 @@ class TestSubscriptions:
         matcher.subscribe("r1", shoes_query())
         matcher.subscribe("r1", shoes_query())
         assert matcher.subscription_count() == 1
-
-    def test_unsubscribe(self):
-        matcher = QueryMatcher()
-        sub = matcher.subscribe("r1", shoes_query())
-        assert matcher.unsubscribe(sub)
-        assert not matcher.unsubscribe(sub)
-        assert matcher.subscription_count() == 0
 
 
 class TestMatching:

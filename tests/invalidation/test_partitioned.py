@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.invalidation import PartitionedMatcher, QueryMatcher
-from repro.origin import Document, Eq, Query
+from repro.invalidation import PartitionedMatcher
+from repro.origin import Document, Eq, Query, QueryMatcher
 from repro.origin.store import ChangeEvent
 
 
@@ -72,15 +72,6 @@ class TestEquivalence:
         grid = PartitionedMatcher(query_partitions=4)
         populate(grid, n_queries=25)
         assert grid.subscription_count() == 25
-
-    def test_unsubscribe(self):
-        grid = PartitionedMatcher(query_partitions=3)
-        sub = grid.subscribe("r", Query("products", Eq("category", "x")))
-        assert grid.unsubscribe(sub)
-        assert grid.subscription_count() == 0
-        assert grid.affected_resources(change("p1", {"category": "x"})) == (
-            set()
-        )
 
 
 class TestScaling:

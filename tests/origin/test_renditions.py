@@ -133,7 +133,7 @@ def render_from_scratch(server, request, now):
     fresh = OriginServer(server.site, ttl_policy=server.ttl_policy)
     try:
         fresh.versions = copy.deepcopy(server.versions)
-        fresh._query_resources.update(server._query_resources)
+        fresh._matcher = copy.deepcopy(server._matcher)
         return fresh.handle(request, now)
     finally:
         store._listeners.pop()  # the fresh server's, subscribed last

@@ -288,18 +288,35 @@ class TestTtlPolicy:
         assert resp.cache_control.stale_while_revalidate == 30.0
 
 
-class TestQueryRegistryIsReadOnly:
-    def test_view_is_live_but_cannot_be_mutated(self, server):
-        view = server.query_resources
-        assert dict(view) == {}
+class TestOneVersionPerChange:
+    def test_a_key_reached_twice_is_bumped_once(self, site):
+        # Rendered from products/1 *and* listing the shoes: one write to
+        # products/1 reaches it as a dependent and as a query match.
+        site.add_route(
+            ResourceSpec(
+                name="featured",
+                pattern="/featured",
+                kind=ResourceKind.PAGE,
+                doc_keys=lambda p: ["products/1"],
+                query=lambda p: Query("products", Eq("category", "shoes")),
+            )
+        )
+        server = OriginServer(site)
+        get(server, "/featured", now=0.0)
+        server.update("products", "1", {"price": 11}, at=1.0)
+        key = server.version_key_for(URL.parse("/featured"))
+        assert server.versions.history(key) == [(0.0, 1), (1.0, 2)]
+        assert get(server, "/featured", now=2.0).version == 2
+
+    def test_observers_get_each_affected_set_once(self, server):
+        seen = []
+        server.change_observers.append(lambda keys, at: seen.append((keys, at)))
+        get(server, "/product/1")
         get(server, "/category/shoes")
-        # The same view object, now showing the registration ...
-        assert server.query_resources is view
-        (key,) = view
-        assert view[key] == Query("products", Eq("category", "shoes"))
-        # ... and no way to edit the registry through it.
-        with pytest.raises(TypeError):
-            view["other"] = view[key]
-        with pytest.raises(TypeError):
-            del view[key]
-        assert not hasattr(view, "clear")
+        server.update("products", "1", {"price": 11}, at=5.0)
+        server.update("products", "2", {"price": 6}, at=6.0)  # still hats
+        affected = {
+            server.version_key_for(URL.parse(path))
+            for path in ("/product/1", "/category/shoes")
+        }
+        assert seen == [(frozenset(affected), 5.0), (frozenset(), 6.0)]

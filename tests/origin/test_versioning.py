@@ -48,26 +48,17 @@ class TestBumping:
 
 
 class TestDependencies:
-    def test_bump_dependents(self, versions):
-        versions.depend("page-a", "products/1")
-        versions.depend("page-b", "products/1")
-        versions.depend("page-c", "products/2")
-        affected = versions.bump_dependents("products/1", at=1.0)
-        assert affected == {"page-a", "page-b"}
-        assert versions.current("page-a") == 2
-        assert versions.current("page-c") == 1
-
     def test_dependency_reverse_index(self, versions):
-        versions.depend("page", "products/1")
-        versions.depend("page", "products/2")
-        assert versions.dependencies_of("page") == {
-            "products/1",
-            "products/2",
-        }
-        assert versions.dependents_of("products/1") == {"page"}
+        versions.depend("page-a", "products/1")
+        versions.depend("page-a", "products/2")
+        versions.depend("page-b", "products/1")
+        assert versions.dependents_of("products/1") == {"page-a", "page-b"}
+        assert versions.dependents_of("products/2") == {"page-a"}
+        # Depending registers the resource, and bumps nothing.
+        assert versions.current("page-a") == 1
 
     def test_no_dependents_is_empty(self, versions):
-        assert versions.bump_dependents("ghost/1", at=0.0) == set()
+        assert versions.dependents_of("ghost/1") == set()
 
 
 class TestHistory:

@@ -21,26 +21,37 @@ FORBIDDEN = {
     "cdn": SUBSYSTEMS,
     "storage": SUBSYSTEMS,
     "obs": SUBSYSTEMS,
+    # The origin derives every change's affected set and publishes it;
+    # the invalidation pipeline consumes it (and imports the origin).
+    "origin": {"invalidation"},
 }
 
 
+def imports_in(source):
+    """``repro.<x>`` packages ``source`` imports, function-level and
+    ``TYPE_CHECKING`` imports included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "repro" and len(parts) > 1:
+                found.add(parts[1])
+    return found
+
+
 def imported_packages(package):
-    """``repro.<x>`` packages imported anywhere under ``package``,
-    function-level and ``TYPE_CHECKING`` imports included."""
+    """``repro.<x>`` packages imported anywhere under ``package``."""
     found = {}
-    for path in (SRC / package).rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                assert node.level == 0, f"{path}: relative import"
-                names = [f"{node.module}.{alias.name}" for alias in node.names]
-            else:
-                continue
-            for name in names:
-                parts = name.split(".")
-                if parts[0] == "repro" and len(parts) > 1:
-                    found.setdefault(parts[1], path.relative_to(SRC))
+    for path in sorted((SRC / package).rglob("*.py")):
+        for name in imports_in(path.read_text(encoding="utf-8")):
+            found.setdefault(name, path.relative_to(SRC))
     return found
 
 
@@ -58,6 +69,19 @@ def test_no_upward_imports(package):
         if name in FORBIDDEN[package]
     }
     assert not upward, f"repro.{package} imports upward: {upward}"
+
+
+@pytest.mark.parametrize(
+    "reintroduced",
+    [
+        "from repro.invalidation.matcher import QueryMatcher",
+        "from repro.invalidation import QueryMatcher",
+        "def _on_change(self, event):\n"
+        "    from repro.invalidation.pipeline import InvalidationPipeline",
+    ],
+)
+def test_the_origin_gate_trips_on_importing_invalidation(reintroduced):
+    assert imports_in(reintroduced) & FORBIDDEN["origin"]
 
 
 # -- no capability probing -------------------------------------------------
@@ -427,3 +451,129 @@ def f(self, request, entry, span, read, kept):
     return entry.response.served(self.name)
 """
     assert not message_edits_in(honest, "speedkit/worker.py")
+
+
+# -- one affected set per change ---------------------------------------------
+#
+# A document change is resolved to the resources it affects once, in
+# ``OriginServer._on_change``: document dependents united with the query
+# matches. Versions, renditions, the Cache Sketch, the TTL estimator and
+# the CDN purge all consume that one set (``change_observers``), so no
+# second derivation can drift from the versions the checker judges by.
+# ``PartitionedMatcher`` (E14's grid) delegates to per-partition
+# matchers and is exempt by name. The store has one listener, the
+# origin; a store subscription takes one listener, where a matcher's
+# takes a key and a query, so the scan tells them apart by arity.
+
+#: Methods that derive (part of) an affected set.
+DERIVATIONS = {"dependents_of", "affected_resources"}
+#: The one place they are called: (file, qualified function).
+DERIVATION_SITE = ("origin/server.py", "OriginServer._on_change")
+STORE_SUBSCRIPTION_SITE = ("origin/server.py", "OriginServer.__init__")
+EXEMPT = "PartitionedMatcher"
+
+
+def _calls_in(source, relative, wanted):
+    """``(method, (relative, qualified function))`` of every call
+    ``wanted(call)`` accepts, outside the exempt class."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                inner = scope + (child.name,)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and EXEMPT not in scope
+                and wanted(child)
+            ):
+                found.append((child.func.attr, (relative, ".".join(scope))))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def derivations_in(source, relative):
+    return _calls_in(source, relative, lambda call: call.func.attr in DERIVATIONS)
+
+
+def store_subscriptions_in(source, relative):
+    return _calls_in(
+        source,
+        relative,
+        lambda call: call.func.attr == "subscribe"
+        and len(call.args) + len(call.keywords) == 1,
+    )
+
+
+def _tree_calls(scan):
+    return sorted(
+        found
+        for path in sorted(SRC.rglob("*.py"))
+        for found in scan(
+            path.read_text(encoding="utf-8"), path.relative_to(SRC).as_posix()
+        )
+    )
+
+
+def test_a_change_becomes_its_affected_set_once():
+    assert _tree_calls(derivations_in) == [
+        (name, DERIVATION_SITE) for name in sorted(DERIVATIONS)
+    ]
+
+
+def test_the_store_has_one_listener():
+    assert _tree_calls(store_subscriptions_in) == [
+        ("subscribe", STORE_SUBSCRIPTION_SITE)
+    ]
+
+
+def _in_pipeline(reintroduced):
+    body = "\n".join(f"        {line}" for line in reintroduced.split("\n"))
+    return f"class InvalidationPipeline:\n    def _on_change(self, event):\n{body}\n"
+
+
+@pytest.mark.parametrize(
+    "reintroduced",
+    [
+        "affected = self.versions.dependents_of(event.key)",
+        "affected |= self.matcher.affected_resources(event)",
+        "return self.server.versions.dependents_of(event.key) | (\n"
+        "    self.server._matcher.affected_resources(event)\n)",
+    ],
+)
+def test_the_derivation_gate_trips_on_a_second_derivation(reintroduced):
+    found = derivations_in(_in_pipeline(reintroduced), "invalidation/pipeline.py")
+    assert found and all(where != DERIVATION_SITE for _, where in found)
+
+
+@pytest.mark.parametrize(
+    "reintroduced",
+    [
+        "server.site.store.subscribe(self._on_change)",
+        "store = server.site.store\nstore.subscribe(listener=self._on_change)",
+    ],
+)
+def test_the_listener_gate_trips_on_a_second_store_subscription(reintroduced):
+    found = store_subscriptions_in(
+        _in_pipeline(reintroduced), "invalidation/pipeline.py"
+    )
+    assert found and all(where != STORE_SUBSCRIPTION_SITE for _, where in found)
+
+
+def test_the_affected_set_gates_let_the_grid_and_matchers_through():
+    honest = """
+class PartitionedMatcher:
+    def affected_resources(self, event):
+        return matcher.affected_resources(event)
+class OriginServer:
+    def _resolve_reads(self, version_key, query):
+        self._matcher.subscribe(version_key, query)
+"""
+    assert derivations_in(honest, "invalidation/partitioned.py") == []
+    assert store_subscriptions_in(honest, "origin/server.py") == []
