@@ -4,15 +4,23 @@ Uses the Kirsch–Mitzenmacher double-hashing scheme: two independent
 64-bit hashes ``h1``, ``h2`` derived from BLAKE2b expand into ``k``
 positions ``(h1 + i * h2) mod m``. Hashing is fully deterministic
 across processes and runs (no Python hash randomization).
+
+A filter is its wire bytes: bits packed big-endian, eight to a byte,
+bit ``p`` being ``0x80 >> (p % 8)`` of byte ``p // 8``, with the pad
+bits past ``bits`` zero. A filter being built holds a ``bytearray``; a
+flattened server filter holds immutable ``bytes``, because every client
+of that filter version shares it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import zlib
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Iterable, Tuple, Union
 
-import numpy as np
+from repro.sketch.sizing import positive_int
 
 
 def _base_hashes(key: str) -> Tuple[int, int]:
@@ -39,28 +47,38 @@ def index_positions(key: str, bits: int, hashes: int) -> Tuple[int, ...]:
     return tuple((h1 + i * h2) % bits for i in range(hashes))
 
 
+def popcount(packed: bytes) -> int:
+    """Set bits of a packed bit array."""
+    return int.from_bytes(packed, "big").bit_count()
+
+
 class BloomFilter:
     """A fixed-size bit array supporting add and membership tests."""
 
     def __init__(self, bits: int, hashes: int) -> None:
-        if bits <= 0:
-            raise ValueError(f"bits must be positive, got {bits}")
-        if hashes <= 0:
-            raise ValueError(f"hashes must be positive, got {hashes}")
-        self.bits = bits
-        self.hashes = hashes
-        self._array = np.zeros(bits, dtype=bool)
+        self.bits = positive_int("bits", bits)
+        self.hashes = positive_int("hashes", hashes)
+        self._packed: Union[bytearray, bytes] = bytearray((bits + 7) // 8)
         self.count = 0  # elements added (approximate if duplicates added)
+
+    def _writable(self) -> bytearray:
+        packed = self._packed
+        if isinstance(packed, bytes):
+            raise ValueError(
+                "a flattened filter is shared by every client of its "
+                "version and cannot be written to"
+            )
+        return packed
 
     def add(self, key: str) -> None:
         """Insert ``key``.
 
-        Raises ``ValueError`` on a flattened server filter, whose array
-        is read-only because every client of that version shares it.
+        Raises ``ValueError`` on a flattened server filter, whose bytes
+        are immutable because every client of that version shares them.
         """
-        array = self._array
+        packed = self._writable()
         for position in index_positions(key, self.bits, self.hashes):
-            array[position] = True
+            packed[position >> 3] |= 0x80 >> (position & 7)
         self.count += 1
 
     def update(self, keys: Iterable[str]) -> None:
@@ -68,17 +86,15 @@ class BloomFilter:
             self.add(key)
 
     def __contains__(self, key: str) -> bool:
-        # Position by position: a handful of scalar reads that stop at
-        # the first clear bit beat building a fancy-indexed array.
-        array = self._array
+        packed = self._packed
         for position in index_positions(key, self.bits, self.hashes):
-            if not array[position]:
+            if not packed[position >> 3] & (0x80 >> (position & 7)):
                 return False
         return True
 
     def bits_set(self) -> int:
         """Population count — number of set bits."""
-        return int(self._array.sum())
+        return popcount(self._packed)
 
     def fill_ratio(self) -> float:
         """Fraction of bits set (drives the observed FPR)."""
@@ -93,51 +109,58 @@ class BloomFilter:
         zero_fraction = 1.0 - self.fill_ratio()
         if zero_fraction <= 0.0:
             return float("inf")
-        return -(self.bits / self.hashes) * float(np.log(zero_fraction))
+        return -(self.bits / self.hashes) * math.log(zero_fraction)
 
     def union(self, other: "BloomFilter") -> "BloomFilter":
-        """Bitwise OR of two compatible filters."""
+        """Bitwise OR of two compatible filters, as a private writable
+        filter."""
         if (self.bits, self.hashes) != (other.bits, other.hashes):
             raise ValueError(
                 "cannot union filters with different parameters: "
                 f"({self.bits},{self.hashes}) vs ({other.bits},{other.hashes})"
             )
+        merged = int.from_bytes(self._packed, "big") | int.from_bytes(
+            other._packed, "big"
+        )
         result = BloomFilter(self.bits, self.hashes)
-        result._array = self._array | other._array
+        result._packed[:] = merged.to_bytes(len(self._packed), "big")
         result.count = self.count + other.count
         return result
 
     def copy(self) -> "BloomFilter":
+        """A private writable filter with the same bits."""
         clone = BloomFilter(self.bits, self.hashes)
-        clone._array = self._array.copy()
+        clone._packed[:] = self._packed
         clone.count = self.count
         return clone
 
     def clear(self) -> None:
-        self._array[:] = False
+        packed = self._writable()
+        packed[:] = bytes(len(packed))
         self.count = 0
 
     def is_empty(self) -> bool:
-        return not self._array.any()
+        return not any(self._packed)
 
     def to_bytes(self) -> bytes:
         """Serialized bit array (what clients download every Δ)."""
-        return np.packbits(self._array).tobytes()
+        return bytes(self._packed)
 
     @classmethod
     def from_bytes(cls, data: bytes, bits: int, hashes: int) -> "BloomFilter":
+        """A private writable filter over a copy of ``data``'s first
+        ``bits`` bits; the pad bits after them are cleared."""
         bf = cls(bits, hashes)
-        unpacked = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        if len(unpacked) < bits:
-            raise ValueError(
-                f"payload holds {len(unpacked)} bits, need {bits}"
-            )
-        bf._array = unpacked[:bits].astype(bool)
+        packed = bf._packed
+        if len(data) < len(packed):
+            raise ValueError(f"payload holds {8 * len(data)} bits, need {bits}")
+        packed[:] = data[: len(packed)]
+        packed[-1] &= (0xFF << (-bits % 8)) & 0xFF
         return bf
 
     def transfer_size_bytes(self) -> int:
         """Bytes on the wire for one sketch download (uncompressed)."""
-        return (self.bits + 7) // 8
+        return len(self._packed)
 
     def compressed_size_bytes(self) -> int:
         """Bytes on the wire with HTTP compression applied.
@@ -145,9 +168,7 @@ class BloomFilter:
         Sparse filters (the common case: few stale keys) compress very
         well; the production system ships the filter gzip-compressed.
         """
-        import zlib
-
-        return len(zlib.compress(self.to_bytes(), level=6))
+        return len(zlib.compress(self._packed, level=6))
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.sketch.bloom import BloomFilter
 from repro.sketch.counting import CountingBloomFilter
-from repro.sketch.sizing import optimal_parameters
+from repro.sketch.sizing import sketch_shape
 
 
 @dataclass
@@ -53,8 +53,7 @@ class ServerCacheSketch:
         bits: Optional[int] = None,
         hashes: Optional[int] = None,
     ) -> None:
-        if bits is None or hashes is None:
-            bits, hashes = optimal_parameters(capacity, target_fpr)
+        bits, hashes = sketch_shape(capacity, target_fpr, bits, hashes)
         self.filter = CountingBloomFilter(bits, hashes)
         # key -> latest absolute expiration among handed-out copies
         self._expirations: Dict[str, float] = {}

@@ -8,38 +8,42 @@ do; counters make deletion possible. Clients never see the counters:
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
-import numpy as np
+from repro.sketch.bloom import BloomFilter, index_positions, popcount
+from repro.sketch.sizing import positive_int
 
-from repro.sketch.bloom import BloomFilter, index_positions
+#: Counters saturate here rather than wrap; unreachable in practice.
+_MAX_COUNT = 0xFFFF
 
 
 class CountingBloomFilter:
-    """Bloom filter with per-position counters supporting removal."""
+    """Bloom filter with per-position counters supporting removal.
 
-    #: Counter dtype; saturating at 65535 is unreachable in practice.
-    _DTYPE = np.uint16
+    Beside the 16-bit counters it keeps the packed "count > 0" map, the
+    flattened filter's wire bytes, touched only when a counter moves
+    between 0 and 1: flattening is one copy of it.
+    """
 
     def __init__(self, bits: int, hashes: int) -> None:
-        if bits <= 0:
-            raise ValueError(f"bits must be positive, got {bits}")
-        if hashes <= 0:
-            raise ValueError(f"hashes must be positive, got {hashes}")
-        self.bits = bits
-        self.hashes = hashes
-        self._counts = np.zeros(bits, dtype=self._DTYPE)
+        self.bits = positive_int("bits", bits)
+        self.hashes = positive_int("hashes", hashes)
+        self._counts = array("H", [0]) * bits
+        self._nonzero = bytearray((bits + 7) // 8)
         self.count = 0  # net elements currently represented
         # The flattened filter of the current counters; every mutation
         # drops it, so present means current.
         self._flat: Optional[BloomFilter] = None
 
     def add(self, key: str) -> None:
-        positions = index_positions(key, self.bits, self.hashes)
-        maxed = int(np.iinfo(self._DTYPE).max)
-        for position in positions:
-            if self._counts[position] < maxed:
-                self._counts[position] += 1
+        counts = self._counts
+        for position in index_positions(key, self.bits, self.hashes):
+            count = counts[position]
+            if count == 0:
+                self._nonzero[position >> 3] |= 0x80 >> (position & 7)
+            if count < _MAX_COUNT:
+                counts[position] = count + 1
         self.count += 1
         self._flat = None
 
@@ -52,49 +56,56 @@ class CountingBloomFilter:
         common bug.)
         """
         positions = index_positions(key, self.bits, self.hashes)
-        if any(self._counts[position] == 0 for position in positions):
+        counts = self._counts
+        if not all(counts[position] for position in positions):
             raise KeyError(
                 f"removing {key!r} would underflow; it is not in the filter"
             )
         for position in positions:
-            self._counts[position] -= 1
+            count = counts[position] - 1
+            counts[position] = count
+            if count == 0:
+                self._nonzero[position >> 3] &= ~(0x80 >> (position & 7))
         self.count -= 1
         self._flat = None
 
     def __contains__(self, key: str) -> bool:
-        positions = index_positions(key, self.bits, self.hashes)
-        return all(self._counts[position] > 0 for position in positions)
+        counts = self._counts
+        for position in index_positions(key, self.bits, self.hashes):
+            if not counts[position]:
+                return False
+        return True
 
     def flatten(self) -> BloomFilter:
         """The plain Bloom filter clients download.
 
         One immutable filter per filter version: every caller between
-        two mutations gets the same object, whose array is a fresh
-        read-only copy (never a view of the counters), so no holder can
+        two mutations gets the same object, whose bytes are a copy of
+        the "count > 0" map (never the map itself), so no holder can
         change what another holder — or a later version — sees.
         """
         flat = self._flat
         if flat is None:
             flat = BloomFilter(self.bits, self.hashes)
-            flat._array = self._counts > 0
-            flat._array.flags.writeable = False
+            flat._packed = bytes(self._nonzero)
             flat.count = self.count
             self._flat = flat
         return flat
 
     def bits_set(self) -> int:
-        return int((self._counts > 0).sum())
+        return popcount(self._nonzero)
 
     def fill_ratio(self) -> float:
         return self.bits_set() / self.bits
 
     def clear(self) -> None:
-        self._counts[:] = 0
+        self._counts = array("H", [0]) * self.bits
+        self._nonzero = bytearray(len(self._nonzero))
         self.count = 0
         self._flat = None
 
     def is_empty(self) -> bool:
-        return not self._counts.any()
+        return not any(self._nonzero)
 
     def __repr__(self) -> str:
         return (

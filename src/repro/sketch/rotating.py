@@ -1,7 +1,8 @@
 """Rotating Bloom filter: the counting-free server sketch alternative.
 
-A counting Bloom filter supports exact deletion but costs 16× the
-memory of a plain filter and requires precise removal scheduling. The
+A counting Bloom filter supports exact deletion but costs 17× the
+memory of a plain filter (a 16-bit counter beside each bit) and
+requires precise removal scheduling. The
 rotating design avoids both: time is cut into windows of width
 ``window``; additions go into the current window's *plain* filter, and
 membership is the union of the last ``ceil(horizon / window) + 1``
@@ -22,7 +23,7 @@ from typing import Deque, Optional, Tuple
 
 from repro.sketch.bloom import BloomFilter
 from repro.sketch.cache_sketch import ClientCacheSketch
-from repro.sketch.sizing import optimal_parameters
+from repro.sketch.sizing import sketch_shape
 
 
 class RotatingCacheSketch:
@@ -43,10 +44,7 @@ class RotatingCacheSketch:
         self.window = float(window) if window is not None else self.horizon
         if self.window <= 0:
             raise ValueError(f"window must be positive: {self.window}")
-        if bits is None or hashes is None:
-            bits, hashes = optimal_parameters(capacity, target_fpr)
-        self.bits = bits
-        self.hashes = hashes
+        self.bits, self.hashes = sketch_shape(capacity, target_fpr, bits, hashes)
         #: Number of windows that together cover the horizon (plus the
         #: partially-filled current one).
         self.window_count = math.ceil(self.horizon / self.window) + 1

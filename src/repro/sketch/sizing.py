@@ -10,7 +10,31 @@ For ``n`` expected elements and target false-positive rate ``p``:
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Optional, Tuple
+
+
+def positive_int(name: str, value: object) -> int:
+    """``value`` if it is a positive ``int``; a ``bool``, a float (``inf``
+    and ``64.5`` included) or anything else is refused by ``name``."""
+    if type(value) is bool or not isinstance(value, int) or value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def sketch_shape(
+    capacity: int,
+    target_fpr: float,
+    bits: Optional[int],
+    hashes: Optional[int],
+) -> Tuple[int, int]:
+    """A server sketch's ``(bits, hashes)``: as given, or sized for
+    ``capacity`` keys at ``target_fpr`` when neither is given."""
+    positive_int("capacity", capacity)
+    if bits is None and hashes is None:
+        return optimal_parameters(capacity, target_fpr)
+    if bits is None or hashes is None:
+        raise ValueError("bits and hashes are given together or not at all")
+    return positive_int("bits", bits), positive_int("hashes", hashes)
 
 
 def optimal_bits(n: int, p: float) -> int:

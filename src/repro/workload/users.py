@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, List, Tuple
 
 
 @dataclass
@@ -85,24 +87,32 @@ class UserPopulation:
         return [user.attributes for user in self.users]
 
 
-def _pick(mix: Tuple[Tuple[str, float], ...], rng: random.Random) -> str:
+def _sampler(mix: Tuple[Tuple[str, float], ...]) -> Callable[[random.Random], str]:
+    """Draws from ``mix`` exactly as ``rng.choices(names, weights=...)``
+    does (one ``random()`` call, one bisection), with the cumulative
+    weights built once instead of on every draw."""
     names = [name for name, _ in mix]
-    weights = [weight for _, weight in mix]
-    return rng.choices(names, weights=weights, k=1)[0]
+    cum_weights = list(accumulate(weight for _, weight in mix))
+    total = cum_weights[-1] + 0.0
+    hi = len(names) - 1
+    return lambda rng: names[bisect(cum_weights, rng.random() * total, 0, hi)]
 
 
 def generate_users(
     config: UserPopulationConfig, rng: random.Random
 ) -> UserPopulation:
     """Generate the population deterministically from ``rng``."""
+    tier = _sampler(config.tier_mix)
+    locale = _sampler(config.locale_mix)
+    connection = _sampler(config.connection_mix)
     users = []
     for index in range(config.n_users):
         users.append(
             User(
                 user_id=f"u{index}",
-                tier=_pick(config.tier_mix, rng),
-                locale=_pick(config.locale_mix, rng),
-                connection=_pick(config.connection_mix, rng),
+                tier=tier(rng),
+                locale=locale(rng),
+                connection=connection(rng),
                 logged_in=rng.random() < config.logged_in_fraction,
                 consents=rng.random() < config.consent_fraction,
             )

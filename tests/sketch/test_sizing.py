@@ -7,6 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sketch import (
+    BloomFilter,
+    CountingBloomFilter,
+    RotatingCacheSketch,
+    ServerCacheSketch,
     expected_fpr,
     optimal_bits,
     optimal_hashes,
@@ -72,3 +76,43 @@ def test_asymptotic_formula_agreement():
     m, k, n = 100_000, 5, 10_000
     approx = (1 - math.exp(-k * n / m)) ** k
     assert expected_fpr(m, k, n) == pytest.approx(approx, rel=0.01)
+
+
+def make_sketch(cls, **shape):
+    """A server sketch of ``cls``; the filter whose shape it took."""
+    sketch = cls(horizon=60.0, **shape) if cls is RotatingCacheSketch else cls(**shape)
+    return sketch.filter if cls is ServerCacheSketch else sketch
+
+
+class TestHostileSizing:
+    """Sizes are positive ``int``s, refused by name at the constructor,
+    never an ``OverflowError`` or a ``TypeError`` from deep inside."""
+
+    NOT_SIZES = [0, -3, 64.5, 8.0, math.inf, math.nan, True, False, "64", None]
+
+    @pytest.mark.parametrize("cls", [BloomFilter, CountingBloomFilter])
+    @pytest.mark.parametrize("value", NOT_SIZES, ids=repr)
+    @pytest.mark.parametrize("field", ["bits", "hashes"])
+    def test_filters_take_positive_ints_only(self, cls, value, field):
+        shape = {"bits": 64, "hashes": 3, field: value}
+        with pytest.raises(ValueError, match=field):
+            cls(**shape)
+
+    @pytest.mark.parametrize("cls", [ServerCacheSketch, RotatingCacheSketch])
+    @pytest.mark.parametrize("value", NOT_SIZES[:-1], ids=repr)
+    @pytest.mark.parametrize("field", ["capacity", "bits", "hashes"])
+    def test_sketches_take_positive_ints_only(self, cls, value, field):
+        shape = {"capacity": 100, "bits": 64, "hashes": 3, field: value}
+        with pytest.raises(ValueError, match=field):
+            make_sketch(cls, **shape)
+
+    @pytest.mark.parametrize("cls", [ServerCacheSketch, RotatingCacheSketch])
+    def test_half_a_shape_is_refused(self, cls):
+        for shape in ({"bits": 64}, {"hashes": 3}):
+            with pytest.raises(ValueError, match="together"):
+                make_sketch(cls, **shape)
+
+    @pytest.mark.parametrize("cls", [ServerCacheSketch, RotatingCacheSketch])
+    def test_honest_shapes_still_build(self, cls):
+        assert make_sketch(cls, capacity=100).bits == optimal_bits(100, 0.05)
+        assert make_sketch(cls, bits=64, hashes=3).hashes == 3

@@ -1,25 +1,27 @@
 """The sharing oracle: one immutable snapshot per filter version.
 
 ``CountingBloomFilter.flatten`` hands every caller between two
-mutations the same read-only :class:`BloomFilter`. Three claims, each
-checked against a memo-free reference (``_counts > 0`` copied at that
-instant, probed through a BLAKE2b computation written out here, not
-through ``index_positions``):
+mutations the same :class:`BloomFilter` over immutable ``bytes``. Three
+claims, each checked against a memo-free reference (the counters'
+``count > 0`` bits packed at that instant, probed through a BLAKE2b
+computation written out here, not through ``index_positions``):
 
 (a) every snapshot's membership equals the reference taken when it was
     taken — and *stays* equal under any later server mutation (a view of
     the counters, or a missed invalidation, breaks this);
 (b) two snapshots with no filter mutation between them share one filter
     object, each under its own ``generated_at``;
-(c) a snapshot cannot be written to.
+(c) a snapshot cannot be written to: its bytes refuse item assignment
+    (``TypeError``) and ``add`` refuses (``ValueError``).
 
 :class:`TestTheGateTrips` shows the oracle has teeth: with the
-invalidation in ``remove`` disabled it fails.
+invalidation in ``remove`` disabled it fails, and so it does when every
+snapshot shares one live ``bytearray``.
 """
 
 import hashlib
+import operator
 
-import numpy as np
 import pytest
 from hypothesis import Phase, settings
 from hypothesis import strategies as st
@@ -50,15 +52,29 @@ def direct_positions(key, bits, hashes):
 
 
 def reference_bits(counting):
-    """A memo-free flatten: a private copy of ``_counts > 0``."""
-    return (counting._counts > 0).copy()
+    """A memo-free flatten: the counters' ``count > 0`` bits, packed
+    big-endian with zero pad bits (the wire layout)."""
+    digits = "".join("1" if count else "0" for count in counting._counts)
+    pad = -counting.bits % 8
+    return int(digits + "0" * pad, 2).to_bytes((counting.bits + pad) // 8, "big")
 
 
-def membership(bits):
+def membership(packed):
     return {
-        key: all(bits[p] for p in direct_positions(key, BITS, HASHES))
+        key: all(
+            packed[p // 8] & (0x80 >> (p % 8))
+            for p in direct_positions(key, BITS, HASHES)
+        )
         for key in PROBES
     }
+
+
+def refuses(write, error):
+    try:
+        write()
+    except error:
+        return True
+    return False
 
 
 def keep_flattened_filter_across_remove(monkeypatch):
@@ -123,18 +139,13 @@ class SnapshotMachine(RuleBasedStateMachine):
         snapshot = self.sketch.snapshot(self.now)
         counting = self.sketch.filter
         assert snapshot.generated_at == self.now
-        assert membership(snapshot.filter._array) == membership(
-            reference_bits(counting)
-        )
+        packed = snapshot.filter._packed
+        assert packed == reference_bits(counting)
         if self.taken and self.taken[-1][2] == counting.mutations:
             assert snapshot.filter is self.taken[-1][0].filter
-        with pytest.raises(ValueError):
-            snapshot.filter._array[0] = True
-        with pytest.raises(ValueError):
-            snapshot.filter.add(KEYS[0])
-        self.taken.append(
-            (snapshot, membership(snapshot.filter._array), counting.mutations)
-        )
+        assert refuses(lambda: operator.setitem(packed, 0, 0xFF), TypeError)
+        assert refuses(lambda: snapshot.filter.add(KEYS[0]), ValueError)
+        self.taken.append((snapshot, membership(packed), counting.mutations))
 
     @invariant()
     def every_snapshot_still_says_what_it_said(self):
@@ -162,20 +173,17 @@ class TestTheGateTrips:
             run_state_machine_as_test(SnapshotMachine, settings=_FIND_ONLY)
 
     def test_a_view_of_live_state_fails_the_oracle(self, monkeypatch):
-        """The other way to get it wrong: snapshots that alias one
-        array the server keeps updating (read-only to its holders, as a
-        view would be)."""
+        """The other way to get it wrong: every snapshot holds one live
+        ``bytearray`` the server keeps updating."""
         flatten = CountingBloomFilter.flatten
 
         def flatten_aliasing(self):
             flat = flatten(self)
             live = self.__dict__.setdefault(
-                "_live_bits", np.zeros(self.bits, dtype=bool)
+                "_live_bits", bytearray(len(flat._packed))
             )
-            live.flags.writeable = True
-            live[:] = self._counts > 0
-            live.flags.writeable = False
-            flat._array = live
+            live[:] = self._nonzero
+            flat._packed = live
             return flat
 
         monkeypatch.setattr(CountingBloomFilter, "flatten", flatten_aliasing)

@@ -7,6 +7,10 @@ sit below the subsystems that use them, so none of them may reach
 """
 
 import ast
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -577,3 +581,96 @@ class OriginServer:
 """
     assert derivations_in(honest, "invalidation/partitioned.py") == []
     assert store_subscriptions_in(honest, "origin/server.py") == []
+
+
+# -- the runtime is the standard library -------------------------------------
+#
+# The Cache Sketch is its packed wire bytes (``bytes`` / ``bytearray``),
+# which was numpy's one use: ``src/repro`` imports only the standard
+# library and itself, and importing the CLI and the harness leaves numpy
+# out of ``sys.modules``. Each mutant re-adds ``import numpy`` to a copy
+# of the tree; both checks must catch it.
+
+RUNTIME_OK = set(sys.stdlib_module_names) | {"repro", "__future__"}
+NUMPY_MUTANTS = ["sketch/bloom.py", "sketch/counting.py", "harness/runner.py"]
+
+
+def foreign_imports_in(source):
+    """Top-level modules ``source`` imports from outside the standard
+    library and ``repro``, function-level imports included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found |= {name.split(".")[0] for name in names} - RUNTIME_OK
+    return found
+
+
+def foreign_imports_under(root):
+    return {
+        path.relative_to(root).as_posix(): found
+        for path in sorted(root.rglob("*.py"))
+        for found in [foreign_imports_in(path.read_text(encoding="utf-8"))]
+        if found
+    }
+
+
+def numpy_loaded_by_importing(root):
+    """Whether ``import repro.cli, repro.harness`` from the package at
+    ``root`` puts numpy in ``sys.modules``. An empty stand-in ``numpy``
+    shadows any installed one, so the check needs no numpy installed."""
+    stand_in = root.parent / "stand-in"
+    (stand_in / "numpy").mkdir(parents=True, exist_ok=True)
+    (stand_in / "numpy" / "__init__.py").touch()
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(stand_in), str(root.parent)]),
+    }
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli, repro.harness; "
+            "assert repro.__file__.startswith(sys.argv[1]), repro.__file__; "
+            "print('numpy' in sys.modules)",
+            str(root),
+        ],
+        cwd=root.parent,
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout.split() == ["True"]
+
+
+def test_src_imports_only_the_standard_library():
+    assert foreign_imports_under(SRC) == {}
+
+
+def test_importing_the_cli_and_harness_leaves_numpy_out(tmp_path):
+    tree = tmp_path / "src" / "repro"
+    shutil.copytree(SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    assert not numpy_loaded_by_importing(tree)
+
+
+@pytest.mark.parametrize("relative", NUMPY_MUTANTS)
+def test_the_runtime_gates_trip_on_a_re_added_numpy_import(tmp_path, relative):
+    tree = tmp_path / "src" / "repro"
+    shutil.copytree(SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tree / relative, "a", encoding="utf-8") as module:
+        module.write("\nimport numpy as np\n")
+    assert foreign_imports_under(tree) == {relative: {"numpy"}}
+    assert numpy_loaded_by_importing(tree)
+
+
+@pytest.mark.parametrize(
+    "reintroduced",
+    ["from numpy import packbits", "def f():\n    import numpy.linalg"],
+)
+def test_the_import_gate_sees_every_spelling(reintroduced):
+    assert foreign_imports_in(reintroduced) == {"numpy"}

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.workload import UserPopulationConfig, generate_users
+from repro.workload.users import User
 
 
 def test_config_validation():
@@ -57,3 +60,56 @@ def test_sample_draws_members():
     )
     rng = random.Random(5)
     assert population.sample(rng) in population.users
+
+
+def reference_users(config, rng):
+    """The population drawn with ``rng.choices(..., weights=...)``
+    inline, cumulative weights rebuilt on every draw."""
+
+    def pick(mix):
+        names = [name for name, _ in mix]
+        return rng.choices(names, weights=[w for _, w in mix], k=1)[0]
+
+    return [
+        User(
+            user_id=f"u{index}",
+            tier=pick(config.tier_mix),
+            locale=pick(config.locale_mix),
+            connection=pick(config.connection_mix),
+            logged_in=rng.random() < config.logged_in_fraction,
+            consents=rng.random() < config.consent_fraction,
+        )
+        for index in range(config.n_users)
+    ]
+
+
+@st.composite
+def mixes(draw):
+    """A valid mix: distinct names, non-negative weights summing to 1."""
+    weights = draw(
+        st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=1, max_size=6)
+    )
+    assume(sum(weights) > 0.0)
+    total = sum(weights)
+    return tuple((f"m{i}", weight / total) for i, weight in enumerate(weights))
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    n_users=st.integers(1, 40),
+    tier_mix=mixes(),
+    locale_mix=mixes(),
+    connection_mix=mixes(),
+)
+@settings(max_examples=100, deadline=None)
+def test_sampler_draws_what_choices_draws(
+    seed, n_users, tier_mix, locale_mix, connection_mix
+):
+    config = UserPopulationConfig(
+        n_users=n_users,
+        tier_mix=tier_mix,
+        locale_mix=locale_mix,
+        connection_mix=connection_mix,
+    )
+    expected = reference_users(config, random.Random(seed))
+    assert generate_users(config, random.Random(seed)).users == expected
