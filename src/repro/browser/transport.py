@@ -46,7 +46,7 @@ from repro.origin.server import TXN_VALIDATE_PATH, OriginServer
 from repro.overload.priority import classify_request
 from repro.sim.environment import Environment
 from repro.simnet.faults import NO_FAULTS, FaultSchedule
-from repro.simnet.topology import Topology
+from repro.simnet.topology import ORIGIN_NODE, Topology
 
 #: How long a sender waits out a lost message when no retry policy is
 #: configured (one attempt, then give up with a synthesized 503).
@@ -80,7 +80,6 @@ class Transport:
         topology: Topology,
         origin_server: OriginServer,
         rng: random.Random,
-        origin_node: str = "origin",
         faults: FaultSchedule = NO_FAULTS,
         metrics=None,
         retry=None,
@@ -93,7 +92,6 @@ class Transport:
         self.topology = topology
         self.origin_server = origin_server
         self.rng = rng
-        self.origin_node = origin_node
         self.faults = faults
         self.metrics = metrics
         self.retry = retry
@@ -140,12 +138,12 @@ class Transport:
 
     def _origin_handle(self, request: Request) -> Response:
         """Let the origin answer — unless it is down (or browned out)."""
-        if self.faults.should_fail(self.origin_node, self.env.now):
+        if self.faults.should_fail(ORIGIN_NODE, self.env.now):
             return Response(
                 status=Status.SERVICE_UNAVAILABLE,
                 headers=Headers({"Cache-Control": "no-store"}),
                 url=request.url,
-                served_by=self.origin_node,
+                served_by=ORIGIN_NODE,
                 generated_at=self.env.now,
             )
         return self.origin_server.handle(request, self.env.now)
@@ -195,15 +193,15 @@ class Transport:
         sender waits out ``attempt_timeout`` (measured from send) and
         declares the attempt dead.
         """
-        link = self.topology.link(from_node, self.origin_node)
-        if self.faults.loses_message(from_node, self.origin_node):
+        link = self.topology.link(from_node, ORIGIN_NODE)
+        if self.faults.loses_message(from_node, ORIGIN_NODE):
             self._count("transport.lost_requests")
             span.event("lost-request", at=self.env.now)
             yield self.env.timeout(attempt_timeout)
             return None
         forward = self.topology.one_way(
-            from_node, self.origin_node, self.rng
-        ) * self.faults.latency_factor(from_node, self.origin_node)
+            from_node, ORIGIN_NODE, self.rng
+        ) * self.faults.latency_factor(from_node, ORIGIN_NODE)
         yield self.env.timeout(forward)
         governor = self._origin_governor()
         if governor is not None:
@@ -217,12 +215,12 @@ class Transport:
                 span.event("shed", at=self.env.now)
                 yield self.env.timeout(
                     link.one_way(self.rng)
-                    * self.faults.latency_factor(self.origin_node, from_node)
+                    * self.faults.latency_factor(ORIGIN_NODE, from_node)
                 )
-                return self._shed_response(request, self.origin_node)
+                return self._shed_response(request, ORIGIN_NODE)
         response = self._origin_handle(request)
         self._count_bytes("origin_egress", response)
-        if self.faults.loses_message(self.origin_node, from_node):
+        if self.faults.loses_message(ORIGIN_NODE, from_node):
             # The origin did the work (and sent the bytes), but the
             # reply never arrives; the sender times out the remainder.
             self._count("transport.lost_responses")
@@ -230,7 +228,7 @@ class Transport:
             yield self.env.timeout(max(0.0, attempt_timeout - forward))
             return None
         transit = link.one_way(self.rng) * self.faults.latency_factor(
-            self.origin_node, from_node
+            ORIGIN_NODE, from_node
         ) + link.transfer_time(response.content_length or 0)
         # Store latency may overlap with the response transit: the
         # origin's storage round trips and the return leg run
@@ -257,7 +255,7 @@ class Transport:
             "origin",
             self.env.now,
             parent=parent if parent is not None else request.trace,
-            node=self.origin_node,
+            node=ORIGIN_NODE,
             tier="origin",
             sender=from_node,
         )

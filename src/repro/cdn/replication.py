@@ -16,8 +16,8 @@ replica whose send instant precedes the purge. What remains is a
 bounded race — a PoP may admit a just-superseded response (the classic
 in-flight origin-fetch window) and replicate it, so siblings can serve
 it for up to one propagation delay longer than the source. Coherence
-accounting above widens the Δ bound by exactly that delay (see
-``SimulationRunner._checker_delta``).
+accounting above widens the Δ bound by exactly that delay (the
+``async_propagation`` term of ``ScenarioSpec.delta_terms``).
 
 Only shared-cache (anonymous / segment-variant) entries ever reach a
 PoP store, so replicating them to siblings moves no user-identifying

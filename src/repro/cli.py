@@ -312,9 +312,6 @@ def _spec_from_args(args, **overrides) -> ScenarioSpec:
     from repro.faults import FaultProfile, RetryPolicy
     from repro.overload import OVERLOAD_PROFILES
 
-    if (args.admission or args.autoscale) and args.overload_profile is None:
-        flag = "--admission" if args.admission else "--autoscale"
-        raise ValueError(f"{flag} requires --overload-profile")
     backend = fault_profile = retry = overload_profile = None
     tuning = _given(
         kind=args.backend,

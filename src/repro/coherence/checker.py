@@ -95,12 +95,15 @@ class DeltaAtomicityChecker:
         delta: float,
         metrics: Optional[MetricRegistry] = None,
         staleness_metric: str = "coherence.staleness",
+        terms: Tuple[Tuple[str, float], ...] = (),
     ) -> None:
         """``staleness_metric`` names the histogram this checker's
         staleness distribution goes to. Counts of two checkers on one
         registry add up (``coherence.stale_reads`` spans every checked
         read); distributions do not, so a checker of a population with
-        a different promise observes into a histogram of its own."""
+        a different promise observes into a histogram of its own.
+        ``terms`` are the ``(name, seconds)`` that sum to ``delta``
+        (``ScenarioSpec.delta_terms``): a violation report names them."""
         # NaN fails this test too: ``staleness > nan`` is never true,
         # so a NaN bound would silently judge nothing. ``inf`` is legal
         # (record without judging).
@@ -108,6 +111,7 @@ class DeltaAtomicityChecker:
             raise ValueError(f"delta must be non-negative: {delta}")
         self.server = server
         self.delta = delta
+        self.terms = terms
         self.metrics = metrics or MetricRegistry()
         self.staleness_metric = staleness_metric
         self.violations: List[ReadRecord] = []
@@ -178,9 +182,13 @@ class DeltaAtomicityChecker:
         """Raise if any read violated the Δ bound (for tests)."""
         if self.violations:
             worst = max(self.violations, key=lambda r: r.staleness)
+            composed = " + ".join(
+                f"{name} {seconds}" for name, seconds in self.terms
+            )
             raise AssertionError(
                 f"{len(self.violations)} of {self.read_count} reads "
-                f"violated Δ-atomicity (Δ={self.delta}); worst: "
+                f"violated Δ-atomicity (Δ={self.delta}"
+                f"{' = ' + composed if composed else ''}); worst: "
                 f"{worst.resource_key} v{worst.version} read at "
                 f"{worst.read_at:.3f} with staleness {worst.staleness:.3f}"
             )

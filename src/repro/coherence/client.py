@@ -17,7 +17,7 @@ from repro.obs.tracer import NOOP_TRACER
 from repro.sim.environment import Environment
 from repro.sim.metrics import MetricRegistry
 from repro.simnet.faults import NO_FAULTS, FaultSchedule
-from repro.simnet.topology import Topology
+from repro.simnet.topology import ORIGIN_NODE, Topology
 from repro.sketch.cache_sketch import ClientCacheSketch, ServerCacheSketch
 
 
@@ -41,7 +41,6 @@ class SketchClient:
         client_node: str,
         rng: random.Random,
         refresh_interval: float = 60.0,
-        sketch_node: str = "origin",
         faults: FaultSchedule = NO_FAULTS,
         metrics: Optional[MetricRegistry] = None,
         tracer=None,
@@ -54,7 +53,6 @@ class SketchClient:
         self.server_sketch = server_sketch
         self.topology = topology
         self.client_node = client_node
-        self.sketch_node = sketch_node
         self.rng = rng
         self.refresh_interval = refresh_interval
         self.faults = faults
@@ -102,19 +100,19 @@ class SketchClient:
             "sketch-fetch",
             started,
             parent=parent,
-            node=self.sketch_node,
+            node=ORIGIN_NODE,
             tier="sketch",
         )
         yield self.env.timeout(
-            self.topology.one_way(self.client_node, self.sketch_node, self.rng)
+            self.topology.one_way(self.client_node, ORIGIN_NODE, self.rng)
         )
-        if self.faults.is_down(self.sketch_node, self.env.now):
+        if self.faults.is_down(ORIGIN_NODE, self.env.now):
             self.stats.failures += 1
             span.set(outcome="unreachable")
             self.tracer.finish(span, self.env.now)
             return None
         snapshot = self.server_sketch.snapshot(self.env.now)
-        link = self.topology.link(self.client_node, self.sketch_node)
+        link = self.topology.link(self.client_node, ORIGIN_NODE)
         size = snapshot.transfer_size_bytes()
         yield self.env.timeout(
             link.one_way(self.rng) + link.transfer_time(size)

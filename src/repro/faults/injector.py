@@ -23,6 +23,7 @@ from typing import Sequence
 
 from repro.faults.profiles import FaultProfile
 from repro.simnet.faults import FaultSchedule
+from repro.simnet.topology import ORIGIN_NODE
 
 #: Decorrelates the decision stream from the window-placement stream.
 _DECISION_SALT = 0x5EED_FA17
@@ -75,7 +76,7 @@ class FaultInjector(FaultSchedule):
             profile.origin_outage_fraction,
             profile.origin_outage_count,
         ):
-            self.add_outage("origin", start, end)
+            self.add_outage(ORIGIN_NODE, start, end)
         affected = sorted(pop_names)[: profile.pops_affected]
         for pop in affected:
             for start, end in _draw_windows(
@@ -94,7 +95,7 @@ class FaultInjector(FaultSchedule):
         """
         if self.is_down(node, at):
             return True
-        if node == "origin" and self.profile.origin_brownout_rate > 0:
+        if node == ORIGIN_NODE and self.profile.origin_brownout_rate > 0:
             return (
                 self._decisions.random() < self.profile.origin_brownout_rate
             )

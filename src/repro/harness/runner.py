@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.baselines.clients import CookieJarFetcher, NoCacheClient
@@ -26,6 +27,7 @@ from repro.sim.metrics import Counter
 from repro.sim.rng import RngStreams
 from repro.simnet.faults import NO_FAULTS, FaultSchedule
 from repro.simnet.profiles import build_web_topology
+from repro.simnet.topology import ORIGIN_NODE
 from repro.sketch.cache_sketch import ServerCacheSketch
 from repro.speedkit.config import SpeedKitConfig
 from repro.speedkit.gdpr import ConsentManager, PiiVault
@@ -56,13 +58,6 @@ from repro.workload.trace import (
     WorkloadTrace,
 )
 from repro.workload.users import User, UserPopulation
-
-#: Checker slack for in-flight delivery: a response can be one network
-#: transit old by the time the client records the read (an edge may
-#: serve a copy that a concurrent write supersedes while the bytes are
-#: on the wire). One second generously covers the slowest modeled link.
-_SLACK = 1.0
-
 
 @dataclass
 class _ClientStack:
@@ -151,92 +146,6 @@ class SimulationRunner:
             return AdaptiveTtlPolicy()
         return StaticTtlPolicy(overrides=overrides)
 
-    def _async_propagation_slack(self) -> float:
-        """Extra staleness budget opened by asynchronous propagation.
-
-        Two knobs defer remotely-visible effects past their
-        acknowledgement, and each widens the Δ bound by its worst-case
-        lag:
-
-        * a **write-behind** storage engine acknowledges a purge's
-          removal before the background flusher applies it to the
-          wrapped store (local readers are covered by the overlay, but
-          the remote copy lives up to ``flush_interval`` longer);
-        * **async PoP replication** can have a just-superseded replica
-          in flight when the purge lands; the purge cancels replicas
-          sent before it, but a copy admitted during the in-flight
-          origin-fetch window may replicate afterwards and serve for up
-          to one ``replication_delay`` longer than its source.
-        """
-        slack = 0.0
-        backend = self.spec.backend
-        if backend is not None and backend.kind == "write-behind":
-            slack += backend.flush_interval
-        if self.spec.replicate_pops:
-            slack += self.spec.replication_delay
-        return slack
-
-    def _stale_if_error_grace(self) -> float:
-        """Extra staleness budget opened by bounded stale-if-error.
-
-        A degraded serving re-issues a copy *verified current* within
-        the grace window, so its version staleness exceeds the normal
-        bound by at most that window. (Unbounded offline-mode servings
-        are excluded from checking instead.)
-        """
-        return self.spec.stale_if_error or 0.0
-
-    def _overload_queue_slack(self) -> float:
-        """Extra staleness budget opened by governed queueing.
-
-        Delivery delay is staleness to the checker: a response that
-        sat in a governor queue is recorded at its delayed arrival.
-        With admission control on, bounded queues bound that delay
-        (:meth:`OverloadProfile.queue_delay_bound`); with admission
-        off the FIFO is unbounded, so — exactly like the
-        expiration-based stacks below — the checker records staleness
-        without judging violations.
-        """
-        profile = self.spec.overload_profile
-        if profile is None:
-            return 0.0
-        if not self.spec.admission:
-            return float("inf")
-        return profile.queue_delay_bound()
-
-    def _checker_delta(self) -> float:
-        scenario = self.spec.scenario
-        if scenario in (
-            Scenario.SPEED_KIT,
-            Scenario.SPEED_KIT_NO_SEGMENTS,
-        ):
-            bound = self.spec.delta + self.spec.purge_latency + _SLACK
-            if self.spec.stale_while_revalidate:
-                # SWR's bound is the verification-age budget (plus the
-                # purge window, during which a 304 restamp may verify
-                # against a not-yet-purged edge copy).
-                bound = max(
-                    bound,
-                    2 * self.spec.delta
-                    + self.spec.purge_latency
-                    + _SLACK,
-                )
-        elif scenario is Scenario.SPEED_KIT_SKETCH_ONLY:
-            # Without purges, edges serve (and 304-confirm) stale copies
-            # until shared expiry: the bound degrades by the TTL.
-            bound = self.spec.delta + self.spec.page_ttl + _SLACK
-        else:
-            # Expiration-based stacks are bounded by TTL accumulation
-            # only; the checker records staleness without judging
-            # violations.
-            return float("inf")
-        return (
-            bound
-            + self._async_propagation_slack()
-            + self._stale_if_error_grace()
-            + self._overload_queue_slack()
-        )
-
     def _cache_backend_spec(self) -> Optional[BackendSpec]:
         """The storage spec every *cache* tier builds engines from.
 
@@ -276,7 +185,7 @@ class SimulationRunner:
                 seed=spec.seed,
             )
             if spec.outage is not None:
-                injector.add_outage("origin", *spec.outage)
+                injector.add_outage(ORIGIN_NODE, *spec.outage)
             return injector
         if spec.outage is not None:
             return FaultSchedule.origin_outage(*spec.outage)
@@ -341,7 +250,7 @@ class SimulationRunner:
                 metrics=self.metrics,
                 backend_spec=self._cache_spec,
             )
-            if spec.replicate_pops and len(self._pop_names) > 1:
+            if spec.replicate_pops:
                 from repro.cdn.replication import PopReplicator
 
                 PopReplicator(
@@ -417,8 +326,14 @@ class SimulationRunner:
             tracer=self.tracer,
             overload=self._overload,
         )
+        # Summed left to right, the float order every bound was recorded
+        # with (``sum`` may compensate its rounding).
+        terms = spec.delta_terms()
         self.checker = DeltaAtomicityChecker(
-            self.server, delta=self._checker_delta(), metrics=self.metrics
+            self.server,
+            delta=reduce(add, (seconds for _, seconds in terms)),
+            terms=terms,
+            metrics=self.metrics,
         )
         # Non-consenting users on a Speed Kit site run the plain
         # browser stack: their staleness is bounded by TTLs, not Δ.
@@ -504,7 +419,7 @@ class SimulationRunner:
         config = SpeedKitConfig.ecommerce_default()
         config.sketch_refresh_interval = self.spec.delta
         config.stale_while_revalidate = self.spec.stale_while_revalidate
-        config.swr_staleness_budget = 2 * self.spec.delta
+        config.swr_staleness_budget = self.spec.swr_budget
         config.stale_if_error_window = self.spec.stale_if_error
         if self._cache_spec is not None:
             config.backend = self._cache_spec

@@ -5,13 +5,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.storage import BackendSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.faults import FaultProfile, RetryPolicy
     from repro.overload import OverloadProfile
+
+#: Δ-bound term for in-flight delivery: a response can be one network
+#: transit old by the time the client records the read (an edge may
+#: serve a copy that a concurrent write supersedes while the bytes are
+#: on the wire). One second generously covers the slowest modeled link.
+IN_FLIGHT_DELIVERY = 1.0
 
 
 class Scenario(enum.Enum):
@@ -84,9 +90,9 @@ class ScenarioSpec:
     #: Multiplex each page-load wave slot as one multi-asset lookup
     #: (fetcher ``fetch_many``) instead of independent connections.
     batch_waves: bool = False
-    #: Asynchronously replicate admitted entries between PoPs (needs a
-    #: multi-PoP deployment to do anything). The Δ bound widens by
-    #: ``replication_delay`` — the in-flight replica window.
+    #: Asynchronously replicate admitted entries between PoPs (needs at
+    #: least two PoPs: ``n_regions`` or ``pop_names``). The Δ bound
+    #: widens by ``replication_delay`` — the in-flight replica window.
     replicate_pops: bool = False
     #: PoP-to-PoP propagation delay in simulated seconds.
     replication_delay: float = 0.05
@@ -191,10 +197,64 @@ class ScenarioSpec:
             raise ValueError(
                 f"txn_retry_limit must be >= 0: {self.txn_retry_limit}"
             )
+        pops = self.n_regions or len(self.pop_names)
+        if self.replicate_pops and pops < 2:
+            raise ValueError(f"replicate_pops needs at least two PoPs: {pops}")
+        for knob in ("admission", "autoscale"):
+            if getattr(self, knob) and self.overload_profile is None:
+                raise ValueError(f"{knob} requires an overload_profile")
 
     @property
     def name(self) -> str:
         return self.label or self.scenario.value
+
+    @property
+    def swr_budget(self) -> float:
+        """The verification-age budget of a stale-while-revalidate
+        serving: the worker's and the checker's alike."""
+        return 2 * self.delta
+
+    def delta_terms(self) -> Tuple[Tuple[str, float], ...]:
+        """The Δ bound the checker judges as ``(name, seconds)`` terms,
+        summed left to right (DESIGN, *Δ-bound accounting*, says what
+        each covers). ``async_propagation`` is the write-behind flush
+        and the PoP replication delay pre-summed: the float association
+        every recorded bound has. ``inf`` marks what is recorded but not
+        judged: unbounded queueing (admission off), and the ``unjudged``
+        stacks, bounded by TTLs only. Read off the time-scaled spec.
+        """
+        scenario, backend = self.scenario, self.backend
+        sketch_only = scenario is Scenario.SPEED_KIT_SKETCH_ONLY
+        flush = 0.0
+        if backend is not None and backend.kind == "write-behind":
+            flush = backend.flush_interval
+        queue_delay = 0.0
+        if self.overload_profile is not None:
+            queue_delay = (
+                self.overload_profile.queue_delay_bound()
+                if self.admission
+                else math.inf
+            )
+        terms = (
+            ("swr_budget", self.swr_budget)
+            if self.stale_while_revalidate and not sketch_only
+            else ("delta", self.delta),
+            ("page_ttl", self.page_ttl)
+            if sketch_only
+            else ("purge_latency", self.purge_latency),
+            ("in_flight", IN_FLIGHT_DELIVERY),
+            (
+                "async_propagation",
+                flush + (self.replication_delay if self.replicate_pops else 0.0),
+            ),
+            ("stale_if_error", self.stale_if_error or 0.0),
+            ("queue_delay", queue_delay),
+        )
+        if not scenario.uses_speed_kit or (
+            scenario is Scenario.SPEED_KIT_PURGE_ONLY
+        ):
+            terms += (("unjudged", math.inf),)
+        return terms
 
     def time_scaled(self) -> "ScenarioSpec":
         """Fold ``time_scale`` into the wall-time-gap knobs.

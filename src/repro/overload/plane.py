@@ -21,6 +21,7 @@ from typing import Dict, Optional, Sequence
 from repro.overload.governor import NodeGovernor
 from repro.overload.profiles import OverloadProfile
 from repro.sim.environment import Environment
+from repro.simnet.topology import ORIGIN_NODE
 
 __all__ = ["ControlPlane"]
 
@@ -45,7 +46,7 @@ class ControlPlane:
         if profile.origin_capacity > 0:
             self.origin_governor = NodeGovernor(
                 env,
-                "origin",
+                ORIGIN_NODE,
                 capacity=profile.origin_capacity,
                 service_time=profile.origin_service_time,
                 queue_limit=profile.queue_limit,
@@ -78,7 +79,7 @@ class ControlPlane:
         """Every governor by node name (origin included if governed)."""
         out = dict(self.pop_governors)
         if self.origin_governor is not None:
-            out["origin"] = self.origin_governor
+            out[ORIGIN_NODE] = self.origin_governor
         return out
 
     def control_ticket(self, kind: str, n: int = 1) -> None:

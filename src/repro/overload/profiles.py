@@ -88,7 +88,8 @@ class OverloadProfile:
         bounded queues mean bounded delivery delay, so the coherence
         promise survives saturation. With admission **off** the FIFO
         (and so the delay) is unbounded and the checker stops judging
-        instead — see ``SimulationRunner._checker_delta``.
+        instead — see the ``queue_delay`` term of
+        ``ScenarioSpec.delta_terms``.
         """
         bound = 0.0
         if self.pop_capacity > 0:

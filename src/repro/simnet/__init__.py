@@ -19,9 +19,10 @@ from repro.simnet.profiles import (
     ConnectionProfile,
     build_web_topology,
 )
-from repro.simnet.topology import Link, NodeKind, Topology
+from repro.simnet.topology import ORIGIN_NODE, Link, NodeKind, Topology
 
 __all__ = [
+    "ORIGIN_NODE",
     "CONNECTION_PROFILES",
     "ConnectionProfile",
     "ConstantDelay",

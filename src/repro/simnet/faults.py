@@ -1,7 +1,7 @@
 """Failure injection: node outages on a schedule.
 
 A :class:`FaultSchedule` declares windows of simulated time during
-which a named node (typically ``"origin"``) is down. The transport
+which a named node (typically the origin, ``ORIGIN_NODE``) is down. The transport
 layer consults it and answers ``503 Service Unavailable`` for requests
 reaching a dead node — which is what lets the Speed Kit service worker
 demonstrate its offline-resilience behaviour (serving cached copies
@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Dict, List
+
+from repro.simnet.topology import ORIGIN_NODE
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class FaultSchedule:
     def origin_outage(cls, start: float, end: float) -> "FaultSchedule":
         """The common case: one origin outage window."""
         schedule = cls()
-        schedule.add_outage("origin", start, end)
+        schedule.add_outage(ORIGIN_NODE, start, end)
         return schedule
 
 

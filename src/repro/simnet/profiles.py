@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.simnet.delay import LogNormalDelay
-from repro.simnet.topology import Link, NodeKind, Topology
+from repro.simnet.topology import ORIGIN_NODE, Link, NodeKind, Topology
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ def build_web_topology(
     clients: Sequence[str],
     profiles: Dict[str, str],
     edges: Sequence[str] = ("edge-1",),
-    origin: str = "origin",
     client_regions: Optional[Dict[str, str]] = None,
     edge_regions: Optional[Dict[str, str]] = None,
 ) -> Topology:
@@ -103,12 +102,12 @@ def build_web_topology(
             raise ValueError(f"regions without any edge: {sorted(missing)}")
 
     topo = Topology()
-    topo.add_node(origin, NodeKind.ORIGIN)
+    topo.add_node(ORIGIN_NODE, NodeKind.ORIGIN)
     for edge in edges:
         topo.add_node(edge, NodeKind.EDGE)
         topo.connect(
             edge,
-            origin,
+            ORIGIN_NODE,
             Link(
                 LogNormalDelay(EDGE_ORIGIN_DELAY, EDGE_ORIGIN_SIGMA),
                 bandwidth=EDGE_ORIGIN_BANDWIDTH,
@@ -133,7 +132,7 @@ def build_web_topology(
             )
         topo.connect(
             client,
-            origin,
+            ORIGIN_NODE,
             Link(
                 LogNormalDelay(profile.origin_delay, profile.sigma),
                 bandwidth=profile.bandwidth,

@@ -18,6 +18,10 @@ class NodeKind(enum.Enum):
     ORIGIN = "origin"
 
 
+#: The origin's node name, the one every component addressing it keys on.
+ORIGIN_NODE = "origin"
+
+
 @dataclass(frozen=True)
 class Link:
     """A bidirectional link with a one-way delay and a bandwidth.
@@ -125,8 +129,8 @@ def two_tier(
     topo = Topology()
     topo.add_node("client", NodeKind.CLIENT)
     topo.add_node("edge", NodeKind.EDGE)
-    topo.add_node("origin", NodeKind.ORIGIN)
+    topo.add_node(ORIGIN_NODE, NodeKind.ORIGIN)
     topo.connect("client", "edge", Link(ConstantDelay(client_edge_delay)))
-    topo.connect("edge", "origin", Link(ConstantDelay(edge_origin_delay)))
-    topo.connect("client", "origin", Link(ConstantDelay(client_origin_delay)))
+    topo.connect("edge", ORIGIN_NODE, Link(ConstantDelay(edge_origin_delay)))
+    topo.connect("client", ORIGIN_NODE, Link(ConstantDelay(client_origin_delay)))
     return topo

@@ -78,22 +78,37 @@ class TestChecker:
 
     def test_only_violations_are_kept(self, server):
         """The checker's own state does not grow with the reads: the
-        registry counts them, ``violations`` keeps the breaches."""
-        checker = DeltaAtomicityChecker(server, delta=10.0)
+        registry counts them, ``violations`` keeps the breaches, and
+        the bound's terms are held once per checker."""
+        terms = (("delta", 8.0), ("in_flight", 2.0))
+        checker = DeltaAtomicityChecker(server, delta=10.0, terms=terms)
         server.update("docs", "1", {"x": 2}, at=20.0)
         for at in range(20, 60):
             checker.record_read(response(1), read_at=float(at))
         assert checker.read_count == 40
         assert len(checker.violations) == 29  # read at 31 … 59
         assert set(vars(checker)) == {
-            "server", "delta", "metrics", "staleness_metric", "violations"
+            "server", "delta", "terms", "metrics", "staleness_metric",
+            "violations",
         }
+        assert checker.terms is terms
 
     def test_assert_delta_atomic_raises_on_violation(self, server):
         checker = DeltaAtomicityChecker(server, delta=1.0)
         server.update("docs", "1", {"x": 2}, at=20.0)
         checker.record_read(response(1), read_at=50.0)
         with pytest.raises(AssertionError, match="violated"):
+            checker.assert_delta_atomic()
+
+    def test_a_violation_report_names_the_bounds_terms(self, server):
+        checker = DeltaAtomicityChecker(
+            server, delta=1.5, terms=(("delta", 0.5), ("in_flight", 1.0))
+        )
+        server.update("docs", "1", {"x": 2}, at=20.0)
+        checker.record_read(response(1), read_at=50.0)
+        with pytest.raises(
+            AssertionError, match=r"\(Δ=1\.5 = delta 0\.5 \+ in_flight 1\.0\)"
+        ):
             checker.assert_delta_atomic()
 
     def test_assert_delta_atomic_passes_when_clean(self, server):

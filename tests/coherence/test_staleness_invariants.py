@@ -12,7 +12,7 @@ paper's guarantee rests on:
 1. **Bounded staleness.** Every Δ-covered read returns a version that
    was current within the configured bound (the base Δ window widened
    by each config's asynchrony terms — see
-   ``SimulationRunner._checker_delta``). Zero violations, always.
+   ``ScenarioSpec.delta_terms()``). Zero violations, always.
 2. **Per-client monotonic reads.** A client that has observed version
    ``v`` of a resource never later reads ``v' < v`` — acks may be
    deferred and replicas may race purges, but no schedule may serve a
@@ -24,6 +24,7 @@ paper's guarantee rests on:
 The schedules are deterministic per seed, so failures reproduce.
 """
 
+import math
 import random
 
 import pytest
@@ -223,40 +224,173 @@ class TestSketchGateTrips:
         assert not all(runner.sketch_downloads)
 
 
+def mutate_delta_term(monkeypatch, name, replacement=lambda spec: None):
+    """Mutant: every spec's checked bound with its term ``name``
+    replaced by ``replacement(spec)``, or dropped (``None``)."""
+    terms = ScenarioSpec.delta_terms
+
+    def mutant(spec):
+        edited = (
+            replacement(spec) if term[0] == name else term
+            for term in terms(spec)
+        )
+        return tuple(term for term in edited if term is not None)
+
+    monkeypatch.setattr(ScenarioSpec, "delta_terms", mutant)
+
+
+class TestBoundTermsHaveTeeth:
+    """Teeth for ``test_zero_delta_violations``: a bound without the
+    sketch's Δ lets violations through, and the report names the terms
+    the broken bound was made of. (The other terms' mutants sit beside
+    the gate each trips; DESIGN, *Δ-bound accounting*.)"""
+
+    def test_a_bound_without_delta_is_caught(self, monkeypatch):
+        mutate_delta_term(monkeypatch, "delta")
+        runner = replay("sync-remote", SEEDS[1])
+        with pytest.raises(
+            AssertionError, match=r"\(Δ=1\.08 = purge_latency 0\.08 \+ in_flight"
+        ):
+            runner.checker.assert_delta_atomic()
+
+
+def terms_of(scenario=Scenario.SPEED_KIT, **knobs):
+    """``delta_terms()`` of a Δ = 30 spec, as a name → seconds map."""
+    knobs.setdefault("delta", 30.0)
+    return dict(ScenarioSpec(scenario, **knobs).delta_terms())
+
+
+#: ``repr(checker.delta)`` per spec, recorded before the bound had named
+#: terms (when four runner methods summed it in two branches). Exact
+#: strings: a regrouped sum moves the last digit (``61.17999999999999``).
+PINNED_BOUNDS = {
+    "batched-overlap": "31.08",
+    "chaos-replicated": "91.13",
+    "faulted": "91.08",
+    "replicated": "31.13",
+    "sync-remote": "31.08",
+    "write-behind": "31.13",
+    "write-behind-replicated": "31.18",
+    "swr": "61.08",
+    "sketch-only": "331.0",
+    "storm": "167.85000000000002",
+    "write-behind-replicated@60": "61.18",
+    "replay-rate-2": "61.09",
+}
+
+
+def pinned_spec(name):
+    from benchmarks.perf.workloads import WORKLOADS
+
+    extra = {
+        "swr": dict(stale_while_revalidate=True),
+        "sketch-only": dict(scenario=Scenario.SPEED_KIT_SKETCH_ONLY),
+        "write-behind-replicated@60": dict(
+            CONFIGS["write-behind-replicated"], delta=60.0
+        ),
+        "replay-rate-2": dict(
+            delta=60.0,
+            stale_if_error=60.0,
+            replicate_pops=True,
+            n_regions=3,
+            time_scale=0.5,
+        ),
+    }
+    if name == "storm":
+        return WORKLOADS["storm"].spec
+    knobs = dict(scenario=Scenario.SPEED_KIT, delta=30.0)
+    knobs.update(CONFIGS.get(name) or extra[name])
+    return ScenarioSpec(**knobs)
+
+
 class TestBoundAccounting:
-    """Each asynchrony term widens the checked Δ bound by exactly its
-    configured worst-case lag."""
+    """Each term of the checked Δ bound is exactly its configured
+    worst-case lag, read off ``ScenarioSpec.delta_terms()``."""
 
-    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
-    def test_write_behind_widens_by_flush_interval(self, seed):
-        base = run_config("sync-remote", seed).checker.delta
-        wide = run_config("write-behind", seed).checker.delta
-        flush = CONFIGS["write-behind"]["backend"].flush_interval
-        assert wide == pytest.approx(base + flush)
-
-    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
-    def test_replication_widens_by_propagation_delay(self, seed):
-        base = run_config("sync-remote", seed).checker.delta
-        wide = run_config("replicated", seed).checker.delta
-        assert wide == pytest.approx(
-            base + ScenarioSpec(scenario=Scenario.SPEED_KIT).replication_delay
+    def test_the_terms_of_the_plain_stack(self):
+        assert ScenarioSpec(Scenario.SPEED_KIT, delta=30.0).delta_terms() == (
+            ("delta", 30.0),
+            ("purge_latency", 0.08),
+            ("in_flight", 1.0),
+            ("async_propagation", 0.0),
+            ("stale_if_error", 0.0),
+            ("queue_delay", 0.0),
         )
 
-    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
-    def test_stale_if_error_widens_by_grace_window(self, seed):
-        base = run_config("sync-remote", seed).checker.delta
-        wide = run_config("faulted", seed).checker.delta
-        assert wide == pytest.approx(base + 60.0)
-
-    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
-    def test_combined_config_accumulates_both_terms(self, seed):
-        base = run_config("sync-remote", seed).checker.delta
-        wide = run_config("write-behind-replicated", seed).checker.delta
-        spec = ScenarioSpec(scenario=Scenario.SPEED_KIT)
+    def test_write_behind_widens_by_flush_interval(self):
         flush = CONFIGS["write-behind"]["backend"].flush_interval
-        assert wide == pytest.approx(
-            base + flush + spec.replication_delay
+        assert flush > 0
+        terms = terms_of(**CONFIGS["write-behind"])
+        assert terms["async_propagation"] == flush
+
+    def test_replication_widens_by_propagation_delay(self):
+        terms = terms_of(**CONFIGS["replicated"])
+        assert terms["async_propagation"] == 0.05
+
+    def test_both_lags_are_one_pre_summed_term(self):
+        flush = CONFIGS["write-behind"]["backend"].flush_interval
+        terms = terms_of(**CONFIGS["write-behind-replicated"])
+        assert terms["async_propagation"] == flush + 0.05
+
+    def test_stale_if_error_widens_by_grace_window(self):
+        assert terms_of(**CONFIGS["faulted"])["stale_if_error"] == 60.0
+
+    def test_swr_base_is_the_workers_budget(self):
+        spec = ScenarioSpec(
+            Scenario.SPEED_KIT, delta=30.0, stale_while_revalidate=True
         )
+        assert spec.delta_terms()[0] == ("swr_budget", 60.0)
+        assert spec.swr_budget == 60.0
+
+    def test_sketch_only_waits_out_the_page_ttl(self):
+        terms = terms_of(
+            Scenario.SPEED_KIT_SKETCH_ONLY, stale_while_revalidate=True
+        )
+        assert (terms["delta"], terms["page_ttl"]) == (30.0, 300.0)
+        assert "purge_latency" not in terms
+
+    def test_admitted_queueing_widens_by_the_queue_bound(self):
+        from repro.overload import OVERLOAD_PROFILES
+
+        profile = OVERLOAD_PROFILES["flash-crowd"]
+        terms = terms_of(overload_profile=profile, admission=True)
+        assert terms["queue_delay"] == profile.queue_delay_bound() > 0
+
+    def test_terms_read_the_time_scaled_spec(self):
+        """Δ and the grace scale with the replay rate; the replication
+        delay (infrastructure) does not."""
+        terms = dict(pinned_spec("replay-rate-2").time_scaled().delta_terms())
+        assert terms["delta"] == 30.0
+        assert terms["stale_if_error"] == 30.0
+        assert terms["async_propagation"] == 0.05
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            Scenario.NO_CACHE,
+            Scenario.CLASSIC_CDN,
+            Scenario.SPEED_KIT_PURGE_ONLY,
+        ],
+        ids=lambda scenario: scenario.value,
+    )
+    def test_unjudged_stacks_add_an_infinite_term(self, scenario):
+        terms = ScenarioSpec(scenario).delta_terms()
+        assert terms[-1] == ("unjudged", math.inf)
+
+    def test_admission_off_queueing_is_unbounded(self):
+        from repro.overload import OVERLOAD_PROFILES
+
+        terms = terms_of(overload_profile=OVERLOAD_PROFILES["flash-crowd"])
+        assert terms["queue_delay"] == math.inf
+        assert "unjudged" not in terms
+
+    @pytest.mark.parametrize("name", sorted(PINNED_BOUNDS))
+    def test_checked_bound_is_pinned(self, name):
+        catalog, users, trace = _workload(SEEDS[0])
+        runner = SimulationRunner(pinned_spec(name), catalog, users, trace)
+        runner._build()
+        assert repr(runner.checker.delta) == PINNED_BOUNDS[name]
+        assert runner.checker.terms == runner.spec.delta_terms()
 
 
 class TestFaultActivity:

@@ -13,6 +13,7 @@ from repro.workload import (
     generate_catalog,
     generate_users,
 )
+from tests.coherence.test_staleness_invariants import mutate_delta_term
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +146,20 @@ class TestAblations:
     def test_sketch_only_keeps_coherence_bound(self, workload):
         result = run_scenario(workload, Scenario.SPEED_KIT_SKETCH_ONLY)
         assert result.delta_violations == 0
+
+    @pytest.mark.parametrize(
+        "scenario, term",
+        [
+            (Scenario.SPEED_KIT_PURGE_ONLY, "unjudged"),
+            (Scenario.SPEED_KIT_SKETCH_ONLY, "page_ttl"),
+        ],
+        ids=["purge-only-judged", "sketch-only-without-ttl"],
+    )
+    def test_ablation_gates_trip(self, workload, monkeypatch, scenario, term):
+        """Teeth for the two gates above: without its ``term`` the
+        ablation's bound is too tight for its TTL-bounded staleness."""
+        mutate_delta_term(monkeypatch, term)
+        assert run_scenario(workload, scenario).delta_violations > 0
 
     def test_no_segments_breaks_personalization(self, workload, speed_kit):
         result = run_scenario(workload, Scenario.SPEED_KIT_NO_SEGMENTS)

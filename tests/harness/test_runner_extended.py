@@ -13,6 +13,7 @@ from repro.workload import (
     generate_catalog,
     generate_users,
 )
+from tests.coherence.test_staleness_invariants import mutate_delta_term
 
 
 def build_workload(consent_fraction=1.0, seed=0):
@@ -93,6 +94,19 @@ class TestSpecFeatures:
             stale_while_revalidate=True,
         )
         assert swr.delta_violations == 0
+
+    def test_swr_needs_its_two_delta_budget(self, monkeypatch):
+        """Teeth for the gate above: judged against Δ instead of the
+        2Δ verification budget, SWR serving breaks the bound."""
+        mutate_delta_term(
+            monkeypatch, "swr_budget", lambda spec: ("delta", spec.delta)
+        )
+        swr = run(
+            build_workload(),
+            scenario=Scenario.SPEED_KIT,
+            stale_while_revalidate=True,
+        )
+        assert swr.delta_violations > 0
 
     def test_adaptive_ttl_through_spec(self):
         workload = build_workload()

@@ -65,12 +65,38 @@ def test_durations_must_be_finite_and_non_negative(build, knob, value):
         ({"time_scale": -2.0}, "time_scale"),
         ({"time_scale": math.nan}, "time_scale"),
         ({"time_scale": math.inf}, "time_scale"),
+        # Contradictory knobs that would otherwise do nothing: one PoP
+        # builds no replicator (yet the bound widened by the replication
+        # delay), and no overload profile means nothing to admit into or
+        # to scale.
+        ({"replicate_pops": True}, "replicate_pops needs at least two PoPs"),
+        (
+            {"replicate_pops": True, "n_regions": 1},
+            "replicate_pops needs at least two PoPs",
+        ),
+        (
+            {"scenario": Scenario.SPEED_KIT, "admission": True},
+            "admission requires an overload_profile",
+        ),
+        (
+            {"scenario": Scenario.SPEED_KIT, "autoscale": True},
+            "autoscale requires an overload_profile",
+        ),
     ],
 )
 def test_out_of_range_knobs_are_named(knobs, names):
     knobs.setdefault("scenario", Scenario.CLASSIC_CDN)
     with pytest.raises(ValueError, match=names):
         ScenarioSpec(**knobs)
+
+
+@pytest.mark.parametrize(
+    "pops", [{"n_regions": 2}, {"pop_names": ("edge-1", "edge-2")}]
+)
+def test_replication_over_two_pops_is_accepted(pops):
+    assert ScenarioSpec(
+        Scenario.SPEED_KIT, replicate_pops=True, **pops
+    ).replicate_pops
 
 
 def test_boundary_values_are_accepted():

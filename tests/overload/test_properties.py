@@ -35,6 +35,7 @@ from repro.overload import OVERLOAD_PROFILES
 from repro.overload.priority import LOAD_SHED_HEADER
 from repro.parallel import ShardedSimulationRunner, run_shard
 from repro.storage import BackendSpec
+from tests.coherence.test_staleness_invariants import mutate_delta_term
 
 pytestmark = pytest.mark.overload
 
@@ -221,6 +222,22 @@ class TestCoherenceSurvivesSaturation:
 
     def test_reads_are_monotonic_per_client_and_key(self, runner):
         assert version_regressions(covered_reads(runner)) == []
+
+    @pytest.mark.parametrize("config", ["sync", "replicated"])
+    def test_a_bound_without_queue_delay_is_caught(
+        self, workload, monkeypatch, config
+    ):
+        """Teeth for ``test_zero_delta_violations``: a response that
+        waited in a governor queue is staler than the bound allows
+        unless the ``queue_delay`` term covers the wait."""
+        mutate_delta_term(monkeypatch, "queue_delay")
+        catalog, users, trace = workload
+        runner = SimulationRunner(
+            _spec(config, trace_requests=False), catalog, users, trace
+        )
+        runner.run()
+        with pytest.raises(AssertionError, match="violated"):
+            runner.checker.assert_delta_atomic()
 
     def test_invariants_hold_at_fifty_x(self, crushed):
         assert crushed.result.shed_requests > 0

@@ -671,8 +671,10 @@ def test_strangers_exit_with_a_named_one_liner(
             ["--backend", "batched", "--flush-interval", "5"],
             ("flush_interval", "write-behind", "'batched'"),
         ),
-        (["--admission"], ("--admission", "--overload-profile")),
-        (["--autoscale"], ("--autoscale", "--overload-profile")),
+        # Refused by ScenarioSpec itself, by field name.
+        (["--admission"], ("admission requires an overload_profile",)),
+        (["--autoscale"], ("autoscale requires an overload_profile",)),
+        (["--replicate-pops", "1"], ("replicate_pops", "two PoPs")),
         (["--replay-rate", "0"], ("--replay-rate", "positive")),
         (
             ["--replay", "a.jsonl", "--import-log", "b.csv"],
