@@ -16,7 +16,7 @@ storage medians** on a three-region (three-PoP) topology:
 
 The deal both asynchronous mechanisms offer is *bounded* extra
 staleness for lower foreground latency: the runner widens the checked
-Δ bound by ``flush_interval`` and ``replication_delay`` respectively,
+Δ bound by ``flush_interval`` and the PoP replication delay respectively,
 and the Δ-atomicity checker must still report **zero violations** —
 the same invariant `tests/coherence/test_staleness_invariants.py`
 property-checks across randomized schedules.

@@ -22,6 +22,7 @@ import pytest
 from repro.faults import PROFILES, RetryPolicy
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner, format_table
 from repro.storage import BackendSpec
+from repro.txn.coordinator import VALIDATION_RETRIES
 from repro.workload import (
     CatalogConfig,
     UserPopulationConfig,
@@ -150,10 +151,9 @@ def test_bench_e24_consistency_ladder(results, benchmark):
 def test_bench_e24_retries_respect_the_budget(results):
     """Optimistic validation is bounded: total retries never exceed
     transactions times the per-transaction retry budget."""
-    limit = ScenarioSpec(scenario=Scenario.SPEED_KIT).txn_retry_limit
     for name, result in results.items():
         assert (
-            result.txn_validation_retries <= result.txns * limit
+            result.txn_validation_retries <= result.txns * VALIDATION_RETRIES
         ), name
 
 

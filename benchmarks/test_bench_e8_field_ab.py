@@ -11,7 +11,6 @@ into measurable conversion gains; the shape to reproduce is
 import pytest
 
 from repro.harness import (
-    ConversionModel,
     Scenario,
     ScenarioSpec,
     compare_scenarios,
@@ -30,8 +29,7 @@ def variants(run_cached):
 
 def test_bench_e8_field_ab(variants, benchmark):
     control, treatment = variants
-    model = ConversionModel()
-    row = compare_scenarios(control, treatment, model)
+    row = compare_scenarios(control, treatment)
     emit(
         "e8_field_ab",
         format_table([row], title="E8: simulated field A/B test"),
@@ -59,7 +57,7 @@ def test_bench_e8_field_ab(variants, benchmark):
     )
 
     benchmark.pedantic(
-        lambda: compare_scenarios(control, treatment, model),
+        lambda: compare_scenarios(control, treatment),
         rounds=5,
         iterations=10,
     )

@@ -14,7 +14,6 @@ import argparse
 import random
 
 from repro.harness import (
-    ConversionModel,
     Scenario,
     ScenarioSpec,
     SimulationRunner,
@@ -98,9 +97,7 @@ def main() -> None:
 
     print()
     ab = compare_scenarios(
-        results[Scenario.CLASSIC_CDN],
-        results[Scenario.SPEED_KIT],
-        ConversionModel(),
+        results[Scenario.CLASSIC_CDN], results[Scenario.SPEED_KIT]
     )
     print(format_table([ab], title="A/B: classic CDN vs Speed Kit"))
 

@@ -21,6 +21,10 @@ from repro.obs.analysis import response_attrs
 from repro.obs.tracer import NOOP_TRACER
 from repro.sim.environment import Environment
 
+#: The browser's per-host connection limit: fetches in flight at once
+#: within one wave.
+MAX_PARALLEL = 6
+
 
 @dataclass(frozen=True)
 class PageResource:
@@ -89,13 +93,13 @@ class PageLoadResult:
 class PageLoadEngine:
     """Drives page loads through a fetcher.
 
-    ``max_parallel`` models the browser's per-host connection limit;
+    ``MAX_PARALLEL`` models the browser's per-host connection limit;
     within a wave at most that many fetches are in flight at once.
 
     With ``batch_waves`` each slot of a wave travels as one multi-asset
     lookup through the fetcher's ``fetch_many`` (HTTP/2-style
     multiplexing: one edge round trip, one batched cache read) instead
-    of ``max_parallel`` independent connections. Every
+    of ``MAX_PARALLEL`` independent connections. Every
     :class:`~repro.browser.client.Fetcher` has a ``fetch_many``; one
     without a batched path of its own answers with the protocol's
     default, parallel single fetches.
@@ -105,15 +109,11 @@ class PageLoadEngine:
         self,
         env: Environment,
         fetcher: Fetcher,
-        max_parallel: int = 6,
         batch_waves: bool = False,
         tracer=None,
     ) -> None:
-        if max_parallel < 1:
-            raise ValueError(f"max_parallel must be >= 1: {max_parallel}")
         self.env = env
         self.fetcher = fetcher
-        self.max_parallel = max_parallel
         self.batch_waves = batch_waves
         self.tracer = tracer if tracer is not None else NOOP_TRACER
 
@@ -183,12 +183,12 @@ class PageLoadEngine:
         """Fetch one wave with bounded parallelism."""
         pending = list(wave)
         responses: List[Tuple[int, Response]] = []
-        # Launch in slots of max_parallel: a simple but faithful model
+        # Launch in slots of MAX_PARALLEL: a simple but faithful model
         # of the browser's connection pool (slots refill as a batch).
         index = 0
         while index < len(pending):
-            batch = pending[index : index + self.max_parallel]
-            slot = index // self.max_parallel
+            batch = pending[index : index + MAX_PARALLEL]
+            slot = index // MAX_PARALLEL
             requests = [
                 Request.get(resource.url, headers=headers)
                 for resource in batch

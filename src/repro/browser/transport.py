@@ -48,9 +48,9 @@ from repro.sim.environment import Environment
 from repro.simnet.faults import NO_FAULTS, FaultSchedule
 from repro.simnet.topology import ORIGIN_NODE, Topology
 
-#: How long a sender waits out a lost message when no retry policy is
-#: configured (one attempt, then give up with a synthesized 503).
-DEFAULT_ATTEMPT_TIMEOUT = 1.0
+#: How long a sender waits for a reply before declaring the attempt
+#: lost (pays this as simulated time when a message is dropped).
+ATTEMPT_TIMEOUT = 1.0
 
 
 def _honor_validators(request: Request, response: Response) -> Response:
@@ -185,19 +185,19 @@ class Transport:
         return self.overload.pop_governor(edge_name)
 
     def _origin_attempt(
-        self, from_node: str, request: Request, attempt_timeout: float, span
+        self, from_node: str, request: Request, span
     ) -> Generator:
         """One request/response try against the origin.
 
         Returns ``None`` when a message was lost in transit — the
-        sender waits out ``attempt_timeout`` (measured from send) and
+        sender waits out ``ATTEMPT_TIMEOUT`` (measured from send) and
         declares the attempt dead.
         """
         link = self.topology.link(from_node, ORIGIN_NODE)
         if self.faults.loses_message(from_node, ORIGIN_NODE):
             self._count("transport.lost_requests")
             span.event("lost-request", at=self.env.now)
-            yield self.env.timeout(attempt_timeout)
+            yield self.env.timeout(ATTEMPT_TIMEOUT)
             return None
         forward = self.topology.one_way(
             from_node, ORIGIN_NODE, self.rng
@@ -225,7 +225,7 @@ class Transport:
             # reply never arrives; the sender times out the remainder.
             self._count("transport.lost_responses")
             span.event("lost-response", at=self.env.now)
-            yield self.env.timeout(max(0.0, attempt_timeout - forward))
+            yield self.env.timeout(max(0.0, ATTEMPT_TIMEOUT - forward))
             return None
         transit = link.one_way(self.rng) * self.faults.latency_factor(
             ORIGIN_NODE, from_node
@@ -276,7 +276,7 @@ class Transport:
         policy = self.retry
         if policy is None:
             response = yield from self._origin_attempt(
-                from_node, request, DEFAULT_ATTEMPT_TIMEOUT, span
+                from_node, request, span
             )
             return (
                 response
@@ -289,12 +289,12 @@ class Transport:
         while True:
             attempt += 1
             response = yield from self._origin_attempt(
-                from_node, request, policy.attempt_timeout, span
+                from_node, request, span
             )
             if response is not None and not response.status.is_server_error:
                 span.set(attempts=attempt)
                 return response
-            if attempt >= policy.max_attempts:
+            if policy.gives_up_after(attempt):
                 break
             backoff = policy.backoff_after(attempt)
             if self.env.now + backoff >= deadline:
@@ -367,7 +367,7 @@ class Transport:
     ) -> Generator:
         """Client → nearest edge PoP → (origin on miss/stale)."""
         if edge_name is None:
-            edge_name = self.topology.nearest_edge(client_node, self.rng)
+            edge_name = self.topology.nearest_edge(client_node)
         span = self.tracer.start(
             "transport",
             self.env.now,
@@ -503,7 +503,7 @@ class Transport:
         if not requests:
             return []
         if edge_name is None:
-            edge_name = self.topology.nearest_edge(client_node, self.rng)
+            edge_name = self.topology.nearest_edge(client_node)
         span = self.tracer.start(
             "transport-batch",
             self.env.now,

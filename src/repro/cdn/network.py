@@ -9,6 +9,10 @@ from repro.cdn.edge import EdgeCache
 from repro.sim.metrics import MetricRegistry
 from repro.storage import BackendSpec
 
+#: The one PoP of a deployment without regions. Served-by attribution,
+#: the ``edge.edge-1.*`` counters and recorded span nodes carry it.
+DEFAULT_POP = "edge-1"
+
 
 class Cdn:
     """All edge PoPs of one deployment.
@@ -30,8 +34,6 @@ class Cdn:
     def __init__(
         self,
         pop_names: List[str],
-        max_entries_per_pop: Optional[int] = None,
-        max_bytes_per_pop: Optional[int] = None,
         metrics: Optional[MetricRegistry] = None,
         backend_spec: Optional[BackendSpec] = None,
     ) -> None:
@@ -44,8 +46,6 @@ class Cdn:
         for name in pop_names:
             store = CacheStore(
                 shared=True,
-                max_entries=max_entries_per_pop,
-                max_bytes=max_bytes_per_pop,
                 backend=(
                     backend_spec.build(salt=f"edge:{name}")
                     if backend_spec is not None

@@ -24,7 +24,6 @@ from dataclasses import replace
 from typing import List, Optional
 
 from repro.harness import (
-    ConversionModel,
     Scenario,
     ScenarioSpec,
     SimulationRunner,
@@ -253,14 +252,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
         "with origin re-fetch of violators), or serializable "
         "(optimistic validation round trip at the origin)",
     )
-    parser.add_argument(
-        "--txn-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="serializable validation retries before an explicit, "
-        "marked degradation to snapshot (default 3)",
-    )
 
 
 def _named_exit(build):
@@ -330,6 +321,7 @@ def _spec_from_args(args, **overrides) -> ScenarioSpec:
         overload_profile = OVERLOAD_PROFILES[args.overload_profile]
     return ScenarioSpec(
         **_given(
+            seed=args.seed,
             backend=backend,
             batch_waves=args.batch_waves,
             replicate_pops=args.replicate_pops is not None,
@@ -338,7 +330,6 @@ def _spec_from_args(args, **overrides) -> ScenarioSpec:
             stale_if_error=args.stale_if_error,
             retry=retry,
             consistency=args.consistency,
-            txn_retry_limit=args.txn_retries,
             overload_profile=overload_profile,
             load_multiplier=args.load_multiplier,
             admission=args.admission,
@@ -543,11 +534,7 @@ def cmd_compare(args) -> int:
         print()
         print(
             format_table(
-                [
-                    compare_scenarios(
-                        results[-2], results[-1], ConversionModel()
-                    )
-                ],
+                [compare_scenarios(results[-2], results[-1])],
                 title="A/B (last two scenarios)",
             )
         )

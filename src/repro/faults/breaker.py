@@ -2,9 +2,9 @@
 
 Classic three-state breaker, one state machine per named target
 (edge PoP). *Closed*: traffic flows, consecutive failures are counted.
-*Open*: after ``failure_threshold`` consecutive failures the target is
+*Open*: after ``FAILURE_THRESHOLD`` consecutive failures the target is
 bypassed (the transport falls back to origin pass-through) for
-``cooldown`` simulated seconds. *Half-open*: after the cooldown one
+``COOLDOWN`` simulated seconds. *Half-open*: after the cooldown one
 probe request is let through; success closes the breaker, failure
 re-opens it for another cooldown.
 
@@ -20,6 +20,12 @@ from typing import Dict, Optional
 
 from repro.sim.metrics import MetricRegistry
 
+#: Consecutive failures that open the breaker for a target.
+FAILURE_THRESHOLD = 3
+#: Simulated seconds an open breaker bypasses its target before the
+#: half-open probe.
+COOLDOWN = 30.0
+
 
 @dataclass
 class _TargetState:
@@ -31,20 +37,7 @@ class _TargetState:
 class CircuitBreaker:
     """Per-target consecutive-failure breaker with half-open probes."""
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        cooldown: float = 30.0,
-        metrics: Optional[MetricRegistry] = None,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1: {failure_threshold}"
-            )
-        if cooldown <= 0:
-            raise ValueError(f"cooldown must be positive: {cooldown}")
-        self.failure_threshold = failure_threshold
-        self.cooldown = cooldown
+    def __init__(self, metrics: Optional[MetricRegistry] = None) -> None:
         self.metrics = metrics or MetricRegistry()
         self._targets: Dict[str, _TargetState] = {}
         self.trips = 0
@@ -60,7 +53,7 @@ class CircuitBreaker:
         state = self._state(name)
         if state.opened_at is None:
             return False
-        return now - state.opened_at < self.cooldown
+        return now - state.opened_at < COOLDOWN
 
     def allow(self, name: str, now: float) -> bool:
         """May a request route through ``name`` right now?
@@ -72,7 +65,7 @@ class CircuitBreaker:
         state = self._state(name)
         if state.opened_at is None:
             return True
-        if now - state.opened_at < self.cooldown:
+        if now - state.opened_at < COOLDOWN:
             return False
         if state.probing:
             return False  # one probe at a time
@@ -107,7 +100,7 @@ class CircuitBreaker:
             state.probing = False
             state.opened_at = now
             return
-        if state.consecutive_failures >= self.failure_threshold:
+        if state.consecutive_failures >= FAILURE_THRESHOLD:
             state.opened_at = now
             state.probing = False
             self.trips += 1

@@ -8,7 +8,7 @@ conversion model for the field A/B experiment, and plain-text table
 rendering for benchmark output.
 """
 
-from repro.harness.abtest import ConversionModel, compare_scenarios
+from repro.harness.abtest import compare_scenarios
 from repro.harness.plots import cdf_table, sparkline, text_histogram
 from repro.harness.replication import (
     MetricSummary,
@@ -22,7 +22,6 @@ from repro.harness.scenarios import Scenario, ScenarioSpec
 from repro.harness.tables import format_table
 
 __all__ = [
-    "ConversionModel",
     "MetricSummary",
     "ReplicatedResult",
     "RunResult",

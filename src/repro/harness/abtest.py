@@ -11,55 +11,38 @@ it per simulated session, and compare scenarios on identical traffic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.harness.results import RunResult
 
 
-@dataclass
-class ConversionModel:
-    """P(conversion | session PLT) as a logistic curve.
+#: P(conversion | session PLT) is a logistic curve: ``BASE_RATE`` is the
+#: conversion probability at ``REFERENCE_PLT`` seconds, ``SENSITIVITY``
+#: the log-odds penalty per extra second. Calibrated so that +1 s of
+#: median PLT costs ~20 % of conversions around a 3 % base rate — in
+#: line with published WPO studies (e.g. the Speed Kit/Baqend white
+#: papers).
+BASE_RATE = 0.03
+REFERENCE_PLT = 1.0
+SENSITIVITY = 0.25
 
-    ``base_rate`` is the conversion probability at ``reference_plt``
-    seconds; ``sensitivity`` is the log-odds penalty per extra second.
-    Defaults calibrated so that +1 s of median PLT costs ~20 % of
-    conversions around a 3 % base rate — in line with published WPO
-    studies (e.g. the Speed Kit/Baqend white papers).
-    """
 
-    base_rate: float = 0.03
-    reference_plt: float = 1.0
-    sensitivity: float = 0.25
+def conversion_probability(plt: float) -> float:
+    """P(conversion) for a session whose mean PLT is ``plt``."""
+    base_logit = math.log(BASE_RATE / (1.0 - BASE_RATE))
+    logit = base_logit - SENSITIVITY * (plt - REFERENCE_PLT)
+    return 1.0 / (1.0 + math.exp(-logit))
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.base_rate < 1.0:
-            raise ValueError(f"base_rate must be in (0,1): {self.base_rate}")
-        if self.sensitivity < 0:
-            raise ValueError(
-                f"sensitivity must be non-negative: {self.sensitivity}"
-            )
 
-    def conversion_probability(self, plt: float) -> float:
-        """P(conversion) for a session whose mean PLT is ``plt``."""
-        base_logit = math.log(self.base_rate / (1.0 - self.base_rate))
-        logit = base_logit - self.sensitivity * (plt - self.reference_plt)
-        return 1.0 / (1.0 + math.exp(-logit))
-
-    def expected_conversions(self, plts: List[float]) -> float:
-        """Expected conversions over a list of session PLTs."""
-        return sum(self.conversion_probability(plt) for plt in plts)
-
-    def expected_rate(self, plts: List[float]) -> float:
-        if not plts:
-            return 0.0
-        return self.expected_conversions(plts) / len(plts)
+def expected_rate(plts: List[float]) -> float:
+    """Expected conversions per session over a list of session PLTs."""
+    if not plts:
+        return 0.0
+    return sum(conversion_probability(plt) for plt in plts) / len(plts)
 
 
 def compare_scenarios(
-    variant_a: RunResult,
-    variant_b: RunResult,
-    model: ConversionModel,
+    variant_a: RunResult, variant_b: RunResult
 ) -> Dict[str, float]:
     """The A/B comparison row: PLT uplift and conversion uplift.
 
@@ -72,8 +55,8 @@ def compare_scenarios(
         raise ValueError("both variants need page loads to compare")
     median_a = variant_a.plt.percentile(50)
     median_b = variant_b.plt.percentile(50)
-    rate_a = model.expected_rate(plt_a)
-    rate_b = model.expected_rate(plt_b)
+    rate_a = expected_rate(plt_a)
+    rate_b = expected_rate(plt_b)
     return {
         "control": variant_a.scenario_name,
         "treatment": variant_b.scenario_name,

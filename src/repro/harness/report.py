@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.harness.abtest import ConversionModel, compare_scenarios
+from repro.harness.abtest import compare_scenarios
 from repro.harness.plots import cdf_table, text_histogram
 from repro.harness.results import RunResult
 from repro.harness.tables import format_table
@@ -24,7 +24,6 @@ def _code_block(text: str) -> str:
 def render_report(
     results: Sequence[RunResult],
     trace: Optional[WorkloadTrace] = None,
-    model: Optional[ConversionModel] = None,
     title: str = "Speed Kit reproduction report",
 ) -> str:
     """Render the full markdown report."""
@@ -126,9 +125,7 @@ def render_report(
         ]
 
     if len(results) >= 2 and len(results[-1].plt) and len(results[-2].plt):
-        ab = compare_scenarios(
-            results[-2], results[-1], model or ConversionModel()
-        )
+        ab = compare_scenarios(results[-2], results[-1])
         sections += [
             "## A/B analysis (last two scenarios)",
             "",

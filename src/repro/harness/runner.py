@@ -12,18 +12,18 @@ from repro.browser.cache import BrowserCache
 from repro.browser.client import BrowserClient, TransportMode
 from repro.browser.page import PageLoadEngine
 from repro.browser.transport import Transport
-from repro.cdn.network import Cdn
+from repro.cdn.network import DEFAULT_POP, Cdn
 from repro.coherence.checker import DeltaAtomicityChecker
 from repro.coherence.client import SketchClient
 from repro.http.degraded import reason_of
 from repro.http.messages import Method, Request, Status
 from repro.http.url import URL
 from repro.invalidation.pipeline import InvalidationPipeline
-from repro.obs import MetricsRegistry, NOOP_TRACER, RecordingTracer
+from repro.obs import NOOP_TRACER, RecordingTracer
 from repro.origin.server import OriginServer
 from repro.origin.site import ResourceKind
 from repro.sim.environment import Environment
-from repro.sim.metrics import Counter
+from repro.sim.metrics import Counter, MetricRegistry
 from repro.sim.rng import RngStreams
 from repro.simnet.faults import NO_FAULTS, FaultSchedule
 from repro.simnet.profiles import build_web_topology
@@ -41,12 +41,7 @@ from repro.storage import BackendSpec
 from repro.workload.catalog import Catalog
 from repro.workload.pages import PageBuilder
 from repro.workload.sitebuilder import build_ecommerce_site
-from repro.txn import (
-    ConsistencyLevel,
-    TxnConfig,
-    TxnCoordinator,
-    TxnRegistry,
-)
+from repro.txn import ConsistencyLevel, TxnCoordinator, TxnRegistry
 from repro.coherence.txn import TxnConsistencyChecker
 from repro.workload.trace import (
     AccessUser,
@@ -195,7 +190,7 @@ class SimulationRunner:
         spec = self.spec
         self.env = Environment()
         self.streams = RngStreams(spec.seed)
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricRegistry()
         # (layer, kind) -> its serve.layer / serve.kind counters, both
         # created by the first response of that pair (never earlier: a
         # counter that exists shows in the exported metrics).
@@ -215,7 +210,7 @@ class SimulationRunner:
             for user_id in seen
         }
         client_regions = edge_regions = None
-        pop_names = list(spec.pop_names)
+        pop_names = [DEFAULT_POP]
         if spec.n_regions is not None:
             pop_names = [f"edge-r{i}" for i in range(spec.n_regions)]
             edge_regions = {
@@ -256,7 +251,6 @@ class SimulationRunner:
                 PopReplicator(
                     self.env,
                     self.cdn,
-                    delay=spec.replication_delay,
                     metrics=self.metrics,
                     tracer=self.tracer,
                 )
@@ -290,7 +284,7 @@ class SimulationRunner:
         if scenario.uses_speed_kit:
             use_sketch = scenario is not Scenario.SPEED_KIT_PURGE_ONLY
             use_purge = scenario is not Scenario.SPEED_KIT_SKETCH_ONLY
-            self.sketch = ServerCacheSketch(capacity=20_000)
+            self.sketch = ServerCacheSketch()
             self.pipeline = InvalidationPipeline(
                 self.env,
                 self.server,
@@ -630,9 +624,6 @@ class SimulationRunner:
                 user_id=user.user_id,
                 registry=self.txn_registry,
                 tracer=self.tracer,
-                config=TxnConfig(
-                    validation_retries=self.spec.txn_retry_limit
-                ),
             )
         return stack.coordinator
 

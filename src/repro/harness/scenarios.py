@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
+from repro.cdn.replication import DEFAULT_REPLICATION_DELAY
 from repro.storage import BackendSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -63,10 +64,8 @@ class ScenarioSpec:
     #: Invalidation pipeline latencies (Speed Kit variants only).
     detection_latency: float = 0.025
     purge_latency: float = 0.080
-    #: CDN PoPs.
-    pop_names: tuple = ("edge-1",)
     #: Regional deployment: split users round-robin into this many
-    #: regions, each with its own PoP (overrides ``pop_names``).
+    #: regions, each with its own PoP (``None``: one PoP, ``edge-1``).
     n_regions: Optional[int] = None
     #: Root seed for all simulation randomness.
     seed: int = 0
@@ -91,11 +90,10 @@ class ScenarioSpec:
     #: (fetcher ``fetch_many``) instead of independent connections.
     batch_waves: bool = False
     #: Asynchronously replicate admitted entries between PoPs (needs at
-    #: least two PoPs: ``n_regions`` or ``pop_names``). The Δ bound
-    #: widens by ``replication_delay`` — the in-flight replica window.
+    #: least two PoPs: ``n_regions``). The Δ bound widens by the PoP
+    #: propagation delay (``DEFAULT_REPLICATION_DELAY``) — the
+    #: in-flight replica window.
     replicate_pops: bool = False
-    #: PoP-to-PoP propagation delay in simulated seconds.
-    replication_delay: float = 0.05
     #: Fault regime for the run (see :mod:`repro.faults`): origin
     #: outages/brownouts, PoP failures, link loss/latency spikes,
     #: storage read errors. ``None`` keeps the perfect world. Composes
@@ -115,9 +113,6 @@ class ScenarioSpec:
     #: Stored as the string form to avoid an import cycle; parsed by
     #: the runner via :meth:`repro.txn.ConsistencyLevel.parse`.
     consistency: str = "delta"
-    #: Serializable validation retries before an explicit, marked
-    #: degradation to snapshot.
-    txn_retry_limit: int = 3
     #: Time-compression factor carried by a rate-scaled replay
     #: (``--replay-rate R`` sets this to ``1/R`` after dividing every
     #: trace timestamp by ``R``). The runner folds it into the
@@ -163,7 +158,6 @@ class ScenarioSpec:
             "page_ttl",
             "detection_latency",
             "purge_latency",
-            "replication_delay",
             "stale_if_error",
         ):
             value = getattr(self, knob)
@@ -193,11 +187,7 @@ class ScenarioSpec:
             )
         if self.n_regions is not None and self.n_regions < 1:
             raise ValueError(f"n_regions must be >= 1: {self.n_regions}")
-        if self.txn_retry_limit < 0:
-            raise ValueError(
-                f"txn_retry_limit must be >= 0: {self.txn_retry_limit}"
-            )
-        pops = self.n_regions or len(self.pop_names)
+        pops = self.n_regions or 1
         if self.replicate_pops and pops < 2:
             raise ValueError(f"replicate_pops needs at least two PoPs: {pops}")
         for knob in ("admission", "autoscale"):
@@ -245,7 +235,8 @@ class ScenarioSpec:
             ("in_flight", IN_FLIGHT_DELIVERY),
             (
                 "async_propagation",
-                flush + (self.replication_delay if self.replicate_pops else 0.0),
+                flush
+                + (DEFAULT_REPLICATION_DELAY if self.replicate_pops else 0.0),
             ),
             ("stale_if_error", self.stale_if_error or 0.0),
             ("queue_delay", queue_delay),

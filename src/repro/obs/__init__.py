@@ -7,7 +7,7 @@ three parts:
   the full request path (service worker -> transport -> PoP/CDN tiers
   -> origin) recording per-hop sim-clock timings, cache verdicts,
   versions served, and fault events;
-* the :class:`MetricsRegistry` (the one registry of
+* the :class:`MetricRegistry` (the one registry, of
   :mod:`repro.sim.metrics`): exact tallies plus streaming quantile
   sketches (:class:`QuantileSketch`) for p50/p95/p99 without retaining
   raw samples;
@@ -39,15 +39,15 @@ from repro.obs.export import (
     merge_span_records,
     span_records,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import NULL_SPAN, Span, SpanContext
 from repro.obs.tracer import NOOP_TRACER, RecordingTracer, Tracer
+from repro.sim.metrics import MetricRegistry
 from repro.sim.quantile import QuantileSketch
 
 __all__ = [
     "NOOP_TRACER",
     "NULL_SPAN",
-    "MetricsRegistry",
+    "MetricRegistry",
     "QuantileSketch",
     "RecordingTracer",
     "Span",

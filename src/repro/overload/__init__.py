@@ -17,11 +17,7 @@ Shed requests resolve to synthesized responses marked
 degraded-response contract of :mod:`repro.http.degraded`.
 """
 
-from repro.overload.autoscaler import (
-    AutoscaleConfig,
-    PopAutoscaler,
-    ScaleDecision,
-)
+from repro.overload.autoscaler import PopAutoscaler, ScaleDecision
 from repro.overload.governor import NodeGovernor
 from repro.overload.plane import ControlPlane
 from repro.overload.priority import (
@@ -36,7 +32,6 @@ from repro.overload.profiles import (
 )
 
 __all__ = [
-    "AutoscaleConfig",
     "ControlPlane",
     "LOAD_SHED_HEADER",
     "NodeGovernor",

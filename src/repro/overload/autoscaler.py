@@ -1,22 +1,22 @@
 """Closed-loop PoP autoscaling driven by the metrics stream.
 
-A simulation process samples each governed PoP every ``interval``
+A simulation process samples each governed PoP every ``INTERVAL``
 simulated seconds and scales its slot capacity up or down with
 hysteresis:
 
-* **up** after ``up_consecutive`` samples with utilization at or above
-  ``high_utilization`` *or* queue depth at or above
-  ``high_queue_depth`` — capacity multiplies by ``factor`` (capped at
-  ``max_capacity``), immediately granting queued waiters;
-* **down** after ``down_consecutive`` samples with utilization at or
-  below ``low_utilization`` *and* an empty queue — capacity divides by
-  ``factor`` (floored at the profile's original capacity), never
+* **up** after ``UP_CONSECUTIVE`` samples with utilization at or above
+  ``HIGH_UTILIZATION`` *or* queue depth at or above
+  ``HIGH_QUEUE_DEPTH`` — capacity multiplies by ``FACTOR`` (capped at
+  ``MAX_CAPACITY``), immediately granting queued waiters;
+* **down** after ``DOWN_CONSECUTIVE`` samples with utilization at or
+  below ``LOW_UTILIZATION`` *and* an empty queue — capacity divides by
+  ``FACTOR`` (floored at the profile's original capacity), never
   preempting requests already in service;
-* a per-PoP ``cooldown`` separates consecutive decisions in either
+* a per-PoP ``COOLDOWN`` separates consecutive decisions in either
   direction, so a scale-up cannot immediately un-trip itself on the
   transient utilization drop it causes.
 
-Every input is read from the :class:`~repro.obs.MetricsRegistry`
+Every input is read from the :class:`~repro.sim.metrics.MetricRegistry`
 stream the governors publish (``overload.<pop>.queue_depth`` /
 ``.capacity`` gauges, the ``.busy_seconds`` counter, the ``.wait``
 sketch) — the loop never reaches into governor internals, so the same
@@ -35,45 +35,27 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.tracer import NOOP_TRACER
 from repro.overload.plane import ControlPlane
 from repro.sim.environment import Environment
 
-__all__ = ["AutoscaleConfig", "PopAutoscaler", "ScaleDecision"]
+__all__ = ["PopAutoscaler", "ScaleDecision"]
 
-
-@dataclass(frozen=True)
-class AutoscaleConfig:
-    """Control-loop tuning; defaults fit the simulated regimes."""
-
-    interval: float = 5.0
-    high_utilization: float = 0.8
-    low_utilization: float = 0.3
-    high_queue_depth: int = 4
-    up_consecutive: int = 2
-    down_consecutive: int = 4
-    factor: float = 2.0
-    max_capacity: int = 256
-    cooldown: float = 10.0
-    #: Sampling-phase jitter as a fraction of ``interval`` (drawn from
-    #: the seeded decision stream; 0 disables it).
-    jitter: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(f"interval must be positive: {self.interval}")
-        if not 0 <= self.low_utilization < self.high_utilization:
-            raise ValueError(
-                "need 0 <= low_utilization < high_utilization"
-            )
-        if self.factor <= 1.0:
-            raise ValueError(f"factor must exceed 1: {self.factor}")
-        if self.up_consecutive < 1 or self.down_consecutive < 1:
-            raise ValueError("consecutive thresholds must be >= 1")
-        if not 0 <= self.jitter < 1:
-            raise ValueError(f"jitter must be in [0, 1): {self.jitter}")
+#: Control-loop tuning; the values fit the simulated regimes.
+INTERVAL = 5.0
+HIGH_UTILIZATION = 0.8
+LOW_UTILIZATION = 0.3
+HIGH_QUEUE_DEPTH = 4
+UP_CONSECUTIVE = 2
+DOWN_CONSECUTIVE = 4
+FACTOR = 2.0
+MAX_CAPACITY = 256
+COOLDOWN = 10.0
+#: Sampling-phase jitter as a fraction of ``INTERVAL`` (drawn from the
+#: seeded decision stream).
+JITTER = 0.1
 
 
 @dataclass(frozen=True)
@@ -109,7 +91,6 @@ class PopAutoscaler:
         metrics,
         rng: random.Random,
         horizon: float,
-        config: Optional[AutoscaleConfig] = None,
         tracer=None,
     ) -> None:
         self.env = env
@@ -117,7 +98,6 @@ class PopAutoscaler:
         self.metrics = metrics
         self.rng = rng
         self.horizon = horizon
-        self.config = config or AutoscaleConfig()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.decisions: List[ScaleDecision] = []
         self._states: Dict[str, _PopState] = {
@@ -133,11 +113,8 @@ class PopAutoscaler:
     # -- the loop ----------------------------------------------------------
 
     def _run(self):
-        config = self.config
         while True:
-            delay = config.interval
-            if config.jitter:
-                delay *= 1.0 + config.jitter * (self.rng.random() - 0.5)
+            delay = INTERVAL * (1.0 + JITTER * (self.rng.random() - 0.5))
             if self.env.now + delay > self.horizon:
                 return
             yield self.env.timeout(delay)
@@ -157,7 +134,6 @@ class PopAutoscaler:
         return int(depth), int(capacity), float(busy)
 
     def _evaluate_pop(self, name: str) -> None:
-        config = self.config
         state = self._states[name]
         now = self.env.now
         depth, capacity, busy = self._read(name)
@@ -169,35 +145,32 @@ class PopAutoscaler:
             )
         state.last_busy_seconds = busy
         state.last_sample_at = now
-        if (
-            utilization >= config.high_utilization
-            or depth >= config.high_queue_depth
-        ):
+        if utilization >= HIGH_UTILIZATION or depth >= HIGH_QUEUE_DEPTH:
             state.consecutive_high += 1
             state.consecutive_low = 0
-        elif utilization <= config.low_utilization and depth == 0:
+        elif utilization <= LOW_UTILIZATION and depth == 0:
             state.consecutive_low += 1
             state.consecutive_high = 0
         else:
             state.consecutive_high = 0
             state.consecutive_low = 0
-        if now - state.last_scaled_at < config.cooldown:
+        if now - state.last_scaled_at < COOLDOWN:
             return
         if (
-            state.consecutive_high >= config.up_consecutive
-            and capacity < config.max_capacity
+            state.consecutive_high >= UP_CONSECUTIVE
+            and capacity < MAX_CAPACITY
         ):
             target = min(
-                config.max_capacity,
-                max(capacity + 1, math.ceil(capacity * config.factor)),
+                MAX_CAPACITY,
+                max(capacity + 1, math.ceil(capacity * FACTOR)),
             )
             self._scale(name, state, "up", capacity, target, utilization,
                         depth)
         elif (
-            state.consecutive_low >= config.down_consecutive
+            state.consecutive_low >= DOWN_CONSECUTIVE
             and capacity > state.floor
         ):
-            target = max(state.floor, math.floor(capacity / config.factor))
+            target = max(state.floor, math.floor(capacity / FACTOR))
             self._scale(name, state, "down", capacity, target,
                         utilization, depth)
 

@@ -31,10 +31,8 @@ class Environment:
     sequence number), which makes runs fully deterministic.
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        if not math.isfinite(initial_time):
-            raise ValueError(f"initial_time must be finite: {initial_time}")
-        self._now = float(initial_time)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._steps = 0

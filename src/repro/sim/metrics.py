@@ -6,6 +6,19 @@ percentile queries, time series, and streaming quantile sketches
 retaining raw samples). A :class:`MetricRegistry` groups them under
 hierarchical dotted names so harness code can dump every metric of a
 run in one pass; it is the one registry every component takes.
+
+A number is kept once, in the collector written by the subsystem where
+the thing happens, and ``RunResult.over`` restates it — a counter, a
+histogram's peak (the extrema), histograms' observation counts
+(``page_views``, ``reads_checked``), the ``tier.plt.*`` sketches' sums
+— so merging shards is merging registries and nothing else (DESIGN.md,
+*Observability*): per-layer and per-kind servings are the
+``serve.layer.*`` / ``serve.kind.*.*`` counters, with degraded
+servings (stale-if-error and offline responses) under
+``serve.degraded.*`` so fresh cache hits are distinguishable from
+responses the degradation ladder kept alive. Names carry a tier
+(``sw.hit``, ``speedkit.scrubbed``), a PoP (``edge.<pop>.hit``) or a
+kind — never a user id; per-request detail lives in the spans.
 """
 
 from __future__ import annotations

@@ -103,7 +103,7 @@ class Topology:
         """Sample a one-way delay between two directly linked nodes."""
         return self.link(a, b).one_way(rng)
 
-    def nearest_edge(self, client: str, rng: random.Random) -> str:
+    def nearest_edge(self, client: str) -> str:
         """The edge PoP with the lowest expected delay from ``client``.
 
         Ties are broken by node name so the choice is deterministic.

@@ -24,6 +24,11 @@ from repro.sketch.bloom import BloomFilter
 from repro.sketch.counting import CountingBloomFilter
 from repro.sketch.sizing import sketch_shape
 
+#: The sizing a server sketch gets when none is given: expected
+#: concurrently-stale keys and the false-positive rate at that load.
+DEFAULT_CAPACITY = 20_000
+DEFAULT_TARGET_FPR = 0.05
+
 
 @dataclass
 class ClientCacheSketch:
@@ -48,8 +53,8 @@ class ServerCacheSketch:
 
     def __init__(
         self,
-        capacity: int = 20_000,
-        target_fpr: float = 0.05,
+        capacity: int = DEFAULT_CAPACITY,
+        target_fpr: float = DEFAULT_TARGET_FPR,
         bits: Optional[int] = None,
         hashes: Optional[int] = None,
     ) -> None:

@@ -22,7 +22,11 @@ from collections import deque
 from typing import Deque, Optional, Tuple
 
 from repro.sketch.bloom import BloomFilter
-from repro.sketch.cache_sketch import ClientCacheSketch
+from repro.sketch.cache_sketch import (
+    DEFAULT_CAPACITY,
+    DEFAULT_TARGET_FPR,
+    ClientCacheSketch,
+)
 from repro.sketch.sizing import sketch_shape
 
 
@@ -33,8 +37,8 @@ class RotatingCacheSketch:
         self,
         horizon: float,
         window: Optional[float] = None,
-        capacity: int = 20_000,
-        target_fpr: float = 0.05,
+        capacity: int = DEFAULT_CAPACITY,
+        target_fpr: float = DEFAULT_TARGET_FPR,
         bits: Optional[int] = None,
         hashes: Optional[int] = None,
     ) -> None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.cdn.network import Cdn
+from repro.cdn.network import DEFAULT_POP, Cdn
 from repro.invalidation.pipeline import InvalidationPipeline
 from repro.origin.server import OriginServer, TtlPolicy
 from repro.origin.site import Site
@@ -29,8 +29,6 @@ class SpeedKitBackend:
         site: Site,
         ttl_policy: Optional[TtlPolicy] = None,
         pop_names: Optional[List[str]] = None,
-        sketch_capacity: int = 20_000,
-        sketch_target_fpr: float = 0.05,
         detection_latency: float = 0.025,
         purge_latency: float = 0.080,
         metrics: Optional[MetricRegistry] = None,
@@ -40,11 +38,9 @@ class SpeedKitBackend:
         self.metrics = metrics or MetricRegistry()
         self.backend_spec = backend_spec
         self.server = OriginServer(site, ttl_policy=ttl_policy)
-        self.sketch = ServerCacheSketch(
-            capacity=sketch_capacity, target_fpr=sketch_target_fpr
-        )
+        self.sketch = ServerCacheSketch()
         self.cdn = Cdn(
-            pop_names or ["edge-1"],
+            pop_names or [DEFAULT_POP],
             metrics=self.metrics,
             backend_spec=backend_spec,
         )

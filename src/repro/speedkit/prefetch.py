@@ -21,6 +21,11 @@ from typing import Dict, Generator, List, Optional, Tuple
 from repro.http.messages import Request
 from repro.http.url import URL
 
+#: Ranked successors the predictor offers per navigation.
+MAX_PREDICTIONS = 3
+#: Observed transition probability below which no prefetch is issued.
+MIN_CONFIDENCE = 0.2
+
 
 class NavigationPredictor:
     """First-order Markov model over page transitions.
@@ -31,12 +36,7 @@ class NavigationPredictor:
     what counts of ``page → page`` transitions are.
     """
 
-    def __init__(self, max_predictions: int = 3) -> None:
-        if max_predictions <= 0:
-            raise ValueError(
-                f"max_predictions must be positive: {max_predictions}"
-            )
-        self.max_predictions = max_predictions
+    def __init__(self) -> None:
         self._transitions: Dict[str, Counter] = {}
         self.observations = 0
 
@@ -57,7 +57,7 @@ class NavigationPredictor:
         if not counts:
             return []
         total = sum(counts.values())
-        ranked = counts.most_common(self.max_predictions)
+        ranked = counts.most_common(MAX_PREDICTIONS)
         return [(state, count / total) for state, count in ranked]
 
 
@@ -76,19 +76,9 @@ def url_for_state(state: str) -> Optional[URL]:
 class Prefetcher:
     """Drives background prefetches for one service worker."""
 
-    def __init__(
-        self,
-        worker,
-        predictor: NavigationPredictor,
-        min_confidence: float = 0.2,
-    ) -> None:
-        if not 0.0 <= min_confidence <= 1.0:
-            raise ValueError(
-                f"min_confidence must be in [0, 1]: {min_confidence}"
-            )
+    def __init__(self, worker, predictor: NavigationPredictor) -> None:
         self.worker = worker
         self.predictor = predictor
-        self.min_confidence = min_confidence
         self._previous_state: Optional[str] = None
         self.prefetches_issued = 0
 
@@ -99,7 +89,7 @@ class Prefetcher:
         self._previous_state = state
         env = self.worker.transport.env
         for next_state, confidence in self.predictor.predict(state):
-            if confidence < self.min_confidence:
+            if confidence < MIN_CONFIDENCE:
                 continue
             url = url_for_state(next_state)
             if url is None:

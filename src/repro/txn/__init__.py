@@ -3,7 +3,6 @@
 from repro.txn.coordinator import (
     DEGRADED_HEADER,
     KeyRead,
-    TxnConfig,
     TxnCoordinator,
     TxnResult,
 )
@@ -14,7 +13,6 @@ __all__ = [
     "DEGRADED_HEADER",
     "ConsistencyLevel",
     "KeyRead",
-    "TxnConfig",
     "TxnContext",
     "TxnCoordinator",
     "TxnRegistry",

@@ -43,21 +43,11 @@ from repro.txn.registry import TxnRegistry
 DEGRADED_HEADER = Degraded.TXN_DOWNGRADE.header
 
 
-@dataclass
-class TxnConfig:
-    """Budgets for the validation and refetch loops."""
-
-    #: Serializable validation attempts before degrading (the first
-    #: validation plus ``validation_retries`` retries after aborts).
-    validation_retries: int = 3
-    #: Snapshot re-fetch rounds before giving up on a cut.
-    refetch_rounds: int = 3
-
-    def __post_init__(self) -> None:
-        if self.validation_retries < 0:
-            raise ValueError("validation_retries must be >= 0")
-        if self.refetch_rounds < 1:
-            raise ValueError("refetch_rounds must be >= 1")
+#: Serializable validation attempts before degrading: the first
+#: validation plus this many retries after aborts.
+VALIDATION_RETRIES = 3
+#: Snapshot re-fetch rounds before giving up on a cut.
+REFETCH_ROUNDS = 3
 
 
 @dataclass
@@ -146,7 +136,6 @@ class TxnCoordinator:
         user_id: Optional[str] = None,
         registry: Optional[TxnRegistry] = None,
         tracer=None,
-        config: Optional[TxnConfig] = None,
     ) -> None:
         self.env = env
         self.stack = stack
@@ -155,7 +144,6 @@ class TxnCoordinator:
         self.user_id = user_id
         self.registry = registry
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.config = config or TxnConfig()
         # Per-key monotonic floor: the highest version this client has
         # returned for each key. A cache serving an older version to a
         # later transaction would regress the client's monotonic reads;
@@ -415,7 +403,7 @@ class TxnCoordinator:
                     "snapshot-cut", at=self.env.now, cut=cut
                 )
                 return True
-            if rounds >= self.config.refetch_rounds:
+            if rounds >= REFETCH_ROUNDS:
                 span.event("cut-exhausted", at=self.env.now)
                 return False
             rounds += 1
@@ -459,7 +447,7 @@ class TxnCoordinator:
                 )
                 if not certified:
                     return False
-                if attempts > self.config.validation_retries:
+                if attempts > VALIDATION_RETRIES:
                     span.event("retries-exhausted", at=self.env.now)
                     return False
                 result.validation_retries += 1
@@ -479,7 +467,7 @@ class TxnCoordinator:
             span.event(
                 "abort", at=self.env.now, conflicts=len(mismatched)
             )
-            if attempts > self.config.validation_retries:
+            if attempts > VALIDATION_RETRIES:
                 span.event("retries-exhausted", at=self.env.now)
                 return False
             stale = [

@@ -82,12 +82,12 @@ class WorkloadConfig:
                 f"write_rate must be finite and non-negative: "
                 f"{self.write_rate}"
             )
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive: {self.duration}")
-        if self.session_rate <= 0:
-            raise ValueError(
-                f"session_rate must be positive: {self.session_rate}"
-            )
+        for knob in ("duration", "session_rate"):
+            value = getattr(self, knob)
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{knob} must be finite and positive: {value}"
+                )
         nav_total = self.nav_category + self.nav_product + self.nav_home
         if abs(nav_total - 1.0) > 1e-6:
             raise ValueError(f"navigation mix sums to {nav_total}")
@@ -95,11 +95,6 @@ class WorkloadConfig:
     def to_dict(self) -> dict:
         """Plain JSON data for trace-header provenance (v2 format)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadConfig":
-        known = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 class WorkloadGenerator:

@@ -10,6 +10,7 @@ from repro.browser import (
     PageSpec,
     TransportMode,
 )
+from repro.browser import page as page_module
 from repro.http import URL
 
 from tests.browser.conftest import CLIENT_ORIGIN, run_fetch
@@ -77,11 +78,14 @@ class TestPageLoad:
         )
         assert result.plt == pytest.approx(3 * 2 * CLIENT_ORIGIN)
 
-    def test_connection_limit_serializes_batches(self, env, transport, site):
+    def test_connection_limit_serializes_batches(
+        self, env, transport, site, monkeypatch
+    ):
+        monkeypatch.setattr(page_module, "MAX_PARALLEL", 4)
         for i in range(8):
             site.store.put("assets", f"file{i}.js", {"i": i})
         client = BrowserClient("client", transport, mode=TransportMode.DIRECT)
-        loader = PageLoadEngine(env, client, max_parallel=4)
+        loader = PageLoadEngine(env, client)
         spec = PageSpec(
             name="heavy",
             html=URL.parse("/page/1"),
@@ -93,6 +97,15 @@ class TestPageLoad:
         # 8 assets at parallelism 4 -> two batches after the HTML.
         assert result.plt == pytest.approx(3 * 2 * CLIENT_ORIGIN)
 
+    def test_one_connection_fetches_assets_one_by_one(
+        self, env, loader, monkeypatch
+    ):
+        monkeypatch.setattr(page_module, "MAX_PARALLEL", 1)
+        result = run_fetch(env, loader.load(page_spec(asset_count=3)))
+        # HTML round trip, then one round trip per asset.
+        assert result.plt == pytest.approx(4 * 2 * CLIENT_ORIGIN)
+        assert len(result.responses) == 4
+
     def test_repeat_load_is_fully_cached(self, env, loader):
         run_fetch(env, loader.load(page_spec(asset_count=2)))
         start = env.now
@@ -103,7 +116,3 @@ class TestPageLoad:
     def test_served_by_counts(self, env, loader):
         result = run_fetch(env, loader.load(page_spec(asset_count=2)))
         assert result.served_by_counts() == {"origin": 3}
-
-    def test_max_parallel_validation(self, env, loader):
-        with pytest.raises(ValueError):
-            PageLoadEngine(env, loader.fetcher, max_parallel=0)

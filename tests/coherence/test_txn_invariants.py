@@ -32,6 +32,7 @@ from repro.faults import PROFILES, RetryPolicy
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner
 from repro.storage import BackendSpec
 from repro.txn import ConsistencyLevel
+from repro.txn.coordinator import VALIDATION_RETRIES
 from repro.workload import (
     CatalogConfig,
     UserPopulationConfig,
@@ -269,9 +270,8 @@ class TestShardedKernel:
         sit within the serial run's regime (same order of magnitude,
         bounded by the retry budget)."""
         serial, sharded = pair
-        limit = _spec("sync-remote", "snapshot", SEEDS[0]).txn_retry_limit
-        assert sharded.txn_validation_retries <= sharded.txns * limit
-        assert sharded.txn_aborts <= sharded.txns * limit
+        assert sharded.txn_validation_retries <= sharded.txns * VALIDATION_RETRIES
+        assert sharded.txn_aborts <= sharded.txns * VALIDATION_RETRIES
         if serial.txn_refetches == 0:
             assert sharded.txn_refetches == 0
         else:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.browser import Transport
 from repro.cdn import Cdn
+from repro.faults import breaker as breaker_module
 from repro.origin import (
     OriginServer,
     ResourceKind,
@@ -25,6 +26,12 @@ CLIENT_ORIGIN = 0.05
 @pytest.fixture
 def env():
     return Environment()
+
+
+@pytest.fixture
+def one_failure_trips(monkeypatch):
+    """Circuit breakers that open on the first failure."""
+    monkeypatch.setattr(breaker_module, "FAILURE_THRESHOLD", 1)
 
 
 @pytest.fixture

@@ -4,10 +4,15 @@ import random
 
 import pytest
 
-from repro.browser import Transport
+from repro.browser import Transport, transport as transport_module
 from repro.cdn import Cdn
 from repro.coherence.client import SketchClient
-from repro.faults import CircuitBreaker, FaultProfile, RetryPolicy
+from repro.faults import (
+    CircuitBreaker,
+    FaultProfile,
+    RetryPolicy,
+    retry as retry_module,
+)
 from repro.http import Request, Status, URL
 from repro.sim import Environment
 from repro.simnet import NO_FAULTS, FaultSchedule, build_web_topology
@@ -46,15 +51,11 @@ class TestLostMessages:
         assert response.headers.get("Cache-Control") == "no-store"
 
     def test_retry_policy_spends_attempts_then_gives_up(
-        self, env, make_transport, metrics
+        self, env, make_transport, metrics, monkeypatch
     ):
-        policy = RetryPolicy(
-            max_attempts=2,
-            base_backoff=0.05,
-            backoff_factor=2.0,
-            attempt_timeout=0.5,
-            budget=10.0,
-        )
+        monkeypatch.setattr(retry_module, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(transport_module, "ATTEMPT_TIMEOUT", 0.5)
+        policy = RetryPolicy(budget=10.0)
         transport = make_transport(faults=lossy(), retry=policy)
         response = run_fetch(
             env, transport.fetch_direct("client", get("/page/1"))
@@ -68,15 +69,10 @@ class TestLostMessages:
 
 class TestRetryAgainstOutage:
     def test_retry_rides_out_a_short_outage(
-        self, env, make_transport, metrics
+        self, env, make_transport, metrics, monkeypatch
     ):
-        policy = RetryPolicy(
-            max_attempts=3,
-            base_backoff=0.1,
-            backoff_factor=2.0,
-            attempt_timeout=1.0,
-            budget=10.0,
-        )
+        monkeypatch.setattr(retry_module, "BASE_BACKOFF", 0.1)
+        policy = RetryPolicy(budget=10.0)
         transport = make_transport(
             faults=FaultSchedule.origin_outage(0.0, 0.2), retry=policy
         )
@@ -92,13 +88,7 @@ class TestRetryAgainstOutage:
     def test_time_budget_stops_retrying_early(
         self, env, make_transport, metrics
     ):
-        policy = RetryPolicy(
-            max_attempts=5,
-            base_backoff=0.05,
-            backoff_factor=2.0,
-            attempt_timeout=1.0,
-            budget=0.15,
-        )
+        policy = RetryPolicy(budget=0.15)
         transport = make_transport(
             faults=FaultSchedule.origin_outage(0.0, 100.0), retry=policy
         )
@@ -162,11 +152,9 @@ class TestEdgeFailover:
         assert len(cdn.pop("edge").store) == 0
 
     def test_breaker_trips_to_pass_through(
-        self, env, make_transport, cdn, metrics
+        self, env, make_transport, cdn, metrics, one_failure_trips
     ):
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown=30.0, metrics=metrics
-        )
+        breaker = CircuitBreaker(metrics=metrics)
         transport = make_transport(
             faults=self.edge_down(), breaker=breaker
         )
@@ -185,10 +173,10 @@ class TestEdgeFailover:
         assert env.now - start == pytest.approx(2 * CLIENT_ORIGIN)
         assert metrics.counter("breaker.pass_through").value == 1
 
-    def test_breaker_wave_pass_through(self, env, make_transport, cdn, metrics):
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown=30.0, metrics=metrics
-        )
+    def test_breaker_wave_pass_through(
+        self, env, make_transport, cdn, metrics, one_failure_trips
+    ):
+        breaker = CircuitBreaker(metrics=metrics)
         transport = make_transport(faults=self.edge_down(), breaker=breaker)
         run_fetch(
             env,
@@ -204,11 +192,9 @@ class TestEdgeFailover:
         assert metrics.counter("breaker.pass_through").value == 1
 
     def test_breaker_probe_recloses_after_recovery(
-        self, env, make_transport, cdn, metrics
+        self, env, make_transport, cdn, metrics, one_failure_trips
     ):
-        breaker = CircuitBreaker(
-            failure_threshold=1, cooldown=30.0, metrics=metrics
-        )
+        breaker = CircuitBreaker(metrics=metrics)
         transport = make_transport(
             faults=self.edge_down(0.0, 100.0), breaker=breaker
         )

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.cdn.replication import DEFAULT_REPLICATION_DELAY
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner
 from repro.harness.scenarios import ScenarioSpec as Spec
 from repro.workload import (
@@ -128,7 +129,8 @@ def test_time_scaled_compresses_wall_time_gap_knobs():
         purge_latency=0.08,
         stale_if_error=30.0,
         outage=(100.0, 200.0),
-        replication_delay=0.05,
+        replicate_pops=True,
+        n_regions=2,
         time_scale=0.5,
     )
     scaled = spec.time_scaled()
@@ -139,7 +141,8 @@ def test_time_scaled_compresses_wall_time_gap_knobs():
     assert scaled.stale_if_error == 15.0
     assert scaled.outage == (50.0, 100.0)
     # Infrastructure speed is not the timeline: replication stays put.
-    assert scaled.replication_delay == 0.05
+    terms = dict(scaled.delta_terms())
+    assert terms["async_propagation"] == DEFAULT_REPLICATION_DELAY
     # Applied once: a second call is a no-op.
     assert scaled.time_scale == 1.0
     assert scaled.time_scaled() is scaled

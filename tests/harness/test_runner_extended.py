@@ -43,16 +43,20 @@ def run(workload, **spec_kwargs):
 
 class TestMultiPop:
     def test_two_pops_serve_and_stay_coherent(self):
-        workload = build_workload()
-        result = run(
-            workload,
-            scenario=Scenario.SPEED_KIT,
-            pop_names=("edge-1", "edge-2"),
+        catalog, users, trace = build_workload()
+        runner = SimulationRunner(
+            ScenarioSpec(scenario=Scenario.SPEED_KIT, n_regions=2),
+            catalog,
+            users,
+            trace,
         )
+        result = runner.run()
         assert result.page_views > 0
         assert result.delta_violations == 0
-        # Edge traffic exists (clients picked their nearest PoP).
-        assert result.served_by_layer.get("edge", 0) > 0
+        # Each region's clients reach their own PoP: both serve.
+        assert sorted(runner.cdn.pops) == ["edge-r0", "edge-r1"]
+        for pop in runner.cdn.pops.values():
+            assert pop.counted("hit") + pop.counted("miss") > 0
 
 
 class TestConsentMix:

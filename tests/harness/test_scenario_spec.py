@@ -21,7 +21,6 @@ CLASSIC = functools.partial(ScenarioSpec, Scenario.CLASSIC_CDN)
         (CLASSIC, "page_ttl"),
         (CLASSIC, "detection_latency"),
         (CLASSIC, "purge_latency"),
-        (CLASSIC, "replication_delay"),
         (CLASSIC, "stale_if_error"),
         # The specs a ScenarioSpec carries, and the trace generator's.
         (BackendSpec, "flush_interval"),
@@ -29,9 +28,9 @@ CLASSIC = functools.partial(ScenarioSpec, Scenario.CLASSIC_CDN)
         (BackendSpec, "read_latency"),
         (BackendSpec, "write_latency"),
         (RetryPolicy, "budget"),
-        (RetryPolicy, "attempt_timeout"),
-        (RetryPolicy, "base_backoff"),
         (WorkloadConfig, "write_rate"),
+        (WorkloadConfig, "duration"),
+        (WorkloadConfig, "session_rate"),
     ],
     ids=lambda value: getattr(value, "__name__", None),
 )
@@ -48,7 +47,6 @@ def test_durations_must_be_finite_and_non_negative(build, knob, value):
         ({"load_multiplier": math.inf}, "load_multiplier"),
         ({"load_multiplier": math.nan}, "load_multiplier"),
         ({"n_regions": 0}, "n_regions"),
-        ({"txn_retry_limit": -1}, "txn_retry_limit"),
         ({"scenario": Scenario.SPEED_KIT, "delta": 0.0}, "delta"),
         # Contradictory pipeline latencies, on every scenario: the purge
         # completes after detection.
@@ -90,9 +88,7 @@ def test_out_of_range_knobs_are_named(knobs, names):
         ScenarioSpec(**knobs)
 
 
-@pytest.mark.parametrize(
-    "pops", [{"n_regions": 2}, {"pop_names": ("edge-1", "edge-2")}]
-)
+@pytest.mark.parametrize("pops", [{"n_regions": 2}, {"n_regions": 3}])
 def test_replication_over_two_pops_is_accepted(pops):
     assert ScenarioSpec(
         Scenario.SPEED_KIT, replicate_pops=True, **pops
@@ -108,7 +104,6 @@ def test_boundary_values_are_accepted():
         purge_latency=0.0,
         load_multiplier=1.0,
         n_regions=1,
-        txn_retry_limit=0,
     )
     assert spec.stale_if_error == 0.0
 

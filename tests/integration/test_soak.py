@@ -48,7 +48,7 @@ def soak_result():
         adaptive_ttl=True,
         stale_while_revalidate=True,
         prefetch=True,
-        pop_names=("edge-1", "edge-2"),
+        n_regions=2,
         outage=OUTAGE,
         label="speed-kit-everything",
     )
@@ -92,13 +92,11 @@ class TestSoak:
         assert result.requests_scrubbed > 0
 
     def test_multi_pop_traffic(self, soak_result):
-        runner, result = soak_result
-        per_pop = {
-            name: len(pop.store)
-            for name, pop in runner.cdn.pops.items()
-        }
-        # Both PoPs participated (clients pick nearest by latency).
-        assert sum(per_pop.values()) > 0
+        runner, _ = soak_result
+        # Each region's clients reach their own PoP: both serve.
+        assert len(runner.cdn.pops) == 2
+        for pop in runner.cdn.pops.values():
+            assert pop.counted("hit") + pop.counted("miss") > 0
 
     def test_deterministic_under_full_feature_load(self, soak_result):
         runner, result = soak_result

@@ -9,11 +9,11 @@ numerator.
 """
 
 from repro.harness import RunResult
-from repro.obs import MetricsRegistry
+from repro.sim.metrics import MetricRegistry
 
 
 def result_with(served, degraded):
-    registry = MetricsRegistry()
+    registry = MetricRegistry()
     result = RunResult(
         scenario_name="test",
         metrics=registry,

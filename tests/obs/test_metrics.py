@@ -2,21 +2,21 @@
 
 import pytest
 
-from repro.obs import MetricsRegistry, QuantileSketch
-from repro.sim.metrics import MetricRegistry
+from repro import sim
+from repro.obs import MetricRegistry, QuantileSketch
 
 
-class TestMetricsRegistry:
-    def test_is_a_metric_registry(self):
-        registry = MetricsRegistry()
-        assert isinstance(registry, MetricRegistry)
+class TestMetricRegistry:
+    def test_is_the_one_metric_registry(self):
+        assert MetricRegistry is sim.metrics.MetricRegistry
+        registry = MetricRegistry()
         registry.counter("serve.layer.edge").inc(3)
         assert registry.counter("serve.layer.edge").value == 3
         registry.histogram("plt.all").observe(0.5)
         assert registry.histogram("plt.all").count == 1
 
     def test_sketch_create_or_get(self):
-        registry = MetricsRegistry()
+        registry = MetricRegistry()
         sketch = registry.sketch("tier.plt.edge")
         assert isinstance(sketch, QuantileSketch)
         assert registry.sketch("tier.plt.edge") is sketch
@@ -24,13 +24,13 @@ class TestMetricsRegistry:
         assert registry.sketch("tier.plt.edge").count == 1
 
     def test_sketch_names_sorted(self):
-        registry = MetricsRegistry()
+        registry = MetricRegistry()
         registry.sketch("b")
         registry.sketch("a")
         assert registry.sketch_names() == ["a", "b"]
 
     def test_snapshot_includes_sketch_summaries(self):
-        registry = MetricsRegistry()
+        registry = MetricRegistry()
         registry.counter("c").inc()
         registry.sketch("tier.plt.origin").observe_many([0.1, 0.2, 0.3])
         snapshot = registry.snapshot()
@@ -42,13 +42,8 @@ class TestMetricsRegistry:
 
 
 class TestOneRegistry:
-    """Every component's signature says ``MetricRegistry``; whichever
-    name built it, the registry has the whole surface."""
-
-    def test_both_import_names_are_the_one_class(self):
-        from repro.obs.metrics import MetricsRegistry as by_module_path
-
-        assert MetricsRegistry is MetricRegistry is by_module_path
+    """Every component's signature says ``MetricRegistry``, and the
+    registry has the whole surface."""
 
     def test_an_erase_records_its_latency_sketch(self):
         from repro.gdpr import ErasureCoordinator
@@ -85,8 +80,8 @@ class TestOneRegistry:
         assert metrics.sketch("overload.pop.wait").count == 1
         assert metrics.sketch_names() == ["overload.pop.wait"]
 
-    def test_merge_carries_sketches_from_either_name(self):
-        ours, theirs = MetricRegistry(), MetricsRegistry()
+    def test_merge_carries_sketches(self):
+        ours, theirs = MetricRegistry(), MetricRegistry()
         theirs.sketch("lat").observe_many([1.0, 2.0])
         ours.merge(theirs)
         assert ours.sketch("lat").count == 2

@@ -13,16 +13,16 @@ import os
 import pytest
 
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner
-from repro.obs import MetricsRegistry
 from repro.overload import (
     OVERLOAD_PROFILES,
-    AutoscaleConfig,
     ControlPlane,
     OverloadProfile,
     PopAutoscaler,
+    autoscaler as autoscaler_module,
 )
 from repro.parallel import ShardedSimulationRunner
 from repro.sim.environment import Environment
+from repro.sim.metrics import MetricRegistry
 
 pytestmark = pytest.mark.overload
 
@@ -33,11 +33,11 @@ class Harness:
     """One governed PoP plus an autoscaler whose loop never runs —
     ticks are injected by hand at a fixed 5s cadence."""
 
-    def __init__(self, config=None, capacity=2):
+    def __init__(self, capacity=2):
         import random
 
         self.env = Environment()
-        self.metrics = MetricsRegistry()
+        self.metrics = MetricRegistry()
         profile = OverloadProfile(
             name="unit",
             pop_capacity=capacity,
@@ -58,7 +58,6 @@ class Harness:
             self.metrics,
             rng=random.Random(0),
             horizon=0.0,  # the real loop exits immediately
-            config=config or AutoscaleConfig(),
         )
         self.governor = self.plane.pop_governors[POP]
 
@@ -140,12 +139,28 @@ class TestHysteresis:
         decisions = Harness().feed([LOW] * 12)
         assert decisions == []
 
-    def test_never_scales_above_max_capacity(self):
-        config = AutoscaleConfig(max_capacity=4, cooldown=0.0)
-        harness = Harness(config=config)
+    def test_never_scales_above_max_capacity(self, monkeypatch):
+        monkeypatch.setattr(autoscaler_module, "MAX_CAPACITY", 4)
+        monkeypatch.setattr(autoscaler_module, "COOLDOWN", 0.0)
+        harness = Harness()
         decisions = harness.feed([HIGH] * 10)
         assert all(d.to_capacity <= 4 for d in decisions)
         assert harness.governor.capacity == 4
+
+    def test_up_streak_length_is_read_at_use(self, monkeypatch):
+        monkeypatch.setattr(autoscaler_module, "UP_CONSECUTIVE", 3)
+        assert Harness().feed([HIGH, HIGH]) == []
+        decisions = Harness().feed([HIGH] * 3)
+        assert [d.direction for d in decisions] == ["up"]
+
+    def test_scale_factor_is_read_at_use(self, monkeypatch):
+        monkeypatch.setattr(autoscaler_module, "FACTOR", 3.0)
+        decisions = Harness().feed([HIGH, HIGH])
+        assert decisions[0].to_capacity == 6
+
+    def test_queue_depth_bar_is_read_at_use(self, monkeypatch):
+        monkeypatch.setattr(autoscaler_module, "HIGH_QUEUE_DEPTH", 10)
+        assert Harness().feed([(0.0, 5), (0.0, 5)]) == []
 
     def test_up_counter_matches_decisions(self):
         harness = Harness()

@@ -22,7 +22,7 @@ pytestmark = pytest.mark.overload
 
 
 def tripped_breaker(now=0.0):
-    breaker = CircuitBreaker(failure_threshold=3, cooldown=30.0)
+    breaker = CircuitBreaker()
     for _ in range(3):
         breaker.record_failure("pop", now)
     assert breaker.is_open("pop", now)
@@ -69,7 +69,7 @@ class TestQueueDrainRegression:
     def test_stale_success_before_trip_still_counts(self):
         """Closed-state successes keep resetting the failure streak —
         the fix only ignores successes while open without a probe."""
-        breaker = CircuitBreaker(failure_threshold=3, cooldown=30.0)
+        breaker = CircuitBreaker()
         breaker.record_failure("pop", 0.0)
         breaker.record_failure("pop", 0.0)
         breaker.record_success("pop")

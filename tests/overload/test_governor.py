@@ -7,7 +7,7 @@ workload — so each queueing behaviour is pinned in isolation.
 
 import pytest
 
-from repro.obs import MetricsRegistry
+from repro.sim.metrics import MetricRegistry
 from repro.overload.governor import NodeGovernor
 from repro.overload.priority import PriorityClass
 from repro.sim.environment import Environment
@@ -229,7 +229,7 @@ class TestCapacityChanges:
 class TestWeightedAccounting:
     def test_wave_weight_counts_per_request_everywhere(self):
         env = Environment()
-        metrics = MetricsRegistry()
+        metrics = MetricRegistry()
         governor = make_governor(
             env, metrics=metrics, capacity=1, queue_limit=1
         )
@@ -248,7 +248,7 @@ class TestWeightedAccounting:
 
     def test_offered_splits_into_admitted_plus_shed(self):
         env = Environment()
-        metrics = MetricsRegistry()
+        metrics = MetricRegistry()
         governor = make_governor(
             env,
             metrics=metrics,
@@ -276,7 +276,7 @@ class TestWeightedAccounting:
 class TestUtilizationIntegral:
     def test_busy_seconds_is_the_slot_time_integral(self):
         env = Environment()
-        metrics = MetricsRegistry()
+        metrics = MetricRegistry()
         governor = make_governor(
             env, metrics=metrics, capacity=2, service_time=1.5
         )

@@ -10,11 +10,6 @@ def test_clock_starts_at_zero():
     assert env.now == 0.0
 
 
-def test_clock_starts_at_initial_time():
-    env = Environment(initial_time=42.5)
-    assert env.now == 42.5
-
-
 def test_timeout_advances_clock():
     env = Environment()
     seen = []
@@ -60,7 +55,8 @@ def test_run_until_stops_clock_exactly():
 
 
 def test_run_until_past_raises():
-    env = Environment(initial_time=10.0)
+    env = Environment()
+    env.run(until=10.0)
     with pytest.raises(ValueError):
         env.run(until=5.0)
 
@@ -417,8 +413,3 @@ def test_run_until_must_be_finite(until):
         env.run(until=until)
     assert env.now == 0.0
 
-
-@pytest.mark.parametrize("initial", [float("nan"), float("inf")])
-def test_initial_time_must_be_finite(initial):
-    with pytest.raises(ValueError, match="initial_time"):
-        Environment(initial_time=initial)

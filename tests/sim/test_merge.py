@@ -7,7 +7,6 @@ series interleave in time order, and quantile sketches merge bucket
 by bucket (order-independent).
 """
 
-from repro.obs import MetricsRegistry
 from repro.sim.metrics import MetricRegistry
 
 
@@ -69,8 +68,8 @@ def test_merge_is_associative_on_counters_and_histograms():
 
 
 def test_sketches_merge_exactly():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    direct = MetricsRegistry()
+    a, b = MetricRegistry(), MetricRegistry()
+    direct = MetricRegistry()
     for i in range(500):
         value = 0.01 * (i + 1)
         target = a if i % 2 else b
@@ -85,7 +84,7 @@ def test_sketches_merge_exactly():
 
 
 def test_metrics_registry_merge_includes_base_collectors():
-    a, b = MetricsRegistry(), MetricsRegistry()
+    a, b = MetricRegistry(), MetricRegistry()
     a.counter("reqs").inc()
     b.counter("reqs").inc()
     b.sketch("lat").observe(1.0)

@@ -58,11 +58,11 @@ def test_edge_path_beats_origin_path_on_average(rng):
     assert edge_mean < origin_mean
 
 
-def test_nearest_edge_resolves(rng):
+def test_nearest_edge_resolves():
     topo = build_web_topology(
         clients=["c"], profiles={"c": "lte"}, edges=["edge-1", "edge-2"]
     )
-    assert topo.nearest_edge("c", rng) in {"edge-1", "edge-2"}
+    assert topo.nearest_edge("c") in {"edge-1", "edge-2"}
 
 
 class TestRegions:
@@ -75,11 +75,11 @@ class TestRegions:
             edge_regions={"edge-eu": "eu", "edge-us": "us"},
         )
 
-    def test_clients_only_reach_their_region(self, rng):
+    def test_clients_only_reach_their_region(self):
         topo = self.build()
         assert topo.has_link("c-eu", "edge-eu")
         assert not topo.has_link("c-eu", "edge-us")
-        assert topo.nearest_edge("c-us", rng) == "edge-us"
+        assert topo.nearest_edge("c-us") == "edge-us"
 
     def test_origin_reachable_from_everywhere(self):
         topo = self.build()

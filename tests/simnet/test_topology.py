@@ -63,29 +63,29 @@ class TestTopology:
         assert set(topo.nodes()) == {"client", "edge", "origin"}
         assert topo.kind("origin") is NodeKind.ORIGIN
 
-    def test_nearest_edge_picks_lowest_mean(self, rng):
+    def test_nearest_edge_picks_lowest_mean(self):
         topo = Topology()
         topo.add_node("c", NodeKind.CLIENT)
         topo.add_node("far-edge", NodeKind.EDGE)
         topo.add_node("near-edge", NodeKind.EDGE)
         topo.connect("c", "far-edge", Link(ConstantDelay(0.09)))
         topo.connect("c", "near-edge", Link(ConstantDelay(0.01)))
-        assert topo.nearest_edge("c", rng) == "near-edge"
+        assert topo.nearest_edge("c") == "near-edge"
 
-    def test_nearest_edge_without_edges_raises(self, rng):
+    def test_nearest_edge_without_edges_raises(self):
         topo = Topology()
         topo.add_node("c", NodeKind.CLIENT)
         with pytest.raises(KeyError):
-            topo.nearest_edge("c", rng)
+            topo.nearest_edge("c")
 
-    def test_nearest_edge_tie_broken_by_name(self, rng):
+    def test_nearest_edge_tie_broken_by_name(self):
         topo = Topology()
         topo.add_node("c", NodeKind.CLIENT)
         topo.add_node("edge-b", NodeKind.EDGE)
         topo.add_node("edge-a", NodeKind.EDGE)
         topo.connect("c", "edge-b", Link(ConstantDelay(0.01)))
         topo.connect("c", "edge-a", Link(ConstantDelay(0.01)))
-        assert topo.nearest_edge("c", rng) == "edge-a"
+        assert topo.nearest_edge("c") == "edge-a"
 
 
 class TestKindIndex:
@@ -121,21 +121,21 @@ class TestKindIndex:
         topo.nodes(NodeKind.EDGE).append("intruder")
         assert topo.nodes(NodeKind.EDGE) == ["edge"]
 
-    def test_nearest_edge_sees_nodes_added_after_its_first_call(self, rng):
+    def test_nearest_edge_sees_nodes_added_after_its_first_call(self):
         topo = Topology()
         topo.add_node("c", NodeKind.CLIENT)
         topo.add_node("edge-m", NodeKind.EDGE)
         topo.connect("c", "edge-m", Link(ConstantDelay(0.05)))
-        assert topo.nearest_edge("c", rng) == "edge-m"
+        assert topo.nearest_edge("c") == "edge-m"
         # More clients change nothing for this one ...
         for index in range(20):
             topo.add_node(f"c{index}", NodeKind.CLIENT)
             topo.connect(f"c{index}", "edge-m", Link(ConstantDelay(0.001)))
-        assert topo.nearest_edge("c", rng) == "edge-m"
+        assert topo.nearest_edge("c") == "edge-m"
         # ... an unconnected PoP is not reachable, a farther one loses,
         # a nearer one wins, and an equal one wins only by name.
         topo.add_node("edge-unlinked", NodeKind.EDGE)
-        assert topo.nearest_edge("c", rng) == "edge-m"
+        assert topo.nearest_edge("c") == "edge-m"
         for name, delay, expected in (
             ("edge-far", 0.09, "edge-m"),
             ("edge-z", 0.05, "edge-m"),
@@ -144,5 +144,5 @@ class TestKindIndex:
         ):
             topo.add_node(name, NodeKind.EDGE)
             topo.connect("c", name, Link(ConstantDelay(delay)))
-            assert topo.nearest_edge("c", rng) == expected
+            assert topo.nearest_edge("c") == expected
             assert expected == self.scanned_nearest_edge(topo, "c")

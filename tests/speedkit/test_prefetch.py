@@ -4,16 +4,13 @@ import pytest
 
 from repro.http import Request, URL
 from repro.speedkit import NavigationPredictor, Prefetcher
-from repro.speedkit.prefetch import url_for_state
+from repro.speedkit import prefetch as prefetch_module
+from repro.speedkit.prefetch import MAX_PREDICTIONS, url_for_state
 
 from tests.speedkit.conftest import run
 
 
 class TestNavigationPredictor:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NavigationPredictor(max_predictions=0)
-
     def test_no_history_no_predictions(self):
         predictor = NavigationPredictor()
         assert predictor.predict("home:") == []
@@ -34,10 +31,20 @@ class TestNavigationPredictor:
         assert predictor.predict("home:") == []
 
     def test_max_predictions_cap(self):
-        predictor = NavigationPredictor(max_predictions=2)
+        predictor = NavigationPredictor()
         for target in ("a", "b", "c", "d"):
             predictor.observe("home:", f"product:{target}")
-        assert len(predictor.predict("home:")) == 2
+        assert len(predictor.predict("home:")) == MAX_PREDICTIONS == 3
+
+    def test_max_predictions_is_read_at_use(self, monkeypatch):
+        predictor = NavigationPredictor()
+        for target in ("a", "b", "b", "c", "c", "c"):
+            predictor.observe("home:", f"product:{target}")
+        monkeypatch.setattr(prefetch_module, "MAX_PREDICTIONS", 2)
+        assert predictor.predict("home:") == [
+            ("product:c", pytest.approx(0.5)),
+            ("product:b", pytest.approx(1 / 3)),
+        ]
 
 
 class TestUrlForState:
@@ -52,11 +59,6 @@ class TestUrlForState:
 
 
 class TestPrefetcher:
-    def test_validation(self, make_worker):
-        worker = make_worker()
-        with pytest.raises(ValueError):
-            Prefetcher(worker, NavigationPredictor(), min_confidence=1.5)
-
     def test_prefetch_warms_sw_cache(self, env, make_worker):
         worker = make_worker()
         predictor = NavigationPredictor()
@@ -77,11 +79,27 @@ class TestPrefetcher:
     def test_low_confidence_not_prefetched(self, env, make_worker):
         worker = make_worker()
         predictor = NavigationPredictor()
+        # Six equally likely successors: 1/6 each, below MIN_CONFIDENCE.
         for target in ("2", "3", "4", "5", "6", "7"):
             predictor.observe("product:1", f"product:{target}")
-        prefetcher = Prefetcher(worker, predictor, min_confidence=0.5)
+        prefetcher = Prefetcher(worker, predictor)
         prefetcher.on_navigation("product", "1")
         assert prefetcher.prefetches_issued == 0
+
+    def test_min_confidence_is_read_at_use(
+        self, env, make_worker, monkeypatch
+    ):
+        monkeypatch.setattr(prefetch_module, "MIN_CONFIDENCE", 0.1)
+        worker = make_worker()
+        predictor = NavigationPredictor()
+        for target in ("2", "3", "4", "5", "6", "7"):
+            predictor.observe("product:1", f"product:{target}")
+        prefetcher = Prefetcher(worker, predictor)
+        prefetcher.on_navigation("product", "1")
+        env.run(until=env.now + 5.0)
+        # 1/6 now clears the bar; the predictor still offers only
+        # MAX_PREDICTIONS successors.
+        assert prefetcher.prefetches_issued == MAX_PREDICTIONS
 
     def test_navigation_chain_trains_model(self, env, make_worker):
         worker = make_worker()

@@ -469,10 +469,11 @@ EVERY_FLAG = [
     "--stale-if-error", "30", "--retry-budget", "2",
     "--overload-profile", "flash-crowd", "--admission", "--autoscale",
     "--load-multiplier", "2", "--consistency", "snapshot",
-    "--txn-retries", "5", "--replay-rate", "2",
+    "--replay-rate", "2",
 ]  # fmt: skip
 EVERY_FLAG_SPEC = ScenarioSpec(
     scenario=Scenario.SPEED_KIT,
+    seed=3,
     backend=BackendSpec(
         kind="write-behind",
         seed=3,
@@ -487,7 +488,6 @@ EVERY_FLAG_SPEC = ScenarioSpec(
     stale_if_error=30.0,
     retry=RetryPolicy(budget=2.0),
     consistency="snapshot",
-    txn_retry_limit=5,
     overload_profile=OVERLOAD_PROFILES["flash-crowd"],
     admission=True,
     autoscale=True,
@@ -561,7 +561,6 @@ SMALL = ["--users", "5", "--products", "10", "--duration", "60"]
             "load_multiplier",
         ),
         (["--load-multiplier", "0.5"], "load_multiplier"),
-        (["--txn-retries", "-1"], "txn_retry_limit"),
         (["--retry-budget", "0"], "budget"),
         (["--retry-budget", "nan"], "budget"),
         (
@@ -573,6 +572,11 @@ SMALL = ["--users", "5", "--products", "10", "--duration", "60"]
             "flush_interval",
         ),
         (["--write-rate", "-1"], "write_rate"),
+        # Non-finite traffic knobs: each used to hang the generator.
+        (["--session-rate", "nan"], "session_rate"),
+        (["--session-rate", "inf"], "session_rate"),
+        (["--duration", "inf"], "duration"),
+        (["--duration", "nan"], "duration"),
         (["--users", "0"], "n_users"),
         (["--gdpr-mix", "2"], "erase_fraction"),
         (["--replay-rate", "nan"], "--replay-rate"),
@@ -703,6 +707,18 @@ def test_a_hostile_workers_variable_exits_naming_it(monkeypatch, workers):
     assert message.startswith("repro: error: ")
     assert "\n" not in message  # one line, no traceback
     assert "REPRO_PARALLEL_WORKERS" in message and repr(workers) in message
+
+
+def test_a_v2_replay_runs_at_the_recorded_seed(monkeypatch, tmp_path):
+    """``--seed`` reaches the spec, and a v2 replay overrides it with
+    the recording's root seed, so fault and network streams match."""
+    path = tmp_path / "recorded.jsonl"
+    assert main(["gen-trace", "--out", str(path), "--seed", "5"] + QUICK) == 0
+    assert _captured_spec(monkeypatch, ["run", "--seed", "99"]).seed == 99
+    replayed = _captured_spec(
+        monkeypatch, ["run", "--replay", str(path), "--seed", "99"]
+    )
+    assert replayed.seed == 5
 
 
 def test_storage_tuning_flags_reach_their_engine(monkeypatch):

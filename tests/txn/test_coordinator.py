@@ -3,6 +3,7 @@
 import pytest
 
 from repro.txn import ConsistencyLevel
+from repro.txn.coordinator import VALIDATION_RETRIES
 
 from tests.txn.conftest import level_runner
 
@@ -58,10 +59,9 @@ class TestAccounting:
         )
 
     def test_retries_never_exceed_the_budget(self, runner):
-        limit = runner.spec.txn_retry_limit
         assert (
             runner.result.txn_validation_retries
-            <= runner.result.txns * limit
+            <= runner.result.txns * VALIDATION_RETRIES
         )
 
 

@@ -16,6 +16,7 @@ from repro.http import Degraded, Request, reason_of
 from repro.http.messages import Status
 from repro.http.url import URL
 from repro.txn import DEGRADED_HEADER, ConsistencyLevel
+from repro.txn.coordinator import VALIDATION_RETRIES
 from repro.workload.trace import TxnRead
 
 from tests.txn.conftest import SEED, drive, level_runner, txn_workload
@@ -57,10 +58,9 @@ class TestFaultedReplays:
         assert faulted_runner.result.txn_degraded == marked
 
     def test_retries_bounded_by_budget_under_faults(self, faulted_runner):
-        limit = faulted_runner.spec.txn_retry_limit
         assert (
             faulted_runner.result.txn_validation_retries
-            <= faulted_runner.result.txns * limit
+            <= faulted_runner.result.txns * VALIDATION_RETRIES
         )
 
 
