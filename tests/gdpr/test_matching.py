@@ -162,6 +162,42 @@ class TestFieldNamesAreNotData:
             UserDataMatcher("u\x001")
 
 
+@dataclass(frozen=True, slots=True)
+class _SlottedBase:
+    user_id: str
+
+
+@dataclass(frozen=True, slots=True)
+class _SlottedChild(_SlottedBase):
+    note: str = ""
+
+
+class _Plain(_SlottedBase):
+    """A subclass without ``__slots__``: a ``__dict__`` *and* a slot."""
+
+
+class TestInheritedSlots:
+    """A slotted class declares only its own fields in ``__slots__``;
+    the ones it inherits live in its bases' ``__slots__`` (the shape of
+    every trace event). Reading ``type(value).__slots__`` alone missed
+    them: ``identity_strings(_SlottedChild("u7", "hello"))`` was
+    ``['hello']``."""
+
+    def test_a_field_declared_on_a_slotted_base_is_reachable(self):
+        value = _SlottedChild("u7", "hello")
+        assert sorted(identity_strings(value)) == ["hello", "u7"]
+        assert UserDataMatcher("u7").matches_value(value)
+        assert ReferenceMatcher("u7").matches_value(value)
+        assert not UserDataMatcher("u8").matches_value(value)
+
+    def test_a_slot_beside_a_dict_is_reachable(self):
+        value = _Plain("u7")
+        object.__setattr__(value, "extra", "hello")
+        assert sorted(identity_strings(value)) == ["hello", "u7"]
+        assert UserDataMatcher("u7").matches_value(value)
+        assert ReferenceMatcher("u7").matches_value(value)
+
+
 # -- the identity text ---------------------------------------------------------
 
 
