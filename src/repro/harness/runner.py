@@ -204,7 +204,11 @@ class SimulationRunner:
             RecordingTracer() if spec.trace_requests else NOOP_TRACER
         )
 
-        seen = self.trace.users_seen()
+        # Each user's events not yet handled: when the last handler
+        # returns, the user's client stack is retired (DESIGN, *A
+        # user's state ends with the user*).
+        self._events_left = self.trace.events_per_user()
+        seen = sorted(self._events_left)
         profiles = {
             user_id: self.users.by_id(user_id).connection
             for user_id in seen
@@ -351,8 +355,10 @@ class SimulationRunner:
         self._client_cache_stores = partial(_client_cache_stores, self._stacks)
         # The erasure/access coordinator sees the whole assembled
         # stack; client caches are resolved lazily (stacks are built
-        # on first traffic), so an erase always walks every cache that
-        # exists at that instant. It is handed what it reads — never
+        # on first traffic and retired after the user's last event), so
+        # an erase walks every device cache live at that instant. A
+        # retired device holds only its owner's data, and its owner has
+        # no request left. It is handed what it reads — never
         # the runner, which owns it (no cycle: DESIGN, *A finished
         # world is garbage by refcount*).
         from repro.gdpr import ErasureCoordinator
@@ -589,6 +595,9 @@ class SimulationRunner:
         self._record_page_load(user, event, result, stack.delta_covered)
         span.set(plt=result.plt)
         self.tracer.finish(span, self.env.now)
+        self._events_left[event.user_id] -= 1
+        if not self._events_left[event.user_id]:
+            self._retire(event.user_id)
         return None
 
     def _handle_cart_add(self, event: CartAdd) -> Generator:
@@ -611,6 +620,9 @@ class SimulationRunner:
         request.trace = span.context
         yield from fetcher.fetch(request)
         self.tracer.finish(span, self.env.now)
+        self._events_left[event.user_id] -= 1
+        if not self._events_left[event.user_id]:
+            self._retire(event.user_id)
         return None
 
     def _txn_coordinator_for(self, user: User) -> TxnCoordinator:
@@ -637,6 +649,9 @@ class SimulationRunner:
         ]
         result = yield from coordinator.execute(urls, self._txn_level)
         self._record_txn(user, result, stack.delta_covered)
+        self._events_left[event.user_id] -= 1
+        if not self._events_left[event.user_id]:
+            self._retire(event.user_id)
         return None
 
     def _record_txn(self, user: User, txn, delta_covered: bool) -> None:
@@ -686,6 +701,20 @@ class SimulationRunner:
         and charge its latency. The coordinator does the counting."""
         report = serve(event.user_id)
         yield self.env.timeout(max(0.0, report.simulated_latency))
+        self._events_left[event.user_id] -= 1
+        if not self._events_left[event.user_id]:
+            self._retire(event.user_id)
+
+    def _retire(self, user_id: str) -> None:
+        """Drop ``user_id``'s client stack: every event of the user's
+        has been handled.
+
+        Counted, not found by the last event: a user's erase can return
+        while a page load issued before it is still in flight. Only the
+        reference goes; a revalidation or prefetch still in flight
+        holds its own and finishes as before.
+        """
+        self._stacks.pop(user_id, None)
 
     # -- recording ---------------------------------------------------------------
 

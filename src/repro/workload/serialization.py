@@ -20,6 +20,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from sys import intern
 from typing import IO, Optional, Union
 
 from repro.workload.trace import (
@@ -93,13 +94,15 @@ def _event_to_record(event: TraceEvent) -> dict:
 
 
 def _record_to_event(record: dict) -> TraceEvent:
+    # A loaded trace repeats a few thousand ids and names across
+    # hundreds of thousands of events: each is kept once, interned.
     kind = record.get("kind")
     if kind == "page_view":
         return PageView(
             at=record["at"],
-            user_id=record["user_id"],
-            page_kind=record["page_kind"],
-            target=record["target"],
+            user_id=intern(record["user_id"]),
+            page_kind=intern(record["page_kind"]),
+            target=intern(record["target"]),
         )
     if kind == "product_update":
         return ProductUpdate(
@@ -112,19 +115,19 @@ def _record_to_event(record: dict) -> TraceEvent:
     if kind == "cart_add":
         return CartAdd(
             at=record["at"],
-            user_id=record["user_id"],
+            user_id=intern(record["user_id"]),
             product_id=record["product_id"],
         )
     if kind == "txn_read":
         return TxnRead(
             at=record["at"],
-            user_id=record["user_id"],
+            user_id=intern(record["user_id"]),
             product_ids=tuple(record["product_ids"]),
         )
     if kind == "erase_user":
-        return EraseUser(at=record["at"], user_id=record["user_id"])
+        return EraseUser(at=record["at"], user_id=intern(record["user_id"]))
     if kind == "access_user":
-        return AccessUser(at=record["at"], user_id=record["user_id"])
+        return AccessUser(at=record["at"], user_id=intern(record["user_id"]))
     raise ValueError(f"unknown event kind {kind!r}")
 
 

@@ -52,7 +52,7 @@ class UserPopulationConfig:
                 raise ValueError(f"{name} probabilities sum to {total}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class User:
     """One member of the population."""
 

@@ -393,6 +393,13 @@ def _reads_judged_from_the_spans(runner):
     before export, which pseudonymises erased users), each judged
     against the origin's version history."""
     records = span_records(runner.tracer.spans)
+    # Whether a client is under the Δ promise, as its page views say
+    # (its stack is retired by the time the run is over).
+    covered = {
+        record["attrs"]["user"]: record["attrs"]["covered"]
+        for record in records
+        if record["name"] == "pageview"
+    }
     reads = [
         (read["client"], read["version_key"], read["version"], read["read_at"])
         for read in reads_from_trace(records)
@@ -408,7 +415,7 @@ def _reads_judged_from_the_spans(runner):
         staleness = 0.0
         if superseded is not None and superseded < read_at:
             staleness = read_at - superseded
-        judged.append((runner._stacks[client].delta_covered, staleness))
+        judged.append((covered[client], staleness))
     return judged
 
 

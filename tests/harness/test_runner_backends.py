@@ -15,6 +15,7 @@ from repro.workload import (
     generate_catalog,
     generate_users,
 )
+from tests.harness.keeping import KeepingRunner
 
 BACKENDS = {
     "inmemory": BackendSpec(kind="inmemory"),
@@ -157,14 +158,14 @@ class TestSiteFactoryContract:
 
 def test_workers_share_the_runs_config_and_scheme(workload):
     catalog, users, trace = workload
-    runner = SimulationRunner(
+    runner = KeepingRunner(
         ScenarioSpec(scenario=Scenario.SPEED_KIT, backend=BACKENDS["sharded"]),
         catalog,
         users,
         trace,
     )
     runner.run()
-    workers = [stack.worker for stack in runner._stacks.values()]
+    workers = [stack.worker for stack in runner.client_stacks().values()]
     assert len(workers) > 1 and None not in workers
     assert len({id(worker.config) for worker in workers}) == 1
     assert len({id(worker.segments.scheme) for worker in workers}) == 1

@@ -36,6 +36,7 @@ from repro.overload.priority import LOAD_SHED_HEADER
 from repro.parallel import ShardedSimulationRunner, run_shard
 from repro.storage import BackendSpec
 from tests.coherence.test_staleness_invariants import mutate_delta_term
+from tests.harness.keeping import KeepingRunner, private_tiers
 
 pytestmark = pytest.mark.overload
 
@@ -75,7 +76,7 @@ def run_config(workload, config, multiplier=10.0):
     if cached is not None:
         return cached
     catalog, users, trace = workload
-    runner = SimulationRunner(
+    runner = KeepingRunner(
         _spec(config, multiplier), catalog, users, trace
     )
     runner.run()
@@ -95,8 +96,9 @@ def crushed(workload):
 
 
 def all_cache_stores(runner):
-    """(tier label, store) for every cache tier in the run."""
-    tiers = dict(runner._client_cache_stores())
+    """(tier label, store) for every cache tier in the run, the device
+    caches of retired client stacks included."""
+    tiers = runner.client_cache_stores()
     if runner.spec.scenario.uses_cdn:
         for name, pop in runner.cdn.pops.items():
             tiers[f"edge:{name}"] = pop.store
@@ -148,7 +150,9 @@ class TestMarkedNeverCached:
 
     def test_no_cache_tier_holds_a_shed_response(self, runner):
         scanned = 0
-        for label, store in all_cache_stores(runner).items():
+        tiers = all_cache_stores(runner)
+        assert private_tiers(tiers)
+        for label, store in tiers.items():
             for response in stored_responses(store):
                 scanned += 1
                 assert response.headers.get(LOAD_SHED_HEADER) is None, (

@@ -109,7 +109,7 @@ PROBE_ALLOWED = {
         "plain default when the field was declared without ledger(...)",
     ),
     "gdpr/matching.py": (
-        {"__dict__", "__slots__"},
+        {"__dict__"},
         "reflection over arbitrary stored values: the definition of what "
         "an erase can reach, not a question about a collaborator",
     ),
@@ -674,3 +674,82 @@ def test_the_runtime_gates_trip_on_a_re_added_numpy_import(tmp_path, relative):
 )
 def test_the_import_gate_sees_every_spelling(reintroduced):
     assert foreign_imports_in(reintroduced) == {"numpy"}
+
+
+# -- per-record values are packed ----------------------------------------------
+#
+# The values a replay holds one of per user, per event or per sample are
+# packed: ``User`` and every trace event are slotted (no per-instance
+# ``__dict__``), and a ``Histogram`` keeps its samples as C doubles in an
+# ``array``. Checked in a fresh interpreter over a source tree, so a
+# mutant of the real files can be shown to trip it.
+
+PACKED_PROBE = """
+import sys
+from array import array
+
+import repro
+from repro.sim.metrics import Histogram
+from repro.workload.trace import TraceEvent
+from repro.workload.users import User
+
+assert repro.__file__.startswith(sys.argv[1]), repro.__file__
+
+
+def family(cls):
+    # Only the classes their modules export: ``dataclass(slots=True)``
+    # replaces a class, and the draft it replaced can outlive it.
+    if getattr(sys.modules[cls.__module__], cls.__name__) is cls:
+        yield cls
+    for sub in cls.__subclasses__():
+        yield from family(sub)
+
+
+loose = [
+    cls.__name__ for cls in family(TraceEvent) if hasattr(cls(at=0.0), "__dict__")
+]
+if hasattr(User("u0", "gold", "de", "cable", True, True), "__dict__"):
+    loose.append("User")
+histogram = Histogram("h")
+histogram.extend([2.0, 1.0])
+histogram.percentile(50)
+if type(histogram._values) is not array:
+    loose.append("Histogram")
+print(len(list(family(TraceEvent))), *sorted(loose))
+"""
+
+
+def unpacked_records(root):
+    """How many trace event classes the package at ``root`` has, then
+    the per-record classes among them (and ``User``, ``Histogram``)
+    that are not packed."""
+    done = subprocess.run(
+        [sys.executable, "-c", PACKED_PROBE, str(root)],
+        cwd=root.parent,
+        env={**os.environ, "PYTHONPATH": str(root.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    count, *loose = done.stdout.split()
+    return int(count), loose
+
+
+def test_per_record_values_are_packed():
+    count, loose = unpacked_records(SRC)
+    assert count == 8
+    assert loose == []
+
+
+def test_the_packing_gate_trips_on_an_event_class_with_a_dict(tmp_path):
+    tree = tmp_path / "src" / "repro"
+    shutil.copytree(SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    trace = tree / "workload" / "trace.py"
+    source = trace.read_text(encoding="utf-8")
+    packed = "@dataclass(frozen=True, slots=True)\nclass PageView("
+    assert packed in source
+    trace.write_text(
+        source.replace(packed, "@dataclass(frozen=True)\nclass PageView("),
+        encoding="utf-8",
+    )
+    assert unpacked_records(tree) == (8, ["PageView"])

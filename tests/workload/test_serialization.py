@@ -49,6 +49,27 @@ def test_round_trip_via_file(trace, tmp_path):
     assert restored.events == trace.events
 
 
+def test_a_loaded_trace_keeps_each_repeated_string_once(trace):
+    """Ids, page kinds and targets repeat across events: loading
+    interns them, so equal strings are one object."""
+    restored = round_trip(trace)
+    views = restored.page_views()
+    assert len(views) > len({view.user_id for view in views}) > 1
+    for field in ("user_id", "page_kind", "target"):
+        first = {}
+        for view in views:
+            value = getattr(view, field)
+            assert first.setdefault(value, value) is value, field
+
+
+def test_events_per_user_counts_what_each_user_originates(trace):
+    counts = trace.events_per_user()
+    assert sorted(counts) == trace.users_seen()
+    assert sum(counts.values()) == sum(
+        not isinstance(event, ProductUpdate) for event in trace.events
+    )
+
+
 def test_each_event_kind_round_trips():
     trace = WorkloadTrace(duration=100.0)
     trace.events = [
