@@ -284,8 +284,8 @@ def rescale_trace(trace: WorkloadTrace, rate: float) -> WorkloadTrace:
     (:meth:`~repro.harness.scenarios.ScenarioSpec.time_scaled`) for
     the compressed run to reproduce the original cache dynamics.
     """
-    if rate <= 0:
-        raise ValueError(f"replay rate must be positive: {rate}")
+    if not 0 < rate < float("inf"):
+        raise ValueError(f"replay rate must be positive and finite: {rate}")
     if rate == 1.0:
         return trace
     return WorkloadTrace(
@@ -340,9 +340,9 @@ def amplify_trace(trace: WorkloadTrace, multiplier: float) -> WorkloadTrace:
     amplified. Timestamps stay sorted; duration and the attached world
     are untouched.
     """
-    if multiplier < 1.0:
+    if not 1 <= multiplier < float("inf"):
         raise ValueError(
-            f"load multiplier must be >= 1: {multiplier}"
+            f"load multiplier must be finite and >= 1: {multiplier}"
         )
     if multiplier == 1.0:
         return trace

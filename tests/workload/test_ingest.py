@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import random
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from repro.workload import (
     WorkloadGenerator,
     WorkloadTrace,
     WorldSpec,
+    amplify_trace,
     dump_trace,
     import_access_log,
     load_trace,
@@ -270,9 +272,29 @@ def test_rescale_rate_one_is_identity():
     assert rescale_trace(trace, 1.0) is trace
 
 
-def test_rescale_rejects_nonpositive_rate():
-    with pytest.raises(ValueError, match="positive"):
-        rescale_trace(WorkloadTrace(), 0.0)
+@pytest.mark.parametrize("rate", [0.0, -2.0, math.nan, math.inf])
+def test_rescale_rejects_a_rate_that_is_not_positive_and_finite(rate):
+    # NaN passed a ``rate <= 0`` guard and made every timestamp NaN;
+    # inf moved every event to t = 0.
+    trace = WorkloadTrace(
+        events=[PageView(at=10.0, user_id="u1", page_kind="home", target="")],
+        duration=60.0,
+    )
+    with pytest.raises(ValueError, match="replay rate must be positive"):
+        rescale_trace(trace, rate)
+
+
+@pytest.mark.parametrize("multiplier", [0.5, math.nan, math.inf])
+def test_amplify_rejects_a_multiplier_that_is_not_finite_and_at_least_one(
+    multiplier,
+):
+    # NaN and inf used to fail deep inside int() instead.
+    trace = WorkloadTrace(
+        events=[PageView(at=10.0, user_id="u1", page_kind="home", target="")],
+        duration=60.0,
+    )
+    with pytest.raises(ValueError, match="load multiplier must be finite"):
+        amplify_trace(trace, multiplier)
 
 
 # -- validate_trace_world ----------------------------------------------------
