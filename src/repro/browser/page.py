@@ -57,10 +57,6 @@ class PageSpec:
             by_wave.setdefault(resource.wave, []).append(resource)
         return [by_wave[wave] for wave in sorted(by_wave)]
 
-    @property
-    def request_count(self) -> int:
-        return 1 + len(self.resources)
-
 
 @dataclass
 class PageLoadResult:
@@ -76,18 +72,6 @@ class PageLoadResult:
     def plt(self) -> float:
         """Page load time in simulated seconds."""
         return self.finished_at - self.started_at
-
-    @property
-    def time_to_html(self) -> float:
-        """First-byte-ish proxy: when the HTML finished loading."""
-        return self.html_at - self.started_at
-
-    def served_by_counts(self) -> Dict[str, int]:
-        """How many responses each component served (cache attribution)."""
-        counts: Dict[str, int] = {}
-        for response in self.responses:
-            counts[response.served_by] = counts.get(response.served_by, 0) + 1
-        return counts
 
 
 class PageLoadEngine:

@@ -18,7 +18,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from repro.http.freshness import expires_at, is_fresh_at
+from repro.http.freshness import is_fresh_at
 from repro.http.messages import Response
 from repro.storage.backend import CacheBackend, InMemoryBackend
 
@@ -37,9 +37,6 @@ class CacheEntry:
     _identity_text: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def expires_at(self, shared: bool) -> float:
-        return expires_at(self.response, shared)
 
 
 def _payload_size(response: Response) -> int:
@@ -97,10 +94,6 @@ class CacheStore:
 
     def __contains__(self, key: str) -> bool:
         return key in self._order
-
-    @property
-    def total_bytes(self) -> int:
-        return self.backend.bytes_used
 
     def keys(self) -> List[str]:
         return list(self._order)
@@ -195,17 +188,6 @@ class CacheStore:
             self._order.pop(key, None)
         return len(removed)
 
-    def remove_prefix(self, prefix: str) -> int:
-        """Drop all entries whose key starts with ``prefix``.
-
-        Works against any engine: the key index spans all shards, so a
-        prefix purge reaches every partition.
-        """
-        victims = [key for key in self._order if key.startswith(prefix)]
-        for key in victims:
-            self.remove(key)
-        return len(victims)
-
     def erase_matching(self, predicate) -> List[str]:
         """Drop every entry whose ``(key, entry)`` matches.
 
@@ -224,26 +206,6 @@ class CacheStore:
         if victims:
             self.remove_many(victims)
         return victims
-
-    def clear(self) -> None:
-        self.backend.clear()
-        self._order.clear()
-
-    def expire(self, now: float) -> int:
-        """Actively drop entries that are no longer fresh.
-
-        Real caches expire lazily; this is for tests and for measuring
-        live-entry statistics.
-        """
-        victims = [
-            key
-            for key in list(self._order)
-            if (entry := self.backend.peek(key)) is not None
-            and not is_fresh_at(entry.response, now, self.shared)
-        ]
-        for key in victims:
-            self.remove(key)
-        return len(victims)
 
     # -- eviction ---------------------------------------------------------
 

@@ -215,14 +215,8 @@ class HttpCache:
 
     # -- invalidation ----------------------------------------------------------
 
-    def purge(self, key: str) -> bool:
-        removed = self.store.remove(key)
-        if removed:
-            self._count("purge")
-        return removed
-
     def purge_many(self, keys: Sequence[str]) -> int:
-        """Batched :meth:`purge`; returns how many entries existed.
+        """Drop ``keys``; returns how many entries existed.
 
         The removals travel as one batched store operation, so a
         pipelined engine charges ~one round trip for the whole purge.
@@ -231,20 +225,3 @@ class HttpCache:
         if purged:
             self._count("purge", purged)
         return purged
-
-    def purge_prefix(self, prefix: str) -> int:
-        purged = self.store.remove_prefix(prefix)
-        if purged:
-            self._count("purge", purged)
-        return purged
-
-    def purge_all(self) -> None:
-        self.store.clear()
-
-    # -- stats --------------------------------------------------------------------
-
-    def hit_ratio(self) -> float:
-        """Fraction of lookups served from cache so far."""
-        hits = self.counted("hit")
-        total = hits + self.counted("miss")
-        return hits / total if total else 0.0

@@ -27,8 +27,8 @@ class Cdn:
 
     An optional :class:`~repro.cdn.replication.PopReplicator` (see
     :meth:`attach_replicator`) asynchronously copies admitted entries
-    to sibling PoPs; every purge entry point reports the purged keys to
-    it so in-flight replicas sent before the purge never re-apply.
+    to sibling PoPs; :meth:`purge_many` reports the purged keys to it
+    so in-flight replicas sent before the purge never re-apply.
     """
 
     def __init__(
@@ -64,13 +64,6 @@ class Cdn:
         """Register the async PoP-to-PoP replicator for this CDN."""
         self.replicator = replicator
 
-    def purge(self, key: str) -> int:
-        """Purge one cache key from every PoP; returns PoPs affected."""
-        self.metrics.counter("cdn.purge_requests").inc()
-        if self.replicator is not None:
-            self.replicator.note_purged((key,))
-        return sum(1 for pop in self.pops.values() if pop.purge(key))
-
     def purge_many(self, keys: List[str], span=None) -> int:
         """Purge many cache keys from every PoP in one batched pass.
 
@@ -100,20 +93,3 @@ class Cdn:
         if span is not None:
             span.set(purged=total, per_pop=per_pop)
         return total
-
-    def purge_prefix(self, prefix: str) -> int:
-        self.metrics.counter("cdn.purge_requests").inc()
-        if self.replicator is not None:
-            self.replicator.note_purged_prefix(prefix)
-        return sum(pop.purge_prefix(prefix) for pop in self.pops.values())
-
-    def purge_all(self) -> None:
-        if self.replicator is not None:
-            self.replicator.note_purged_prefix("")
-        for pop in self.pops.values():
-            pop.purge_all()
-
-    def overall_hit_ratio(self) -> float:
-        hits = sum(pop.counted("hit") for pop in self.pops.values())
-        total = hits + sum(pop.counted("miss") for pop in self.pops.values())
-        return hits / total if total else 0.0

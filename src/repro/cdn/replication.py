@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import weakref
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.http.freshness import is_fresh_at
 from repro.http.messages import Response
@@ -61,10 +61,9 @@ class PopReplicator:
         self.delay = delay
         self.metrics = metrics or cdn.metrics
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        #: Most recent purge instant per key / per prefix; deliveries
-        #: sent at or before these instants are dropped on arrival.
+        #: Most recent purge instant per key; deliveries sent at or
+        #: before it are dropped on arrival.
         self._purged_at: Dict[str, float] = {}
-        self._purged_prefixes: List[Tuple[str, float]] = []
         self._last_prune = 0.0
         #: In-flight replica count per key (for purge-time accounting).
         self._in_flight: Dict[str, int] = {}
@@ -148,12 +147,7 @@ class PopReplicator:
 
     def _superseded(self, key: str, sent_at: float) -> bool:
         purged = self._purged_at.get(key)
-        if purged is not None and purged >= sent_at:
-            return True
-        return any(
-            key.startswith(prefix) and at >= sent_at
-            for prefix, at in self._purged_prefixes
-        )
+        return purged is not None and purged >= sent_at
 
     # -- purge side --------------------------------------------------------
 
@@ -182,10 +176,6 @@ class PopReplicator:
         self.note_purged(matched)
         return superseded
 
-    def note_purged_prefix(self, prefix: str) -> None:
-        self._prune(self.env.now)
-        self._purged_prefixes.append((prefix, self.env.now))
-
     def _prune(self, now: float) -> None:
         """Drop purge records no live replica can match.
 
@@ -203,11 +193,6 @@ class PopReplicator:
         self._purged_at = {
             key: at for key, at in self._purged_at.items() if at >= horizon
         }
-        self._purged_prefixes = [
-            (prefix, at)
-            for prefix, at in self._purged_prefixes
-            if at >= horizon
-        ]
 
     # -- accounting --------------------------------------------------------
 

@@ -62,11 +62,6 @@ class SketchClient:
         self.stats = SketchFetchStats()
         self._refresh_process = None
 
-    @property
-    def delta(self) -> float:
-        """The protocol's staleness bound contribution from refresh."""
-        return self.refresh_interval
-
     def age(self, now: Optional[float] = None) -> Optional[float]:
         """Age of the held sketch (``None`` before the first fetch)."""
         if self.current is None:

@@ -93,26 +93,6 @@ class ErasureReport:
     def complete(self) -> bool:
         return self.residual_count == 0
 
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "user": user_hash(self.user_id),
-            "requested_at": self.requested_at,
-            "origin_docs_deleted": len(self.origin_docs),
-            "renditions_dropped": self.renditions_dropped,
-            "cache_removed": dict(self.cache_removed),
-            "queued_scrubbed": dict(self.queued_scrubbed),
-            "replicas_dropped": self.replicas_dropped,
-            "sketch_keys_forgotten": self.sketch_keys_forgotten,
-            "entries_removed": self.entries_removed,
-            "residual_entries": self.residual_count,
-            "residuals": {
-                tier: list(keys) for tier, keys in self.residuals.items()
-            },
-            "erasure_latency": self.simulated_latency,
-            "txn_buffers_scrubbed": self.txn_buffers_scrubbed,
-            "complete": self.complete,
-        }
-
 
 @dataclass
 class AccessReport:
@@ -142,23 +122,6 @@ class AccessReport:
             + len(self.replicas_in_flight)
             + len(self.sketch_keys)
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "user": self.user_id,
-            "requested_at": self.requested_at,
-            "origin_docs": dict(self.origin_docs),
-            "cache_entries": {
-                tier: list(keys) for tier, keys in self.cache_entries.items()
-            },
-            "queued": {
-                tier: list(keys) for tier, keys in self.queued.items()
-            },
-            "replicas_in_flight": list(self.replicas_in_flight),
-            "sketch_keys": list(self.sketch_keys),
-            "locations": self.locations,
-            "access_latency": self.simulated_latency,
-        }
 
 
 class ErasureCoordinator:

@@ -31,10 +31,6 @@ class MetricSummary:
     values: List[float] = field(default_factory=list)
 
     @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
     def mean(self) -> float:
         return sum(self.values) / len(self.values)
 

@@ -14,13 +14,10 @@ from repro.http.cache_control import CacheControl
 from repro.http.degraded import Degraded, mark, reason_in_attrs, reason_of
 from repro.http.freshness import (
     age_at,
-    allows_stale_while_revalidate,
     conditional_request_for,
-    expires_at,
     freshness_lifetime,
     is_cacheable,
     is_fresh_at,
-    remaining_ttl,
 )
 from repro.http.headers import FrozenHeadersError, Headers
 from repro.http.messages import (
@@ -46,9 +43,7 @@ __all__ = [
     "Status",
     "URL",
     "age_at",
-    "allows_stale_while_revalidate",
     "conditional_request_for",
-    "expires_at",
     "freshness_lifetime",
     "is_cacheable",
     "is_fresh_at",
@@ -56,6 +51,5 @@ __all__ = [
     "mark",
     "reason_in_attrs",
     "reason_of",
-    "remaining_ttl",
     "revalidates",
 ]

@@ -13,8 +13,6 @@ simulator shares one global clock.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.http.cache_control import CacheControl
 from repro.http.messages import Request, Response, Status
 
@@ -59,29 +57,6 @@ def is_fresh_at(response: Response, now: float, shared: bool) -> bool:
     if cc.immutable:
         return True
     return age_at(response, now) < _lifetime(cc, shared)
-
-
-def remaining_ttl(response: Response, now: float, shared: bool) -> float:
-    """Seconds of freshness left (0 when already expired)."""
-    return max(
-        0.0, freshness_lifetime(response, shared) - age_at(response, now)
-    )
-
-
-def expires_at(response: Response, shared: bool) -> float:
-    """Absolute simulated time at which the response expires."""
-    return response.generated_at + freshness_lifetime(response, shared)
-
-
-def allows_stale_while_revalidate(
-    response: Response, now: float, shared: bool
-) -> bool:
-    """Whether the SWR window still covers ``now`` for a stale copy."""
-    swr: Optional[float] = response.cache_control.stale_while_revalidate
-    if swr is None:
-        return False
-    lifetime = freshness_lifetime(response, shared)
-    return age_at(response, now) < lifetime + swr
 
 
 def conditional_request_for(request: Request, stored: Response) -> Request:

@@ -183,10 +183,6 @@ class Response:
         )
         self.degraded = reason_in(items)
 
-    @property
-    def ok(self) -> bool:
-        return self.status == Status.OK
-
     def served(self, by: str) -> "Response":
         """This response as ``by`` hands it out: a new shell sharing
         the header map, the body and the facts — nothing is copied and

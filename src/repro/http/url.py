@@ -75,14 +75,6 @@ class URL:
         params.pop(key, None)
         return URL.of(self.path, params, origin=self.origin)
 
-    @property
-    def extension(self) -> str:
-        """File extension of the path ('' if none), e.g. ``"js"``."""
-        last = self.path.rsplit("/", 1)[-1]
-        if "." not in last:
-            return ""
-        return last.rsplit(".", 1)[-1].lower()
-
     def cache_key(self) -> str:
         """Canonical string used as the cache key for this URL."""
         return self._text

@@ -84,9 +84,6 @@ class PartitionedMatcher:
                 partition
             ].subscription_count()
 
-    def subscription_count(self) -> int:
-        return sum(m.subscription_count() for m in self._matchers)
-
     # -- matching ----------------------------------------------------------
 
     def affected_resources(self, event: ChangeEvent) -> Set[str]:

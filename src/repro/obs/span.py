@@ -63,12 +63,6 @@ class Span:
     def parent_id(self) -> Optional[int]:
         return self.attrs.get("_parent")
 
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            return 0.0
-        return self.end - self.start
-
     def set(self, **attrs: Any) -> "Span":
         """Attach or overwrite attributes; returns self for chaining."""
         self.attrs.update(attrs)
@@ -127,7 +121,6 @@ class _NullSpan:
     attrs: Dict[str, Any] = {}
     events: List[Tuple[str, Optional[float], Dict[str, Any]]] = []
     parent_id = None
-    duration = 0.0
 
     def set(self, **attrs: Any) -> "_NullSpan":
         return self

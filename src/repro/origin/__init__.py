@@ -1,7 +1,7 @@
 """The origin: the website being accelerated.
 
 Models the backend the paper's Orestes middleware fronts: a versioned
-document store with a small predicate query engine, a resource/version
+document store with equality queries, a resource/version
 registry that maps stored documents to the URLs whose content they
 determine, an InvaliDB-style query matcher, a declarative site
 description, and an HTTP server façade that renders responses with
@@ -13,20 +13,7 @@ invalidation pipeline (:mod:`repro.invalidation`) attaches.
 """
 
 from repro.origin.matcher import QueryMatcher
-from repro.origin.query import (
-    And,
-    Contains,
-    Eq,
-    Gt,
-    Gte,
-    In,
-    Lt,
-    Lte,
-    Not,
-    Or,
-    Predicate,
-    Query,
-)
+from repro.origin.query import Eq, Query
 from repro.origin.server import OriginServer, TtlPolicy, StaticTtlPolicy
 from repro.origin.site import (
     PersonalizationKind,
@@ -43,22 +30,12 @@ from repro.origin.store import (
 from repro.origin.versioning import ResourceVersions
 
 __all__ = [
-    "And",
     "ChangeEvent",
-    "Contains",
     "Document",
     "DocumentStore",
     "Eq",
-    "Gt",
-    "Gte",
-    "In",
-    "Lt",
-    "Lte",
-    "Not",
-    "Or",
     "OriginServer",
     "PersonalizationKind",
-    "Predicate",
     "Query",
     "QueryMatcher",
     "ResourceKind",

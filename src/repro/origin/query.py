@@ -1,38 +1,18 @@
-"""Predicate query engine over document fields.
+"""Queries over document fields: a collection, an optional equality
+predicate, an ordering and a limit.
 
 Queries are the unit of *query invalidation*: InvaliDB-style change
 detection registers queries and matches every document update against
-them. The predicate AST therefore needs exactly two capabilities:
-evaluating a document, and a stable identity (so registered queries can
-be deduplicated and referenced from cache keys).
+them. A predicate therefore needs exactly two capabilities: evaluating
+a document, and a stable identity (so registered queries can be
+deduplicated and referenced from cache keys). Every query a site
+registers is an equality or has no predicate at all.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Tuple
-
-
-class Predicate(ABC):
-    """A boolean condition over a document's fields."""
-
-    @abstractmethod
-    def matches(self, doc: Mapping[str, Any]) -> bool:
-        """Evaluate against a document's data."""
-
-    @abstractmethod
-    def key(self) -> str:
-        """Stable canonical representation (used in cache keys)."""
-
-    def __and__(self, other: "Predicate") -> "And":
-        return And((self, other))
-
-    def __or__(self, other: "Predicate") -> "Or":
-        return Or((self, other))
-
-    def __invert__(self) -> "Not":
-        return Not(self)
+from dataclasses import dataclass
+from typing import Any, Mapping, Optional
 
 
 def _get_field(doc: Mapping[str, Any], path: str) -> Any:
@@ -46,7 +26,9 @@ def _get_field(doc: Mapping[str, Any], path: str) -> Any:
 
 
 @dataclass(frozen=True)
-class Eq(Predicate):
+class Eq:
+    """A document's ``field`` (a dotted path) equals ``value``."""
+
     field: str
     value: Any
 
@@ -57,152 +39,12 @@ class Eq(Predicate):
         return f"{self.field}=={self.value!r}"
 
 
-class _Comparison(Predicate):
-    """Shared machinery for ordered comparisons against missing fields."""
-
-    field: str
-    value: Any
-
-    def _compare(self, actual: Any) -> bool:
-        raise NotImplementedError
-
-    def matches(self, doc: Mapping[str, Any]) -> bool:
-        actual = _get_field(doc, self.field)
-        if actual is None:
-            return False
-        try:
-            return self._compare(actual)
-        except TypeError:
-            return False
-
-
-@dataclass(frozen=True)
-class Lt(_Comparison):
-    field: str
-    value: Any
-
-    def _compare(self, actual: Any) -> bool:
-        return actual < self.value
-
-    def key(self) -> str:
-        return f"{self.field}<{self.value!r}"
-
-
-@dataclass(frozen=True)
-class Lte(_Comparison):
-    field: str
-    value: Any
-
-    def _compare(self, actual: Any) -> bool:
-        return actual <= self.value
-
-    def key(self) -> str:
-        return f"{self.field}<={self.value!r}"
-
-
-@dataclass(frozen=True)
-class Gt(_Comparison):
-    field: str
-    value: Any
-
-    def _compare(self, actual: Any) -> bool:
-        return actual > self.value
-
-    def key(self) -> str:
-        return f"{self.field}>{self.value!r}"
-
-
-@dataclass(frozen=True)
-class Gte(_Comparison):
-    field: str
-    value: Any
-
-    def _compare(self, actual: Any) -> bool:
-        return actual >= self.value
-
-    def key(self) -> str:
-        return f"{self.field}>={self.value!r}"
-
-
-@dataclass(frozen=True)
-class In(Predicate):
-    field: str
-    values: Tuple[Any, ...]
-
-    def __init__(self, field_name: str, values: Sequence[Any]) -> None:
-        object.__setattr__(self, "field", field_name)
-        object.__setattr__(self, "values", tuple(values))
-
-    def matches(self, doc: Mapping[str, Any]) -> bool:
-        return _get_field(doc, self.field) in self.values
-
-    def key(self) -> str:
-        rendered = ",".join(repr(v) for v in self.values)
-        return f"{self.field} in [{rendered}]"
-
-
-@dataclass(frozen=True)
-class Contains(Predicate):
-    """Membership in a list-valued field (e.g. tags)."""
-
-    field: str
-    value: Any
-
-    def matches(self, doc: Mapping[str, Any]) -> bool:
-        actual = _get_field(doc, self.field)
-        if not isinstance(actual, (list, tuple, set)):
-            return False
-        return self.value in actual
-
-    def key(self) -> str:
-        return f"{self.value!r} in {self.field}"
-
-
-@dataclass(frozen=True)
-class And(Predicate):
-    parts: Tuple[Predicate, ...]
-
-    def __init__(self, parts: Sequence[Predicate]) -> None:
-        object.__setattr__(self, "parts", tuple(parts))
-
-    def matches(self, doc: Mapping[str, Any]) -> bool:
-        return all(part.matches(doc) for part in self.parts)
-
-    def key(self) -> str:
-        return "(" + " AND ".join(p.key() for p in self.parts) + ")"
-
-
-@dataclass(frozen=True)
-class Or(Predicate):
-    parts: Tuple[Predicate, ...]
-
-    def __init__(self, parts: Sequence[Predicate]) -> None:
-        object.__setattr__(self, "parts", tuple(parts))
-
-    def matches(self, doc: Mapping[str, Any]) -> bool:
-        return any(part.matches(doc) for part in self.parts)
-
-    def key(self) -> str:
-        return "(" + " OR ".join(p.key() for p in self.parts) + ")"
-
-
-@dataclass(frozen=True)
-class Not(Predicate):
-    inner: Predicate
-
-    def matches(self, doc: Mapping[str, Any]) -> bool:
-        return not self.inner.matches(doc)
-
-    def key(self) -> str:
-        return f"NOT {self.inner.key()}"
-
-
 @dataclass(frozen=True)
 class Query:
     """A declarative query: collection + predicate + ordering + limit."""
 
     collection: str
-    predicate: Optional[Predicate] = None
+    predicate: Optional[Eq] = None
     order_by: Optional[str] = None
     descending: bool = False
     limit: Optional[int] = None

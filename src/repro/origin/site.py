@@ -135,9 +135,3 @@ class Site:
             if params is not None:
                 return spec, params
         return None
-
-    def spec_named(self, name: str) -> ResourceSpec:
-        for spec in self.routes:
-            if spec.name == name:
-                return spec
-        raise KeyError(f"no route named {name!r}")

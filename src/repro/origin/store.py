@@ -87,18 +87,6 @@ class ChangeEvent:
     def key(self) -> str:
         return f"{self.collection}/{self.doc_id}"
 
-    @property
-    def is_insert(self) -> bool:
-        return self.before is None and self.after is not None
-
-    @property
-    def is_delete(self) -> bool:
-        return self.after is None
-
-    @property
-    def is_update(self) -> bool:
-        return self.before is not None and self.after is not None
-
 
 ChangeListener = Callable[[ChangeEvent], None]
 
@@ -312,22 +300,3 @@ class DocumentStore:
         if query.limit is not None:
             results = results[: query.limit]
         return results
-
-    def find(self, query: Query) -> List[Document]:
-        """Evaluate a query: filter, order, limit.
-
-        One backend scan per query — a prefix scan over the collection
-        reaches every shard of a partitioned engine.
-        """
-        return [
-            self._snapshot(doc)
-            for doc in self.select(query, self.scan_stored(query.collection))
-        ]
-
-    def count(self, collection: str) -> int:
-        return sum(1 for _ in self._backend.scan(f"{collection}/"))
-
-    def collections(self) -> List[str]:
-        return sorted(
-            {key.split("/", 1)[0] for key, _ in self._backend.scan()}
-        )

@@ -79,27 +79,6 @@ class ResourceVersions:
             )
         return history[index][1]
 
-    def versions_between(
-        self, resource_key: str, start: float, end: float
-    ) -> List[int]:
-        """All versions that were current at some point in [start, end].
-
-        This is the acceptance set of Δ-atomicity: a read at time *t*
-        with staleness bound Δ must return a version from
-        ``versions_between(key, t - Δ, t)``.
-        """
-        if end < start:
-            raise ValueError(f"end {end} precedes start {start}")
-        history = self._history[resource_key]
-        versions = [
-            version for time, version in history if start < time <= end
-        ]
-        # The version current at `start` is also acceptable.
-        first = bisect.bisect_right(history, (start, float("inf"))) - 1
-        if first >= 0:
-            versions.insert(0, history[first][1])
-        return versions
-
     def born_at(self, resource_key: str, version: int) -> float:
         """When ``version`` became current.
 

@@ -25,11 +25,7 @@ from repro.overload.priority import (
     PriorityClass,
     classify_request,
 )
-from repro.overload.profiles import (
-    OVERLOAD_PROFILES,
-    OverloadProfile,
-    resolve_profile,
-)
+from repro.overload.profiles import OVERLOAD_PROFILES, OverloadProfile
 
 __all__ = [
     "ControlPlane",
@@ -41,5 +37,4 @@ __all__ = [
     "PriorityClass",
     "ScaleDecision",
     "classify_request",
-    "resolve_profile",
 ]

@@ -18,7 +18,7 @@ transit times (see :meth:`repro.harness.scenarios.ScenarioSpec.time_scaled`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = ["OVERLOAD_PROFILES", "OverloadProfile"]
 
@@ -104,16 +104,6 @@ class OverloadProfile:
             )
         return bound
 
-    @classmethod
-    def named(cls, name: str) -> "OverloadProfile":
-        profile = OVERLOAD_PROFILES.get(name)
-        if profile is None:
-            raise ValueError(
-                f"unknown overload profile {name!r}; "
-                f"known: {sorted(OVERLOAD_PROFILES)}"
-            )
-        return profile
-
 
 #: The named regimes the CLI and benchmarks select from.
 OVERLOAD_PROFILES: Dict[str, OverloadProfile] = {
@@ -158,12 +148,3 @@ OVERLOAD_PROFILES: Dict[str, OverloadProfile] = {
         slo=2.0,
     ),
 }
-
-
-def resolve_profile(
-    profile: Optional[object],
-) -> Optional[OverloadProfile]:
-    """Accept a profile instance or a profile name (or ``None``)."""
-    if profile is None or isinstance(profile, OverloadProfile):
-        return profile
-    return OverloadProfile.named(str(profile))

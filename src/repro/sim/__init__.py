@@ -12,7 +12,7 @@ drawn from explicitly seeded generators (see :mod:`repro.sim.rng`).
 """
 
 from repro.sim.environment import Environment, Interrupt, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import AllOf, Event, Process, Timeout
 from repro.sim.metrics import (
     Counter,
     Gauge,
@@ -24,7 +24,6 @@ from repro.sim.rng import RngStreams
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Counter",
     "Environment",
     "Event",

@@ -6,7 +6,7 @@ import heapq
 import math
 from typing import Any, List, Optional, Tuple
 
-from repro.sim.events import AllOf, AnyOf, Event, Process, Timeout
+from repro.sim.events import AllOf, Event, Process, Timeout
 
 
 _INF = math.inf
@@ -78,15 +78,7 @@ class Environment:
         """Composite event: fires when all of ``events`` have fired."""
         return AllOf(self, events)
 
-    def any_of(self, events) -> AnyOf:
-        """Composite event: fires when any of ``events`` has fired."""
-        return AnyOf(self, events)
-
     # -- execution --------------------------------------------------------
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""

@@ -192,8 +192,8 @@ class _Start:
 _START = _Start()
 
 
-class _Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` composite events."""
+class AllOf(Event):
+    """Triggers when *all* given events have triggered."""
 
     __slots__ = ("_events", "_fired")
 
@@ -211,15 +211,6 @@ class _Condition(Event):
         return {event: event._value for event in self._fired}
 
     def _check(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when *all* given events have triggered."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
         if self.triggered:
             return
         if not event.ok:
@@ -228,18 +219,3 @@ class AllOf(_Condition):
         self._fired.append(event)
         if len(self._fired) == len(self._events):
             self.succeed(self._results())
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as *any* given event triggers."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event._value)
-            return
-        self._fired.append(event)
-        self.succeed(self._results())

@@ -54,9 +54,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def add(self, amount: float) -> None:
-        self.value += amount
-
 
 class Histogram:
     """Stores raw observations; answers percentile/mean queries exactly.
@@ -126,9 +123,6 @@ class Histogram:
         weight = rank - low
         return self._values[low] * (1 - weight) + self._values[high] * weight
 
-    def median(self) -> float:
-        return self.percentile(50.0)
-
     def mean(self) -> float:
         if not self._values:
             raise ValueError(f"histogram {self.name!r} is empty")
@@ -139,13 +133,6 @@ class Histogram:
 
     def max(self) -> float:
         return self.percentile(100.0)
-
-    def stddev(self) -> float:
-        if len(self._values) < 2:
-            return 0.0
-        mu = self.mean()
-        var = sum((v - mu) ** 2 for v in self._values) / (len(self._values) - 1)
-        return math.sqrt(var)
 
     def summary(self) -> Dict[str, float]:
         """The standard row reported by the benchmark harness."""

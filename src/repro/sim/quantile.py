@@ -89,10 +89,6 @@ class QuantileSketch:
             if value > slot[2]:
                 slot[2] = value
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.observe(value)
-
     # ------------------------------------------------------------------
     # Merge
     # ------------------------------------------------------------------
@@ -124,11 +120,6 @@ class QuantileSketch:
         if other._max > self._max:
             self._max = other._max
         return self
-
-    def copy(self) -> "QuantileSketch":
-        clone = QuantileSketch(self.relative_accuracy)
-        clone.merge(self)
-        return clone
 
     # ------------------------------------------------------------------
     # Query

@@ -11,7 +11,6 @@ from repro.simnet.delay import (
     ConstantDelay,
     Delay,
     LogNormalDelay,
-    UniformDelay,
 )
 from repro.simnet.faults import NO_FAULTS, FaultSchedule, OutageWindow
 from repro.simnet.profiles import (
@@ -34,6 +33,5 @@ __all__ = [
     "NodeKind",
     "OutageWindow",
     "Topology",
-    "UniformDelay",
     "build_web_topology",
 ]

@@ -38,24 +38,6 @@ class ConstantDelay(Delay):
 
 
 @dataclass(frozen=True)
-class UniformDelay(Delay):
-    """Uniform delay in ``[low, high]``."""
-
-    low: float
-    high: float
-
-    def __post_init__(self) -> None:
-        if self.low < 0 or self.high < self.low:
-            raise ValueError(f"invalid range [{self.low}, {self.high}]")
-
-    def sample(self, rng: random.Random) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def mean(self) -> float:
-        return (self.low + self.high) / 2.0
-
-
-@dataclass(frozen=True)
 class LogNormalDelay(Delay):
     """Log-normal delay — the standard model for Internet RTT jitter.
 

@@ -15,10 +15,8 @@ of that filter version shares it.
 from __future__ import annotations
 
 import hashlib
-import math
-import zlib
 from functools import lru_cache
-from typing import Iterable, Tuple, Union
+from typing import Tuple, Union
 
 from repro.sketch.sizing import positive_int
 
@@ -61,29 +59,21 @@ class BloomFilter:
         self._packed: Union[bytearray, bytes] = bytearray((bits + 7) // 8)
         self.count = 0  # elements added (approximate if duplicates added)
 
-    def _writable(self) -> bytearray:
-        packed = self._packed
-        if isinstance(packed, bytes):
-            raise ValueError(
-                "a flattened filter is shared by every client of its "
-                "version and cannot be written to"
-            )
-        return packed
-
     def add(self, key: str) -> None:
         """Insert ``key``.
 
         Raises ``ValueError`` on a flattened server filter, whose bytes
         are immutable because every client of that version shares them.
         """
-        packed = self._writable()
+        packed = self._packed
+        if isinstance(packed, bytes):
+            raise ValueError(
+                "a flattened filter is shared by every client of its "
+                "version and cannot be written to"
+            )
         for position in index_positions(key, self.bits, self.hashes):
             packed[position >> 3] |= 0x80 >> (position & 7)
         self.count += 1
-
-    def update(self, keys: Iterable[str]) -> None:
-        for key in keys:
-            self.add(key)
 
     def __contains__(self, key: str) -> bool:
         packed = self._packed
@@ -99,17 +89,6 @@ class BloomFilter:
     def fill_ratio(self) -> float:
         """Fraction of bits set (drives the observed FPR)."""
         return self.bits_set() / self.bits
-
-    def observed_fpr(self) -> float:
-        """FPR implied by the current fill ratio: ``fill^k``."""
-        return self.fill_ratio() ** self.hashes
-
-    def estimated_cardinality(self) -> float:
-        """Estimate distinct elements from the fill ratio (swamidass)."""
-        zero_fraction = 1.0 - self.fill_ratio()
-        if zero_fraction <= 0.0:
-            return float("inf")
-        return -(self.bits / self.hashes) * math.log(zero_fraction)
 
     def union(self, other: "BloomFilter") -> "BloomFilter":
         """Bitwise OR of two compatible filters, as a private writable
@@ -127,48 +106,13 @@ class BloomFilter:
         result.count = self.count + other.count
         return result
 
-    def copy(self) -> "BloomFilter":
-        """A private writable filter with the same bits."""
-        clone = BloomFilter(self.bits, self.hashes)
-        clone._packed[:] = self._packed
-        clone.count = self.count
-        return clone
-
-    def clear(self) -> None:
-        packed = self._writable()
-        packed[:] = bytes(len(packed))
-        self.count = 0
-
-    def is_empty(self) -> bool:
-        return not any(self._packed)
-
     def to_bytes(self) -> bytes:
         """Serialized bit array (what clients download every Δ)."""
         return bytes(self._packed)
 
-    @classmethod
-    def from_bytes(cls, data: bytes, bits: int, hashes: int) -> "BloomFilter":
-        """A private writable filter over a copy of ``data``'s first
-        ``bits`` bits; the pad bits after them are cleared."""
-        bf = cls(bits, hashes)
-        packed = bf._packed
-        if len(data) < len(packed):
-            raise ValueError(f"payload holds {8 * len(data)} bits, need {bits}")
-        packed[:] = data[: len(packed)]
-        packed[-1] &= (0xFF << (-bits % 8)) & 0xFF
-        return bf
-
     def transfer_size_bytes(self) -> int:
         """Bytes on the wire for one sketch download (uncompressed)."""
         return len(self._packed)
-
-    def compressed_size_bytes(self) -> int:
-        """Bytes on the wire with HTTP compression applied.
-
-        Sparse filters (the common case: few stale keys) compress very
-        well; the production system ships the filter gzip-compressed.
-        """
-        return len(zlib.compress(self._packed, level=6))
 
     def __repr__(self) -> str:
         return (

@@ -95,18 +95,6 @@ class CountingBloomFilter:
     def bits_set(self) -> int:
         return popcount(self._nonzero)
 
-    def fill_ratio(self) -> float:
-        return self.bits_set() / self.bits
-
-    def clear(self) -> None:
-        self._counts = array("H", [0]) * self.bits
-        self._nonzero = bytearray(len(self._nonzero))
-        self.count = 0
-        self._flat = None
-
-    def is_empty(self) -> bool:
-        return not any(self._nonzero)
-
     def __repr__(self) -> str:
         return (
             f"CountingBloomFilter(bits={self.bits}, hashes={self.hashes}, "

@@ -53,7 +53,3 @@ class SpeedKitBackend:
             purge_latency=purge_latency,
             metrics=self.metrics,
         )
-
-    @property
-    def site(self) -> Site:
-        return self.server.site

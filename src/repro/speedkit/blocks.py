@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.http.messages import Response
 from repro.http.url import URL
@@ -36,10 +36,6 @@ _PLACEHOLDER = re.compile(r"\{\{block:([A-Za-z0-9_-]+)\}\}")
 
 class DynamicBlockAssembler:
     """Stitches block responses into a skeleton response."""
-
-    def placeholders_in(self, skeleton_body: str) -> List[str]:
-        """Block names referenced by a skeleton body, in order."""
-        return _PLACEHOLDER.findall(skeleton_body or "")
 
     def assemble(
         self,

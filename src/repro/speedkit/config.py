@@ -1,6 +1,6 @@
 """Speed Kit configuration: routing rules and protocol knobs.
 
-Mirrors the production Speed Kit config format in spirit: site owners
+Mirrors the production Speed Kit configuration in spirit: site owners
 whitelist URL patterns to accelerate, blacklist exceptions, and mark
 which paths are segment-personalized (cacheable per user segment) or
 user-personalized (never shared; fetched directly with credentials).
@@ -13,9 +13,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
-from repro.http.messages import Request
 from repro.storage import BackendSpec
 
 
@@ -37,30 +36,6 @@ def _matches_globs(path: str, patterns: Tuple[str, ...]) -> bool:
     if not patterns:
         return False
     return _compile_globs(patterns).match(path) is not None
-
-
-#: Config-file keys holding a list of glob patterns.
-_PATTERN_KEYS = (
-    "whitelist",
-    "blacklist",
-    "segment_personalized",
-    "user_personalized",
-)
-
-
-def _pattern_list(key: str, value: object) -> List[str]:
-    """``value`` as a list of globs; a bare string is not one (it would
-    be read as one single-character pattern per letter)."""
-    if (
-        isinstance(value, str)
-        or not isinstance(value, Sequence)
-        or not all(isinstance(pattern, str) for pattern in value)
-    ):
-        raise ValueError(
-            f"config key {key!r} must be a list of glob strings, "
-            f"got {value!r}"
-        )
-    return list(value)
 
 
 class Route(NamedTuple):
@@ -111,18 +86,6 @@ class RoutingRules:
 
     whitelist: List[str] = field(default_factory=list)
     blacklist: List[str] = field(default_factory=list)
-
-    def should_accelerate(self, request: Request) -> bool:
-        return (
-            request.method.is_safe
-            and _route(
-                request.url.path,
-                (),
-                tuple(self.blacklist),
-                tuple(self.whitelist),
-                (),
-            ).accelerate
-        )
 
 
 @dataclass
@@ -179,7 +142,6 @@ class SpeedKitConfig:
                 raise ValueError(
                     f"{knob} must be finite and non-negative: {value}"
                 )
-        self.backend = BackendSpec.parse(self.backend)
 
     def route(self, path: str) -> Route:
         """The resolved :class:`Route` of ``path`` under the current
@@ -193,63 +155,6 @@ class SpeedKitConfig:
             tuple(rules.whitelist),
             tuple(self.segment_personalized),
         )
-
-    def is_segment_personalized(self, request: Request) -> bool:
-        return self.route(request.url.path).segmented
-
-    def is_user_personalized(self, request: Request) -> bool:
-        return self.route(request.url.path).user_block
-
-    def to_dict(self) -> dict:
-        """Serialize to the JSON-compatible config-file format."""
-        return {
-            "whitelist": list(self.rules.whitelist),
-            "blacklist": list(self.rules.blacklist),
-            "sketch_refresh_interval": self.sketch_refresh_interval,
-            "segment_personalized": list(self.segment_personalized),
-            "user_personalized": list(self.user_personalized),
-            "sw_cache_max_entries": self.sw_cache_max_entries,
-            "sw_cache_max_bytes": self.sw_cache_max_bytes,
-            "backend": self.backend.to_dict(),
-            "refresh_on_navigation": self.refresh_on_navigation,
-            "offline_mode": self.offline_mode,
-            "stale_while_revalidate": self.stale_while_revalidate,
-            "swr_staleness_budget": self.swr_staleness_budget,
-            "stale_if_error_window": self.stale_if_error_window,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpeedKitConfig":
-        """Load from the config-file format; unknown keys are rejected
-        (a typo in a caching config should fail loudly, not silently
-        disable acceleration)."""
-        known = {
-            "whitelist",
-            "blacklist",
-            "sketch_refresh_interval",
-            "segment_personalized",
-            "user_personalized",
-            "sw_cache_max_entries",
-            "sw_cache_max_bytes",
-            "backend",
-            "refresh_on_navigation",
-            "offline_mode",
-            "stale_while_revalidate",
-            "swr_staleness_budget",
-            "stale_if_error_window",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {key: value for key, value in data.items() if key in known}
-        for key in _PATTERN_KEYS:
-            if key in kwargs:
-                kwargs[key] = _pattern_list(key, kwargs[key])
-        rules = RoutingRules(
-            whitelist=kwargs.pop("whitelist", []),
-            blacklist=kwargs.pop("blacklist", []),
-        )
-        return cls(rules=rules, **kwargs)
 
     @classmethod
     def ecommerce_default(cls) -> "SpeedKitConfig":

@@ -58,19 +58,10 @@ class PiiVault:
         """The user id — only for direct origin connections."""
         return self._user_id
 
-    def set_identity(self, user_id: str) -> None:
-        self._user_id = user_id
-
     def clear_identity(self) -> None:
         """Logout / erasure (GDPR Art. 17 is a local delete)."""
         self._user_id = None
         self._attributes.clear()
-
-    def attribute(self, name: str, default: Any = None) -> Any:
-        return self._attributes.get(name, default)
-
-    def set_attribute(self, name: str, value: Any) -> None:
-        self._attributes[name] = value
 
     def attributes_for_segmentation(self) -> Dict[str, Any]:
         """A copy of the profile attributes for client-side segmentation."""
@@ -87,10 +78,6 @@ class ConsentManager:
     def grant(self, purpose: Purpose) -> None:
         self._granted.add(purpose)
         self.changes.append((purpose, True))
-
-    def revoke(self, purpose: Purpose) -> None:
-        self._granted.discard(purpose)
-        self.changes.append((purpose, False))
 
     def allows(self, purpose: Purpose) -> bool:
         return purpose in self._granted

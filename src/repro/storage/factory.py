@@ -14,8 +14,6 @@ import math
 import random
 import zlib
 from dataclasses import asdict, dataclass, field, fields
-from typing import Union
-
 from repro.simnet.delay import LogNormalDelay
 from repro.storage.backend import CacheBackend, InMemoryBackend
 from repro.storage.batched import (
@@ -160,26 +158,3 @@ class BackendSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BackendSpec":
-        known = {field for field in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown backend keys: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def parse(
-        cls, value: Union[None, str, dict, "BackendSpec"]
-    ) -> "BackendSpec":
-        """Coerce the config-file forms: a kind string or a full dict."""
-        if value is None:
-            return cls()
-        if isinstance(value, BackendSpec):
-            return value
-        if isinstance(value, str):
-            return cls(kind=value)
-        if isinstance(value, dict):
-            return cls.from_dict(value)
-        raise TypeError(f"cannot parse backend spec from {value!r}")

@@ -118,6 +118,3 @@ class TtlEstimator:
         if raw < self.min_worthwhile:
             return 0.0
         return min(self.max_ttl, max(self.min_ttl, raw))
-
-    def tracked_keys(self) -> int:
-        return len(self._stats)

@@ -94,10 +94,6 @@ class TxnResult:
         return self.finished_at - self.started_at
 
     @property
-    def responses(self) -> List[Response]:
-        return [read.response for read in self.reads]
-
-    @property
     def silently_downgraded(self) -> bool:
         """A broken promise: served below the floor without the mark."""
         return self.achieved < self.requested and not self.degraded

@@ -66,12 +66,6 @@ class ConsistencyLevel(str, enum.Enum):
             f"expected one of {[level.value for level in cls]}"
         )
 
-    def one_below(self) -> "ConsistencyLevel":
-        """The next-weaker rung (``delta`` is its own floor)."""
-        ordered = sorted(ConsistencyLevel, key=lambda level: level.rank)
-        index = ordered.index(self)
-        return ordered[max(0, index - 1)]
-
 
 _RANKS = {
     ConsistencyLevel.DELTA: 0,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 DEFAULT_CATEGORIES = (
     "shoes",
@@ -73,12 +73,6 @@ class Catalog:
 
     def sample_category(self, rng: random.Random) -> str:
         return rng.choice(self.config.categories)
-
-    def by_category(self) -> Dict[str, List[Product]]:
-        grouped: Dict[str, List[Product]] = {}
-        for product in self.products:
-            grouped.setdefault(product.category, []).append(product)
-        return grouped
 
 
 def generate_catalog(

@@ -115,12 +115,6 @@ class WorkloadTrace:
     def cart_adds(self) -> List[CartAdd]:
         return [e for e in self.events if isinstance(e, CartAdd)]
 
-    def erasures(self) -> List["EraseUser"]:
-        return [e for e in self.events if isinstance(e, EraseUser)]
-
-    def accesses(self) -> List["AccessUser"]:
-        return [e for e in self.events if isinstance(e, AccessUser)]
-
     def users_seen(self) -> List[str]:
         return sorted(self.events_per_user())
 

@@ -63,14 +63,14 @@ def test_byte_bound_applies():
             ),
             now=float(index),
         )
-    assert cache.store.total_bytes <= 250
+    assert cache.store.backend.bytes_used <= 250
 
 
 def test_metric_scope_is_browser():
     """A private cache counts per tier: its name (a device, a user)
     never reaches a metric name."""
     cache = BrowserCache("device-1")
-    assert cache.hit_ratio() == 0.0
+    assert cache.counted("hit") == 0.0
     assert cache.metrics.counter_names() == []  # a read creates nothing
     cache.serve(get(), now=0.0)  # miss
     assert cache.metrics.counter_names() == ["browser.miss"]

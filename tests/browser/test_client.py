@@ -68,7 +68,8 @@ class TestDirectMode:
     def test_hit_ratio_tracked(self, env, direct_client):
         run_fetch(env, direct_client.fetch(get("/page/1")))
         run_fetch(env, direct_client.fetch(get("/page/1")))
-        assert direct_client.cache.hit_ratio() == pytest.approx(0.5)
+        assert direct_client.cache.counted("hit") == 1
+        assert direct_client.cache.counted("miss") == 1
 
 
 class TestCdnMode:

@@ -72,20 +72,6 @@ class TestBasics:
         assert len(store) == 0
         assert store.keys() == []
 
-    def test_remove_prefix(self):
-        store = CacheStore(shared=True)
-        for path in ("/a/1", "/a/2", "/b/1"):
-            store.put(path, response(url=path), now=0.0)
-        assert store.remove_prefix("/a/") == 2
-        assert store.keys() == ["/b/1"]
-
-    def test_clear(self):
-        store = CacheStore(shared=True)
-        store.put("k", response(size=500), now=0.0)
-        store.clear()
-        assert len(store) == 0
-        assert store.total_bytes == 0
-
     def test_peek_does_not_touch_recency(self):
         store = CacheStore(shared=True, max_entries=2)
         store.put("old", response(), now=0.0)
@@ -95,21 +81,13 @@ class TestBasics:
         # "old" was evicted despite the peek: peek is not a use.
         assert store.keys() == ["new", "third"]
 
-    def test_expire_drops_stale(self):
-        store = CacheStore(shared=True)
-        store.put("short", response(ttl=5), now=0.0)
-        store.put("long", response(ttl=500), now=0.0)
-        assert store.expire(now=10.0) == 1
-        assert "long" in store
-        assert "short" not in store
-
     def test_size_accounting(self):
         store = CacheStore(shared=True)
         store.put("a", response(size=100), now=0.0)
         store.put("b", response(size=250), now=0.0)
-        assert store.total_bytes == 350
+        assert store.backend.bytes_used == 350
         store.remove("a")
-        assert store.total_bytes == 250
+        assert store.backend.bytes_used == 250
 
 
 class TestEviction:
@@ -129,7 +107,7 @@ class TestEviction:
         store.put("b", response(size=150), now=0.0)
         store.put("c", response(size=150), now=0.0)
         assert len(store) == 2
-        assert store.total_bytes <= 300
+        assert store.backend.bytes_used <= 300
         assert "a" not in store
 
     def test_oversized_entry_is_kept_if_alone(self):
@@ -159,7 +137,7 @@ class TestEviction:
         for index, size in enumerate(sizes):
             store.put(f"k{index}", response(size=size), now=float(index))
             if len(store) > 1:
-                assert store.total_bytes <= max_bytes
+                assert store.backend.bytes_used <= max_bytes
 
     @given(keys=st.lists(st.sampled_from("abcdef"), max_size=80))
     def test_entry_count_invariant(self, keys):

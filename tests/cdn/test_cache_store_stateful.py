@@ -89,14 +89,6 @@ class CacheStoreMachine(RuleBasedStateMachine):
     def advance_time(self, delta):
         self.now += delta
 
-    @rule()
-    def expire(self):
-        self.store.expire(self.now)
-        # Post-condition: no stored entry is stale.
-        for entry in self.store:
-            generated_at, ttl, _ = self.model[entry.key]
-            assert self.now - generated_at < ttl
-
     @invariant()
     def capacity_respected(self):
         assert len(self.store) <= MAX_ENTRIES
@@ -109,7 +101,7 @@ class CacheStoreMachine(RuleBasedStateMachine):
     @invariant()
     def byte_accounting_consistent(self):
         total = sum(entry.size_bytes for entry in self.store)
-        assert total == self.store.total_bytes
+        assert total == self.store.backend.bytes_used
 
 
 CacheStoreMachine.TestCase.settings = settings(

@@ -74,14 +74,6 @@ class TestServe:
         pop.admit(get(), ok_response(ttl=10), now=0.0)
         assert pop.serve(get(), now=20.0) is None
 
-    def test_hit_ratio(self):
-        pop = edge()
-        pop.serve(get(), now=0.0)  # miss
-        pop.admit(get(), ok_response(), now=0.0)
-        pop.serve(get(), now=1.0)  # hit
-        pop.serve(get(), now=2.0)  # hit
-        assert pop.hit_ratio() == pytest.approx(2 / 3)
-
     def test_requires_shared_store(self):
         with pytest.raises(ValueError):
             EdgeCache("bad", CacheStore(shared=False))
@@ -92,12 +84,12 @@ class TestServe:
         may be created before its event has happened."""
         pop = edge()
         assert pop.metrics.snapshot() == {}
-        # Reading is not counting: a ratio asked of an idle PoP must
+        # Reading is not counting: a count asked of an idle PoP must
         # not add its hit/miss counters to the export at zero.
-        assert pop.hit_ratio() == 0.0
+        assert pop.counted("hit") == pop.counted("miss") == 0.0
         assert pop.metrics.counter_names() == []
         pop.serve(get(), now=0.0)
-        assert pop.hit_ratio() == 0.0
+        assert pop.counted("hit") == 0.0
         assert pop.metrics.snapshot() == {"edge.pop-1.miss": 1}
         pop.admit(get(), ok_response(), now=0.0)
         pop.serve(get(), now=1.0)
@@ -179,7 +171,7 @@ class TestRevalidation:
         pop.admit(get(), ok_response(), now=0.0)
         stale = pop.revalidation_base(get(), now=0.0)
         nm = make_not_modified(stale, at=5.0)
-        pop.purge(get().url.cache_key())
+        pop.purge_many([get().url.cache_key()])
         assert pop.refresh(get(), nm, now=5.0) is None
 
 
@@ -223,16 +215,8 @@ class TestPurge:
     def test_purge_removes_entry(self):
         pop = edge()
         pop.admit(get(), ok_response(), now=0.0)
-        assert pop.purge(get().url.cache_key())
+        assert pop.purge_many([get().url.cache_key()]) == 1
         assert pop.serve(get(), now=0.5) is None
 
     def test_purge_missing_is_false(self):
-        assert not edge().purge("ghost")
-
-    def test_purge_prefix(self):
-        pop = edge()
-        pop.admit(get("/a/1"), ok_response(url="/a/1"), now=0.0)
-        pop.admit(get("/a/2"), ok_response(url="/a/2"), now=0.0)
-        pop.admit(get("/b/1"), ok_response(url="/b/1"), now=0.0)
-        assert pop.purge_prefix("shop.example/a/") == 2
-        assert pop.serve(get("/b/1"), now=0.5) is not None
+        assert edge().purge_many(["ghost"]) == 0

@@ -220,7 +220,7 @@ class CacheNodeMachine(RuleBasedStateMachine):
     @rule(path=st.sampled_from(PATHS))
     def purge(self, path):
         key = request_for(path).url.cache_key()
-        assert self.cache.purge(key) == (key in self.stored)
+        assert self.cache.purge_many([key]) == (key in self.stored)
         self.stored.pop(key, None)
 
     # -- the property ----------------------------------------------------

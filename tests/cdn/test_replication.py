@@ -104,29 +104,6 @@ def test_purge_supersedes_in_flight_replicas(env, cdn, replicator):
         assert cdn.pop(name).serve(get(), now=env.now) is None
 
 
-def test_purge_prefix_supersedes_in_flight_replicas(env, cdn, replicator):
-    def scenario():
-        cdn.pop("pop-eu").admit(get("/a/1"), ok_response("/a/1"), now=env.now)
-        yield env.timeout(DELAY / 2)
-        cdn.purge_prefix("shop.example/a/")
-
-    env.process(scenario())
-    env.run()
-    assert cdn.metrics.counter("replication.dropped_purged").value == 2
-    assert cdn.pop("pop-us").serve(get("/a/1"), now=env.now) is None
-
-
-def test_purge_all_supersedes_in_flight_replicas(env, cdn, replicator):
-    def scenario():
-        cdn.pop("pop-eu").admit(get(), ok_response(), now=env.now)
-        yield env.timeout(DELAY / 2)
-        cdn.purge_all()
-
-    env.process(scenario())
-    env.run()
-    assert cdn.metrics.counter("replication.dropped_purged").value == 2
-
-
 def test_replicas_sent_after_purge_apply(env, cdn, replicator):
     key = get().url.cache_key()
 
@@ -191,20 +168,18 @@ def versioned(version, max_age=60.0):
 
 
 def test_purge_bookkeeping_stays_bounded(env, cdn, replicator):
-    """Regression: per-key and per-prefix purge records must be pruned
-    once no in-flight replica can match them, not grow forever."""
+    """Regression: per-key purge records must be pruned once no
+    in-flight replica can match them, not grow forever."""
 
     def scenario():
         for i in range(200):
             cdn.purge_many([f"key-{i}"])
-            cdn.purge_prefix(f"prefix-{i}/")
             yield env.timeout(DELAY)
 
     env.process(scenario())
     env.run()
     # Only records younger than one propagation delay can still matter.
     assert len(replicator._purged_at) <= 3
-    assert len(replicator._purged_prefixes) <= 3
 
 
 def test_purge_records_survive_within_the_delay_window(env, cdn, replicator):

@@ -152,7 +152,10 @@ class TestRandomSchedules:
     @settings(max_examples=25, deadline=None)
     def test_holds_for_any_ttl(self, ops, ttl):
         env, backend, alice, bob, checker = build_stack()
-        backend.server.site.spec_named("product").ttl_hint = ttl
+        (product,) = [
+            spec for spec in backend.server.site.routes if spec.name == "product"
+        ]
+        product.ttl_hint = ttl
         for op, product_id, gap in ops:
             env.run(until=env.now + gap)
             if op == "write":

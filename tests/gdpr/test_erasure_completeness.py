@@ -488,7 +488,7 @@ def _view_cart_block(runner, user_id):
         headers=Headers({"X-User-Id": user_id}),
     )
     response = runner.server.handle(request, runner.env.now)
-    assert response.ok and user_id in response.body
+    assert response.status == Status.OK and user_id in response.body
     return response
 
 

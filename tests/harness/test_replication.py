@@ -48,7 +48,7 @@ class TestReplicate:
             ScenarioSpec(scenario=Scenario.SPEED_KIT), n_seeds=3, **SMALL
         )
         assert len(result.runs) == 3
-        assert result.metrics["plt_p50"].n == 3
+        assert len(result.metrics["plt_p50"].values) == 3
         assert result.total_violations == 0
         row = result.summary_row()
         assert row["scenario"] == "speed-kit"

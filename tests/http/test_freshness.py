@@ -10,13 +10,10 @@ from repro.http import (
     Status,
     URL,
     age_at,
-    allows_stale_while_revalidate,
     conditional_request_for,
-    expires_at,
     freshness_lifetime,
     is_cacheable,
     is_fresh_at,
-    remaining_ttl,
 )
 
 
@@ -95,12 +92,6 @@ class TestFreshness:
         resp = response("immutable, max-age=1", generated_at=0.0)
         assert is_fresh_at(resp, 10**9, shared=False)
 
-    def test_remaining_ttl_and_expires(self):
-        resp = response("max-age=60", generated_at=100.0)
-        assert remaining_ttl(resp, 120.0, shared=False) == 40.0
-        assert remaining_ttl(resp, 200.0, shared=False) == 0.0
-        assert expires_at(resp, shared=False) == 160.0
-
     def test_lifetime_defaults_to_zero(self):
         assert freshness_lifetime(response(None), shared=True) == 0.0
 
@@ -111,20 +102,6 @@ class TestFreshness:
     def test_fresh_iff_age_below_lifetime(self, max_age, elapsed):
         resp = response(f"max-age={max_age}", generated_at=0.0)
         assert is_fresh_at(resp, elapsed, shared=False) == (elapsed < max_age)
-
-
-class TestStaleWhileRevalidate:
-    def test_window_extends_past_expiry(self):
-        resp = response(
-            "max-age=10, stale-while-revalidate=20", generated_at=0.0
-        )
-        assert not is_fresh_at(resp, 15.0, shared=False)
-        assert allows_stale_while_revalidate(resp, 15.0, shared=False)
-        assert not allows_stale_while_revalidate(resp, 31.0, shared=False)
-
-    def test_without_directive_no_window(self):
-        resp = response("max-age=10", generated_at=0.0)
-        assert not allows_stale_while_revalidate(resp, 15.0, shared=False)
 
 
 class TestConditionalRequest:

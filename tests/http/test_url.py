@@ -58,13 +58,6 @@ def test_without_param():
     assert url.without_param("zzz").params == {"a": "1", "b": "2"}
 
 
-def test_extension():
-    assert URL.of("/static/app.min.JS").extension == "js"
-    assert URL.of("/img/logo.png").extension == "png"
-    assert URL.of("/product/42").extension == ""
-    assert URL.of("/").extension == ""
-
-
 def test_different_origins_are_different_keys():
     a = URL.of("/p", origin="a.example")
     b = URL.of("/p", origin="b.example")

@@ -68,11 +68,6 @@ class TestEquivalence:
                 flat.affected_resources(event)
             )
 
-    def test_subscription_count_matches(self):
-        grid = PartitionedMatcher(query_partitions=4)
-        populate(grid, n_queries=25)
-        assert grid.subscription_count() == 25
-
 
 class TestScaling:
     def run_stream(self, grid, n_events=300):

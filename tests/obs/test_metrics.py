@@ -32,7 +32,8 @@ class TestMetricRegistry:
     def test_snapshot_includes_sketch_summaries(self):
         registry = MetricRegistry()
         registry.counter("c").inc()
-        registry.sketch("tier.plt.origin").observe_many([0.1, 0.2, 0.3])
+        for value in (0.1, 0.2, 0.3):
+            registry.sketch("tier.plt.origin").observe(value)
         snapshot = registry.snapshot()
         assert snapshot["c"] == 1
         assert snapshot["tier.plt.origin"]["count"] == 3
@@ -82,7 +83,8 @@ class TestOneRegistry:
 
     def test_merge_carries_sketches(self):
         ours, theirs = MetricRegistry(), MetricRegistry()
-        theirs.sketch("lat").observe_many([1.0, 2.0])
+        for value in (1.0, 2.0):
+            theirs.sketch("lat").observe(value)
         ours.merge(theirs)
         assert ours.sketch("lat").count == 2
         assert ours.snapshot()["lat"]["count"] == 2

@@ -1,18 +1,6 @@
-"""Tests for the predicate query engine."""
+"""Tests for document queries and their equality predicate."""
 
-from repro.origin import (
-    And,
-    Contains,
-    Eq,
-    Gt,
-    Gte,
-    In,
-    Lt,
-    Lte,
-    Not,
-    Or,
-    Query,
-)
+from repro.origin import Eq, Query
 
 DOC = {
     "name": "sneaker",
@@ -39,47 +27,11 @@ class TestPredicates:
     def test_dotted_path_through_non_mapping(self):
         assert not Eq("price.cents", 99).matches(DOC)
 
-    def test_comparisons(self):
-        assert Lt("price", 100).matches(DOC)
-        assert not Lt("price", 50).matches(DOC)
-        assert Lte("price", 79.99).matches(DOC)
-        assert Gt("price", 50).matches(DOC)
-        assert Gte("price", 79.99).matches(DOC)
-
-    def test_comparison_on_missing_field_is_false(self):
-        assert not Lt("missing", 10).matches(DOC)
-        assert not Gt("missing", 10).matches(DOC)
-
-    def test_comparison_type_error_is_false(self):
-        assert not Lt("name", 10).matches(DOC)
-
-    def test_in(self):
-        assert In("category", ["shoes", "hats"]).matches(DOC)
-        assert not In("category", ["hats"]).matches(DOC)
-
-    def test_contains(self):
-        assert Contains("tags", "sale").matches(DOC)
-        assert not Contains("tags", "vintage").matches(DOC)
-        assert not Contains("name", "s").matches(DOC)  # not a list
-
-    def test_and_or_not(self):
-        both = And([Eq("category", "shoes"), Lt("price", 100)])
-        assert both.matches(DOC)
-        either = Or([Eq("category", "hats"), Lt("price", 100)])
-        assert either.matches(DOC)
-        assert Not(Eq("category", "hats")).matches(DOC)
-
-    def test_operator_sugar(self):
-        assert (Eq("category", "shoes") & Lt("price", 100)).matches(DOC)
-        assert (Eq("category", "hats") | Lt("price", 100)).matches(DOC)
-        assert (~Eq("category", "hats")).matches(DOC)
-
     def test_keys_are_stable_and_distinct(self):
         a = Eq("category", "shoes")
         b = Eq("category", "hats")
         assert a.key() == Eq("category", "shoes").key()
         assert a.key() != b.key()
-        assert And([a, b]).key() != Or([a, b]).key()
 
 
 class TestQuery:

@@ -178,7 +178,7 @@ class RenditionMachine(RuleBasedStateMachine):
         expected = render_from_scratch(self.server, request, now)
         actual = self.server.handle(request, now)
         assert_same_response(actual, expected)
-        if actual.ok:
+        if actual.status == Status.OK:
             self.etags[seen] = actual.etag
             self.variants_read.add(
                 (actual.headers["X-Version-Key"], segment)
@@ -272,10 +272,10 @@ class TestEngineAccessParity:
         for i in range(rounds):
             now = float(i)
             assert get(server, "/product/1", now).status == Status.OK
-            assert get(server, "/product/1", now, segment="a").ok
-            assert get(server, "/category/shoes", now).ok
-            assert get(server, "/api/blocks/cart", now, user="u1").ok
-            assert get(server, "/account/1", now, user="u1").ok
+            assert get(server, "/product/1", now, segment="a").status == Status.OK
+            assert get(server, "/category/shoes", now).status == Status.OK
+            assert get(server, "/api/blocks/cart", now, user="u1").status == Status.OK
+            assert get(server, "/account/1", now, user="u1").status == Status.OK
             assert get(server, "/api/product/9", now).status == (
                 Status.NOT_FOUND
             )
@@ -312,13 +312,13 @@ class TestNotFound:
             assert server.rendition_count == 0
         server.write("products", "9", {"category": "hats", "price": 1}, at=2.0)
         response = get(server, "/product/9", 3.0)
-        assert response.ok
+        assert response.status == Status.OK
         assert '"price": 1' in response.body
         assert server.rendition_count == 1
 
     def test_deleting_the_document_turns_a_served_page_into_404(self):
         server = OriginServer(build_site())
-        assert get(server, "/product/1").ok
+        assert get(server, "/product/1").status == Status.OK
         server.site.store.delete("products", "1", at=1.0)
         assert get(server, "/product/1", 2.0).status == Status.NOT_FOUND
         assert server.rendition_count == 0

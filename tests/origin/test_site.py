@@ -99,13 +99,6 @@ class TestSite:
         site = Site()
         assert site.match(URL.of("/nothing")) is None
 
-    def test_spec_named(self):
-        site = Site()
-        site.add_route(product_route())
-        assert site.spec_named("product-page").pattern == "/product/{id}"
-        with pytest.raises(KeyError):
-            site.spec_named("ghost")
-
 
 class TestMatchMemo:
     """``Site.match`` resolves each path once — against the route list

@@ -77,22 +77,6 @@ class TestHistory:
         with pytest.raises(ValueError):
             versions.version_at("r", 5.0)
 
-    def test_versions_between_includes_boundary_version(self, versions):
-        versions.register("r", at=0.0)
-        versions.bump("r", at=10.0)
-        versions.bump("r", at=20.0)
-        # Window [5, 15]: v1 was current at 5; v2 appeared at 10.
-        assert versions.versions_between("r", 5.0, 15.0) == [1, 2]
-        # Window [10, 15]: v2 current at 10 (bump exactly at start).
-        assert versions.versions_between("r", 10.0, 15.0) == [2]
-        # Window entirely inside one version.
-        assert versions.versions_between("r", 11.0, 19.0) == [2]
-
-    def test_versions_between_bad_window(self, versions):
-        versions.register("r")
-        with pytest.raises(ValueError):
-            versions.versions_between("r", 5.0, 1.0)
-
     def test_known_resources_sorted(self, versions):
         versions.register("b")
         versions.register("a")

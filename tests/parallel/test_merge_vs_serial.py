@@ -94,10 +94,12 @@ def test_sketch_merge_is_exact_and_within_documented_error(workload):
     all_values = []
     for shard in shards:
         shard_sketch = QuantileSketch()
-        shard_sketch.observe_many(shard.plt.values)
+        for value in shard.plt.values:
+            shard_sketch.observe(value)
         merged_sketch.merge(shard_sketch)
         all_values.extend(shard.plt.values)
-    direct_sketch.observe_many(all_values)
+    for value in all_values:
+        direct_sketch.observe(value)
     exact = sorted(all_values)
     for q in (0.5, 0.95, 0.99):
         # Exact merge: identical answers regardless of sharding.

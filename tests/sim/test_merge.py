@@ -33,7 +33,7 @@ def test_histograms_concatenate_raw_values():
     assert sorted(a.histogram("plt").values) == [1.0, 2.0, 3.0, 4.0]
     # Quantiles of the merged histogram are quantiles of the union —
     # exactly what a serial run observing all four values reports.
-    assert a.histogram("plt").median() == 2.5
+    assert a.histogram("plt").percentile(50) == 2.5
 
 
 def test_series_interleave_in_time_order():

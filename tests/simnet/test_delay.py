@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simnet import ConstantDelay, LogNormalDelay, UniformDelay
+from repro.simnet import ConstantDelay, LogNormalDelay
 
 
 def test_constant_delay_is_constant():
@@ -19,21 +19,6 @@ def test_constant_delay_is_constant():
 def test_constant_delay_rejects_negative():
     with pytest.raises(ValueError):
         ConstantDelay(-0.1)
-
-
-def test_uniform_delay_within_bounds():
-    rng = random.Random(1)
-    delay = UniformDelay(0.01, 0.02)
-    samples = [delay.sample(rng) for _ in range(200)]
-    assert all(0.01 <= s <= 0.02 for s in samples)
-    assert delay.mean() == pytest.approx(0.015)
-
-
-def test_uniform_delay_rejects_bad_ranges():
-    with pytest.raises(ValueError):
-        UniformDelay(-1, 1)
-    with pytest.raises(ValueError):
-        UniformDelay(2, 1)
 
 
 def test_lognormal_positive_and_floored():

@@ -20,7 +20,7 @@ class TestAddRemove:
         cbf.remove("k")
         assert "k" not in cbf
         assert cbf.count == 0
-        assert cbf.is_empty()
+        assert cbf.bits_set() == 0
 
     def test_double_add_needs_double_remove(self):
         cbf = CountingBloomFilter(bits=512, hashes=3)
@@ -68,12 +68,6 @@ class TestFlatten:
         cbf.add("new")
         assert "new" not in flat
 
-    def test_clear(self):
-        cbf = CountingBloomFilter(bits=128, hashes=2)
-        cbf.add("x")
-        cbf.clear()
-        assert cbf.is_empty() and cbf.count == 0
-
 
 class TestProperties:
     @given(
@@ -88,7 +82,7 @@ class TestProperties:
             cbf.add(key)
         for key in keys:
             cbf.remove(key)
-        assert cbf.is_empty()
+        assert cbf.bits_set() == 0
         assert cbf.count == 0
 
     @given(

@@ -16,7 +16,7 @@ from tests.speedkit.conftest import run
 @pytest.fixture
 def skeleton_route(backend):
     """A page whose body contains block placeholders."""
-    site = backend.site
+    site = backend.server.site
     spec = ResourceSpec(
         name="home-skeleton",
         pattern="/home",

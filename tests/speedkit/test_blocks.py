@@ -20,19 +20,6 @@ def test_block_spec_defaults_optional():
     assert spec.optional
 
 
-class TestPlaceholders:
-    def test_placeholders_found_in_order(self):
-        assembler = DynamicBlockAssembler()
-        body = "a {{block:cart}} b {{block:reco}} c"
-        assert assembler.placeholders_in(body) == ["cart", "reco"]
-
-    def test_no_placeholders(self):
-        assert DynamicBlockAssembler().placeholders_in("plain") == []
-
-    def test_none_body(self):
-        assert DynamicBlockAssembler().placeholders_in(None) == []
-
-
 class TestAssembly:
     def test_blocks_replace_placeholders(self):
         assembler = DynamicBlockAssembler()

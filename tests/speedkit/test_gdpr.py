@@ -8,9 +8,8 @@ from repro.speedkit import ConsentManager, PiiVault, Purpose, RequestScrubber
 
 class TestPiiVault:
     def test_identity_lifecycle(self):
-        vault = PiiVault()
-        assert not vault.has_identity
-        vault.set_identity("u42")
+        assert not PiiVault().has_identity
+        vault = PiiVault(user_id="u42")
         assert vault.has_identity
         assert vault.identity_for_first_party() == "u42"
 
@@ -18,19 +17,13 @@ class TestPiiVault:
         vault = PiiVault(user_id="u42", attributes={"tier": "gold"})
         vault.clear_identity()
         assert not vault.has_identity
-        assert vault.attribute("tier") is None
-
-    def test_attributes(self):
-        vault = PiiVault()
-        vault.set_attribute("locale", "de")
-        assert vault.attribute("locale") == "de"
-        assert vault.attribute("missing", "fallback") == "fallback"
+        assert vault.attributes_for_segmentation() == {}
 
     def test_segmentation_view_is_a_copy(self):
         vault = PiiVault(attributes={"tier": "gold"})
         view = vault.attributes_for_segmentation()
         view["tier"] = "hacked"
-        assert vault.attribute("tier") == "gold"
+        assert vault.attributes_for_segmentation() == {"tier": "gold"}
 
 
 class TestConsentManager:
@@ -38,16 +31,11 @@ class TestConsentManager:
         consent = ConsentManager()
         assert not consent.allows(Purpose.ACCELERATION)
 
-    def test_grant_and_revoke(self):
+    def test_grant(self):
         consent = ConsentManager()
         consent.grant(Purpose.ACCELERATION)
         assert consent.allows(Purpose.ACCELERATION)
-        consent.revoke(Purpose.ACCELERATION)
-        assert not consent.allows(Purpose.ACCELERATION)
-        assert consent.changes == [
-            (Purpose.ACCELERATION, True),
-            (Purpose.ACCELERATION, False),
-        ]
+        assert consent.changes == [(Purpose.ACCELERATION, True)]
 
     def test_factories(self):
         assert ConsentManager.all_granted().allows(Purpose.SEGMENTATION)

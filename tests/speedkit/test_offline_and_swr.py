@@ -136,7 +136,9 @@ class TestSketchServiceOutage:
         env.run(until=env.now + 120.0)  # sketch now stale (> Δ = 60)
         # A live edge could still answer the revalidation; empty it so
         # strict mode has to reach the (dead) origin.
-        backend.cdn.purge_all()
+        backend.cdn.purge_many(
+            [key for pop in backend.cdn.pops.values() for key in pop.store.keys()]
+        )
         response = run(env, worker.fetch(get("/static/app.js")))
         # Strict mode revalidates; the origin is down -> failure.
         assert response.status == Status.SERVICE_UNAVAILABLE

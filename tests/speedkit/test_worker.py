@@ -35,7 +35,7 @@ class TestRouting:
         )
         response = run(env, worker.fetch(request))
         assert response.status == Status.OK
-        assert backend.site.store.get("products", "99") is not None
+        assert backend.server.site.store.get("products", "99") is not None
 
     def test_accelerated_request_counted(self, env, make_worker):
         worker = make_worker()

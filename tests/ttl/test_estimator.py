@@ -101,12 +101,11 @@ class TestTtlEstimator:
         with pytest.raises(ValueError):
             TtlEstimator(ewma_alpha=0.0)
 
-    def test_tracked_keys(self):
+    def test_stats_for(self):
         estimator = TtlEstimator()
         estimator.observe_write("a", 0.0)
         estimator.observe_write("b", 0.0)
         estimator.observe_write("a", 1.0)
-        assert estimator.tracked_keys() == 2
         assert estimator.stats_for("a").writes == 2
         assert estimator.stats_for("ghost") is None
 

@@ -46,17 +46,3 @@ class TestParsing:
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError):
             ConsistencyLevel.parse("linearizable")
-
-
-class TestDegradation:
-    def test_one_below_walks_down_the_ladder(self):
-        assert (
-            ConsistencyLevel.SERIALIZABLE.one_below()
-            is ConsistencyLevel.SNAPSHOT
-        )
-        assert (
-            ConsistencyLevel.SNAPSHOT.one_below() is ConsistencyLevel.DELTA
-        )
-
-    def test_delta_is_the_floor(self):
-        assert ConsistencyLevel.DELTA.one_below() is ConsistencyLevel.DELTA

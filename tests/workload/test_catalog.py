@@ -61,8 +61,3 @@ def test_uniform_when_zipf_zero():
         catalog.sample_product(rng).product_id for _ in range(10_000)
     )
     assert max(counts.values()) < 2 * min(counts.values())
-
-
-def test_by_category_partitions(catalog):
-    grouped = catalog.by_category()
-    assert sum(len(products) for products in grouped.values()) == len(catalog)
