@@ -79,16 +79,16 @@ def test_bench_e21_tracing(results, benchmark):
     registry = traced.metrics
     rows = []
     for tier in sorted(breakdown, key=breakdown.get, reverse=True):
-        sketch = registry.sketch(f"tier.plt.{tier}")
+        latency = registry.histogram(f"tier.plt.{tier}")
         rows.append(
             {
                 "tier": tier,
                 "total_s": round(breakdown[tier], 3),
                 "share": round(breakdown[tier] / total_plt, 3),
-                "loads": sketch.count,
-                "p50_ms": round(sketch.percentile(50) * 1000, 2),
-                "p95_ms": round(sketch.percentile(95) * 1000, 2),
-                "p99_ms": round(sketch.percentile(99) * 1000, 2),
+                "loads": latency.count,
+                "p50_ms": round(latency.percentile(50) * 1000, 2),
+                "p95_ms": round(latency.percentile(95) * 1000, 2),
+                "p99_ms": round(latency.percentile(99) * 1000, 2),
             }
         )
     rows.append(

@@ -77,8 +77,8 @@ def results(gdpr_workload):
 
 
 def _row(name, result):
-    erase_ms = result.metrics.sketch("gdpr.erase.latency")
-    access_ms = result.metrics.sketch("gdpr.access.latency")
+    erase_ms = result.metrics.histogram("gdpr.erase.latency")
+    access_ms = result.metrics.histogram("gdpr.access.latency")
     return {
         "config": name,
         "erasures": result.erasures,
@@ -124,8 +124,8 @@ def test_bench_e23_erasure_latency_and_completeness(results, benchmark):
 def test_bench_e23_asynchrony_costs_erasure_latency(results):
     """Erasing through a write-behind stack pays the flush barrier:
     its tail erasure latency dominates the synchronous stack's."""
-    sync = results["sync"].metrics.sketch("gdpr.erase.latency")
-    behind = results["write-behind"].metrics.sketch("gdpr.erase.latency")
+    sync = results["sync"].metrics.histogram("gdpr.erase.latency")
+    behind = results["write-behind"].metrics.histogram("gdpr.erase.latency")
     assert behind.percentile(99) >= sync.percentile(99)
 
 

@@ -96,7 +96,7 @@ def _level_of(name):
 
 
 def _row(name, result):
-    plt = result.metrics.sketch(f"txn.plt.{_level_of(name)}")
+    plt = result.metrics.histogram(f"txn.plt.{_level_of(name)}")
     violations = (
         result.txn_fractured_reads
         + result.txn_serialization_violations

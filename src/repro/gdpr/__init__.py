@@ -18,8 +18,8 @@ this package adds the two data-subject rights that act on data already
 
 Erasure *latency* and erasure *completeness* are the metrics that
 matter (Shastri et al., Shah et al.); both are threaded through
-:mod:`repro.obs` — latency as the ``gdpr.erase.latency`` quantile
-sketch, completeness as the ``gdpr.erase.residuals`` counter a single
+:mod:`repro.obs` — latency as the ``gdpr.erase.latency`` histogram,
+completeness as the ``gdpr.erase.residuals`` counter a single
 surviving byte increments.
 """
 

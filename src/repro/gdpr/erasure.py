@@ -110,6 +110,11 @@ class AccessReport:
     replicas_in_flight: List[str] = field(default_factory=list)
     #: Plaintext keys the server Cache Sketch currently tracks.
     sketch_keys: List[str] = field(default_factory=list)
+    #: Pre-built origin renditions holding the user's bytes — among
+    #: them the identity-only ones no document deletion would drop.
+    renditions: List[str] = field(default_factory=list)
+    #: Keys an in-flight multi-key transaction buffers for the user.
+    txn_buffers: List[str] = field(default_factory=list)
     #: Simulated seconds the read-only walk cost.
     simulated_latency: float = 0.0
 
@@ -121,6 +126,8 @@ class AccessReport:
             + sum(len(keys) for keys in self.queued.values())
             + len(self.replicas_in_flight)
             + len(self.sketch_keys)
+            + len(self.renditions)
+            + len(self.txn_buffers)
         )
 
 
@@ -336,7 +343,7 @@ class ErasureCoordinator:
         self.metrics.counter("gdpr.erase.residuals").inc(
             report.residual_count
         )
-        self.metrics.sketch("gdpr.erase.latency").observe(
+        self.metrics.histogram("gdpr.erase.latency").observe(
             report.simulated_latency
         )
 
@@ -437,10 +444,18 @@ class ErasureCoordinator:
             report.sketch_keys = self.sketch.keys_matching(
                 matcher.matches_key
             )
+        # In memory, so free: the tiers the completeness check walks
+        # beyond the caches and queues above.
+        if self.origin is not None:
+            report.renditions = self.origin.renditions_matching(
+                matcher.matches_entry
+            )
+        if self.txn_registry is not None:
+            report.txn_buffers = self.txn_registry.buffers_matching(matcher)
         report.simulated_latency = self._drain(*self._all_backends(tiers))
         if self.metrics is not None:
             self.metrics.counter("gdpr.access.count").inc()
-            self.metrics.sketch("gdpr.access.latency").observe(
+            self.metrics.histogram("gdpr.access.latency").observe(
                 report.simulated_latency
             )
         span.set(locations=report.locations)

@@ -8,8 +8,9 @@ without any plotting dependency.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence
+
+from repro.sim.metrics import Histogram
 
 FULL_BLOCK = "#"
 
@@ -56,28 +57,16 @@ def cdf_table(
     unit: str = "",
 ) -> List[Dict[str, object]]:
     """Rows of per-series percentiles — a printable CDF comparison."""
-
-    def percentile_of(sorted_values: List[float], q: float) -> float:
-        if len(sorted_values) == 1:
-            return sorted_values[0]
-        rank = (q / 100.0) * (len(sorted_values) - 1)
-        low_index = math.floor(rank)
-        high_index = math.ceil(rank)
-        weight = rank - low_index
-        return (
-            sorted_values[low_index] * (1 - weight)
-            + sorted_values[high_index] * weight
-        )
-
     rows = []
     for name, values in series.items():
         if not values:
             continue
-        ordered = sorted(values)
+        histogram = Histogram(name)
+        histogram.extend(values)
         row: Dict[str, object] = {"series": name}
         for q in percentiles:
             label = f"p{q:g}{('_' + unit) if unit else ''}"
-            row[label] = round(percentile_of(ordered, q) * scale, 1)
+            row[label] = round(histogram.percentile(q) * scale, 1)
         rows.append(row)
     return rows
 

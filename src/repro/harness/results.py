@@ -26,8 +26,8 @@ from repro.sim.metrics import Histogram, MetricRegistry
 #: The resource kinds the per-content-type hit-ratio table reports.
 CONTENT_KINDS = ("static", "page", "query", "api", "fragment")
 
-#: The per-tier latency sketches ``tier_breakdown`` restates the sums of.
-_TIER_SKETCHES = "tier.plt."
+#: The per-tier latency histograms ``tier_breakdown`` restates the sums of.
+_TIER_HISTOGRAMS = "tier.plt."
 
 
 def _nest(family: Dict[str, int]) -> Dict[str, Dict[str, int]]:
@@ -209,7 +209,7 @@ class RunResult:
     control_events: int = ledger(0, counter="overload.control.total")
     #: Per-tier latency attribution (tier -> total critical-path
     #: seconds across all traced page views): the sums of the
-    #: ``tier.plt.<tier>`` sketches, ``None`` when there are none (the
+    #: ``tier.plt.<tier>`` histograms, ``None`` when there are none (the
     #: run recorded no traces).
     tier_breakdown: Optional[Dict[str, float]] = ledger(None)
     #: Exported span records of the whole run (``None`` unless the run
@@ -390,9 +390,9 @@ class RunResult:
         # Creation order: the order a walk of the page views meets the
         # tiers in, which the tier tables break ties by.
         tiers = {
-            name[len(_TIER_SKETCHES) :]: sketch.sum
-            for name, sketch in metrics.sketches().items()
-            if name.startswith(_TIER_SKETCHES)
+            name[len(_TIER_HISTOGRAMS) :]: histogram.sum
+            for name, histogram in metrics.histograms().items()
+            if name.startswith(_TIER_HISTOGRAMS)
         }
         result.tier_breakdown = tiers or None
         return result

@@ -668,12 +668,12 @@ class SimulationRunner:
         if txn.aborts:
             self.metrics.counter("txn.aborts").inc(txn.aborts)
         self.metrics.counter(f"txn.level.{txn.requested.value}").inc()
-        # Per-level latency sketches: the consistency-vs-PLT curve is a
-        # quantile query away, and shards merge exactly.
-        self.metrics.sketch(f"txn.plt.{txn.requested.value}").observe(
+        # Per-level latency histograms: the consistency-vs-PLT curve is
+        # a percentile query away, and shards merge exactly.
+        self.metrics.histogram(f"txn.plt.{txn.requested.value}").observe(
             txn.plt
         )
-        self.metrics.sketch("txn.aborts.per_txn").observe(float(txn.aborts))
+        self.metrics.histogram("txn.aborts.per_txn").observe(txn.aborts)
         for read in txn.reads:
             self._record_response(
                 read.response,
@@ -874,11 +874,10 @@ class SimulationRunner:
                 )
             )
             records = scrubbed
-        # Streaming per-tier latency sketches: each page view's
-        # critical-path seconds per tier, quantile-queryable without
-        # retaining the per-page attributions; their sums are the
-        # result's ``tier_breakdown``.
+        # Per-tier latency histograms: each page view's critical-path
+        # seconds per tier, percentile-queryable; their running sums
+        # are the result's ``tier_breakdown``.
         for _, attribution in pageview_attributions(records):
             for tier, seconds in attribution.items():
-                self.metrics.sketch(f"tier.plt.{tier}").observe(seconds)
+                self.metrics.histogram(f"tier.plt.{tier}").observe(seconds)
         return records

@@ -8,9 +8,8 @@ three parts:
   -> origin) recording per-hop sim-clock timings, cache verdicts,
   versions served, and fault events;
 * the :class:`MetricRegistry` (the one registry, of
-  :mod:`repro.sim.metrics`): exact tallies plus streaming quantile
-  sketches (:class:`QuantileSketch`) for p50/p95/p99 without retaining
-  raw samples;
+  :mod:`repro.sim.metrics`): exact tallies, and histograms that keep
+  every observation and answer p50/p95/p99 exactly;
 * exporters: a JSONL trace dump (:func:`dump_jsonl`) and per-tier
   latency attribution for the harness report
   (:mod:`repro.obs.analysis`).
@@ -42,13 +41,11 @@ from repro.obs.export import (
 from repro.obs.span import NULL_SPAN, Span, SpanContext
 from repro.obs.tracer import NOOP_TRACER, RecordingTracer, Tracer
 from repro.sim.metrics import MetricRegistry
-from repro.sim.quantile import QuantileSketch
 
 __all__ = [
     "NOOP_TRACER",
     "NULL_SPAN",
     "MetricRegistry",
-    "QuantileSketch",
     "RecordingTracer",
     "Span",
     "SpanContext",

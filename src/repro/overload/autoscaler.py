@@ -19,7 +19,7 @@ hysteresis:
 Every input is read from the :class:`~repro.sim.metrics.MetricRegistry`
 stream the governors publish (``overload.<pop>.queue_depth`` /
 ``.capacity`` gauges, the ``.busy_seconds`` counter, the ``.wait``
-sketch) — the loop never reaches into governor internals, so the same
+histogram) — the loop never reaches into governor internals, so the same
 decisions could be replayed against an exported metrics feed.
 
 Determinism: sampling phase is jittered from the seeded ``autoscale``

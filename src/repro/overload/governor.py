@@ -20,7 +20,7 @@ classes queue, nothing is shed): exactly the uncontrolled baseline
 whose latency collapse the E25 benchmark measures.
 
 Everything observable is published to the metrics registry
-(``overload.<node>.*`` gauges/counters and a queue-wait sketch) — the
+(``overload.<node>.*`` gauges/counters and a queue-wait histogram) — the
 autoscaler reads *only* that stream, never the governor's internals —
 and, when tracing is on, queue waits and sheds appear as
 ``overload.queue`` / ``overload.shed`` spans in the request's trace.
@@ -171,7 +171,7 @@ class NodeGovernor:
             yield slot_event  # release() hands the slot over
             self.tracer.finish(queue_span, self.env.now)
             if self.metrics is not None:
-                self.metrics.sketch(f"overload.{self.node}.wait").observe(
+                self.metrics.histogram(f"overload.{self.node}.wait").observe(
                     self.env.now - arrived
                 )
         self._count("overload.admitted.total", weight)

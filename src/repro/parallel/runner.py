@@ -6,7 +6,7 @@ replays each in its own simulation kernel — its own
 :class:`~repro.sim.environment.Environment`, RNG streams, PoP set,
 backend stack, and tracer. There is one merge: the shards' registries
 fold with :meth:`~repro.sim.metrics.MetricRegistry.merge` (counters
-sum, histograms concatenate raw values, quantile sketches bucket-merge),
+sum, histograms concatenate raw values and add their running sums),
 their spans are renumbered into one trace, and the merged result is
 :meth:`RunResult.over <repro.harness.results.RunResult.over>` the two —
 built the way a serial run builds its own.

@@ -1,18 +1,19 @@
 """Metric collection for simulations.
 
 Plain in-memory collectors: counters, gauges, value histograms with
-percentile queries, time series, and streaming quantile sketches
-(:class:`~repro.sim.quantile.QuantileSketch`: p50/p95/p99 without
-retaining raw samples). A :class:`MetricRegistry` groups them under
-hierarchical dotted names so harness code can dump every metric of a
-run in one pass; it is the one registry every component takes.
+percentile queries, and time series. Every distribution — PLT, per-tier
+and per-level latency, erasure latency, queue waits — is a
+:class:`Histogram`, so a reported percentile has one definition. A
+:class:`MetricRegistry` groups them under hierarchical dotted names so
+harness code can dump every metric of a run in one pass; it is the one
+registry every component takes.
 
 A number is kept once, in the collector written by the subsystem where
 the thing happens, and ``RunResult.over`` restates it — a counter, a
 histogram's peak (the extrema), histograms' observation counts
-(``page_views``, ``reads_checked``), the ``tier.plt.*`` sketches' sums
-— so merging shards is merging registries and nothing else (DESIGN.md,
-*Observability*): per-layer and per-kind servings are the
+(``page_views``, ``reads_checked``), the ``tier.plt.*`` histograms'
+sums — so merging shards is merging registries and nothing else
+(DESIGN.md, *Observability*): per-layer and per-kind servings are the
 ``serve.layer.*`` / ``serve.kind.*.*`` counters, with degraded
 servings (stale-if-error and offline responses) under
 ``serve.degraded.*`` so fresh cache hits are distinguishable from
@@ -26,9 +27,9 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Dict, Iterable, List, Optional, Tuple
-
-from repro.sim.quantile import QuantileSketch
 
 
 @dataclass
@@ -62,18 +63,24 @@ class Histogram:
     storage is affordable and avoids bucket-boundary artifacts in the
     reproduced figures. They are packed as C doubles — the very values
     a list would box as floats, at a quarter of the size.
+
+    Beside them it keeps :attr:`sum`, added up in observation order.
+    The stored values cannot stand in for it: the first percentile
+    query sorts them in place.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._values = array("d")
         self._sorted = True
+        self._sum = 0.0
 
     def observe(self, value: float) -> None:
         """Record one observation."""
         if self._values and value < self._values[-1]:
             self._sorted = False
         self._values.append(value)
+        self._sum += value
 
     def extend(self, values: Iterable[float]) -> None:
         for value in values:
@@ -82,12 +89,15 @@ class Histogram:
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold ``other``'s raw observations into self (exact concat).
 
-        Percentile/mean queries over the merged histogram are identical
-        to queries over one histogram fed both observation streams —
-        raw values are retained, so the merge is exact and
-        order-independent up to the (irrelevant) storage order.
+        Percentile queries over the merged histogram are identical to
+        queries over one histogram fed both observation streams — raw
+        values are retained, so the merge is exact and order-independent
+        up to the (irrelevant) storage order. :attr:`sum` adds the two
+        running sums: a merge of shards adds the shard totals.
         """
+        total = self._sum
         self.extend(other._values)
+        self._sum = total + other._sum
         return self
 
     def __len__(self) -> int:
@@ -100,6 +110,11 @@ class Histogram:
     @property
     def values(self) -> Tuple[float, ...]:
         return tuple(self._values)
+
+    @property
+    def sum(self) -> float:
+        """The observations added up in the order they were observed."""
+        return self._sum
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
@@ -124,9 +139,15 @@ class Histogram:
         return self._values[low] * (1 - weight) + self._values[high] * weight
 
     def mean(self) -> float:
+        """The stored values summed left to right, over their count.
+
+        ``reduce(add, …)`` and not ``sum``: from Python 3.12 ``sum``
+        compensates float rounding, so its last bits would depend on
+        the interpreter.
+        """
         if not self._values:
             raise ValueError(f"histogram {self.name!r} is empty")
-        return sum(self._values) / len(self._values)
+        return reduce(add, self._values) / len(self._values)
 
     def min(self) -> float:
         return self.percentile(0.0)
@@ -179,7 +200,6 @@ class MetricRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._series: Dict[str, TimeSeries] = {}
-        self._sketches: Dict[str, QuantileSketch] = {}
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
@@ -203,21 +223,10 @@ class MetricRegistry:
             self._series[name] = TimeSeries(name)
         return self._series[name]
 
-    def sketch(
-        self, name: str, relative_accuracy: float = 0.0025
-    ) -> QuantileSketch:
-        """Create-or-get the named streaming quantile sketch."""
-        sketch = self._sketches.get(name)
-        if sketch is None:
-            sketch = self._sketches[name] = QuantileSketch(relative_accuracy)
-        return sketch
-
-    def sketch_names(self) -> List[str]:
-        return sorted(self._sketches)
-
-    def sketches(self) -> Dict[str, QuantileSketch]:
-        """Every sketch by name, in creation order (merged-in ones last)."""
-        return dict(self._sketches)
+    def histograms(self) -> Dict[str, Histogram]:
+        """Every histogram by name, in creation order (merged-in ones
+        last)."""
+        return dict(self._histograms)
 
     def get_counter(self, name: str) -> Optional[Counter]:
         return self._counters.get(name)
@@ -233,13 +242,12 @@ class MetricRegistry:
         """Fold another registry into self, metric by metric.
 
         The merge is *exact* for every collector type: counters and
-        gauges sum, histograms concatenate their raw observations,
-        time series interleave their points in time order, and
-        quantile sketches use their order-independent bucket merge.
-        Metrics present only in ``other`` are created. This is the
-        registry half of the sharded-simulation merge contract —
-        merging N per-shard registries is equivalent to one registry
-        having observed all N event streams.
+        gauges sum, histograms concatenate their raw observations
+        and add their running sums, and time series interleave their
+        points in time order. Metrics present only in ``other`` are
+        created. This is the registry half of the sharded-simulation
+        merge contract — merging N per-shard registries is equivalent
+        to one registry having observed all N event streams.
         """
         for name, counter in other._counters.items():
             self.counter(name).value += counter.value
@@ -249,8 +257,6 @@ class MetricRegistry:
             self.histogram(name).merge(hist)
         for name, series in other._series.items():
             self.series(name).merge(series)
-        for name, sketch in other._sketches.items():
-            self.sketch(name, sketch.relative_accuracy).merge(sketch)
         return self
 
     def snapshot(self) -> Dict[str, object]:
@@ -264,6 +270,4 @@ class MetricRegistry:
             out[name] = hist.summary()
         for name, series in self._series.items():
             out[name] = len(series)
-        for name, sketch in self._sketches.items():
-            out[name] = sketch.summary()
         return out

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.gdpr import ErasureCoordinator
 from repro.http.messages import Response, Status
+from repro.origin.store import DocumentStore
+from repro.txn import TxnRegistry
 from repro.workload.trace import AccessUser
 
 from tests.gdpr.test_erasure_completeness import SEEDS, run_config
@@ -81,3 +84,52 @@ class TestAccessReports:
             runner.metrics.counter("gdpr.access.count").value
             >= runner.result.accesses
         )
+
+
+def reported_tiers(report):
+    """The tier labels a subject-access report discloses data in,
+    spelled the way the completeness check labels them."""
+    tiers = {*report.cache_entries, *report.queued}
+    for tier, found in (
+        ("origin", report.origin_docs),
+        ("origin-renditions", report.renditions),
+        ("replication", report.replicas_in_flight),
+        ("sketch", report.sketch_keys),
+        ("txn-buffers", report.txn_buffers),
+    ):
+        if found:
+            tiers.add(tier)
+    return tiers
+
+
+class TestTheReportNamesEveryTier:
+    """Art. 15 discloses every place the Art. 17 completeness check
+    would look: whatever ``residuals`` finds, ``access`` reports."""
+
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda s: f"seed{s}")
+    def test_every_residual_tier_is_reported(self, seed):
+        runner = run_config("sync-remote", seed)
+        renditions = 0
+        for user in runner.users.users:
+            report = runner.gdpr.access(user.user_id)
+            residuals = runner.gdpr.residuals(user.user_id)
+            assert set(residuals) <= reported_tiers(report), user.user_id
+            renditions += len(report.renditions)
+        # The run really left renditions naming its users behind.
+        assert renditions > 0
+
+    def test_a_buffered_transaction_read_is_reported(self):
+        registry = TxnRegistry()
+        gdpr = ErasureCoordinator(store=DocumentStore(), txn_registry=registry)
+        context = registry.begin("u1")
+        registry.buffer(
+            context,
+            "carts/u1",
+            Response(status=Status.OK, body="cart of u1", version=1),
+        )
+        report = gdpr.access("u1")
+        assert report.txn_buffers == ["carts/u1"]
+        assert report.locations == 1
+        assert set(gdpr.residuals("u1")) == reported_tiers(report)
+        registry.finish(context)
+        assert gdpr.access("u1").locations == 0

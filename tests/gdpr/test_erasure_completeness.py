@@ -230,10 +230,10 @@ class TestWorkloadErasure:
         """One latency observation per erase call. Compared against the
         erase counter, not ``result.erasures``: other test modules may
         have issued further manual erases on this cached runner."""
-        sketch = runner.metrics.sketch("gdpr.erase.latency")
+        latency = runner.metrics.histogram("gdpr.erase.latency")
         count = runner.metrics.counter("gdpr.erase.count").value
         assert count >= runner.result.erasures > 0
-        assert sketch.count == count
+        assert latency.count == count
 
     def test_staleness_guarantee_survives_the_gdpr_mix(self, runner):
         """Interleaved erasures must not cost coherence elsewhere."""
@@ -241,7 +241,7 @@ class TestWorkloadErasure:
 
     def test_no_metric_is_named_after_a_user(self, runner):
         """Telemetry is a place an id cannot be, by construction: every
-        collector — counter, gauge, histogram, series, sketch — is named
+        collector — counter, gauge, histogram, series — is named
         per tier, per PoP or per kind, so an erase leaves no series
         behind that is keyed by the erased user (nor by anyone else)."""
         names = metric_names(runner.metrics)

@@ -241,10 +241,10 @@ def test_peaks_and_observation_counts_restate_histograms():
     metrics.histogram("coherence.uncovered.staleness").extend([9.0, 0.0])
     metrics.histogram("overload.queue_depth_peak").extend([4, 9, 1])
     metrics.histogram("plt.all").extend([0.1, 0.2])
-    metrics.sketch("tier.plt.origin").observe(1.0)
-    metrics.sketch("tier.plt.edge").observe(0.25)
-    metrics.sketch("tier.plt.edge").observe(0.5)
-    metrics.sketch("txn.plt.delta").observe(3.0)  # not a tier sketch
+    metrics.histogram("tier.plt.origin").observe(1.0)
+    metrics.histogram("tier.plt.edge").observe(0.25)
+    metrics.histogram("tier.plt.edge").observe(0.5)
+    metrics.histogram("txn.plt.delta").observe(3.0)  # not a tier
     spans = [{"span": 1}]
     busy = RunResult.over("speed-kit", metrics, spans)
     assert (busy.max_staleness, busy.uncovered_max_staleness) == (2.5, 9.0)

@@ -1,9 +1,8 @@
 """Tests for the obs metrics registry."""
 
-import pytest
-
 from repro import sim
-from repro.obs import MetricRegistry, QuantileSketch
+from repro.obs import MetricRegistry
+from repro.sim.metrics import Histogram
 
 
 class TestMetricRegistry:
@@ -15,46 +14,44 @@ class TestMetricRegistry:
         registry.histogram("plt.all").observe(0.5)
         assert registry.histogram("plt.all").count == 1
 
-    def test_sketch_create_or_get(self):
+    def test_histogram_create_or_get(self):
         registry = MetricRegistry()
-        sketch = registry.sketch("tier.plt.edge")
-        assert isinstance(sketch, QuantileSketch)
-        assert registry.sketch("tier.plt.edge") is sketch
-        sketch.observe(0.25)
-        assert registry.sketch("tier.plt.edge").count == 1
+        histogram = registry.histogram("tier.plt.edge")
+        assert isinstance(histogram, Histogram)
+        assert registry.histogram("tier.plt.edge") is histogram
+        histogram.observe(0.25)
+        assert registry.histogram("tier.plt.edge").count == 1
 
-    def test_sketch_names_sorted(self):
+    def test_histograms_in_creation_order(self):
         registry = MetricRegistry()
-        registry.sketch("b")
-        registry.sketch("a")
-        assert registry.sketch_names() == ["a", "b"]
+        registry.histogram("b")
+        registry.histogram("a")
+        assert list(registry.histograms()) == ["b", "a"]
 
-    def test_snapshot_includes_sketch_summaries(self):
+    def test_snapshot_includes_histogram_summaries(self):
         registry = MetricRegistry()
         registry.counter("c").inc()
         for value in (0.1, 0.2, 0.3):
-            registry.sketch("tier.plt.origin").observe(value)
+            registry.histogram("tier.plt.origin").observe(value)
         snapshot = registry.snapshot()
         assert snapshot["c"] == 1
         assert snapshot["tier.plt.origin"]["count"] == 3
-        assert snapshot["tier.plt.origin"]["p50"] == pytest.approx(
-            0.2, rel=0.01
-        )
+        assert snapshot["tier.plt.origin"]["p50"] == 0.2
 
 
 class TestOneRegistry:
     """Every component's signature says ``MetricRegistry``, and the
     registry has the whole surface."""
 
-    def test_an_erase_records_its_latency_sketch(self):
+    def test_an_erase_records_its_latency_histogram(self):
         from repro.gdpr import ErasureCoordinator
         from repro.origin.store import DocumentStore
 
         metrics = MetricRegistry()
         ErasureCoordinator(store=DocumentStore(), metrics=metrics).erase("u1")
-        assert metrics.sketch("gdpr.erase.latency").count == 1
+        assert metrics.histogram("gdpr.erase.latency").count == 1
 
-    def test_a_governed_wait_records_its_sketch(self):
+    def test_a_governed_wait_records_its_histogram(self):
         from repro.overload.governor import NodeGovernor
         from repro.overload.priority import PriorityClass
         from repro.sim.environment import Environment
@@ -78,13 +75,13 @@ class TestOneRegistry:
         env.process(request())
         env.process(request())  # has to wait for the first one's slot
         env.run()
-        assert metrics.sketch("overload.pop.wait").count == 1
-        assert metrics.sketch_names() == ["overload.pop.wait"]
+        assert metrics.histogram("overload.pop.wait").count == 1
+        assert list(metrics.histograms()) == ["overload.pop.wait"]
 
-    def test_merge_carries_sketches(self):
+    def test_merge_carries_histograms(self):
         ours, theirs = MetricRegistry(), MetricRegistry()
         for value in (1.0, 2.0):
-            theirs.sketch("lat").observe(value)
+            theirs.histogram("lat").observe(value)
         ours.merge(theirs)
-        assert ours.sketch("lat").count == 2
+        assert ours.histogram("lat").count == 2
         assert ours.snapshot()["lat"]["count"] == 2

@@ -42,18 +42,17 @@ class TestTierAttribution:
             sum(runner.result.plt.values), abs=1e-6
         )
 
-    def test_tier_sketches_are_populated(self, runner):
-        names = runner.metrics.sketch_names()
-        assert any(name.startswith("tier.plt.") for name in names)
+    def test_tier_histograms_are_populated(self, runner):
+        histograms = runner.metrics.histograms()
+        assert any(name.startswith("tier.plt.") for name in histograms)
         # Every page view attributes time to its own (client) tier;
         # the other tiers appear only on the loads that touched them.
         assert (
-            runner.metrics.sketch("tier.plt.client").count
-            == runner.result.page_views
+            histograms["tier.plt.client"].count == runner.result.page_views
         )
-        for name in names:
+        for name, histogram in histograms.items():
             if name.startswith("tier.plt."):
-                count = runner.metrics.sketch(name).count
+                count = histogram.count
                 assert 0 < count <= runner.result.page_views, name
 
 

@@ -3,8 +3,8 @@
 The sharded orchestrator folds per-shard registries into one; these
 merges must be *exact* — no sampling, no averaging of averages:
 counters sum, gauges add, histograms concatenate raw values, time
-series interleave in time order, and quantile sketches merge bucket
-by bucket (order-independent).
+series interleave in time order, and a histogram's running sum adds
+the shards' sums.
 """
 
 from repro.sim.metrics import MetricRegistry
@@ -67,27 +67,44 @@ def test_merge_is_associative_on_counters_and_histograms():
     )
 
 
-def test_sketches_merge_exactly():
+def test_histograms_merge_exactly():
     a, b = MetricRegistry(), MetricRegistry()
     direct = MetricRegistry()
     for i in range(500):
         value = 0.01 * (i + 1)
         target = a if i % 2 else b
-        target.sketch("lat").observe(value)
-        direct.sketch("lat").observe(value)
+        target.histogram("lat").observe(value)
+        direct.histogram("lat").observe(value)
     a.merge(b)
-    for q in (0.5, 0.9, 0.99):
-        assert a.sketch("lat").quantile(q) == direct.sketch(
+    for q in (50, 90, 99):
+        assert a.histogram("lat").percentile(q) == direct.histogram(
             "lat"
-        ).quantile(q)
-    assert a.sketch("lat").count == 500
+        ).percentile(q)
+    assert a.histogram("lat").count == 500
+
+
+def test_merged_sum_adds_the_shard_totals():
+    """Each shard sums in its own observation order; the merge adds the
+    totals — not a re-sum of the (possibly sorted) stored values."""
+    a, b = MetricRegistry(), MetricRegistry()
+    for value in (0.1, 0.4, 0.2):
+        a.histogram("tier.plt.origin").observe(value)
+    for value in (0.3, 0.6):
+        b.histogram("tier.plt.origin").observe(value)
+    a.histogram("tier.plt.origin").percentile(50)  # sorts in place
+    a.merge(b)
+    merged = a.histogram("tier.plt.origin")
+    assert merged.sum == ((0.1 + 0.4) + 0.2) + (0.3 + 0.6)
+    # Not the five values summed in a row, observed or sorted order.
+    assert merged.sum != (((0.1 + 0.4) + 0.2) + 0.3) + 0.6
+    assert merged.sum != (((0.1 + 0.2) + 0.3) + 0.4) + 0.6
 
 
 def test_metrics_registry_merge_includes_base_collectors():
     a, b = MetricRegistry(), MetricRegistry()
     a.counter("reqs").inc()
     b.counter("reqs").inc()
-    b.sketch("lat").observe(1.0)
+    b.histogram("lat").observe(1.0)
     a.merge(b)
     assert a.counter("reqs").value == 2
-    assert a.sketch("lat").count == 1
+    assert a.histogram("lat").count == 1

@@ -75,6 +75,21 @@ class TestHistogram:
         h.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
         assert h.mean() == 5.0
 
+    def test_mean_sums_left_to_right_on_every_interpreter(self):
+        """No compensated summation (``sum`` since Python 3.12): the 1.0
+        is absorbed by 1e16, as plain float addition does."""
+        h = Histogram("h")
+        h.extend([1e16, 1.0, -1e16])
+        assert h.mean() == 0.0
+
+    def test_sum_is_kept_in_observation_order(self):
+        h = Histogram("h")
+        h.extend([0.1, 0.4, 0.2])
+        assert h.percentile(50) == 0.2  # sorts the stored values in place
+        assert h.values == (0.1, 0.2, 0.4)
+        assert h.sum == (0.1 + 0.4) + 0.2
+        assert h.sum != (0.1 + 0.2) + 0.4
+
     def test_summary_keys(self):
         h = Histogram("h")
         h.extend(range(100))

@@ -753,3 +753,130 @@ def test_the_packing_gate_trips_on_an_event_class_with_a_dict(tmp_path):
         encoding="utf-8",
     )
     assert unpacked_records(tree) == (8, ["PageView"])
+
+
+# -- one distribution collector ---------------------------------------------
+#
+# A reported percentile has one definition. Exactly one class in
+# ``src/repro`` answers ``percentile`` (or ``quantile``), no function
+# anywhere else re-derives one, and the registry builds distributions
+# through one factory, ``histogram``.
+
+
+def repro_sources():
+    """``{relative path: source}`` of every module under ``src/repro``."""
+    return {
+        str(path.relative_to(SRC)): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
+def _percentile_functions(node, prefix):
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            yield from _percentile_functions(child, prefix)
+            continue
+        qualified = f"{prefix}{child.name}"
+        if isinstance(child, ast.FunctionDef) and child.name.startswith(
+            ("percentile", "quantile")
+        ):
+            yield qualified
+        yield from _percentile_functions(child, f"{qualified}.")
+
+
+def percentile_definitions(sources):
+    """``path:qualified.name`` of every function, method or nested
+    helper whose name starts with ``percentile`` or ``quantile``."""
+    return sorted(
+        f"{relative}:{qualified}"
+        for relative, source in sources.items()
+        for qualified in _percentile_functions(ast.parse(source), "")
+    )
+
+
+def distribution_factories(sources):
+    """The ``MetricRegistry`` methods that build a collector which
+    answers percentiles."""
+    distributions = {
+        definition.split(":")[1].split(".")[0]
+        for definition in percentile_definitions(sources)
+    }
+    tree = ast.parse(sources["sim/metrics.py"])
+    (registry,) = (
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "MetricRegistry"
+    )
+    return sorted(
+        method.name
+        for method in registry.body
+        if isinstance(method, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in distributions
+            for node in ast.walk(method)
+        )
+    )
+
+
+def test_one_percentile_definition():
+    assert percentile_definitions(repro_sources()) == [
+        "sim/metrics.py:Histogram.percentile"
+    ]
+
+
+def test_the_registry_has_one_distribution_factory():
+    assert distribution_factories(repro_sources()) == ["histogram"]
+
+
+SECOND_PERCENTILE_CLASS = """
+class QuantileSketch:
+    def __init__(self):
+        self._values = []
+
+    def observe(self, value):
+        self._values.append(value)
+
+    def quantile(self, q):
+        ordered = sorted(self._values)
+        return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+"""
+
+REGISTRY_SKETCH = """
+    def sketch(self, name: str) -> QuantileSketch:
+        sketch = self._sketches.get(name)
+        if sketch is None:
+            sketch = self._sketches[name] = QuantileSketch()
+        return sketch
+
+"""
+
+
+def test_the_distribution_gates_trip_on_a_re_added_sketch():
+    sources = repro_sources()
+    sources["sim/quantile.py"] = SECOND_PERCENTILE_CLASS
+    anchor = "    def series(self, name: str) -> TimeSeries:\n"
+    assert anchor in sources["sim/metrics.py"]
+    sources["sim/metrics.py"] = sources["sim/metrics.py"].replace(
+        anchor, REGISTRY_SKETCH + anchor
+    )
+    assert percentile_definitions(sources) == [
+        "sim/metrics.py:Histogram.percentile",
+        "sim/quantile.py:QuantileSketch.quantile",
+    ]
+    assert distribution_factories(sources) == ["histogram", "sketch"]
+
+
+def test_the_percentile_gate_trips_on_a_private_copy_of_the_formula():
+    sources = repro_sources()
+    anchor = "    rows = []\n    for name, values in series.items():\n"
+    assert anchor in sources["harness/plots.py"]
+    sources["harness/plots.py"] = sources["harness/plots.py"].replace(
+        anchor,
+        "    def percentile_of(ordered, q):\n"
+        "        rank = (q / 100.0) * (len(ordered) - 1)\n"
+        "        return ordered[round(rank)]\n\n" + anchor,
+    )
+    found = percentile_definitions(sources)
+    assert "harness/plots.py:cdf_table.percentile_of" in found

@@ -15,9 +15,9 @@ class TestAccounting:
         assert runner.result.txns > 50
         assert runner.txn_checker.txn_count == runner.result.txns
 
-    def test_per_level_latency_sketch_is_populated(self, runner, level):
-        sketch = runner.metrics.sketch(f"txn.plt.{level}")
-        assert sketch.count == runner.result.txns
+    def test_per_level_latency_histogram_is_populated(self, runner, level):
+        latency = runner.metrics.histogram(f"txn.plt.{level}")
+        assert latency.count == runner.result.txns
 
     def test_level_counter_matches_requests(self, runner, level):
         assert (
@@ -51,8 +51,8 @@ class TestAccounting:
 
     def test_abort_accounting_is_consistent(self):
         runner = level_runner("serializable")
-        sketch = runner.metrics.sketch("txn.aborts.per_txn")
-        assert sketch.count == runner.result.txns
+        aborts = runner.metrics.histogram("txn.aborts.per_txn")
+        assert aborts.count == runner.result.txns
         assert (
             runner.metrics.counter("txn.aborts").value
             == runner.result.txn_aborts
