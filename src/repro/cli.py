@@ -22,7 +22,7 @@ import os
 import random
 import sys
 from dataclasses import replace
-from typing import List, Optional
+from typing import Callable, List, Optional, TypeVar
 
 from repro.harness import (
     Scenario,
@@ -46,6 +46,8 @@ from repro.workload import (
     rescale_trace,
     validate_trace_world,
 )
+
+T = TypeVar("T")
 
 
 def _positive_int(text: str) -> int:
@@ -271,6 +273,20 @@ def _named_exit(build):
             raise SystemExit(f"repro: error: {err}") from None
 
     return wrapper
+
+
+def _each(flag: str, text: str, parse: Callable[[str], T]) -> List[T]:
+    """Every element of the comma-separated list flag ``--flag``,
+    parsed before the first run: an element ``parse`` refuses with a
+    ``ValueError`` ends the command there, exit 2, with one line."""
+    values = []
+    for item in text.split(","):
+        try:
+            values.append(parse(item.strip()))
+        except ValueError as err:
+            print(f"repro: error: --{flag} {item!r}: {err}", file=sys.stderr)
+            raise SystemExit(2) from None
+    return values
 
 
 def _refuse_missing_directories(**outputs) -> None:
@@ -543,14 +559,23 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _p50_ms(result: "RunResult") -> dict:
+    """``plt_p50_ms``, omitted (as :meth:`RunResult.summary_row` does)
+    when the run had no page view."""
+    if not len(result.plt):
+        return {}
+    return {"plt_p50_ms": round(result.plt.percentile(50) * 1000, 1)}
+
+
 def cmd_compare(args) -> int:
     workload = _build_workload(args)
-    names = args.scenarios.split(",")
+    specs = [
+        _spec_from_args(args, scenario=scenario, delta=args.delta)
+        for scenario in _each("scenarios", args.scenarios, Scenario)
+    ]
     results = []
-    for name in names:
-        scenario = Scenario(name.strip())
-        print(f"running {scenario.value} ...", file=sys.stderr)
-        spec = _spec_from_args(args, scenario=scenario, delta=args.delta)
+    for spec in specs:
+        print(f"running {spec.scenario.value} ...", file=sys.stderr)
         results.append(_run(spec, workload, args))
     print(
         format_table(
@@ -560,28 +585,37 @@ def cmd_compare(args) -> int:
     )
     if len(results) >= 2:
         print()
-        print(
-            format_table(
-                [compare_scenarios(results[-2], results[-1])],
-                title="A/B (last two scenarios)",
+        control, treatment = results[-2:]
+        empty = [r.scenario_name for r in (control, treatment) if not len(r.plt)]
+        if empty:
+            print(
+                "A/B (last two scenarios) skipped: no page view in "
+                + ", ".join(empty)
             )
-        )
+        else:
+            print(
+                format_table(
+                    [compare_scenarios(control, treatment)],
+                    title="A/B (last two scenarios)",
+                )
+            )
     return 0
 
 
 def cmd_sweep_delta(args) -> int:
     workload = _build_workload(args)
+    base = _spec_from_args(args, scenario=Scenario.SPEED_KIT)
+    specs = _each(
+        "deltas", args.deltas, lambda item: replace(base, delta=float(item))
+    )
     rows = []
-    for delta in (float(d) for d in args.deltas.split(",")):
-        print(f"running Δ={delta:g} ...", file=sys.stderr)
-        spec = _spec_from_args(
-            args, scenario=Scenario.SPEED_KIT, delta=delta
-        )
+    for spec in specs:
+        print(f"running Δ={spec.delta:g} ...", file=sys.stderr)
         result = _run(spec, workload, args)
         rows.append(
             {
-                "delta_s": delta,
-                "plt_p50_ms": round(result.plt.percentile(50) * 1000, 1),
+                "delta_s": spec.delta,
+                **_p50_ms(result),
                 "sketch_fetches": result.sketch_fetches,
                 "sketch_kib": round(result.sketch_bytes / 1024, 1),
                 "max_staleness_s": round(result.max_staleness, 3),
@@ -594,18 +628,21 @@ def cmd_sweep_delta(args) -> int:
 
 def cmd_sweep_segments(args) -> int:
     workload = _build_workload(args)
+    base = _spec_from_args(args, scenario=Scenario.SPEED_KIT)
+    specs = _each(
+        "segments",
+        args.segments,
+        lambda item: replace(base, n_segments=int(item)),
+    )
     rows = []
-    for n in (int(s) for s in args.segments.split(",")):
-        print(f"running {n} segments ...", file=sys.stderr)
-        spec = _spec_from_args(
-            args, scenario=Scenario.SPEED_KIT, n_segments=n
-        )
+    for spec in specs:
+        print(f"running {spec.n_segments} segments ...", file=sys.stderr)
         result = _run(spec, workload, args)
         rows.append(
             {
-                "segments": n,
+                "segments": spec.n_segments,
                 "page_hit_ratio": round(result.hit_ratio_for_kind("page"), 3),
-                "plt_p50_ms": round(result.plt.percentile(50) * 1000, 1),
+                **_p50_ms(result),
                 "origin_reqs": result.origin_requests,
             }
         )
@@ -619,12 +656,13 @@ def cmd_report(args) -> int:
     _refuse_missing_directories(out=args.out)
     workload = _build_workload(args)
     _, _, trace = workload
-    names = args.scenarios.split(",")
+    specs = [
+        _spec_from_args(args, scenario=scenario)
+        for scenario in _each("scenarios", args.scenarios, Scenario)
+    ]
     results = []
-    for name in names:
-        scenario = Scenario(name.strip())
-        print(f"running {scenario.value} ...", file=sys.stderr)
-        spec = _spec_from_args(args, scenario=scenario)
+    for spec in specs:
+        print(f"running {spec.scenario.value} ...", file=sys.stderr)
         results.append(_run(spec, workload, args))
     report = render_report(results, trace=trace)
     if args.out:

@@ -185,8 +185,10 @@ class ScenarioSpec:
                 f"load_multiplier must be finite and >= 1: "
                 f"{self.load_multiplier}"
             )
-        if self.n_regions is not None and self.n_regions < 1:
-            raise ValueError(f"n_regions must be >= 1: {self.n_regions}")
+        for knob in ("n_regions", "n_segments"):
+            count = getattr(self, knob)
+            if count is not None and count < 1:
+                raise ValueError(f"{knob} must be >= 1: {count}")
         pops = self.n_regions or 1
         if self.replicate_pops and pops < 2:
             raise ValueError(f"replicate_pops needs at least two PoPs: {pops}")

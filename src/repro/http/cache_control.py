@@ -13,8 +13,9 @@ Covers the directives the Speed Kit protocol depends on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Dict, Optional, Tuple
 
 #: Memoized parses keyed by raw header value. Bounded so adversarial
 #: header diversity cannot grow it without limit; real runs see a few
@@ -23,9 +24,15 @@ _PARSE_CACHE: Dict[Optional[str], "CacheControl"] = {}
 _PARSE_CACHE_LIMIT = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class CacheControl:
-    """Parsed ``Cache-Control`` directives."""
+    """Parsed ``Cache-Control`` directives: a value, never edited.
+
+    Parses are shared through the memo below and a policy's answers
+    through the origin's prebuilt responses, so an instance is frozen
+    (an edit raises ``FrozenInstanceError``) and :attr:`extensions` is a
+    tuple; a different set of directives is a new instance.
+    """
 
     max_age: Optional[float] = None
     s_maxage: Optional[float] = None
@@ -36,7 +43,9 @@ class CacheControl:
     must_revalidate: bool = False
     immutable: bool = False
     stale_while_revalidate: Optional[float] = None
-    extensions: Dict[str, Optional[str]] = field(default_factory=dict)
+    #: Unknown directives as ``(name, value)`` pairs, in header order;
+    #: a flag directive's value is ``None``.
+    extensions: Tuple[Tuple[str, Optional[str]], ...] = ()
 
     _VALUE_DIRECTIVES = {
         "max-age": "max_age",
@@ -62,8 +71,7 @@ class CacheControl:
 
         Parses are memoized by the raw header string: the simulator
         re-parses the same handful of values millions of times on the
-        hot path, and parsed instances are treated as immutable
-        everywhere (nothing in the codebase mutates one after parse).
+        hot path, and every holder shares the one frozen instance.
         """
         cached = _PARSE_CACHE.get(header_value)
         if cached is not None:
@@ -75,9 +83,10 @@ class CacheControl:
 
     @classmethod
     def _parse_uncached(cls, header_value: Optional[str]) -> "CacheControl":
-        cc = cls()
         if not header_value:
-            return cc
+            return cls()
+        directives: Dict[str, Any] = {}
+        extensions: Dict[str, Optional[str]] = {}
         for raw in header_value.split(","):
             token = raw.strip()
             if not token:
@@ -92,15 +101,20 @@ class CacheControl:
                         seconds = 0.0
                 except ValueError:
                     seconds = 0.0
-                setattr(cc, cls._VALUE_DIRECTIVES[name], seconds)
+                directives[cls._VALUE_DIRECTIVES[name]] = seconds
             elif name in cls._FLAG_DIRECTIVES:
-                setattr(cc, cls._FLAG_DIRECTIVES[name], True)
+                directives[cls._FLAG_DIRECTIVES[name]] = True
             else:
-                cc.extensions[name] = value if value else None
-        return cc
+                extensions[name] = value if value else None
+        return cls(**directives, extensions=tuple(extensions.items()))
 
     def serialize(self) -> str:
         """Render back to a header value (canonical ordering)."""
+        return self._rendered
+
+    @cached_property
+    def _rendered(self) -> str:
+        # Once per instance: a value renders the same every time.
         parts = []
         for header_name, attr in self._FLAG_DIRECTIVES.items():
             if getattr(self, attr):
@@ -110,7 +124,7 @@ class CacheControl:
             if value is not None:
                 rendered = int(value) if float(value).is_integer() else value
                 parts.append(f"{header_name}={rendered}")
-        for name, value in self.extensions.items():
+        for name, value in self.extensions:
             parts.append(name if value is None else f"{name}={value}")
         return ", ".join(parts)
 

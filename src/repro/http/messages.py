@@ -134,7 +134,8 @@ class Response:
 
     A cache stores the response it is given and answers with
     :meth:`served` — a new shell around the same header map, body and
-    facts. A *different* response is built, not edited:
+    facts; the origin answers from a response it prebuilt with
+    :meth:`reissued`. A *different* response is built, not edited:
     ``dataclasses.replace(response, ...)`` (how
     :func:`~repro.http.degraded.mark` adds its header), which reads the
     facts again from the map it is given.
@@ -195,6 +196,26 @@ class Response:
         shell.version = self.version
         shell.served_by = by
         shell.generated_at = self.generated_at
+        shell.cache_control = self.cache_control
+        shell.etag = self.etag
+        shell.content_length = self.content_length
+        shell.kind = self.kind
+        shell.version_key = self.version_key
+        shell.degraded = self.degraded
+        return shell
+
+    def reissued(self, url: Optional[URL], at: float) -> "Response":
+        """This response answering another request: a new shell, like
+        :meth:`served`, that carries ``url`` and ``generated_at=at`` of
+        its own — how the origin answers from a response it prebuilt."""
+        shell = object.__new__(Response)
+        shell.status = self.status
+        shell.headers = self.headers
+        shell.body = self.body
+        shell.url = url
+        shell.version = self.version
+        shell.served_by = self.served_by
+        shell.generated_at = at
         shell.cache_control = self.cache_control
         shell.etag = self.etag
         shell.content_length = self.content_length

@@ -64,12 +64,17 @@ ChangeObserver = Callable[[FrozenSet[str], float], None]
 
 
 class TtlPolicy(Protocol):
-    """Decides the Cache-Control header of each rendered response."""
+    """Decides the Cache-Control header of each rendered response.
+
+    The answer is a value (:class:`CacheControl` is frozen): the origin
+    may hold it, and the response it prebuilt from it, for as long as
+    the policy keeps giving an answer that serializes the same.
+    """
 
     def cache_control(
         self, spec: ResourceSpec, url: URL, personalized_for_user: bool
     ) -> CacheControl:
-        """Build the directives for one response."""
+        """The directives for one response, asked per response."""
         ...  # pragma: no cover - protocol
 
     def observe_resource_write(self, resource_key: str, now: float) -> None:
@@ -85,6 +90,10 @@ class StaticTtlPolicy:
     responses are always ``private, no-store``-equivalent: a shared
     cache must never store them (this is both the correctness and the
     GDPR constraint of the baseline).
+
+    The answer is a pure function of the spec's kind and TTL hint and
+    the identity flag, with the TTL table fixed at construction, so
+    each distinct answer is built once and handed out again.
     """
 
     #: Default freshness lifetime per resource kind, in seconds.
@@ -105,23 +114,36 @@ class StaticTtlPolicy:
         if overrides:
             self.ttls.update(overrides)
         self.stale_while_revalidate = stale_while_revalidate
+        self._answers: Dict[
+            Tuple[ResourceKind, Optional[float], bool], CacheControl
+        ] = {}
 
     def cache_control(
         self, spec: ResourceSpec, url: URL, personalized_for_user: bool
     ) -> CacheControl:
+        key = (spec.kind, spec.ttl_hint, personalized_for_user)
+        answer = self._answers.get(key)
+        if answer is None:
+            answer = self._answers[key] = self._decide(*key)
+        return answer
+
+    def _decide(
+        self,
+        kind: ResourceKind,
+        ttl_hint: Optional[float],
+        personalized_for_user: bool,
+    ) -> CacheControl:
         if personalized_for_user:
             return CacheControl(no_store=True, private=True)
-        ttl = spec.ttl_hint if spec.ttl_hint is not None else self.ttls[spec.kind]
+        ttl = ttl_hint if ttl_hint is not None else self.ttls[kind]
         if ttl <= 0:
             return CacheControl(no_store=True)
-        cc = CacheControl(
+        return CacheControl(
             public=True,
             max_age=float(ttl),
+            immutable=kind is ResourceKind.STATIC,
             stale_while_revalidate=self.stale_while_revalidate,
         )
-        if spec.kind is ResourceKind.STATIC:
-            cc.immutable = True
-        return cc
 
     def observe_resource_write(self, resource_key: str, now: float) -> None:
         """Fixed TTLs learn nothing from writes."""
@@ -151,6 +173,15 @@ class EngineReads(NamedTuple):
     scan: Optional[Query]
 
 
+class Prebuilt(NamedTuple):
+    """A rendition's ``200`` for one ``Cache-Control`` value, and the
+    ``304`` that answers a matching validator in its place."""
+
+    cache_control: str
+    ok: Response
+    not_modified: Response
+
+
 @dataclass(frozen=True)
 class Rendition:
     """The pre-built representation of one live variant.
@@ -172,6 +203,13 @@ class Rendition:
     _identity_text: Optional[str] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The latest :class:`Prebuilt` per identity flag (whether the
+    #: response is personalized for the requesting user). It restates
+    #: the fields above as a response, so like the identity text it is
+    #: bookkeeping the GDPR walk skips, and it goes with the rendition.
+    _prebuilt: Dict[bool, Prebuilt] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 class OriginServer:
@@ -182,6 +220,9 @@ class OriginServer:
     render of its variant and dropped by :meth:`_on_change` in the same
     step that bumps its version key, so a rendition that is present is
     current; nothing else (no TTL, size limit or switch) governs it.
+    Each rendition keeps its response prebuilt for the policy's latest
+    ``Cache-Control`` answer, and every request gets a shell of its own
+    (:meth:`Response.reissued`).
     """
 
     def __init__(
@@ -445,40 +486,59 @@ class OriginServer:
             )
             self._renditions.setdefault(version_key, {})[segment] = rendition
 
-        # Asked per response, not stored: an adaptive policy answers
-        # from the write history seen so far, and the answer depends on
-        # whether *this* request carried an identity.
-        cc = self.ttl_policy.cache_control(
+        # Asked per response: an adaptive policy answers from the write
+        # history seen so far, which moves while the rendition lives, and
+        # the answer depends on whether *this* request carried an
+        # identity. One prebuilt response is kept per identity flag and
+        # replaced when the answer moves.
+        cache_control = self.ttl_policy.cache_control(
             spec, request.url, personalized_for_user
-        )
-        headers = Headers(
-            {
-                "ETag": rendition.etag,
-                "Cache-Control": cc.serialize() or "no-store",
-                "Content-Length": str(spec.size_bytes),
-                "X-Resource-Kind": spec.kind.value,
-                # Lets the coherence checker map any response copy back
-                # to its ground-truth version history.
-                "X-Version-Key": version_key,
-                # Birth instant of this exact version — snapshot-cut
-                # certification intersects these across a read set.
-                "X-Version-Born": rendition.born,
-            }
-        )
-        response = Response(
-            status=Status.OK,
-            headers=headers,
-            body=rendition.body,
-            url=request.url,
-            version=rendition.version,
-            served_by="origin",
-            generated_at=now,
-        )
+        ).serialize()
+        prebuilt = rendition._prebuilt.get(personalized_for_user)
+        if prebuilt is None or prebuilt.cache_control != cache_control:
+            prebuilt = self._prebuild(
+                spec, version_key, rendition, personalized_for_user, cache_control
+            )
+        response = prebuilt.ok.reissued(request.url, now)
         for observer in self.serve_observers:
             observer(version_key, request.url.cache_key(), response, now)
         if revalidates(request, response):
-            return make_not_modified(response, at=now)
+            return prebuilt.not_modified.reissued(request.url, now)
         return response
+
+    def _prebuild(
+        self,
+        spec: ResourceSpec,
+        version_key: str,
+        rendition: Rendition,
+        personalized_for_user: bool,
+        cache_control: str,
+    ) -> Prebuilt:
+        """Build and keep the rendition's responses under
+        ``cache_control``, in place of those for its previous answer."""
+        ok = Response(
+            status=Status.OK,
+            headers=Headers(
+                {
+                    "ETag": rendition.etag,
+                    "Cache-Control": cache_control or "no-store",
+                    "Content-Length": str(spec.size_bytes),
+                    "X-Resource-Kind": spec.kind.value,
+                    # Lets the coherence checker map any response copy
+                    # back to its ground-truth version history.
+                    "X-Version-Key": version_key,
+                    # Birth instant of this exact version — snapshot-cut
+                    # certification intersects these across a read set.
+                    "X-Version-Born": rendition.born,
+                }
+            ),
+            body=rendition.body,
+            version=rendition.version,
+            served_by="origin",
+        )
+        prebuilt = Prebuilt(cache_control, ok, make_not_modified(ok, at=0.0))
+        rendition._prebuilt[personalized_for_user] = prebuilt
+        return prebuilt
 
     def _user_identity(self, request: Request) -> Optional[str]:
         """Extract the user identity the *origin* can see.

@@ -47,6 +47,9 @@ def test_durations_must_be_finite_and_non_negative(build, knob, value):
         ({"load_multiplier": math.inf}, "load_multiplier"),
         ({"load_multiplier": math.nan}, "load_multiplier"),
         ({"n_regions": 0}, "n_regions"),
+        # Once accepted, and ran as if one segment had been asked for.
+        ({"n_segments": 0}, "n_segments must be >= 1: 0"),
+        ({"n_segments": -3}, "n_segments must be >= 1: -3"),
         ({"scenario": Scenario.SPEED_KIT, "delta": 0.0}, "delta"),
         # Contradictory pipeline latencies, on every scenario: the purge
         # completes after detection.

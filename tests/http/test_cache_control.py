@@ -1,5 +1,8 @@
 """Tests for Cache-Control parsing and semantics."""
 
+import dataclasses
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -44,7 +47,7 @@ class TestParsing:
 
     def test_unknown_directives_preserved(self):
         cc = CacheControl.parse("x-speedkit=on, proxy-revalidate")
-        assert cc.extensions == {"x-speedkit": "on", "proxy-revalidate": None}
+        assert cc.extensions == (("x-speedkit", "on"), ("proxy-revalidate", None))
 
     def test_stale_while_revalidate(self):
         cc = CacheControl.parse("max-age=10, stale-while-revalidate=30")
@@ -104,7 +107,42 @@ class TestRoundTrip:
             max_age=None if max_age is None else float(max_age),
             s_maxage=None if s_maxage is None else float(s_maxage),
             stale_while_revalidate=None if swr is None else float(swr),
+            **{flag: True for flag in flags},
         )
-        for flag in flags:
-            setattr(cc, flag, True)
         assert CacheControl.parse(cc.serialize()) == cc
+
+
+class TestValue:
+    """A parsed instance is shared by every holder of its header value,
+    so it cannot be edited."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cc: setattr(cc, "immutable", True),
+            lambda cc: setattr(cc, "max_age", 0.0),
+            lambda cc: delattr(cc, "public"),
+        ],
+        ids=["set-flag", "set-lifetime", "delete"],
+    )
+    def test_an_edit_on_a_parsed_instance_raises(self, edit):
+        cc = CacheControl.parse("public, max-age=60")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            edit(cc)
+        assert CacheControl.parse("public, max-age=60").serialize() == (
+            "public, max-age=60"
+        )
+
+    def test_extensions_are_read_only(self):
+        cc = CacheControl.parse("x-speedkit=on")
+        with pytest.raises(TypeError):
+            cc.extensions[0] = ("x-speedkit", "off")
+        assert CacheControl.parse("x-speedkit=on").extensions == (
+            ("x-speedkit", "on"),
+        )
+
+    def test_a_value_is_hashable_and_serializes_once(self):
+        cc = CacheControl.parse("no-cache, x-a=1")
+        twin = CacheControl(no_cache=True, extensions=(("x-a", "1"),))
+        assert twin == cc and hash(twin) == hash(cc)
+        assert cc.serialize() is cc.serialize()

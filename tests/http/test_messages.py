@@ -106,6 +106,15 @@ class TestResponse:
         assert "Age" not in resp.headers and resp.etag == "v1"
         assert not hasattr(resp, "copy")
 
+    def test_reissued_carries_its_own_url_and_instant(self):
+        resp = make_response()
+        url = URL.parse("/other?x=1")
+        shell = resp.reissued(url, at=42.0)
+        assert shell is not resp and shell.headers is resp.headers
+        assert shell == replace(resp, url=url, generated_at=42.0)
+        assert shell.cache_control is resp.cache_control
+        assert (resp.url, resp.generated_at) != (url, 42.0)
+
     def test_facts_are_read_once_from_the_map(self):
         resp = Response(
             status=Status.OK,

@@ -7,7 +7,13 @@ that bumps the version key. Four claims are held here:
 (a) *Equivalence* — under any interleaving of reads and writes, every
     response equals, header for header and byte for byte, what a fresh
     :class:`OriginServer` over the same store and version history
-    renders from scratch.
+    renders from scratch, and so does every fact read off its headers
+    (:data:`FACTS`), on the ``200`` and the ``304`` path alike — under
+    :class:`StaticTtlPolicy` and under an :class:`AdaptiveTtlPolicy`
+    whose answer moves while a rendition lives. Each request gets a
+    response object of its own. :class:`TestTheGateTrips` shows the
+    check has teeth: a prebuilt response kept across a version bump
+    fails it, and so does one kept without its ``Cache-Control`` value.
 (b) *Engine-access parity* — a rendition hit still performs the
     modelled storage access: against a charged (batched remote) origin
     store the op counts, drained latency and RNG position after repeat
@@ -17,11 +23,18 @@ that bumps the version key. Four claims are held here:
 """
 
 import copy
+import json
 import random
 
-from hypothesis import settings
+import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    rule,
+    run_state_machine_as_test,
+)
 
 from repro.http import Headers, Request, Status, URL
 from repro.origin import (
@@ -34,8 +47,9 @@ from repro.origin import (
     ResourceSpec,
     Site,
 )
-from repro.origin.server import SEGMENT_PARAM
+from repro.origin.server import SEGMENT_PARAM, StaticTtlPolicy
 from repro.storage import BatchedRemoteBackend
+from repro.ttl import AdaptiveTtlPolicy, TtlEstimator
 
 PRODUCTS = ["1", "2", "3", "4"]
 CATEGORIES = ["shoes", "hats"]
@@ -126,11 +140,11 @@ def make_request(path, user=None, segment=None, etag=None):
     return Request.get(url, headers=Headers(headers))
 
 
-def render_from_scratch(server, request, now):
+def render_from_scratch(server, request, now, policy):
     """What a brand-new server — same store, same version history and
-    query registry, empty rendition table — answers."""
+    query registry, empty rendition table, a memo-free ``policy`` — answers."""
     store = server.site.store
-    fresh = OriginServer(server.site, ttl_policy=server.ttl_policy)
+    fresh = OriginServer(server.site, ttl_policy=policy)
     try:
         fresh.versions = copy.deepcopy(server.versions)
         fresh._matcher = copy.deepcopy(server._matcher)
@@ -139,11 +153,24 @@ def render_from_scratch(server, request, now):
         store._listeners.pop()  # the fresh server's, subscribed last
 
 
+#: What a ``Response`` reads off its header map at construction.
+FACTS = (
+    "cache_control",
+    "etag",
+    "content_length",
+    "kind",
+    "version_key",
+    "degraded",
+)
+
+
 def assert_same_response(actual, expected):
     assert actual.status == expected.status
     assert list(actual.headers.items()) == list(expected.headers.items())
     assert actual.body == expected.body
     assert actual == expected
+    for fact in FACTS:
+        assert getattr(actual, fact) == getattr(expected, fact), fact
 
 
 class RenditionMachine(RuleBasedStateMachine):
@@ -153,10 +180,18 @@ class RenditionMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.site = build_site()
-        self.server = OriginServer(self.site)
+        self.server = OriginServer(self.site, ttl_policy=self.make_policy())
         self.now = 0.0
         self.etags = {}
         self.variants_read = set()
+        self.last_read = None
+        self.last_response = None
+
+    def make_policy(self):
+        return StaticTtlPolicy()
+
+    def policy_from_scratch(self):
+        return StaticTtlPolicy()
 
     def _tick(self):
         self.now += 1.0
@@ -171,18 +206,29 @@ class RenditionMachine(RuleBasedStateMachine):
     def read(self, path, user, segment, conditional):
         now = self._tick()
         seen = (path, user, segment)
+        self.last_read = seen
         # A remembered validator may be current (→ 304) or superseded
         # by a write since (→ 200): both branches must agree.
         etag = self.etags.get(seen) if conditional else None
         request = make_request(path, user, segment, etag)
-        expected = render_from_scratch(self.server, request, now)
+        expected = render_from_scratch(
+            self.server, request, now, self.policy_from_scratch()
+        )
         actual = self.server.handle(request, now)
         assert_same_response(actual, expected)
+        assert actual is not self.last_response
+        self.last_response = actual
         if actual.status == Status.OK:
             self.etags[seen] = actual.etag
             self.variants_read.add(
                 (actual.headers["X-Version-Key"], segment)
             )
+
+    @rule(conditional=st.booleans())
+    def reread(self, conditional):
+        """The last read again: the path a prebuilt response serves."""
+        if self.last_read is not None:
+            self.read(*self.last_read, conditional)
 
     @rule(
         pid=st.sampled_from(PRODUCTS),
@@ -246,11 +292,102 @@ class RenditionMachine(RuleBasedStateMachine):
             for rendition in variants.values():
                 assert rendition.version == current
 
+    @invariant()
+    def at_most_one_prebuilt_response_per_identity_flag(self):
+        for variants in self.server._renditions.values():
+            for rendition in variants.values():
+                assert set(rendition._prebuilt) <= {False, True}
+
+
+class AdaptiveRenditionMachine(RenditionMachine):
+    """The same, under a policy whose answer moves while a rendition
+    lives: the pipeline reports writes to it without a version bump
+    (after ``detection_latency`` in a run)."""
+
+    def make_policy(self):
+        return AdaptiveTtlPolicy(TtlEstimator(default_ttl=1000.0))
+
+    def policy_from_scratch(self):
+        return AdaptiveTtlPolicy(copy.deepcopy(self.server.ttl_policy.estimator))
+
+    @rule(
+        gap=st.sampled_from([1.0, 4.0, 30.0, 400.0]),
+        conditional=st.booleans(),
+    )
+    def report_writes_then_reread(self, gap, conditional):
+        """Two writes to the last read's resource reported ``gap``
+        apart, then the read again: the estimator's TTL for it has
+        moved, its version has not."""
+        if self.last_read is not None:
+            key = URL.parse(self.last_read[0]).cache_key()
+            for _ in range(2):
+                self.now += gap
+                self.server.ttl_policy.observe_resource_write(key, self.now)
+            self.read(*self.last_read, conditional)
+
+
+_SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None)
 
 TestRenditionEquivalence = RenditionMachine.TestCase
-TestRenditionEquivalence.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
-)
+TestRenditionEquivalence.settings = _SETTINGS
+
+TestAdaptiveRenditionEquivalence = AdaptiveRenditionMachine.TestCase
+TestAdaptiveRenditionEquivalence.settings = _SETTINGS
+
+#: Finding the counter-example is the point; minimising it is not.
+_FIND_ONLY = settings(_SETTINGS, derandomize=True, phases=[Phase.generate])
+
+
+def prebuilt_kept_across_bumps(monkeypatch):
+    """The injected bug: prebuilt responses kept in a table of their
+    own, by variant, identity flag and ``Cache-Control`` value, which a
+    version bump does not reach."""
+    build = OriginServer._prebuild
+
+    def kept_by_variant(self, spec, version_key, rendition, *answer):
+        segment = json.loads(rendition.body).get("segment")
+        kept = self.__dict__.setdefault("_kept", {})
+        variant = (version_key, segment, *answer)
+        if variant not in kept:
+            kept[variant] = build(self, spec, version_key, rendition, *answer)
+        return kept[variant]
+
+    monkeypatch.setattr(OriginServer, "_prebuild", kept_by_variant)
+
+
+def prebuilt_keyed_without_cache_control(monkeypatch):
+    """The injected bug: a rendition's prebuilt response is reused
+    whatever ``Cache-Control`` the policy just gave."""
+    build = OriginServer._prebuild
+
+    def kept_by_flag(self, spec, version_key, rendition, identified, answer):
+        prebuilt = rendition._prebuilt.get(identified)
+        if prebuilt is None:
+            prebuilt = build(self, spec, version_key, rendition, identified, answer)
+        return prebuilt
+
+    monkeypatch.setattr(OriginServer, "_prebuild", kept_by_flag)
+
+
+class TestTheGateTrips:
+    @pytest.mark.parametrize(
+        "machine", [RenditionMachine, AdaptiveRenditionMachine]
+    )
+    def test_a_prebuilt_response_kept_across_a_version_bump(
+        self, monkeypatch, machine
+    ):
+        prebuilt_kept_across_bumps(monkeypatch)
+        with pytest.raises(AssertionError):
+            run_state_machine_as_test(machine, settings=_FIND_ONLY)
+
+    def test_a_prebuilt_response_keyed_without_its_cache_control(
+        self, monkeypatch
+    ):
+        prebuilt_keyed_without_cache_control(monkeypatch)
+        with pytest.raises(AssertionError):
+            run_state_machine_as_test(
+                AdaptiveRenditionMachine, settings=_FIND_ONLY
+            )
 
 
 def get(server, path, now=0.0, **kwargs):

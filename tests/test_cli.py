@@ -455,6 +455,56 @@ def test_replay_and_import_log_are_mutually_exclusive(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # Each used to run the elements before the bad one first.
+        (["compare", "--scenarios", "speed-kit,bogus"], "'bogus'"),
+        (["report", "--scenarios", "classic-cdn,bogus"], "'bogus'"),
+        (["sweep-delta", "--deltas", "10,abc"], "'abc'"),
+        (["sweep-delta", "--deltas", "10,-1"], "delta must be"),
+        (["sweep-segments", "--segments", ""], "''"),
+        (["sweep-segments", "--segments", "1,0,-2"], "n_segments must be"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_a_bad_list_element_exits_before_any_run(
+    monkeypatch, capsys, argv, named
+):
+    monkeypatch.setattr(cli, "_run", None)  # must fail before any run
+    with pytest.raises(SystemExit) as err:
+        main(argv + SMALL)
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"repro: error: {argv[1]} ")
+    assert stderr.count("\n") == 1  # one line, no traceback
+    assert named in stderr
+
+
+#: ``--duration 5`` ends before the first page view.
+NO_PAGE_VIEW = ["--users", "5", "--products", "10", "--duration", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, title",
+    [
+        (["sweep-delta", "--deltas", "10,30"], "Δ sweep"),
+        (["sweep-segments", "--segments", "1,3"], "Segment sweep"),
+        (["compare", "--scenarios", "speed-kit,no-cache"], "Scenario comparison"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_a_run_with_no_page_view_prints_its_table_without_plt(
+    capsys, argv, title
+):
+    assert main(argv + NO_PAGE_VIEW) == 0
+    out = capsys.readouterr().out
+    assert title in out
+    assert "plt_" not in out
+    if argv[0] == "compare":
+        assert "A/B (last two scenarios) skipped: no page view in" in out
+
+
 def test_requires_a_command():
     with pytest.raises(SystemExit):
         main([])
