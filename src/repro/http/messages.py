@@ -135,7 +135,7 @@ class Response:
     A cache stores the response it is given and answers with
     :meth:`served` — a new shell around the same header map, body and
     facts; the origin answers from a response it prebuilt with
-    :meth:`reissued`. A *different* response is built, not edited:
+    :meth:`answering`. A *different* response is built, not edited:
     ``dataclasses.replace(response, ...)`` (how
     :func:`~repro.http.degraded.mark` adds its header), which reads the
     facts again from the map it is given.
@@ -204,7 +204,7 @@ class Response:
         shell.degraded = self.degraded
         return shell
 
-    def reissued(self, url: Optional[URL], at: float) -> "Response":
+    def answering(self, url: Optional[URL], at: float) -> "Response":
         """This response answering another request: a new shell, like
         :meth:`served`, that carries ``url`` and ``generated_at=at`` of
         its own — how the origin answers from a response it prebuilt."""

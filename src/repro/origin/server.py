@@ -222,7 +222,7 @@ class OriginServer:
     current; nothing else (no TTL, size limit or switch) governs it.
     Each rendition keeps its response prebuilt for the policy's latest
     ``Cache-Control`` answer, and every request gets a shell of its own
-    (:meth:`Response.reissued`).
+    (:meth:`Response.answering`).
     """
 
     def __init__(
@@ -499,11 +499,11 @@ class OriginServer:
             prebuilt = self._prebuild(
                 spec, version_key, rendition, personalized_for_user, cache_control
             )
-        response = prebuilt.ok.reissued(request.url, now)
+        response = prebuilt.ok.answering(request.url, now)
         for observer in self.serve_observers:
             observer(version_key, request.url.cache_key(), response, now)
         if revalidates(request, response):
-            return prebuilt.not_modified.reissued(request.url, now)
+            return prebuilt.not_modified.answering(request.url, now)
         return response
 
     def _prebuild(

@@ -106,10 +106,10 @@ class TestResponse:
         assert "Age" not in resp.headers and resp.etag == "v1"
         assert not hasattr(resp, "copy")
 
-    def test_reissued_carries_its_own_url_and_instant(self):
+    def test_answering_carries_its_own_url_and_instant(self):
         resp = make_response()
         url = URL.parse("/other?x=1")
-        shell = resp.reissued(url, at=42.0)
+        shell = resp.answering(url, at=42.0)
         assert shell is not resp and shell.headers is resp.headers
         assert shell == replace(resp, url=url, generated_at=42.0)
         assert shell.cache_control is resp.cache_control
