@@ -85,10 +85,18 @@ class BrowserClient(Fetcher):
         return self.transport.fetch_direct(self.node, request)
 
     def fetch(self, request: Request) -> Generator:
-        """Resolve one request (generator sub-process)."""
+        """Resolve one request: :meth:`_fetch_inner`, not yet started,
+        inside a ``browser`` span when tracing is on (untraced, this
+        frame only forwards, so it is not a generator)."""
+        if not self.tracer.enabled:
+            return self._fetch_inner(request, None)
+        return self._fetch_in_span(request)
+
+    def _fetch_in_span(self, request: Request) -> Generator:
+        env = self.transport.env
         span = self.tracer.start(
             "browser",
-            self.transport.env.now,
+            env.now,
             parent=request.trace,
             node=self.node,
             tier="browser",
@@ -96,46 +104,49 @@ class BrowserClient(Fetcher):
         request.trace = span.context
         response = yield from self._fetch_inner(request, span)
         span.set(status=int(response.status), served_by=response.served_by)
-        self.tracer.finish(span, self.transport.env.now)
+        self.tracer.finish(span, env.now)
         return response
 
     def _fetch_inner(self, request: Request, span) -> Generator:
+        """:meth:`fetch` without its own span; ``span`` is ``None``
+        when tracing is off."""
+        env = self.transport.env
         if not request.method.is_safe:
-            span.set(verdict="pass")
+            if span is not None:
+                span.set(verdict="pass")
             response = yield from self._transport_fetch(request)
             return response
-        cached = self.cache.serve(request, self.transport.env.now)
+        cached = self.cache.serve(request, env.now)
         yield from self.transport.charge(self.cache.store)
         if cached is not None:
-            span.set(verdict="hit", version=cached.version)
+            if span is not None:
+                span.set(verdict="hit", version=cached.version)
             return cached
 
-        base = self.cache.revalidation_base(
-            request, self.transport.env.now
-        )
+        base = self.cache.revalidation_base(request, env.now)
         if base is not None:
-            span.set(verdict="revalidate")
+            if span is not None:
+                span.set(verdict="revalidate")
             conditional = conditional_request_for(request, base)
             response = yield from self._transport_fetch(conditional)
             if response.status == Status.NOT_MODIFIED:
-                refreshed = self.cache.refresh(
-                    request, response, self.transport.env.now
-                )
+                refreshed = self.cache.refresh(request, response, env.now)
                 if refreshed is not None:
                     yield from self.transport.charge(self.cache.store)
-                    span.set(revalidated="304", version=refreshed.version)
+                    if span is not None:
+                        span.set(revalidated="304", version=refreshed.version)
                     return refreshed
                 response = yield from self._transport_fetch(request)
-            span.set(revalidated="refetch")
-            admitted = self.cache.admit(
-                request, response, self.transport.env.now
-            )
+            if span is not None:
+                span.set(revalidated="refetch")
+            admitted = self.cache.admit(request, response, env.now)
             yield from self.transport.charge(self.cache.store)
             return admitted
 
-        span.set(verdict="miss")
+        if span is not None:
+            span.set(verdict="miss")
         response = yield from self._transport_fetch(request)
-        admitted = self.cache.admit(request, response, self.transport.env.now)
+        admitted = self.cache.admit(request, response, env.now)
         yield from self.transport.charge(self.cache.store)
         return admitted
 

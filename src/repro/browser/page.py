@@ -117,20 +117,11 @@ class PageLoadEngine:
         # resource's request (a header map is never edited).
         shared = Headers(headers)
         html_request = Request.get(page.html, headers=shared)
-        span = self.tracer.start(
-            "request",
-            self.env.now,
-            parent=trace,
-            tier="client",
-            url=str(page.html),
-            wave=0,
-            slot=0,
-        )
-        html_request.trace = span.context
-        html_response = yield from self.fetcher.fetch(html_request)
         if self.tracer.enabled:
-            span.set(**response_attrs(html_response))
-        self.tracer.finish(span, self.env.now)
+            html_fetch = self._traced_fetch(html_request, trace, 0, 0)
+        else:
+            html_fetch = self.fetcher.fetch(html_request)
+        html_response = yield from html_fetch
         responses.append(html_response)
         html_at = self.env.now
 
@@ -148,12 +139,24 @@ class PageLoadEngine:
             responses=responses,
         )
 
-    def _traced_fetch(self, request: Request, span) -> Generator:
-        """One single fetch wrapped so its span ends when *it* ends,
-        not when the whole slot's barrier completes."""
+    def _traced_fetch(
+        self, request: Request, trace, wave: int, slot: int
+    ) -> Generator:
+        """One fetch under its own ``request`` span, which ends when
+        *this* fetch ends, not when the whole slot's barrier completes.
+        Interposed only when tracing is on."""
+        span = self.tracer.start(
+            "request",
+            self.env.now,
+            parent=trace,
+            tier="client",
+            url=str(request.url),
+            wave=wave,
+            slot=slot,
+        )
+        request.trace = span.context
         response = yield from self.fetcher.fetch(request)
-        if self.tracer.enabled:
-            span.set(**response_attrs(response))
+        span.set(**response_attrs(response))
         self.tracer.finish(span, self.env.now)
         return response
 
@@ -179,46 +182,42 @@ class PageLoadEngine:
             ]
             if self.batch_waves:
                 # One multiplexed lookup for the whole slot.
-                span = self.tracer.start(
-                    "request-batch",
-                    self.env.now,
-                    parent=trace,
-                    tier="client",
-                    wave=wave_index,
-                    slot=slot,
-                    n=len(requests),
-                )
-                for request in requests:
-                    request.trace = span.context
+                span = None
+                if self.tracer.enabled:
+                    span = self.tracer.start(
+                        "request-batch",
+                        self.env.now,
+                        parent=trace,
+                        tier="client",
+                        wave=wave_index,
+                        slot=slot,
+                        n=len(requests),
+                    )
+                    for request in requests:
+                        request.trace = span.context
                 batch_responses = yield from self.fetcher.fetch_many(
                     requests
                 )
-                if self.tracer.enabled:
+                if span is not None:
                     span.set(
                         responses=[
                             response_attrs(response)
                             for response in batch_responses
                         ]
                     )
-                self.tracer.finish(span, self.env.now)
+                    self.tracer.finish(span, self.env.now)
                 for offset, response in enumerate(batch_responses):
                     responses.append((index + offset, response))
             else:
-                processes = []
-                for request in requests:
-                    span = self.tracer.start(
-                        "request",
-                        self.env.now,
-                        parent=trace,
-                        tier="client",
-                        url=str(request.url),
-                        wave=wave_index,
-                        slot=slot,
+                traced = self.tracer.enabled
+                processes = [
+                    self.env.process(
+                        self._traced_fetch(request, trace, wave_index, slot)
+                        if traced
+                        else self.fetcher.fetch(request)
                     )
-                    request.trace = span.context
-                    processes.append(
-                        self.env.process(self._traced_fetch(request, span))
-                    )
+                    for request in requests
+                ]
                 done = yield self.env.all_of(processes)
                 for offset, process in enumerate(processes):
                     responses.append((index + offset, done[process]))

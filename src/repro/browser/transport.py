@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Generator, List, Optional, Sequence
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.cdn.edge import EdgeCache
 from repro.cdn.network import Cdn
@@ -40,11 +40,11 @@ from repro.http.messages import (
     revalidates,
 )
 from repro.http.url import URL
-from repro.obs.span import NULL_SPAN
 from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import TXN_VALIDATE_PATH, OriginServer
 from repro.overload.priority import classify_request
 from repro.sim.environment import Environment
+from repro.sim.metrics import Counter
 from repro.simnet.faults import NO_FAULTS, FaultSchedule
 from repro.simnet.topology import ORIGIN_NODE, Topology
 
@@ -103,19 +103,21 @@ class Transport:
         #: keeps every code path draw-for-draw identical to the
         #: ungoverned transport.
         self.overload = overload
+        # Handles on the registry's counters, each resolved by its
+        # first count (never earlier: a counter that exists shows in
+        # the run's exported metrics).
+        self._counters: Dict[str, Counter] = {}
 
-    def _count_bytes(self, which: str, response: Response) -> None:
-        """Egress accounting: who paid for these bytes. A response
-        that declares no usable ``Content-Length`` is billed, and
-        transferred, as headers only: 0 bytes."""
-        if self.metrics is not None:
-            self.metrics.counter(f"bytes.{which}").inc(
-                response.content_length or 0
-            )
-
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
+    def _count(self, name: str, amount: float = 1.0) -> None:
+        """Count under ``name``. Egress is counted as ``bytes.<who
+        paid>``: a response that declares no usable ``Content-Length``
+        is billed, and transferred, as headers only: 0 bytes."""
+        if self.metrics is None:
+            return
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = self.metrics.counter(name)
+        counter.inc(amount)
 
     def charge(self, store, concurrent: float = 0.0) -> Generator:
         """Convert a store's accrued engine latency into simulated time.
@@ -191,12 +193,14 @@ class Transport:
 
         Returns ``None`` when a message was lost in transit — the
         sender waits out ``ATTEMPT_TIMEOUT`` (measured from send) and
-        declares the attempt dead.
+        declares the attempt dead. ``span`` is ``None`` when tracing is
+        off.
         """
         link = self.topology.link(from_node, ORIGIN_NODE)
         if self.faults.loses_message(from_node, ORIGIN_NODE):
             self._count("transport.lost_requests")
-            span.event("lost-request", at=self.env.now)
+            if span is not None:
+                span.event("lost-request", at=self.env.now)
             yield self.env.timeout(ATTEMPT_TIMEOUT)
             return None
         forward = self.topology.one_way(
@@ -212,19 +216,21 @@ class Transport:
                 # Admission control refused the request at the origin's
                 # front door: the answer is an immediate, marked shed —
                 # only the return leg is paid, no origin work happens.
-                span.event("shed", at=self.env.now)
+                if span is not None:
+                    span.event("shed", at=self.env.now)
                 yield self.env.timeout(
                     link.one_way(self.rng)
                     * self.faults.latency_factor(ORIGIN_NODE, from_node)
                 )
                 return self._shed_response(request, ORIGIN_NODE)
         response = self._origin_handle(request)
-        self._count_bytes("origin_egress", response)
+        self._count("bytes.origin_egress", response.content_length or 0)
         if self.faults.loses_message(ORIGIN_NODE, from_node):
             # The origin did the work (and sent the bytes), but the
             # reply never arrives; the sender times out the remainder.
             self._count("transport.lost_responses")
-            span.event("lost-response", at=self.env.now)
+            if span is not None:
+                span.event("lost-response", at=self.env.now)
             yield self.env.timeout(max(0.0, ATTEMPT_TIMEOUT - forward))
             return None
         transit = link.one_way(self.rng) * self.faults.latency_factor(
@@ -250,7 +256,17 @@ class Transport:
         answers) retry with exponential backoff until the attempt count
         or the time budget runs out; a request that never got an answer
         resolves to a synthesized, uncacheable 503.
+
+        Returns the exchange, not yet started; untraced, this frame only
+        forwards, so it is not a generator.
         """
+        if not self.tracer.enabled:
+            return self._origin_exchange_inner(from_node, request, None)
+        return self._origin_exchange_in_span(from_node, request, parent)
+
+    def _origin_exchange_in_span(
+        self, from_node: str, request: Request, parent
+    ) -> Generator:
         span = self.tracer.start(
             "origin",
             self.env.now,
@@ -292,19 +308,23 @@ class Transport:
                 from_node, request, span
             )
             if response is not None and not response.status.is_server_error:
-                span.set(attempts=attempt)
+                if span is not None:
+                    span.set(attempts=attempt)
                 return response
             if policy.gives_up_after(attempt):
                 break
             backoff = policy.backoff_after(attempt)
             if self.env.now + backoff >= deadline:
                 self._count("transport.budget_exhausted")
-                span.event("budget-exhausted", at=self.env.now)
+                if span is not None:
+                    span.event("budget-exhausted", at=self.env.now)
                 break
             self._count("transport.retries")
-            span.event("retry", at=self.env.now, backoff=backoff)
+            if span is not None:
+                span.event("retry", at=self.env.now, backoff=backoff)
             yield self.env.timeout(backoff)
-        span.set(attempts=attempt)
+        if span is not None:
+            span.set(attempts=attempt)
         return (
             response if response is not None else self._network_error(request)
         )
@@ -368,42 +388,56 @@ class Transport:
         """Client → nearest edge PoP → (origin on miss/stale)."""
         if edge_name is None:
             edge_name = self.topology.nearest_edge(client_node)
-        span = self.tracer.start(
-            "transport",
-            self.env.now,
-            parent=request.trace,
-            node=edge_name,
-            tier="network",
-            mode="cdn",
-        )
+        env = self.env
+        # The ``transport`` span and its ``edge`` child; both ``None``
+        # when tracing is off, so an untraced fetch builds no span work.
+        span = edge_span = None
+        if self.tracer.enabled:
+            span = self.tracer.start(
+                "transport",
+                env.now,
+                parent=request.trace,
+                node=edge_name,
+                tier="network",
+                mode="cdn",
+            )
         if self.breaker is not None and not self.breaker.allow(
-            edge_name, self.env.now
+            edge_name, env.now
         ):
             # Breaker open: bypass the PoP entirely, pass through.
             self._count("breaker.pass_through")
-            span.event("breaker-open", at=self.env.now)
+            if span is not None:
+                span.event("breaker-open", at=env.now)
             response = yield from self.fetch_direct(
                 client_node, request, parent=span
             )
-            span.set(status=int(response.status), served_by=response.served_by)
-            self.tracer.finish(span, self.env.now)
+            if span is not None:
+                span.set(
+                    status=int(response.status), served_by=response.served_by
+                )
+                self.tracer.finish(span, env.now)
             return response
         edge = cdn.pop(edge_name)
-        yield self.env.timeout(
+        yield env.timeout(
             self.topology.one_way(client_node, edge_name, self.rng)
             * self.faults.latency_factor(client_node, edge_name)
         )
-        if self.faults.should_fail(edge_name, self.env.now):
+        now = env.now
+        if self.faults.should_fail(edge_name, now):
             # The PoP is dark: fail over to the origin directly.
             self._count("transport.edge_failures")
-            span.event("edge-down", at=self.env.now)
+            if span is not None:
+                span.event("edge-down", at=now)
             if self.breaker is not None:
-                self.breaker.record_failure(edge_name, self.env.now)
+                self.breaker.record_failure(edge_name, now)
             response = yield from self.fetch_direct(
                 client_node, request, parent=span
             )
-            span.set(status=int(response.status), served_by=response.served_by)
-            self.tracer.finish(span, self.env.now)
+            if span is not None:
+                span.set(
+                    status=int(response.status), served_by=response.served_by
+                )
+                self.tracer.finish(span, env.now)
             return response
         governor = self._pop_governor(edge_name)
         if governor is not None:
@@ -413,61 +447,69 @@ class Transport:
             if not admitted:
                 # Shed at the PoP: the client still pays the return
                 # leg, but no cache or origin work happens.
-                span.event("shed", at=self.env.now)
+                if span is not None:
+                    span.event("shed", at=env.now)
                 response = self._shed_response(request, edge_name)
                 client_link = self.topology.link(client_node, edge_name)
-                yield self.env.timeout(
+                yield env.timeout(
                     client_link.one_way(self.rng)
                     * self.faults.latency_factor(edge_name, client_node)
                 )
-                span.set(
-                    status=int(response.status),
-                    served_by=response.served_by,
-                    shed=True,
-                )
-                self.tracer.finish(span, self.env.now)
+                if span is not None:
+                    span.set(
+                        status=int(response.status),
+                        served_by=response.served_by,
+                        shed=True,
+                    )
+                    self.tracer.finish(span, env.now)
                 return response
+            now = env.now
         if self.breaker is not None:
             self.breaker.record_success(edge_name)
-        edge_span = self.tracer.start(
-            "edge",
-            self.env.now,
-            parent=span,
-            node=edge_name,
-            tier="edge",
-            key=str(request.url),
-        )
+        if span is not None:
+            edge_span = self.tracer.start(
+                "edge",
+                now,
+                parent=span,
+                node=edge_name,
+                tier="edge",
+                key=str(request.url),
+            )
         if edge.should_pass(request):
             # Credentialed request: relay through the edge without any
             # cache interaction.
-            edge_span.set(verdict="pass")
+            if edge_span is not None:
+                edge_span.set(verdict="pass")
             response = yield from self._origin_exchange(
                 edge_name, request, parent=edge_span
             )
         else:
-            response = edge.serve(request, self.env.now)
+            response = edge.serve(request, now)
             if response is None:
                 response = yield from self._fill_from_origin(
                     edge_name, edge, request, span=edge_span
                 )
-            else:
+            elif edge_span is not None:
                 edge_span.set(verdict="hit", version=response.version)
         answer = _honor_validators(request, response)
         if answer is not response:
             response = answer
-            span.event("not-modified-to-client", at=self.env.now)
-        self._count_bytes("edge_egress", response)
+            if span is not None:
+                span.event("not-modified-to-client", at=env.now)
+        self._count("bytes.edge_egress", response.content_length or 0)
         client_link = self.topology.link(client_node, edge_name)
         transit = client_link.one_way(self.rng) * self.faults.latency_factor(
             edge_name, client_node
         ) + client_link.transfer_time(response.content_length or 0)
         # Edge storage round trips may pipeline under the client leg.
         yield from self.charge(edge.store, concurrent=transit)
-        edge_span.set(status=int(response.status))
-        self.tracer.finish(edge_span, self.env.now)
-        yield self.env.timeout(transit)
-        span.set(status=int(response.status), served_by=response.served_by)
-        self.tracer.finish(span, self.env.now)
+        if edge_span is not None:
+            edge_span.set(status=int(response.status))
+            self.tracer.finish(edge_span, env.now)
+        yield env.timeout(transit)
+        if span is not None:
+            span.set(status=int(response.status), served_by=response.served_by)
+            self.tracer.finish(span, env.now)
         return response
 
     def _fetch_many_direct(
@@ -613,7 +655,7 @@ class Transport:
         for index, response in enumerate(responses):
             response = _honor_validators(requests[index], response)
             responses[index] = response
-            self._count_bytes("edge_egress", response)
+            self._count("bytes.edge_egress", response.content_length or 0)
             total_length += response.content_length or 0
         client_link = self.topology.link(client_node, edge_name)
         transit = client_link.one_way(self.rng) * self.faults.latency_factor(
@@ -649,9 +691,8 @@ class Transport:
     def _fill_from_origin(
         self, edge_name: str, edge: EdgeCache, request: Request, span=None
     ) -> Generator:
-        """Edge-side miss handling: conditional refetch where possible."""
-        if span is None:
-            span = NULL_SPAN
+        """Edge-side miss handling: conditional refetch where possible.
+        ``span`` is ``None`` when tracing is off."""
         base = edge.revalidation_base(request, self.env.now)
         upstream_request = (
             conditional_request_for(request, base)
@@ -664,10 +705,12 @@ class Transport:
         if upstream.status == Status.NOT_MODIFIED and base is not None:
             refreshed = edge.refresh(request, upstream, self.env.now)
             if refreshed is not None:
-                span.set(verdict="revalidated", version=refreshed.version)
+                if span is not None:
+                    span.set(verdict="revalidated", version=refreshed.version)
                 return refreshed
             # Entry vanished between lookup and refresh: full refetch.
-            span.event("revalidation-base-vanished", at=self.env.now)
+            if span is not None:
+                span.event("revalidation-base-vanished", at=self.env.now)
             upstream = yield from self._origin_exchange(
                 edge_name, request, parent=span
             )
@@ -682,10 +725,12 @@ class Transport:
             )
             if stale is not None:
                 self._count("transport.stale_if_error")
-                span.set(verdict="stale-if-error", version=stale.version)
+                if span is not None:
+                    span.set(verdict="stale-if-error", version=stale.version)
                 return stale
-        if upstream.status.is_server_error:
-            span.set(verdict="error")
-        else:
-            span.set(verdict="fill", version=upstream.version)
+        if span is not None:
+            if upstream.status.is_server_error:
+                span.set(verdict="error")
+            else:
+                span.set(verdict="fill", version=upstream.version)
         return edge.admit(request, upstream, self.env.now)

@@ -68,18 +68,25 @@ class SketchClient:
             return None
         return self.current.age(now if now is not None else self.env.now)
 
-    def is_usable(self, now: Optional[float] = None) -> bool:
-        """Whether the held sketch still upholds the Δ bound.
+    def usable_sketch(
+        self, now: Optional[float] = None
+    ) -> Optional[ClientCacheSketch]:
+        """The held sketch if it still upholds the Δ bound at ``now``
+        (default: the current instant), else ``None``.
 
         A sketch older than the refresh interval must not be trusted:
         the decision procedure falls back to revalidating everything.
         """
-        age = self.age(now)
-        return age is not None and age <= self.refresh_interval
+        current = self.current
+        if current is not None and current.age(
+            self.env.now if now is None else now
+        ) <= self.refresh_interval:
+            return current
+        return None
 
-    def usable_sketch(self) -> Optional[ClientCacheSketch]:
-        """The sketch if trustworthy at the current instant, else None."""
-        return self.current if self.is_usable() else None
+    def is_usable(self, now: Optional[float] = None) -> bool:
+        """Whether :meth:`usable_sketch` has a sketch to give."""
+        return self.usable_sketch(now) is not None
 
     # -- fetching ------------------------------------------------------------
 
@@ -90,23 +97,26 @@ class SketchClient:
         sketch service is unreachable — the decision procedure then
         degrades gracefully instead of deadlocking on the download.
         """
-        started = self.env.now
-        span = self.tracer.start(
-            "sketch-fetch",
-            started,
-            parent=parent,
-            node=ORIGIN_NODE,
-            tier="sketch",
-        )
+        span = None
+        if self.tracer.enabled:
+            span = self.tracer.start(
+                "sketch-fetch",
+                self.env.now,
+                parent=parent,
+                node=ORIGIN_NODE,
+                tier="sketch",
+            )
         yield self.env.timeout(
             self.topology.one_way(self.client_node, ORIGIN_NODE, self.rng)
         )
-        if self.faults.is_down(ORIGIN_NODE, self.env.now):
+        now = self.env.now
+        if self.faults.is_down(ORIGIN_NODE, now):
             self.stats.failures += 1
-            span.set(outcome="unreachable")
-            self.tracer.finish(span, self.env.now)
+            if span is not None:
+                span.set(outcome="unreachable")
+                self.tracer.finish(span, now)
             return None
-        snapshot = self.server_sketch.snapshot(self.env.now)
+        snapshot = self.server_sketch.snapshot(now)
         link = self.topology.link(self.client_node, ORIGIN_NODE)
         size = snapshot.transfer_size_bytes()
         yield self.env.timeout(
@@ -119,13 +129,14 @@ class SketchClient:
         # run counts into the one pair.
         self.metrics.counter("sketch.fetches").inc()
         self.metrics.counter("sketch.bytes").inc(size)
-        span.set(outcome="fetched", bytes=size)
-        self.tracer.finish(span, self.env.now)
+        if span is not None:
+            span.set(outcome="fetched", bytes=size)
+            self.tracer.finish(span, self.env.now)
         return snapshot
 
     def ensure_fresh(self, parent=None) -> Generator:
         """Fetch only if the held sketch is missing or too old."""
-        if not self.is_usable():
+        if self.usable_sketch() is None:
             yield from self.fetch_once(parent=parent)
         return self.current
 

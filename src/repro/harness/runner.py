@@ -572,18 +572,21 @@ class SimulationRunner:
         # sketch refresh) so its start coincides with the instant the
         # engine stamps as PLT start — per-tier attribution then sums
         # to the PLT exactly.
-        span = self.tracer.start(
-            "pageview",
-            self.env.now,
-            node=user.user_id,
-            tier="client",
-            user=event.user_id,
-            page_kind=event.page_kind,
-            target=event.target,
-            covered=stack.delta_covered,
-        )
+        span = trace = None
+        if self.tracer.enabled:
+            span = self.tracer.start(
+                "pageview",
+                self.env.now,
+                node=user.user_id,
+                tier="client",
+                user=event.user_id,
+                page_kind=event.page_kind,
+                target=event.target,
+                covered=stack.delta_covered,
+            )
+            trace = span.context
         page = self.pages.for_view(event.page_kind, event.target)
-        result = yield from stack.engine.load(page, trace=span.context)
+        result = yield from stack.engine.load(page, trace=trace)
         if self._navigation_model is not None and stack.worker is not None:
             if stack.prefetcher is None:
                 from repro.speedkit.prefetch import Prefetcher
@@ -593,8 +596,9 @@ class SimulationRunner:
                 )
             stack.prefetcher.on_navigation(event.page_kind, event.target)
         self._record_page_load(user, event, result, stack.delta_covered)
-        span.set(plt=result.plt)
-        self.tracer.finish(span, self.env.now)
+        if span is not None:
+            span.set(plt=result.plt)
+            self.tracer.finish(span, self.env.now)
         self._events_left[event.user_id] -= 1
         if not self._events_left[event.user_id]:
             self._retire(event.user_id)

@@ -16,11 +16,12 @@ three parts:
 
 Tracing is off-by-default-cheap: every instrumented component holds a
 :data:`NOOP_TRACER` whose ``start``/``finish`` are constant-time
-no-ops returning the shared :data:`NULL_SPAN`, so the untraced hot
-path pays only an attribute lookup.  The :class:`RecordingTracer`
-assigns trace/span ids from monotonic counters in execution order and
-timestamps from the sim clock, so traces are deterministic per seed
-and diffable across runs.
+no-ops returning the shared :data:`NULL_SPAN`, and the request-path
+hops do not call them at all: each tests ``tracer.enabled`` and, when
+it is false, builds no span and no span argument.  The
+:class:`RecordingTracer` assigns trace/span ids from monotonic
+counters in execution order and timestamps from the sim clock, so
+traces are deterministic per seed and diffable across runs.
 """
 
 from repro.obs.analysis import (

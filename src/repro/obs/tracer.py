@@ -2,8 +2,10 @@
 
 The base :class:`Tracer` *is* the no-op implementation — ``start``
 returns the shared :data:`~repro.obs.span.NULL_SPAN` and ``finish``
-does nothing — so components can unconditionally instrument the hot
-path and pay only two cheap method calls when tracing is off.
+does nothing — so a component may instrument unconditionally and still
+be correct when tracing is off. The request path does better: each hop
+tests ``tracer.enabled`` and, when it is false, calls neither method
+and builds none of their arguments (DESIGN, *Cost model*).
 
 :class:`RecordingTracer` assigns trace and span ids from monotonic
 counters in execution order.  Because the simulation itself is

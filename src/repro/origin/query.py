@@ -11,8 +11,9 @@ registers is an equality or has no predicate at all.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Optional
 
 
 def _get_field(doc: Mapping[str, Any], path: str) -> Any:

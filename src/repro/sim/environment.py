@@ -32,15 +32,13 @@ class Environment:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulated time in seconds. A plain attribute, read on
+        #: every hop of the request path: only the kernel assigns it
+        #: (``tests/test_layering.py`` holds every other module to that).
+        self.now = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = 0
         self._steps = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def steps(self) -> int:
@@ -57,7 +55,7 @@ class Environment:
         """
         if not 0 <= delay < _INF:
             raise ValueError(f"delay must be finite and >= 0: {delay}")
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        heapq.heappush(self._queue, (self.now + delay, self._seq, event))
         self._seq += 1
 
     # -- event factories -------------------------------------------------
@@ -84,14 +82,14 @@ class Environment:
         """Process exactly one event (advancing the clock to it)."""
         if not self._queue:
             raise StopSimulation("event queue is empty")
-        self._now, _, event = heapq.heappop(self._queue)
+        self.now, _, event = heapq.heappop(self._queue)
         self._steps += 1
         callbacks = event.callbacks
         event.callbacks = None
         if callbacks:
             for callback in callbacks:
                 callback(event)
-        elif not event.ok and not getattr(event, "defused", False):
+        elif not event._ok and not getattr(event, "defused", False):
             # A failed event nobody is waiting on would otherwise be
             # silently dropped; surface it so bugs cannot hide. Set
             # ``event.defused = True`` to opt out for a specific event.
@@ -107,13 +105,13 @@ class Environment:
         if until is not None:
             if not math.isfinite(until):
                 raise ValueError(f"until must be finite: {until}")
-            if until < self._now:
+            if until < self.now:
                 raise ValueError(
-                    f"until={until} lies in the past (now={self._now})"
+                    f"until={until} lies in the past (now={self.now})"
                 )
             while self._queue and self._queue[0][0] <= until:
                 self.step()
-            self._now = float(until)
+            self.now = float(until)
             return
         # Drain loop with the heap pop and callback dispatch inlined:
         # this is the kernel's innermost loop, and the per-event
@@ -124,14 +122,14 @@ class Environment:
         steps = 0
         try:
             while queue:
-                self._now, _, event = pop(queue)
+                self.now, _, event = pop(queue)
                 steps += 1
                 callbacks = event.callbacks
                 event.callbacks = None
                 if callbacks:
                     for callback in callbacks:
                         callback(event)
-                elif not event.ok and not getattr(event, "defused", False):
+                elif not event._ok and not getattr(event, "defused", False):
                     raise event.value
         finally:
             self._steps += steps

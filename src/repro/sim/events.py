@@ -8,6 +8,7 @@ process waiting on it is resumed (or has the exception thrown into it).
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -61,7 +62,7 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with ``value``."""
-        if self.triggered:
+        if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._value = value
         self.env.schedule(self)
@@ -75,7 +76,7 @@ class Event:
         """
         if not isinstance(exception, BaseException):
             raise TypeError(f"{exception!r} is not an exception")
-        if self.triggered:
+        if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
@@ -98,15 +99,21 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers after a fixed simulated delay."""
+    """An event that triggers after a fixed simulated delay.
+
+    Kernel bookkeeping runs once per event, so this class and
+    :class:`Process` fill :class:`Event`'s slots themselves rather than
+    chaining ``super().__init__``.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        super().__init__(env)
-        self.delay = delay
+        self.env = env
+        self.callbacks = []
         self._value = value
         self._ok = True
+        self.delay = delay
         # ``schedule`` refuses a negative, NaN or infinite delay.
         env.schedule(self, delay=delay)
 
@@ -132,9 +139,14 @@ class Process(Event):
     __slots__ = ("_generator", "_target")
 
     def __init__(self, env: "Environment", generator) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and (
+            not hasattr(generator, "send") or not hasattr(generator, "throw")
+        ):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = True
         self._generator = generator
         self._target: Optional[Event] = None
         self._resume(_START)
@@ -211,9 +223,9 @@ class AllOf(Event):
         return {event: event._value for event in self._fired}
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
-        if not event.ok:
+        if not event._ok:
             self.fail(event._value)
             return
         self._fired.append(event)

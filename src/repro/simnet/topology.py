@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -34,8 +35,11 @@ class Link:
     bandwidth: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive: {self.bandwidth}")
+        # Chained, so NaN fails it too; unconstrained is ``None``, not ∞.
+        if self.bandwidth is not None and not 0 < self.bandwidth < math.inf:
+            raise ValueError(
+                f"bandwidth must be finite and positive, got {self.bandwidth}"
+            )
 
     def one_way(self, rng: random.Random) -> float:
         """Sample a one-way propagation delay."""

@@ -32,7 +32,6 @@ from repro.http.degraded import Degraded, mark, reason_of
 from repro.http.freshness import conditional_request_for
 from repro.http.messages import Request, Response, Status
 from repro.http.url import URL
-from repro.obs.span import NULL_SPAN
 from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import SEGMENT_PARAM
 from repro.sim.metrics import Counter, MetricRegistry
@@ -81,6 +80,7 @@ class ServiceWorkerProxy(Fetcher):
     ) -> None:
         self.node = node
         self.transport = transport
+        self.env = transport.env
         self.cdn = cdn
         self.config = config
         self.vault = vault
@@ -112,10 +112,6 @@ class ServiceWorkerProxy(Fetcher):
             node, transport, metrics=self.metrics
         )
 
-    @property
-    def _now(self) -> float:
-        return self.transport.env.now
-
     def _count(self, which: str) -> None:
         counter = self._counters.get(which)
         if counter is None:
@@ -142,9 +138,12 @@ class ServiceWorkerProxy(Fetcher):
 
     def fetch(self, request: Request) -> Generator:
         """Resolve one request (generator sub-process)."""
+        if not self.tracer.enabled:
+            response = yield from self._fetch_routed(request, None)
+            return response
         span = self.tracer.start(
             "sw",
-            self._now,
+            self.env.now,
             parent=request.trace,
             node=self.node,
             tier="sw",
@@ -152,28 +151,32 @@ class ServiceWorkerProxy(Fetcher):
         request.trace = span.context
         response = yield from self._fetch_routed(request, span)
         span.set(status=int(response.status), served_by=response.served_by)
-        self.tracer.finish(span, self._now)
+        self.tracer.finish(span, self.env.now)
         return response
 
     def _fetch_routed(self, request: Request, span) -> Generator:
         """Pick the request's path; returns that path's fetch, not yet
-        started (the three paths are listed in the module docstring)."""
+        started (the three paths are listed in the module docstring).
+        ``span`` is ``None`` when tracing is off."""
         if self.consent.allows(Purpose.ACCELERATION):
             route = self.config.route(request.url.path)
             if route.user_block:
                 self._count("user_block")
-                span.set(path="user-block")
+                if span is not None:
+                    span.set(path="user-block")
                 return self._fetch_user_block(request)
             if request.method.is_safe and route.accelerate:
                 self._count("accelerated")
-                span.set(path="accelerated")
+                if span is not None:
+                    span.set(path="accelerated")
                 return self._fetch_accelerated(
                     request, route.segmented, span
                 )
         # Pass-through: untouched, through the plain browser stack —
         # exactly the no-Speed-Kit behaviour (browser HTTP cache included).
         self._count("pass_through")
-        span.set(path="pass-through")
+        if span is not None:
+            span.set(path="pass-through")
         return self.fallback.fetch(request)
 
     def fetch_assembled(self, request: Request, blocks) -> Generator:
@@ -227,8 +230,11 @@ class ServiceWorkerProxy(Fetcher):
         return self.fallback.fetch(request)
 
     def _fetch_accelerated(
-        self, request: Request, segmented: bool, span=NULL_SPAN
+        self, request: Request, segmented: bool, span=None
     ) -> Generator:
+        """The Cache Sketch path. A device hit reads each input once:
+        the sketch (again only after a refresh) and the clock (again
+        only after simulated time may have passed)."""
         scrubbed, report = self.scrubber.scrub(request)
         if report.anything_removed:
             self._count("scrubbed")
@@ -239,25 +245,32 @@ class ServiceWorkerProxy(Fetcher):
             scrubbed.url = _segment_variant(
                 scrubbed.url, self.segments.resolve()
             )
-        scrubbed.trace = span.context
+        context = None
+        if span is not None:
+            context = scrubbed.trace = span.context
 
         # The decision procedure requires a sketch younger than Δ;
         # fetch one on demand if the navigation prefetch is missing.
-        if self.sketch_client.usable_sketch() is None:
-            yield from self.sketch_client.ensure_fresh(parent=span.context)
-        sketch = self.sketch_client.usable_sketch()
+        sketch_client = self.sketch_client
+        sketch = sketch_client.usable_sketch()
+        if sketch is None:
+            yield from sketch_client.ensure_fresh(parent=context)
+            sketch = sketch_client.usable_sketch()
 
+        env = self.env
         key = scrubbed.url.cache_key()
-        cached = self.cache.serve_even_stale(scrubbed, self._now)
+        cached = self.cache.serve_even_stale(scrubbed, env.now)
         yield from self.transport.charge(self.cache.store)
-        decision = decide(key, cached, sketch, self._now)
+        now = env.now
+        decision = decide(key, cached, sketch, now)
 
         if decision is ReadDecision.SERVE_FROM_CACHE and sketch is None:
             # The sketch service is unreachable: without a usable
             # sketch the Δ guarantee lapses. Serve degraded if allowed
             # (bounded stale-if-error first, unbounded offline second)
             # or fall back to revalidation.
-            span.event("sketch-unusable", at=self._now)
+            if span is not None:
+                span.event("sketch-unusable", at=now)
             degraded = self._serve_degraded(scrubbed, cached, span)
             if degraded is not None:
                 # A degraded serving is not a fresh cache hit: it is
@@ -273,7 +286,8 @@ class ServiceWorkerProxy(Fetcher):
         if decision is ReadDecision.SERVE_FROM_CACHE:
             self._count("served_from_cache")
             self.cache._count("hit")
-            span.set(verdict="hit", version=cached.version)
+            if span is not None:
+                span.set(verdict="hit", version=cached.version)
             return cached
 
         self.cache._count("miss")
@@ -282,18 +296,19 @@ class ServiceWorkerProxy(Fetcher):
                 scrubbed, cached
             ):
                 self._count("swr_served")
-                span.set(verdict="swr", version=cached.version)
-                self.transport.env.process(
-                    self._background_revalidate(scrubbed, cached)
-                )
+                if span is not None:
+                    span.set(verdict="swr", version=cached.version)
+                env.process(self._background_revalidate(scrubbed, cached))
                 return cached
             self._count("revalidations")
-            span.set(verdict="revalidate")
+            if span is not None:
+                span.set(verdict="revalidate")
             response = yield from self._revalidate(scrubbed, cached, span)
             return response
 
         self._count("fetches")
-        span.set(verdict="fetch")
+        if span is not None:
+            span.set(verdict="fetch")
         response = yield from self.transport.fetch_via_cdn(
             self.node, scrubbed, self.cdn
         )
@@ -301,7 +316,7 @@ class ServiceWorkerProxy(Fetcher):
             degraded = self._serve_degraded(scrubbed, cached, span)
             if degraded is not None:
                 return degraded
-        admitted = self.cache.admit(scrubbed, response, self._now)
+        admitted = self.cache.admit(scrubbed, response, env.now)
         yield from self.transport.charge(self.cache.store)
         return admitted
 
@@ -315,19 +330,20 @@ class ServiceWorkerProxy(Fetcher):
         serving stays inside the widened Δ bound. Unbounded offline
         mode is the last resort (and opts out of the bound entirely).
         Returns ``None`` when no degraded serving is possible;
-        otherwise ``span``'s verdict names the serving's reason.
+        otherwise ``span``'s verdict (when tracing is on) names the
+        serving's reason.
         """
         degraded = None
         window = self.config.stale_if_error_window
         if window is not None:
             degraded = self.cache.serve_stale_if_error(
-                scrubbed, self._now, window
+                scrubbed, self.env.now, window
             )
             if degraded is not None:
                 self._count("stale_if_error_served")
         if degraded is None and cached is not None and self.config.offline_mode:
             degraded = self._serve_offline(cached)
-        if degraded is not None:
+        if degraded is not None and span is not None:
             span.set(
                 verdict=reason_of(degraded).value, version=degraded.version
             )
@@ -355,27 +371,30 @@ class ServiceWorkerProxy(Fetcher):
         """
         from repro.http.freshness import is_fresh_at
 
-        if not is_fresh_at(cached, self._now, shared=False):
+        now = self.env.now
+        if not is_fresh_at(cached, now, shared=False):
             return False
         entry = self.cache.store.peek(scrubbed.url.cache_key())
         if entry is None:
             return False
-        verified_age = self._now - entry.stored_at
+        verified_age = now - entry.stored_at
         return verified_age <= self.config.swr_staleness_budget
 
     def _revalidate(
-        self, scrubbed: Request, cached: Response, span=NULL_SPAN
+        self, scrubbed: Request, cached: Response, span=None
     ) -> Generator:
-        """Conditional refetch of a flagged/expired cached copy."""
+        """Conditional refetch of a flagged/expired cached copy.
+        ``span`` is ``None`` when tracing is off."""
         conditional = conditional_request_for(scrubbed, cached)
         response = yield from self.transport.fetch_via_cdn(
             self.node, conditional, self.cdn
         )
         if response.status == Status.NOT_MODIFIED:
-            refreshed = self.cache.refresh(scrubbed, response, self._now)
+            refreshed = self.cache.refresh(scrubbed, response, self.env.now)
             yield from self.transport.charge(self.cache.store)
             if refreshed is not None:
-                span.set(revalidated="304", version=refreshed.version)
+                if span is not None:
+                    span.set(revalidated="304", version=refreshed.version)
                 return refreshed
             response = yield from self.transport.fetch_via_cdn(
                 self.node, scrubbed, self.cdn
@@ -386,8 +405,9 @@ class ServiceWorkerProxy(Fetcher):
             degraded = self._serve_degraded(scrubbed, cached, span)
             if degraded is not None:
                 return degraded
-        span.set(revalidated="refetch")
-        admitted = self.cache.admit(scrubbed, response, self._now)
+        if span is not None:
+            span.set(revalidated="refetch")
+        admitted = self.cache.admit(scrubbed, response, self.env.now)
         yield from self.transport.charge(self.cache.store)
         return admitted
 
@@ -397,14 +417,17 @@ class ServiceWorkerProxy(Fetcher):
         """SWR's async refresh: its own root trace, marked background
         so latency attribution never charges it to the page load."""
         self._count("revalidations")
-        span = self.tracer.start(
-            "sw-background",
-            self._now,
-            node=self.node,
-            tier="sw",
-            background=True,
-        )
+        span = None
+        if self.tracer.enabled:
+            span = self.tracer.start(
+                "sw-background",
+                self.env.now,
+                node=self.node,
+                tier="sw",
+                background=True,
+            )
         scrubbed = scrubbed.copy()
-        scrubbed.trace = span.context
+        scrubbed.trace = span.context if span is not None else None
         yield from self._revalidate(scrubbed, cached, span)
-        self.tracer.finish(span, self._now)
+        if span is not None:
+            self.tracer.finish(span, self.env.now)

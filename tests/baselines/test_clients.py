@@ -152,6 +152,10 @@ class TestForwardingFrames:
             (NoCacheClient, "fetch"),
             (CookieJarFetcher, "fetch"),
             (BrowserClient, "_transport_fetch"),
+            # Untraced, these two only forward; the span-owning frame
+            # is interposed when tracing is on.
+            (BrowserClient, "fetch"),
+            (Transport, "_origin_exchange"),
             (ServiceWorkerProxy, "_pass_through"),
             (ServiceWorkerProxy, "_fetch_user_block"),
             (ServiceWorkerProxy, "_fetch_routed"),

@@ -880,3 +880,83 @@ def test_the_percentile_gate_trips_on_a_private_copy_of_the_formula():
     )
     found = percentile_definitions(sources)
     assert "harness/plots.py:cdf_table.percentile_of" in found
+
+
+# -- only the kernel sets the clock ------------------------------------------
+#
+# ``Environment.now`` is a plain attribute, read on every hop of the
+# request path without a property call. Nothing stops a module from
+# assigning it, so this gate does: ``.now`` is assigned (by statement
+# or by ``setattr``) only in ``sim/environment.py``.
+
+CLOCK_OWNER = "sim/environment.py"
+
+
+def _assigned_attributes(target):
+    if isinstance(target, ast.Attribute):
+        yield target.attr
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _assigned_attributes(element)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned_attributes(target.value)
+
+
+def now_assignments(sources):
+    """``path:line`` of every assignment to an attribute ``now``."""
+    found = []
+    for relative, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "now"
+            ):
+                found.append(f"{relative}:{node.lineno}")
+                continue
+            else:
+                continue
+            if any(
+                attr == "now"
+                for target in targets
+                for attr in _assigned_attributes(target)
+            ):
+                found.append(f"{relative}:{node.lineno}")
+    return sorted(found)
+
+
+def test_only_the_kernel_assigns_the_clock():
+    found = now_assignments(repro_sources())
+    assert found, "the kernel's own assignments went unseen"
+    assert [where for where in found if not where.startswith(CLOCK_OWNER)] == []
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    [
+        "self.env.now = event.at",
+        "self.env.now += delay",
+        "self.env.now, seen = event.at, True",
+        "setattr(self.env, 'now', event.at)",
+    ],
+)
+def test_the_clock_gate_trips_on_an_assignment_outside_the_kernel(assignment):
+    sources = repro_sources()
+    anchor = "            delay = event.at - self.env.now\n"
+    assert anchor in sources["harness/runner.py"]
+    mutant = sources["harness/runner.py"].replace(
+        anchor, anchor + f"            {assignment}\n"
+    )
+    sources["harness/runner.py"] = mutant
+    line = mutant.splitlines().index(f"            {assignment}") + 1
+    found = now_assignments(sources)
+    assert [where for where in found if not where.startswith(CLOCK_OWNER)] == [
+        f"harness/runner.py:{line}"
+    ]
