@@ -36,18 +36,23 @@ class CookieJarFetcher(Fetcher):
     def __init__(self, inner: Fetcher, user_id: Optional[str]) -> None:
         self.inner = inner
         self.user_id = user_id
-        #: The jar: one map, carried by every request that arrives
-        #: with no headers of its own (unused without a ``user_id``).
-        self._cookie = Headers({"Cookie": f"session={user_id}"})
+        if user_id is not None:
+            #: The jar: one map, carried by every request built for
+            #: this fetcher and given to every request that arrives
+            #: with no headers of its own.
+            self.request_headers = Headers({"Cookie": f"session={user_id}"})
 
     def _with_cookie(self, request: Request) -> Request:
         if self.user_id is None:
             return request
-        if not request.headers:  # the common case: one test, no new map
-            return request.with_headers(self._cookie)
-        if "Cookie" in request.headers:
+        headers = request.headers
+        if headers is self.request_headers:  # the common case: built here
             return request
-        return request.with_header("Cookie", self._cookie["Cookie"])
+        if not headers:
+            return request.with_headers(self.request_headers)
+        if "Cookie" in headers:
+            return request
+        return request.with_header("Cookie", self.request_headers["Cookie"])
 
     def fetch(self, request: Request) -> Generator:
         return self.inner.fetch(self._with_cookie(request))

@@ -9,6 +9,7 @@ from repro.browser.cache import BrowserCache
 from repro.cdn.network import Cdn
 from repro.browser.transport import Transport
 from repro.http.freshness import conditional_request_for
+from repro.http.headers import Headers
 from repro.http.messages import Request, Response, Status
 from repro.obs.tracer import NOOP_TRACER
 from repro.sim.metrics import MetricRegistry
@@ -26,6 +27,10 @@ class Fetcher:
     """
 
     transport: Transport
+    #: The header map the requests built for this fetcher carry (the
+    #: page load engine's): one map for all of them. The cookie jar's
+    #: holds its session cookie, so it passes such a request on as is.
+    request_headers: Headers = Headers()
 
     def fetch(self, request: Request) -> Generator:
         """Resolve one request."""

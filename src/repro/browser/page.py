@@ -11,11 +11,11 @@ until the last resource of the last wave has arrived.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.browser.client import Fetcher
 from repro.http.headers import Headers
-from repro.http.messages import Request, Response
+from repro.http.messages import Method, Request, Response
 from repro.http.url import URL
 from repro.obs.analysis import response_attrs
 from repro.obs.tracer import NOOP_TRACER
@@ -47,15 +47,28 @@ class PageSpec:
     name: str
     html: URL
     resources: List[PageResource] = field(default_factory=list)
+    #: The waves of a spec made read-only (:meth:`read_only`), grouped
+    #: once; ``None`` while ``resources`` may still be edited.
+    _waves: Optional[Tuple[Tuple[PageResource, ...], ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def waves(self) -> List[List[PageResource]]:
+    def waves(self) -> Sequence[Sequence[PageResource]]:
         """Subresources grouped by wave, in wave order."""
+        if self._waves is not None:
+            return self._waves
         if not self.resources:
             return []
         by_wave: Dict[int, List[PageResource]] = {}
         for resource in self.resources:
             by_wave.setdefault(resource.wave, []).append(resource)
         return [by_wave[wave] for wave in sorted(by_wave)]
+
+    def read_only(self) -> "PageSpec":
+        """This spec, from now on only read (a page builder shares it
+        among every view of the page): its waves are grouped once."""
+        self._waves = tuple(tuple(wave) for wave in self.waves())
+        return self
 
 
 @dataclass
@@ -114,9 +127,12 @@ class PageLoadEngine:
         responses: List[Response] = []
 
         # One map for the whole page load, carried by every
-        # resource's request (a header map is never edited).
-        shared = Headers(headers)
-        html_request = Request.get(page.html, headers=shared)
+        # resource's request (a header map is never edited): by
+        # default the fetcher's own, which it takes as it is.
+        shared = (
+            self.fetcher.request_headers if headers is None else Headers(headers)
+        )
+        html_request = Request(Method.GET, page.html, shared)
         if self.tracer.enabled:
             html_fetch = self._traced_fetch(html_request, trace, 0, 0)
         else:
@@ -162,23 +178,21 @@ class PageLoadEngine:
 
     def _load_wave(
         self,
-        wave: List[PageResource],
+        wave: Sequence[PageResource],
         headers: Headers,
         trace=None,
         wave_index: int = 1,
     ) -> Generator:
-        """Fetch one wave with bounded parallelism."""
-        pending = list(wave)
-        responses: List[Tuple[int, Response]] = []
+        """Fetch one wave with bounded parallelism; the responses come
+        back in the wave's order."""
+        responses: List[Response] = []
         # Launch in slots of MAX_PARALLEL: a simple but faithful model
         # of the browser's connection pool (slots refill as a batch).
-        index = 0
-        while index < len(pending):
-            batch = pending[index : index + MAX_PARALLEL]
+        for index in range(0, len(wave), MAX_PARALLEL):
             slot = index // MAX_PARALLEL
             requests = [
-                Request.get(resource.url, headers=headers)
-                for resource in batch
+                Request(Method.GET, resource.url, headers)
+                for resource in wave[index : index + MAX_PARALLEL]
             ]
             if self.batch_waves:
                 # One multiplexed lookup for the whole slot.
@@ -206,8 +220,7 @@ class PageLoadEngine:
                         ]
                     )
                     self.tracer.finish(span, self.env.now)
-                for offset, response in enumerate(batch_responses):
-                    responses.append((index + offset, response))
+                responses.extend(batch_responses)
             else:
                 traced = self.tracer.enabled
                 processes = [
@@ -219,8 +232,5 @@ class PageLoadEngine:
                     for request in requests
                 ]
                 done = yield self.env.all_of(processes)
-                for offset, process in enumerate(processes):
-                    responses.append((index + offset, done[process]))
-            index += len(batch)
-        responses.sort(key=lambda pair: pair[0])
-        return [response for _, response in responses]
+                responses += [done[process] for process in processes]
+        return responses

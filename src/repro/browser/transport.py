@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence
 
 from repro.cdn.edge import EdgeCache
 from repro.cdn.network import Cdn
@@ -44,7 +44,7 @@ from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import TXN_VALIDATE_PATH, OriginServer
 from repro.overload.priority import classify_request
 from repro.sim.environment import Environment
-from repro.sim.metrics import Counter
+from repro.sim.metrics import MetricRegistry
 from repro.simnet.faults import NO_FAULTS, FaultSchedule
 from repro.simnet.topology import ORIGIN_NODE, Topology
 
@@ -103,21 +103,14 @@ class Transport:
         #: keeps every code path draw-for-draw identical to the
         #: ungoverned transport.
         self.overload = overload
-        # Handles on the registry's counters, each resolved by its
-        # first count (never earlier: a counter that exists shows in
-        # the run's exported metrics).
-        self._counters: Dict[str, Counter] = {}
-
-    def _count(self, name: str, amount: float = 1.0) -> None:
-        """Count under ``name``. Egress is counted as ``bytes.<who
-        paid>``: a response that declares no usable ``Content-Length``
-        is billed, and transferred, as headers only: 0 bytes."""
-        if self.metrics is None:
-            return
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = self.metrics.counter(name)
-        counter.inc(amount)
+        #: Handles on the run's counters by full name (without a
+        #: registry, on one nobody reads). Egress is counted as
+        #: ``bytes.<who paid>``: a response that declares no usable
+        #: ``Content-Length`` is billed, and transferred, as headers
+        #: only: 0 bytes.
+        self._counters = (
+            metrics if metrics is not None else MetricRegistry()
+        ).handles("")
 
     def charge(self, store, concurrent: float = 0.0) -> Generator:
         """Convert a store's accrued engine latency into simulated time.
@@ -198,7 +191,7 @@ class Transport:
         """
         link = self.topology.link(from_node, ORIGIN_NODE)
         if self.faults.loses_message(from_node, ORIGIN_NODE):
-            self._count("transport.lost_requests")
+            self._counters["transport.lost_requests"].inc()
             if span is not None:
                 span.event("lost-request", at=self.env.now)
             yield self.env.timeout(ATTEMPT_TIMEOUT)
@@ -224,11 +217,11 @@ class Transport:
                 )
                 return self._shed_response(request, ORIGIN_NODE)
         response = self._origin_handle(request)
-        self._count("bytes.origin_egress", response.content_length or 0)
+        self._counters["bytes.origin_egress"].inc(response.content_length or 0)
         if self.faults.loses_message(ORIGIN_NODE, from_node):
             # The origin did the work (and sent the bytes), but the
             # reply never arrives; the sender times out the remainder.
-            self._count("transport.lost_responses")
+            self._counters["transport.lost_responses"].inc()
             if span is not None:
                 span.event("lost-response", at=self.env.now)
             yield self.env.timeout(max(0.0, ATTEMPT_TIMEOUT - forward))
@@ -315,11 +308,11 @@ class Transport:
                 break
             backoff = policy.backoff_after(attempt)
             if self.env.now + backoff >= deadline:
-                self._count("transport.budget_exhausted")
+                self._counters["transport.budget_exhausted"].inc()
                 if span is not None:
                     span.event("budget-exhausted", at=self.env.now)
                 break
-            self._count("transport.retries")
+            self._counters["transport.retries"].inc()
             if span is not None:
                 span.event("retry", at=self.env.now, backoff=backoff)
             yield self.env.timeout(backoff)
@@ -353,15 +346,15 @@ class Transport:
             from_node, request, parent=parent
         )
         if response.status != Status.OK or not response.body:
-            self._count("txn.validation_failures")
+            self._counters["txn.validation_failures"].inc()
             return None
         try:
             verdict = json.loads(response.body)
         except (TypeError, ValueError):
-            self._count("txn.validation_failures")
+            self._counters["txn.validation_failures"].inc()
             return None
         if "validated_at" not in verdict:
-            self._count("txn.validation_failures")
+            self._counters["txn.validation_failures"].inc()
             return None
         return verdict
 
@@ -405,7 +398,7 @@ class Transport:
             edge_name, env.now
         ):
             # Breaker open: bypass the PoP entirely, pass through.
-            self._count("breaker.pass_through")
+            self._counters["breaker.pass_through"].inc()
             if span is not None:
                 span.event("breaker-open", at=env.now)
             response = yield from self.fetch_direct(
@@ -425,7 +418,7 @@ class Transport:
         now = env.now
         if self.faults.should_fail(edge_name, now):
             # The PoP is dark: fail over to the origin directly.
-            self._count("transport.edge_failures")
+            self._counters["transport.edge_failures"].inc()
             if span is not None:
                 span.event("edge-down", at=now)
             if self.breaker is not None:
@@ -496,7 +489,7 @@ class Transport:
             response = answer
             if span is not None:
                 span.event("not-modified-to-client", at=env.now)
-        self._count("bytes.edge_egress", response.content_length or 0)
+        self._counters["bytes.edge_egress"].inc(response.content_length or 0)
         client_link = self.topology.link(client_node, edge_name)
         transit = client_link.one_way(self.rng) * self.faults.latency_factor(
             edge_name, client_node
@@ -558,7 +551,7 @@ class Transport:
         if self.breaker is not None and not self.breaker.allow(
             edge_name, self.env.now
         ):
-            self._count("breaker.pass_through")
+            self._counters["breaker.pass_through"].inc()
             span.event("breaker-open", at=self.env.now)
             responses = yield from self._fetch_many_direct(
                 client_node, requests, parent=span
@@ -571,7 +564,7 @@ class Transport:
             * self.faults.latency_factor(client_node, edge_name)
         )
         if self.faults.should_fail(edge_name, self.env.now):
-            self._count("transport.edge_failures")
+            self._counters["transport.edge_failures"].inc()
             span.event("edge-down", at=self.env.now)
             if self.breaker is not None:
                 self.breaker.record_failure(edge_name, self.env.now)
@@ -655,7 +648,7 @@ class Transport:
         for index, response in enumerate(responses):
             response = _honor_validators(requests[index], response)
             responses[index] = response
-            self._count("bytes.edge_egress", response.content_length or 0)
+            self._counters["bytes.edge_egress"].inc(response.content_length or 0)
             total_length += response.content_length or 0
         client_link = self.topology.link(client_node, edge_name)
         transit = client_link.one_way(self.rng) * self.faults.latency_factor(
@@ -724,7 +717,7 @@ class Transport:
                 request, self.env.now, self.stale_if_error
             )
             if stale is not None:
-                self._count("transport.stale_if_error")
+                self._counters["transport.stale_if_error"].inc()
                 if span is not None:
                     span.set(verdict="stale-if-error", version=stale.version)
                 return stale

@@ -22,12 +22,12 @@ copied, because nothing a reader holds can be edited.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
-from repro.http.degraded import Degraded, mark, reason_of
+from repro.http.degraded import Degraded, mark
 from repro.http.freshness import is_cacheable
 from repro.http.messages import Request, Response, Status
-from repro.sim.metrics import Counter, MetricRegistry
+from repro.sim.metrics import MetricRegistry
 
 #: Called with ``(cache_key, response, now)`` after every admission.
 AdmitObserver = Callable[[str, Response, float], None]
@@ -37,10 +37,6 @@ class HttpCache:
     """A passive caching node wrapping a :class:`CacheStore`."""
 
     #: Metric name prefix; subclasses override ("edge", "browser", "sw").
-    #: A shared node (a PoP: infrastructure, a handful per run) counts
-    #: under its own name, ``edge.<pop>.hit``; a private one (a user's
-    #: browser or service-worker cache) under the scope alone,
-    #: ``sw.hit`` — a metric name never carries a user's id.
     METRIC_SCOPE = "cache"
 
     def __init__(
@@ -52,10 +48,15 @@ class HttpCache:
         self.name = name
         self.store = store
         self.metrics = metrics or MetricRegistry()
-        # This node's counters by short name, each created in the
-        # registry by its first count (never earlier: a counter that
-        # exists shows in the run's exported metrics).
-        self._counters: Dict[str, Counter] = {}
+        #: This node's counters by short name (``counters["hit"]``).
+        #: A shared node (a PoP: infrastructure, a handful per run)
+        #: counts under its own name, ``edge.<pop>.hit``; a private one
+        #: (a user's browser or service-worker cache) under the scope
+        #: alone, ``sw.hit`` — a metric name never carries a user's id.
+        scope = self.METRIC_SCOPE
+        self.counters = self.metrics.handles(
+            f"{scope}.{name}." if store.shared else f"{scope}."
+        )
         #: Notified after each stored admission (PoP replication hooks
         #: in here; the node itself stays passive).
         self.admit_observers: List[AdmitObserver] = []
@@ -64,23 +65,10 @@ class HttpCache:
     def shared(self) -> bool:
         return self.store.shared
 
-    def _metric_name(self, which: str) -> str:
-        if self.shared:
-            return f"{self.METRIC_SCOPE}.{self.name}.{which}"
-        return f"{self.METRIC_SCOPE}.{which}"
-
-    def _count(self, which: str, amount: float = 1.0) -> None:
-        counter = self._counters.get(which)
-        if counter is None:
-            counter = self._counters[which] = self.metrics.counter(
-                self._metric_name(which)
-            )
-        counter.inc(amount)
-
     def counted(self, which: str) -> float:
-        """What :meth:`_count` has counted under ``which`` so far.
-        Reading never creates the counter."""
-        counter = self.metrics.get_counter(self._metric_name(which))
+        """What ``counters[which]`` has counted so far. Reading never
+        creates the counter."""
+        counter = self.metrics.get_counter(self.counters.name_of(which))
         return counter.value if counter is not None else 0.0
 
     # -- request protocol ---------------------------------------------------
@@ -90,9 +78,9 @@ class HttpCache:
         key = request.url.cache_key()
         entry = self.store.get_fresh(key, now)
         if entry is None:
-            self._count("miss")
+            self.counters["miss"].inc()
             return None
-        self._count("hit")
+        self.counters["hit"].inc()
         return entry.response.served(self.name)
 
     def serve_many(
@@ -112,18 +100,19 @@ class HttpCache:
         for key in keys:
             entry = entries.get(key)
             if entry is None:
-                self._count("miss")
+                self.counters["miss"].inc()
                 responses.append(None)
                 continue
-            self._count("hit")
+            self.counters["hit"].inc()
             responses.append(entry.response.served(self.name))
         return responses
 
-    def serve_even_stale(self, request: Request, now: float) -> Optional[Response]:
-        """Any stored copy regardless of freshness (for SWR and the
-        sketch-based decision procedure, which has its own staleness
-        rules)."""
-        entry = self.store.get(request.url.cache_key(), now)
+    def serve_even_stale(self, key: str, now: float) -> Optional[Response]:
+        """Any stored copy of cache key ``key`` regardless of freshness
+        (for SWR and the sketch-based decision procedure, which has its
+        own staleness rules). Asked by key: a device hit builds no
+        request to ask with."""
+        entry = self.store.get(key, now)
         if entry is None:
             return None
         return entry.response.served(self.name)
@@ -148,7 +137,7 @@ class HttpCache:
         # under a mark that says "bounded".
         if entry is None or not 0 <= now - entry.stored_at <= grace:
             return None
-        self._count("stale_if_error")
+        self.counters["stale_if_error"].inc()
         return mark(entry.response.served(self.name), Degraded.STALE_IF_ERROR)
 
     def revalidation_base(
@@ -176,12 +165,12 @@ class HttpCache:
         """
         if (
             response.status == Status.OK
-            and reason_of(response) is None
+            and response.degraded is None
             and is_cacheable(response, shared=self.shared)
         ):
             key = request.url.cache_key()
             self.store.put(key, response, now)
-            self._count("fill")
+            self.counters["fill"].inc()
             for observer in self.admit_observers:
                 observer(key, response, now)
         return response
@@ -210,7 +199,7 @@ class HttpCache:
             generated_at=not_modified.generated_at,
         )
         self.store.put(key, refreshed, now)
-        self._count("revalidated")
+        self.counters["revalidated"].inc()
         return refreshed.served(self.name)
 
     # -- invalidation ----------------------------------------------------------
@@ -223,5 +212,5 @@ class HttpCache:
         """
         purged = self.store.remove_many(list(keys))
         if purged:
-            self._count("purge", purged)
+            self.counters["purge"].inc(purged)
         return purged

@@ -60,6 +60,9 @@ class PopReplicator:
         self._cdn = weakref.ref(cdn)
         self.delay = delay
         self.metrics = metrics or cdn.metrics
+        #: Handles on the ``replication.*`` and ``edge.<pop>.replicated``
+        #: counters, by full name.
+        self._counters = self.metrics.handles("")
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         #: Most recent purge instant per key; deliveries sent at or
         #: before it are dropped on arrival.
@@ -81,12 +84,14 @@ class PopReplicator:
             if name == source or key in sibling.store:
                 continue
             self._in_flight[key] = self._in_flight.get(key, 0) + 1
-            self.metrics.counter("replication.sent").inc()
-            self.env.process(self._deliver(name, sibling, key, response, now))
+            self._counters["replication.sent"].inc()
+            deliver = self._deliver_in_span if self.tracer.enabled else self._deliver
+            self.env.process(deliver(name, sibling, key, response, now))
 
-    def _deliver(
+    def _deliver_in_span(
         self, name: str, sibling, key: str, response: Response, sent_at: float
     ):
+        """:meth:`_deliver` inside a ``replication`` span (tracing on)."""
         span = self.tracer.start(
             "replication",
             sent_at,
@@ -95,13 +100,11 @@ class PopReplicator:
             key=key,
             version=response.version,
         )
-        outcome = yield from self._deliver_inner(
-            name, sibling, key, response, sent_at
-        )
+        outcome = yield from self._deliver(name, sibling, key, response, sent_at)
         span.set(outcome=outcome)
         self.tracer.finish(span, self.env.now)
 
-    def _deliver_inner(
+    def _deliver(
         self, name: str, sibling, key: str, response: Response, sent_at: float
     ):
         yield self.env.timeout(self.delay)
@@ -113,28 +116,28 @@ class PopReplicator:
         if self._superseded(key, sent_at):
             # The key was purged after this replica left its source:
             # applying it would re-poison the sibling past the purge.
-            self.metrics.counter("replication.dropped_purged").inc()
+            self._counters["replication.dropped_purged"].inc()
             return "dropped-purged"
         resident = sibling.store.peek(key)
         if resident is not None:
             if is_fresh_at(resident.response, self.env.now, shared=True):
                 # The sibling's own copy is still serving; keep it.
-                self.metrics.counter("replication.dropped_present").inc()
+                self._counters["replication.dropped_present"].inc()
                 return "dropped-present"
             if not self._newer_than(response, resident.response):
                 # The resident is expired but the replica is no newer:
                 # replacing it could regress a client's observed
                 # version, so leave the expired copy to revalidate.
-                self.metrics.counter("replication.dropped_present").inc()
+                self._counters["replication.dropped_present"].inc()
                 return "dropped-present"
         if not is_fresh_at(response, self.env.now, shared=True):
-            self.metrics.counter("replication.dropped_stale").inc()
+            self._counters["replication.dropped_stale"].inc()
             return "dropped-stale"
         if resident is not None:
-            self.metrics.counter("replication.replaced_stale").inc()
+            self._counters["replication.replaced_stale"].inc()
         sibling.store.put(key, response, self.env.now)
-        self.metrics.counter(f"edge.{name}.replicated").inc()
-        self.metrics.counter("replication.applied").inc()
+        self._counters["edge", name, "replicated"].inc()
+        self._counters["replication.applied"].inc()
         return "applied"
 
     @staticmethod

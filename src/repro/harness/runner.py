@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional
 
 from repro.baselines.clients import CookieJarFetcher, NoCacheClient
 from repro.browser.cache import BrowserCache
@@ -15,15 +15,14 @@ from repro.browser.transport import Transport
 from repro.cdn.network import DEFAULT_POP, Cdn
 from repro.coherence.checker import DeltaAtomicityChecker
 from repro.coherence.client import SketchClient
-from repro.http.degraded import reason_of
 from repro.http.messages import Method, Request, Status
 from repro.http.url import URL
 from repro.invalidation.pipeline import InvalidationPipeline
 from repro.obs import NOOP_TRACER, RecordingTracer
-from repro.origin.server import OriginServer
+from repro.origin.server import SEGMENT_PARAM, OriginServer
 from repro.origin.site import ResourceKind
 from repro.sim.environment import Environment
-from repro.sim.metrics import Counter, MetricRegistry
+from repro.sim.metrics import Histogram, MetricRegistry, TimeSeries
 from repro.sim.rng import RngStreams
 from repro.simnet.faults import NO_FAULTS, FaultSchedule
 from repro.simnet.profiles import build_web_topology
@@ -190,13 +189,18 @@ class SimulationRunner:
         spec = self.spec
         self.env = Environment()
         self.streams = RngStreams(spec.seed)
-        self.metrics = MetricRegistry()
-        # (layer, kind) -> its serve.layer / serve.kind counters, both
-        # created by the first response of that pair (never earlier: a
-        # counter that exists shows in the exported metrics).
-        self._serve_counters: Dict[
-            Tuple[str, str], Tuple[Counter, Counter]
-        ] = {}
+        self.metrics = metrics = MetricRegistry()
+        # The ledger's handles: keyed by layer, kind, page kind and
+        # connection profile, never by user, so they stay a handful.
+        self._serve_layer = metrics.handles("serve.layer.")
+        self._serve_kind = metrics.handles("serve.kind.")  # (layer, kind)
+        self._serve_shed = metrics.handles("serve.shed.")
+        self._serve_degraded = metrics.handles("serve.degraded.")
+        self._plt_by_page = metrics.handles("plt.page.", Histogram)
+        self._plt_by_conn = metrics.handles("plt.conn.", Histogram)
+        self._plt_series = metrics.handles("plt.", TimeSeries)
+        self._txns_by_level = metrics.handles("txn.level.")
+        self._txn_plt_by_level = metrics.handles("txn.plt.", Histogram)
         # Tracing is opt-in: the no-op tracer hands every caller the
         # shared null span, so the request path pays one attribute
         # lookup per hop when disabled.
@@ -671,12 +675,11 @@ class SimulationRunner:
             self.metrics.counter("txn.erase_conflicts").inc()
         if txn.aborts:
             self.metrics.counter("txn.aborts").inc(txn.aborts)
-        self.metrics.counter(f"txn.level.{txn.requested.value}").inc()
+        level = txn.requested.value
+        self._txns_by_level[level].inc()
         # Per-level latency histograms: the consistency-vs-PLT curve is
         # a percentile query away, and shards merge exactly.
-        self.metrics.histogram(f"txn.plt.{txn.requested.value}").observe(
-            txn.plt
-        )
+        self._txn_plt_by_level[level].observe(txn.plt)
         self.metrics.histogram("txn.aborts.per_txn").observe(txn.aborts)
         for read in txn.reads:
             self._record_response(
@@ -725,34 +728,31 @@ class SimulationRunner:
     def _record_page_load(
         self, user: User, event: PageView, result, delta_covered: bool = True
     ) -> None:
-        self._plt.observe(result.plt)
-        self.metrics.histogram(f"plt.page.{event.page_kind}").observe(
-            result.plt
-        )
-        self.metrics.histogram(f"plt.conn.{user.connection}").observe(
-            result.plt
-        )
+        plt = result.plt
+        self._plt.observe(plt)
+        self._plt_by_page[event.page_kind].observe(plt)
+        self._plt_by_conn[user.connection].observe(plt)
         # Timeline for phase-based analyses (flash sale, outages).
-        self.metrics.series("plt.timeline").record(
-            result.started_at, result.plt
-        )
+        self._plt_series["timeline"].record(result.started_at, plt)
+        responses = result.responses
         if self._overload_slo is not None:
             # Goodput: every response clean (no 5xx, no shed, no
             # degraded fallback) *and* the page met the profile's SLO.
             clean = not any(
-                response.status.is_server_error
+                response.status >= 500
                 or (
-                    (reason := reason_of(response)) is not None
+                    (reason := response.degraded) is not None
                     and reason.fallback
                 )
-                for response in result.responses
+                for response in responses
             )
-            if clean and result.plt <= self._overload_slo:
+            if clean and plt <= self._overload_slo:
                 self.metrics.counter("overload.goodput_pages").inc()
-        for response in result.responses:
-            self._record_response(response, delta_covered, client=user.user_id)
-        if result.responses:
-            self._record_personalization(user, result.responses[0])
+        client = user.user_id
+        for response in responses:
+            self._record_response(response, delta_covered, client)
+        if responses:
+            self._record_personalization(user, responses[0])
 
     def _record_personalization(self, user: User, html_response) -> None:
         """Did a logged-in user get correctly personalized HTML?
@@ -763,8 +763,6 @@ class SimulationRunner:
         to a logged-in user counts as a personalization miss — the
         failure mode of caching personalized pages naively.
         """
-        from repro.origin.server import SEGMENT_PARAM
-
         if not user.logged_in or html_response.status != Status.OK:
             return
         if html_response.kind not in ("page", "query"):
@@ -784,11 +782,15 @@ class SimulationRunner:
 
     @staticmethod
     def _layer_of(served_by: str) -> str:
-        if served_by.startswith("browser:"):
-            return "browser"
-        if served_by.startswith("sw:"):
+        """The serving layer ``served_by`` names: a service-worker or
+        browser cache (``sw:<user>``, ``browser:<user>``) or an edge
+        PoP; any other name (``origin``, ``network``) is its own layer.
+        Compared by prefix slices, the device hit's first."""
+        if served_by[:3] == "sw:":
             return "sw"
-        if served_by.startswith("edge"):
+        if served_by[:8] == "browser:":
+            return "browser"
+        if served_by[:4] == "edge":
             return "edge"
         return served_by
 
@@ -799,37 +801,31 @@ class SimulationRunner:
         client: Optional[str] = None,
         read_at: Optional[float] = None,
     ) -> None:
-        if response.status.is_server_error:
+        status = response.status
+        if status >= 500:
             self.metrics.counter("serve.failed").inc()
             return
         # The one classification of a marked answer: which ledger it
         # enters, whether it is a hit, whether it is a checked read.
-        reason = reason_of(response)
+        reason = response.degraded
         if reason is not None and not reason.served:
             # A synthesized shed answer is counted on its own — it
             # must not pollute the serve/hit ledgers or the coherence
             # read log.
-            layer = self._layer_of(response.served_by)
-            self.metrics.counter(f"serve.shed.{layer}").inc()
+            self._serve_shed[self._layer_of(response.served_by)].inc()
             return
-        if response.status != Status.OK or response.version is None:
+        if status != 200 or response.version is None:
             return
         layer = self._layer_of(response.served_by)
-        kind = response.kind if response.kind is not None else "unknown"
-        counters = self._serve_counters.get((layer, kind))
-        if counters is None:
-            counters = self._serve_counters[(layer, kind)] = (
-                self.metrics.counter(f"serve.layer.{layer}"),
-                self.metrics.counter(f"serve.kind.{layer}.{kind}"),
-            )
-        for counter in counters:
-            counter.inc()
+        kind = response.kind
+        self._serve_layer[layer].inc()
+        self._serve_kind[layer, "unknown" if kind is None else kind].inc()
         if reason is not None:
             if reason.fallback:
                 # Fallback servings (stale-if-error, offline mode) are
                 # availability wins, not fresh cache hits — they are
                 # tallied separately so hit ratios stay honest.
-                self.metrics.counter(f"serve.degraded.{layer}").inc()
+                self._serve_degraded[layer].inc()
             if not reason.checked:
                 # Offline serving explicitly trades Δ-atomicity for
                 # availability; these reads are accounted, not checked.

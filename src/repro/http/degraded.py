@@ -5,7 +5,8 @@ header, and every tier treats a marked answer the same way. Producers
 build the marked answer with :func:`mark` — a new response; the one it
 was made from stays unmarked, so a cache that holds it keeps serving it
 — and a response knows its reason from construction (:func:`reason_in`
-over its header names). Each rule is asked of :func:`reason_of` at one
+over its header names, kept as ``Response.degraded``, which
+:func:`reason_of` returns). Each rule is asked of that fact at one
 place: never cached (``HttpCache.admit``), never 304-converted (the CDN
 transport), which ledger and whether the Δ-checker judges it (the
 runner's response classification), which span attribute

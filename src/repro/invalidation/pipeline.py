@@ -24,7 +24,7 @@ from repro.http.messages import Response
 from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import OriginServer
 from repro.sim.environment import Environment
-from repro.sim.metrics import MetricRegistry
+from repro.sim.metrics import Histogram, MetricRegistry, TimeSeries
 from repro.sketch.cache_sketch import ServerCacheSketch
 
 
@@ -81,6 +81,9 @@ class InvalidationPipeline:
         self.detection_latency = detection_latency
         self.purge_latency = purge_latency
         self.metrics = metrics or MetricRegistry()
+        self._counters = self.metrics.handles("invalidation.")
+        self._histograms = self.metrics.handles("invalidation.", Histogram)
+        self._series = self.metrics.handles("invalidation.", TimeSeries)
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         #: Optional :class:`~repro.overload.ControlPlane`: purges ride
         #: its control lane — accounted, never queued, never shed.
@@ -110,47 +113,52 @@ class InvalidationPipeline:
         """Kick off asynchronous processing of one change's affected
         set (empty when the change affects no resource)."""
         if not resource_keys:
-            self.metrics.counter("invalidation.no_op_changes").inc()
+            self._counters["no_op_changes"].inc()
             return
         self.env.process(self._process(resource_keys, at))
 
     # -- asynchronous processing -----------------------------------------------
 
     def _process(self, resource_keys: FrozenSet[str], write_at: float):
-        """Simulated pipeline execution for one change."""
-        span = self.tracer.start(
-            "invalidation",
-            self.env.now,
-            node="origin",
-            tier="invalidation",
-            resources=sorted(resource_keys),
-            write_at=write_at,
-        )
-        yield self.env.timeout(self.detection_latency)
+        """Simulated pipeline execution for one change. Its spans, and
+        their sorted key lists, are built only when tracing is on."""
+        env = self.env
+        tracer = self.tracer
+        span = purge_span = None
+        if tracer.enabled:
+            span = tracer.start(
+                "invalidation",
+                env.now,
+                node="origin",
+                tier="invalidation",
+                resources=sorted(resource_keys),
+                write_at=write_at,
+            )
+        yield env.timeout(self.detection_latency)
         cache_keys = self._expand(resource_keys)
-        span.event("sketch-report", at=self.env.now, n_keys=len(cache_keys))
-        self.metrics.histogram("invalidation.sketch_latency").observe(
-            self.env.now - write_at
-        )
+        if span is not None:
+            span.event("sketch-report", at=env.now, n_keys=len(cache_keys))
+        self._histograms["sketch_latency"].observe(env.now - write_at)
         if self.sketch is not None:
             for cache_key in sorted(cache_keys):
-                self.sketch.report_write(cache_key, now=self.env.now)
-            self.metrics.series("invalidation.stale_keys").record(
-                self.env.now, self.sketch.stale_key_count(self.env.now)
+                self.sketch.report_write(cache_key, now=env.now)
+            self._series["stale_keys"].record(
+                env.now, self.sketch.stale_key_count(env.now)
             )
         ttl_policy = self.ttl_policy
         for resource_key in sorted(resource_keys):
-            ttl_policy.observe_resource_write(resource_key, self.env.now)
+            ttl_policy.observe_resource_write(resource_key, env.now)
 
-        yield self.env.timeout(self.purge_latency - self.detection_latency)
-        purge_span = self.tracer.start(
-            "purge",
-            self.env.now,
-            parent=span,
-            tier="invalidation",
-            n_keys=len(cache_keys),
-            keys=sorted(cache_keys)[:32],
-        )
+        yield env.timeout(self.purge_latency - self.detection_latency)
+        if span is not None:
+            purge_span = tracer.start(
+                "purge",
+                env.now,
+                parent=span,
+                tier="invalidation",
+                n_keys=len(cache_keys),
+                keys=sorted(cache_keys)[:32],
+            )
         if self.overload is not None:
             self.overload.control_ticket("invalidation", len(cache_keys))
         if self.cdn is not None:
@@ -166,13 +174,12 @@ class InvalidationPipeline:
             if replicator is not None:
                 superseded = replicator.in_flight_for(cache_keys)
                 if superseded:
-                    self.metrics.counter(
-                        "invalidation.replicas_superseded"
-                    ).inc(superseded)
-                    purge_span.set(replicas_superseded=superseded)
-                self.metrics.histogram(
-                    "invalidation.in_flight_replicas"
-                ).observe(float(superseded))
+                    self._counters["replicas_superseded"].inc(superseded)
+                    if purge_span is not None:
+                        purge_span.set(replicas_superseded=superseded)
+                self._histograms["in_flight_replicas"].observe(
+                    float(superseded)
+                )
             # One batched purge per PoP: a pipelined storage engine
             # charges ~one round trip for the whole variant fan-out
             # instead of one per key.
@@ -187,15 +194,14 @@ class InvalidationPipeline:
                 default=0.0,
             )
             if lag > 0:
-                yield self.env.timeout(lag)
-        self.tracer.finish(purge_span, self.env.now)
-        purge_latency = self.env.now - write_at
-        self.metrics.histogram("invalidation.purge_latency").observe(
-            purge_latency
-        )
-        self.metrics.counter("invalidation.processed").inc()
-        span.set(purge_latency=purge_latency)
-        self.tracer.finish(span, self.env.now)
+                yield env.timeout(lag)
+        purge_latency = env.now - write_at
+        self._histograms["purge_latency"].observe(purge_latency)
+        self._counters["processed"].inc()
+        if span is not None:
+            tracer.finish(purge_span, env.now)
+            span.set(purge_latency=purge_latency)
+            tracer.finish(span, env.now)
 
     def _expand(self, resource_keys: Iterable[str]) -> Set[str]:
         cache_keys: Set[str] = set()

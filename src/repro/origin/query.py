@@ -20,7 +20,9 @@ def _get_field(doc: Mapping[str, Any], path: str) -> Any:
     """Resolve a dotted field path; missing segments yield ``None``."""
     value: Any = doc
     for part in path.split("."):
-        if not isinstance(value, Mapping) or part not in value:
+        # A plain dict first: the ABC check is the slow, rare case.
+        mapping = type(value) is dict or isinstance(value, Mapping)
+        if not mapping or part not in value:
             return None
         value = value[part]
     return value

@@ -35,6 +35,7 @@ from repro.obs.tracer import NOOP_TRACER
 from repro.overload.priority import PriorityClass
 from repro.sim.environment import Environment
 from repro.sim.events import Event
+from repro.sim.metrics import Gauge, Histogram, MetricRegistry
 
 __all__ = ["NodeGovernor"]
 
@@ -64,6 +65,14 @@ class NodeGovernor:
         self.personalized_queue_limit = personalized_queue_limit
         self.admission = admission
         self.metrics = metrics
+        # Handles on the run's ``overload.*`` metrics (without a
+        # registry, on one nobody reads): run-wide totals and per-class
+        # sheds, then this node's counters, gauges and queue wait.
+        registry = metrics if metrics is not None else MetricRegistry()
+        self._overall = registry.handles("overload.")
+        self._counters = registry.handles(f"overload.{node}.")
+        self._gauges = registry.handles(f"overload.{node}.", Gauge)
+        self._waits = registry.handles(f"overload.{node}.", Histogram)
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self._active = 0
         #: (class rank, arrival seq, event, weight) — heap order is
@@ -76,14 +85,9 @@ class NodeGovernor:
         #: computable from the metrics stream alone.
         self._busy_area = 0.0
         self._last_change = env.now
-        if self.metrics is not None:
-            self.metrics.gauge(f"overload.{node}.capacity").set(capacity)
+        self._gauges["capacity"].set(capacity)
 
     # -- metrics plumbing --------------------------------------------------
-
-    def _count(self, name: str, n: int = 1) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc(n)
 
     def _advance_busy_clock(self) -> None:
         """Fold elapsed busy time into the integral (before a change)."""
@@ -92,22 +96,15 @@ class NodeGovernor:
         self._last_change = now
         if area > 0:
             self._busy_area += area
-            if self.metrics is not None:
-                self.metrics.counter(
-                    f"overload.{self.node}.busy_seconds"
-                ).inc(area)
+            self._counters["busy_seconds"].inc(area)
 
     def _publish_depth(self) -> None:
         depth = len(self._waiting)
         if depth > self.queue_depth_peak:
             self.queue_depth_peak = depth
-        if self.metrics is not None:
-            self.metrics.gauge(f"overload.{self.node}.queue_depth").set(
-                depth
-            )
-            self.metrics.gauge(f"overload.{self.node}.active").set(
-                self._active
-            )
+        gauges = self._gauges
+        gauges["queue_depth"].set(depth)
+        gauges["active"].set(self._active)
 
     # -- admission ---------------------------------------------------------
 
@@ -140,8 +137,9 @@ class NodeGovernor:
         counters are weighted so governor-side accounting matches
         response-side accounting one to one.
         """
-        self._count("overload.offered.total", weight)
-        self._count(f"overload.{self.node}.offered.{cls.label}", weight)
+        label = cls.label
+        self._overall["offered.total"].inc(weight)
+        self._counters["offered", label].inc(weight)
         if self._active < self.capacity and not self._waiting:
             self._advance_busy_clock()
             self._active += 1
@@ -157,45 +155,47 @@ class NodeGovernor:
             )
             self._seq += 1
             self._publish_depth()
-            self._count("overload.queued.total", weight)
-            queue_span = self.tracer.start(
-                "overload.queue",
-                arrived,
-                parent=parent,
-                node=self.node,
-                tier="overload",
-                cls=cls.label,
-                n=weight,
-                depth=len(self._waiting),
-            )
-            yield slot_event  # release() hands the slot over
-            self.tracer.finish(queue_span, self.env.now)
-            if self.metrics is not None:
-                self.metrics.histogram(f"overload.{self.node}.wait").observe(
-                    self.env.now - arrived
+            self._overall["queued.total"].inc(weight)
+            queue_span = None
+            if self.tracer.enabled:
+                queue_span = self.tracer.start(
+                    "overload.queue",
+                    arrived,
+                    parent=parent,
+                    node=self.node,
+                    tier="overload",
+                    cls=label,
+                    n=weight,
+                    depth=len(self._waiting),
                 )
-        self._count("overload.admitted.total", weight)
-        self._count(f"overload.{self.node}.admitted.{cls.label}", weight)
+            yield slot_event  # release() hands the slot over
+            if queue_span is not None:
+                self.tracer.finish(queue_span, self.env.now)
+            self._waits["wait"].observe(self.env.now - arrived)
+        self._overall["admitted.total"].inc(weight)
+        self._counters["admitted", label].inc(weight)
         if self.service_time > 0:
             yield self.env.timeout(self.service_time)
         self._release()
         return True
 
     def _shed(self, cls: PriorityClass, parent, weight: int) -> None:
-        self._count("overload.shed.total", weight)
-        self._count(f"overload.shed.{cls.label}", weight)
-        self._count(f"overload.{self.node}.shed.{cls.label}", weight)
-        span = self.tracer.start(
-            "overload.shed",
-            self.env.now,
-            parent=parent,
-            node=self.node,
-            tier="overload",
-            cls=cls.label,
-            n=weight,
-            depth=len(self._waiting),
-        )
-        self.tracer.finish(span, self.env.now)
+        label = cls.label
+        self._overall["shed.total"].inc(weight)
+        self._overall["shed", label].inc(weight)
+        self._counters["shed", label].inc(weight)
+        if self.tracer.enabled:
+            span = self.tracer.start(
+                "overload.shed",
+                self.env.now,
+                parent=parent,
+                node=self.node,
+                tier="overload",
+                cls=label,
+                n=weight,
+                depth=len(self._waiting),
+            )
+            self.tracer.finish(span, self.env.now)
 
     def _release(self) -> None:
         """Free one slot and grant it to the best queued waiter."""
@@ -221,9 +221,6 @@ class NodeGovernor:
             raise ValueError(f"capacity must be >= 1: {capacity}")
         self._advance_busy_clock()
         self.capacity = capacity
-        if self.metrics is not None:
-            self.metrics.gauge(f"overload.{self.node}.capacity").set(
-                capacity
-            )
+        self._gauges["capacity"].set(capacity)
         self._grant_waiters()
         self._publish_depth()

@@ -21,6 +21,7 @@ from typing import Dict, Optional, Sequence
 from repro.overload.governor import NodeGovernor
 from repro.overload.profiles import OverloadProfile
 from repro.sim.environment import Environment
+from repro.sim.metrics import MetricRegistry
 from repro.simnet.topology import ORIGIN_NODE
 
 __all__ = ["ControlPlane"]
@@ -42,6 +43,11 @@ class ControlPlane:
         self.profile = profile
         self.admission = admission
         self.metrics = metrics
+        #: Handles on ``overload.control.<total|kind>`` (without a
+        #: registry, on one nobody reads).
+        self._control = (
+            metrics if metrics is not None else MetricRegistry()
+        ).handles("overload.control.")
         self.origin_governor: Optional[NodeGovernor] = None
         if profile.origin_capacity > 0:
             self.origin_governor = NodeGovernor(
@@ -90,9 +96,8 @@ class ControlPlane:
         unconditional — see the module docstring for why the control
         lane bypasses the data-plane queues.
         """
-        if self.metrics is not None:
-            self.metrics.counter("overload.control.total").inc(n)
-            self.metrics.counter(f"overload.control.{kind}").inc(n)
+        self._control["total"].inc(n)
+        self._control[kind].inc(n)
 
     def publish(self) -> None:
         """Flush governor state to the metrics stream (a scrape).

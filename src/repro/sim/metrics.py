@@ -20,6 +20,17 @@ servings (stale-if-error and offline responses) under
 responses the degradation ladder kept alive. Names carry a tier
 (``sw.hit``, ``speedkit.scrubbed``), a PoP (``edge.<pop>.hit``) or a
 kind — never a user id; per-request detail lives in the spans.
+
+A component that counts on the request path holds :class:`Handles` —
+``metrics.handles("speedkit.")`` — and indexes them by the short name
+(``handles["hit"].inc()``): the registry's metric is created at the
+first index of its key, exactly when counting by name would have
+created it, and every later count is one dict lookup. No metric name
+is formatted per request.
+
+A collector refuses a NaN or infinite amount, naming itself: one
+such value would otherwise poison a counter's total or a histogram's
+order for the rest of the run.
 """
 
 from __future__ import annotations
@@ -29,10 +40,12 @@ from array import array
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+
+_INF = math.inf
 
 
-@dataclass
+@dataclass(slots=True)
 class Counter:
     """A monotonically increasing count."""
 
@@ -40,12 +53,16 @@ class Counter:
     value: float = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
+        # Chained, so NaN fails it too.
+        if not 0 <= amount < _INF:
+            raise ValueError(
+                f"counter {self.name!r} only goes up by a finite amount"
+                f" (use a Gauge): {amount}"
+            )
         self.value += amount
 
 
-@dataclass
+@dataclass(slots=True)
 class Gauge:
     """A value that can move up and down."""
 
@@ -53,7 +70,10 @@ class Gauge:
     value: float = 0.0
 
     def set(self, value: float) -> None:
-        self.value = float(value)
+        value = float(value)
+        if not -_INF < value < _INF:
+            raise ValueError(f"gauge {self.name!r} takes finite values: {value}")
+        self.value = value
 
 
 class Histogram:
@@ -77,6 +97,10 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
+        if not -_INF < value < _INF:
+            raise ValueError(
+                f"histogram {self.name!r} takes finite values: {value}"
+            )
         if self._values and value < self._values[-1]:
             self._sorted = False
         self._values.append(value)
@@ -192,6 +216,36 @@ class TimeSeries:
         return len(self.points)
 
 
+class Handles(dict):
+    """A component's handles on registry metrics, each created at its
+    first use.
+
+    ``handles[key]`` is the metric named ``prefix + key`` (a tuple key
+    names it by its parts joined with dots); a missing key creates it
+    through the registry's create-or-get, so it appears in the export
+    exactly when counting by name would have created it, and every
+    later index is a plain dict lookup. It holds the registry's
+    factory, never its owner, so it closes no reference cycle.
+    """
+
+    __slots__ = ("prefix", "_create")
+
+    def __init__(self, create: Callable[[str], object], prefix: str) -> None:
+        self.prefix = prefix
+        self._create = create
+
+    def name_of(self, key: Hashable) -> str:
+        """The metric name ``key`` stands for."""
+        return self.prefix + (key if isinstance(key, str) else ".".join(key))
+
+    def __missing__(self, key: Hashable):
+        # ``name_of`` inline: a component's first counts are many (one
+        # per worker and key on a cold population), each one call less.
+        name = self.prefix + (key if isinstance(key, str) else ".".join(key))
+        handle = self[key] = self._create(name)
+        return handle
+
+
 class MetricRegistry:
     """Create-or-get access to named metrics."""
 
@@ -222,6 +276,17 @@ class MetricRegistry:
         if name not in self._series:
             self._series[name] = TimeSeries(name)
         return self._series[name]
+
+    def handles(self, prefix: str, kind: type = Counter) -> Handles:
+        """Handles on this registry's metrics of ``kind`` (a collector
+        class) named under ``prefix``, each created at its first use."""
+        create = {
+            Counter: self.counter,
+            Gauge: self.gauge,
+            Histogram: self.histogram,
+            TimeSeries: self.series,
+        }[kind]
+        return Handles(create, prefix)
 
     def histograms(self) -> Dict[str, Histogram]:
         """Every histogram by name, in creation order (merged-in ones

@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.storage import BackendSpec
 
@@ -49,11 +49,10 @@ class Route(NamedTuple):
     segmented: bool
 
 
-#: Distinct ``(path, pattern lists)`` whose route stays resolved.
+#: Distinct paths whose route a configuration keeps resolved.
 _ROUTE_MEMO_SIZE = 4096
 
 
-@lru_cache(maxsize=_ROUTE_MEMO_SIZE)
 def _route(
     path: str,
     user_personalized: Tuple[str, ...],
@@ -61,11 +60,7 @@ def _route(
     whitelist: Tuple[str, ...],
     segment_personalized: Tuple[str, ...],
 ) -> Route:
-    """The routing decision for ``path`` — matched once, then looked up.
-
-    Keyed on the pattern *contents*: every worker of a site shares the
-    entry, and a list edited after first use is simply another key.
-    """
+    """The routing decision for ``path`` under the pattern lists."""
     return Route(
         user_block=_matches_globs(path, user_personalized),
         accelerate=not _matches_globs(path, blacklist)
@@ -126,6 +121,15 @@ class SpeedKitConfig:
     #: exactly this window), unlike ``offline_mode`` which is unbounded.
     #: ``None`` disables it.
     stale_if_error_window: Optional[float] = None
+    #: Each path's resolved :class:`Route` (one config serves every
+    #: worker of a run), valid while the pattern lists equal
+    #: ``_route_lists``, their contents when the memo was started.
+    _routes: Dict[str, Route] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _route_lists: Tuple[List[str], ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         # Chained comparisons, so NaN fails them too (``nan < 0`` and
@@ -146,15 +150,31 @@ class SpeedKitConfig:
     def route(self, path: str) -> Route:
         """The resolved :class:`Route` of ``path`` under the current
         pattern lists (the worker additionally requires a safe method
-        before accelerating)."""
+        before accelerating).
+
+        Resolved once per path and looked up after; the lists are
+        compared, not copied, per call, so one edited in place (or
+        replaced) since the memo was started starts it afresh.
+        """
         rules = self.rules
-        return _route(
-            path,
-            tuple(self.user_personalized),
-            tuple(rules.blacklist),
-            tuple(rules.whitelist),
-            tuple(self.segment_personalized),
+        lists = (
+            self.user_personalized,
+            rules.blacklist,
+            rules.whitelist,
+            self.segment_personalized,
         )
+        routes = self._routes
+        if lists != self._route_lists:
+            self._route_lists = tuple(list(patterns) for patterns in lists)
+            routes = self._routes = {}
+        route = routes.get(path)
+        if route is None:
+            if len(routes) >= _ROUTE_MEMO_SIZE:
+                routes.clear()
+            route = routes[path] = _route(
+                path, *(tuple(patterns) for patterns in lists)
+            )
+        return route
 
     @classmethod
     def ecommerce_default(cls) -> "SpeedKitConfig":

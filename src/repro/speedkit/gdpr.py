@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.http.headers import Headers
 from repro.http.messages import Request
+from repro.http.url import URL
 
 
 class Purpose(str, enum.Enum):
@@ -98,10 +99,12 @@ class ScrubReport:
 
     removed_headers: Tuple[str, ...] = ()
     removed_params: Tuple[str, ...] = ()
+    #: Read once per request, so decided once, when the report is made.
+    anything_removed: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def anything_removed(self) -> bool:
-        return bool(self.removed_headers or self.removed_params)
+    def __post_init__(self) -> None:
+        removed = bool(self.removed_headers or self.removed_params)
+        object.__setattr__(self, "anything_removed", removed)
 
 
 _NOTHING_REMOVED = ScrubReport()
@@ -184,9 +187,10 @@ class RequestScrubber:
             else _NOTHING_REMOVED
         )
 
-    def scrub(self, request: Request) -> Tuple[Request, ScrubReport]:
-        """A cleaned request — a new one, whose ``url`` and ``trace``
-        the caller may rebind — plus what was removed."""
+    def clean(self, request: Request) -> Tuple[URL, Headers, ScrubReport]:
+        """What :meth:`scrub` builds its request from — the cleaned URL
+        and header map — plus what was removed, for a caller that builds
+        the request itself (or, answering from its own cache, none)."""
         if request.headers is not self._last_map:
             self._scrub_headers(request.headers)
         report = self._last_report
@@ -201,10 +205,16 @@ class RequestScrubber:
                     removed.append(key)
             if removed:
                 report = ScrubReport(report.removed_headers, tuple(removed))
+        return url, self._last_kept, report
+
+    def scrub(self, request: Request) -> Tuple[Request, ScrubReport]:
+        """A cleaned request — a new one, whose ``url`` and ``trace``
+        the caller may rebind — plus what was removed."""
+        url, headers, report = self.clean(request)
         cleaned = Request(
             method=request.method,
             url=url,
-            headers=self._last_kept,
+            headers=headers,
             body=request.body,
             client_id=request.client_id,
             trace=request.trace,

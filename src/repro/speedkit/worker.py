@@ -19,7 +19,7 @@ three paths:
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Generator, Optional
+from typing import Generator, Optional
 
 from repro.cdn.cache import CacheStore
 from repro.cdn.httpcache import HttpCache
@@ -34,7 +34,7 @@ from repro.http.messages import Request, Response, Status
 from repro.http.url import URL
 from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import SEGMENT_PARAM
-from repro.sim.metrics import Counter, MetricRegistry
+from repro.sim.metrics import MetricRegistry
 from repro.speedkit.config import SpeedKitConfig
 from repro.speedkit.gdpr import (
     ConsentManager,
@@ -90,10 +90,8 @@ class ServiceWorkerProxy(Fetcher):
         self.scrubber = scrubber or RequestScrubber()
         self.metrics = metrics or MetricRegistry()
         # This worker's handles on the run-wide ``speedkit.<which>``
-        # counters (a metric name never carries the user's id), each
-        # created in the registry by its first count (never earlier: a
-        # counter that exists shows in the run's exported metrics).
-        self._counters: Dict[str, Counter] = {}
+        # counters (a metric name never carries the user's id).
+        self._counters = self.metrics.handles("speedkit.")
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.cache = _SwCache(
             f"sw:{node}",
@@ -111,14 +109,6 @@ class ServiceWorkerProxy(Fetcher):
         self.fallback = fallback or BrowserClient(
             node, transport, metrics=self.metrics
         )
-
-    def _count(self, which: str) -> None:
-        counter = self._counters.get(which)
-        if counter is None:
-            counter = self._counters[which] = self.metrics.counter(
-                f"speedkit.{which}"
-            )
-        counter.inc()
 
     # -- navigation hook -----------------------------------------------------
 
@@ -161,12 +151,12 @@ class ServiceWorkerProxy(Fetcher):
         if self.consent.allows(Purpose.ACCELERATION):
             route = self.config.route(request.url.path)
             if route.user_block:
-                self._count("user_block")
+                self._counters["user_block"].inc()
                 if span is not None:
                     span.set(path="user-block")
                 return self._fetch_user_block(request)
             if request.method.is_safe and route.accelerate:
-                self._count("accelerated")
+                self._counters["accelerated"].inc()
                 if span is not None:
                     span.set(path="accelerated")
                 return self._fetch_accelerated(
@@ -174,7 +164,7 @@ class ServiceWorkerProxy(Fetcher):
                 )
         # Pass-through: untouched, through the plain browser stack —
         # exactly the no-Speed-Kit behaviour (browser HTTP cache included).
-        self._count("pass_through")
+        self._counters["pass_through"].inc()
         if span is not None:
             span.set(path="pass-through")
         return self.fallback.fetch(request)
@@ -212,7 +202,7 @@ class ServiceWorkerProxy(Fetcher):
                 fetched[spec.name] = None
             else:
                 return response
-        self._count("assembled_pages")
+        self._counters["assembled_pages"].inc()
         return DynamicBlockAssembler().assemble(skeleton, fetched)
 
     # -- the other two paths --------------------------------------------------------
@@ -234,20 +224,15 @@ class ServiceWorkerProxy(Fetcher):
     ) -> Generator:
         """The Cache Sketch path. A device hit reads each input once:
         the sketch (again only after a refresh) and the clock (again
-        only after simulated time may have passed)."""
-        scrubbed, report = self.scrubber.scrub(request)
+        only after simulated time may have passed); it builds no
+        request of its own — only a request that goes upstream is
+        built, once, as the scrubbed variant."""
+        url, headers, report = self.scrubber.clean(request)
         if report.anything_removed:
-            self._count("scrubbed")
-        # ``scrubbed`` is the scrubber's fresh copy, so it is this
-        # worker's to rewrite and to hang its span on (downstream hops
-        # nest under it).
+            self._counters["scrubbed"].inc()
         if segmented:
-            scrubbed.url = _segment_variant(
-                scrubbed.url, self.segments.resolve()
-            )
-        context = None
-        if span is not None:
-            context = scrubbed.trace = span.context
+            url = _segment_variant(url, self.segments.resolve())
+        context = span.context if span is not None else None
 
         # The decision procedure requires a sketch younger than Δ;
         # fetch one on demand if the navigation prefetch is missing.
@@ -258,13 +243,36 @@ class ServiceWorkerProxy(Fetcher):
             sketch = sketch_client.usable_sketch()
 
         env = self.env
-        key = scrubbed.url.cache_key()
-        cached = self.cache.serve_even_stale(scrubbed, env.now)
-        yield from self.transport.charge(self.cache.store)
+        cache = self.cache
+        key = url.cache_key()
+        cached = cache.serve_even_stale(key, env.now)
+        # ``Transport.charge``'s drain, inline: a device hit whose
+        # store accrued nothing yields nothing and builds no generator.
+        lag = cache.store.drain_latency()
+        if lag > 0:
+            yield env.timeout(lag)
         now = env.now
         decision = decide(key, cached, sketch, now)
 
-        if decision is ReadDecision.SERVE_FROM_CACHE and sketch is None:
+        if decision is ReadDecision.SERVE_FROM_CACHE and sketch is not None:
+            self._counters["served_from_cache"].inc()
+            cache.counters["hit"].inc()
+            if span is not None:
+                span.set(verdict="hit", version=cached.version)
+            return cached
+
+        # The one request this path builds: the scrubbed variant. Its
+        # ``trace`` is this worker's span (``fetch`` hung it on the
+        # request), so downstream hops nest under it.
+        scrubbed = Request(
+            request.method,
+            url,
+            headers,
+            request.body,
+            request.client_id,
+            request.trace,
+        )
+        if decision is ReadDecision.SERVE_FROM_CACHE:
             # The sketch service is unreachable: without a usable
             # sketch the Δ guarantee lapses. Serve degraded if allowed
             # (bounded stale-if-error first, unbounded offline second)
@@ -283,30 +291,23 @@ class ServiceWorkerProxy(Fetcher):
                 else ReadDecision.FETCH
             )
 
-        if decision is ReadDecision.SERVE_FROM_CACHE:
-            self._count("served_from_cache")
-            self.cache._count("hit")
-            if span is not None:
-                span.set(verdict="hit", version=cached.version)
-            return cached
-
-        self.cache._count("miss")
+        self.cache.counters["miss"].inc()
         if decision is ReadDecision.REVALIDATE and cached is not None:
             if self.config.stale_while_revalidate and self._swr_allowed(
                 scrubbed, cached
             ):
-                self._count("swr_served")
+                self._counters["swr_served"].inc()
                 if span is not None:
                     span.set(verdict="swr", version=cached.version)
                 env.process(self._background_revalidate(scrubbed, cached))
                 return cached
-            self._count("revalidations")
+            self._counters["revalidations"].inc()
             if span is not None:
                 span.set(verdict="revalidate")
             response = yield from self._revalidate(scrubbed, cached, span)
             return response
 
-        self._count("fetches")
+        self._counters["fetches"].inc()
         if span is not None:
             span.set(verdict="fetch")
         response = yield from self.transport.fetch_via_cdn(
@@ -340,7 +341,7 @@ class ServiceWorkerProxy(Fetcher):
                 scrubbed, self.env.now, window
             )
             if degraded is not None:
-                self._count("stale_if_error_served")
+                self._counters["stale_if_error_served"].inc()
         if degraded is None and cached is not None and self.config.offline_mode:
             degraded = self._serve_offline(cached)
         if degraded is not None and span is not None:
@@ -356,7 +357,7 @@ class ServiceWorkerProxy(Fetcher):
         availability; the response is marked so coherence checkers can
         account for it separately.
         """
-        self._count("offline_served")
+        self._counters["offline_served"].inc()
         return mark(cached, Degraded.OFFLINE)
 
     def _swr_allowed(self, scrubbed: Request, cached: Response) -> bool:
@@ -416,7 +417,7 @@ class ServiceWorkerProxy(Fetcher):
     ) -> Generator:
         """SWR's async refresh: its own root trace, marked background
         so latency attribution never charges it to the page load."""
-        self._count("revalidations")
+        self._counters["revalidations"].inc()
         span = None
         if self.tracer.enabled:
             span = self.tracer.start(

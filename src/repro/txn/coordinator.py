@@ -34,6 +34,7 @@ from typing import Dict, Generator, List, Optional, Sequence
 from repro.http.degraded import Degraded, mark
 from repro.http.messages import Request, Response, Status
 from repro.http.url import URL
+from repro.obs.span import NULL_SPAN
 from repro.obs.tracer import NOOP_TRACER
 from repro.txn.levels import ConsistencyLevel
 from repro.txn.registry import TxnRegistry
@@ -156,16 +157,21 @@ class TxnCoordinator:
     ) -> Generator:
         """Run one transaction (generator sub-process → TxnResult)."""
         level = ConsistencyLevel.parse(level)
-        span = self.tracer.start(
-            "txn",
-            self.env.now,
-            parent=trace,
-            node=self.client_node,
-            tier="client",
-            user=self.user_id,
-            level=level.value,
-            n=len(urls),
-        )
+        # Untraced, the inert span takes the degrade/refetch events;
+        # the span and its closing attributes are built only traced.
+        tracer = self.tracer
+        span = NULL_SPAN
+        if tracer.enabled:
+            span = tracer.start(
+                "txn",
+                self.env.now,
+                parent=trace,
+                node=self.client_node,
+                tier="client",
+                user=self.user_id,
+                level=level.value,
+                n=len(urls),
+            )
         result = TxnResult(
             requested=level,
             achieved=level,
@@ -198,6 +204,11 @@ class TxnCoordinator:
                 floor = self._floor.get(read.version_key, 0)
                 if read.version > floor:
                     self._floor[read.version_key] = read.version
+        if tracer.enabled:
+            self._close_span(span, result)
+        return result
+
+    def _close_span(self, span, result: TxnResult) -> None:
         span.set(
             achieved=result.achieved.value,
             degraded=result.degraded,
@@ -222,7 +233,6 @@ class TxnCoordinator:
             ],
         )
         self.tracer.finish(span, self.env.now)
-        return result
 
     def _execute_inner(
         self, urls, level, result: TxnResult, context, span
@@ -270,45 +280,51 @@ class TxnCoordinator:
     # -- per-key reads -----------------------------------------------------
 
     def _read_one(self, url: URL, span) -> Generator:
-        read_span = self.tracer.start(
-            "txn-read",
-            self.env.now,
-            parent=span,
-            tier="client",
-            url=str(url),
-        )
+        read_span = None
         request = Request.get(url, client_id=self.user_id)
-        request.trace = read_span.context
+        if self.tracer.enabled:
+            read_span = self.tracer.start(
+                "txn-read",
+                self.env.now,
+                parent=span,
+                tier="client",
+                url=str(url),
+            )
+            request.trace = read_span.context
         response = yield from self.stack.fetch(request)
         read = _extract_read(url, response, self.env.now)
-        read_span.set(
-            status=int(response.status),
-            served_by=response.served_by,
-            version=response.version,
-        )
-        self.tracer.finish(read_span, self.env.now)
+        if read_span is not None:
+            read_span.set(
+                status=int(response.status),
+                served_by=response.served_by,
+                version=response.version,
+            )
+            self.tracer.finish(read_span, self.env.now)
         return read
 
     def _refetch_one(self, read: KeyRead, span) -> Generator:
         """Re-read one key directly from the origin (bypassing caches)."""
-        fetch_span = self.tracer.start(
-            "txn-refetch",
-            self.env.now,
-            parent=span,
-            tier="client",
-            url=str(read.url),
-        )
+        fetch_span = None
         request = Request.get(read.url, client_id=self.user_id)
-        request.trace = fetch_span.context
+        if self.tracer.enabled:
+            fetch_span = self.tracer.start(
+                "txn-refetch",
+                self.env.now,
+                parent=span,
+                tier="client",
+                url=str(read.url),
+            )
+            request.trace = fetch_span.context
         response = yield from self.transport.fetch_direct(
             self.client_node, request, parent=fetch_span
         )
-        fetch_span.set(
-            status=int(response.status),
-            served_by=response.served_by,
-            version=response.version,
-        )
-        self.tracer.finish(fetch_span, self.env.now)
+        if fetch_span is not None:
+            fetch_span.set(
+                status=int(response.status),
+                served_by=response.served_by,
+                version=response.version,
+            )
+            self.tracer.finish(fetch_span, self.env.now)
         fresh = _extract_read(read.url, response, self.env.now)
         fresh.refetched = True
         return fresh

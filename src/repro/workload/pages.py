@@ -20,8 +20,9 @@ class PageBuilder:
     (recommendations fetched by the app script).
 
     :meth:`for_view` resolves each ``(page_kind, target)`` once and hands
-    every later view the same :class:`PageSpec`; page loading only reads
-    it (pinned by ``tests/workload/test_site_and_pages.py``).
+    every later view the same :class:`PageSpec`, made read-only so its
+    waves are grouped once; page loading only reads it (pinned by
+    ``tests/workload/test_site_and_pages.py``).
     """
 
     def __init__(self) -> None:
@@ -61,7 +62,7 @@ class PageBuilder:
         if page is None:
             page = self._views[(page_kind, target)] = self._build_view(
                 page_kind, target
-            )
+            ).read_only()
         return page
 
     def _build_view(self, page_kind: str, target: str) -> PageSpec:

@@ -145,8 +145,8 @@ class CacheNodeMachine(RuleBasedStateMachine):
 
     @rule(path=st.sampled_from(PATHS))
     def serve_even_stale(self, path):
-        response = self.cache.serve_even_stale(request_for(path), self.now)
         key = request_for(path).url.cache_key()
+        response = self.cache.serve_even_stale(key, self.now)
         assert (response is None) == (key not in self.stored)
         if response is not None:
             self._served(path, response)

@@ -5,7 +5,10 @@ The request-path hops below must make no call whose only purpose is a
 span: no ``str(url)`` for a span attribute, no ``response_attrs``, no
 ``Tracer.start``; and the per-resource ``_traced_fetch`` wrapper must
 not run at all. The probe runs in a fresh interpreter over a source
-tree, so a mutant of the real files can be shown to trip it.
+tree, so a mutant of the real files can be shown to trip it. The
+storm-side hops — the overload governor, PoP replication and the
+invalidation pipeline — are held to the same rule on a governed,
+replicated composition, and the probe reports that each of them ran.
 """
 
 import json
@@ -28,11 +31,15 @@ import repro
 from repro.browser.client import BrowserClient
 from repro.browser.page import PageLoadEngine
 from repro.browser.transport import Transport
+from repro.cdn.replication import PopReplicator
 from repro.coherence.client import SketchClient
 from repro.faults import PROFILES, RetryPolicy
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner
 from repro.http.url import URL
+from repro.invalidation.pipeline import InvalidationPipeline
 from repro.obs import Tracer, response_attrs
+from repro.overload import OVERLOAD_PROFILES
+from repro.overload.governor import NodeGovernor
 from repro.speedkit.worker import ServiceWorkerProxy
 from repro.workload import (
     CatalogConfig,
@@ -56,7 +63,16 @@ HOPS = {
     ),
     SimulationRunner: ("_handle_page_view",),
     SketchClient: ("fetch_once",),
+    NodeGovernor: ("acquire",),
+    PopReplicator: ("on_admit", "_deliver"),
+    InvalidationPipeline: ("_process",),
 }
+#: The storm-side hops, each of which the probe must see run.
+STORM_HOPS = (
+    "NodeGovernor.acquire",
+    "PopReplicator.on_admit",
+    "InvalidationPipeline._process",
+)
 SPAN_ONLY = {
     "URL.__str__": URL.__str__,
     "response_attrs": response_attrs,
@@ -95,8 +111,18 @@ specs = [
         stale_if_error=60.0,
         retry=RetryPolicy(),
     ),
+    ScenarioSpec(
+        scenario=Scenario.SPEED_KIT,
+        delta=30.0,
+        seed=seed,
+        replicate_pops=True,
+        n_regions=3,
+        overload_profile=OVERLOAD_PROFILES["flash-crowd"],
+        admission=True,
+    ),
 ]
 found = set()
+ran = set()
 pages = 0
 for spec in specs:
     profiler = cProfile.Profile()
@@ -110,7 +136,9 @@ for spec in specs:
         found |= {f"{hops[caller]} -> {label}" for caller in callers if caller in hops}
     if key(PageLoadEngine._traced_fetch) in stats:
         found.add("PageLoadEngine._traced_fetch ran")
-print(json.dumps({"pages": pages, "found": sorted(found)}))
+    ran |= {label for hop, label in hops.items() if hop in stats}
+missing = [hop for hop in STORM_HOPS if hop not in ran]
+print(json.dumps({"pages": pages, "found": sorted(found), "missing": missing}))
 """
 
 
@@ -126,6 +154,7 @@ def span_work_untraced(root):
         check=True,
     )
     report = json.loads(done.stdout)
+    assert report["missing"] == [], report["missing"]
     return report["pages"], report["found"]
 
 
@@ -166,3 +195,34 @@ def test_the_untraced_gate_trips_on_an_eager_request_span(tmp_path):
         "PageLoadEngine._load_wave -> Tracer.start",
         "PageLoadEngine._load_wave -> URL.__str__",
     ]
+
+
+EAGER_QUEUE_SPAN = """\
+            self.tracer.start(
+                "overload.queue",
+                arrived,
+                parent=parent,
+                node=self.node,
+                tier="overload",
+                cls=label,
+                n=weight,
+                depth=len(self._waiting),
+            )
+"""
+
+
+def test_the_untraced_gate_trips_on_an_eager_queue_span(tmp_path):
+    """The mutant: ``NodeGovernor.acquire`` starts the ``overload.queue``
+    span of every queued request whether or not tracing is on, as it
+    used to."""
+    tree = tmp_path / "src" / "repro"
+    shutil.copytree(SRC, tree, ignore=shutil.ignore_patterns("__pycache__"))
+    governor = tree / "overload" / "governor.py"
+    source = governor.read_text(encoding="utf-8")
+    anchor = "            yield slot_event  # release() hands the slot over\n"
+    assert source.count(anchor) == 1
+    governor.write_text(
+        source.replace(anchor, EAGER_QUEUE_SPAN + anchor), encoding="utf-8"
+    )
+    _, found = span_work_untraced(tree)
+    assert found == ["NodeGovernor.acquire -> Tracer.start"]

@@ -1,8 +1,12 @@
 """Tests for metric collectors."""
 
+import gc
+import math
+
 import pytest
 
 from repro.sim import Counter, Gauge, Histogram, MetricRegistry, TimeSeries
+from repro.sim.metrics import Handles
 
 
 class TestCounter:
@@ -117,6 +121,80 @@ class TestTimeSeries:
         ts.record(3.0, 30)
         assert ts.points == [(1.0, 10), (2.0, 20), (3.0, 30)]
         assert len(ts) == 3
+
+
+def fed(histogram, *values):
+    for value in values:
+        histogram.observe(value)
+
+
+#: Each collector refuses a NaN or infinite value by its own name; at
+#: the guard ``amount < 0`` a NaN counted on, and a histogram fed a NaN
+#: stayed marked sorted (its p50 read NaN and its max 2.0 of 3, 1, 2).
+NON_FINITE = {
+    "counter-nan": (lambda: Counter("x").inc(math.nan), "counter 'x'"),
+    "counter-inf": (lambda: Counter("x").inc(math.inf), "counter 'x'"),
+    "histogram-nan": (
+        lambda: fed(Histogram("h"), 3.0, math.nan, 1.0, 2.0),
+        "histogram 'h'",
+    ),
+    "histogram-inf": (lambda: fed(Histogram("h"), -math.inf), "histogram 'h'"),
+    "gauge-nan": (lambda: Gauge("g").set(math.nan), "gauge 'g'"),
+    "gauge-inf": (lambda: Gauge("g").set(math.inf), "gauge 'g'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_a_non_finite_value_is_refused_by_the_metric_name(case):
+    feed, name = NON_FINITE[case]
+    with pytest.raises(ValueError, match=name):
+        feed()
+
+
+def test_a_refused_observation_leaves_the_histogram_as_it_was():
+    histogram = Histogram("h")
+    fed(histogram, 3.0)
+    with pytest.raises(ValueError):
+        histogram.observe(math.nan)
+    fed(histogram, 1.0, 2.0)
+    assert (histogram.percentile(50), histogram.max()) == (2.0, 3.0)
+
+
+class TestHandles:
+    def test_a_metric_is_created_at_its_first_index(self):
+        reg = MetricRegistry()
+        handles = reg.handles("speedkit.")
+        assert reg.counter_names() == []
+        handles["hit"].inc()
+        handles["hit"].inc(2)
+        assert reg.counter_names() == ["speedkit.hit"]
+        assert handles["hit"] is reg.counter("speedkit.hit")
+        assert reg.snapshot() == {"speedkit.hit": 3.0}
+
+    def test_a_tuple_key_names_the_metric_by_its_parts(self):
+        reg = MetricRegistry()
+        handles = reg.handles("serve.kind.")
+        handles["sw", "page"].inc()
+        assert handles.name_of(("sw", "page")) == "serve.kind.sw.page"
+        assert reg.counter_names() == ["serve.kind.sw.page"]
+
+    @pytest.mark.parametrize("kind", [Counter, Gauge, Histogram, TimeSeries])
+    def test_each_collector_kind_has_handles(self, kind):
+        reg = MetricRegistry()
+        metric = reg.handles("a.", kind)["b"]
+        assert type(metric) is kind and metric.name == "a.b"
+        assert "a.b" in reg.snapshot()
+
+    def test_handles_hold_the_registry_factory_not_their_owner(self):
+        reg = MetricRegistry()
+        handles = reg.handles("x.")
+        assert isinstance(handles, Handles)
+        referents = gc.get_referents(handles)
+        assert all(
+            getattr(item, "__self__", reg) is reg
+            for item in referents
+            if callable(item) and not isinstance(item, type)
+        )
 
 
 class TestMetricRegistry:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.faults import PROFILES, RetryPolicy
 from repro.harness import Scenario, ScenarioSpec, SimulationRunner
-from repro.http import Degraded, Request, reason_of
+from repro.http import Degraded, reason_of
 from repro.http.messages import Status
 from repro.http.url import URL
 from repro.txn import DEGRADED_HEADER, ConsistencyLevel
@@ -158,7 +158,7 @@ class TestDrivenOutage:
             assert reason_of(entry.response) is None
             assert DEGRADED_HEADER not in entry.response.headers
             again = worker.cache.serve_even_stale(
-                Request.get(read.response.url), now
+                read.response.url.cache_key(), now
             )
             assert again.headers is entry.response.headers
             assert reason_of(again) is None
