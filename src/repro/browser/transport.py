@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.cdn.edge import EdgeCache
 from repro.cdn.network import Cdn
@@ -44,6 +44,7 @@ from repro.obs.tracer import NOOP_TRACER
 from repro.origin.server import TXN_VALIDATE_PATH, OriginServer
 from repro.overload.priority import classify_request
 from repro.sim.environment import Environment
+from repro.sim.events import Timeout
 from repro.sim.metrics import MetricRegistry
 from repro.simnet.faults import NO_FAULTS, FaultSchedule
 from repro.simnet.topology import ORIGIN_NODE, Topology
@@ -112,7 +113,7 @@ class Transport:
             metrics if metrics is not None else MetricRegistry()
         ).handles("")
 
-    def charge(self, store, concurrent: float = 0.0) -> Generator:
+    def charge(self, store, concurrent: float = 0.0) -> Tuple[Timeout, ...]:
         """Convert a store's accrued engine latency into simulated time.
 
         The one drain of the cost pool: every tier's store (a cache's
@@ -124,10 +125,13 @@ class Transport:
         after this drain point — overlap-capable engines clip their
         pool against it (pipelining storage round trips under the
         transfer), serialized engines add in full.
+
+        Returns the events to wait on — ``()`` or one timeout — so a
+        process pays with ``yield from transport.charge(store)``
+        without building a generator frame per drain.
         """
         lag = store.drain_latency(concurrent)
-        if lag > 0:
-            yield self.env.timeout(lag)
+        return (Timeout(self.env, lag),) if lag > 0 else ()
 
     # -- origin exchange ---------------------------------------------------
 

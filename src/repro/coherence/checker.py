@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.http.messages import Response
 from repro.origin.server import OriginServer
-from repro.sim.metrics import MetricRegistry
+from repro.sim.metrics import Histogram, MetricRegistry
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,8 @@ class DeltaAtomicityChecker:
         self.terms = terms
         self.metrics = metrics or MetricRegistry()
         self.staleness_metric = staleness_metric
+        self._histograms = self.metrics.handles("", Histogram)
+        self._counters = self.metrics.handles("coherence.")
         self.violations: List[ReadRecord] = []
 
     def record_read(
@@ -136,9 +138,9 @@ class DeltaAtomicityChecker:
         staleness = 0.0
         if superseded is not None and superseded < read_at:
             staleness = read_at - superseded
-        self.metrics.histogram(self.staleness_metric).observe(staleness)
+        self._histograms[self.staleness_metric].observe(staleness)
         if staleness > 0:
-            self.metrics.counter("coherence.stale_reads").inc()
+            self._counters["stale_reads"].inc()
         # Δ-atomicity: the returned version must have been current at
         # some instant within [t − Δ, t] — equivalently, its staleness
         # may not exceed Δ.
@@ -152,7 +154,7 @@ class DeltaAtomicityChecker:
                     client=client if client is not None else user_id,
                 )
             )
-            self.metrics.counter("coherence.violations").inc()
+            self._counters["violations"].inc()
         return staleness
 
     # -- summaries (read off the registry) ---------------------------------

@@ -64,7 +64,9 @@ class FlakyBackend(DelegatingBackend):
         return False
 
     def get(self, key: str) -> Optional[Any]:
-        if self._read_fails():
+        # ``_read_fails`` inline: the read path's one coin per call.
+        if self.error_rate > 0 and self._rng.random() < self.error_rate:
+            self.failures += 1
             return None
         return self.inner.get(key)
 

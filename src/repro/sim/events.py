@@ -8,6 +8,8 @@ process waiting on it is resumed (or has the exception thrown into it).
 
 from __future__ import annotations
 
+from heapq import heappush
+from math import inf as _INF
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
@@ -65,7 +67,11 @@ class Event:
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._value = value
-        self.env.schedule(self)
+        # ``Environment.schedule(self)`` inline: every process that
+        # returns passes here, at the current instant.
+        env = self.env
+        heappush(env._queue, (env.now, env._seq, self))
+        env._seq += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -114,8 +120,12 @@ class Timeout(Event):
         self._value = value
         self._ok = True
         self.delay = delay
-        # ``schedule`` refuses a negative, NaN or infinite delay.
-        env.schedule(self, delay=delay)
+        # ``Environment.schedule`` inline: the same refusal of a
+        # negative, NaN or infinite delay, the same sequence number.
+        if not 0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and >= 0: {delay}")
+        heappush(env._queue, (env.now + delay, env._seq, self))
+        env._seq += 1
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
@@ -190,7 +200,11 @@ class Process(Event):
             self.fail(TypeError(f"process yielded a non-event: {next_event!r}"))
             return
         self._target = next_event
-        next_event._add_callback(self._resume)
+        callbacks = next_event.callbacks
+        if callbacks is None:
+            next_event._add_callback(self._resume)
+        else:
+            callbacks.append(self._resume)
 
 
 class _Start:

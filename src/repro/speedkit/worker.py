@@ -246,8 +246,8 @@ class ServiceWorkerProxy(Fetcher):
         cache = self.cache
         key = url.cache_key()
         cached = cache.serve_even_stale(key, env.now)
-        # ``Transport.charge``'s drain, inline: a device hit whose
-        # store accrued nothing yields nothing and builds no generator.
+        # ``Transport.charge``'s drain, inline: the device-hit path
+        # pays its one drain without a call into the transport.
         lag = cache.store.drain_latency()
         if lag > 0:
             yield env.timeout(lag)

@@ -26,11 +26,12 @@ Shipped engines:
   single-key calls are charged one round trip per flushed batch plus a
   per-key marginal cost, and with ``overlap`` enabled the accrued
   latency hides under concurrent network transit at the drain points;
-* :class:`WriteBehindBackend` — write-behind over the batched engine:
-  mutations acknowledge immediately from a local buffer, queue into
-  flush epochs, and a background flusher drains them to the wrapped
-  engine off the caller's critical path. A read-your-writes overlay
-  keeps local readers exact; ``sync()`` is the durability barrier.
+* :class:`WriteBehindBackend` — the batched engine with write-behind
+  (a subclass over the same slot engine and cost pool): mutations
+  acknowledge immediately from a local buffer, queue into a flush
+  epoch, and a background flusher pipelines it to the slot engine off
+  the caller's critical path. A read-your-writes overlay keeps local
+  readers exact; ``sync()`` is the durability barrier.
 
 :class:`BackendSpec` is the serializable selection record threaded
 through ``SpeedKitConfig``, ``ScenarioSpec``, and the CLI

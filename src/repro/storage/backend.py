@@ -39,7 +39,11 @@ report back.
 
 A *wrapper* engine derives from :class:`DelegatingBackend`, which
 forwards the whole surface to the engine it wraps; a wrapper then
-overrides only what it changes, and cannot forget a deep view.
+overrides only what it changes, and cannot forget a deep view. An
+engine that extends another engine's cost model subclasses it
+instead of wrapping a second instance: write-behind *is* the batched
+engine, over the same slot engine and cost pool, so a read or a drain
+crosses one engine, not two.
 """
 
 from __future__ import annotations
@@ -270,6 +274,9 @@ class InMemoryBackend(CacheBackend):
     def get(self, key: str) -> Optional[Any]:
         slot = self._slots.get(key)
         return slot[0] if slot is not None else None
+
+    # A local read costs nothing, so it is the metadata access too.
+    peek = get
 
     def put(self, key: str, value: Any, size: int = 0) -> None:
         old = self._slots.pop(key, None)

@@ -34,6 +34,7 @@ as extra simulated time. The pool is emptied exactly once either way.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -75,8 +76,12 @@ class BatchedRemoteBackend(DelegatingBackend):
         overlap: bool = False,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if per_key_cost < 0:
-            raise ValueError(f"per_key_cost must be >= 0: {per_key_cost}")
+        # NaN and inf fail this test too: either would poison every
+        # later drain.
+        if not 0 <= per_key_cost < math.inf:
+            raise ValueError(
+                f"per_key_cost must be finite and non-negative: {per_key_cost}"
+            )
         if batch_window < 1:
             raise ValueError(f"batch_window must be >= 1: {batch_window}")
         super().__init__(inner if inner is not None else InMemoryBackend())
@@ -187,7 +192,12 @@ class BatchedRemoteBackend(DelegatingBackend):
         return self._pending
 
     def drain_latency(self, concurrent: float = 0.0) -> float:
-        self.flush()
+        # ``flush()`` inline: the drain sends the open window.
+        window = self._window_keys
+        if window:
+            self.batches_flushed += 1
+            self.keys_batched += window
+            self._window_keys = 0
         pending = self._pending
         self._pending = 0.0
         if not self.overlap:

@@ -5,28 +5,33 @@ drain point — the caller's simulated time advances by the write round
 trips. This engine models a write-behind client (Redis ``CLIENT
 REPLY OFF`` pipelines, a local write buffer in front of MongoDB): every
 mutation is acknowledged immediately from a local buffer, queued into
-the current *flush epoch*, and a background flusher applies sealed
-epochs to the wrapped remote engine off the caller's critical path.
+the open *flush epoch*, and a background flusher pipelines the epoch
+to the remote store off the caller's critical path.
 
-Three pieces make that safe for local readers:
+It *is* the batched engine — a subclass over the same slot engine
+(``inner``), batch window and cost pool — with three pieces added
+that make the early ack safe for local readers:
 
 * **Read-your-writes overlay.** Queued mutations are kept in a local
   overlay (latest value or a remove tombstone per key); reads answer
   from the overlay first, so a reader co-located with the writer never
   observes a pre-flush hole. Overlay answers are cost-free — they come
-  from the same local buffer that acknowledged the write.
-* **Flush epochs.** Mutations queue in arrival order into the current
+  from the same local buffer that acknowledged the write. A key with
+  no queued mutation is read from the remote store: it takes a read
+  slot in the batch window, like any batched read.
+* **Flush epochs.** Mutations queue in arrival order into the open
   epoch; every :meth:`drain_latency` call (the moment the node yields
-  to the network) seals the epoch and the background flusher applies
-  all sealed epochs to the inner engine *in order* — a remove queued
-  after a put can never be reordered ahead of it. The inner engine's
-  write cost for flushed epochs accrues in :attr:`background_latency`
-  (diagnostics) instead of the caller's drain.
+  to the network) closes it, and the background flusher applies it to
+  the slot engine *in order* — each mutation takes its write slot in
+  the pipeline, then is written, so a remove queued after a put can
+  never be reordered ahead of it. The write cost accrues in
+  :attr:`background_latency` (diagnostics) instead of the caller's
+  drain.
 * **``sync()`` barrier.** Callers that need remote durability (tests,
   shutdown, explicit barriers) call :meth:`sync`, which flushes
   everything and returns the simulated time the barrier takes: up to
   one ``flush_interval`` wait for the background flusher's next tick,
-  plus the inner engine's write drain.
+  plus the write drain.
 
 ``flush_interval`` is the background flusher's cadence in simulated
 seconds: queued mutations reach the remote store at most one interval
@@ -34,25 +39,26 @@ seconds: queued mutations reach the remote store at most one interval
 readers exact regardless, so the interval never shows up as staleness
 *here* — but coherence accounting above (the runner's Δ bound) must
 widen by it, because remotely-visible effects (a purge's removal
-reaching the wrapped store) now lag the ack by up to that much.
+reaching the remote store) now lag the ack by up to that much.
 
-Foreground cost: reads that miss the overlay pass through to the inner
-engine and pay its (batched) read cost; mutations acknowledge at zero
-cost. ``drain_latency`` therefore returns read cost only.
+Foreground cost: reads that miss the overlay pay the batched read
+cost; mutations acknowledge at zero cost. ``drain_latency`` therefore
+returns read cost only.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.simnet.delay import Delay
-from repro.storage.backend import (
-    CacheBackend,
-    DelegatingBackend,
-    Predicate,
+from repro.storage.backend import CacheBackend, Predicate
+from repro.storage.batched import (
+    DEFAULT_BATCH_WINDOW,
+    DEFAULT_PER_KEY_COST,
+    BatchedRemoteBackend,
 )
-from repro.storage.batched import BatchedRemoteBackend
 
 #: Default background-flusher cadence (seconds): one in-datacenter
 #: write round trip's worth of buffering, a few dozen acks per epoch.
@@ -62,7 +68,7 @@ DEFAULT_FLUSH_INTERVAL = 0.05
 _TOMBSTONE = object()
 
 
-class WriteBehindBackend(DelegatingBackend):
+class WriteBehindBackend(BatchedRemoteBackend):
     """A remote KV store with write-behind (asynchronously drained)
     mutations and a read-your-writes overlay."""
 
@@ -74,40 +80,29 @@ class WriteBehindBackend(DelegatingBackend):
         read_delay: Optional[Delay] = None,
         write_delay: Optional[Delay] = None,
         flush_interval: float = DEFAULT_FLUSH_INTERVAL,
-        per_key_cost: Optional[float] = None,
-        batch_window: Optional[int] = None,
+        per_key_cost: float = DEFAULT_PER_KEY_COST,
+        batch_window: int = DEFAULT_BATCH_WINDOW,
         overlap: bool = False,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if flush_interval < 0:
+        # NaN and inf fail this test too: a barrier would wait forever
+        # or return NaN.
+        if not 0 <= flush_interval < math.inf:
             raise ValueError(
-                f"flush_interval must be >= 0: {flush_interval}"
+                f"flush_interval must be finite and non-negative: {flush_interval}"
             )
-        if inner is None:
-            kwargs = {}
-            if per_key_cost is not None:
-                kwargs["per_key_cost"] = per_key_cost
-            if batch_window is not None:
-                kwargs["batch_window"] = batch_window
-            inner = BatchedRemoteBackend(
-                read_delay=read_delay,
-                write_delay=write_delay,
-                overlap=overlap,
-                rng=rng,
-                **kwargs,
-            )
-        if len(inner):
+        super().__init__(
+            inner, read_delay, write_delay, per_key_cost, batch_window, overlap, rng
+        )
+        if len(self.inner):
             raise ValueError(
-                "write-behind must wrap an initially empty engine "
+                "write-behind must start over an empty engine "
                 "(its merged size accounting starts from zero)"
             )
-        super().__init__(inner)
         self.flush_interval = flush_interval
-        #: Mutations of the current (open) epoch, in arrival order:
+        #: Mutations of the open epoch, in arrival order:
         #: ("put", key, value, size) / ("remove", key).
         self._epoch: List[Tuple] = []
-        #: Sealed epochs awaiting the background flusher, oldest first.
-        self._sealed: List[List[Tuple]] = []
         #: Read-your-writes overlay: latest queued value (or tombstone)
         #: per key, plus how many queued mutations still reference it.
         self._overlay: Dict[str, Tuple[Any, int]] = {}
@@ -122,76 +117,84 @@ class WriteBehindBackend(DelegatingBackend):
         self.mutations_flushed = 0
         self.acks = 0
 
-    # -- bookkeeping helpers -----------------------------------------------
-
-    def _visible(self, key: str) -> bool:
-        return key in self._sizes
-
-    def _account_put(self, key: str, size: int) -> None:
-        old = self._sizes.get(key)
-        if old is not None:
-            self._bytes -= old
-        self._sizes[key] = size
-        self._bytes += size
-
-    def _account_remove(self, key: str) -> None:
-        old = self._sizes.pop(key, None)
-        if old is not None:
-            self._bytes -= old
-
-    def _queue(self, mutation: Tuple) -> None:
-        key = mutation[1]
-        self._epoch.append(mutation)
-        self._queued_refs[key] = self._queued_refs.get(key, 0) + 1
-        if mutation[0] == "put":
-            self._overlay[key] = (mutation[2], mutation[3])
-        else:
-            self._overlay[key] = (_TOMBSTONE, 0)
-        self.acks += 1
-
     # -- the storage protocol ----------------------------------------------
 
-    def _overlaid(self, key: str, ask_inner) -> Optional[Any]:
-        """Read-your-writes: the local write buffer answers first,
-        cost-free (no remote round trip happens); only a key with no
-        queued mutation is asked of the inner engine."""
+    def get(self, key: str) -> Optional[Any]:
+        # Read-your-writes: the local write buffer answers first,
+        # cost-free (no remote round trip happens).
+        overlaid = self._overlay.get(key)
+        if overlaid is not None:
+            value = overlaid[0]
+            return None if value is _TOMBSTONE else value
+        # A miss takes a read slot in the batch window, in this frame:
+        # ``_charge_batched("get", is_write=False)`` inline.
+        window = self._window_keys
+        if window and self._window_is_write:
+            self.flush()
+            window = 0
+        cost = self.per_key_cost
+        if not window:
+            cost += self.read_delay.sample(self.rng)
+            self._window_is_write = False
+        self._window_keys = window = window + 1
+        self._pending += cost
+        self.total_latency += cost
+        counts = self.op_counts
+        counts["get"] = counts.get("get", 0) + 1
+        if window >= self.batch_window:
+            self.flush()
+        return self.inner.get(key)
+
+    def peek(self, key: str) -> Optional[Any]:
         overlaid = self._overlay.get(key)
         if overlaid is None:
-            return ask_inner(key)
+            return self.inner.peek(key)
         value = overlaid[0]
         return None if value is _TOMBSTONE else value
 
-    def get(self, key: str) -> Optional[Any]:
-        return self._overlaid(key, self.inner.get)
-
-    def peek(self, key: str) -> Optional[Any]:
-        return self._overlaid(key, self.inner.peek)
-
     def put(self, key: str, value: Any, size: int = 0) -> None:
-        self._queue(("put", key, value, size))
-        self._account_put(key, size)
+        self._epoch.append(("put", key, value, size))
+        refs = self._queued_refs
+        refs[key] = refs.get(key, 0) + 1
+        self._overlay[key] = (value, size)
+        self.acks += 1
+        sizes = self._sizes
+        old = sizes.get(key)
+        if old is not None:
+            self._bytes -= old
+        sizes[key] = size
+        self._bytes += size
 
     def remove(self, key: str) -> Optional[Any]:
-        if not self._visible(key):
+        size = self._sizes.pop(key, None)
+        if size is None:
             return None
+        self._bytes -= size
         # The ack answers from the overlay or, for a flushed entry,
         # from co-located metadata.
         previous = self.peek(key)
-        self._queue(("remove", key))
-        self._account_remove(key)
+        self._epoch.append(("remove", key))
+        refs = self._queued_refs
+        refs[key] = refs.get(key, 0) + 1
+        self._overlay[key] = (_TOMBSTONE, 0)
+        self.acks += 1
         return previous
 
-    # Mutations ack locally and overlay misses join the inner engine's
-    # open batch window key by key, so the batched forms (and the erase
-    # built on them) are the protocol's defaults over the calls above —
-    # not DelegatingBackend's forwards, which would bypass the overlay.
+    # Mutations ack locally and overlay misses join the open batch
+    # window key by key, so the batched forms (and the erase built on
+    # them) are the protocol's defaults over the calls above — not the
+    # batched engine's pipelined forms, which would bypass the overlay.
     get_many = CacheBackend.get_many
     put_many = CacheBackend.put_many
-    remove_many = CacheBackend.remove_many
-    erase_matching = CacheBackend.erase_matching
+
+    def remove_many(self, keys: Iterable[str]) -> Dict[str, Any]:
+        # A key that is not visible has nothing to remove: a fan-out
+        # purge names far more keys than a tier holds.
+        sizes = self._sizes
+        return CacheBackend.remove_many(self, [key for key in keys if key in sizes])
 
     def scan(self, prefix: str = "") -> Iterator[Tuple[str, Any]]:
-        merged: "Dict[str, Any]" = dict(self.inner.scan(prefix))
+        merged: "Dict[str, Any]" = dict(super().scan(prefix))
         for key, (value, _) in self._overlay.items():
             if not key.startswith(prefix):
                 continue
@@ -217,98 +220,72 @@ class WriteBehindBackend(DelegatingBackend):
     def clear(self) -> None:
         # A full wipe supersedes everything still queued.
         self._epoch.clear()
-        self._sealed.clear()
         self._overlay.clear()
         self._queued_refs.clear()
         self._sizes.clear()
         self._bytes = 0
-        self.inner.clear()
+        super().clear()
         # The wipe itself is a mutation the remote store must see, but
         # its cost is the background flusher's, not the caller's.
-        self.background_latency += self.inner.drain_latency()
+        self.background_latency += super().drain_latency()
 
     # -- flushing ----------------------------------------------------------
 
     @property
     def queued_mutations(self) -> int:
-        """Acknowledged mutations not yet applied to the inner engine."""
-        return len(self._epoch) + sum(len(e) for e in self._sealed)
+        """Acknowledged mutations not yet applied to the slot engine."""
+        return len(self._epoch)
 
-    def _seal_epoch(self) -> None:
-        if self._epoch:
-            self._sealed.append(self._epoch)
-            self._epoch = []
-
-    def _release_overlay(self, key: str) -> None:
-        remaining = self._queued_refs[key] - 1
-        if remaining:
-            self._queued_refs[key] = remaining
-            return
-        # No queued mutation references the key anymore: the inner
-        # engine now holds exactly the overlay's state, so dropping
-        # the overlay entry is invisible to readers.
-        del self._queued_refs[key]
-        del self._overlay[key]
-
-    def _flush_sealed(self) -> int:
-        """Apply all sealed epochs to the inner engine, in order.
-
-        Consecutive same-type mutations travel as one batched inner
-        operation; a type turn (put → remove or back) cuts the batch so
-        arrival order is preserved key-exactly.
-        """
-        flushed = 0
-        for epoch in self._sealed:
-            index = 0
-            while index < len(epoch):
-                kind = epoch[index][0]
-                run = [epoch[index]]
-                index += 1
-                while index < len(epoch) and epoch[index][0] == kind:
-                    run.append(epoch[index])
-                    index += 1
-                if kind == "put":
-                    self.inner.put_many(
-                        [(key, value, size) for _, key, value, size in run]
-                    )
-                else:
-                    self.inner.remove_many([key for _, key in run])
-                for mutation in run:
-                    self._release_overlay(mutation[1])
-                flushed += len(run)
-            self.epochs_flushed += 1
-        self._sealed.clear()
-        self.mutations_flushed += flushed
-        return flushed
+    def _flush_epoch(self) -> None:
+        """Apply the open epoch to the slot engine, in arrival order:
+        each mutation takes its write slot in the pipeline, then is
+        written. Its overlay entry goes with the last queued mutation
+        of its key — the slot engine then holds exactly the overlay's
+        state, so dropping it is invisible to readers."""
+        epoch, self._epoch = self._epoch, []
+        inner = self.inner
+        refs = self._queued_refs
+        for mutation in epoch:
+            key = mutation[1]
+            if mutation[0] == "put":
+                self._charge_batched("put_many", is_write=True)
+                inner.put(key, mutation[2], mutation[3])
+            else:
+                self._charge_batched("remove_many", is_write=True)
+                inner.remove(key)
+            remaining = refs[key] - 1
+            if remaining:
+                refs[key] = remaining
+            else:
+                del refs[key]
+                del self._overlay[key]
+        self.epochs_flushed += 1
+        self.mutations_flushed += len(epoch)
 
     def sync(self) -> float:
         """Barrier: flush everything; returns the simulated wait.
 
         The wait covers the background flusher's next tick (up to one
-        ``flush_interval`` when anything was queued) plus the inner
-        engine's write round trips for the flushed mutations.
+        ``flush_interval`` when anything was queued) plus the write
+        round trips for the flushed mutations.
         """
-        self._seal_epoch()
-        if not self._sealed:
+        if not self._epoch:
             return 0.0
         # Whatever is already pending (read cost since the last drain)
         # joins the barrier wait — a barrier waits for *everything*.
-        outstanding = self.inner.drain_latency()
-        self._flush_sealed()
-        return outstanding + self.flush_interval + self.inner.drain_latency()
+        outstanding = super().drain_latency()
+        self._flush_epoch()
+        return outstanding + self.flush_interval + super().drain_latency()
 
     # -- GDPR erasure --------------------------------------------------------
 
     def queued_matching(self, predicate: Predicate) -> List[str]:
         """Keys of queued, not-yet-flushed puts whose bytes match."""
-        hits: List[str] = []
-        for epoch in (*self._sealed, self._epoch):
-            for mutation in epoch:
-                if mutation[0] == "put" and predicate(
-                    mutation[1], mutation[2]
-                ):
-                    hits.append(mutation[1])
-        return hits
+        return [
+            mutation[1]
+            for mutation in self._epoch
+            if mutation[0] == "put" and predicate(mutation[1], mutation[2])
+        ]
 
     def scrub_pending(self, predicate: Predicate) -> int:
         """Cancel queued matching puts in place; tombstone the overlay.
@@ -324,57 +301,57 @@ class WriteBehindBackend(DelegatingBackend):
         tombstoned (and leaves the visible accounting); a later
         non-matching put survives untouched.
         """
+        epoch = self._epoch
         affected: set = set()
         scrubbed = 0
-        for epoch in (*self._sealed, self._epoch):
-            for index, mutation in enumerate(epoch):
-                if mutation[0] == "put" and predicate(
-                    mutation[1], mutation[2]
-                ):
-                    epoch[index] = ("remove", mutation[1])
-                    affected.add(mutation[1])
-                    scrubbed += 1
+        for index, mutation in enumerate(epoch):
+            if mutation[0] == "put" and predicate(mutation[1], mutation[2]):
+                epoch[index] = ("remove", mutation[1])
+                affected.add(mutation[1])
+                scrubbed += 1
         if not scrubbed:
             return 0
         last: Dict[str, Tuple] = {}
-        for epoch in (*self._sealed, self._epoch):
-            for mutation in epoch:
-                if mutation[1] in affected:
-                    last[mutation[1]] = mutation
+        for mutation in epoch:
+            if mutation[1] in affected:
+                last[mutation[1]] = mutation
         for key, mutation in last.items():
             if mutation[0] == "put":
                 self._overlay[key] = (mutation[2], mutation[3])
             else:
                 self._overlay[key] = (_TOMBSTONE, 0)
-                if self._visible(key):
-                    self._account_remove(key)
+                size = self._sizes.pop(key, None)
+                if size is not None:
+                    self._bytes -= size
         return scrubbed
 
     def residuals_matching(self, predicate: Predicate) -> List[str]:
         # Bypass the read-your-writes overlay entirely: bytes are
-        # residual wherever they physically sit — in the inner engine
-        # even when masked by a queued tombstone, and in queued put
-        # payloads awaiting flush. (Every live overlay value is backed
-        # by a queued mutation, so the queues cover the overlay too.)
-        residual = list(self.inner.residuals_matching(predicate))
-        residual.extend(
-            f"queued:{key}" for key in self.queued_matching(predicate)
-        )
+        # residual wherever they physically sit — in the remote store
+        # (one charged scan) even when masked by a queued tombstone,
+        # and in queued put payloads awaiting flush. (Every live
+        # overlay value is backed by a queued mutation, so the queue
+        # covers the overlay too.)
+        residual = list(super().residuals_matching(predicate))
+        residual.extend(f"queued:{key}" for key in self.queued_matching(predicate))
         return residual
 
-    # -- the cost pool (pending_latency is the inner engine's) ------------
+    # -- the cost pool -------------------------------------------------------
 
     def drain_latency(self, concurrent: float = 0.0) -> float:
+        if not (self._window_keys or self._pending or self._epoch):
+            # Nothing read since the last drain and nothing queued:
+            # there is no pipeline to send and no cost to pay.
+            return 0.0
         # Foreground: the read cost accrued since the last drain (the
         # only cost-bearing operations between drains — mutations ack
         # from the local buffer).
-        foreground = self.inner.drain_latency(concurrent)
+        foreground = super().drain_latency(concurrent)
         # Background: the node yields to the network, which is when the
-        # flusher gets to run — seal the open epoch and apply every
-        # sealed one. The write cost lands in background_latency, off
-        # the caller's critical path.
-        self._seal_epoch()
-        if self._sealed:
-            self._flush_sealed()
-            self.background_latency += self.inner.drain_latency()
+        # flusher gets to run — the open epoch is applied, and its
+        # write cost lands in background_latency, off the caller's
+        # critical path.
+        if self._epoch:
+            self._flush_epoch()
+            self.background_latency += super().drain_latency()
         return foreground

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.cdn.cache import CacheStore
 from repro.http import Request, Status, URL
+from repro.simnet.delay import ConstantDelay
+from repro.storage import BatchedRemoteBackend
 
 from tests.browser.conftest import (
     CLIENT_EDGE,
@@ -29,6 +32,25 @@ class TestDirect:
         # The page was rendered when the request arrived (one one-way).
         key = server.version_key_for(URL.parse("/page/1"))
         assert server.versions.version_at(key, CLIENT_ORIGIN) == 1
+
+
+class TestCharge:
+    """The one cost-pool drain hands back what to wait on: ``()`` for
+    an empty pool, else one timeout of the drained lag."""
+
+    def test_an_empty_pool_waits_on_nothing(self, env, transport):
+        assert transport.charge(CacheStore(shared=True)) == ()
+        assert env.now == 0.0
+
+    def test_a_charged_pool_is_one_timeout_of_its_lag(self, env, transport):
+        engine = BatchedRemoteBackend(read_delay=ConstantDelay(0.004), per_key_cost=0.0)
+        store = CacheStore(shared=True, backend=engine)
+        store.get("k", env.now)
+        (wait,) = transport.charge(store)
+        assert wait.delay == 0.004
+        assert engine.pending_latency() == 0.0
+        env.run()
+        assert env.now == 0.004
 
 
 class TestViaCdn:

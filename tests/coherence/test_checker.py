@@ -89,8 +89,10 @@ class TestChecker:
         assert len(checker.violations) == 29  # read at 31 … 59
         assert set(vars(checker)) == {
             "server", "delta", "terms", "metrics", "staleness_metric",
-            "violations",
+            "violations", "_histograms", "_counters",
         }
+        # The registry handles hold one metric per name, not per read.
+        assert len(checker._histograms) + len(checker._counters) == 3
         assert checker.terms is terms
 
     def test_assert_delta_atomic_raises_on_violation(self, server):

@@ -25,6 +25,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_backend(per_key_cost=-0.001)
 
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+    def test_rejects_non_finite_per_key_cost(self, cost):
+        with pytest.raises(ValueError, match="per_key_cost"):
+            make_backend(per_key_cost=cost)
+
     def test_rejects_zero_batch_window(self):
         with pytest.raises(ValueError):
             make_backend(batch_window=0)

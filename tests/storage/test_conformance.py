@@ -40,9 +40,7 @@ ENGINE_FACTORIES = {
         overlap=True, rng=random.Random(7)
     ),
     "write-behind-over-sharded": lambda: WriteBehindBackend(
-        inner=BatchedRemoteBackend(
-            inner=ShardedBackend(n_shards=4), rng=random.Random(7)
-        )
+        inner=ShardedBackend(n_shards=4), rng=random.Random(7)
     ),
     "flaky-0": lambda: FlakyBackend(InMemoryBackend(), 0.0),
     # What every cache tier of the perf ledger's ``storm`` workload

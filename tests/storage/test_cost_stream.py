@@ -216,4 +216,5 @@ def test_the_gate_trips_on_a_flush_charged_as_reads(monkeypatch):
 
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
-    FIXTURE.write_text(json.dumps(streams(), indent=1) + "\n", encoding="utf-8")
+    rows = (f"{json.dumps(name)}: {json.dumps(row)}" for name, row in streams().items())
+    FIXTURE.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")

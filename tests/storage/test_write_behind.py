@@ -7,7 +7,7 @@ import pytest
 from repro.simnet.delay import ConstantDelay
 from repro.storage import (
     BatchedRemoteBackend,
-    ShardedBackend,
+    InMemoryBackend,
     WriteBehindBackend,
 )
 
@@ -34,15 +34,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_backend(flush_interval=-0.01)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_rejects_non_finite_flush_interval(self, interval):
+        """A NaN or infinite cadence would make ``sync()`` return it."""
+        with pytest.raises(ValueError, match="flush_interval"):
+            make_backend(flush_interval=interval)
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+    def test_rejects_non_finite_per_key_cost(self, cost):
+        with pytest.raises(ValueError, match="per_key_cost"):
+            make_backend(per_key_cost=cost)
+
     def test_rejects_non_empty_inner(self):
-        inner = BatchedRemoteBackend(rng=random.Random(0))
+        inner = InMemoryBackend()
         inner.put("pre", "existing")
-        inner.drain_latency()
         with pytest.raises(ValueError):
             WriteBehindBackend(inner=inner)
 
-    def test_builds_batched_inner_by_default(self):
-        assert isinstance(make_backend().inner, BatchedRemoteBackend)
+    def test_is_the_batched_engine_over_one_slot_engine(self):
+        backend = make_backend()
+        assert isinstance(backend, BatchedRemoteBackend)
+        assert type(backend.inner) is InMemoryBackend
 
 
 class TestImmediateAcks:
