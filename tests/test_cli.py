@@ -642,6 +642,42 @@ def test_out_of_range_knobs_exit_by_name(monkeypatch, flags, names):
     assert "\n" not in message  # one line, no traceback
 
 
+def _edited_world(tmp_path, section, knob, value):
+    """A recorded v2 trace whose world header sets ``section.knob``."""
+    import json
+
+    path = tmp_path / "world.jsonl"
+    assert main(["gen-trace", "--out", str(path)] + QUICK) == 0
+    header, *events = path.read_text().splitlines()
+    record = json.loads(header)
+    record["world"][section][knob] = value
+    path.write_text("\n".join([json.dumps(record), *events]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "section, knob, value",
+    [
+        ("users", "consent_fraction", 2.0),
+        ("catalog", "zipf_s", float("nan")),
+        ("users", "connection_mix", [["fiber", float("nan")], ["cable", 1.0]]),
+    ],
+    ids=["consent-fraction-2", "zipf-nan", "connection-weight-nan"],
+)
+def test_a_hostile_world_header_fails_at_load(
+    monkeypatch, tmp_path, capsys, section, knob, value
+):
+    path = _edited_world(tmp_path, section, knob, value)
+    monkeypatch.setattr(cli, "_run", None)  # must fail before any run
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--replay", path])
+    message = err.value.code
+    assert isinstance(message, str)  # exit status 1, this line on stderr
+    assert message.startswith("repro: error: ")
+    assert "\n" not in message  # one line, no traceback
+    assert knob in message
+
+
 def _edited_trace(tmp_path, kind, user_id):
     """A recorded v2 trace whose first ``kind`` event names ``user_id``."""
     import json

@@ -20,6 +20,13 @@ def test_config_validation():
         CatalogConfig(zipf_s=-1.0)
 
 
+def test_price_range_is_not_reversed():
+    # uniform(300, 250) draws prices outside any range the config names.
+    with pytest.raises(ValueError, match="min_price.*max_price"):
+        CatalogConfig(min_price=300.0, max_price=250.0)
+    assert CatalogConfig(min_price=9.0, max_price=9.0).max_price == 9.0
+
+
 def test_generation_is_deterministic():
     a = generate_catalog(CatalogConfig(n_products=50), random.Random(7))
     b = generate_catalog(CatalogConfig(n_products=50), random.Random(7))

@@ -17,6 +17,21 @@ def test_config_validation():
         UserPopulationConfig(tier_mix=(("a", 0.5), ("b", 0.6)))
 
 
+@pytest.mark.parametrize(
+    "mix, weights",
+    [
+        # Sums to 1, yet no draw can have a negative probability.
+        ("tier_mix", (("standard", 1.2), ("gold", -0.2))),
+        # ``abs(total - 1) > 1e-6`` is false for a NaN total.
+        ("connection_mix", (("fiber", float("nan")), ("cable", 1.0))),
+        ("locale_mix", (("en", float("inf")), ("de", 1.0))),
+    ],
+)
+def test_a_mix_refuses_a_weight_that_is_no_probability(mix, weights):
+    with pytest.raises(ValueError, match=f"^{mix} must be"):
+        UserPopulationConfig(**{mix: weights})
+
+
 def test_deterministic():
     a = generate_users(UserPopulationConfig(n_users=30), random.Random(3))
     b = generate_users(UserPopulationConfig(n_users=30), random.Random(3))
