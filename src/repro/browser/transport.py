@@ -131,7 +131,7 @@ class Transport:
         without building a generator frame per drain.
         """
         lag = store.drain_latency(concurrent)
-        return (Timeout(self.env, lag),) if lag > 0 else ()
+        return (self.env.timeout(lag),) if lag > 0 else ()
 
     # -- origin exchange ---------------------------------------------------
 

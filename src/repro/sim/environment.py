@@ -65,8 +65,19 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` simulated seconds from now."""
-        return Timeout(self, delay, value)
+        """Create an event that fires ``delay`` simulated seconds from now:
+        the one way to make a :class:`Timeout`, in one frame."""
+        if not 0 <= delay < _INF:
+            raise ValueError(f"delay must be finite and >= 0: {delay}")
+        event = Timeout()
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event.delay = delay
+        heapq.heappush(self._queue, (self.now + delay, self._seq, event))
+        self._seq += 1
+        return event
 
     def process(self, generator) -> Process:
         """Start a new process from ``generator`` and return it."""

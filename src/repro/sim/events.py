@@ -9,7 +9,6 @@ process waiting on it is resumed (or has the exception thrown into it).
 from __future__ import annotations
 
 from heapq import heappush
-from math import inf as _INF
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
@@ -105,27 +104,12 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers after a fixed simulated delay.
-
-    Kernel bookkeeping runs once per event, so this class and
-    :class:`Process` fill :class:`Event`'s slots themselves rather than
-    chaining ``super().__init__``.
-    """
+    """An event that triggers after a fixed simulated delay, made only
+    by ``Environment.timeout``, which fills the slots itself: no
+    constructor frame (nor a ``__new__`` builtin call) per timeout."""
 
     __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self.delay = delay
-        # ``Environment.schedule`` inline: the same refusal of a
-        # negative, NaN or infinite delay, the same sequence number.
-        if not 0 <= delay < _INF:
-            raise ValueError(f"delay must be finite and >= 0: {delay}")
-        heappush(env._queue, (env.now + delay, env._seq, self))
-        env._seq += 1
+    __init__ = object.__init__
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay} at {id(self):#x}>"
