@@ -21,7 +21,7 @@ import functools
 import os
 import random
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from typing import Callable, List, Optional, TypeVar
 
 from repro.harness import (
@@ -31,7 +31,8 @@ from repro.harness import (
     compare_scenarios,
     format_table,
 )
-from repro.storage import BACKEND_KINDS, BackendSpec
+from repro.knobs import integer
+from repro.storage import BackendSpec
 from repro.workload import (
     CatalogConfig,
     EraseUser,
@@ -50,20 +51,59 @@ from repro.workload import (
 T = TypeVar("T")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
-    return value
+def _flags(cls) -> dict:
+    """``cls``'s knobs a flag restates, by the flag's name."""
+    return {
+        knob.metadata.get("flag") or "--" + knob.name.replace("_", "-"): knob
+        for knob in fields(cls)
+        if "help" in knob.metadata
+    }
+
+
+def _knob_flags(parser, cls, *names: str, **defaults) -> None:
+    """Add the flags restating ``cls``'s knobs ``names`` (default: all),
+    with the type, choices and help each knob declares. An unset flag is
+    ``None``, so the knob keeps its declared default, unless ``defaults``
+    gives the CLI's own (a smaller world than the library's)."""
+    for flag, knob in _flags(cls).items():
+        if names and knob.name not in names:
+            continue
+        options = {"default": defaults.get(knob.name), "help": knob.metadata["help"]}
+        kind = knob.type.removeprefix("Optional[").removesuffix("]")
+        if kind == "bool":
+            options["action"] = "store_true"
+        else:
+            options["type"] = {"int": int, "float": float, "str": str}[kind]
+            options["choices"] = knob.metadata["domain"].options
+            options["metavar"] = knob.metadata.get("metavar")
+        parser.add_argument(flag, **options)
+
+
+def _given(args, cls) -> dict:
+    """``cls``'s knobs whose flag this command has and was given."""
+    given = {
+        knob.name: getattr(args, flag[2:].replace("-", "_"), None)
+        for flag, knob in _flags(cls).items()
+    }
+    return {name: value for name, value in given.items() if value is not None}
+
+
+def _count(text: str) -> int:
+    """A count of shards, workers or PoPs, as ``integer(1)`` admits it."""
+    domain = integer(1)
+    if domain.admits(value := int(text)):
+        return value
+    raise argparse.ArgumentTypeError(f"must be {domain.text}: {text}")
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--users", type=int, default=30)
-    parser.add_argument("--products", type=int, default=60)
-    parser.add_argument("--duration", type=float, default=3600.0)
-    parser.add_argument("--session-rate", type=float, default=0.25)
-    parser.add_argument("--write-rate", type=float, default=0.05)
+    from repro.faults import PROFILES, RetryPolicy
+    from repro.overload import OVERLOAD_PROFILES
+
+    _knob_flags(parser, ScenarioSpec, "seed", seed=0)
+    _knob_flags(parser, UserPopulationConfig, n_users=30)
+    _knob_flags(parser, CatalogConfig, n_products=60)
+    _knob_flags(parser, WorkloadConfig, session_rate=0.25)
     parser.add_argument(
         "--quick", action="store_true", help="15-minute workload"
     )
@@ -108,66 +148,27 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shards",
-        type=_positive_int,
+        type=_count,
         default=1,
         help="partition users across N parallel simulation kernels and "
         "merge results exactly (1 = the serial kernel, bit-identical)",
     )
     parser.add_argument(
         "--workers",
-        type=_positive_int,
+        type=_count,
         default=None,
         help="worker processes for --shards (default: min(shards, "
         "cpus); results never depend on this)",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        choices=list(BACKEND_KINDS),
-        help="storage engine for every cache tier and the origin store "
-        "(default: the classic in-memory engine)",
-    )
-    parser.add_argument(
-        "--backend-shards",
-        type=_positive_int,
-        default=None,
-        help="shard count for --backend sharded (default 8)",
-    )
-    parser.add_argument(
-        "--batch-window",
-        type=_positive_int,
-        default=None,
-        help="max keys coalesced per round trip for --backend batched",
-    )
-    parser.add_argument(
-        "--overlap",
-        action="store_true",
-        help="pipeline batched-storage latency under network transit "
-        "(--backend batched or write-behind)",
-    )
-    parser.add_argument(
-        "--batch-waves",
-        action="store_true",
-        help="multiplex each page-load wave slot as one multi-asset "
-        "CDN lookup",
-    )
-    parser.add_argument(
-        "--flush-interval",
-        type=float,
-        default=None,
-        help="background flush interval (simulated seconds) for the "
-        "write-behind engine; widens the checked Δ bound",
-    )
+    _knob_flags(parser, BackendSpec)
     parser.add_argument(
         "--replicate-pops",
-        type=_positive_int,
+        type=_count,
         default=None,
         metavar="N",
         help="deploy N regional PoPs and asynchronously replicate "
         "admitted entries between them",
     )
-    from repro.faults import PROFILES
-
     parser.add_argument(
         "--fault-profile",
         default=None,
@@ -175,32 +176,7 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
         help="inject a named fault regime (origin outages/brownouts, "
         "PoP failures, link loss, latency spikes, storage errors)",
     )
-    parser.add_argument(
-        "--stale-if-error",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="serve cached copies verified within this grace window "
-        "when upstream fails; widens the checked Δ bound by the window",
-    )
-    parser.add_argument(
-        "--retry-budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="enable retry-with-backoff for origin exchanges with this "
-        "total per-request time budget",
-    )
-    from repro.overload import OVERLOAD_PROFILES
-
-    parser.add_argument(
-        "--load-multiplier",
-        type=float,
-        default=None,
-        metavar="X",
-        help="amplify the trace's read traffic X-fold (flash-crowd "
-        "dial; writes, erasure, and access events are never cloned)",
-    )
+    _knob_flags(parser, RetryPolicy)
     parser.add_argument(
         "--overload-profile",
         default=None,
@@ -208,19 +184,10 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
         help="bound origin/PoP concurrency with the named capacity "
         "profile (queues form in front of every governed node)",
     )
-    parser.add_argument(
-        "--admission",
-        action="store_true",
-        help="priority admission control: bounded queues shed "
-        "personalized traffic first, statics second, control-lane "
-        "work never (requires --overload-profile)",
+    _knob_flags(
+        parser, ScenarioSpec, "batch_waves", "stale_if_error", "load_multiplier"
     )
-    parser.add_argument(
-        "--autoscale",
-        action="store_true",
-        help="close the loop: scale PoP capacity from the metrics "
-        "stream with hysteresis (requires --overload-profile)",
-    )
+    _knob_flags(parser, ScenarioSpec, "admission", "autoscale", "consistency")
     parser.add_argument(
         "--gdpr-mix",
         type=float,
@@ -230,30 +197,6 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
         "active logged-in users after their last activity and "
         "interleave subject-access reads at FRACTION x the session "
         "rate",
-    )
-    parser.add_argument(
-        "--txn-mix",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="probability that a page view is followed by a multi-key "
-        "read transaction (0 disables transactions; traces stay "
-        "bit-identical)",
-    )
-    parser.add_argument(
-        "--txn-keys",
-        type=_positive_int,
-        default=None,
-        help="distinct keys per transaction (default 3)",
-    )
-    parser.add_argument(
-        "--consistency",
-        default=None,
-        choices=["delta", "snapshot", "serializable"],
-        help="consistency level for multi-key read transactions: "
-        "per-key delta-atomicity, snapshot (version-cut certification "
-        "with origin re-fetch of violators), or serializable "
-        "(optimistic validation round trip at the origin)",
     )
 
 
@@ -317,69 +260,42 @@ def _refuse_missing_directories(**outputs) -> None:
 def _world_spec_from_args(args) -> WorldSpec:
     """The world the CLI flags describe (catalog/users/seeds)."""
     return WorldSpec(
-        catalog=CatalogConfig(n_products=args.products),
-        users=UserPopulationConfig(n_users=args.users),
+        catalog=CatalogConfig(**_given(args, CatalogConfig)),
+        users=UserPopulationConfig(**_given(args, UserPopulationConfig)),
         seed=args.seed,
         catalog_seed=args.seed,
         users_seed=args.seed + 1,
     )
 
 
-def _given(**flags) -> dict:
-    """The keyword arguments whose flag was given (is not ``None``)."""
-    return {
-        name: value for name, value in flags.items() if value is not None
-    }
-
-
 @_named_exit
 def _spec_from_args(args, **overrides) -> ScenarioSpec:
     """The one place parsed flags become a :class:`ScenarioSpec`.
 
-    ``overrides`` carries what differs per command: the scenario, a
-    swept ``delta``/``n_segments``, ``run``'s own flags. A flag left
-    unset keeps the spec's default. A tuning flag the selected storage
-    engine does not read is refused by :class:`BackendSpec` itself —
-    without ``--backend``, by the default engine's spec.
+    ``overrides`` carries what differs per command: the scenario and
+    ``run``'s ``--trace``. A flag left unset keeps
+    the spec's default. A tuning flag the selected storage engine does
+    not read is refused by :class:`BackendSpec` itself — without
+    ``--backend``, by the default engine's spec.
     """
     from repro.faults import FaultProfile, RetryPolicy
     from repro.overload import OVERLOAD_PROFILES
 
-    backend = fault_profile = retry = overload_profile = None
-    tuning = _given(
-        kind=args.backend,
-        n_shards=args.backend_shards,
-        batch_window=args.batch_window,
-        overlap=args.overlap or None,
-        flush_interval=args.flush_interval,
-    )
+    spec = _given(args, ScenarioSpec)
+    tuning = _given(args, BackendSpec)
     if tuning:
-        backend = BackendSpec(seed=args.seed, **tuning)
+        spec["backend"] = BackendSpec(seed=args.seed, **tuning)
+    retry = _given(args, RetryPolicy)
+    if retry:
+        spec["retry"] = RetryPolicy(**retry)
     if args.fault_profile is not None:
-        fault_profile = FaultProfile.named(args.fault_profile)
-    if args.retry_budget is not None:
-        retry = RetryPolicy(budget=args.retry_budget)
+        spec["fault_profile"] = FaultProfile.named(args.fault_profile)
     if args.overload_profile is not None:
-        overload_profile = OVERLOAD_PROFILES[args.overload_profile]
-    return ScenarioSpec(
-        **_given(
-            seed=args.seed,
-            backend=backend,
-            batch_waves=args.batch_waves,
-            replicate_pops=args.replicate_pops is not None,
-            n_regions=args.replicate_pops,
-            fault_profile=fault_profile,
-            stale_if_error=args.stale_if_error,
-            retry=retry,
-            consistency=args.consistency,
-            overload_profile=overload_profile,
-            load_multiplier=args.load_multiplier,
-            admission=args.admission,
-            autoscale=args.autoscale,
-            time_scale=1.0 / args.replay_rate,
-            **overrides,
-        )
-    )
+        spec["overload_profile"] = OVERLOAD_PROFILES[args.overload_profile]
+    if args.replicate_pops is not None:
+        spec.update(replicate_pops=True, n_regions=args.replicate_pops)
+    spec.update(time_scale=1.0 / args.replay_rate, **overrides)
+    return ScenarioSpec(**spec)
 
 
 @_named_exit
@@ -432,21 +348,20 @@ def _build_workload(args):
     else:
         world = _world_spec_from_args(args)
         catalog, users = world.build()
-        duration = 900.0 if args.quick else args.duration
+        knobs = _given(args, WorkloadConfig)
+        if args.quick:
+            knobs["duration"] = 900.0
         gdpr_mix = args.gdpr_mix or 0.0
         config = WorkloadConfig(
-            duration=duration,
-            session_rate=args.session_rate,
-            write_rate=args.write_rate,
+            **knobs,
             erase_fraction=gdpr_mix,
             access_rate=gdpr_mix * args.session_rate,
-            **_given(txn_mix=args.txn_mix, txn_keys=args.txn_keys),
         )
         trace = WorkloadGenerator(catalog, users, config).generate(
             random.Random(args.seed + 2)
         )
         trace.world = replace(
-            world, generator={"seed": args.seed + 2, **config.to_dict()}
+            world, generator={"seed": args.seed + 2, **asdict(config)}
         )
     if rate != 1.0:
         trace = rescale_trace(trace, rate)
@@ -488,11 +403,7 @@ def cmd_run(args) -> int:
     scenario = Scenario(args.scenario)
     workload = _build_workload(args)
     spec = _spec_from_args(
-        args,
-        scenario=scenario,
-        delta=args.delta,
-        adaptive_ttl=args.adaptive_ttl,
-        trace_requests=args.trace is not None,
+        args, scenario=scenario, trace_requests=args.trace is not None
     )
     result = _run(spec, workload, args)
     if args.json:
@@ -570,7 +481,7 @@ def _p50_ms(result: "RunResult") -> dict:
 def cmd_compare(args) -> int:
     workload = _build_workload(args)
     specs = [
-        _spec_from_args(args, scenario=scenario, delta=args.delta)
+        _spec_from_args(args, scenario=scenario)
         for scenario in _each("scenarios", args.scenarios, Scenario)
     ]
     results = []
@@ -709,7 +620,7 @@ def cmd_erase(args) -> int:
     ]
     trace = WorkloadTrace(events=events, duration=trace.duration)
     trace.validate()
-    spec = _spec_from_args(args, scenario=scenario, delta=args.delta)
+    spec = _spec_from_args(args, scenario=scenario)
     result = _run(spec, (catalog, users, trace), args)
     if args.json:
         import json
@@ -762,8 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=Scenario.SPEED_KIT.value,
         choices=[scenario.value for scenario in Scenario],
     )
-    run_parser.add_argument("--delta", type=float, default=60.0)
-    run_parser.add_argument("--adaptive-ttl", action="store_true")
+    _knob_flags(run_parser, ScenarioSpec, "delta", "adaptive_ttl")
     run_parser.add_argument(
         "--json", default=None, help="also write the full result record"
     )
@@ -782,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenarios",
         default="no-cache,browser-only,classic-cdn,speed-kit",
     )
-    compare_parser.add_argument("--delta", type=float, default=60.0)
+    _knob_flags(compare_parser, ScenarioSpec, "delta")
     _add_workload_args(compare_parser)
     compare_parser.set_defaults(handler=cmd_compare)
 
@@ -816,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=Scenario.SPEED_KIT.value,
         choices=[scenario.value for scenario in Scenario],
     )
-    erase_parser.add_argument("--delta", type=float, default=60.0)
+    _knob_flags(erase_parser, ScenarioSpec, "delta")
     erase_parser.add_argument(
         "--user",
         action="append",

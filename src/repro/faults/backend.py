@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Iterable, Optional
 
+from repro.knobs import FRACTION, integer, knob, knobs
 from repro.storage.backend import CacheBackend, DelegatingBackend
 from repro.storage.factory import BackendSpec
 
@@ -76,20 +77,14 @@ class FlakyBackend(DelegatingBackend):
 
 
 @dataclass(frozen=True)
+@knobs
 class FaultyBackendSpec(BackendSpec):
     """A backend spec whose built engines fail reads at ``error_rate``."""
 
-    error_rate: float = 0.0
+    error_rate: float = knob(0.0, FRACTION)
     #: Seed root for the failure coin flips, salted per tier — kept
     #: separate from ``seed`` so faults never perturb latency streams.
-    fault_seed: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 <= self.error_rate <= 1.0:
-            raise ValueError(
-                f"error_rate must be in [0, 1]: {self.error_rate}"
-            )
+    fault_seed: int = knob(0, integer(0))
 
     @classmethod
     def wrapping(
@@ -97,7 +92,7 @@ class FaultyBackendSpec(BackendSpec):
     ) -> "FaultyBackendSpec":
         """A faulty copy of ``spec`` with the same engine parameters."""
         return cls(
-            **spec.to_dict(), error_rate=error_rate, fault_seed=fault_seed
+            **asdict(spec), error_rate=error_rate, fault_seed=fault_seed
         )
 
     def build(self, salt: str = "") -> CacheBackend:

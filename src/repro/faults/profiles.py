@@ -20,77 +20,50 @@ experiments and the ``--fault-profile`` CLI flag:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Sequence
+
+from repro.knobs import AT_LEAST_ONE, FRACTION, integer, knob, knobs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing
     from repro.faults.injector import FaultInjector
 
 
-def _fraction(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1]: {value}")
-
-
 @dataclass(frozen=True)
+@knobs
 class FaultProfile:
     """One failure regime, independent of any concrete run."""
 
     name: str = "none"
     #: Fraction of the run the origin is completely down, split into
     #: ``origin_outage_count`` windows.
-    origin_outage_fraction: float = 0.0
-    origin_outage_count: int = 1
+    origin_outage_fraction: float = knob(0.0, FRACTION)
+    origin_outage_count: int = knob(1, integer(1))
     #: Probability that the origin answers 5xx outside outage windows
     #: (a brownout: overloaded, not dead).
-    origin_brownout_rate: float = 0.0
+    origin_brownout_rate: float = knob(0.0, FRACTION)
     #: Per-PoP failures: ``pops_affected`` PoPs are each dark for
     #: ``pop_outage_fraction`` of the run (windows drawn per PoP).
-    pop_outage_fraction: float = 0.0
-    pops_affected: int = 1
+    pop_outage_fraction: float = knob(0.0, FRACTION)
+    pops_affected: int = knob(1, integer(0))
     #: Probability that any single message traversal is lost.
-    link_loss_rate: float = 0.0
+    link_loss_rate: float = knob(0.0, FRACTION)
     #: Probability that a traversal's delay is multiplied by
     #: ``latency_spike_factor`` (congestion, bufferbloat).
-    latency_spike_rate: float = 0.0
-    latency_spike_factor: float = 1.0
+    latency_spike_rate: float = knob(0.0, FRACTION)
+    latency_spike_factor: float = knob(1.0, AT_LEAST_ONE)
     #: Probability that a storage-engine read fails (times out); the
     #: cache tier sees a miss and degrades gracefully.
-    storage_error_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        _fraction("origin_outage_fraction", self.origin_outage_fraction)
-        _fraction("origin_brownout_rate", self.origin_brownout_rate)
-        _fraction("pop_outage_fraction", self.pop_outage_fraction)
-        _fraction("link_loss_rate", self.link_loss_rate)
-        _fraction("latency_spike_rate", self.latency_spike_rate)
-        _fraction("storage_error_rate", self.storage_error_rate)
-        if self.origin_outage_count < 1:
-            raise ValueError(
-                f"origin_outage_count must be >= 1: {self.origin_outage_count}"
-            )
-        if self.pops_affected < 0:
-            raise ValueError(
-                f"pops_affected must be >= 0: {self.pops_affected}"
-            )
-        if self.latency_spike_factor < 1.0:
-            raise ValueError(
-                "latency_spike_factor must be >= 1 "
-                f"(a spike slows, never speeds up): {self.latency_spike_factor}"
-            )
+    storage_error_rate: float = knob(0.0, FRACTION)
 
     @property
     def is_active(self) -> bool:
-        """Whether this profile injects any fault at all."""
+        """Whether this profile injects any fault at all: whether any of
+        its rates and fractions (its ``FRACTION`` knobs) is nonzero."""
         return any(
-            (
-                self.origin_outage_fraction > 0,
-                self.origin_brownout_rate > 0,
-                self.pop_outage_fraction > 0,
-                self.link_loss_rate > 0,
-                self.latency_spike_rate > 0,
-                self.storage_error_rate > 0,
-            )
+            getattr(self, f.name) > 0
+            for f in fields(self)
+            if f.metadata.get("domain") is FRACTION
         )
 
     def build(

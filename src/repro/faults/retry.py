@@ -10,8 +10,9 @@ spikes stack unboundedly; time alone would hammer a browned-out origin.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from repro.knobs import POSITIVE, knob, knobs
 
 #: Total tries per request (without a policy a request gets one).
 MAX_ATTEMPTS = 3
@@ -21,18 +22,20 @@ BACKOFF_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
+@knobs
 class RetryPolicy:
     """Bounded retry-with-exponential-backoff for one request."""
 
-    #: Total simulated time one request may consume across attempts;
-    #: once exceeded, no further retries are scheduled.
-    budget: float = 8.0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.budget < math.inf:
-            raise ValueError(
-                f"budget must be finite and positive: {self.budget}"
-            )
+    # Once a request has consumed the budget across its attempts, no
+    # further retry is scheduled.
+    budget: float = knob(
+        8.0,
+        POSITIVE,
+        help="enable retry-with-backoff for origin exchanges with this total "
+        "per-request time budget",
+        flag="--retry-budget",
+        metavar="SECONDS",
+    )
 
     def gives_up_after(self, attempt: int) -> bool:
         """Whether failed attempt number ``attempt`` is the last one."""

@@ -4,10 +4,19 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.cdn.replication import DEFAULT_REPLICATION_DELAY
+from repro.knobs import (
+    AT_LEAST_ONE,
+    NON_NEGATIVE,
+    POSITIVE,
+    choices,
+    integer,
+    knob,
+    knobs,
+)
 from repro.storage import BackendSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -50,25 +59,31 @@ class Scenario(enum.Enum):
 
 
 @dataclass
+@knobs
 class ScenarioSpec:
     """A scenario plus its tunable parameters."""
 
     scenario: Scenario
-    #: Sketch refresh interval (Speed Kit variants only).
-    delta: float = 60.0
+    delta: float = knob(
+        60.0,
+        NON_NEGATIVE,
+        help="sketch refresh interval (Speed Kit variants only)",
+        scaled=True,
+    )
     #: Page TTL for the classic CDN / the static parts of Speed Kit.
-    page_ttl: float = 300.0
-    #: Use the adaptive (Quaestor-style) TTL estimator instead of
-    #: static TTLs (Speed Kit variants only).
-    adaptive_ttl: bool = False
+    page_ttl: float = knob(300.0, NON_NEGATIVE, scaled=True)
+    adaptive_ttl: bool = knob(
+        False,
+        help="use the adaptive (Quaestor-style) TTL estimator instead of static "
+        "TTLs (Speed Kit variants only)",
+    )
     #: Invalidation pipeline latencies (Speed Kit variants only).
-    detection_latency: float = 0.025
-    purge_latency: float = 0.080
+    detection_latency: float = knob(0.025, NON_NEGATIVE, scaled=True)
+    purge_latency: float = knob(0.080, NON_NEGATIVE, scaled=True)
     #: Regional deployment: split users round-robin into this many
     #: regions, each with its own PoP (``None``: one PoP, ``edge-1``).
-    n_regions: Optional[int] = None
-    #: Root seed for all simulation randomness.
-    seed: int = 0
+    n_regions: Optional[int] = knob(None, integer(1))
+    seed: int = knob(0, integer(0), help="root seed for all simulation randomness")
     #: Inject one origin outage window (start, end) in simulated
     #: seconds — the offline-resilience experiment.
     outage: Optional[tuple] = None
@@ -82,13 +97,13 @@ class ScenarioSpec:
     #: ``None`` keeps the default tier×locale scheme; otherwise the
     #: runner builds a scheme with (approximately) this many segments
     #: (1 = everyone shares one variant, larger = finer slices).
-    n_segments: Optional[int] = None
+    n_segments: Optional[int] = knob(None, integer(1))
     #: Storage engine for every cache tier and the origin store
     #: (``None`` keeps the classic in-memory engine everywhere).
     backend: Optional[BackendSpec] = None
-    #: Multiplex each page-load wave slot as one multi-asset lookup
-    #: (fetcher ``fetch_many``) instead of independent connections.
-    batch_waves: bool = False
+    batch_waves: bool = knob(
+        False, help="multiplex each page-load wave slot as one multi-asset CDN lookup"
+    )
     #: Asynchronously replicate admitted entries between PoPs (needs at
     #: least two PoPs: ``n_regions``). The Δ bound widens by the PoP
     #: propagation delay (``DEFAULT_REPLICATION_DELAY``) — the
@@ -99,43 +114,59 @@ class ScenarioSpec:
     #: storage read errors. ``None`` keeps the perfect world. Composes
     #: with the legacy single-window ``outage`` knob.
     fault_profile: Optional["FaultProfile"] = None
-    #: Grace window (seconds) for bounded stale-if-error serving at the
-    #: edge and in the service worker; widens the checked Δ bound by
-    #: exactly this amount. ``None`` disables it.
-    stale_if_error: Optional[float] = None
+    # ``None`` disables the grace window.
+    stale_if_error: Optional[float] = knob(
+        None,
+        NON_NEGATIVE,
+        help="serve cached copies verified within this grace window when "
+        "upstream fails; widens the checked Δ bound by the window",
+        metavar="SECONDS",
+        scaled=True,
+    )
     #: Retry-with-backoff policy for origin exchanges; ``None`` keeps
     #: the historical single-attempt fail-fast behaviour.
     retry: Optional["RetryPolicy"] = None
-    #: Consistency level multi-key read transactions are executed at:
-    #: ``"delta"`` (per-key Δ-atomicity only), ``"snapshot"`` (version
-    #: cut certification with origin re-fetch of violators), or
-    #: ``"serializable"`` (adds an optimistic validation round trip).
-    #: Stored as the string form to avoid an import cycle; parsed by
-    #: the runner via :meth:`repro.txn.ConsistencyLevel.parse`.
-    consistency: str = "delta"
+    # The string form of a :class:`repro.txn.ConsistencyLevel` (an
+    # import cycle otherwise), parsed by the runner.
+    consistency: str = knob(
+        "delta",
+        choices("delta", "snapshot", "serializable"),
+        help="consistency level for multi-key read transactions: per-key "
+        "delta-atomicity, snapshot (version-cut certification with origin "
+        "re-fetch of violators), or serializable (optimistic validation round "
+        "trip at the origin)",
+    )
     #: Time-compression factor carried by a rate-scaled replay
     #: (``--replay-rate R`` sets this to ``1/R`` after dividing every
     #: trace timestamp by ``R``). The runner folds it into the
     #: wall-time-gap knobs via :meth:`time_scaled` so the compressed
     #: replay reproduces the original cache dynamics.
-    time_scale: float = 1.0
+    time_scale: float = knob(1.0, POSITIVE)
     #: Capacity model for the overload control plane (see
     #: :mod:`repro.overload`): per-PoP and origin concurrency slots,
     #: service times, and queue bounds. ``None`` leaves every node
     #: ungoverned — draw-for-draw the historical transport.
     overload_profile: Optional["OverloadProfile"] = None
-    #: Offered-load amplification: replay the trace with this many
-    #: copies of every read event (fractional part hash-sampled), the
-    #: flash-crowd dial for the E25 overload experiment. Writes,
-    #: erasure, and access requests are never amplified.
-    load_multiplier: float = 1.0
-    #: Turn on priority admission control: bounded queues shed
-    #: personalized traffic first, then statics, never control-lane
-    #: work. Off = unbounded FIFO (the uncontrolled baseline).
-    admission: bool = False
-    #: Close the loop: scale PoP capacity from the metrics stream with
-    #: hysteresis (needs ``overload_profile`` with governed PoPs).
-    autoscale: bool = False
+    # The fractional part of the multiplier is hash-sampled.
+    load_multiplier: float = knob(
+        1.0,
+        AT_LEAST_ONE,
+        help="amplify the trace's read traffic X-fold (flash-crowd dial; "
+        "writes, erasure, and access events are never cloned)",
+        metavar="X",
+    )
+    # Off: unbounded FIFO queues, the uncontrolled baseline.
+    admission: bool = knob(
+        False,
+        help="priority admission control: bounded queues shed personalized "
+        "traffic first, statics second, control-lane work never (requires "
+        "--overload-profile)",
+    )
+    autoscale: bool = knob(
+        False,
+        help="close the loop: scale PoP capacity from the metrics stream "
+        "with hysteresis (requires --overload-profile)",
+    )
     #: Record request-path spans (see :mod:`repro.obs`): every page
     #: view, worker decision, transport hop, edge lookup, and origin
     #: exchange gets a span with sim-clock timings and cache verdicts.
@@ -144,57 +175,26 @@ class ScenarioSpec:
     label: Optional[str] = None
 
     def __post_init__(self) -> None:
-        """Reject knobs no run can honour, before a stack is built.
-
-        Every spec passes through here (the CLI, benchmarks, tests,
-        and :meth:`time_scaled` copies alike), so a non-finite or
-        negative duration, or two knobs that contradict each other,
-        fail with their own names instead of surfacing from whichever
-        component first consumes them — or from none, on a scenario
-        that never builds that component.
-        """
-        for knob in (
-            "delta",
-            "page_ttl",
-            "detection_latency",
-            "purge_latency",
-            "stale_if_error",
-        ):
-            value = getattr(self, knob)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(
-                    f"{knob} must be finite and non-negative: {value}"
-                )
+        """Refuse knobs that contradict each other (each knob's own
+        domain is checked first), before a stack is built: by name, not
+        from whichever component first consumes them, or from none."""
         if self.purge_latency < self.detection_latency:
             raise ValueError(
                 "purge completes after detection: purge_latency "
                 f"{self.purge_latency} < detection_latency "
                 f"{self.detection_latency}"
             )
-        if not 0 < self.time_scale < math.inf:
-            raise ValueError(
-                f"time_scale must be finite and positive: {self.time_scale}"
-            )
         if self.scenario.uses_speed_kit and self.delta == 0:
             raise ValueError(
                 "delta must be positive for Speed Kit scenarios "
                 "(it is the sketch refresh interval): 0"
             )
-        if not 1 <= self.load_multiplier < math.inf:
-            raise ValueError(
-                f"load_multiplier must be finite and >= 1: "
-                f"{self.load_multiplier}"
-            )
-        for knob in ("n_regions", "n_segments"):
-            count = getattr(self, knob)
-            if count is not None and count < 1:
-                raise ValueError(f"{knob} must be >= 1: {count}")
         pops = self.n_regions or 1
         if self.replicate_pops and pops < 2:
             raise ValueError(f"replicate_pops needs at least two PoPs: {pops}")
-        for knob in ("admission", "autoscale"):
-            if getattr(self, knob) and self.overload_profile is None:
-                raise ValueError(f"{knob} requires an overload_profile")
+        for name in ("admission", "autoscale"):
+            if getattr(self, name) and self.overload_profile is None:
+                raise ValueError(f"{name} requires an overload_profile")
 
     @property
     def name(self) -> str:
@@ -250,7 +250,8 @@ class ScenarioSpec:
         return terms
 
     def time_scaled(self) -> "ScenarioSpec":
-        """Fold ``time_scale`` into the wall-time-gap knobs.
+        """Fold ``time_scale`` into the wall-time-gap knobs (declared
+        ``scaled``) and the outage window.
 
         A trace compressed by rate ``R`` (timestamps divided by ``R``)
         only reproduces the recorded cache dynamics if everything
@@ -270,21 +271,11 @@ class ScenarioSpec:
             return self
         if not 0 < ts < math.inf:
             raise ValueError(f"time_scale must be finite and positive: {ts}")
-        return replace(
-            self,
-            delta=self.delta * ts,
-            page_ttl=self.page_ttl * ts,
-            detection_latency=self.detection_latency * ts,
-            purge_latency=self.purge_latency * ts,
-            stale_if_error=(
-                None
-                if self.stale_if_error is None
-                else self.stale_if_error * ts
-            ),
-            outage=(
-                None
-                if self.outage is None
-                else tuple(instant * ts for instant in self.outage)
-            ),
-            time_scale=1.0,
-        )
+        scaled = {
+            f.name: getattr(self, f.name) * ts
+            for f in fields(self)
+            if f.metadata.get("scaled") and getattr(self, f.name) is not None
+        }
+        if self.outage is not None:
+            scaled["outage"] = tuple(instant * ts for instant in self.outage)
+        return replace(self, **scaled, time_scale=1.0)

@@ -20,10 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
+from repro.knobs import NON_NEGATIVE, POSITIVE, integer, knob, knobs
+
 __all__ = ["OVERLOAD_PROFILES", "OverloadProfile"]
 
 
 @dataclass(frozen=True)
+@knobs
 class OverloadProfile:
     """Capacity/queue/SLO parameters of one overload regime.
 
@@ -35,38 +38,30 @@ class OverloadProfile:
 
     name: str
     #: Concurrent requests the origin can process (0 = ungoverned).
-    origin_capacity: int = 0
+    origin_capacity: int = knob(0, integer(0))
     #: Seconds one admitted request occupies an origin slot.
-    origin_service_time: float = 0.0
+    origin_service_time: float = knob(0.0, NON_NEGATIVE)
     #: Concurrent requests one PoP can process (0 = ungoverned).
-    pop_capacity: int = 0
+    pop_capacity: int = knob(0, integer(0))
     #: Seconds one admitted request occupies a PoP slot.
-    pop_service_time: float = 0.0
+    pop_service_time: float = knob(0.0, NON_NEGATIVE)
     #: Queue depth beyond which *static* requests are shed
     #: (admission control on only).
-    queue_limit: int = 64
+    queue_limit: int = knob(64, integer(1))
     #: Queue depth beyond which *personalized* requests are shed —
     #: smaller than ``queue_limit`` so personalization degrades first.
-    personalized_queue_limit: int = 8
+    personalized_queue_limit: int = knob(8, integer(1))
     #: The goodput SLO: a page view counts toward goodput only if its
     #: PLT is within this many seconds and no response was shed,
     #: degraded, or failed.
-    slo: float = 2.0
+    slo: float = knob(2.0, POSITIVE)
 
     def __post_init__(self) -> None:
-        if self.origin_capacity < 0 or self.pop_capacity < 0:
-            raise ValueError("capacities must be >= 0 (0 = ungoverned)")
-        if self.origin_service_time < 0 or self.pop_service_time < 0:
-            raise ValueError("service times must be >= 0")
-        if self.queue_limit < 1 or self.personalized_queue_limit < 1:
-            raise ValueError("queue limits must be >= 1")
         if self.personalized_queue_limit > self.queue_limit:
             raise ValueError(
                 "personalized_queue_limit must not exceed queue_limit "
                 "(personalization sheds before statics)"
             )
-        if self.slo <= 0:
-            raise ValueError(f"slo must be positive: {self.slo}")
 
     def queue_delay_bound(self) -> float:
         """Worst-case delivery delay one response accrues in governed

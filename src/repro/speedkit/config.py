@@ -9,12 +9,12 @@ user-personalized (never shared; fetched directly with credentials).
 from __future__ import annotations
 
 import fnmatch
-import math
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.knobs import NON_NEGATIVE, POSITIVE, integer, knob, knobs
 from repro.storage import BackendSpec
 
 
@@ -84,13 +84,14 @@ class RoutingRules:
 
 
 @dataclass
+@knobs
 class SpeedKitConfig:
     """All knobs of one Speed Kit installation."""
 
     #: Routing: what goes through the caching infrastructure.
     rules: RoutingRules = field(default_factory=RoutingRules)
     #: Sketch refresh interval — the protocol's Δ contribution.
-    sketch_refresh_interval: float = 60.0
+    sketch_refresh_interval: float = knob(60.0, POSITIVE)
     #: Paths whose content varies per user segment; the worker requests
     #: the segment variant for these (glob patterns).
     segment_personalized: List[str] = field(default_factory=list)
@@ -98,8 +99,8 @@ class SpeedKitConfig:
     #: credentials, never through shared caches (glob patterns).
     user_personalized: List[str] = field(default_factory=list)
     #: Service worker cache bounds.
-    sw_cache_max_entries: Optional[int] = None
-    sw_cache_max_bytes: Optional[int] = 50_000_000
+    sw_cache_max_entries: Optional[int] = knob(None, integer(1))
+    sw_cache_max_bytes: Optional[int] = knob(50_000_000, integer(1))
     #: Storage engine the service worker cache stores entries in
     #: (the polyglot backend axis; see :mod:`repro.storage`).
     backend: BackendSpec = field(default_factory=BackendSpec)
@@ -114,13 +115,13 @@ class SpeedKitConfig:
     #: for copies verified current within ``swr_staleness_budget``
     #: seconds, which is therefore the staleness bound in this mode.
     stale_while_revalidate: bool = False
-    swr_staleness_budget: float = 120.0
+    swr_staleness_budget: float = knob(120.0, NON_NEGATIVE)
     #: Stale-if-error: when an upstream fetch fails (5xx), serve the
     #: cached copy if it was verified current within this many seconds —
     #: a *bounded* degradation (the grace widens the checked Δ bound by
     #: exactly this window), unlike ``offline_mode`` which is unbounded.
     #: ``None`` disables it.
-    stale_if_error_window: Optional[float] = None
+    stale_if_error_window: Optional[float] = knob(None, NON_NEGATIVE)
     #: Each path's resolved :class:`Route` (one config serves every
     #: worker of a run), valid while the pattern lists equal
     #: ``_route_lists``, their contents when the memo was started.
@@ -130,22 +131,6 @@ class SpeedKitConfig:
     _route_lists: Tuple[List[str], ...] = field(
         default=(), init=False, repr=False, compare=False
     )
-
-    def __post_init__(self) -> None:
-        # Chained comparisons, so NaN fails them too (``nan < 0`` and
-        # ``nan <= 0`` are both false): the same test, and the same
-        # reason, as ``ScenarioSpec``'s durations.
-        if not 0 < self.sketch_refresh_interval < math.inf:
-            raise ValueError(
-                "sketch_refresh_interval must be finite and positive: "
-                f"{self.sketch_refresh_interval}"
-            )
-        for knob in ("swr_staleness_budget", "stale_if_error_window"):
-            value = getattr(self, knob)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(
-                    f"{knob} must be finite and non-negative: {value}"
-                )
 
     def route(self, path: str) -> Route:
         """The resolved :class:`Route` of ``path`` under the current

@@ -10,10 +10,11 @@ gets a fresh one (engines are stateful and never shared across tiers).
 
 from __future__ import annotations
 
-import math
 import random
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
+
+from repro.knobs import NON_NEGATIVE, POSITIVE, choices, integer, knob, knobs
 from repro.simnet.delay import LogNormalDelay
 from repro.storage.backend import CacheBackend, InMemoryBackend
 from repro.storage.batched import (
@@ -34,77 +35,73 @@ from repro.storage.writebehind import (
 #: The engine registry, in CLI order.
 BACKEND_KINDS = ("inmemory", "sharded", "remote", "batched", "write-behind")
 
+#: The engines that read a tuning knob (its ``read_by``): another value
+#: than its default, on another kind, is refused, not ignored.
 _REMOTE = ("remote", "batched", "write-behind")
 _PIPELINED = ("batched", "write-behind")
 
 
-def _read_by(kinds, default):
-    """A tuning field only the engines in ``kinds`` read: any other
-    value than ``default`` on another kind is refused, not ignored."""
-    return field(default=default, metadata={"read_by": kinds})
-
-
 @dataclass(frozen=True)
+@knobs
 class BackendSpec:
     """Which storage engine a cache tier uses, and how it is tuned."""
 
-    kind: str = "inmemory"
-    #: Sharded engine: partition count.
-    n_shards: int = _read_by(("sharded",), 8)
+    kind: str = knob(
+        "inmemory",
+        choices(*BACKEND_KINDS),
+        help="storage engine for every cache tier and the origin store (default: "
+        "the classic in-memory engine)",
+        flag="--backend",
+    )
+    n_shards: int = knob(
+        8,
+        integer(1),
+        help="shard count for --backend sharded (default 8)",
+        flag="--backend-shards",
+        read_by=("sharded",),
+    )
     #: Remote/batched engines: per-operation latency medians (seconds)
     #: and the multiplicative spread of the log-normal draw.
-    read_latency: float = _read_by(_REMOTE, DEFAULT_READ_MEDIAN)
-    write_latency: float = _read_by(_REMOTE, DEFAULT_WRITE_MEDIAN)
-    latency_sigma: float = _read_by(_REMOTE, DEFAULT_SIGMA)
-    #: Batched engine: marginal cost per pipelined key, maximum keys
-    #: per flushed batch, and whether drained latency may overlap with
-    #: concurrent network transit instead of adding to it.
-    per_key_cost: float = _read_by(_PIPELINED, DEFAULT_PER_KEY_COST)
-    batch_window: int = _read_by(_PIPELINED, DEFAULT_BATCH_WINDOW)
-    overlap: bool = _read_by(_PIPELINED, False)
-    #: Write-behind engine: background flusher cadence in simulated
-    #: seconds (queued mutations reach the remote store at most one
-    #: interval plus the write round trips after their ack).
-    flush_interval: float = _read_by(
-        ("write-behind",), DEFAULT_FLUSH_INTERVAL
+    read_latency: float = knob(DEFAULT_READ_MEDIAN, POSITIVE, read_by=_REMOTE)
+    write_latency: float = knob(DEFAULT_WRITE_MEDIAN, POSITIVE, read_by=_REMOTE)
+    latency_sigma: float = knob(DEFAULT_SIGMA, NON_NEGATIVE, read_by=_REMOTE)
+    #: Batched engine: marginal cost per pipelined key.
+    per_key_cost: float = knob(DEFAULT_PER_KEY_COST, NON_NEGATIVE, read_by=_PIPELINED)
+    batch_window: int = knob(
+        DEFAULT_BATCH_WINDOW,
+        integer(1),
+        help="max keys coalesced per round trip for --backend batched",
+        read_by=_PIPELINED,
+    )
+    overlap: bool = knob(
+        False,
+        help="pipeline batched-storage latency under network transit (--backend "
+        "batched or write-behind)",
+        read_by=_PIPELINED,
+    )
+    # Queued mutations reach the remote store at most one interval plus
+    # the write round trips after their ack.
+    flush_interval: float = knob(
+        DEFAULT_FLUSH_INTERVAL,
+        NON_NEGATIVE,
+        help="background flush interval (simulated seconds) for the write-behind "
+        "engine; widens the checked Δ bound",
+        read_by=("write-behind",),
     )
     #: Root seed for the remote/batched engine's latency stream. Every
     #: tier is handed the run's seed whether or not its engine draws,
     #: so no kind refuses it.
-    seed: int = 0
+    seed: int = knob(0, integer(0))
 
     def __post_init__(self) -> None:
-        if self.kind not in BACKEND_KINDS:
-            raise ValueError(
-                f"unknown backend kind {self.kind!r}; "
-                f"choose from {list(BACKEND_KINDS)}"
-            )
-        if self.n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1: {self.n_shards}")
-        for knob in ("read_latency", "write_latency"):
-            value = getattr(self, knob)
-            if not 0 < value < math.inf:
-                raise ValueError(
-                    f"{knob} must be finite and positive: {value}"
-                )
-        for knob in ("latency_sigma", "per_key_cost", "flush_interval"):
-            value = getattr(self, knob)
-            if not 0 <= value < math.inf:
-                raise ValueError(
-                    f"{knob} must be finite and non-negative: {value}"
-                )
-        if self.batch_window < 1:
-            raise ValueError(
-                f"batch_window must be >= 1: {self.batch_window}"
-            )
-        for knob in fields(self):
-            read_by = knob.metadata.get("read_by", BACKEND_KINDS)
+        for knob_field in fields(self):
+            read_by = knob_field.metadata.get("read_by", BACKEND_KINDS)
             if (
                 self.kind not in read_by
-                and getattr(self, knob.name) != knob.default
+                and getattr(self, knob_field.name) != knob_field.default
             ):
                 raise ValueError(
-                    f"{knob.name} is read only by the "
+                    f"{knob_field.name} is read only by the "
                     f"{'|'.join(read_by)} backend, not by {self.kind!r}"
                 )
 
@@ -153,8 +150,3 @@ class BackendSpec:
             write_delay=write_delay,
             rng=rng,
         )
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return asdict(self)

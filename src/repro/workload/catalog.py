@@ -6,6 +6,8 @@ import random
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.knobs import NON_NEGATIVE, integer, knob, knobs
+
 DEFAULT_CATEGORIES = (
     "shoes",
     "shirts",
@@ -17,22 +19,23 @@ DEFAULT_CATEGORIES = (
 
 
 @dataclass
+@knobs
 class CatalogConfig:
     """Knobs of catalog generation."""
 
-    n_products: int = 500
+    n_products: int = knob(
+        500, integer(1), help="products in the catalog", flag="--products"
+    )
     categories: tuple = DEFAULT_CATEGORIES
     #: Zipf exponent of product view popularity; ~0.8-1.0 is typical
     #: for e-commerce catalogs.
-    zipf_s: float = 0.9
-    min_price: float = 5.0
-    max_price: float = 250.0
+    zipf_s: float = knob(0.9, NON_NEGATIVE)
+    min_price: float = knob(5.0, NON_NEGATIVE)
+    max_price: float = knob(250.0, NON_NEGATIVE)
 
     def __post_init__(self) -> None:
-        if self.n_products <= 0:
-            raise ValueError(f"n_products must be positive: {self.n_products}")
-        if self.zipf_s < 0:
-            raise ValueError(f"zipf_s must be non-negative: {self.zipf_s}")
+        if self.min_price > self.max_price:
+            raise ValueError(f"min_price {self.min_price} > max_price {self.max_price}")
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import List
 
+from repro.knobs import NON_NEGATIVE, POSITIVE, Domain, integer, knob, knobs
 from repro.workload.catalog import Catalog
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 from repro.workload.trace import PageView, ProductUpdate, WorkloadTrace
@@ -22,31 +23,26 @@ from repro.workload.users import UserPopulation
 
 
 @dataclass
+@knobs
 class FlashSaleConfig:
     """Shape of the sale event."""
 
     #: Sale window in simulated seconds.
-    start: float = 1200.0
-    end: float = 1800.0
+    start: float = knob(1200.0, NON_NEGATIVE)
+    end: float = knob(1800.0, POSITIVE)
     #: Category whose products go on sale.
     category: str = "sale"
     #: Price multiplier during the sale.
-    discount: float = 0.7
+    discount: float = knob(0.7, Domain("in (0, 1]", lambda v: 0 < v <= 1))
     #: Extra sale-page sessions per second during the window, on top of
     #: the background traffic.
-    spike_rate: float = 1.0
+    spike_rate: float = knob(1.0, NON_NEGATIVE)
     #: Page views per spike session (home → sale category → products).
-    spike_session_length: int = 3
+    spike_session_length: int = knob(3, integer(1))
 
     def __post_init__(self) -> None:
         if self.end <= self.start:
-            raise ValueError(
-                f"empty sale window [{self.start}, {self.end})"
-            )
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError(f"discount must be in (0, 1]: {self.discount}")
-        if self.spike_rate < 0:
-            raise ValueError(f"spike_rate must be >= 0: {self.spike_rate}")
+            raise ValueError(f"empty sale window [{self.start}, {self.end})")
 
     def phase_of(self, at: float) -> str:
         """"before" / "during" / "after" the sale."""

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.knobs import (
+    AT_LEAST_ONE,
+    FRACTION,
+    NON_NEGATIVE,
+    POSITIVE,
+    integer,
+    knob,
+    knobs,
+)
 from repro.workload.catalog import Catalog
 from repro.workload.trace import (
     AccessUser,
@@ -22,79 +30,56 @@ from repro.workload.users import UserPopulation
 
 
 @dataclass
+@knobs
 class WorkloadConfig:
     """Traffic shape knobs."""
 
-    duration: float = 3600.0
-    #: Session arrivals per second across the whole population.
-    session_rate: float = 0.5
+    duration: float = knob(
+        3600.0, POSITIVE, help="simulated seconds of traffic to generate"
+    )
+    session_rate: float = knob(
+        0.5, POSITIVE, help="session arrivals per second across the whole population"
+    )
     #: Mean page views per session (geometric).
-    mean_session_length: float = 5.0
+    mean_session_length: float = knob(5.0, AT_LEAST_ONE)
     #: Mean think time between page views (exponential), seconds.
-    think_time_mean: float = 15.0
-    #: Background product updates per second (Poisson).
-    write_rate: float = 0.05
+    think_time_mean: float = knob(15.0, POSITIVE)
+    write_rate: float = knob(
+        0.05, NON_NEGATIVE, help="background product updates per second (Poisson)"
+    )
     #: Zipf exponent for which products get updated (hot items churn).
-    write_zipf_s: float = 0.5
+    write_zipf_s: float = knob(0.5, NON_NEGATIVE)
     #: Probability that a product page view is followed by a cart add.
-    cart_add_prob: float = 0.10
+    cart_add_prob: float = knob(0.10, FRACTION)
     #: Navigation mix after the first page: probabilities of going to a
     #: category page / product page / home. Must sum to 1.
-    nav_category: float = 0.35
-    nav_product: float = 0.55
-    nav_home: float = 0.10
-    #: Probability that a page view is followed by a multi-key read
-    #: transaction (cart + profile + recommendations-style API reads).
-    #: 0 disables transactions entirely — and draws no RNG for them,
-    #: keeping existing traces bit-identical.
-    txn_mix: float = 0.0
-    #: Keys per transaction (distinct products read together).
-    txn_keys: int = 3
+    nav_category: float = knob(0.35, FRACTION)
+    nav_product: float = knob(0.55, FRACTION)
+    nav_home: float = knob(0.10, FRACTION)
+    txn_mix: float = knob(
+        0.0,
+        FRACTION,
+        help="probability that a page view is followed by a multi-key read "
+        "transaction (0 disables transactions; traces stay bit-identical)",
+        metavar="FRACTION",
+    )
+    txn_keys: int = knob(
+        3, integer(1), help="distinct keys per transaction (default 3)"
+    )
     #: Zipf exponent for which products a transaction reads.
-    txn_zipf_s: float = 0.7
+    txn_zipf_s: float = knob(0.7, NON_NEGATIVE)
     #: GDPRbench-style mix: fraction of active logged-in users who file
     #: an Art. 17 erasure request after their last activity (account
     #: deletion — the user leaves, then asks to be forgotten).
-    erase_fraction: float = 0.0
+    erase_fraction: float = knob(0.0, FRACTION)
     #: Art. 15 subject-access requests per second (Poisson, sampled
     #: over the active logged-in population) interleaved with traffic.
-    access_rate: float = 0.0
+    access_rate: float = knob(0.0, NON_NEGATIVE)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.txn_mix <= 1.0:
-            raise ValueError(f"txn_mix must be in [0, 1]: {self.txn_mix}")
-        if self.txn_keys < 1:
-            raise ValueError(f"txn_keys must be >= 1: {self.txn_keys}")
-        if self.txn_zipf_s < 0:
-            raise ValueError(
-                f"txn_zipf_s must be >= 0: {self.txn_zipf_s}"
-            )
-        if not 0.0 <= self.erase_fraction <= 1.0:
-            raise ValueError(
-                f"erase_fraction must be in [0, 1]: {self.erase_fraction}"
-            )
-        if self.access_rate < 0:
-            raise ValueError(
-                f"access_rate must be >= 0: {self.access_rate}"
-            )
-        if not 0 <= self.write_rate < math.inf:
-            raise ValueError(
-                f"write_rate must be finite and non-negative: "
-                f"{self.write_rate}"
-            )
-        for knob in ("duration", "session_rate"):
-            value = getattr(self, knob)
-            if not 0 < value < math.inf:
-                raise ValueError(
-                    f"{knob} must be finite and positive: {value}"
-                )
         nav_total = self.nav_category + self.nav_product + self.nav_home
         if abs(nav_total - 1.0) > 1e-6:
             raise ValueError(f"navigation mix sums to {nav_total}")
-
-    def to_dict(self) -> dict:
-        """Plain JSON data for trace-header provenance (v2 format)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class WorkloadGenerator:

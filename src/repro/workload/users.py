@@ -8,48 +8,35 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Dict, List, Tuple
 
+from repro.knobs import FRACTION, WEIGHTS, integer, knob, knobs
+
 
 @dataclass
+@knobs
 class UserPopulationConfig:
     """Distribution knobs of the user population."""
 
-    n_users: int = 200
+    n_users: int = knob(
+        200, integer(1), help="users in the population", flag="--users"
+    )
     #: (tier, probability) — customer tiers driving segment pricing.
-    tier_mix: Tuple[Tuple[str, float], ...] = (
-        ("standard", 0.70),
-        ("gold", 0.25),
-        ("platinum", 0.05),
+    tier_mix: Tuple[Tuple[str, float], ...] = knob(
+        (("standard", 0.70), ("gold", 0.25), ("platinum", 0.05)), WEIGHTS
     )
     #: (locale, probability).
-    locale_mix: Tuple[Tuple[str, float], ...] = (
-        ("en", 0.5),
-        ("de", 0.3),
-        ("fr", 0.2),
+    locale_mix: Tuple[Tuple[str, float], ...] = knob(
+        (("en", 0.5), ("de", 0.3), ("fr", 0.2)), WEIGHTS
     )
     #: (connection profile name, probability) — keys into
     #: :data:`repro.simnet.profiles.CONNECTION_PROFILES`.
-    connection_mix: Tuple[Tuple[str, float], ...] = (
-        ("fiber", 0.2),
-        ("cable", 0.4),
-        ("lte", 0.25),
-        ("3g", 0.15),
+    connection_mix: Tuple[Tuple[str, float], ...] = knob(
+        (("fiber", 0.2), ("cable", 0.4), ("lte", 0.25), ("3g", 0.15)),
+        WEIGHTS,
     )
     #: Fraction of users who are logged in (have an identity).
-    logged_in_fraction: float = 0.6
+    logged_in_fraction: float = knob(0.6, FRACTION)
     #: Fraction of users consenting to acceleration + segmentation.
-    consent_fraction: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.n_users <= 0:
-            raise ValueError(f"n_users must be positive: {self.n_users}")
-        for name, mix in (
-            ("tier_mix", self.tier_mix),
-            ("locale_mix", self.locale_mix),
-            ("connection_mix", self.connection_mix),
-        ):
-            total = sum(p for _, p in mix)
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"{name} probabilities sum to {total}")
+    consent_fraction: float = knob(0.9, FRACTION)
 
 
 @dataclass(frozen=True, slots=True)

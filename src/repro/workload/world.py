@@ -40,28 +40,16 @@ def _config_to_dict(config) -> dict:
     }
 
 
-def _catalog_config_from_dict(data: dict) -> CatalogConfig:
-    return CatalogConfig(
-        n_products=int(data["n_products"]),
-        categories=tuple(data["categories"]),
-        zipf_s=float(data["zipf_s"]),
-        min_price=float(data["min_price"]),
-        max_price=float(data["max_price"]),
-    )
+def _config_from_dict(cls, data: dict):
+    """The ``cls`` config :func:`_config_to_dict` wrote, checked by its
+    knob declarations."""
 
+    def frozen(value):
+        if isinstance(value, list):
+            return tuple(frozen(item) for item in value)
+        return value
 
-def _users_config_from_dict(data: dict) -> UserPopulationConfig:
-    def mix(pairs) -> tuple:
-        return tuple((str(name), float(p)) for name, p in pairs)
-
-    return UserPopulationConfig(
-        n_users=int(data["n_users"]),
-        tier_mix=mix(data["tier_mix"]),
-        locale_mix=mix(data["locale_mix"]),
-        connection_mix=mix(data["connection_mix"]),
-        logged_in_fraction=float(data["logged_in_fraction"]),
-        consent_fraction=float(data["consent_fraction"]),
-    )
+    return cls(**{f.name: frozen(data[f.name]) for f in fields(cls)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +96,8 @@ class WorldSpec:
     def from_dict(cls, data: dict) -> "WorldSpec":
         try:
             return cls(
-                catalog=_catalog_config_from_dict(data["catalog"]),
-                users=_users_config_from_dict(data["users"]),
+                catalog=_config_from_dict(CatalogConfig, data["catalog"]),
+                users=_config_from_dict(UserPopulationConfig, data["users"]),
                 seed=int(data.get("seed", 0)),
                 catalog_seed=int(data["catalog_seed"]),
                 users_seed=int(data["users_seed"]),

@@ -167,7 +167,7 @@ class TestBackendSpec:
         assert spec.build() is not spec.build()
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend kind"):
+        with pytest.raises(ValueError, match="^kind must be one of"):
             BackendSpec(kind="memcached")
 
     def test_invalid_params_rejected(self):

@@ -4,19 +4,25 @@ Generated rows: each numeric field of the eleven config classes meets
 NaN, +inf, -inf, 0, -1 and 2 (and ``None``). A value inside the field's
 domain builds; any other is refused with a ``ValueError`` whose message
 starts with the field's name. ``DOMAINS`` is the contract the rows are
-generated from, one entry per numeric field.
+generated from, one entry per numeric field, and it must name every
+numeric field a class declares. Each gate has a committed mutant: a
+knob whose domain lets NaN through, a table that misses a knob, and a
+class with a number field that declares no domain.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import math
+from typing import Optional
 
 import pytest
 
 from repro.faults import FaultProfile, RetryPolicy
 from repro.faults.backend import FaultyBackendSpec
 from repro.harness.scenarios import Scenario, ScenarioSpec
+from repro.knobs import Domain, knob, knobs
 from repro.overload import OverloadProfile
 from repro.speedkit.config import SpeedKitConfig
 from repro.storage import BACKEND_KINDS, BackendSpec
@@ -196,8 +202,7 @@ def _rows():
                 )  # fmt: skip
 
 
-@pytest.mark.parametrize("cls, name, value, accepted", list(_rows()))
-def test_a_knob_accepts_exactly_its_domain(cls, name, value, accepted):
+def _check_row(cls, name, value, accepted):
     kwargs = {**_base(cls, name), name: value}
     if accepted:
         assert getattr(cls(**kwargs), name) is value
@@ -205,3 +210,74 @@ def test_a_knob_accepts_exactly_its_domain(cls, name, value, accepted):
         with pytest.raises(ValueError) as err:
             cls(**kwargs)
         assert str(err.value).startswith(f"{name} "), err.value
+
+
+@pytest.mark.parametrize("cls, name, value, accepted", list(_rows()))
+def test_a_knob_accepts_exactly_its_domain(cls, name, value, accepted):
+    _check_row(cls, name, value, accepted)
+
+
+def test_the_refusal_gate_trips_on_a_domain_that_admits_nan():
+    """The mutant: a fraction checked as ``not (v < 0 or v > 1)``, the
+    shape that let NaN through the hand-written checks."""
+
+    @dataclasses.dataclass
+    @knobs
+    class Mutant:
+        share: float = knob(0.5, Domain("in [0, 1]", lambda v: not (v < 0 or v > 1)))
+
+    _check_row(Mutant, "share", 0.0, True)
+    with pytest.raises(pytest.fail.Exception):
+        _check_row(Mutant, "share", math.nan, False)
+
+
+def _unwalked(cls, table) -> set:
+    """``cls``'s own number fields that ``table`` does not walk."""
+    numbers = {
+        name
+        for name, annotation in inspect.get_annotations(cls).items()
+        if annotation.removeprefix("Optional[").rstrip("]") in ("int", "float")
+    }
+    return numbers - set(table.get(cls, ()))
+
+
+@pytest.mark.parametrize("cls", list(DOMAINS), ids=lambda cls: cls.__name__)
+def test_the_rows_walk_every_numeric_knob(cls):
+    assert not _unwalked(cls, DOMAINS)
+
+
+def test_the_walk_gate_trips_on_a_knob_the_table_misses():
+    table = {**DOMAINS, WorkloadConfig: dict(DOMAINS[WorkloadConfig])}
+    del table[WorkloadConfig]["access_rate"]
+    assert _unwalked(WorkloadConfig, table) == {"access_rate"}
+
+
+def test_a_float_without_a_domain_fails_class_creation():
+    with pytest.raises(TypeError, match="Undeclared.rate is a number with no domain"):
+
+        @dataclasses.dataclass
+        @knobs
+        class Undeclared:
+            rate: float = 0.5
+
+
+def test_an_optional_int_without_a_domain_fails_class_creation():
+    with pytest.raises(TypeError, match="Undeclared.limit is a number with no domain"):
+
+        @dataclasses.dataclass
+        @knobs
+        class Undeclared:
+            limit: Optional[int] = None
+
+
+def test_bools_strings_and_declared_numbers_need_nothing_more():
+    @dataclasses.dataclass
+    @knobs
+    class Declared:
+        on: bool = False
+        label: str = "x"
+        rate: float = knob(0.5, Domain("in [0, 1]", lambda v: 0 <= v <= 1))
+
+    assert Declared().rate == 0.5
+    with pytest.raises(ValueError, match=r"^rate must be in \[0, 1\]: 2.0$"):
+        Declared(rate=2.0)
