@@ -15,16 +15,21 @@ exchange tries before synthesizing a 503; the optional
 :class:`~repro.faults.breaker.CircuitBreaker` trips a repeatedly
 failing PoP to origin pass-through; and ``stale_if_error`` lets the
 edge answer a failed fill with a bounded-stale copy. All four default
-to off (the oracle to :data:`~repro.simnet.faults.NO_FAULTS`, whose
-answers draw nothing), in which case every code path below is
-draw-for-draw identical to the fault-free transport.
+to off; the oracle defaults to :data:`~repro.simnet.faults.NO_FAULTS`,
+which the transport then never asks, so every leg is one delay draw.
+With any other oracle each query is made where it always was, in the
+same order, so a chaos run's coin flips are drawn as before.
+
+A run's topology is built before its first request and never changes,
+so each sender's route — its nearest PoP, the link to it and the link
+to the origin — is looked up once, on the sender's first request.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro.cdn.edge import EdgeCache
 from repro.cdn.network import Cdn
@@ -72,6 +77,31 @@ def _honor_validators(request: Request, response: Response) -> Response:
     return response
 
 
+class _Resolved(dict):
+    """Key -> ``resolve(key)``, computed on the key's first lookup.
+
+    ``__missing__`` runs on a miss only, so a hit is a plain dict read.
+    ``resolve`` closes over the topology alone: the memo holds what the
+    topology holds, and no reference back to its transport.
+    """
+
+    __slots__ = ("resolve",)
+
+    def __init__(self, resolve: Callable) -> None:
+        super().__init__()
+        self.resolve = resolve
+
+    def __missing__(self, key):
+        value = self[key] = self.resolve(key)
+        return value
+
+
+def _edge_route(topology: Topology, client: str):
+    """``client``'s nearest PoP and the link to it."""
+    edge_name = topology.nearest_edge(client)
+    return edge_name, topology.link(client, edge_name)
+
+
 class Transport:
     """Routes requests from one client node across the topology."""
 
@@ -112,6 +142,13 @@ class Transport:
         self._counters = (
             metrics if metrics is not None else MetricRegistry()
         ).handles("")
+        #: Each sender's route, resolved on its first request: a
+        #: client's nearest PoP and link to it, and any sender's link
+        #: to the origin.
+        self._to_edge = _Resolved(lambda client: _edge_route(topology, client))
+        self._to_origin = _Resolved(
+            lambda sender: topology.link(sender, ORIGIN_NODE)
+        )
 
     def charge(self, store, concurrent: float = 0.0) -> Tuple[Timeout, ...]:
         """Convert a store's accrued engine latency into simulated time.
@@ -135,25 +172,17 @@ class Transport:
 
     # -- origin exchange ---------------------------------------------------
 
-    def _origin_handle(self, request: Request) -> Response:
-        """Let the origin answer — unless it is down (or browned out)."""
-        if self.faults.should_fail(ORIGIN_NODE, self.env.now):
-            return Response(
-                status=Status.SERVICE_UNAVAILABLE,
-                headers=Headers({"Cache-Control": "no-store"}),
-                url=request.url,
-                served_by=ORIGIN_NODE,
-                generated_at=self.env.now,
-            )
-        return self.origin_server.handle(request, self.env.now)
-
-    def _network_error(self, request: Request) -> Response:
-        """The response a sender synthesizes after giving up."""
+    def _synthesized(
+        self, request: Request, by: str, status=Status.SERVICE_UNAVAILABLE
+    ) -> Response:
+        """An uncacheable answer nobody rendered: a 503 from a node that
+        is down (``by`` it) or from a sender that gave up (``by``
+        ``"network"``)."""
         return Response(
-            status=Status.SERVICE_UNAVAILABLE,
+            status=status,
             headers=Headers({"Cache-Control": "no-store"}),
             url=request.url,
-            served_by="network",
+            served_by=by,
             generated_at=self.env.now,
         )
 
@@ -164,24 +193,8 @@ class Transport:
         validator, and its 200 status means the retry loop does not
         multiply load the governor just refused.
         """
-        response = Response(
-            status=Status.OK,
-            headers=Headers({"Cache-Control": "no-store"}),
-            url=request.url,
-            served_by=node,
-            generated_at=self.env.now,
-        )
+        response = self._synthesized(request, node, Status.OK)
         return mark(response, Degraded.LOAD_SHED)
-
-    def _origin_governor(self):
-        if self.overload is None:
-            return None
-        return self.overload.origin_governor
-
-    def _pop_governor(self, edge_name: str):
-        if self.overload is None:
-            return None
-        return self.overload.pop_governor(edge_name)
 
     def _origin_attempt(
         self, from_node: str, request: Request, span
@@ -193,18 +206,22 @@ class Transport:
         declares the attempt dead. ``span`` is ``None`` when tracing is
         off.
         """
-        link = self.topology.link(from_node, ORIGIN_NODE)
-        if self.faults.loses_message(from_node, ORIGIN_NODE):
+        env = self.env
+        link = self._to_origin[from_node]
+        faults = self.faults
+        faulty = faults is not NO_FAULTS
+        if faulty and faults.loses_message(from_node, ORIGIN_NODE):
             self._counters["transport.lost_requests"].inc()
             if span is not None:
-                span.event("lost-request", at=self.env.now)
-            yield self.env.timeout(ATTEMPT_TIMEOUT)
+                span.event("lost-request", at=env.now)
+            yield env.timeout(ATTEMPT_TIMEOUT)
             return None
-        forward = self.topology.one_way(
-            from_node, ORIGIN_NODE, self.rng
-        ) * self.faults.latency_factor(from_node, ORIGIN_NODE)
-        yield self.env.timeout(forward)
-        governor = self._origin_governor()
+        forward = link.delay.sample(self.rng)
+        if faulty:
+            forward *= faults.latency_factor(from_node, ORIGIN_NODE)
+        yield env.timeout(forward)
+        overload = self.overload
+        governor = overload.origin_governor if overload else None
         if governor is not None:
             admitted = yield from governor.acquire(
                 classify_request(request), parent=span
@@ -214,32 +231,37 @@ class Transport:
                 # front door: the answer is an immediate, marked shed —
                 # only the return leg is paid, no origin work happens.
                 if span is not None:
-                    span.event("shed", at=self.env.now)
-                yield self.env.timeout(
-                    link.one_way(self.rng)
-                    * self.faults.latency_factor(ORIGIN_NODE, from_node)
-                )
+                    span.event("shed", at=env.now)
+                back = link.delay.sample(self.rng)
+                if faulty:
+                    back *= faults.latency_factor(ORIGIN_NODE, from_node)
+                yield env.timeout(back)
                 return self._shed_response(request, ORIGIN_NODE)
-        response = self._origin_handle(request)
+        if faulty and faults.should_fail(ORIGIN_NODE, env.now):
+            # The origin is down (or browned out).
+            response = self._synthesized(request, ORIGIN_NODE)
+        else:
+            response = self.origin_server.handle(request, env.now)
         self._counters["bytes.origin_egress"].inc(response.content_length or 0)
-        if self.faults.loses_message(ORIGIN_NODE, from_node):
+        if faulty and faults.loses_message(ORIGIN_NODE, from_node):
             # The origin did the work (and sent the bytes), but the
             # reply never arrives; the sender times out the remainder.
             self._counters["transport.lost_responses"].inc()
             if span is not None:
-                span.event("lost-response", at=self.env.now)
-            yield self.env.timeout(max(0.0, ATTEMPT_TIMEOUT - forward))
+                span.event("lost-response", at=env.now)
+            yield env.timeout(max(0.0, ATTEMPT_TIMEOUT - forward))
             return None
-        transit = link.one_way(self.rng) * self.faults.latency_factor(
-            ORIGIN_NODE, from_node
-        ) + link.transfer_time(response.content_length or 0)
+        transit = link.delay.sample(self.rng)
+        if faulty:
+            transit *= faults.latency_factor(ORIGIN_NODE, from_node)
+        transit += link.transfer_time(response.content_length or 0)
         # Store latency may overlap with the response transit: the
         # origin's storage round trips and the return leg run
         # concurrently for a pipelining engine.
         yield from self.charge(
             self.origin_server.site.store, concurrent=transit
         )
-        yield self.env.timeout(transit)
+        yield env.timeout(transit)
         return response
 
     def _origin_exchange(
@@ -294,7 +316,7 @@ class Transport:
             return (
                 response
                 if response is not None
-                else self._network_error(request)
+                else self._synthesized(request, "network")
             )
         deadline = self.env.now + policy.budget
         attempt = 0
@@ -323,7 +345,9 @@ class Transport:
         if span is not None:
             span.set(attempts=attempt)
         return (
-            response if response is not None else self._network_error(request)
+            response
+            if response is not None
+            else self._synthesized(request, "network")
         )
 
     # -- transaction validation -------------------------------------------
@@ -376,16 +400,13 @@ class Transport:
     # -- CDN path --------------------------------------------------------------
 
     def fetch_via_cdn(
-        self,
-        client_node: str,
-        request: Request,
-        cdn: Cdn,
-        edge_name: Optional[str] = None,
+        self, client_node: str, request: Request, cdn: Cdn
     ) -> Generator:
         """Client → nearest edge PoP → (origin on miss/stale)."""
-        if edge_name is None:
-            edge_name = self.topology.nearest_edge(client_node)
+        edge_name, client_link = self._to_edge[client_node]
         env = self.env
+        faults = self.faults
+        faulty = faults is not NO_FAULTS
         # The ``transport`` span and its ``edge`` child; both ``None``
         # when tracing is off, so an untraced fetch builds no span work.
         span = edge_span = None
@@ -415,12 +436,12 @@ class Transport:
                 self.tracer.finish(span, env.now)
             return response
         edge = cdn.pop(edge_name)
-        yield env.timeout(
-            self.topology.one_way(client_node, edge_name, self.rng)
-            * self.faults.latency_factor(client_node, edge_name)
-        )
+        forward = client_link.delay.sample(self.rng)
+        if faulty:
+            forward *= faults.latency_factor(client_node, edge_name)
+        yield env.timeout(forward)
         now = env.now
-        if self.faults.should_fail(edge_name, now):
+        if faulty and faults.should_fail(edge_name, now):
             # The PoP is dark: fail over to the origin directly.
             self._counters["transport.edge_failures"].inc()
             if span is not None:
@@ -436,7 +457,8 @@ class Transport:
                 )
                 self.tracer.finish(span, env.now)
             return response
-        governor = self._pop_governor(edge_name)
+        overload = self.overload
+        governor = overload.pop_governor(edge_name) if overload else None
         if governor is not None:
             admitted = yield from governor.acquire(
                 classify_request(request), parent=span
@@ -447,11 +469,10 @@ class Transport:
                 if span is not None:
                     span.event("shed", at=env.now)
                 response = self._shed_response(request, edge_name)
-                client_link = self.topology.link(client_node, edge_name)
-                yield env.timeout(
-                    client_link.one_way(self.rng)
-                    * self.faults.latency_factor(edge_name, client_node)
-                )
+                back = client_link.delay.sample(self.rng)
+                if faulty:
+                    back *= faults.latency_factor(edge_name, client_node)
+                yield env.timeout(back)
                 if span is not None:
                     span.set(
                         status=int(response.status),
@@ -494,10 +515,10 @@ class Transport:
             if span is not None:
                 span.event("not-modified-to-client", at=env.now)
         self._counters["bytes.edge_egress"].inc(response.content_length or 0)
-        client_link = self.topology.link(client_node, edge_name)
-        transit = client_link.one_way(self.rng) * self.faults.latency_factor(
-            edge_name, client_node
-        ) + client_link.transfer_time(response.content_length or 0)
+        transit = client_link.delay.sample(self.rng)
+        if faulty:
+            transit *= faults.latency_factor(edge_name, client_node)
+        transit += client_link.transfer_time(response.content_length or 0)
         # Edge storage round trips may pipeline under the client leg.
         yield from self.charge(edge.store, concurrent=transit)
         if edge_span is not None:
@@ -523,11 +544,7 @@ class Transport:
         return [done[process] for process in processes]
 
     def fetch_many_via_cdn(
-        self,
-        client_node: str,
-        requests: Sequence[Request],
-        cdn: Cdn,
-        edge_name: Optional[str] = None,
+        self, client_node: str, requests: Sequence[Request], cdn: Cdn
     ) -> Generator:
         """Multi-asset lookup: one edge round trip for a whole wave.
 
@@ -541,8 +558,9 @@ class Transport:
         """
         if not requests:
             return []
-        if edge_name is None:
-            edge_name = self.topology.nearest_edge(client_node)
+        edge_name, client_link = self._to_edge[client_node]
+        faults = self.faults
+        faulty = faults is not NO_FAULTS
         span = self.tracer.start(
             "transport-batch",
             self.env.now,
@@ -563,11 +581,11 @@ class Transport:
             self.tracer.finish(span, self.env.now)
             return responses
         edge = cdn.pop(edge_name)
-        yield self.env.timeout(
-            self.topology.one_way(client_node, edge_name, self.rng)
-            * self.faults.latency_factor(client_node, edge_name)
-        )
-        if self.faults.should_fail(edge_name, self.env.now):
+        forward = client_link.delay.sample(self.rng)
+        if faulty:
+            forward *= faults.latency_factor(client_node, edge_name)
+        yield self.env.timeout(forward)
+        if faulty and faults.should_fail(edge_name, self.env.now):
             self._counters["transport.edge_failures"].inc()
             span.event("edge-down", at=self.env.now)
             if self.breaker is not None:
@@ -577,7 +595,8 @@ class Transport:
             )
             self.tracer.finish(span, self.env.now)
             return responses
-        governor = self._pop_governor(edge_name)
+        overload = self.overload
+        governor = overload.pop_governor(edge_name) if overload else None
         if governor is not None:
             # The wave shares one multiplexed exchange, so it takes one
             # governor slot weighted by its size — the class is the most
@@ -596,11 +615,10 @@ class Transport:
                     self._shed_response(request, edge_name)
                     for request in requests
                 ]
-                client_link = self.topology.link(client_node, edge_name)
-                yield self.env.timeout(
-                    client_link.one_way(self.rng)
-                    * self.faults.latency_factor(edge_name, client_node)
-                )
+                back = client_link.delay.sample(self.rng)
+                if faulty:
+                    back *= faults.latency_factor(edge_name, client_node)
+                yield self.env.timeout(back)
                 span.set(shed=True)
                 self.tracer.finish(span, self.env.now)
                 return responses
@@ -654,10 +672,10 @@ class Transport:
             responses[index] = response
             self._counters["bytes.edge_egress"].inc(response.content_length or 0)
             total_length += response.content_length or 0
-        client_link = self.topology.link(client_node, edge_name)
-        transit = client_link.one_way(self.rng) * self.faults.latency_factor(
-            edge_name, client_node
-        ) + client_link.transfer_time(total_length)
+        transit = client_link.delay.sample(self.rng)
+        if faulty:
+            transit *= faults.latency_factor(edge_name, client_node)
+        transit += client_link.transfer_time(total_length)
         # The batched edge lookup drains once for the whole wave,
         # overlapping with the shared return leg where the engine can.
         yield from self.charge(edge.store, concurrent=transit)

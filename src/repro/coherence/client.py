@@ -106,9 +106,8 @@ class SketchClient:
                 node=ORIGIN_NODE,
                 tier="sketch",
             )
-        yield self.env.timeout(
-            self.topology.one_way(self.client_node, ORIGIN_NODE, self.rng)
-        )
+        link = self.topology.link(self.client_node, ORIGIN_NODE)
+        yield self.env.timeout(link.delay.sample(self.rng))
         now = self.env.now
         if self.faults.is_down(ORIGIN_NODE, now):
             self.stats.failures += 1
@@ -117,10 +116,9 @@ class SketchClient:
                 self.tracer.finish(span, now)
             return None
         snapshot = self.server_sketch.snapshot(now)
-        link = self.topology.link(self.client_node, ORIGIN_NODE)
         size = snapshot.transfer_size_bytes()
         yield self.env.timeout(
-            link.one_way(self.rng) + link.transfer_time(size)
+            link.delay.sample(self.rng) + link.transfer_time(size)
         )
         self.current = snapshot
         self.stats.fetches += 1

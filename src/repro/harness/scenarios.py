@@ -269,8 +269,6 @@ class ScenarioSpec:
         ts = self.time_scale
         if ts == 1.0:
             return self
-        if not 0 < ts < math.inf:
-            raise ValueError(f"time_scale must be finite and positive: {ts}")
         scaled = {
             f.name: getattr(self, f.name) * ts
             for f in fields(self)

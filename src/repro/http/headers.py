@@ -24,12 +24,17 @@ class Headers:
     strings.
     """
 
-    __slots__ = ("_items",)
+    __slots__ = ("_items", "_derived")
 
     def __init__(self, initial: Optional[Mapping[str, str]] = None) -> None:
         # canonical (lower) name -> (display name, value)
         items: Dict[str, Tuple[str, str]] = {}
         self._items = items
+        #: What a reader derived from this map, kept on its first read:
+        #: the map is never edited, so the facts hold for its life and
+        #: go with it (how a ``URL`` keeps its text). The origin keeps
+        #: a request's identity and validators here.
+        self._derived = None
         if initial:
             # First spelling wins for display, last value wins.
             get = items.get

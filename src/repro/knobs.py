@@ -62,10 +62,15 @@ def knob(default=dataclasses.MISSING, domain=None, **metadata):
 
 def knobs(cls):
     """Check every knob ``cls``'s body declares, on each instance,
-    before its own (or inherited) ``__post_init__``. Class creation
-    fails when a number field (``int`` or ``float``, ``Optional`` or
-    not) declares no domain, as a ``RunResult`` field must a rule."""
-    declared = []
+    before its own (or inherited) ``__post_init__``, and on every
+    assignment when the class is not frozen. Class creation fails when
+    a number field (``int`` or ``float``, ``Optional`` or not) declares
+    no domain, as a ``RunResult`` field must a rule.
+
+    The rules relating two fields run at construction only: a sequence
+    of related assignments may pass through an invalid pair.
+    """
+    declared = {}
     for name, annotation in inspect.get_annotations(cls).items():
         if not isinstance(annotation, str):
             annotation = inspect.formatannotation(annotation)
@@ -74,7 +79,7 @@ def knobs(cls):
         is_knob = isinstance(declaration, dataclasses.Field)
         domain = declaration.metadata.get("domain") if is_knob else None
         if domain is not None:
-            declared.append((name, domain, optional))
+            declared[name] = (domain, optional)
         elif annotation.removeprefix("Optional[").rstrip("]") in ("int", "float"):
             raise TypeError(
                 f"{cls.__name__}.{name} is a number with no domain: "
@@ -84,19 +89,33 @@ def knobs(cls):
     owners = [base for base in cls.__mro__ if "__post_init__" in vars(base)]
     rules = vars(owners[0])["__post_init__"] if owners else None
 
+    def check(name: str, value) -> None:
+        domain, optional = declared[name]
+        if value is None and optional:
+            return
+        try:
+            admitted = domain.admits(value)
+        except (TypeError, ValueError):  # not even the right shape
+            admitted = False
+        if not admitted:
+            raise ValueError(f"{name} must be {domain.text}: {value!r}")
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in declared:
+            check(name, value)
+        object.__setattr__(self, name, value)
+
     def __post_init__(self) -> None:
-        for name, domain, optional in declared:
-            value = getattr(self, name)
-            if value is None and optional:
-                continue
-            try:
-                admitted = domain.admits(value)
-            except (TypeError, ValueError):  # not even the right shape
-                admitted = False
-            if not admitted:
-                raise ValueError(f"{name} must be {domain.text}: {value!r}")
+        for name in declared:
+            check(name, getattr(self, name))
         if rules is not None:
             rules(self)
+        # ``@dataclass`` runs after this decorator (its ``__init__``
+        # must see ``__post_init__``), and a frozen one refuses a class
+        # that defines ``__setattr__``: whether the class is frozen is
+        # known from its first instance on.
+        if "__setattr__" not in vars(cls) and not cls.__dataclass_params__.frozen:
+            cls.__setattr__ = __setattr__
 
     cls.__post_init__ = __post_init__
     return cls

@@ -34,7 +34,6 @@ from repro.http.messages import (
     Response,
     Status,
     make_not_modified,
-    revalidates,
 )
 from repro.http.url import URL
 from repro.origin.matcher import QueryMatcher
@@ -149,25 +148,40 @@ class StaticTtlPolicy:
         """Fixed TTLs learn nothing from writes."""
 
 
-#: ``(collection, doc_id)`` of one engine read.
-DocRef = Tuple[str, str]
-
 #: GDPR predicate over the rendition table: (version key, rendition).
 RenditionPredicate = Callable[[str, "Rendition"], bool]
 
 
-def _doc_ref(doc_key: str) -> DocRef:
-    collection, _, doc_id = doc_key.partition("/")
-    return collection, doc_id
+def _request_facts(headers: Headers) -> Tuple[Optional[str], FrozenSet[str]]:
+    """What the *origin* reads off a request's header map: the user
+    identity it can see, and the entity tags ``If-None-Match`` lists.
+
+    With the classic setup the session cookie travels along; with
+    Speed Kit the service worker strips it, so the origin renders the
+    anonymous/segment variant instead.
+    """
+    identity = headers.get("X-User-Id") or None
+    if identity is None:
+        cookie = headers.get("Cookie")
+        if cookie:
+            for part in cookie.split(";"):
+                name, _, value = part.strip().partition("=")
+                if name == "session" and value:
+                    identity = value
+                    break
+    token = headers.get("If-None-Match")
+    tags = token.split(",") if token else ()
+    return identity, frozenset(part.strip() for part in tags)
 
 
 class EngineReads(NamedTuple):
     """The modelled storage access one response performs."""
 
-    #: The resource's own documents, one engine ``get`` each.
-    doc_refs: Tuple[DocRef, ...]
+    #: The resource's own documents by store key (``collection/doc_id``),
+    #: one engine ``get`` each.
+    doc_keys: Tuple[str, ...]
     #: ``carts/…`` and ``profiles/…`` of the user rendered for.
-    user_refs: Tuple[DocRef, ...]
+    user_keys: Tuple[str, ...]
     #: QUERY resources: one engine scan of the query's collection
     #: instead of the reads above.
     scan: Optional[Query]
@@ -439,7 +453,13 @@ class OriginServer:
         request: Request,
         now: float,
     ) -> Response:
-        user_id = self._user_identity(request)
+        # Read once per header map: the cookie jar hands a user's one
+        # map to every request, and a map is never edited.
+        headers = request.headers
+        facts = headers._derived
+        if facts is None:
+            facts = headers._derived = _request_facts(headers)
+        user_id, validators = facts
         segment = request.url.params.get(SEGMENT_PARAM)
         renders_user_content = (
             spec.personalization is PersonalizationKind.USER
@@ -502,7 +522,8 @@ class OriginServer:
         response = prebuilt.ok.answering(request.url, now)
         for observer in self.serve_observers:
             observer(version_key, request.url.cache_key(), response, now)
-        if revalidates(request, response):
+        # ``revalidates``, on the validators read above.
+        if rendition.etag in validators or "*" in validators:
             return prebuilt.not_modified.answering(request.url, now)
         return response
 
@@ -540,24 +561,6 @@ class OriginServer:
         rendition._prebuilt[personalized_for_user] = prebuilt
         return prebuilt
 
-    def _user_identity(self, request: Request) -> Optional[str]:
-        """Extract the user identity the *origin* can see.
-
-        With the classic setup the session cookie travels along; with
-        Speed Kit the service worker strips it, so the origin renders
-        the anonymous/segment variant instead.
-        """
-        explicit = request.headers.get("X-User-Id")
-        if explicit:
-            return explicit
-        cookie = request.headers.get("Cookie")
-        if cookie:
-            for part in cookie.split(";"):
-                name, _, value = part.strip().partition("=")
-                if name == "session" and value:
-                    return value
-        return None
-
     def _user_doc_keys(self, spec: ResourceSpec, user_id: str) -> list:
         """Per-user documents a USER-personalized resource depends on."""
         return [f"carts/{user_id}", f"profiles/{user_id}"]
@@ -586,11 +589,7 @@ class OriginServer:
             self._matcher.subscribe(version_key, query)
         if spec.kind is ResourceKind.QUERY and query is not None:
             return EngineReads((), (), query)
-        return EngineReads(
-            tuple(_doc_ref(key) for key in doc_keys),
-            tuple(_doc_ref(key) for key in user_keys),
-            None,
-        )
+        return EngineReads(tuple(doc_keys), tuple(user_keys), None)
 
     def _fetch(self, spec: ResourceSpec, reads: EngineReads):
         """Perform one response's engine access through the store.
@@ -609,14 +608,15 @@ class OriginServer:
             ResourceKind.API,
             ResourceKind.STATIC,
         )
+        stored = store.stored
         fetched: List[Optional[Document]] = []
-        for collection, doc_id in reads.doc_refs:
-            doc = store.stored(collection, doc_id)
+        for key in reads.doc_keys:
+            doc = stored(key)
             if doc is None and must_exist:
                 return None
             fetched.append(doc)
-        for collection, doc_id in reads.user_refs:
-            fetched.append(store.stored(collection, doc_id))
+        for key in reads.user_keys:
+            fetched.append(stored(key))
         return fetched
 
     def _render_body(
@@ -640,7 +640,7 @@ class OriginServer:
             }
             return json.dumps(payload, default=str)
 
-        n_docs = len(reads.doc_refs)
+        n_docs = len(reads.doc_keys)
         docs = [doc for doc in fetched[:n_docs] if doc is not None]
         payload = {
             "resource": spec.name,

@@ -262,12 +262,13 @@ class DocumentStore:
             updated_at=doc.updated_at,
         )
 
-    def stored(self, collection: str, doc_id: str) -> Optional[Document]:
-        """Stored view of :meth:`get`: one engine read, no copy."""
-        return self._backend.get(self._key(collection, doc_id))
+    def stored(self, key: str) -> Optional[Document]:
+        """Stored view of :meth:`get`, by store key (``collection/doc_id``):
+        one engine read, no copy."""
+        return self._backend.get(key)
 
     def get(self, collection: str, doc_id: str) -> Optional[Document]:
-        doc = self.stored(collection, doc_id)
+        doc = self.stored(self._key(collection, doc_id))
         if doc is None:
             return None
         return self._snapshot(doc)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -27,8 +26,9 @@ ORIGIN_NODE = "origin"
 class Link:
     """A bidirectional link with a one-way delay and a bandwidth.
 
-    ``bandwidth`` is in bytes per second; ``None`` means unconstrained
-    (transfer time zero regardless of size).
+    A traversal draws ``delay.sample(rng)``. ``bandwidth`` is in bytes
+    per second; ``None`` means unconstrained (transfer time zero
+    regardless of size).
     """
 
     delay: Delay
@@ -40,10 +40,6 @@ class Link:
             raise ValueError(
                 f"bandwidth must be finite and positive, got {self.bandwidth}"
             )
-
-    def one_way(self, rng: random.Random) -> float:
-        """Sample a one-way propagation delay."""
-        return self.delay.sample(rng)
 
     def transfer_time(self, size_bytes: float) -> float:
         """Serialization time for a payload of ``size_bytes``."""
@@ -102,10 +98,6 @@ class Topology:
 
     def has_link(self, a: str, b: str) -> bool:
         return self._key(a, b) in self._links
-
-    def one_way(self, a: str, b: str, rng: random.Random) -> float:
-        """Sample a one-way delay between two directly linked nodes."""
-        return self.link(a, b).one_way(rng)
 
     def nearest_edge(self, client: str) -> str:
         """The edge PoP with the lowest expected delay from ``client``.

@@ -104,8 +104,12 @@ class WorldSpec:
                 source=str(data.get("source", "generated")),
                 generator=data.get("generator"),
             )
-        except (KeyError, TypeError, ValueError) as err:
-            raise ValueError(f"malformed world spec: {err!r}") from err
+        except KeyError as err:
+            raise ValueError(
+                f"malformed world spec: missing field {err.args[0]!r}"
+            ) from err
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"malformed world spec: {err}") from err
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorldSpec):

@@ -57,7 +57,7 @@ class TestViaCdn:
     def test_miss_traverses_origin(self, env, transport, cdn):
         response = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         assert response.status == Status.OK
         expected = 2 * CLIENT_EDGE + 2 * EDGE_ORIGIN
@@ -66,12 +66,12 @@ class TestViaCdn:
     def test_hit_skips_origin(self, env, transport, cdn):
         run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         start = env.now
         response = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         assert response.served_by == "edge"
         assert env.now - start == pytest.approx(2 * CLIENT_EDGE)
@@ -79,14 +79,14 @@ class TestViaCdn:
     def test_hit_returns_same_version(self, env, transport, cdn, server):
         first = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         server.update("pages", "1", {"title": "new"}, at=env.now)
         # Without a purge the CDN keeps serving the old version (that is
         # the staleness problem the Cache Sketch exists to fix).
         second = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         assert second.served_by == "edge"
         assert second.version == first.version
@@ -94,14 +94,14 @@ class TestViaCdn:
     def test_expired_entry_revalidates_with_304(self, env, transport, cdn, server):
         run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         # StaticTtlPolicy gives pages max-age=300; jump past it.
         env.run(until=400.0)
         start = env.now
         response = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         # Revalidation costs a full edge->origin round trip.
         assert env.now - start == pytest.approx(
@@ -130,7 +130,7 @@ class TestViaCdn:
         )
         run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         # 20 kB at 100 kB/s adds 0.2 s on the client-edge leg.
         expected = 2 * CLIENT_EDGE + 2 * EDGE_ORIGIN + 0.2
@@ -193,7 +193,7 @@ class TestOneContentLengthRule:
             env, topology, server, random.Random(0), metrics=metrics
         )
         served = run_fetch(
-            env, transport.fetch_via_cdn("client", request, cdn, "edge")
+            env, transport.fetch_via_cdn("client", request, cdn)
         )
         assert served.served_by == "edge"
         billed = parsed or 0
@@ -208,7 +208,7 @@ class TestFetchManyViaCdn:
     def test_empty_wave_is_free(self, env, transport, cdn):
         responses = run_fetch(
             env,
-            transport.fetch_many_via_cdn("client", [], cdn, "edge"),
+            transport.fetch_many_via_cdn("client", [], cdn),
         )
         assert responses == []
         assert env.now == 0.0
@@ -217,13 +217,13 @@ class TestFetchManyViaCdn:
         paths = ("/page/1", "/page/2", "/static/app.js")
         for path in paths:
             run_fetch(
-                env, transport.fetch_via_cdn("client", get(path), cdn, "edge")
+                env, transport.fetch_via_cdn("client", get(path), cdn)
             )
         start = env.now
         responses = run_fetch(
             env,
             transport.fetch_many_via_cdn(
-                "client", self.wave(*paths), cdn, "edge"
+                "client", self.wave(*paths), cdn
             ),
         )
         assert [r.served_by for r in responses] == ["edge"] * 3
@@ -236,7 +236,6 @@ class TestFetchManyViaCdn:
                 "client",
                 self.wave("/page/1", "/page/2", "/page/3"),
                 cdn,
-                "edge",
             ),
         )
         assert all(r.status == Status.OK for r in responses)
@@ -246,7 +245,7 @@ class TestFetchManyViaCdn:
     def test_responses_in_request_order(self, env, transport, cdn):
         # Warm one of the three so hits and fills interleave.
         run_fetch(
-            env, transport.fetch_via_cdn("client", get("/page/2"), cdn, "edge")
+            env, transport.fetch_via_cdn("client", get("/page/2"), cdn)
         )
         responses = run_fetch(
             env,
@@ -254,7 +253,6 @@ class TestFetchManyViaCdn:
                 "client",
                 self.wave("/page/1", "/page/2", "/page/3"),
                 cdn,
-                "edge",
             ),
         )
         assert [r.url.path for r in responses] == [
@@ -278,7 +276,7 @@ class TestFetchManyViaCdn:
         paths = ("/page/1", "/page/2", "/page/3")
         for path in paths:
             run_fetch(
-                env, transport.fetch_via_cdn("client", get(path), cdn, "edge")
+                env, transport.fetch_via_cdn("client", get(path), cdn)
             )
         env.run()
         cdn.pop("edge").store.drain_latency()
@@ -286,7 +284,7 @@ class TestFetchManyViaCdn:
         run_fetch(
             env,
             transport.fetch_many_via_cdn(
-                "client", self.wave(*paths), cdn, "edge"
+                "client", self.wave(*paths), cdn
             ),
         )
         # The single batched lookup round trip hides entirely under the

@@ -62,11 +62,11 @@ def test_cdn_hit_is_never_slower_than_the_miss(d):
     env, transport, cdn = build(*d)
     request = Request.get(URL.parse("/p/1"))
     start = env.now
-    run(env, transport.fetch_via_cdn("client", request, cdn, "edge"))
+    run(env, transport.fetch_via_cdn("client", request, cdn))
     miss_time = env.now - start
     start = env.now
     response = run(
-        env, transport.fetch_via_cdn("client", request, cdn, "edge")
+        env, transport.fetch_via_cdn("client", request, cdn)
     )
     hit_time = env.now - start
     assert response.served_by == "edge"
@@ -79,7 +79,7 @@ def test_miss_time_decomposes_into_both_hops(d):
     client_edge, edge_origin, client_origin = d
     env, transport, cdn = build(*d)
     request = Request.get(URL.parse("/p/1"))
-    run(env, transport.fetch_via_cdn("client", request, cdn, "edge"))
+    run(env, transport.fetch_via_cdn("client", request, cdn))
     assert env.now == pytest.approx(
         2 * client_edge + 2 * edge_origin, rel=1e-9
     )

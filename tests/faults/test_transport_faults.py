@@ -128,7 +128,7 @@ class TestEdgeFailover:
         transport = make_transport(faults=self.edge_down())
         response = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         assert response.status == Status.OK
         assert response.served_by == "origin"
@@ -144,7 +144,7 @@ class TestEdgeFailover:
         responses = run_fetch(
             env,
             transport.fetch_many_via_cdn(
-                "client", [get("/page/1"), get("/page/2")], cdn, "edge"
+                "client", [get("/page/1"), get("/page/2")], cdn
             ),
         )
         assert [r.status for r in responses] == [Status.OK, Status.OK]
@@ -160,13 +160,13 @@ class TestEdgeFailover:
         )
         run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         assert breaker.is_open("edge", env.now)
         start = env.now
         response = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         assert response.status == Status.OK
         # Pass-through skips the edge leg entirely.
@@ -180,12 +180,12 @@ class TestEdgeFailover:
         transport = make_transport(faults=self.edge_down(), breaker=breaker)
         run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         responses = run_fetch(
             env,
             transport.fetch_many_via_cdn(
-                "client", [get("/page/1"), get("/page/2")], cdn, "edge"
+                "client", [get("/page/1"), get("/page/2")], cdn
             ),
         )
         assert all(r.status == Status.OK for r in responses)
@@ -200,13 +200,13 @@ class TestEdgeFailover:
         )
         run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         assert breaker.is_open("edge", env.now)
         env.run(until=150.0)
         response = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         # The probe found the PoP healthy: breaker closes, edge fills.
         assert response.status == Status.OK
@@ -220,7 +220,7 @@ class TestStaleIfError:
         transport = make_transport(faults=faults, stale_if_error=grace)
         first = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         assert first.status == Status.OK
         # Jump past the entry's TTL (pages: max-age=300) into the outage.
@@ -235,7 +235,7 @@ class TestStaleIfError:
         )
         response = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         assert response.status == Status.OK
         assert response.served_by == "edge"
@@ -250,7 +250,7 @@ class TestStaleIfError:
         )
         response = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         # The copy was verified ~400s ago: too stale for a 60s window.
         assert response.status == Status.SERVICE_UNAVAILABLE
@@ -267,7 +267,7 @@ class TestStaleIfError:
         )
         response = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         assert response.status == Status.SERVICE_UNAVAILABLE
         assert metrics.counter("transport.stale_if_error").value == 0
@@ -283,7 +283,7 @@ class TestStaleIfError:
         )
         response = run_fetch(
             env,
-            transport.fetch_via_cdn("client", conditional, cdn, "edge"),
+            transport.fetch_via_cdn("client", conditional, cdn),
         )
         # A degraded answer must not pose as "your copy is current".
         assert response.status == Status.OK
@@ -297,7 +297,7 @@ class TestStaleIfError:
         )
         degraded = run_fetch(
             env,
-            transport.fetch_via_cdn("client", get("/page/1"), cdn, "edge"),
+            transport.fetch_via_cdn("client", get("/page/1"), cdn),
         )
         downstream = Cdn(["edge"]).pop("edge")
         returned = downstream.admit(get("/page/1"), degraded, env.now)

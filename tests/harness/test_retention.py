@@ -11,8 +11,12 @@ handler returns (DESIGN, *A user's state ends with the user*):
    workloads' and the staleness suite's — leaves no cyclic garbage
    once dropped: ``gc.collect()`` after ``del runner`` finds nothing.
 2. **Nothing kept per read.** Doubling a trace's duration leaves the
-   checkers' and the scrubbers' own containers the same size; the
-   registry counts the reads and the span export holds them.
+   checkers', the scrubbers', the transport's route memo and the
+   origin's own containers the same size; the registry counts the
+   reads and the span export holds them. The origin keeps what it reads
+   off a request's header map on the map itself, so that memo goes with
+   the map; only its tables per variant grow as a longer trace reaches
+   more variants.
 3. **Stacks retire.** On the four perf compositions every client
    stack dies, by refcount, when its user's last handler returns —
    during the replay — and none is left once the run is over.
@@ -96,6 +100,11 @@ def own_sizes(obj):
     }
 
 
+#: The origin's tables per variant (per version key and segment, per
+#: URL and user): bounded by the site, not by the number of reads.
+VARIANT_TABLES = ("_renditions", "_version_keys")
+
+
 def kept_sizes(runner):
     scrubbers = [
         own_sizes(stack.worker.scrubber)
@@ -103,12 +112,23 @@ def kept_sizes(runner):
         if stack.worker is not None
     ]
     assert scrubbers
+    origin = own_sizes(runner.server)
+    assert set(VARIANT_TABLES) <= set(origin)
     return {
         "checker": own_sizes(runner.checker),
         "baseline_checker": own_sizes(runner.baseline_checker),
         "scrubber": {
             name: max(sizes[name] for sizes in scrubbers)
             for name in scrubbers[0]
+        },
+        "origin": {
+            name: size
+            for name, size in origin.items()
+            if name not in VARIANT_TABLES
+        },
+        "routes": {
+            "to_edge": len(runner.transport._to_edge),
+            "to_origin": len(runner.transport._to_origin),
         },
     }
 
@@ -129,6 +149,20 @@ def test_doubling_the_trace_keeps_the_same_sizes(name):
     assert reads[0] > 100 and reads[1] > 1.5 * reads[0]
     assert long.checker.violations == short.checker.violations == []
     assert kept_sizes(long) == kept_sizes(short)
+
+
+def test_the_route_memo_holds_only_what_the_topology_holds():
+    runner = SimulationRunner(
+        replace(COMPOSITIONS["perf:storm"], seed=3), *world(240.0)
+    )
+    runner.run()
+    topology, transport = runner.topology, runner.transport
+    assert transport._to_edge and transport._to_origin
+    for client, (edge, link) in transport._to_edge.items():
+        assert edge == topology.nearest_edge(client)
+        assert link is topology.link(client, edge)
+    for sender, link in transport._to_origin.items():
+        assert link is topology.link(sender, "origin")
 
 
 class WatchingRunner(SimulationRunner):

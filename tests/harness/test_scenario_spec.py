@@ -114,6 +114,6 @@ def test_boundary_values_are_accepted():
 def test_time_scaled_copies_are_validated_too():
     spec = ScenarioSpec(Scenario.SPEED_KIT, time_scale=0.5)
     assert spec.time_scaled().delta == 30.0
-    spec.time_scale = math.nan
     with pytest.raises(ValueError, match="time_scale"):
+        spec.time_scale = math.nan
         spec.time_scaled()

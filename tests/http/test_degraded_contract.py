@@ -176,7 +176,7 @@ def test_never_304_converted_single_fetch(runner, reason):
     response = _drive(
         runner,
         runner.transport.fetch_via_cdn(
-            CLIENT, conditional, runner.cdn, EDGE
+            CLIENT, conditional, runner.cdn
         ),
     )
     if reason is None:
@@ -193,7 +193,7 @@ def test_never_304_converted_batched_wave(runner, reason):
     first, second = _drive(
         runner,
         runner.transport.fetch_many_via_cdn(
-            CLIENT, [marked, plain], runner.cdn, EDGE
+            CLIENT, [marked, plain], runner.cdn
         ),
     )
     assert second.status == Status.NOT_MODIFIED

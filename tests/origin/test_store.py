@@ -206,8 +206,8 @@ class TestStoredView:
 
     def test_stored_hands_back_the_stored_document_itself(self, store):
         written = store.put("products", "p1", {"tags": ["a"]})
-        assert store.stored("products", "p1") is written
-        assert store.stored("products", "ghost") is None
+        assert store.stored("products/p1") is written
+        assert store.stored("products/ghost") is None
         # ... while the public read still copies.
         snapshot = store.get("products", "p1")
         assert snapshot == written and snapshot is not written
@@ -218,4 +218,4 @@ class TestStoredView:
         store.put("products", "p2", {"category": "hats", "tags": ["b"]})
         query = Query("products", Eq("category", "shoes"))
         (selected,) = store.select(query, store.scan_stored("products"))
-        assert selected is store.stored("products", "p1")
+        assert selected is store.stored("products/p1")

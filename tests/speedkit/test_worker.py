@@ -101,15 +101,17 @@ class TestGdprBehaviour:
     def test_cookie_never_reaches_shared_infrastructure(
         self, env, make_worker, backend
     ):
+        from repro.origin.server import _request_facts
+
         seen_user_ids = []
-        original = backend.server._user_identity
+        original = backend.server.handle
 
-        def spy(request):
-            identity = original(request)
+        def spy(request, now):
+            identity, _ = _request_facts(request.headers)
             seen_user_ids.append(identity)
-            return identity
+            return original(request, now)
 
-        backend.server._user_identity = spy
+        backend.server.handle = spy
         worker = make_worker()
         run(
             env,

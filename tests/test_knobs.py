@@ -217,6 +217,50 @@ def test_a_knob_accepts_exactly_its_domain(cls, name, value, accepted):
     _check_row(cls, name, value, accepted)
 
 
+def _check_assignment(cls, name, value, accepted):
+    built = cls(**_base(cls, name))
+    if accepted:
+        setattr(built, name, value)
+        assert getattr(built, name) is value
+    else:
+        before = getattr(built, name)
+        with pytest.raises(ValueError) as err:
+            setattr(built, name, value)
+        assert str(err.value) == (
+            f"{name} must be {_declared_domain(cls, name).text}: {value!r}"
+        )
+        assert getattr(built, name) is before
+
+
+def _declared_domain(cls, name) -> Domain:
+    return {f.name: f for f in dataclasses.fields(cls)}[name].metadata["domain"]
+
+
+#: The classes whose instances can be assigned to (the rest are frozen).
+MUTABLE = [cls for cls in DOMAINS if not cls.__dataclass_params__.frozen]
+
+
+def test_six_config_classes_are_mutable():
+    assert {cls.__name__ for cls in MUTABLE} == {
+        "ScenarioSpec",
+        "WorkloadConfig",
+        "CatalogConfig",
+        "UserPopulationConfig",
+        "SpeedKitConfig",
+        "FlashSaleConfig",
+    }
+
+
+@pytest.mark.parametrize(
+    "cls, name, value, accepted",
+    [row for row in _rows() if row.values[0] in MUTABLE],
+)
+def test_an_assignment_accepts_exactly_the_knobs_domain(cls, name, value, accepted):
+    """The same rows as above, assigned to a built instance: a knob's
+    own domain is checked on assignment too, with the same message."""
+    _check_assignment(cls, name, value, accepted)
+
+
 def test_the_refusal_gate_trips_on_a_domain_that_admits_nan():
     """The mutant: a fraction checked as ``not (v < 0 or v > 1)``, the
     shape that let NaN through the hand-written checks."""

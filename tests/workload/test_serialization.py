@@ -158,6 +158,34 @@ def test_malformed_world_in_header_rejected(trace):
         load_trace(io.StringIO(json.dumps(header) + "\n"))
 
 
+def _world_record(section=None, **knobs):
+    record = WorldSpec(CatalogConfig(), UserPopulationConfig()).to_dict()
+    if section is not None:
+        record[section].update(knobs)
+    return record
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (
+            _world_record("users", consent_fraction=2.0),
+            "malformed world spec: consent_fraction must be in [0, 1]: 2.0",
+        ),
+        (
+            {key: value for key, value in _world_record().items() if key != "catalog"},
+            "malformed world spec: missing field 'catalog'",
+        ),
+    ],
+    ids=["out-of-domain", "missing"],
+)
+def test_a_malformed_world_spec_names_the_field_not_an_exception(record, message):
+    with pytest.raises(ValueError) as err:
+        WorldSpec.from_dict(record)
+    assert str(err.value) == message
+    assert "Error(" not in str(err.value)
+
+
 def test_atomic_write_leaves_target_intact_on_failure(trace, tmp_path):
     path = tmp_path / "trace.jsonl"
     dump_trace(trace, path)
