@@ -14,8 +14,9 @@ Package tour (details in each subpackage's docstring):
 * protocol — :mod:`repro.sketch`, :mod:`repro.ttl`,
   :mod:`repro.invalidation`, :mod:`repro.coherence`;
 * the system — :mod:`repro.speedkit`;
-* evaluation — :mod:`repro.workload`, :mod:`repro.baselines`,
-  :mod:`repro.harness`, and the CLI (``python -m repro``).
+* evaluation — :mod:`repro.workload`, :mod:`repro.baselines` (the
+  no-cache client), :mod:`repro.harness` (which hands a logged-in
+  user's client its session cookie), and the CLI (``python -m repro``).
 
 Quickstart::
 

@@ -11,12 +11,14 @@ Three baselines bracket Speed Kit:
   to the origin and come back ``private`` — the CDN can only
   accelerate static assets, which is the paper's core motivation.
 
-:class:`CookieJarFetcher` models the browser attaching session cookies
-to every request — wrapped around baselines (the origin then
-personalizes and disables caching) and around the Speed Kit worker
-(which scrubs them before anything leaves the device).
+A logged-in user's session cookie is the client's
+:attr:`~repro.browser.client.Fetcher.request_headers`: the runner gives
+every client (baseline or Speed Kit worker) one map holding it, and
+every request built for the client carries that map, like a browser
+attaching its cookie to every same-site request. The Speed Kit worker
+scrubs it before anything leaves the device.
 """
 
-from repro.baselines.clients import CookieJarFetcher, NoCacheClient
+from repro.baselines.clients import NoCacheClient
 
-__all__ = ["CookieJarFetcher", "NoCacheClient"]
+__all__ = ["NoCacheClient"]

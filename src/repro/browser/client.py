@@ -18,7 +18,7 @@ from repro.sim.metrics import MetricRegistry
 class Fetcher:
     """Anything that can resolve requests inside the simulation.
 
-    The whole surface the page load engine, the cookie jar and the
+    The whole surface the page load engine, the runner and the
     transaction coordinator call: ``fetch`` and ``fetch_many``. Both
     return a generator sub-process: drive it with ``yield from`` and
     receive the :class:`Response` (or the responses, in request order)
@@ -27,9 +27,11 @@ class Fetcher:
     """
 
     transport: Transport
-    #: The header map the requests built for this fetcher carry (the
-    #: page load engine's): one map for all of them. The cookie jar's
-    #: holds its session cookie, so it passes such a request on as is.
+    #: The header map every request built for this fetcher carries
+    #: (a page load's, a cart add's, a transaction read's): one map
+    #: for all of them. A logged-in user's client holds one with the
+    #: session cookie, the way a browser attaches it to every
+    #: same-site request; an anonymous one shares this empty default.
     request_headers: Headers = Headers()
 
     def fetch(self, request: Request) -> Generator:

@@ -155,9 +155,10 @@ class Transport:
 
         The one drain of the cost pool: every tier's store (a cache's
         :class:`~repro.cdn.cache.CacheStore`, the origin's document
-        store) is synchronous; when its storage engine is a simulated
-        remote KV, the per-op cost accrues inside the engine and is
-        drained here, at the node that performed the operations.
+        store) is synchronous; when its storage engine (``backend``) is
+        a simulated remote KV, the per-op cost accrues inside the
+        engine and is drained here, from the engine itself, at the node
+        that performed the operations.
         ``concurrent`` is the network transit the caller pays right
         after this drain point — overlap-capable engines clip their
         pool against it (pipelining storage round trips under the
@@ -167,7 +168,7 @@ class Transport:
         process pays with ``yield from transport.charge(store)``
         without building a generator frame per drain.
         """
-        lag = store.drain_latency(concurrent)
+        lag = store.backend.drain_latency(concurrent)
         return (self.env.timeout(lag),) if lag > 0 else ()
 
     # -- origin exchange ---------------------------------------------------
@@ -201,10 +202,10 @@ class Transport:
     ) -> Generator:
         """One request/response try against the origin.
 
-        Returns ``None`` when a message was lost in transit — the
-        sender waits out ``ATTEMPT_TIMEOUT`` (measured from send) and
-        declares the attempt dead. ``span`` is ``None`` when tracing is
-        off.
+        When a message is lost in transit the sender waits out
+        ``ATTEMPT_TIMEOUT`` (measured from send), declares the attempt
+        dead and answers itself with a synthesized ``network`` 503.
+        ``span`` is ``None`` when tracing is off.
         """
         env = self.env
         link = self._to_origin[from_node]
@@ -215,7 +216,7 @@ class Transport:
             if span is not None:
                 span.event("lost-request", at=env.now)
             yield env.timeout(ATTEMPT_TIMEOUT)
-            return None
+            return self._synthesized(request, "network")
         forward = link.delay.sample(self.rng)
         if faulty:
             forward *= faults.latency_factor(from_node, ORIGIN_NODE)
@@ -250,7 +251,7 @@ class Transport:
             if span is not None:
                 span.event("lost-response", at=env.now)
             yield env.timeout(max(0.0, ATTEMPT_TIMEOUT - forward))
-            return None
+            return self._synthesized(request, "network")
         transit = link.delay.sample(self.rng)
         if faulty:
             transit *= faults.latency_factor(ORIGIN_NODE, from_node)
@@ -276,15 +277,19 @@ class Transport:
         or the time budget runs out; a request that never got an answer
         resolves to a synthesized, uncacheable 503.
 
-        Returns the exchange, not yet started; untraced, this frame only
+        Returns the exchange, not yet started: with no retry policy the
+        attempt itself, else the retry loop; untraced, this frame only
         forwards, so it is not a generator.
         """
+        exchange = (
+            self._origin_attempt if self.retry is None else self._origin_exchange_inner
+        )
         if not self.tracer.enabled:
-            return self._origin_exchange_inner(from_node, request, None)
-        return self._origin_exchange_in_span(from_node, request, parent)
+            return exchange(from_node, request, None)
+        return self._origin_exchange_in_span(exchange, from_node, request, parent)
 
     def _origin_exchange_in_span(
-        self, from_node: str, request: Request, parent
+        self, exchange: Callable, from_node: str, request: Request, parent
     ) -> Generator:
         span = self.tracer.start(
             "origin",
@@ -294,9 +299,7 @@ class Transport:
             tier="origin",
             sender=from_node,
         )
-        response = yield from self._origin_exchange_inner(
-            from_node, request, span
-        )
+        response = yield from exchange(from_node, request, span)
         span.set(
             status=int(response.status),
             served_by=response.served_by,
@@ -308,25 +311,17 @@ class Transport:
     def _origin_exchange_inner(
         self, from_node: str, request: Request, span
     ) -> Generator:
+        """The retry loop around :meth:`_origin_attempt`, under the
+        transport's retry policy."""
         policy = self.retry
-        if policy is None:
-            response = yield from self._origin_attempt(
-                from_node, request, span
-            )
-            return (
-                response
-                if response is not None
-                else self._synthesized(request, "network")
-            )
         deadline = self.env.now + policy.budget
         attempt = 0
-        response: Optional[Response] = None
         while True:
             attempt += 1
             response = yield from self._origin_attempt(
                 from_node, request, span
             )
-            if response is not None and not response.status.is_server_error:
+            if not response.status.is_server_error:
                 if span is not None:
                     span.set(attempts=attempt)
                 return response
@@ -344,11 +339,7 @@ class Transport:
             yield self.env.timeout(backoff)
         if span is not None:
             span.set(attempts=attempt)
-        return (
-            response
-            if response is not None
-            else self._synthesized(request, "network")
-        )
+        return response
 
     # -- transaction validation -------------------------------------------
 

@@ -104,15 +104,6 @@ class CacheStore:
             if entry is not None:
                 yield entry
 
-    def drain_latency(self, concurrent: float = 0.0) -> float:
-        """Simulated backend latency accrued since the last drain.
-
-        ``concurrent`` is network transit the caller pays at the same
-        drain point; overlap-capable engines clip against it (see
-        :meth:`repro.storage.backend.CacheBackend.drain_latency`).
-        """
-        return self.backend.drain_latency(concurrent)
-
     # -- core operations -----------------------------------------------------
 
     def put(self, key: str, response: Response, now: float) -> CacheEntry:

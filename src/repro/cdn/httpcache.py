@@ -75,7 +75,7 @@ class HttpCache:
 
     def serve(self, request: Request, now: float) -> Optional[Response]:
         """The fresh stored response for ``request``, or ``None``."""
-        key = request.url.cache_key()
+        key = request.url.cache_key
         entry = self.store.get_fresh(key, now)
         if entry is None:
             self.counters["miss"].inc()
@@ -94,7 +94,7 @@ class HttpCache:
         ~one backend round trip instead of one per asset. Hit/miss
         accounting matches N single serves exactly.
         """
-        keys = [request.url.cache_key() for request in requests]
+        keys = [request.url.cache_key for request in requests]
         entries = self.store.get_fresh_many(keys, now)
         responses: List[Optional[Response]] = []
         for key in keys:
@@ -131,7 +131,7 @@ class HttpCache:
         double the window) and the Δ-checker can account for it under
         the widened bound.
         """
-        entry = self.store.peek(request.url.cache_key())
+        entry = self.store.peek(request.url.cache_key)
         # Written so that a NaN window fails closed: every comparison
         # with NaN is false, and an unbounded age must not be served
         # under a mark that says "bounded".
@@ -144,7 +144,7 @@ class HttpCache:
         self, request: Request, now: float
     ) -> Optional[Response]:
         """A stored response usable as the base of a conditional request."""
-        entry = self.store.peek(request.url.cache_key())
+        entry = self.store.peek(request.url.cache_key)
         if entry is None or entry.response.etag is None:
             return None
         return entry.response
@@ -168,7 +168,7 @@ class HttpCache:
             and response.degraded is None
             and is_cacheable(response, shared=self.shared)
         ):
-            key = request.url.cache_key()
+            key = request.url.cache_key
             self.store.put(key, response, now)
             self.counters["fill"].inc()
             for observer in self.admit_observers:
@@ -185,7 +185,7 @@ class HttpCache:
         """
         if not_modified.status != Status.NOT_MODIFIED:
             raise ValueError(f"refresh expects a 304, got {not_modified}")
-        key = request.url.cache_key()
+        key = request.url.cache_key
         entry = self.store.peek(key)
         if entry is None:
             return None

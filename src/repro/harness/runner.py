@@ -7,14 +7,15 @@ from functools import partial, reduce
 from operator import add
 from typing import Dict, Generator, List, Optional
 
-from repro.baselines.clients import CookieJarFetcher, NoCacheClient
+from repro.baselines.clients import NoCacheClient
 from repro.browser.cache import BrowserCache
-from repro.browser.client import BrowserClient, TransportMode
+from repro.browser.client import BrowserClient, Fetcher, TransportMode
 from repro.browser.page import PageLoadEngine
 from repro.browser.transport import Transport
 from repro.cdn.network import DEFAULT_POP, Cdn
 from repro.coherence.checker import DeltaAtomicityChecker
 from repro.coherence.client import SketchClient
+from repro.http.headers import Headers
 from repro.http.messages import Method, Request, Status
 from repro.http.url import URL
 from repro.invalidation.pipeline import InvalidationPipeline
@@ -57,8 +58,11 @@ from repro.workload.users import User, UserPopulation
 class _ClientStack:
     """What the runner keeps per user, built on first traffic."""
 
-    fetcher: CookieJarFetcher
-    #: The service worker behind the fetcher; ``None`` on baseline
+    #: The user's client: a ``NoCacheClient``, ``BrowserClient`` or
+    #: ``ServiceWorkerProxy``, holding a logged-in user's session
+    #: cookie as its ``request_headers``.
+    fetcher: Fetcher
+    #: The fetcher when it is a service worker; ``None`` on baseline
     #: scenarios and for non-consenting users.
     worker: Optional[ServiceWorkerProxy]
     #: Whether this user's reads are under the Δ promise: everyone on
@@ -80,7 +84,7 @@ def _client_cache_stores(stacks: Dict[str, _ClientStack]) -> Dict[str, object]:
     """
     tiers: Dict[str, object] = {}
     for user_id, stack in stacks.items():
-        browser = stack.fetcher.inner
+        browser = stack.fetcher
         if stack.worker is not None:
             tiers[f"sw:{user_id}"] = stack.worker.cache.store
             browser = stack.worker.fallback
@@ -435,12 +439,12 @@ class SimulationRunner:
         """The (cached) client stack of one user."""
         stack = self._stacks.get(user.user_id)
         if stack is None:
-            inner = self._build_client(user)
-            worker = inner if isinstance(inner, ServiceWorkerProxy) else None
+            client = self._build_client(user)
+            if user.logged_in:
+                client.request_headers = Headers({"Cookie": f"session={user.user_id}"})
+            worker = client if isinstance(client, ServiceWorkerProxy) else None
             stack = self._stacks[user.user_id] = _ClientStack(
-                fetcher=CookieJarFetcher(
-                    inner, user.user_id if user.logged_in else None
-                ),
+                fetcher=client,
                 worker=worker,
                 delta_covered=worker is not None
                 or not self.spec.scenario.uses_speed_kit,
@@ -622,6 +626,7 @@ class SimulationRunner:
         request = Request(
             method=Method.POST,
             url=URL.parse(f"/api/documents/carts/{event.user_id}"),
+            headers=fetcher.request_headers,
             body={"items": [event.product_id]},
             client_id=event.user_id,
         )
@@ -771,13 +776,10 @@ class SimulationRunner:
         cc = html_response.cache_control
         if cc.no_store or cc.private:
             return  # identity-personalized render: correct
-        segment = (
-            html_response.url.params.get(SEGMENT_PARAM)
-            if html_response.url is not None
-            else None
-        )
-        if segment is not None and segment != "anonymous":
-            return  # segment variant: correct
+        if html_response.url is not None:
+            for name, value in html_response.url.query:
+                if name == SEGMENT_PARAM and value != "anonymous":
+                    return  # segment variant: correct
         self.metrics.counter("personalization.misses").inc()
 
     @staticmethod

@@ -189,6 +189,10 @@ class ScenarioSpec:
                 "delta must be positive for Speed Kit scenarios "
                 "(it is the sketch refresh interval): 0"
             )
+        if self.replicate_pops and not self.scenario.uses_cdn:
+            raise ValueError(
+                f"replicate_pops needs a CDN: {self.scenario.value} deploys none"
+            )
         pops = self.n_regions or 1
         if self.replicate_pops and pops < 2:
             raise ValueError(f"replicate_pops needs at least two PoPs: {pops}")

@@ -13,7 +13,11 @@ from typing import Dict, Mapping, Optional, Tuple
 
 @dataclass(frozen=True)
 class URL:
-    """An absolute URL within one simulated site."""
+    """An absolute URL within one simulated site.
+
+    ``cache_key`` is its canonical text, the key every cache tier
+    stores it under (also ``str(url)``).
+    """
 
     path: str
     query: Tuple[Tuple[str, str], ...] = ()
@@ -31,7 +35,7 @@ class URL:
         text = f"{self.origin}{self.path}"
         if self.query:
             text += "?" + "&".join(f"{k}={v}" for k, v in self.query)
-        object.__setattr__(self, "_text", text)
+        object.__setattr__(self, "cache_key", text)
 
     @classmethod
     def of(
@@ -75,9 +79,5 @@ class URL:
         params.pop(key, None)
         return URL.of(self.path, params, origin=self.origin)
 
-    def cache_key(self) -> str:
-        """Canonical string used as the cache key for this URL."""
-        return self._text
-
     def __str__(self) -> str:
-        return self._text
+        return self.cache_key

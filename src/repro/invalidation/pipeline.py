@@ -188,7 +188,7 @@ class InvalidationPipeline:
             # per-deletion cost, so the slowest PoP bounds completion.
             lag = max(
                 (
-                    pop.store.drain_latency()
+                    pop.store.backend.drain_latency()
                     for pop in self.cdn.pops.values()
                 ),
                 default=0.0,

@@ -350,13 +350,13 @@ class OriginServer:
         renderings get a per-user history, because each user's variant
         changes when *that user's* documents change.
         """
-        memo_key = (url.cache_key(), user_id)
+        memo_key = (url.cache_key, user_id)
         version_key = self._version_keys.get(memo_key)
         if version_key is None:
             base = url.without_param(SEGMENT_PARAM)
             if user_id is not None:
                 base = base.with_param("__user", user_id)
-            version_key = self._version_keys[memo_key] = base.cache_key()
+            version_key = self._version_keys[memo_key] = base.cache_key
         return version_key
 
     def handle(self, request: Request, now: float) -> Response:
@@ -453,14 +453,17 @@ class OriginServer:
         request: Request,
         now: float,
     ) -> Response:
-        # Read once per header map: the cookie jar hands a user's one
-        # map to every request, and a map is never edited.
+        # Read once per header map: a logged-in user's client hands its
+        # one map to every request, and a map is never edited.
         headers = request.headers
         facts = headers._derived
         if facts is None:
             facts = headers._derived = _request_facts(headers)
         user_id, validators = facts
-        segment = request.url.params.get(SEGMENT_PARAM)
+        segment = None
+        for name, value in request.url.query:
+            if name == SEGMENT_PARAM:
+                segment = value
         renders_user_content = (
             spec.personalization is PersonalizationKind.USER
             and user_id is not None
@@ -521,7 +524,7 @@ class OriginServer:
             )
         response = prebuilt.ok.answering(request.url, now)
         for observer in self.serve_observers:
-            observer(version_key, request.url.cache_key(), response, now)
+            observer(version_key, request.url.cache_key, response, now)
         # ``revalidates``, on the validators read above.
         if rendition.etag in validators or "*" in validators:
             return prebuilt.not_modified.answering(request.url, now)

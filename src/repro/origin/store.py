@@ -123,24 +123,14 @@ class DocumentStore:
     """
 
     def __init__(self, backend: Optional[CacheBackend] = None) -> None:
-        self._backend = backend if backend is not None else InMemoryBackend()
+        #: The storage engine: ``Transport.charge(store)`` drains its
+        #: cost pool.
+        self.backend = backend if backend is not None else InMemoryBackend()
         self._listeners: List[ChangeListener] = []
 
     @staticmethod
     def _key(collection: str, doc_id: str) -> str:
         return f"{collection}/{doc_id}"
-
-    @property
-    def backend(self) -> CacheBackend:
-        return self._backend
-
-    def drain_latency(self, concurrent: float = 0.0) -> float:
-        """Simulated backend latency accrued since the last drain.
-
-        ``concurrent`` is network transit paid at the same drain point;
-        overlap-capable engines clip the pool against it.
-        """
-        return self._backend.drain_latency(concurrent)
 
     def subscribe(self, listener: ChangeListener) -> None:
         """Register a listener called synchronously after each change.
@@ -174,7 +164,7 @@ class DocumentStore:
     ) -> Document:
         """Insert or fully replace a document; returns the new snapshot."""
         key = self._key(collection, doc_id)
-        before = self._backend.peek(key)
+        before = self.backend.peek(key)
         version = 1 if before is None else before.version + 1
         after = Document(
             collection=collection,
@@ -183,7 +173,7 @@ class DocumentStore:
             version=version,
             updated_at=at,
         )
-        self._backend.put(key, after)
+        self.backend.put(key, after)
         self._emit(
             ChangeEvent(
                 collection=collection,
@@ -225,7 +215,7 @@ class DocumentStore:
         Raises :class:`VersionConflict` on a lost race — the caller
         re-reads and retries, exactly as against the real Orestes API.
         """
-        current = self._backend.peek(self._key(collection, doc_id))
+        current = self.backend.peek(self._key(collection, doc_id))
         actual = current.version if current is not None else 0
         if actual != expected_version:
             raise VersionConflict(
@@ -235,7 +225,7 @@ class DocumentStore:
 
     def delete(self, collection: str, doc_id: str, at: float = 0.0) -> None:
         """Remove a document; no-op if absent."""
-        before = self._backend.remove(self._key(collection, doc_id))
+        before = self.backend.remove(self._key(collection, doc_id))
         if before is None:
             return
         self._emit(
@@ -265,7 +255,7 @@ class DocumentStore:
     def stored(self, key: str) -> Optional[Document]:
         """Stored view of :meth:`get`, by store key (``collection/doc_id``):
         one engine read, no copy."""
-        return self._backend.get(key)
+        return self.backend.get(key)
 
     def get(self, collection: str, doc_id: str) -> Optional[Document]:
         doc = self.stored(self._key(collection, doc_id))
@@ -280,7 +270,7 @@ class DocumentStore:
         consumed, so a caller that only owes the engine the access may
         drop the iterator unread.
         """
-        return self._backend.scan(f"{collection}/")
+        return self.backend.scan(f"{collection}/")
 
     @staticmethod
     def select(

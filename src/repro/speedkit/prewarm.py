@@ -61,7 +61,7 @@ def prewarm(
         stored = False
         for pop in backend.cdn.pops.values():
             admitted = pop.admit(request, response, at)
-            if url.cache_key() in pop.store:
+            if url.cache_key in pop.store:
                 stored = True
         if stored:
             report.warmed.append(str(url))

@@ -244,11 +244,11 @@ class ServiceWorkerProxy(Fetcher):
 
         env = self.env
         cache = self.cache
-        key = url.cache_key()
+        key = url.cache_key
         cached = cache.serve_even_stale(key, env.now)
         # ``Transport.charge``'s drain, inline: the device-hit path
         # pays its one drain without a call into the transport.
-        lag = cache.store.drain_latency()
+        lag = cache.store.backend.drain_latency()
         if lag > 0:
             yield env.timeout(lag)
         now = env.now
@@ -375,7 +375,7 @@ class ServiceWorkerProxy(Fetcher):
         now = self.env.now
         if not is_fresh_at(cached, now, shared=False):
             return False
-        entry = self.cache.store.peek(scrubbed.url.cache_key())
+        entry = self.cache.store.peek(scrubbed.url.cache_key)
         if entry is None:
             return False
         verified_age = now - entry.stored_at

@@ -47,7 +47,7 @@ class AdaptiveTtlPolicy:
         if spec.ttl_hint is not None:
             ttl = float(spec.ttl_hint)
         else:
-            key = url.without_param(SEGMENT_PARAM).cache_key()
+            key = url.without_param(SEGMENT_PARAM).cache_key
             ttl = self.estimator.ttl_for(key)
         if ttl <= 0:
             return CacheControl(no_store=True)

@@ -281,7 +281,9 @@ class TxnCoordinator:
 
     def _read_one(self, url: URL, span) -> Generator:
         read_span = None
-        request = Request.get(url, client_id=self.user_id)
+        request = Request.get(
+            url, headers=self.stack.request_headers, client_id=self.user_id
+        )
         if self.tracer.enabled:
             read_span = self.tracer.start(
                 "txn-read",

@@ -1,14 +1,27 @@
-"""Tests for baseline fetchers and the cookie-jar wrapper."""
+"""Tests for the baseline fetcher, the ``Fetcher`` protocol and the
+session cookie a runner-built client carries."""
 
 import inspect
+import random
 
 import pytest
 
-from repro.baselines import CookieJarFetcher, NoCacheClient
+from repro.baselines import NoCacheClient
 from repro.browser import Fetcher
-from repro.http import Headers, Request, Status, URL
+from repro.harness import Scenario, ScenarioSpec
+from repro.http import Headers, Method, Request, URL
+from repro.obs.span import NULL_SPAN
+from repro.txn.coordinator import KeyRead
+from repro.workload import (
+    CatalogConfig,
+    UserPopulationConfig,
+    generate_catalog,
+    generate_users,
+)
+from repro.workload.trace import CartAdd, PageView, TxnRead, WorkloadTrace
 
 from tests.browser.conftest import CLIENT_ORIGIN, run_fetch
+from tests.harness.keeping import KeepingRunner
 
 
 def get(path, headers=None):
@@ -25,78 +38,121 @@ class TestNoCacheClient:
         assert env.now - start == pytest.approx(2 * CLIENT_ORIGIN)
 
 
-class TestCookieJarFetcher:
-    def test_attaches_cookie_for_logged_in_user(self, env, transport):
-        captured = []
-        original = transport.origin_server.handle
+class CapturingRunner(KeepingRunner):
+    """Notes every request that reaches the origin and every request
+    that leaves a device through the CDN."""
 
-        def spy(request, now):
-            captured.append(request.headers.get("Cookie"))
-            return original(request, now)
+    def _build(self):
+        super()._build()
+        self.at_origin = []
+        self.via_cdn = []
+        handle = self.server.handle
 
-        transport.origin_server.handle = spy
-        client = CookieJarFetcher(
-            NoCacheClient("client", transport), user_id="u42"
-        )
-        run_fetch(env, client.fetch(get("/page/1")))
-        assert captured == ["session=u42"]
+        def at_origin(request, now):
+            self.at_origin.append(request)
+            return handle(request, now)
 
-    def test_anonymous_user_sends_nothing(self, env, transport):
-        captured = []
-        original = transport.origin_server.handle
+        self.server.handle = at_origin
+        one, many = self.transport.fetch_via_cdn, self.transport.fetch_many_via_cdn
 
-        def spy(request, now):
-            captured.append(request.headers.get("Cookie"))
-            return original(request, now)
+        def fetch_via_cdn(client, request, cdn):
+            self.via_cdn.append(request)
+            return one(client, request, cdn)
 
-        transport.origin_server.handle = spy
-        client = CookieJarFetcher(
-            NoCacheClient("client", transport), user_id=None
-        )
-        run_fetch(env, client.fetch(get("/page/1")))
-        assert captured == [None]
+        def fetch_many_via_cdn(client, requests, cdn):
+            self.via_cdn.extend(requests)
+            return many(client, requests, cdn)
 
-    def test_existing_cookie_not_overwritten(self, env, transport):
-        captured = []
-        original = transport.origin_server.handle
+        self.transport.fetch_via_cdn = fetch_via_cdn
+        self.transport.fetch_many_via_cdn = fetch_many_via_cdn
 
-        def spy(request, now):
-            captured.append(request.headers.get("Cookie"))
-            return original(request, now)
 
-        transport.origin_server.handle = spy
-        client = CookieJarFetcher(
-            NoCacheClient("client", transport), user_id="u42"
-        )
-        run_fetch(
-            env, client.fetch(get("/page/1", {"Cookie": "session=other"}))
-        )
-        assert captured == ["session=other"]
+CATALOG = generate_catalog(CatalogConfig(n_products=5), random.Random(0))
+USERS = generate_users(
+    UserPopulationConfig(n_users=12, consent_fraction=1.0), random.Random(1)
+)
+LOGGED_IN = next(user for user in USERS.users if user.logged_in)
+ANONYMOUS = next(user for user in USERS.users if not user.logged_in)
+PRODUCTS = [product.product_id for product in CATALOG.products]
 
-    def test_original_request_not_mutated(self, env, transport):
-        client = CookieJarFetcher(
-            NoCacheClient("client", transport), user_id="u42"
-        )
-        request = get("/page/1")
-        run_fetch(env, client.fetch(request))
+
+def replay(scenario, user):
+    """A page view, a cart add and a transaction of ``user`` replayed on
+    a runner-built ``scenario`` stack."""
+    uid = user.user_id
+    trace = WorkloadTrace(
+        [
+            PageView(at=1.0, user_id=uid, page_kind="product", target=PRODUCTS[0]),
+            CartAdd(at=5.0, user_id=uid, product_id=PRODUCTS[0]),
+            TxnRead(at=9.0, user_id=uid, product_ids=tuple(PRODUCTS[1:3])),
+        ],
+        duration=20.0,
+    )
+    runner = CapturingRunner(ScenarioSpec(scenario), CATALOG, USERS, trace)
+    runner.run()
+    return runner, runner.client_stacks()[uid].fetcher
+
+
+BASELINES = pytest.mark.parametrize(
+    "scenario",
+    [Scenario.NO_CACHE, Scenario.BROWSER_ONLY, Scenario.CLASSIC_CDN],
+    ids=lambda scenario: scenario.value,
+)
+
+
+class TestSessionCookie:
+    """A browser sends its session cookie on every same-site request:
+    the runner gives a logged-in user's client one map holding it, and
+    every request built for the client carries that map."""
+
+    @BASELINES
+    def test_a_logged_in_users_requests_carry_the_clients_one_map(self, scenario):
+        runner, client = replay(scenario, LOGGED_IN)
+        session = client.request_headers
+        assert session["Cookie"] == f"session={LOGGED_IN.user_id}"
+        paths = {(r.method, r.url.path) for r in runner.at_origin}
+        assert (Method.GET, f"/product/{PRODUCTS[0]}") in paths  # page
+        cart_add = (Method.POST, f"/api/documents/carts/{LOGGED_IN.user_id}")
+        txn_reads = {(Method.GET, f"/api/products/{pid}") for pid in PRODUCTS[1:3]}
+        assert cart_add in paths and txn_reads <= paths
+        assert all(r.headers is session for r in runner.at_origin)
+
+    @BASELINES
+    def test_an_anonymous_users_requests_carry_no_cookie(self, scenario):
+        runner, client = replay(scenario, ANONYMOUS)
+        assert client.request_headers is Fetcher.request_headers
+        assert len(runner.at_origin) > 3
+        assert all("Cookie" not in r.headers for r in runner.at_origin)
+
+    def test_a_txn_refetch_carries_no_cookie(self):
+        """A snapshot refetch goes straight to the origin, outside the
+        client: a cookie there would buy a personalised answer."""
+        runner, _ = replay(Scenario.NO_CACHE, LOGGED_IN)
+        coordinator = runner._txn_coordinator_for(LOGGED_IN)
+        url = URL.parse(f"/api/products/{PRODUCTS[1]}")
+        read = KeyRead(url=url, response=None, read_at=runner.env.now)
+        runner.at_origin.clear()
+        runner.env.process(coordinator._refetch_one(read, NULL_SPAN))
+        runner.env.run()
+        [request] = runner.at_origin
+        assert request.url == url
         assert "Cookie" not in request.headers
 
-    def test_wave_gets_the_cookie_before_it_reaches_the_inner_fetcher(
-        self, env, transport
-    ):
-        seen = []
+    def test_a_speed_kit_users_requests_leave_the_device_without_it(self):
+        """The worker receives the cookie-laden requests and scrubs
+        them: nothing it sends through the CDN names the session. A
+        cart add (an unsafe method) passes through untouched, as it
+        would without Speed Kit."""
+        from repro.speedkit import ServiceWorkerProxy
 
-        class Recording(NoCacheClient):
-            def fetch_many(self, requests):
-                seen.extend(r.headers.get("Cookie") for r in requests)
-                return super().fetch_many(requests)
-
-        client = CookieJarFetcher(Recording("client", transport), "u42")
-        responses = run_fetch(
-            env, client.fetch_many([get("/page/1"), get("/page/2")])
-        )
-        assert seen == ["session=u42", "session=u42"]
-        assert [r.status for r in responses] == [Status.OK, Status.OK]
+        runner, worker = replay(Scenario.SPEED_KIT, LOGGED_IN)
+        assert isinstance(worker, ServiceWorkerProxy)
+        session = worker.request_headers
+        assert session["Cookie"] == f"session={LOGGED_IN.user_id}"
+        assert len(runner.via_cdn) > 3
+        assert all("Cookie" not in r.headers for r in runner.via_cdn)
+        [cart_add] = [r for r in runner.at_origin if r.method is Method.POST]
+        assert cart_add.headers is session
 
 
 class TestFetcherProtocol:
@@ -130,12 +186,7 @@ class TestFetcherProtocol:
         from repro.browser import BrowserClient
         from repro.speedkit import ServiceWorkerProxy
 
-        for cls in (
-            BrowserClient,
-            NoCacheClient,
-            CookieJarFetcher,
-            ServiceWorkerProxy,
-        ):
+        for cls in (BrowserClient, NoCacheClient, ServiceWorkerProxy):
             assert issubclass(cls, Fetcher)
 
 
@@ -150,7 +201,6 @@ class TestForwardingFrames:
         forwarders = [
             (Transport, "_relay_to_origin"),
             (NoCacheClient, "fetch"),
-            (CookieJarFetcher, "fetch"),
             (BrowserClient, "_transport_fetch"),
             # Untraced, these two only forward; the span-owning frame
             # is interposed when tracing is on.

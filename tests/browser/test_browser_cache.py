@@ -81,6 +81,6 @@ def test_serve_even_stale_returns_expired_entries():
     cache = BrowserCache("b")
     cache.admit(get(), response("max-age=5"), now=0.0)
     assert cache.serve(get(), now=100.0) is None
-    stale = cache.serve_even_stale(get().url.cache_key(), now=100.0)
+    stale = cache.serve_even_stale(get().url.cache_key, now=100.0)
     assert stale is not None
     assert stale.version == 1

@@ -180,7 +180,7 @@ class TestOneContentLengthRule:
         assert response.content_length == parsed
         # The cache: the declared length, else the body's size.
         edge = cdn.pop("edge")
-        entry = edge.store.put(request.url.cache_key(), response, now=0.0)
+        entry = edge.store.put(request.url.cache_key, response, now=0.0)
         assert entry.size_bytes == (
             parsed if parsed is not None else len(self.BODY)
         )
@@ -279,7 +279,7 @@ class TestFetchManyViaCdn:
                 env, transport.fetch_via_cdn("client", get(path), cdn)
             )
         env.run()
-        cdn.pop("edge").store.drain_latency()
+        cdn.pop("edge").store.backend.drain_latency()
         start = env.now
         run_fetch(
             env,

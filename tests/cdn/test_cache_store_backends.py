@@ -234,7 +234,7 @@ class TestLruOverEngines:
 
 
 class TestRemoteCostSurface:
-    def test_drain_latency_proxies_backend(self):
+    def test_store_operations_accrue_in_its_engine(self):
         backend = SimulatedRemoteBackend(
             read_delay=ConstantDelay(0.001),
             write_delay=ConstantDelay(0.002),
@@ -242,10 +242,10 @@ class TestRemoteCostSurface:
         store = CacheStore(shared=True, backend=backend)
         store.put("k", response(), now=0.0)
         store.get_fresh("k", now=1.0)
-        assert store.drain_latency() == pytest.approx(0.003)
-        assert store.drain_latency() == 0.0
+        assert store.backend.drain_latency() == pytest.approx(0.003)
+        assert store.backend.drain_latency() == 0.0
 
     def test_local_store_is_free(self):
         store = CacheStore(shared=True)
         store.put("k", response(), now=0.0)
-        assert store.drain_latency() == 0.0
+        assert store.backend.drain_latency() == 0.0

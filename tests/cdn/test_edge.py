@@ -103,7 +103,7 @@ class TestServe:
         pop.metrics.counter("edge.pop-1.hit").inc(5)
         pop.serve(get(), now=3.0)
         assert pop.metrics.counter("edge.pop-1.hit").value == 8
-        assert pop.purge_many([get().url.cache_key(), "ghost"]) == 1
+        assert pop.purge_many([get().url.cache_key, "ghost"]) == 1
         assert pop.metrics.snapshot()["edge.pop-1.purge"] == 1
 
 
@@ -126,7 +126,7 @@ class TestAdmission:
         original = ok_response()
         forwarded = pop.admit(get(), original, now=0.0)
         assert forwarded is original
-        assert pop.store.peek(get().url.cache_key()).response is original
+        assert pop.store.peek(get().url.cache_key).response is original
         with pytest.raises(FrozenHeadersError):
             forwarded.headers["X-Hop"] = "edge"
         assert "X-Hop" not in pop.serve(get(), now=1.0).headers
@@ -171,7 +171,7 @@ class TestRevalidation:
         pop.admit(get(), ok_response(), now=0.0)
         stale = pop.revalidation_base(get(), now=0.0)
         nm = make_not_modified(stale, at=5.0)
-        pop.purge_many([get().url.cache_key()])
+        pop.purge_many([get().url.cache_key])
         assert pop.refresh(get(), nm, now=5.0) is None
 
 
@@ -186,7 +186,7 @@ class TestStaleIfError:
         assert reason_of(served) is Degraded.STALE_IF_ERROR
         assert served.served_by == "pop-1" and served.version == 1
         # The stored response stays unmarked and servable.
-        stored = pop.store.peek(get().url.cache_key()).response
+        stored = pop.store.peek(get().url.cache_key).response
         assert reason_of(stored) is None and served.headers is not stored.headers
         assert pop.counted("stale_if_error") == 1
 
@@ -215,7 +215,7 @@ class TestPurge:
     def test_purge_removes_entry(self):
         pop = edge()
         pop.admit(get(), ok_response(), now=0.0)
-        assert pop.purge_many([get().url.cache_key()]) == 1
+        assert pop.purge_many([get().url.cache_key]) == 1
         assert pop.serve(get(), now=0.5) is None
 
     def test_purge_missing_is_false(self):

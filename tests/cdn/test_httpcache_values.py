@@ -81,7 +81,7 @@ class CacheNodeMachine(RuleBasedStateMachine):
 
     def _served(self, path, response):
         """Checks one serving of ``path`` against its stored entry."""
-        entry = self.stored[request_for(path).url.cache_key()]
+        entry = self.stored[request_for(path).url.cache_key]
         assert response is not entry
         assert response.headers is entry.headers
         assert response.body is entry.body
@@ -124,9 +124,9 @@ class CacheNodeMachine(RuleBasedStateMachine):
         )
         self._witness(response)
         assert self.cache.admit(request, response, self.now) is response
-        entry = self.cache.store.peek(request.url.cache_key())
+        entry = self.cache.store.peek(request.url.cache_key)
         if entry is not None and entry.response is response:
-            self.stored[request.url.cache_key()] = response
+            self.stored[request.url.cache_key] = response
 
     @rule(path=st.sampled_from(PATHS))
     def serve(self, path):
@@ -145,7 +145,7 @@ class CacheNodeMachine(RuleBasedStateMachine):
 
     @rule(path=st.sampled_from(PATHS))
     def serve_even_stale(self, path):
-        key = request_for(path).url.cache_key()
+        key = request_for(path).url.cache_key
         response = self.cache.serve_even_stale(key, self.now)
         assert (response is None) == (key not in self.stored)
         if response is not None:
@@ -157,7 +157,7 @@ class CacheNodeMachine(RuleBasedStateMachine):
             request_for(path), self.now, grace
         )
         if response is not None:
-            entry = self.stored[request_for(path).url.cache_key()]
+            entry = self.stored[request_for(path).url.cache_key]
             assert reason_of(response) is Degraded.STALE_IF_ERROR
             assert reason_of(entry) is None
             assert response.headers is not entry.headers
@@ -170,7 +170,7 @@ class CacheNodeMachine(RuleBasedStateMachine):
     )
     def refresh(self, path, cache_control):
         request = request_for(path)
-        key = request.url.cache_key()
+        key = request.url.cache_key
         before = self.stored.get(key)
         not_modified = Response(
             status=Status.NOT_MODIFIED,
@@ -219,7 +219,7 @@ class CacheNodeMachine(RuleBasedStateMachine):
 
     @rule(path=st.sampled_from(PATHS))
     def purge(self, path):
-        key = request_for(path).url.cache_key()
+        key = request_for(path).url.cache_key
         assert self.cache.purge_many([key]) == (key in self.stored)
         self.stored.pop(key, None)
 

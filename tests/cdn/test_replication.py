@@ -88,7 +88,7 @@ def test_first_arrival_wins_duplicates_dropped(env, cdn, replicator):
 
 
 def test_purge_supersedes_in_flight_replicas(env, cdn, replicator):
-    key = get().url.cache_key()
+    key = get().url.cache_key
 
     def scenario():
         cdn.pop("pop-eu").admit(get(), ok_response(), now=env.now)
@@ -105,7 +105,7 @@ def test_purge_supersedes_in_flight_replicas(env, cdn, replicator):
 
 
 def test_replicas_sent_after_purge_apply(env, cdn, replicator):
-    key = get().url.cache_key()
+    key = get().url.cache_key
 
     def scenario():
         cdn.purge_many([key])
@@ -134,8 +134,8 @@ def test_expired_replicas_dropped_on_arrival(env, cdn, replicator):
 
 def test_in_flight_for_counts_only_named_keys(env, cdn, replicator):
     cdn.pop("pop-eu").admit(get("/a"), ok_response("/a"), now=env.now)
-    key_a = get("/a").url.cache_key()
-    key_b = get("/b").url.cache_key()
+    key_a = get("/a").url.cache_key
+    key_b = get("/b").url.cache_key
     assert replicator.in_flight_for([key_a]) == 2
     assert replicator.in_flight_for([key_b]) == 0
     env.run()
@@ -183,7 +183,7 @@ def test_purge_bookkeeping_stays_bounded(env, cdn, replicator):
 
 
 def test_purge_records_survive_within_the_delay_window(env, cdn, replicator):
-    key = get().url.cache_key()
+    key = get().url.cache_key
 
     def scenario():
         cdn.purge_many([key])

@@ -302,7 +302,7 @@ class TestStaleIfError:
         downstream = Cdn(["edge"]).pop("edge")
         returned = downstream.admit(get("/page/1"), degraded, env.now)
         assert returned.status == Status.OK
-        assert downstream.store.peek(get("/page/1").url.cache_key()) is None
+        assert downstream.store.peek(get("/page/1").url.cache_key) is None
 
 
 class TestNoFaultsOracle:

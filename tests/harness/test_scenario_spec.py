@@ -71,6 +71,23 @@ def test_durations_must_be_finite_and_non_negative(build, knob, value):
         # delay), and no overload profile means nothing to admit into or
         # to scale.
         ({"replicate_pops": True}, "replicate_pops needs at least two PoPs"),
+        # ... and a scenario without a CDN has no PoP to replicate to.
+        (
+            {
+                "scenario": Scenario.NO_CACHE,
+                "replicate_pops": True,
+                "n_regions": 2,
+            },
+            "replicate_pops needs a CDN: no-cache deploys none",
+        ),
+        (
+            {
+                "scenario": Scenario.BROWSER_ONLY,
+                "replicate_pops": True,
+                "n_regions": 2,
+            },
+            "replicate_pops needs a CDN: browser-only deploys none",
+        ),
         (
             {"replicate_pops": True, "n_regions": 1},
             "replicate_pops needs at least two PoPs",

@@ -158,9 +158,7 @@ def _stored_at_edge(runner, reason, index=0):
     """Plant a marked copy in the PoP (behind ``admit``'s back) and
     return a conditional request whose validator matches it."""
     request, response = answer(runner, reason, index)
-    runner.cdn.pop(EDGE).store.put(
-        request.url.cache_key(), response, runner.env.now
-    )
+    runner.cdn.pop(EDGE).store.put(request.url.cache_key, response, runner.env.now)
     return request.with_header("If-None-Match", response.etag)
 
 

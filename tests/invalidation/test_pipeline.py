@@ -101,7 +101,7 @@ class TestPipeline:
     def test_write_lands_in_sketch_after_detection(self, stack):
         env, server, cdn, sketch, pipeline = stack
         request, _ = serve_and_cache(server, cdn, "/product/1", now=0.0)
-        key = request.url.cache_key()
+        key = request.url.cache_key
         env.run(until=1.0)
         server.update("products", "1", {"price": 11}, at=env.now)
         env.run(until=1.01)
@@ -127,7 +127,7 @@ class TestPipeline:
         server.write("products", "2", {"category": "shoes", "price": 7}, at=1.0)
         env.run(until=2.0)
         assert cdn.pop("pop-1").serve(request, env.now) is None
-        assert sketch.contains(request.url.cache_key(), env.now)
+        assert sketch.contains(request.url.cache_key, env.now)
 
     def test_unrelated_write_is_a_no_op(self, stack):
         env, server, cdn, sketch, pipeline = stack
@@ -157,7 +157,7 @@ class TestPipeline:
         # Here: page IS cacheable but never served, so no read reported.
         server.update("products", "1", {"price": 11}, at=1.0)
         env.run(until=2.0)
-        key = URL.parse("/product/1").cache_key()
+        key = URL.parse("/product/1").cache_key
         assert not sketch.contains(key, env.now)
 
     def test_purges_fan_out_to_all_pops(self, stack):

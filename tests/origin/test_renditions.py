@@ -319,7 +319,7 @@ class AdaptiveRenditionMachine(RenditionMachine):
         apart, then the read again: the estimator's TTL for it has
         moved, its version has not."""
         if self.last_read is not None:
-            key = URL.parse(self.last_read[0]).cache_key()
+            key = URL.parse(self.last_read[0]).cache_key
             for _ in range(2):
                 self.now += gap
                 self.server.ttl_policy.observe_resource_write(key, self.now)
@@ -401,7 +401,7 @@ class TestEngineAccessParity:
         backend = BatchedRemoteBackend(rng=random.Random(7))
         site = build_site(backend)
         site.store.put("carts", "u1", {"items": ["1"]})
-        site.store.drain_latency()
+        site.store.backend.drain_latency()
         backend.op_counts.clear()
         return OriginServer(site), backend
 
@@ -423,7 +423,7 @@ class TestEngineAccessParity:
         server, backend = self._server()
         self._repeat_reads(server, rounds=5)
         assert backend.op_counts == {"get": 40, "scan": 5}
-        assert server.site.store.drain_latency() == PINNED_DRAINED
+        assert server.site.store.backend.drain_latency() == PINNED_DRAINED
         assert backend.rng.random() == PINNED_NEXT_DRAW
 
     def test_hits_and_builds_charge_alike(self):

@@ -164,7 +164,7 @@ class TestStaleWhileRevalidate:
         # The background refresh lands shortly after.
         env.run(until=env.now + 5.0)
         refreshed = worker.cache.serve_even_stale(
-            URL.parse("/product/1").with_param("sk_segment", "gold|de").cache_key(),
+            URL.parse("/product/1").with_param("sk_segment", "gold|de").cache_key,
             env.now,
         )
         assert refreshed.version == 2

@@ -53,9 +53,7 @@ class TestPrewarm:
         prewarm(backend, [URL.parse("/product/1")], at=0.0)
         backend.server.update("products", "1", {"price": 99}, at=1.0)
         env.run(until=2.0)
-        assert backend.sketch.contains(
-            URL.parse("/product/1").cache_key(), now=env.now
-        )
+        assert backend.sketch.contains(URL.parse("/product/1").cache_key, now=env.now)
 
     def test_first_visitor_hits_warm_edge(self, backend, env, make_worker):
         prewarm(

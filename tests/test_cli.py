@@ -551,8 +551,9 @@ COMMANDS = {
         "delta": 45.0,
         "adaptive_ttl": True,
     },
-    ("compare", "--scenarios", "browser-only", "--delta", "45"): {
-        "scenario": Scenario.BROWSER_ONLY,
+    # A scenario with a CDN: every-flag's --replicate-pops needs one.
+    ("compare", "--scenarios", "speed-kit-sketch-only", "--delta", "45"): {
+        "scenario": Scenario.SPEED_KIT_SKETCH_ONLY,
         "delta": 45.0,
     },
     ("sweep-delta", "--deltas", "45"): {"delta": 45.0},
@@ -630,6 +631,10 @@ SMALL = ["--users", "5", "--products", "10", "--duration", "60"]
         (["--users", "0"], "n_users"),
         (["--gdpr-mix", "2"], "erase_fraction"),
         (["--replay-rate", "nan"], "--replay-rate"),
+        (
+            ["--scenario", "no-cache", "--replicate-pops", "2"],
+            "replicate_pops needs a CDN: no-cache deploys none",
+        ),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else None,
 )

@@ -42,7 +42,7 @@ def test_unwritten_resource_gets_default(policy):
 
 def test_writes_shorten_ttl(policy):
     url = URL.of("/r/1")
-    key = url.cache_key()
+    key = url.cache_key
     policy.observe_resource_write(key, now=0.0)
     policy.observe_resource_write(key, now=10.0)
     cc = policy.cache_control(spec(), url, False)
@@ -52,8 +52,8 @@ def test_writes_shorten_ttl(policy):
 
 def test_segment_variants_share_one_estimate(policy):
     base = URL.of("/r/1")
-    policy.observe_resource_write(base.cache_key(), now=0.0)
-    policy.observe_resource_write(base.cache_key(), now=10.0)
+    policy.observe_resource_write(base.cache_key, now=0.0)
+    policy.observe_resource_write(base.cache_key, now=10.0)
     variant = base.with_param(SEGMENT_PARAM, "s5")
     cc_base = policy.cache_control(spec(), base, False)
     cc_variant = policy.cache_control(spec(), variant, False)
@@ -70,8 +70,8 @@ def test_scorching_key_becomes_no_store():
         TtlEstimator(min_worthwhile=1.0, min_ttl=0.1)
     )
     url = URL.of("/r/1")
-    policy.observe_resource_write(url.cache_key(), now=0.0)
-    policy.observe_resource_write(url.cache_key(), now=0.01)
+    policy.observe_resource_write(url.cache_key, now=0.0)
+    policy.observe_resource_write(url.cache_key, now=0.01)
     cc = policy.cache_control(spec(), url, False)
     assert cc.no_store
 

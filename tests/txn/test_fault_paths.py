@@ -151,15 +151,13 @@ class TestDrivenOutage:
         from_cache = 0
         for read in dark.reads:
             assert reason_of(read.response) is Degraded.TXN_DOWNGRADE
-            entry = worker.cache.store.peek(read.response.url.cache_key())
+            entry = worker.cache.store.peek(read.response.url.cache_key)
             if entry is None or entry.response.body is not read.response.body:
                 continue
             from_cache += 1
             assert reason_of(entry.response) is None
             assert DEGRADED_HEADER not in entry.response.headers
-            again = worker.cache.serve_even_stale(
-                read.response.url.cache_key(), now
-            )
+            again = worker.cache.serve_even_stale(read.response.url.cache_key, now)
             assert again.headers is entry.response.headers
             assert reason_of(again) is None
             assert again.version == read.response.version
