@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Generator, List, Optional, Sequence
+from typing import Generator, Iterator, List, Optional, Sequence
 
 from repro.browser.cache import BrowserCache
 from repro.cdn.network import Cdn
@@ -41,10 +41,11 @@ class Fetcher:
     def fetch_many(self, requests: Sequence[Request]) -> Generator:
         """Resolve a wave of requests: parallel single fetches, unless
         the implementer has a batched path."""
-        env = self.transport.env
-        processes = [env.process(self.fetch(request)) for request in requests]
-        done = yield env.all_of(processes)
-        return [done[process] for process in processes]
+        return (
+            yield self.transport.env.gather(
+                [self.fetch(request) for request in requests]
+            )
+        )
 
 
 class TransportMode(enum.Enum):
@@ -172,22 +173,25 @@ class BrowserClient(Fetcher):
         env = self.transport.env
         responses: List[Optional[Response]] = [None] * len(requests)
         batched: List[int] = []
-        singles = {}
-        for index, request in enumerate(requests):
-            if self.mode is not TransportMode.CDN:
-                singles[index] = env.process(self.fetch(request))
-                continue
-            if not request.method.is_safe:
-                singles[index] = env.process(self.fetch(request))
-                continue
-            cached = self.cache.serve(request, env.now)
-            if cached is not None:
-                responses[index] = cached
-                continue
-            if self.cache.revalidation_base(request, env.now) is not None:
-                singles[index] = env.process(self.fetch(request))
-                continue
-            batched.append(index)
+        singles: List[int] = []
+
+        def classify() -> Iterator[Generator]:
+            # Hands each single fetch to the gather as it is found, so it
+            # starts before the next request is looked up: its first step
+            # drains the lookups so far from the store's cost pool.
+            for index, request in enumerate(requests):
+                if self.mode is TransportMode.CDN and request.method.is_safe:
+                    cached = self.cache.serve(request, env.now)
+                    if cached is not None:
+                        responses[index] = cached
+                        continue
+                    if self.cache.revalidation_base(request, env.now) is None:
+                        batched.append(index)
+                        continue
+                singles.append(index)
+                yield self.fetch(request)
+
+        gathered = env.gather(classify())
         yield from self.transport.charge(self.cache.store)
         if batched:
             fetched = yield from self.transport.fetch_many_via_cdn(
@@ -199,7 +203,6 @@ class BrowserClient(Fetcher):
                 )
             yield from self.transport.charge(self.cache.store)
         if singles:
-            done = yield env.all_of(list(singles.values()))
-            for index, process in singles.items():
-                responses[index] = done[process]
+            for index, response in zip(singles, (yield gathered)):
+                responses[index] = response
         return responses

@@ -223,14 +223,12 @@ class PageLoadEngine:
                 responses.extend(batch_responses)
             else:
                 traced = self.tracer.enabled
-                processes = [
-                    self.env.process(
+                responses += yield self.env.gather(
+                    [
                         self._traced_fetch(request, trace, wave_index, slot)
                         if traced
                         else self.fetcher.fetch(request)
-                    )
-                    for request in requests
-                ]
-                done = yield self.env.all_of(processes)
-                responses += [done[process] for process in processes]
+                        for request in requests
+                    ]
+                )
         return responses

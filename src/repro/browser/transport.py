@@ -525,14 +525,14 @@ class Transport:
         self, client_node: str, requests: Sequence[Request], parent=None
     ) -> Generator:
         """Failover for a wave: parallel direct fetches, no edge."""
-        processes = [
-            self.env.process(
-                self.fetch_direct(client_node, request, parent=parent)
+        return (
+            yield self.env.gather(
+                [
+                    self.fetch_direct(client_node, request, parent=parent)
+                    for request in requests
+                ]
             )
-            for request in requests
-        ]
-        done = yield self.env.all_of(processes)
-        return [done[process] for process in processes]
+        )
 
     def fetch_many_via_cdn(
         self, client_node: str, requests: Sequence[Request], cdn: Cdn
@@ -636,8 +636,8 @@ class Transport:
         for index, request in enumerate(requests):
             if index not in lookup:
                 # Credentialed request: relay without cache interaction.
-                fills[index] = self.env.process(
-                    self._origin_exchange(edge_name, request, parent=edge_span)
+                fills[index] = self._origin_exchange(
+                    edge_name, request, parent=edge_span
                 )
         hits = 0
         for index, response in zip(lookup, served):
@@ -645,18 +645,16 @@ class Transport:
                 responses[index] = response
                 hits += 1
             else:
-                fills[index] = self.env.process(
-                    self._traced_fill(
-                        edge_name, edge, requests[index], edge_span
-                    )
+                fills[index] = self._traced_fill(
+                    edge_name, edge, requests[index], edge_span
                 )
         edge_span.set(
             verdict="batch", hits=hits, passes=len(requests) - len(lookup)
         )
         if fills:
-            done = yield self.env.all_of(list(fills.values()))
-            for index, process in fills.items():
-                responses[index] = done[process]
+            filled = yield self.env.gather(list(fills.values()))
+            for index, response in zip(fills, filled):
+                responses[index] = response
         total_length = 0
         for index, response in enumerate(responses):
             response = _honor_validators(requests[index], response)

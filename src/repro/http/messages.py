@@ -54,6 +54,8 @@ class Status(enum.IntEnum):
 #: personalized traffic: shared caches pass it to the origin
 #: untouched, and the admission plane sheds it first.
 CREDENTIAL_HEADERS = ("Cookie", "Authorization")
+#: The same names as a header map keys them (lower case).
+_COOKIE, _AUTHORIZATION = (name.lower() for name in CREDENTIAL_HEADERS)
 
 
 @dataclass(slots=True)
@@ -89,7 +91,8 @@ class Request:
     @property
     def credentialed(self) -> bool:
         """Whether the request carries a :data:`CREDENTIAL_HEADERS`."""
-        return any(header in self.headers for header in CREDENTIAL_HEADERS)
+        items = self.headers._items
+        return _COOKIE in items or _AUTHORIZATION in items
 
     def with_header(self, name: str, value: str) -> "Request":
         """This request with one header added/replaced (a new map)."""

@@ -113,17 +113,18 @@ class StaticTtlPolicy:
         if overrides:
             self.ttls.update(overrides)
         self.stale_while_revalidate = stale_while_revalidate
-        self._answers: Dict[
-            Tuple[ResourceKind, Optional[float], bool], CacheControl
-        ] = {}
+        # Keyed by the kind's value: ``Enum.__hash__`` is a Python frame.
+        self._answers: Dict[Tuple[str, Optional[float], bool], CacheControl] = {}
 
     def cache_control(
         self, spec: ResourceSpec, url: URL, personalized_for_user: bool
     ) -> CacheControl:
-        key = (spec.kind, spec.ttl_hint, personalized_for_user)
+        key = (spec.kind._value_, spec.ttl_hint, personalized_for_user)
         answer = self._answers.get(key)
         if answer is None:
-            answer = self._answers[key] = self._decide(*key)
+            answer = self._answers[key] = self._decide(
+                spec.kind, spec.ttl_hint, personalized_for_user
+            )
         return answer
 
     def _decide(

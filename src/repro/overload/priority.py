@@ -43,13 +43,10 @@ class PriorityClass(enum.Enum):
     STATIC = 1
     PERSONALIZED = 2
 
-    @property
-    def rank(self) -> int:
-        return self.value
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
+    def __init__(self, rank: int) -> None:
+        # Plain attributes: ``name`` / ``value`` are Python descriptors.
+        self.rank = rank
+        self.label = self.name.lower()
 
     @property
     def sheddable(self) -> bool:

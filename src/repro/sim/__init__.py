@@ -12,7 +12,7 @@ drawn from explicitly seeded generators (see :mod:`repro.sim.rng`).
 """
 
 from repro.sim.environment import Environment, Interrupt, StopSimulation
-from repro.sim.events import AllOf, Event, Process, Timeout
+from repro.sim.events import Event, Process, Timeout
 from repro.sim.metrics import (
     Counter,
     Gauge,
@@ -23,7 +23,6 @@ from repro.sim.metrics import (
 from repro.sim.rng import RngStreams
 
 __all__ = [
-    "AllOf",
     "Counter",
     "Environment",
     "Event",

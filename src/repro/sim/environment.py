@@ -6,7 +6,7 @@ import heapq
 import math
 from typing import Any, List, Optional, Tuple
 
-from repro.sim.events import AllOf, Event, Process, Timeout
+from repro.sim.events import Event, Gather, Process, Timeout
 
 
 _INF = math.inf
@@ -83,9 +83,10 @@ class Environment:
         """Start a new process from ``generator`` and return it."""
         return Process(self, generator)
 
-    def all_of(self, events) -> AllOf:
-        """Composite event: fires when all of ``events`` have fired."""
-        return AllOf(self, events)
+    def gather(self, generators) -> Gather:
+        """Start each of ``generators`` as a process, in order, and join
+        them: one event whose value is their return values, in order."""
+        return Gather(self, generators)
 
     # -- execution --------------------------------------------------------
 

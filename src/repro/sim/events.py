@@ -4,6 +4,7 @@ Events follow a small state machine: *pending* → *triggered* →
 *processed*. A triggered event carries either a value or an exception;
 once the environment pops it off the queue, its callbacks run and any
 process waiting on it is resumed (or has the exception thrown into it).
+A process or gather that finishes skips the queue and wakes its waiters.
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ class Event:
         if self._value is not PENDING:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._value = value
-        # ``Environment.schedule(self)`` inline: every process that
-        # returns passes here, at the current instant.
+        # ``Environment.schedule(self)`` inline, at the current instant.
         env = self.env
         heappush(env._queue, (env.now, env._seq, self))
         env._seq += 1
@@ -87,14 +87,6 @@ class Event:
         self._value = exception
         self.env.schedule(self)
         return self
-
-    def _add_callback(self, callback: Callable[["Event"], None]) -> None:
-        if self.callbacks is None:
-            # Already processed: run immediately so late waiters do not
-            # deadlock (mirrors SimPy semantics).
-            callback(self)
-        else:
-            self.callbacks.append(callback)
 
     def __repr__(self) -> str:
         state = "processed" if self.processed else (
@@ -123,11 +115,12 @@ class Process(Event):
     process fails with that exception, which propagates to waiters).
 
     A process starts inline: its first step runs inside the call that
-    creates it, up to the first ``yield``, before that call returns. A
-    generator that returns without yielding is therefore already
-    triggered when ``env.process`` hands it back; one that fails in its
-    first step hands its exception to its waiters (or to ``run()``, if
-    nobody waits) exactly as a later failure would.
+    creates it, up to the first ``yield``, before that call returns. One
+    that returns is processed at once and resumes its waiters in place,
+    in order, so one that returns without yielding is already processed
+    when ``env.process`` hands it back. A failure goes through the queue:
+    one in the first step reaches its waiters (or ``run()``, if nobody
+    waits) exactly as a later failure would.
     """
 
     __slots__ = ("_generator", "_target")
@@ -164,31 +157,39 @@ class Process(Event):
                 pass
         wakeup = Event(self.env)
         wakeup.fail(Interrupt(cause))
-        wakeup._add_callback(self._resume)
+        wakeup.callbacks.append(self._resume)
 
     def _resume(self, event: Event) -> None:
+        # A trampoline: an event already processed resumes the generator
+        # in this loop, not through a nested callback.
         self._target = None
-        try:
-            if event._ok:
-                next_event = self._generator.send(event._value)
-            else:
-                next_event = self._generator.throw(event._value)
-        except StopIteration as exc:
-            self.succeed(exc.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagated to waiters
-            self.fail(exc)
-            return
-        if not isinstance(next_event, Event):
-            self._generator.close()
-            self.fail(TypeError(f"process yielded a non-event: {next_event!r}"))
-            return
-        self._target = next_event
-        callbacks = next_event.callbacks
-        if callbacks is None:
-            next_event._add_callback(self._resume)
-        else:
-            callbacks.append(self._resume)
+        generator = self._generator
+        while True:
+            try:
+                if event._ok:
+                    event = generator.send(event._value)
+                else:
+                    event = generator.throw(event._value)
+            except StopIteration as exc:
+                self._value = exc.value
+                break
+            except BaseException as exc:  # noqa: BLE001 - propagated to waiters
+                self.fail(exc)
+                return
+            if not isinstance(event, Event):
+                generator.close()
+                self.fail(TypeError(f"process yielded a non-event: {event!r}"))
+                return
+            callbacks = event.callbacks
+            if callbacks is not None:
+                self._target = event
+                callbacks.append(self._resume)
+                return
+        # Finished: wake the waiters in place, outside the handler.
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
 
 
 class _Start:
@@ -202,30 +203,41 @@ class _Start:
 _START = _Start()
 
 
-class AllOf(Event):
-    """Triggers when *all* given events have triggered."""
+class Gather(Event):
+    """The join ``Environment.gather`` makes: processed at once if every
+    child returned in its first step, else the last child to return
+    wakes its waiters in place. The first child failure fails it."""
 
-    __slots__ = ("_events", "_fired")
+    __slots__ = ("_processes", "_pending")
 
-    def __init__(self, env: "Environment", events: Iterable[Event]) -> None:
-        super().__init__(env)
-        self._events = list(events)
-        self._fired: List[Event] = []
-        if not self._events:
-            self.succeed({})
-            return
-        for event in self._events:
-            event._add_callback(self._check)
+    def __init__(self, env: "Environment", generators: Iterable) -> None:
+        self.env = env
+        self._ok = True
+        processes = [Process(env, generator) for generator in generators]
+        pending = 0
+        for process in processes:
+            if process.callbacks is not None:
+                process.callbacks.append(self._check)
+                pending += 1
+        if pending:
+            self.callbacks = []
+            self._value = PENDING
+            self._processes = processes
+            self._pending = pending
+        else:
+            self.callbacks = None
+            self._value = [process._value for process in processes]
 
-    def _results(self) -> dict:
-        return {event: event._value for event in self._fired}
-
-    def _check(self, event: Event) -> None:
+    def _check(self, process: Process) -> None:
         if self._value is not PENDING:
             return
-        if not event._ok:
-            self.fail(event._value)
+        if not process._ok:
+            self.fail(process._value)
             return
-        self._fired.append(event)
-        if len(self._fired) == len(self._events):
-            self.succeed(self._results())
+        self._pending -= 1
+        if not self._pending:
+            self._value = [process._value for process in self._processes]
+            callbacks = self.callbacks
+            self.callbacks = None
+            for callback in callbacks:
+                callback(self)

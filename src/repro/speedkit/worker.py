@@ -180,22 +180,16 @@ class ServiceWorkerProxy(Fetcher):
         render empty; a failed required block fails the assembly with
         the block's error response.
         """
-        from repro.http.messages import Response
         from repro.speedkit.blocks import DynamicBlockAssembler
 
         skeleton = yield from self.fetch(request)
         if skeleton.status != Status.OK:
             return skeleton
-        env = self.transport.env
-        processes = {
-            spec: env.process(self.fetch(Request.get(spec.url)))
-            for spec in blocks
-        }
-        if processes:
-            yield env.all_of(list(processes.values()))
+        responses = yield self.transport.env.gather(
+            [self.fetch(Request.get(spec.url)) for spec in blocks]
+        )
         fetched = {}
-        for spec, process in processes.items():
-            response: Response = process.value
+        for spec, response in dict(zip(blocks, responses)).items():
             if response.status == Status.OK:
                 fetched[spec.name] = response
             elif spec.optional:

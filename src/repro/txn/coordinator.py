@@ -237,11 +237,9 @@ class TxnCoordinator:
     def _execute_inner(
         self, urls, level, result: TxnResult, context, span
     ) -> Generator:
-        processes = [
-            self.env.process(self._read_one(url, span)) for url in urls
-        ]
-        done = yield self.env.all_of(processes)
-        result.reads = [done[process] for process in processes]
+        result.reads = yield self.env.gather(
+            [self._read_one(url, span) for url in urls]
+        )
         # Monotonic floor enforcement: a cached copy older than what
         # this client already saw is refetched regardless of level.
         regressed = [
@@ -337,14 +335,10 @@ class TxnCoordinator:
         span.event(
             "refetch", at=self.env.now, n=len(stale), why=why
         )
-        processes = [
-            self.env.process(self._refetch_one(read, span)) for read in stale
-        ]
-        done = yield self.env.all_of(processes)
-        replacements = {
-            id(read): done[process]
-            for read, process in zip(stale, processes)
-        }
+        fresh = yield self.env.gather(
+            [self._refetch_one(read, span) for read in stale]
+        )
+        replacements = {id(read): new for read, new in zip(stale, fresh)}
         result.reads = [
             replacements.get(id(read), read) for read in result.reads
         ]

@@ -165,19 +165,68 @@ def test_event_cannot_trigger_twice():
         gate.succeed(2)
 
 
-def test_all_of_waits_for_everything():
+def _after(env, delay, value):
+    yield env.timeout(delay)
+    return value
+
+
+def test_gather_waits_for_everything_and_keeps_order():
     env = Environment()
     results = []
 
     def proc(env):
-        t1 = env.timeout(1.0, value="one")
-        t2 = env.timeout(5.0, value="five")
-        values = yield env.all_of([t1, t2])
-        results.append((env.now, sorted(values.values())))
+        values = yield env.gather(
+            [_after(env, 5.0, "five"), _after(env, 1.0, "one")]
+        )
+        results.append((env.now, values))
 
     env.process(proc(env))
     env.run()
     assert results == [(5.0, ["five", "one"])]
+
+
+def test_gather_fails_with_the_first_child_failure():
+    env = Environment()
+    caught = []
+
+    def broken(env, delay, message):
+        yield env.timeout(delay)
+        raise RuntimeError(message)
+
+    def proc(env):
+        try:
+            yield env.gather(
+                [
+                    _after(env, 1.0, "ok"),
+                    broken(env, 3.0, "second"),
+                    broken(env, 2.0, "first"),
+                ]
+            )
+        except RuntimeError as exc:
+            caught.append((env.now, str(exc)))
+
+    env.process(proc(env))
+    env.run()
+    assert caught == [(2.0, "first")]
+
+
+def test_gather_of_nothing_is_an_empty_list_at_once():
+    env = Environment()
+    results = []
+
+    def proc(env):
+        results.append((yield env.gather([])))
+
+    env.process(proc(env))
+    assert results == [[]]
+    env.run()
+    assert env.steps == 0
+
+
+def test_gather_refuses_a_non_generator():
+    env = Environment()
+    with pytest.raises(TypeError, match="not a generator"):
+        env.gather([_after(env, 1.0, "ok"), 42])
 
 
 def test_interrupt_wakes_process_early():
@@ -287,13 +336,17 @@ def test_a_never_yielding_process_is_triggered_at_once():
 
     def parent(env):
         children = [env.process(immediate(n)) for n in (1, 2, 3)]
-        assert all(child.triggered for child in children)
-        done = yield env.all_of(children)
-        results.append([done[child] for child in children])
+        assert all(child.processed for child in children)
+        values = []
+        for child in children:
+            values.append((yield child))
+        results.append(values)
+        results.append((yield env.gather([immediate(n) for n in (4, 5)])))
 
     env.process(parent(env))
+    assert results == [[1, 2, 3], [4, 5]]  # before the loop runs at all
     env.run()
-    assert results == [[1, 2, 3]]
+    assert env.steps == 0
 
 
 def test_a_first_step_exception_reaches_its_waiter():

@@ -28,10 +28,10 @@ def test_steps_counts_every_event_pop():
 
     env.process(ticker())
     env.run()
-    # 5 timeouts + the process-start event + process-end bookkeeping:
-    # the exact number is an implementation detail, but it must be
-    # stable and strictly positive.
-    assert env.steps > 5
+    # Exactly the 5 timeouts: a process starts inline and hands its
+    # return value to its waiters in place, so neither its start nor
+    # its end is a kernel event.
+    assert env.steps == 5
     before = env.steps
     env.run()  # drained queue: no further steps
     assert env.steps == before
